@@ -121,36 +121,46 @@ impl DeltaOp {
     /// [`DeltaOp::AddFlow`], anything a `ProblemBuilder` would reject).
     #[must_use = "this Result reports a failure the caller must handle"]
     pub fn apply(&self, problem: &Problem) -> Result<Problem, ValidationError> {
+        let mut p = problem.clone();
+        self.apply_in_place(&mut p)?;
+        Ok(p)
+    }
+
+    /// Applies this single op to `problem` in place. Every op validates
+    /// before it mutates, so on `Err` the problem is unchanged.
+    fn apply_in_place(&self, problem: &mut Problem) -> Result<(), ValidationError> {
         match self {
             DeltaOp::AddFlow { flow, classes } => {
-                problem.with_added_flow(flow.clone(), classes.clone())
+                problem.add_flow_in_place(flow.clone(), classes.clone())
             }
             DeltaOp::RemoveFlow { flow } => {
                 check_flow(problem, *flow)?;
-                Ok(problem.without_flow(*flow))
+                problem.remove_flow_in_place(*flow);
+                Ok(())
             }
             DeltaOp::SetNodeCapacity { node, capacity } => {
                 check_node(problem, *node)?;
-                problem.with_node_capacity(*node, *capacity)
+                problem.set_node_capacity_in_place(*node, *capacity)
             }
             DeltaOp::SetLinkCapacity { link, capacity } => {
-                problem.with_link_capacity(*link, *capacity)
+                problem.set_link_capacity_in_place(*link, *capacity)
             }
             DeltaOp::SetMaxPopulation { class, max_population } => {
                 check_class(problem, *class)?;
-                Ok(problem.with_max_population(*class, *max_population))
+                problem.set_max_population_in_place(*class, *max_population);
+                Ok(())
             }
             DeltaOp::SetRateBounds { flow, bounds } => {
                 check_flow(problem, *flow)?;
-                problem.with_rate_bounds(*flow, *bounds)
+                problem.set_rate_bounds_in_place(*flow, *bounds)
             }
             DeltaOp::SetFlowNodeCost { flow, node, cost } => {
-                problem.with_flow_node_cost(*flow, *node, *cost)
+                problem.set_flow_node_cost_in_place(*flow, *node, *cost)
             }
-            DeltaOp::SetLinkLoss { link, loss } => problem.with_link_loss(*link, *loss),
+            DeltaOp::SetLinkLoss { link, loss } => problem.set_link_loss_in_place(*link, *loss),
             DeltaOp::SetRhoBounds { flow, bounds } => {
                 check_flow(problem, *flow)?;
-                problem.with_rho_bounds(*flow, *bounds)
+                problem.set_rho_bounds_in_place(*flow, *bounds)
             }
         }
     }
@@ -308,16 +318,21 @@ impl ProblemDelta {
     /// Applies the ops front to back, returning the final problem. The input
     /// problem is untouched; a failing op leaves nothing half-applied.
     ///
+    /// The batch clones the problem once and applies every op to that copy
+    /// in place, so a batch of `k` ops costs one clone plus the ops' own
+    /// work — the same result as folding [`DeltaOp::apply`] over the ops,
+    /// without its `k` clones. On error the copy is dropped.
+    ///
     /// # Errors
     ///
     /// The first error any op reports (see [`DeltaOp::apply`]).
     #[must_use = "this Result reports a failure the caller must handle"]
     pub fn apply(&self, problem: &Problem) -> Result<Problem, ValidationError> {
-        let mut next = problem.clone();
+        let mut p = problem.clone();
         for op in &self.ops {
-            next = op.apply(&next)?;
+            op.apply_in_place(&mut p)?;
         }
-        Ok(next)
+        Ok(p)
     }
 }
 
@@ -392,6 +407,23 @@ mod tests {
     }
 
     #[test]
+    fn failing_third_op_returns_err_and_leaves_input_untouched() {
+        let p = base_workload();
+        let before = serde_json::to_string(&p).unwrap();
+        let delta = ProblemDelta::new()
+            .remove_flow(FlowId::new(1))
+            .set_node_capacity(NodeId::new(0), 5e5)
+            .set_rate_bounds(FlowId::new(0), RateBounds { min: 9.0, max: 2.0 })
+            .resize_class(ClassId::new(0), 3);
+        assert!(matches!(
+            delta.apply(&p),
+            Err(ValidationError::InvalidRateBounds { .. })
+        ));
+        assert_eq!(serde_json::to_string(&p).unwrap(), before);
+        assert_eq!(p, base_workload());
+    }
+
+    #[test]
     fn add_flow_appends_ids_and_revalidates() {
         let p = base_workload();
         let flows_before = p.num_flows();
@@ -423,6 +455,24 @@ mod tests {
         for f in p.flow_ids() {
             assert_eq!(q.flow(f), p.flow(f));
         }
+    }
+
+    #[test]
+    fn add_flow_indexes_equal_a_rebuild() {
+        // Lossy so the reliability spec grows too; links so the link index
+        // is covered.
+        let p = crate::workloads::lossy_link_bottleneck_workload(500.0, 0.1);
+        let template = p.flow(FlowId::new(1)).clone();
+        let class = p.class(p.classes_of_flow(FlowId::new(1))[0]).clone();
+        let q = ProblemDelta::new()
+            .add_flow(template.clone(), vec![class.clone(), class.clone()])
+            .add_flow(template, vec![class])
+            .apply(&p)
+            .unwrap();
+        assert!(!q.flows_on_link(LinkId::new(0)).is_empty());
+        let rebuilt: Problem = serde_json::from_str(&serde_json::to_string(&q).unwrap()).unwrap();
+        assert_eq!(rebuilt, q);
+        assert_eq!(q.reliability().unwrap().rho_bounds.len(), p.num_flows() + 2);
     }
 
     #[test]

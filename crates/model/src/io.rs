@@ -4,20 +4,30 @@
 //! them is what makes experiments repeatable. Everything in this crate
 //! derives Serde, and this module adds JSON convenience wrappers plus a
 //! versioned container so files remain identifiable as they evolve.
+//!
+//! Format 2 stores a problem's primary data only: nodes, links, flows,
+//! classes and the optional reliability spec. Loading rebuilds the derived
+//! indexes through [`crate::ProblemBuilder::build`], so a file that
+//! violates a builder invariant (a class on an unknown node, a negative
+//! capacity, …) is rejected with [`IoError::Invalid`]. Format 1 also
+//! stored the indexes and trusted them on load; it is no longer read.
 
 use crate::allocation::Allocation;
-use crate::problem::Problem;
+use crate::problem::{Problem, ProblemBuilder, ValidationError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
 
 /// Format version written into every file; bumped on breaking schema
 /// changes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// A versioned, self-describing container for a problem (and optionally a
 /// solved allocation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Read one with [`Self::from_json`] or [`Self::load`], which check the
+/// version and validate the problem.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProblemFile {
     /// Schema version ([`FORMAT_VERSION`]).
     pub version: u32,
@@ -27,6 +37,16 @@ pub struct ProblemFile {
     pub problem: Problem,
     /// A solved allocation, if one is bundled.
     pub allocation: Option<Allocation>,
+}
+
+/// A [`ProblemFile`] as read, before its problem is validated: the one
+/// type a problem file deserializes into.
+#[derive(Deserialize)]
+struct RawProblemFile {
+    version: u32,
+    description: String,
+    problem: ProblemBuilder,
+    allocation: Option<Allocation>,
 }
 
 /// Error type for problem-file I/O.
@@ -43,6 +63,8 @@ pub enum IoError {
         /// Version this build supports.
         supported: u32,
     },
+    /// The file parsed, but its problem fails validation.
+    Invalid(ValidationError),
 }
 
 impl fmt::Display for IoError {
@@ -53,6 +75,7 @@ impl fmt::Display for IoError {
             IoError::UnsupportedVersion { found, supported } => {
                 write!(f, "unsupported problem-file version {found} (supported: {supported})")
             }
+            IoError::Invalid(e) => write!(f, "invalid problem: {e}"),
         }
     }
 }
@@ -63,6 +86,7 @@ impl std::error::Error for IoError {
             IoError::Io(e) => Some(e),
             IoError::Json(e) => Some(e),
             IoError::UnsupportedVersion { .. } => None,
+            IoError::Invalid(e) => Some(e),
         }
     }
 }
@@ -102,22 +126,29 @@ impl ProblemFile {
         Ok(serde_json::to_string_pretty(self)?)
     }
 
-    /// Deserializes from JSON, checking the schema version.
+    /// Deserializes from JSON, checking the schema version, then builds
+    /// the problem through [`ProblemBuilder::build`].
     ///
     /// # Errors
     ///
     /// [`IoError::Json`] on malformed input, [`IoError::UnsupportedVersion`]
-    /// on a version mismatch.
+    /// on a version mismatch, [`IoError::Invalid`] when the problem fails
+    /// validation.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub fn from_json(text: &str) -> Result<Self, IoError> {
-        let file: ProblemFile = serde_json::from_str(text)?;
-        if file.version != FORMAT_VERSION {
+        let raw: RawProblemFile = serde_json::from_str(text)?;
+        if raw.version != FORMAT_VERSION {
             return Err(IoError::UnsupportedVersion {
-                found: file.version,
+                found: raw.version,
                 supported: FORMAT_VERSION,
             });
         }
-        Ok(file)
+        Ok(ProblemFile {
+            version: raw.version,
+            description: raw.description,
+            problem: raw.problem.build().map_err(IoError::Invalid)?,
+            allocation: raw.allocation,
+        })
     }
 
     /// Writes pretty JSON to `path`.
@@ -189,6 +220,84 @@ mod tests {
         let err = ProblemFile::from_json(&json).unwrap_err();
         assert!(matches!(err, IoError::UnsupportedVersion { found: 999, .. }));
         assert!(err.to_string().contains("999"));
+    }
+
+    /// `base_workload` saved as a file, with `edit` applied to the problem's
+    /// JSON object.
+    fn edited_file(edit: impl Fn(&mut Vec<(String, serde::Value)>)) -> String {
+        let file = ProblemFile::new("edited", base_workload());
+        let mut value = serde::Serialize::to_value(&file);
+        let serde::Value::Object(fields) = &mut value else { unreachable!() };
+        let (_, serde::Value::Object(problem)) =
+            fields.iter_mut().find(|(k, _)| k == "problem").unwrap()
+        else {
+            unreachable!()
+        };
+        edit(problem);
+        serde_json::to_string(&value).unwrap()
+    }
+
+    /// The mutable array stored under `key`.
+    fn array<'a>(obj: &'a mut [(String, serde::Value)], key: &str) -> &'a mut Vec<serde::Value> {
+        match obj.iter_mut().find(|(k, _)| k == key) {
+            Some((_, serde::Value::Array(items))) => items,
+            _ => panic!("no array {key}"),
+        }
+    }
+
+    /// Sets `key` of a JSON object to `v`.
+    fn set(obj: &mut serde::Value, key: &str, v: serde::Value) {
+        let serde::Value::Object(entries) = obj else { panic!("not an object") };
+        entries.iter_mut().find(|(k, _)| k == key).unwrap().1 = v;
+    }
+
+    #[test]
+    fn writes_primary_data_only() {
+        let json = ProblemFile::new("x", base_workload()).to_json().unwrap();
+        for index in ["classes_of_flow", "classes_at_node", "flows_at_node", "flows_on_link"] {
+            assert!(!json.contains(index), "{index} is derived, not stored");
+        }
+        assert!(json.contains("\"version\": 2"));
+    }
+
+    #[test]
+    fn class_on_unknown_node_is_rejected() {
+        let json = edited_file(|problem| {
+            set(&mut array(problem, "classes")[0], "node", serde::Value::U64(999));
+        });
+        let err = ProblemFile::from_json(&json).unwrap_err();
+        assert!(matches!(err, IoError::Invalid(ValidationError::UnknownNode { .. })), "{err}");
+        assert!(err.to_string().contains("invalid problem"));
+        assert!(std::error::Error::source(&err).is_some());
+    }
+
+    #[test]
+    fn negated_capacities_are_rejected() {
+        let json = edited_file(|problem| {
+            for key in ["nodes", "links"] {
+                for spec in array(problem, key) {
+                    let capacity: f64 =
+                        serde::Deserialize::from_value(spec.get("capacity").unwrap()).unwrap();
+                    set(spec, "capacity", serde::Value::F64(-capacity));
+                }
+            }
+        });
+        let err = ProblemFile::from_json(&json).unwrap_err();
+        assert!(
+            matches!(err, IoError::Invalid(ValidationError::NonPositiveCapacity { .. })),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn format_1_files_are_refused() {
+        let mut file = ProblemFile::new("x", base_workload());
+        file.version = 1;
+        let json = serde_json::to_string(&file).unwrap();
+        assert!(matches!(
+            ProblemFile::from_json(&json).unwrap_err(),
+            IoError::UnsupportedVersion { found: 1, supported: 2 }
+        ));
     }
 
     #[test]

@@ -363,7 +363,13 @@ impl std::error::Error for ValidationError {}
 ///
 /// Besides the raw specification, a `Problem` precomputes the index maps the
 /// paper names `flowMap`, `linkMap`, `nodeMap`, `attachMap` and
-/// `nodeClasses`, so the optimizer can iterate without hashing.
+/// `nodeClasses`, so the optimizer can iterate without hashing. Every index
+/// lists its ids in ascending order.
+///
+/// Serialization writes only the primary data (nodes, links, flows,
+/// classes, reliability). Deserialization reads it into a
+/// [`ProblemBuilder`] and runs [`ProblemBuilder::build`], so a loaded
+/// problem is validated and its indexes are derived, never trusted.
 ///
 /// # Examples
 ///
@@ -383,22 +389,39 @@ impl std::error::Error for ValidationError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     nodes: Vec<NodeSpec>,
     links: Vec<LinkSpec>,
     flows: Vec<FlowSpec>,
     classes: Vec<ClassSpec>,
     /// Optional joint rate–reliability extension; `None` (the default,
-    /// and what any pre-extension serialized problem deserializes to)
-    /// leaves the problem a pure rate NUM.
-    #[serde(default)]
+    /// and what a serialized problem without the key loads as) leaves the
+    /// problem a pure rate NUM.
     reliability: Option<ReliabilitySpec>,
     // Derived indices.
     classes_of_flow: Vec<Vec<ClassId>>,
     classes_at_node: Vec<Vec<ClassId>>,
     flows_at_node: Vec<Vec<FlowId>>,
     flows_on_link: Vec<Vec<FlowId>>,
+}
+
+impl Serialize for Problem {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("nodes".to_string(), self.nodes.to_value()),
+            ("links".to_string(), self.links.to_value()),
+            ("flows".to_string(), self.flows.to_value()),
+            ("classes".to_string(), self.classes.to_value()),
+            ("reliability".to_string(), self.reliability.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for Problem {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        ProblemBuilder::from_value(v)?.build().map_err(serde::DeError::custom)
+    }
 }
 
 impl Problem {
@@ -488,16 +511,30 @@ impl Problem {
         &self.classes_at_node[node.index()]
     }
 
-    /// `attachMap_i(b)`: the classes of `flow` attached to `node`.
+    /// `attachMap_i(b)`: the classes of `flow` attached to `node`, in
+    /// ascending id.
+    ///
+    /// Filters the shorter of [`Self::classes_of_flow`] and
+    /// [`Self::classes_at_node`], so the cost is
+    /// `O(min(|C_i|, |nodeClasses(b)|))`. Both lists are in ascending id, so
+    /// either filter yields the same classes in the same order.
     pub fn classes_of_flow_at_node(
         &self,
         flow: FlowId,
         node: NodeId,
     ) -> impl Iterator<Item = ClassId> + '_ {
-        self.classes_at_node[node.index()]
-            .iter()
-            .copied()
-            .filter(move |&c| self.classes[c.index()].flow == flow)
+        let of_flow = &self.classes_of_flow[flow.index()];
+        let at_node = &self.classes_at_node[node.index()];
+        let by_flow = of_flow.len() <= at_node.len();
+        let shorter = if by_flow { of_flow } else { at_node };
+        shorter.iter().copied().filter(move |&c| {
+            let class = &self.classes[c.index()];
+            if by_flow {
+                class.node == node
+            } else {
+                class.flow == flow
+            }
+        })
     }
 
     /// `nodeMap(b)`: the flows that reach `node` (those with an `F_{b,i}`
@@ -585,16 +622,20 @@ impl Problem {
     /// renumbering ids, so traces remain comparable across the change.
     pub fn without_flow(&self, flow: FlowId) -> Problem {
         let mut p = self.clone();
-        p.flows[flow.index()].bounds = RateBounds { min: 0.0, max: 0.0 };
-        // A removed flow consumes no resources.
-        p.flows[flow.index()].node_costs.iter_mut().for_each(|(_, c)| *c = 0.0);
-        p.flows[flow.index()].link_costs.iter_mut().for_each(|(_, c)| *c = 0.0);
-        for class in &mut p.classes {
-            if class.flow == flow {
-                class.max_population = 0;
-            }
-        }
+        p.remove_flow_in_place(flow);
         p
+    }
+
+    /// In-place [`Self::without_flow`].
+    pub(crate) fn remove_flow_in_place(&mut self, flow: FlowId) {
+        let spec = &mut self.flows[flow.index()];
+        spec.bounds = RateBounds { min: 0.0, max: 0.0 };
+        // A removed flow consumes no resources.
+        spec.node_costs.iter_mut().for_each(|(_, c)| *c = 0.0);
+        spec.link_costs.iter_mut().for_each(|(_, c)| *c = 0.0);
+        for &class in &self.classes_of_flow[flow.index()] {
+            self.classes[class.index()].max_population = 0;
+        }
     }
 
     /// Returns a copy with `node`'s capacity replaced.
@@ -609,23 +650,39 @@ impl Problem {
         node: NodeId,
         capacity: f64,
     ) -> Result<Problem, ValidationError> {
+        let mut p = self.clone();
+        p.set_node_capacity_in_place(node, capacity)?;
+        Ok(p)
+    }
+
+    /// In-place [`Self::with_node_capacity`]; validates before it mutates.
+    #[must_use = "this Result reports a failure the caller must handle"]
+    pub(crate) fn set_node_capacity_in_place(
+        &mut self,
+        node: NodeId,
+        capacity: f64,
+    ) -> Result<(), ValidationError> {
         if !(capacity.is_finite() && capacity > 0.0) {
             return Err(ValidationError::NonPositiveCapacity {
                 resource: node.to_string(),
                 capacity,
             });
         }
-        let mut p = self.clone();
-        p.nodes[node.index()].capacity = capacity;
-        Ok(p)
+        self.nodes[node.index()].capacity = capacity;
+        Ok(())
     }
 
     /// Returns a copy with `class`'s maximum population replaced (consumer
     /// churn: demand arriving or departing).
     pub fn with_max_population(&self, class: ClassId, max_population: u32) -> Problem {
         let mut p = self.clone();
-        p.classes[class.index()].max_population = max_population;
+        p.set_max_population_in_place(class, max_population);
         p
+    }
+
+    /// In-place [`Self::with_max_population`].
+    pub(crate) fn set_max_population_in_place(&mut self, class: ClassId, max_population: u32) {
+        self.classes[class.index()].max_population = max_population;
     }
 
     /// Returns a copy with `flow`'s rate bounds replaced.
@@ -639,10 +696,21 @@ impl Problem {
         flow: FlowId,
         bounds: RateBounds,
     ) -> Result<Problem, ValidationError> {
-        RateBounds::new(bounds.min, bounds.max)?;
         let mut p = self.clone();
-        p.flows[flow.index()].bounds = bounds;
+        p.set_rate_bounds_in_place(flow, bounds)?;
         Ok(p)
+    }
+
+    /// In-place [`Self::with_rate_bounds`]; validates before it mutates.
+    #[must_use = "this Result reports a failure the caller must handle"]
+    pub(crate) fn set_rate_bounds_in_place(
+        &mut self,
+        flow: FlowId,
+        bounds: RateBounds,
+    ) -> Result<(), ValidationError> {
+        RateBounds::new(bounds.min, bounds.max)?;
+        self.flows[flow.index()].bounds = bounds;
+        Ok(())
     }
 
     /// Returns a copy with `link`'s capacity replaced.
@@ -658,6 +726,18 @@ impl Problem {
         link: LinkId,
         capacity: f64,
     ) -> Result<Problem, ValidationError> {
+        let mut p = self.clone();
+        p.set_link_capacity_in_place(link, capacity)?;
+        Ok(p)
+    }
+
+    /// In-place [`Self::with_link_capacity`]; validates before it mutates.
+    #[must_use = "this Result reports a failure the caller must handle"]
+    pub(crate) fn set_link_capacity_in_place(
+        &mut self,
+        link: LinkId,
+        capacity: f64,
+    ) -> Result<(), ValidationError> {
         if link.index() >= self.links.len() {
             return Err(ValidationError::UnknownLink { link });
         }
@@ -667,9 +747,8 @@ impl Problem {
                 capacity,
             });
         }
-        let mut p = self.clone();
-        p.links[link.index()].capacity = capacity;
-        Ok(p)
+        self.links[link.index()].capacity = capacity;
+        Ok(())
     }
 
     /// Returns a copy with the `F_{b,i}` coefficient of an *existing*
@@ -690,6 +769,19 @@ impl Problem {
         node: NodeId,
         cost: f64,
     ) -> Result<Problem, ValidationError> {
+        let mut p = self.clone();
+        p.set_flow_node_cost_in_place(flow, node, cost)?;
+        Ok(p)
+    }
+
+    /// In-place [`Self::with_flow_node_cost`]; validates before it mutates.
+    #[must_use = "this Result reports a failure the caller must handle"]
+    pub(crate) fn set_flow_node_cost_in_place(
+        &mut self,
+        flow: FlowId,
+        node: NodeId,
+        cost: f64,
+    ) -> Result<(), ValidationError> {
         if flow.index() >= self.flows.len() {
             return Err(ValidationError::UnknownFlow { flow });
         }
@@ -702,8 +794,7 @@ impl Problem {
                 value: cost,
             });
         }
-        let mut p = self.clone();
-        let entry = p.flows[flow.index()]
+        let entry = self.flows[flow.index()]
             .node_costs
             .iter_mut()
             .find(|(n, _)| *n == node)
@@ -711,7 +802,7 @@ impl Problem {
                 coefficient: format!("F[{node}, {flow}]"),
             })?;
         entry.1 = cost;
-        Ok(p)
+        Ok(())
     }
 
     /// Returns a copy with the joint rate–reliability extension `spec`
@@ -749,16 +840,27 @@ impl Problem {
     /// finite.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub fn with_link_loss(&self, link: LinkId, loss: f64) -> Result<Problem, ValidationError> {
+        let mut p = self.clone();
+        p.set_link_loss_in_place(link, loss)?;
+        Ok(p)
+    }
+
+    /// In-place [`Self::with_link_loss`]; validates before it mutates.
+    #[must_use = "this Result reports a failure the caller must handle"]
+    pub(crate) fn set_link_loss_in_place(
+        &mut self,
+        link: LinkId,
+        loss: f64,
+    ) -> Result<(), ValidationError> {
         if link.index() >= self.links.len() {
             return Err(ValidationError::UnknownLink { link });
         }
         if !(loss.is_finite() && (0.0..1.0).contains(&loss)) {
             return Err(ValidationError::InvalidLossRate { link, loss });
         }
-        let mut p = self.clone();
-        let spec = p.reliability.as_mut().ok_or(ValidationError::ReliabilityDisabled)?;
+        let spec = self.reliability.as_mut().ok_or(ValidationError::ReliabilityDisabled)?;
         spec.link_loss[link.index()] = loss;
-        Ok(p)
+        Ok(())
     }
 
     /// Returns a copy with `flow`'s reliability bounds replaced.
@@ -774,14 +876,25 @@ impl Problem {
         flow: FlowId,
         bounds: RhoBounds,
     ) -> Result<Problem, ValidationError> {
+        let mut p = self.clone();
+        p.set_rho_bounds_in_place(flow, bounds)?;
+        Ok(p)
+    }
+
+    /// In-place [`Self::with_rho_bounds`]; validates before it mutates.
+    #[must_use = "this Result reports a failure the caller must handle"]
+    pub(crate) fn set_rho_bounds_in_place(
+        &mut self,
+        flow: FlowId,
+        bounds: RhoBounds,
+    ) -> Result<(), ValidationError> {
         if flow.index() >= self.flows.len() {
             return Err(ValidationError::UnknownFlow { flow });
         }
         RhoBounds::new(bounds.min, bounds.max)?;
-        let mut p = self.clone();
-        let spec = p.reliability.as_mut().ok_or(ValidationError::ReliabilityDisabled)?;
+        let spec = self.reliability.as_mut().ok_or(ValidationError::ReliabilityDisabled)?;
         spec.rho_bounds[flow.index()] = bounds;
-        Ok(p)
+        Ok(())
     }
 
     /// Returns a copy with a new flow (and its consumer classes) appended.
@@ -789,9 +902,10 @@ impl Problem {
     /// the classes take the next class ids, in the given order. The `flow`
     /// field of each [`ClassSpec`] is overwritten with the new flow's id.
     ///
-    /// The whole problem is re-validated, so the returned instance upholds
-    /// every builder invariant (costs reference existing nodes/links, each
-    /// class attaches to a node the flow reaches, …).
+    /// The new flow and classes pass the same checks [`ProblemBuilder::build`]
+    /// applies, so the returned instance upholds every builder invariant
+    /// (costs reference existing nodes/links, each class attaches to a node
+    /// the flow reaches, …) and equals a from-scratch build.
     ///
     /// # Errors
     ///
@@ -802,25 +916,46 @@ impl Problem {
         flow: FlowSpec,
         classes: Vec<ClassSpec>,
     ) -> Result<Problem, ValidationError> {
-        let mut b = ProblemBuilder {
-            nodes: self.nodes.clone(),
-            links: self.links.clone(),
-            flows: self.flows.clone(),
-            classes: self.classes.clone(),
-            reliability: self.reliability.clone(),
+        let mut p = self.clone();
+        p.add_flow_in_place(flow, classes)?;
+        Ok(p)
+    }
+
+    /// In-place [`Self::with_added_flow`]; validates before it mutates.
+    ///
+    /// The indexes are then derived again by [`ProblemBuilder::build`], the
+    /// one place that derives them.
+    #[must_use = "this Result reports a failure the caller must handle"]
+    pub(crate) fn add_flow_in_place(
+        &mut self,
+        flow: FlowSpec,
+        mut classes: Vec<ClassSpec>,
+    ) -> Result<(), ValidationError> {
+        let n_nodes = self.nodes.len();
+        let fid = FlowId::new(self.flows.len() as u32);
+        validate_flow(fid, &flow, n_nodes, self.links.len())?;
+        for (k, class) in classes.iter_mut().enumerate() {
+            class.flow = fid;
+            let cid = ClassId::new((self.classes.len() + k) as u32);
+            validate_class(cid, class, Some(&flow), n_nodes)?;
+        }
+
+        let mut builder = ProblemBuilder {
+            nodes: std::mem::take(&mut self.nodes),
+            links: std::mem::take(&mut self.links),
+            flows: std::mem::take(&mut self.flows),
+            classes: std::mem::take(&mut self.classes),
+            reliability: self.reliability.take(),
         };
-        let fid = FlowId::new(b.flows.len() as u32);
-        b.flows.push(flow);
-        if let Some(spec) = &mut b.reliability {
+        builder.flows.push(flow);
+        builder.classes.extend(classes);
+        if let Some(spec) = &mut builder.reliability {
             // The grown flow dimension keeps the spec's shape invariant;
             // the new flow demands full reliability until edited.
             spec.rho_bounds.push(RhoBounds::default());
         }
-        for mut class in classes {
-            class.flow = fid;
-            b.classes.push(class);
-        }
-        b.build()
+        *self = builder.build()?;
+        Ok(())
     }
 
     /// Stage-two path pruning (§2.4): zero the `F_{b,i}` coefficient for
@@ -855,8 +990,11 @@ impl Problem {
 
 /// Incremental, validating constructor for [`Problem`] ([C-BUILDER]).
 ///
+/// A builder deserializes from a serialized [`Problem`]'s primary data;
+/// that is how every problem load reaches [`Self::build`].
+///
 /// [C-BUILDER]: https://rust-lang.github.io/api-guidelines/type-safety.html#c-builder
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Deserialize)]
 pub struct ProblemBuilder {
     nodes: Vec<NodeSpec>,
     links: Vec<LinkSpec>,
@@ -990,90 +1128,35 @@ impl ProblemBuilder {
             }
         }
         for (i, flow) in self.flows.iter().enumerate() {
-            let fid = FlowId::new(i as u32);
-            if flow.source.index() >= n_nodes {
-                return Err(ValidationError::UnknownNode { node: flow.source });
-            }
-            // Re-validate bounds (they may have been constructed directly).
-            RateBounds::new(flow.bounds.min, flow.bounds.max)?;
-            let mut seen_nodes = Vec::new();
-            for &(node, cost) in &flow.node_costs {
-                if node.index() >= n_nodes {
-                    return Err(ValidationError::UnknownNode { node });
-                }
-                if !(cost.is_finite() && cost >= 0.0) {
-                    return Err(ValidationError::InvalidCost {
-                        coefficient: format!("F[{node}, {fid}]"),
-                        value: cost,
-                    });
-                }
-                if seen_nodes.contains(&node) {
-                    return Err(ValidationError::DuplicateCost {
-                        coefficient: format!("F[{node}, {fid}]"),
-                    });
-                }
-                seen_nodes.push(node);
-            }
-            let mut seen_links = Vec::new();
-            for &(link, cost) in &flow.link_costs {
-                if link.index() >= n_links {
-                    return Err(ValidationError::UnknownLink { link });
-                }
-                if !(cost.is_finite() && cost >= 0.0) {
-                    return Err(ValidationError::InvalidCost {
-                        coefficient: format!("L[{link}, {fid}]"),
-                        value: cost,
-                    });
-                }
-                if seen_links.contains(&link) {
-                    return Err(ValidationError::DuplicateCost {
-                        coefficient: format!("L[{link}, {fid}]"),
-                    });
-                }
-                seen_links.push(link);
-            }
+            validate_flow(FlowId::new(i as u32), flow, n_nodes, n_links)?;
         }
         for (i, class) in self.classes.iter().enumerate() {
-            let cid = ClassId::new(i as u32);
-            if class.flow.index() >= n_flows {
-                return Err(ValidationError::UnknownFlow { flow: class.flow });
-            }
-            if class.node.index() >= n_nodes {
-                return Err(ValidationError::UnknownNode { node: class.node });
-            }
-            if !(class.consumer_cost.is_finite() && class.consumer_cost > 0.0) {
-                return Err(ValidationError::NonPositiveConsumerCost {
-                    class: cid,
-                    cost: class.consumer_cost,
-                });
-            }
-            let reached = self.flows[class.flow.index()]
-                .node_costs
-                .iter()
-                .any(|(n, _)| *n == class.node);
-            if !reached {
-                return Err(ValidationError::ClassNodeNotReached {
-                    class: cid,
-                    flow: class.flow,
-                    node: class.node,
-                });
-            }
+            let flow = self.flows.get(class.flow.index());
+            validate_class(ClassId::new(i as u32), class, flow, n_nodes)?;
         }
 
         if let Some(spec) = &self.reliability {
             validate_reliability(spec, n_flows, n_links)?;
         }
 
-        // Build derived indices.
-        let mut classes_of_flow = vec![Vec::new(); n_flows];
-        let mut classes_at_node = vec![Vec::new(); n_nodes];
+        // Build derived indices. Each row is allocated once at its final
+        // length, in row order, so it never moves and consecutive rows sit
+        // close together in memory; the executor walks them every step.
+        let mut classes_of_flow = index_rows(n_flows, self.classes.iter().map(|c| c.flow.index()));
+        let mut classes_at_node = index_rows(n_nodes, self.classes.iter().map(|c| c.node.index()));
+        let mut flows_at_node = index_rows(
+            n_nodes,
+            self.flows.iter().flat_map(|f| f.node_costs.iter().map(|&(n, _)| n.index())),
+        );
+        let mut flows_on_link = index_rows(
+            n_links,
+            self.flows.iter().flat_map(|f| f.link_costs.iter().map(|&(l, _)| l.index())),
+        );
         for (i, class) in self.classes.iter().enumerate() {
             let cid = ClassId::new(i as u32);
             classes_of_flow[class.flow.index()].push(cid);
             classes_at_node[class.node.index()].push(cid);
         }
-        let mut flows_at_node = vec![Vec::new(); n_nodes];
-        let mut flows_on_link = vec![Vec::new(); n_links];
         for (i, flow) in self.flows.iter().enumerate() {
             let fid = FlowId::new(i as u32);
             for &(node, _) in &flow.node_costs {
@@ -1096,6 +1179,98 @@ impl ProblemBuilder {
             flows_on_link,
         })
     }
+}
+
+/// `n` empty index rows, row `r` with capacity for every occurrence of `r`
+/// in `slots`.
+fn index_rows<T>(n: usize, slots: impl Iterator<Item = usize>) -> Vec<Vec<T>> {
+    let mut counts = vec![0usize; n];
+    for slot in slots {
+        counts[slot] += 1;
+    }
+    counts.into_iter().map(Vec::with_capacity).collect()
+}
+
+/// Checks flow `fid` against a problem with `n_nodes` nodes and `n_links`
+/// links: a known source, valid bounds, and costs that are finite,
+/// nonnegative, reference known ids and appear once each.
+fn validate_flow(
+    fid: FlowId,
+    flow: &FlowSpec,
+    n_nodes: usize,
+    n_links: usize,
+) -> Result<(), ValidationError> {
+    if flow.source.index() >= n_nodes {
+        return Err(ValidationError::UnknownNode { node: flow.source });
+    }
+    // Re-validate bounds (they may have been constructed directly).
+    RateBounds::new(flow.bounds.min, flow.bounds.max)?;
+    let mut seen_nodes = Vec::new();
+    for &(node, cost) in &flow.node_costs {
+        if node.index() >= n_nodes {
+            return Err(ValidationError::UnknownNode { node });
+        }
+        if !(cost.is_finite() && cost >= 0.0) {
+            return Err(ValidationError::InvalidCost {
+                coefficient: format!("F[{node}, {fid}]"),
+                value: cost,
+            });
+        }
+        if seen_nodes.contains(&node) {
+            return Err(ValidationError::DuplicateCost {
+                coefficient: format!("F[{node}, {fid}]"),
+            });
+        }
+        seen_nodes.push(node);
+    }
+    let mut seen_links = Vec::new();
+    for &(link, cost) in &flow.link_costs {
+        if link.index() >= n_links {
+            return Err(ValidationError::UnknownLink { link });
+        }
+        if !(cost.is_finite() && cost >= 0.0) {
+            return Err(ValidationError::InvalidCost {
+                coefficient: format!("L[{link}, {fid}]"),
+                value: cost,
+            });
+        }
+        if seen_links.contains(&link) {
+            return Err(ValidationError::DuplicateCost {
+                coefficient: format!("L[{link}, {fid}]"),
+            });
+        }
+        seen_links.push(link);
+    }
+    Ok(())
+}
+
+/// Checks class `cid` against its flow's spec (`None` when `class.flow` is
+/// out of range) in a problem with `n_nodes` nodes: a known node the flow
+/// reaches, and a strictly positive consumer cost.
+fn validate_class(
+    cid: ClassId,
+    class: &ClassSpec,
+    flow: Option<&FlowSpec>,
+    n_nodes: usize,
+) -> Result<(), ValidationError> {
+    let flow = flow.ok_or(ValidationError::UnknownFlow { flow: class.flow })?;
+    if class.node.index() >= n_nodes {
+        return Err(ValidationError::UnknownNode { node: class.node });
+    }
+    if !(class.consumer_cost.is_finite() && class.consumer_cost > 0.0) {
+        return Err(ValidationError::NonPositiveConsumerCost {
+            class: cid,
+            cost: class.consumer_cost,
+        });
+    }
+    if !flow.node_costs.iter().any(|(n, _)| *n == class.node) {
+        return Err(ValidationError::ClassNodeNotReached {
+            class: cid,
+            flow: class.flow,
+            node: class.node,
+        });
+    }
+    Ok(())
 }
 
 /// Checks a [`ReliabilitySpec`] against the problem shape: one bounds
@@ -1506,5 +1681,40 @@ mod tests {
         let json = serde_json::to_string(&plain).unwrap().replace(",\"reliability\":null", "");
         let back: Problem = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plain);
+    }
+
+    #[test]
+    fn deserialize_validates_through_the_builder() {
+        let json = serde_json::to_string(&tiny().build().unwrap()).unwrap();
+        assert!(!json.contains("classes_at_node"), "indexes are derived, not stored");
+        let bad = json.replace("\"capacity\":900000", "\"capacity\":-900000");
+        assert_ne!(bad, json);
+        let err = serde_json::from_str::<Problem>(&bad).unwrap_err();
+        assert!(err.to_string().contains("must be positive"), "{err}");
+    }
+
+    #[test]
+    fn attach_map_filters_either_list_in_ascending_order() {
+        // Flow 0 has three classes over two nodes; node 1 hosts classes of
+        // two flows. Each query takes a different list as the shorter one.
+        let mut b = tiny();
+        let f0 = FlowId::new(0);
+        let (src, sink) = (NodeId::new(0), NodeId::new(1));
+        let extra = b.add_node(1e5);
+        b.set_node_cost(f0, extra, 1.0);
+        b.add_class(f0, extra, 5, Utility::log(2.0), 1.0);
+        b.add_class(f0, sink, 5, Utility::log(2.0), 1.0);
+        let f1 = b.add_flow(src, RateBounds::new(1.0, 10.0).unwrap());
+        b.set_node_cost(f1, sink, 1.0);
+        for _ in 0..4 {
+            b.add_class(f1, sink, 5, Utility::log(2.0), 1.0);
+        }
+        let p = b.build().unwrap();
+        let at = |f, n| p.classes_of_flow_at_node(f, n).collect::<Vec<_>>();
+        assert_eq!(at(f0, sink), vec![ClassId::new(0), ClassId::new(2)]);
+        assert_eq!(at(f0, extra), vec![ClassId::new(1)]);
+        assert_eq!(at(f1, sink).len(), 4);
+        assert!(at(f1, extra).is_empty());
+        assert!(at(f0, src).is_empty());
     }
 }

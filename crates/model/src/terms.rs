@@ -3,9 +3,9 @@
 //! The price aggregation of Eqs. 8–9 walks, per flow, its link costs, its
 //! node costs, and the consumer costs of its classes at each node. The
 //! [`crate::Problem`] accessors serve those walks through per-flow `Vec`s of
-//! `(id, cost)` pairs plus an id-filtered scan for `attachMap_i(b)` — fine
-//! for one evaluation, wasteful when the same walk runs every iteration of
-//! an optimizer.
+//! `(id, cost)` pairs plus a filter for `attachMap_i(b)` over the shorter of
+//! the flow's and the node's class lists — fine for one evaluation,
+//! wasteful when the same walk runs every iteration of an optimizer.
 //!
 //! [`PriceTermTable`] precomputes the walks once into four contiguous arrays
 //! in CSR (compressed sparse row) style: all link terms of all flows live in
@@ -13,6 +13,10 @@
 //! terms, and per-link usage terms. Aggregating a flow's price becomes a
 //! pair of linear scans over adjacent memory with no nested id-indexed
 //! lookups and no per-call filtering.
+//!
+//! A build costs `O(Σ_i Σ_{b∈B_i} min(|C_i|, |nodeClasses(b)|))` for the
+//! class terms and is linear in the number of terms otherwise: the usage
+//! terms are the link terms transposed by a counting sort.
 //!
 //! The tables store terms in **exactly** the order the `Problem` accessors
 //! produce them ([`Problem::links_of_flow`], [`Problem::nodes_of_flow`],
@@ -164,14 +168,28 @@ impl PriceTermTable {
             cohorts.push(cohort.unwrap_or(FlowCohort::Generic));
             utility_offsets.push(utility_terms.len() as u32);
         }
-        let mut usage_terms = Vec::new();
-        let mut usage_offsets = Vec::with_capacity(problem.num_links() + 1);
-        usage_offsets.push(0);
-        for link in problem.link_ids() {
-            for &flow in problem.flows_on_link(link) {
-                usage_terms.push((flow.index() as u32, problem.link_cost(link, flow)));
+        // Usage terms are `link_terms` transposed by a counting sort: count
+        // each link's terms, prefix-sum the counts into offsets, then drop
+        // every flow's terms into its links' rows. Flows are visited in
+        // ascending id, so each row lists its flows in
+        // `Problem::flows_on_link` order.
+        let mut usage_offsets = vec![0u32; problem.num_links() + 1];
+        for &(link, _) in &link_terms {
+            usage_offsets[link as usize + 1] += 1;
+        }
+        let mut running = 0;
+        for offset in &mut usage_offsets {
+            running += *offset;
+            *offset = running;
+        }
+        let mut next_slot = usage_offsets.clone();
+        let mut usage_terms = vec![(0u32, 0.0); link_terms.len()];
+        for flow in problem.flow_ids() {
+            for &(link, cost) in problem.links_of_flow(flow) {
+                let slot = &mut next_slot[link.index()];
+                usage_terms[*slot as usize] = (flow.index() as u32, cost);
+                *slot += 1;
             }
-            usage_offsets.push(usage_terms.len() as u32);
         }
         let mut rho_link_terms = Vec::new();
         let mut rho_link_offsets = Vec::new();
@@ -396,6 +414,120 @@ mod tests {
         // Link cost 2.0 weighted by loss 0.25.
         assert_eq!(t.rho_link_terms(FlowId::new(0)), &[(0, 0.5)]);
         assert!(t.rho_link_terms(FlowId::new(9)).is_empty());
+    }
+
+    /// The plain build the table must match bit for bit: every node's class
+    /// list filtered by flow, and every usage term a `link_cost` search.
+    fn reference_build(problem: &Problem) -> PriceTermTable {
+        let fast = PriceTermTable::new(problem);
+        let mut node_terms = Vec::new();
+        let mut class_terms = Vec::new();
+        for flow in problem.flow_ids() {
+            for &(node, flow_cost) in problem.nodes_of_flow(flow) {
+                let class_start = class_terms.len() as u32;
+                for &class in problem.classes_at_node(node) {
+                    let spec = problem.class(class);
+                    if spec.flow == flow {
+                        class_terms.push((class.index() as u32, spec.consumer_cost));
+                    }
+                }
+                node_terms.push(NodePriceTerm {
+                    node: node.index() as u32,
+                    flow_cost,
+                    class_start,
+                    class_end: class_terms.len() as u32,
+                });
+            }
+        }
+        let mut usage_terms = Vec::new();
+        let mut usage_offsets = vec![0];
+        for link in problem.link_ids() {
+            for &flow in problem.flows_on_link(link) {
+                usage_terms.push((flow.index() as u32, problem.link_cost(link, flow)));
+            }
+            usage_offsets.push(usage_terms.len() as u32);
+        }
+        PriceTermTable { node_terms, class_terms, usage_terms, usage_offsets, ..fast }
+    }
+
+    /// Every id, offset and coefficient of a table, floats as raw bits.
+    fn fingerprint(t: &PriceTermTable) -> Vec<u64> {
+        let pairs = |terms: &[(u32, f64)]| -> Vec<u64> {
+            terms.iter().flat_map(|&(id, c)| [u64::from(id), c.to_bits()]).collect()
+        };
+        let offsets = |o: &[u32]| -> Vec<u64> { o.iter().map(|&x| u64::from(x)).collect() };
+        let mut out = Vec::new();
+        out.extend(pairs(&t.link_terms));
+        out.extend(offsets(&t.link_offsets));
+        for term in &t.node_terms {
+            out.extend([
+                u64::from(term.node),
+                term.flow_cost.to_bits(),
+                u64::from(term.class_start),
+                u64::from(term.class_end),
+            ]);
+        }
+        out.extend(offsets(&t.node_offsets));
+        out.extend(pairs(&t.class_terms));
+        out.extend(pairs(&t.usage_terms));
+        out.extend(offsets(&t.usage_offsets));
+        for cohort in &t.cohorts {
+            out.push(match cohort {
+                FlowCohort::Log => 0,
+                FlowCohort::Power { exponent } => exponent.to_bits(),
+                FlowCohort::Generic => 1,
+            });
+        }
+        out.extend(pairs(&t.utility_terms));
+        out.extend(offsets(&t.utility_offsets));
+        out.extend(pairs(&t.rho_link_terms));
+        out.extend(offsets(&t.rho_link_offsets));
+        out
+    }
+
+    /// One problem from every generator in [`crate::workloads`], plus each
+    /// with its first flow removed (zeroed costs, same structure).
+    fn every_generator() -> Vec<(String, Problem)> {
+        use rand::SeedableRng;
+        let mut out = vec![("base".to_string(), workloads::base_workload())];
+        for shape in crate::UtilityShape::ALL {
+            out.push((format!("base {shape}"), workloads::base_workload_with_shape(shape)));
+            out.push((format!("paper {shape} 2x3"), workloads::paper_workload(shape, 2, 3)));
+        }
+        for w in workloads::Table2Workload::ALL {
+            out.push((format!("table2 {}", w.label()), w.build()));
+        }
+        for (seed, mixed_shapes) in [(1, false), (2, true), (3, true)] {
+            let generator = workloads::RandomWorkload {
+                flows: 40,
+                consumer_nodes: 6,
+                classes_per_flow: 4,
+                mixed_shapes,
+                ..workloads::RandomWorkload::default()
+            };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            out.push((format!("random {seed}"), generator.generate(&mut rng)));
+        }
+        out.push(("link bottleneck".to_string(), workloads::link_bottleneck_workload(500.0)));
+        out.push((
+            "lossy link bottleneck".to_string(),
+            workloads::lossy_link_bottleneck_workload(500.0, 0.1),
+        ));
+        out.push(("mixed loss".to_string(), workloads::mixed_loss_workload(16, 800.0, 7)));
+        let removed: Vec<_> = out
+            .iter()
+            .map(|(name, p)| (format!("{name} without flow0"), p.without_flow(FlowId::new(0))))
+            .collect();
+        out.extend(removed);
+        out
+    }
+
+    #[test]
+    fn matches_reference_build_bitwise_on_every_generator() {
+        for (name, p) in every_generator() {
+            let fast = PriceTermTable::new(&p);
+            assert_eq!(fingerprint(&fast), fingerprint(&reference_build(&p)), "{name}");
+        }
     }
 
     #[test]

@@ -37,11 +37,11 @@ use lrgp::{
     TraceConfig,
 };
 use lrgp_model::workloads::{
-    link_bottleneck_workload, mixed_loss_workload, paper_workload, RandomWorkload,
+    base_workload, link_bottleneck_workload, mixed_loss_workload, paper_workload, RandomWorkload,
 };
 use lrgp_model::{
-    ClassId, ClassSpec, FlowId, FlowSpec, LinkId, NodeId, Problem, ProblemDelta, RateBounds,
-    RhoBounds, Utility, UtilityShape,
+    ClassId, ClassSpec, DeltaOp, FlowId, FlowSpec, LinkId, NodeId, NodeSpec, Problem,
+    ProblemBuilder, ProblemDelta, RateBounds, RhoBounds, Utility, UtilityShape,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -214,6 +214,8 @@ fn workload_strategy() -> impl Strategy<Value = (RandomWorkload, u64, usize)> {
 
 /// A seed-chosen targeted delta: `(kind, element selector, magnitude)`
 /// resolved against the problem's current dimensions at application time.
+/// Kind 4, a cost edit, is drawn only by the batch test; the engine
+/// schedules draw kinds 0–3.
 fn resolve_delta(problem: &Problem, kind: u8, sel: u64, magnitude: f64) -> ProblemDelta {
     match kind {
         0 => {
@@ -230,11 +232,113 @@ fn resolve_delta(problem: &Problem, kind: u8, sel: u64, magnitude: f64) -> Probl
             let bounds = RateBounds::new(5.0, max).expect("5 < 50 ≤ max");
             ProblemDelta::new().set_rate_bounds(flow, bounds)
         }
+        4 => {
+            let flow = FlowId::new((sel % problem.num_flows() as u64) as u32);
+            match problem.nodes_of_flow(flow).first() {
+                Some(&(node, _)) => {
+                    ProblemDelta::new().set_flow_node_cost(flow, node, magnitude % 50.0)
+                }
+                None => ProblemDelta::new(),
+            }
+        }
         _ => {
             let flow = FlowId::new((sel % problem.num_flows() as u64) as u32);
             ProblemDelta::new().remove_flow(flow)
         }
     }
+}
+
+/// `delta` applied to plain copies of `problem`'s specs, then built from
+/// scratch by [`ProblemBuilder`]. It shares no code with the in-place
+/// mutators behind [`ProblemDelta::apply`].
+fn rebuilt_with(problem: &Problem, delta: &ProblemDelta) -> Problem {
+    let mut nodes: Vec<NodeSpec> = problem.node_ids().map(|n| problem.node(n).clone()).collect();
+    let mut flows: Vec<FlowSpec> = problem.flow_ids().map(|f| problem.flow(f).clone()).collect();
+    let mut classes: Vec<ClassSpec> =
+        problem.class_ids().map(|c| problem.class(c).clone()).collect();
+    for op in delta.ops() {
+        match *op {
+            DeltaOp::SetNodeCapacity { node, capacity } => nodes[node.index()].capacity = capacity,
+            DeltaOp::SetMaxPopulation { class, max_population } => {
+                classes[class.index()].max_population = max_population;
+            }
+            DeltaOp::SetRateBounds { flow, bounds } => flows[flow.index()].bounds = bounds,
+            DeltaOp::SetFlowNodeCost { flow, node, cost } => {
+                for entry in flows[flow.index()].node_costs.iter_mut().filter(|e| e.0 == node) {
+                    entry.1 = cost;
+                }
+            }
+            DeltaOp::RemoveFlow { flow } => {
+                let spec = &mut flows[flow.index()];
+                spec.bounds = RateBounds { min: 0.0, max: 0.0 };
+                spec.node_costs.iter_mut().for_each(|e| e.1 = 0.0);
+                spec.link_costs.iter_mut().for_each(|e| e.1 = 0.0);
+                for class in classes.iter_mut().filter(|c| c.flow == flow) {
+                    class.max_population = 0;
+                }
+            }
+            ref other => panic!("no reference for {other:?}"),
+        }
+    }
+    let mut b = ProblemBuilder::new();
+    for node in nodes {
+        match node.label {
+            Some(label) => b.add_labeled_node(node.capacity, label),
+            None => b.add_node(node.capacity),
+        };
+    }
+    for link in problem.link_ids().map(|l| problem.link(l)) {
+        match (link.from, link.to) {
+            (Some(from), Some(to)) => b.add_link_between(link.capacity, from, to),
+            _ => b.add_link(link.capacity),
+        };
+    }
+    for spec in flows {
+        let flow = b.add_flow(spec.source, spec.bounds);
+        for (node, cost) in spec.node_costs {
+            b.set_node_cost(flow, node, cost);
+        }
+        for (link, cost) in spec.link_costs {
+            b.set_link_cost(flow, link, cost);
+        }
+    }
+    for c in classes {
+        b.add_class(c.flow, c.node, c.max_population, c.utility, c.consumer_cost);
+    }
+    if let Some(spec) = problem.reliability() {
+        b.set_reliability(spec.clone());
+    }
+    b.build().expect("the edited specs are valid")
+}
+
+/// Asserts that `batch.apply(problem)` and the op-by-op fold of
+/// [`DeltaOp::apply`] both equal [`rebuilt_with`]'s reference. `Debug`
+/// equality also tells `-0.0` from `0.0`.
+fn assert_batch_matches_reference(problem: &Problem, batch: &ProblemDelta) {
+    let batched = batch.apply(problem).expect("batch is valid");
+    let folded = batch
+        .ops()
+        .iter()
+        .try_fold(problem.clone(), |p, op| op.apply(&p))
+        .expect("ops are valid");
+    let reference = format!("{:?}", rebuilt_with(problem, batch));
+    assert_eq!(format!("{batched:?}"), reference, "batch differs from the rebuilt reference");
+    assert_eq!(format!("{folded:?}"), reference, "fold differs from the rebuilt reference");
+}
+
+/// A removal, a cost edit, a resize and a re-bound in one batch on the
+/// paper's base workload.
+#[test]
+fn mixed_batch_on_base_workload_matches_rebuilt_reference() {
+    let problem = base_workload();
+    let flow = FlowId::new(3);
+    let node = problem.nodes_of_flow(flow)[0].0;
+    let batch = ProblemDelta::new()
+        .remove_flow(FlowId::new(0))
+        .set_flow_node_cost(flow, node, 1.25)
+        .resize_class(ClassId::new(4), 11)
+        .set_rate_bounds(flow, RateBounds::new(2.0, 30.0).expect("2 ≤ 30"));
+    assert_batch_matches_reference(&problem, &batch);
 }
 
 proptest! {
@@ -278,6 +382,25 @@ proptest! {
             25,
             removal,
         );
+    }
+
+    /// A batch applies to one clone of the problem in place. It must equal
+    /// the op-by-op fold of [`DeltaOp::apply`] and a reference that edits
+    /// copies of the specs and builds from scratch, indexes included.
+    #[test]
+    fn batched_delta_matches_rebuilt_reference(
+        (workload, seed, _threads) in workload_strategy(),
+        schedule in proptest::collection::vec(
+            (0u8..5, 0u64..1_000_000, 0.0f64..1_000_000.0),
+            1..5,
+        )
+    ) {
+        let problem = workload.generate(&mut StdRng::seed_from_u64(seed));
+        // No kind grows the problem, so each resolves against the original.
+        let batch = schedule.iter().fold(ProblemDelta::new(), |batch, &(kind, sel, magnitude)| {
+            batch.merge(resolve_delta(&problem, kind, sel, magnitude))
+        });
+        assert_batch_matches_reference(&problem, &batch);
     }
 
     /// The delta-sequence oracle: a random schedule of targeted edits and
