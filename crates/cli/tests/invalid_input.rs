@@ -3,7 +3,8 @@
 
 use lrgp_model::io::ProblemFile;
 use lrgp_model::workloads::base_workload;
-use serde::{Deserialize, Serialize, Value};
+use lrgp_model::utility::Utility;
+use serde::{Serialize, Value};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -58,11 +59,24 @@ fn class_pointing_at_node_999_exits_nonzero() {
 #[test]
 fn negated_capacities_exit_nonzero() {
     let json = edited_base("nodes", |nodes| {
-        map_field(nodes, "capacity", |c| Value::F64(-f64::from_value(c).unwrap()));
+        map_field(nodes, "capacity", |c| match c {
+            Value::F64(capacity) => Value::F64(-capacity),
+            other => panic!("capacities serialize as f64, found {other:?}"),
+        });
     });
     let (ok, stderr) = solve("negated.json", &json);
     assert!(!ok, "solve accepted negative capacities");
     assert!(stderr.contains("must be positive"), "{stderr}");
+}
+
+#[test]
+fn negative_utility_weight_exits_nonzero() {
+    let json = edited_base("classes", |classes| {
+        map_field(&mut classes[..1], "utility", |_| Utility::Log { weight: -20.0 }.to_value());
+    });
+    let (ok, stderr) = solve("negative_weight.json", &json);
+    assert!(!ok, "solve accepted a negative utility weight");
+    assert!(stderr.contains("invalid problem") && stderr.contains("utility"), "{stderr}");
 }
 
 #[test]

@@ -387,7 +387,10 @@ mod tests {
         // `total_cmp` keeps the order total, so the allocation must be
         // deterministic and must not panic.
         let cap = 30.0 * 1900.0;
-        let (p, rates) = one_node(cap, 0.0, &[(20, f64::NAN, 19.0), (20, 50.0, 19.0)]);
+        let (p, rates) = one_node(cap, 0.0, &[(20, 1.0, 19.0), (20, 50.0, 19.0)]);
+        // `build` refuses a NaN weight, so it goes in afterwards, as
+        // `Problem::with_utilities` allows.
+        let p = p.with_utilities(|rank| Utility::log(if rank == 1.0 { f64::NAN } else { rank }));
         assert!(benefit_cost(&p, ClassId::new(0), 100.0).is_nan());
         let run = || {
             allocate_consumers(

@@ -178,7 +178,10 @@ impl ProblemFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::FlowId;
+    use crate::utility::Utility;
     use crate::workloads::base_workload;
+    use serde::Serialize;
 
     #[test]
     fn json_round_trip_preserves_problem() {
@@ -276,8 +279,9 @@ mod tests {
         let json = edited_file(|problem| {
             for key in ["nodes", "links"] {
                 for spec in array(problem, key) {
-                    let capacity: f64 =
-                        serde::Deserialize::from_value(spec.get("capacity").unwrap()).unwrap();
+                    let Some(&serde::Value::F64(capacity)) = spec.get("capacity") else {
+                        panic!("capacities serialize as f64")
+                    };
                     set(spec, "capacity", serde::Value::F64(-capacity));
                 }
             }
@@ -287,6 +291,64 @@ mod tests {
             matches!(err, IoError::Invalid(ValidationError::NonPositiveCapacity { .. })),
             "{err}"
         );
+    }
+
+    #[test]
+    fn out_of_range_utilities_are_rejected() {
+        for utility in [
+            Utility::Power { weight: 20.0, exponent: 1.5 },
+            Utility::Power { weight: 20.0, exponent: -1.0 },
+            Utility::Saturating { weight: 20.0, scale: 0.0 },
+            Utility::Log { weight: -20.0 },
+        ] {
+            let json = edited_file(|problem| {
+                set(&mut array(problem, "classes")[0], "utility", utility.to_value());
+            });
+            let err = ProblemFile::from_json(&json).unwrap_err();
+            assert!(
+                matches!(err, IoError::Invalid(ValidationError::InvalidUtility { .. })),
+                "{utility}: {err}"
+            );
+        }
+        // A weight beyond f64's range is refused by the parser, as
+        // serde_json does, rather than read as infinity.
+        let json = edited_file(|problem| {
+            set(&mut array(problem, "classes")[0], "utility", Utility::log(0.125).to_value());
+        })
+        .replace("\"weight\":0.125", "\"weight\":1e309");
+        let err = ProblemFile::from_json(&json).unwrap_err();
+        let refused = matches!(err, IoError::Json(_)) && err.to_string().contains("out of range");
+        assert!(refused, "{err}");
+    }
+
+    #[test]
+    fn negative_zero_cost_round_trips_bit_exact() {
+        let json = edited_file(|problem| {
+            let flow = &mut array(problem, "flows")[0];
+            let serde::Value::Object(entries) = flow else { panic!("flow is an object") };
+            let (_, serde::Value::Array(costs)) =
+                entries.iter_mut().find(|(k, _)| k == "node_costs").unwrap()
+            else {
+                panic!("node_costs is an array")
+            };
+            let serde::Value::Array(pair) = &mut costs[0] else { panic!("a cost is a pair") };
+            pair[1] = serde::Value::F64(-0.0);
+        });
+        let cost = |file: &ProblemFile| file.problem.flow(FlowId::new(0)).node_costs[0].1;
+        let first = ProblemFile::from_json(&json).unwrap();
+        let again = ProblemFile::from_json(&first.to_json().unwrap()).unwrap();
+        assert_eq!(cost(&first).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(cost(&again).to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn deep_nesting_under_an_unknown_key_is_an_error() {
+        // 100,000 levels once overflowed the stack in `lrgp solve`.
+        let json = ProblemFile::new("deep", base_workload()).to_json().unwrap();
+        let depth = 100_000;
+        let deep = format!("{{\"junk\": {}{},{}", "[".repeat(depth), "]".repeat(depth), &json[1..]);
+        let err = ProblemFile::from_json(&deep).unwrap_err();
+        assert!(matches!(err, IoError::Json(_)) && err.to_string().contains("nesting"), "{err}");
     }
 
     #[test]

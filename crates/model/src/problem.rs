@@ -247,6 +247,16 @@ pub enum ValidationError {
         /// The offending cost.
         cost: f64,
     },
+    /// A class's utility parameters lie outside the domain where the
+    /// utility is increasing and concave: every weight must be finite and
+    /// nonnegative, a `Power` exponent must lie in `(0, 1)`, and a
+    /// `Saturating` scale must be finite and strictly positive.
+    InvalidUtility {
+        /// The offending class.
+        class: ClassId,
+        /// The offending utility.
+        utility: Utility,
+    },
     /// A class attaches to a node its flow does not reach (no `F_{b,i}`
     /// entry). §2.4's two-stage approximation requires the flow to be routed
     /// to every node hosting one of its classes.
@@ -328,6 +338,11 @@ impl fmt::Display for ValidationError {
             ValidationError::NonPositiveConsumerCost { class, cost } => {
                 write!(f, "consumer cost of {class} must be positive, got {cost}")
             }
+            ValidationError::InvalidUtility { class, utility } => write!(
+                f,
+                "utility {utility} of {class} is out of range (weight finite and \
+                 nonnegative, power exponent in (0, 1), saturating scale finite and positive)"
+            ),
             ValidationError::ClassNodeNotReached { class, flow, node } => {
                 write!(f, "{class} attaches to {node} but {flow} does not reach it")
             }
@@ -419,8 +434,8 @@ impl Serialize for Problem {
 }
 
 impl Deserialize for Problem {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        ProblemBuilder::from_value(v)?.build().map_err(serde::DeError::custom)
+    fn deserialize(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::DeError> {
+        ProblemBuilder::deserialize(r)?.build().map_err(serde::DeError::custom)
     }
 }
 
@@ -1098,8 +1113,8 @@ impl ProblemBuilder {
     ///
     /// Returns the first [`ValidationError`] encountered: dangling ids,
     /// non-positive capacities, invalid rate bounds, negative costs,
-    /// non-positive consumer costs, classes attached to unreached nodes, or
-    /// duplicate cost entries.
+    /// non-positive consumer costs, utility parameters out of range,
+    /// classes attached to unreached nodes, or duplicate cost entries.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub fn build(self) -> Result<Problem, ValidationError> {
         let n_nodes = self.nodes.len();
@@ -1246,7 +1261,8 @@ fn validate_flow(
 
 /// Checks class `cid` against its flow's spec (`None` when `class.flow` is
 /// out of range) in a problem with `n_nodes` nodes: a known node the flow
-/// reaches, and a strictly positive consumer cost.
+/// reaches, a strictly positive consumer cost, and utility parameters in
+/// range.
 fn validate_class(
     cid: ClassId,
     class: &ClassSpec,
@@ -1263,6 +1279,9 @@ fn validate_class(
             cost: class.consumer_cost,
         });
     }
+    if !utility_in_range(&class.utility) {
+        return Err(ValidationError::InvalidUtility { class: cid, utility: class.utility });
+    }
     if !flow.node_costs.iter().any(|(n, _)| *n == class.node) {
         return Err(ValidationError::ClassNodeNotReached {
             class: cid,
@@ -1271,6 +1290,20 @@ fn validate_class(
         });
     }
     Ok(())
+}
+
+/// Whether `utility`'s parameters are those [`ValidationError::InvalidUtility`]
+/// asks for. Deserialized utilities bypass the asserts in
+/// [`Utility::power`] and [`Utility::saturating`], so this is where they
+/// are checked.
+fn utility_in_range(utility: &Utility) -> bool {
+    let shape = match *utility {
+        Utility::Power { exponent, .. } => exponent > 0.0 && exponent < 1.0,
+        Utility::Saturating { scale, .. } => scale.is_finite() && scale > 0.0,
+        Utility::Log { .. } | Utility::Linear { .. } => true,
+    };
+    let weight = utility.weight();
+    shape && weight.is_finite() && weight >= 0.0
 }
 
 /// Checks a [`ReliabilitySpec`] against the problem shape: one bounds
@@ -1651,6 +1684,18 @@ mod tests {
             plain.with_rho_bounds(FlowId::new(0), nb).unwrap_err(),
             ValidationError::ReliabilityDisabled
         ));
+    }
+
+    #[test]
+    fn build_and_added_flows_reject_out_of_range_utilities() {
+        let mut b = tiny();
+        b.classes[0].utility = Utility::log(f64::INFINITY);
+        assert!(matches!(b.build().unwrap_err(), ValidationError::InvalidUtility { .. }));
+        let p = tiny().build().unwrap();
+        let mut class = p.class(ClassId::new(0)).clone();
+        class.utility = Utility::Power { weight: 1.0, exponent: 1.5 };
+        let err = p.with_added_flow(p.flow(FlowId::new(0)).clone(), vec![class]).unwrap_err();
+        assert!(matches!(err, ValidationError::InvalidUtility { .. }), "{err}");
     }
 
     #[test]

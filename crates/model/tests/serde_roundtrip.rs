@@ -2,8 +2,12 @@
 //! workload saved and reloaded must be *exactly* the problem it was.
 
 use lrgp_model::io::ProblemFile;
-use lrgp_model::workloads::{paper_workload, RandomWorkload};
-use lrgp_model::{Allocation, Utility, UtilityShape};
+use lrgp_model::workloads::{
+    base_workload, base_workload_with_shape, link_bottleneck_workload,
+    lossy_link_bottleneck_workload, mixed_loss_workload, paper_workload, RandomWorkload,
+    Table2Workload,
+};
+use lrgp_model::{Allocation, Problem, Utility, UtilityShape};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,14 +70,29 @@ proptest! {
     }
 }
 
+/// Every generator's problem reloads Debug-equal, so a float whose sign
+/// or last bit changed on the way shows up.
 #[test]
-fn every_paper_workload_round_trips() {
+fn every_workload_generator_round_trips() {
+    let mut problems: Vec<(String, Problem)> = Vec::new();
     for shape in UtilityShape::ALL {
         for (sys, cn) in [(1, 1), (2, 1), (1, 2)] {
-            let p = paper_workload(shape, sys, cn);
-            let file = ProblemFile::new(format!("{shape} {sys}x{cn}"), p.clone());
-            let back = ProblemFile::from_json(&file.to_json().unwrap()).unwrap();
-            assert_eq!(back.problem, p);
+            problems.push((format!("{shape} {sys}x{cn}"), paper_workload(shape, sys, cn)));
         }
+        problems.push((format!("base {shape}"), base_workload_with_shape(shape)));
+    }
+    problems.push(("base".into(), base_workload()));
+    for row in Table2Workload::ALL {
+        problems.push((row.label().into(), row.build()));
+    }
+    let random = RandomWorkload::default().generate(&mut StdRng::seed_from_u64(7));
+    problems.push(("random".into(), random));
+    problems.push(("link bottleneck".into(), link_bottleneck_workload(100.0)));
+    problems.push(("lossy bottleneck".into(), lossy_link_bottleneck_workload(500.0, 0.1)));
+    problems.push(("mixed loss".into(), mixed_loss_workload(4, 500.0, 11)));
+    for (label, p) in problems {
+        let file = ProblemFile::new(label.clone(), p.clone());
+        let back = ProblemFile::from_json(&file.to_json().unwrap()).unwrap();
+        assert_eq!(format!("{:?}", back.problem), format!("{p:?}"), "{label}");
     }
 }

@@ -2,18 +2,26 @@
 //!
 //! The build environment cannot reach crates.io, so the workspace vendors a
 //! minimal serialization framework under the `serde` name. Unlike real
-//! serde's visitor architecture, this shim converts values to and from a
-//! single self-describing [`Value`] tree; `serde_json` (also vendored)
-//! renders that tree as JSON. The derive macros live in the vendored
-//! `serde_derive` proc-macro crate and generate impls of the two traits
-//! below, using real serde's external enum tagging so existing JSON fixtures
-//! remain readable.
+//! serde's visitor architecture, the two directions use two small models:
+//!
+//! * [`Serialize`] converts a value to a self-describing [`Value`] tree,
+//!   which `serde_json` (also vendored) renders as JSON;
+//! * [`Deserialize`] pulls tokens straight from JSON text through a
+//!   [`de::Reader`] and builds the typed value with no tree in between.
+//!
+//! The derive macros live in the vendored `serde_derive` proc-macro crate
+//! and generate impls of both traits, using real serde's external enum
+//! tagging so existing JSON fixtures remain readable.
 
 pub use serde_derive::{Deserialize, Serialize};
 
+pub mod de;
+
+use de::Reader;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-/// A self-describing tree of serialized data (the shim's data model).
+/// A self-describing tree of serialized data: what [`Serialize`] produces,
+/// and what a JSON text reads as when its shape is not known in advance.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -24,7 +32,7 @@ pub enum Value {
     U64(u64),
     /// Negative integers.
     I64(i64),
-    /// Floating-point numbers.
+    /// Floating-point numbers, including `-0`.
     F64(f64),
     /// Strings.
     Str(String),
@@ -55,18 +63,6 @@ impl Value {
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.as_object()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
-
-    /// Short description of the value's kind, for error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::U64(_) | Value::I64(_) | Value::F64(_) => "number",
-            Value::Str(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
 }
 
 /// Deserialization error.
@@ -94,10 +90,22 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// Conversion out of the shim's data model.
+/// Reading a value from JSON text.
 pub trait Deserialize: Sized {
-    /// Reconstructs `Self` from a [`Value`] tree.
-    fn from_value(v: &Value) -> Result<Self, DeError>;
+    /// Reads one value from `r`, consuming exactly its text.
+    ///
+    /// # Errors
+    ///
+    /// Fails on malformed JSON or when the text does not have `Self`'s
+    /// shape.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError>;
+
+    /// The value a struct field of this type takes when its key is absent;
+    /// `None`, the default, makes the field required. `Option` fields read
+    /// as `None`.
+    fn absent() -> Option<Self> {
+        None
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
@@ -107,53 +115,12 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 }
 
 // ---------------------------------------------------------------------------
-// Derive support helpers (used by generated code; not part of the public
-// serde API surface).
-// ---------------------------------------------------------------------------
-
-/// Fetches and deserializes a struct field; absent keys deserialize from
-/// `Null` so `Option` fields tolerate omission.
-pub fn get_field<T: Deserialize>(obj: &[(String, Value)], key: &str) -> Result<T, DeError> {
-    match obj.iter().find(|(k, _)| k == key) {
-        Some((_, v)) => T::from_value(v)
-            .map_err(|e| DeError(format!("field `{key}`: {e}"))),
-        None => T::from_value(&Value::Null)
-            .map_err(|_| DeError(format!("missing field `{key}`"))),
-    }
-}
-
-/// Fetches and deserializes a struct field marked `#[serde(default)]`:
-/// an absent key falls back to `T::default()` instead of erroring, so new
-/// fields can be added to persisted formats backward-compatibly.
-pub fn get_field_or_default<T: Deserialize + Default>(
-    obj: &[(String, Value)],
-    key: &str,
-) -> Result<T, DeError> {
-    match obj.iter().find(|(k, _)| k == key) {
-        Some((_, v)) => T::from_value(v).map_err(|e| DeError(format!("field `{key}`: {e}"))),
-        None => Ok(T::default()),
-    }
-}
-
-/// Fetches and deserializes a positional element of a tuple struct/variant.
-pub fn get_elem<T: Deserialize>(arr: &[Value], idx: usize) -> Result<T, DeError> {
-    let v = arr
-        .get(idx)
-        .ok_or_else(|| DeError(format!("missing tuple element {idx}")))?;
-    T::from_value(v).map_err(|e| DeError(format!("element {idx}: {e}")))
-}
-
-// ---------------------------------------------------------------------------
 // Primitive impls
 // ---------------------------------------------------------------------------
 
-fn int_from_value(v: &Value, what: &str) -> Result<i128, DeError> {
-    match v {
-        Value::U64(n) => Ok(*n as i128),
-        Value::I64(n) => Ok(*n as i128),
-        Value::F64(f) if f.fract() == 0.0 && f.abs() < 2f64.powi(63) => Ok(*f as i128),
-        other => Err(DeError(format!("expected {what}, found {}", other.kind()))),
-    }
+fn int_in_range<T: TryFrom<i128>>(r: &mut Reader<'_>, ty: &str) -> Result<T, DeError> {
+    let n = r.int()?;
+    T::try_from(n).map_err(|_| r.error(format_args!("integer {n} out of range for {ty}")))
 }
 
 macro_rules! impl_uint {
@@ -164,11 +131,8 @@ macro_rules! impl_uint {
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let n = int_from_value(v, stringify!($t))?;
-                <$t>::try_from(n).map_err(|_| DeError(format!(
-                    "integer {n} out of range for {}", stringify!($t)
-                )))
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                int_in_range(r, stringify!($t))
             }
         }
     )*};
@@ -186,11 +150,8 @@ macro_rules! impl_int {
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let n = int_from_value(v, stringify!($t))?;
-                <$t>::try_from(n).map_err(|_| DeError(format!(
-                    "integer {n} out of range for {}", stringify!($t)
-                )))
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                int_in_range(r, stringify!($t))
             }
         }
     )*};
@@ -206,13 +167,8 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::F64(f) => Ok(*f),
-            Value::U64(n) => Ok(*n as f64),
-            Value::I64(n) => Ok(*n as f64),
-            other => Err(DeError(format!("expected f64, found {}", other.kind()))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.f64()
     }
 }
 
@@ -223,8 +179,8 @@ impl Serialize for f32 {
 }
 
 impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        f64::from_value(v).map(|f| f as f32)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.f64().map(|f| f as f32)
     }
 }
 
@@ -235,11 +191,8 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DeError(format!("expected bool, found {}", other.kind()))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.bool()
     }
 }
 
@@ -250,11 +203,8 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(DeError(format!("expected string, found {}", other.kind()))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.str().map(String::from)
     }
 }
 
@@ -271,12 +221,12 @@ impl Serialize for char {
 }
 
 impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let s = String::from_value(v)?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let s = r.str()?;
         let mut chars = s.chars();
         match (chars.next(), chars.next()) {
             (Some(c), None) => Ok(c),
-            _ => Err(DeError(format!("expected single-char string, found {s:?}"))),
+            _ => Err(r.error(format_args!("expected single-char string, found {s:?}"))),
         }
     }
 }
@@ -295,11 +245,16 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
+    }
+
+    fn absent() -> Option<Self> {
+        Some(None)
     }
 }
 
@@ -310,12 +265,14 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_array()
-            .ok_or_else(|| DeError(format!("expected array, found {}", v.kind())))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.begin_array()?;
+        let mut items = Vec::new();
+        while r.next_elem()? {
+            let idx = items.len();
+            items.push(T::deserialize(r).map_err(|e| e.within(format_args!("element {idx}")))?);
+        }
+        Ok(items)
     }
 }
 
@@ -326,8 +283,8 @@ impl<T: Serialize> Serialize for VecDeque<T> {
 }
 
 impl<T: Deserialize> Deserialize for VecDeque<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Vec::<T>::from_value(v).map(VecDeque::from)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        Vec::<T>::deserialize(r).map(VecDeque::from)
     }
 }
 
@@ -343,38 +300,38 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
     }
 }
 
-impl<T: Deserialize + std::fmt::Debug, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let items = Vec::<T>::from_value(v)?;
+impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let items = Vec::<T>::deserialize(r)?;
         let len = items.len();
         <[T; N]>::try_from(items)
-            .map_err(|_| DeError(format!("expected array of length {N}, found {len}")))
+            .map_err(|_| r.error(format_args!("expected array of length {N}, found {len}")))
     }
 }
 
 macro_rules! impl_tuple {
-    ($(($($name:ident . $idx:tt),+))*) => {$(
+    ($(($len:literal: $($name:ident . $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
             fn to_value(&self) -> Value {
                 Value::Array(vec![$(self.$idx.to_value()),+])
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let arr = v.as_array().ok_or_else(|| {
-                    DeError(format!("expected tuple array, found {}", v.kind()))
-                })?;
-                Ok(($(get_elem::<$name>(arr, $idx)?,)+))
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+                r.begin_array()?;
+                let tuple = ($(de::elem::<$name>(r, $idx)?,)+);
+                r.end_tuple($len)?;
+                Ok(tuple)
             }
         }
     )*};
 }
 
 impl_tuple! {
-    (A.0)
-    (A.0, B.1)
-    (A.0, B.1, C.2)
-    (A.0, B.1, C.2, D.3)
+    (1: A.0)
+    (2: A.0, B.1)
+    (3: A.0, B.1, C.2)
+    (4: A.0, B.1, C.2, D.3)
 }
 
 impl<K: Serialize, V: Serialize, S> Serialize for HashMap<K, V, S> {
@@ -392,8 +349,8 @@ where
     K: Deserialize + std::hash::Hash + Eq,
     V: Deserialize,
 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Vec::<(K, V)>::from_value(v).map(|pairs| pairs.into_iter().collect())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        Vec::<(K, V)>::deserialize(r).map(|pairs| pairs.into_iter().collect())
     }
 }
 
@@ -412,8 +369,8 @@ where
     K: Deserialize + Ord,
     V: Deserialize,
 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Vec::<(K, V)>::from_value(v).map(|pairs| pairs.into_iter().collect())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        Vec::<(K, V)>::deserialize(r).map(|pairs| pairs.into_iter().collect())
     }
 }
 
@@ -423,9 +380,43 @@ impl Serialize for Value {
     }
 }
 
+/// Reads any JSON value. Integers read as `U64` or `I64` when they fit;
+/// every other number, `-0` included, reads as `F64`.
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        Ok(match r.peek()? {
+            b'[' => {
+                r.begin_array()?;
+                let mut items = Vec::new();
+                while r.next_elem()? {
+                    items.push(Value::deserialize(r)?);
+                }
+                Value::Array(items)
+            }
+            b'{' => {
+                r.begin_object()?;
+                let mut entries = Vec::new();
+                while let Some(key) = r.next_key()? {
+                    entries.push((key.into_owned(), Value::deserialize(r)?));
+                }
+                Value::Object(entries)
+            }
+            b'"' => Value::Str(r.str()?.into_owned()),
+            b't' | b'f' => Value::Bool(r.bool()?),
+            b'n' => {
+                r.null()?;
+                Value::Null
+            }
+            _ => {
+                let text = r.number()?;
+                let integral = !text.contains(['.', 'e', 'E']);
+                match (text.parse::<u64>(), text.parse::<i64>()) {
+                    (Ok(n), _) if integral => Value::U64(n),
+                    (_, Ok(n)) if integral && n != 0 => Value::I64(n),
+                    _ => Value::F64(r.parse_f64(text)?),
+                }
+            }
+        })
     }
 }
 
@@ -433,31 +424,51 @@ impl Deserialize for Value {
 mod tests {
     use super::*;
 
-    #[test]
-    fn numeric_cross_decoding() {
-        // A float that printed as an integer must still decode as f64.
-        assert_eq!(f64::from_value(&Value::U64(900_000)).unwrap(), 9e5);
-        assert_eq!(u32::from_value(&Value::F64(12.0)).unwrap(), 12);
-        assert!(u32::from_value(&Value::F64(12.5)).is_err());
-        assert!(u32::from_value(&Value::I64(-1)).is_err());
+    fn read<T: Deserialize>(text: &str) -> Result<T, DeError> {
+        let mut r = Reader::new(text);
+        let v = T::deserialize(&mut r)?;
+        r.end()?;
+        Ok(v)
     }
 
     #[test]
-    fn option_handles_null_and_missing() {
-        assert_eq!(Option::<u32>::from_value(&Value::Null).unwrap(), None);
-        let obj = vec![("present".to_string(), Value::U64(3))];
-        assert_eq!(get_field::<Option<u32>>(&obj, "present").unwrap(), Some(3));
-        assert_eq!(get_field::<Option<u32>>(&obj, "absent").unwrap(), None);
-        assert!(get_field::<u32>(&obj, "absent").is_err());
+    fn numeric_cross_decoding() {
+        // A float that printed as an integer must still decode as f64.
+        assert_eq!(read::<f64>("900000").unwrap(), 9e5);
+        assert_eq!(read::<u32>("12.0").unwrap(), 12);
+        assert!(read::<u32>("12.5").is_err());
+        assert!(read::<u32>("-1").is_err());
+        assert!(read::<u64>("18446744073709551616").is_err());
+        assert_eq!(read::<f64>("18446744073709551616").unwrap(), 2f64.powi(64));
+    }
+
+    #[test]
+    fn option_reads_null_and_is_absent_as_none() {
+        assert_eq!(read::<Option<u32>>("null").unwrap(), None);
+        assert_eq!(read::<Option<u32>>("3").unwrap(), Some(3));
+        assert_eq!(de::required::<Option<u32>>(None, "absent").unwrap(), None);
+        assert!(de::required::<u32>(None, "absent").is_err());
     }
 
     #[test]
     fn containers_round_trip() {
-        let v = vec![(1u32, 2.5f64), (3, 4.5)];
-        let back = Vec::<(u32, f64)>::from_value(&v.to_value()).unwrap();
-        assert_eq!(back, v);
-        let arr = [7u32, 8, 9];
-        assert_eq!(<[u32; 3]>::from_value(&arr.to_value()).unwrap(), arr);
-        assert!(<[u32; 2]>::from_value(&arr.to_value()).is_err());
+        assert_eq!(read::<Vec<(u32, f64)>>("[[1, 2.5], [3, 4.5]]").unwrap(), [(1, 2.5), (3, 4.5)]);
+        assert_eq!(read::<[u32; 3]>("[7,8,9]").unwrap(), [7, 8, 9]);
+        assert!(read::<[u32; 2]>("[7,8,9]").is_err());
+        assert!(read::<(u32, u32)>("[7,8,9]").is_err());
+        assert!(read::<(u32, u32)>("[7]").is_err());
+        assert!(read::<Vec<u32>>("[1,]").is_err());
+        assert!(read::<Vec<u32>>("[,1]").is_err());
+        assert!(read::<Vec<u32>>("[1 2]").is_err());
+    }
+
+    #[test]
+    fn value_reads_negative_zero_as_a_float() {
+        assert_eq!(read::<Value>("-0").unwrap(), Value::F64(-0.0));
+        assert!(matches!(read::<Value>("-0").unwrap(), Value::F64(z) if z.is_sign_negative()));
+        assert_eq!(read::<Value>("0").unwrap(), Value::U64(0));
+        assert_eq!(read::<Value>("-7").unwrap(), Value::I64(-7));
+        assert_eq!(read::<Value>("1e2").unwrap(), Value::F64(100.0));
+        assert!(read::<Value>("1e309").is_err());
     }
 }

@@ -2,16 +2,19 @@
 //!
 //! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` for the
 //! vendored `serde` shim without depending on `syn`/`quote` (unavailable in
-//! this offline build environment). The input item is parsed with a small
-//! hand-rolled token walker that extracts exactly what code generation
-//! needs: field *names* for named structs, field *counts* for tuple structs,
-//! and the variant list for enums. Field types are never inspected — the
+//! this offline build environment). `Serialize` impls build a
+//! `serde::Value`; `Deserialize` impls pull tokens from a
+//! `serde::de::Reader` and build the type directly. The input item is
+//! parsed with a small hand-rolled token walker that extracts exactly what
+//! code generation needs: field *names* for named structs, field *counts*
+//! for tuple structs, and the variant list for enums. Field types are never inspected — the
 //! generated code lets Rust's type inference pick the right
 //! `serde::Deserialize` impl per field.
 //!
 //! Supported shapes (everything this workspace derives):
 //! * structs with named fields, honoring `#[serde(default)]` on a field
-//!   (an absent key deserializes to `Default::default()`),
+//!   (an absent key deserializes to `Default::default()`); unknown keys
+//!   are skipped and a repeated key is an error,
 //! * tuple structs (single-field ones delegate to the inner value, matching
 //!   both real serde's newtype behavior and `#[serde(transparent)]`),
 //! * unit structs,
@@ -363,132 +366,131 @@ fn gen_serialize(shape: &Shape) -> String {
     }
 }
 
-/// The initializer expression for one named field: `#[serde(default)]`
-/// fields tolerate an absent key by falling back to `Default::default()`.
-fn field_init(f: &Field) -> String {
-    let name = &f.name;
-    if f.default {
-        format!("{name}: ::serde::get_field_or_default(__obj, {name:?})?")
-    } else {
-        format!("{name}: ::serde::get_field(__obj, {name:?})?")
-    }
+/// A block reading a JSON object into `ctor { fields }`: keys matched as
+/// slices of the input, unknown keys skipped, a repeated key refused, and
+/// an absent key filled by `Default::default()` for `#[serde(default)]`
+/// fields or by `Deserialize::absent` for the rest.
+fn gen_object(ctor: &str, fields: &[Field]) -> String {
+    let slots: String = (0..fields.len())
+        .map(|i| format!("let mut __f{i} = ::std::option::Option::None;\n"))
+        .collect();
+    let arms: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let n = &f.name;
+            format!("{n:?} => ::serde::de::field(__r, &mut __f{i}, {n:?})?,\n")
+        })
+        .collect();
+    let inits: Vec<String> = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let n = &f.name;
+            if f.default {
+                format!("{n}: __f{i}.unwrap_or_default()")
+            } else {
+                format!("{n}: ::serde::de::required(__f{i}, {n:?})?")
+            }
+        })
+        .collect();
+    format!(
+        "{{\n\
+             {slots}\
+             __r.begin_object()?;\n\
+             while let ::std::option::Option::Some(__key) = __r.next_key()? {{\n\
+                 match &*__key {{\n\
+                     {arms}\
+                     _ => __r.skip_value()?,\n\
+                 }}\n\
+             }}\n\
+             {ctor} {{ {} }}\n\
+         }}",
+        inits.join(", ")
+    )
+}
+
+/// A block reading a JSON array of exactly `arity` elements into
+/// `ctor(elements)`.
+fn gen_tuple(ctor: &str, arity: usize) -> String {
+    let elems: Vec<String> =
+        (0..arity).map(|i| format!("::serde::de::elem(__r, {i})?")).collect();
+    format!(
+        "{{\n\
+             __r.begin_array()?;\n\
+             let __v = {ctor}({});\n\
+             __r.end_tuple({arity})?;\n\
+             __v\n\
+         }}",
+        elems.join(", ")
+    )
 }
 
 fn gen_deserialize(shape: &Shape) -> String {
-    match shape {
+    let (name, body) = match shape {
         Shape::NamedStruct { name, fields } => {
-            let inits: Vec<String> = fields.iter().map(field_init).collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                         let __obj = __v.as_object().ok_or_else(|| ::serde::DeError::custom(\
-                             ::std::format!(\"expected object for {name}, found {{}}\", __v.kind())))?;\n\
-                         ::std::result::Result::Ok({name} {{ {} }})\n\
-                     }}\n\
-                 }}",
-                inits.join(", ")
-            )
+            (name, format!("::std::result::Result::Ok({})", gen_object(name, fields)))
         }
-        Shape::TupleStruct { name, arity: 1 } => format!(
-            "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                     ::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__v)?))\n\
-                 }}\n\
-             }}"
+        Shape::TupleStruct { name, arity: 1 } => (
+            name,
+            format!("::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(__r)?))"),
         ),
         Shape::TupleStruct { name, arity } => {
-            let elems: Vec<String> =
-                (0..*arity).map(|i| format!("::serde::get_elem(__arr, {i})?")).collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                         let __arr = __v.as_array().ok_or_else(|| ::serde::DeError::custom(\
-                             ::std::format!(\"expected array for {name}, found {{}}\", __v.kind())))?;\n\
-                         ::std::result::Result::Ok({name}({}))\n\
-                     }}\n\
-                 }}",
-                elems.join(", ")
-            )
+            (name, format!("::std::result::Result::Ok({})", gen_tuple(name, *arity)))
         }
-        Shape::UnitStruct { name } => format!(
-            "impl ::serde::Deserialize for {name} {{\n\
-                 fn from_value(_v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
+        Shape::UnitStruct { name } => (
+            name,
+            format!(
+                "if __r.null()? {{\n\
                      ::std::result::Result::Ok({name})\n\
-                 }}\n\
-             }}"
+                 }} else {{\n\
+                     ::std::result::Result::Err(__r.unexpected(\"null\"))\n\
+                 }}"
+            ),
         ),
         Shape::Enum { name, variants } => {
-            let unit_arms: Vec<String> = variants
+            let arms: String = variants
                 .iter()
-                .filter(|v| matches!(v.kind, VariantKind::Unit))
                 .map(|v| {
                     let vn = &v.name;
-                    format!("{vn:?} => ::std::result::Result::Ok({name}::{vn}),")
-                })
-                .collect();
-            let tagged_arms: Vec<String> = variants
-                .iter()
-                .filter_map(|v| {
-                    let vn = &v.name;
+                    let ctor = format!("{name}::{vn}");
                     match &v.kind {
-                        VariantKind::Unit => None,
-                        VariantKind::Tuple(1) => Some(format!(
-                            "{vn:?} => ::std::result::Result::Ok({name}::{vn}(\
-                                 ::serde::Deserialize::from_value(_inner)?)),"
-                        )),
+                        VariantKind::Unit => format!("({vn:?}, false) => {ctor},\n"),
+                        VariantKind::Tuple(1) => format!(
+                            "({vn:?}, true) => {ctor}(::serde::Deserialize::deserialize(__r)?),\n"
+                        ),
                         VariantKind::Tuple(arity) => {
-                            let elems: Vec<String> = (0..*arity)
-                                .map(|i| format!("::serde::get_elem(__arr, {i})?"))
-                                .collect();
-                            Some(format!(
-                                "{vn:?} => {{\n\
-                                     let __arr = _inner.as_array().ok_or_else(|| ::serde::DeError::custom(\
-                                         \"expected array for variant {vn}\"))?;\n\
-                                     ::std::result::Result::Ok({name}::{vn}({}))\n\
-                                 }}",
-                                elems.join(", ")
-                            ))
+                            format!("({vn:?}, true) => {},\n", gen_tuple(&ctor, *arity))
                         }
                         VariantKind::Struct(fields) => {
-                            let inits: Vec<String> = fields.iter().map(field_init).collect();
-                            Some(format!(
-                                "{vn:?} => {{\n\
-                                     let __obj = _inner.as_object().ok_or_else(|| ::serde::DeError::custom(\
-                                         \"expected object for variant {vn}\"))?;\n\
-                                     ::std::result::Result::Ok({name}::{vn} {{ {} }})\n\
-                                 }}",
-                                inits.join(", ")
-                            ))
+                            format!("({vn:?}, true) => {},\n", gen_object(&ctor, fields))
                         }
                     }
                 })
                 .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n\
-                         match __v {{\n\
-                             ::serde::Value::Str(__s) => match __s.as_str() {{\n\
-                                 {}\n\
-                                 __other => ::std::result::Result::Err(::serde::DeError::custom(\
-                                     ::std::format!(\"unknown unit variant `{{__other}}` for {name}\"))),\n\
-                             }},\n\
-                             ::serde::Value::Object(__entries) if __entries.len() == 1 => {{\n\
-                                 let _tag = &__entries[0].0;\n\
-                                 let _inner = &__entries[0].1;\n\
-                                 match _tag.as_str() {{\n\
-                                     {}\n\
-                                     __other => ::std::result::Result::Err(::serde::DeError::custom(\
-                                         ::std::format!(\"unknown variant `{{__other}}` for {name}\"))),\n\
-                                 }}\n\
-                             }}\n\
-                             __other => ::std::result::Result::Err(::serde::DeError::custom(\
-                                 ::std::format!(\"expected enum {name}, found {{}}\", __other.kind()))),\n\
-                         }}\n\
+            (
+                name,
+                format!(
+                    "let (__tag, __payload) = __r.variant({name:?})?;\n\
+                     let __v = match (&*__tag, __payload) {{\n\
+                         {arms}\
+                         _ => return ::std::result::Result::Err(\
+                             __r.unknown_variant(&__tag, __payload, {name:?})),\n\
+                     }};\n\
+                     if __payload {{\n\
+                         __r.end_variant()?;\n\
                      }}\n\
-                 }}",
-                unit_arms.join("\n"),
-                tagged_arms.join("\n")
+                     ::std::result::Result::Ok(__v)"
+                ),
             )
         }
-    }
+    };
+    format!(
+        "impl ::serde::Deserialize for {name} {{\n\
+             fn deserialize(__r: &mut ::serde::de::Reader<'_>) \
+                 -> ::std::result::Result<Self, ::serde::DeError> {{\n\
+                 {body}\n\
+             }}\n\
+         }}"
+    )
 }

@@ -1,11 +1,15 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! Renders and parses JSON over the vendored `serde` shim's [`Value`] tree.
-//! Covers the workspace's usage: [`to_string`], [`to_string_pretty`],
-//! [`from_str`], and the [`Error`] type. Floats print through Rust's
-//! `Display`, which emits the shortest decimal that round-trips — the same
-//! guarantee real serde_json's `float_roundtrip` feature provides.
+//! Renders the vendored `serde` shim's [`Value`] tree as JSON, and parses
+//! JSON through that shim's pull reader ([`serde::de::Reader`]), which
+//! derived impls consume directly. Covers the workspace's usage:
+//! [`to_string`], [`to_string_pretty`], [`from_str`], and the [`Error`]
+//! type. Floats print through Rust's `Display`, which emits the shortest
+//! decimal that round-trips — the same guarantee real serde_json's
+//! `float_roundtrip` feature provides — and parse through `str::parse`,
+//! so every finite `f64`, `-0.0` included, reloads with the same bits.
 
+use serde::de::Reader;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
@@ -61,10 +65,14 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 ///
 /// # Errors
 ///
-/// Fails on malformed JSON or on shape mismatches against `T`.
+/// Fails on malformed JSON, on trailing characters, on arrays and objects
+/// nested deeper than [`serde::de::MAX_DEPTH`], on numbers beyond `f64`'s
+/// range, and on shape mismatches against `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse_value(s)?;
-    Ok(T::from_value(&value)?)
+    let mut r = Reader::new(s);
+    let value = T::deserialize(&mut r)?;
+    r.end()?;
+    Ok(value)
 }
 
 // ---------------------------------------------------------------------------
@@ -155,251 +163,6 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::new(format!("trailing characters at byte {}", p.pos)));
-    }
-    Ok(v)
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, Error> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| Error::new("unexpected end of input"))
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        let found = self.peek()?;
-        if found != b {
-            return Err(Error::new(format!(
-                "expected `{}` at byte {}, found `{}`",
-                b as char, self.pos, found as char
-            )));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek()? {
-            b'n' => {
-                if self.eat_keyword("null") {
-                    Ok(Value::Null)
-                } else {
-                    Err(Error::new(format!("invalid token at byte {}", self.pos)))
-                }
-            }
-            b't' => {
-                if self.eat_keyword("true") {
-                    Ok(Value::Bool(true))
-                } else {
-                    Err(Error::new(format!("invalid token at byte {}", self.pos)))
-                }
-            }
-            b'f' => {
-                if self.eat_keyword("false") {
-                    Ok(Value::Bool(false))
-                } else {
-                    Err(Error::new(format!("invalid token at byte {}", self.pos)))
-                }
-            }
-            b'"' => self.string().map(Value::Str),
-            b'[' => self.array(),
-            b'{' => self.object(),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(Error::new(format!(
-                "unexpected character `{}` at byte {}",
-                other as char, self.pos
-            ))),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                other => {
-                    return Err(Error::new(format!(
-                        "expected `,` or `]` at byte {}, found `{}`",
-                        self.pos, other as char
-                    )))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let val = self.value()?;
-            entries.push((key, val));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Object(entries));
-                }
-                other => {
-                    return Err(Error::new(format!(
-                        "expected `,` or `}}` at byte {}, found `{}`",
-                        self.pos, other as char
-                    )))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| Error::new("unterminated string"))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| Error::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::new("invalid \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::new("invalid \\u escape"))?;
-                            // Surrogate pairs are not produced by this
-                            // printer; decode BMP scalars only.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("invalid \\u scalar"))?,
-                            );
-                        }
-                        other => {
-                            return Err(Error::new(format!(
-                                "invalid escape `\\{}`",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                _ => {
-                    // Re-decode UTF-8 starting at the byte we just consumed.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && self.bytes[end] & 0xC0 == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("invalid number"))?;
-        if !is_float {
-            if text.starts_with('-') {
-                if let Ok(n) = text.parse::<i64>() {
-                    return Ok(Value::I64(n));
-                }
-            } else if let Ok(n) = text.parse::<u64>() {
-                return Ok(Value::U64(n));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| Error::new(format!("invalid number `{text}`")))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,7 +194,16 @@ mod tests {
 
     #[test]
     fn floats_round_trip_bit_exact() {
-        for f in [0.1, 1.0 / 3.0, f64::MAX, f64::MIN_POSITIVE, -2.5e-17, 1e300] {
+        for f in [
+            0.1,
+            1.0 / 3.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            -2.5e-17,
+            1e300,
+            -0.0,
+            9007199254740993.0,
+        ] {
             let text = to_string(&f).unwrap();
             let back: f64 = from_str(&text).unwrap();
             assert_eq!(back.to_bits(), f.to_bits(), "{f} -> {text}");
@@ -461,5 +233,98 @@ mod tests {
         assert_eq!(back, s);
         let esc: String = from_str(r#""A\n\t\/""#).unwrap();
         assert_eq!(esc, "A\n\t/");
+    }
+
+    /// The shapes `#[derive(Deserialize)]` supports.
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Spec {
+        capacity: f64,
+        label: Option<String>,
+        #[serde(default)]
+        tags: Vec<u32>,
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    enum Shape {
+        Unit,
+        Newtype(u32),
+        Pair(u32, f64),
+        Named { weight: f64, label: Option<String> },
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Id(u32);
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Both(Id, String);
+
+    #[test]
+    fn derived_types_round_trip() {
+        let shapes = vec![
+            Shape::Unit,
+            Shape::Newtype(7),
+            Shape::Pair(1, -0.5),
+            Shape::Named { weight: 2.0, label: Some("w".into()) },
+        ];
+        let back: Vec<Shape> = from_str(&to_string_pretty(&shapes).unwrap()).unwrap();
+        assert_eq!(back, shapes);
+        let both = Both(Id(3), "x".into());
+        assert_eq!(to_string(&both).unwrap(), r#"[3,"x"]"#);
+        assert_eq!(from_str::<Both>(r#"[3,"x"]"#).unwrap(), both);
+    }
+
+    #[test]
+    fn derived_structs_skip_unknown_keys_and_fill_absent_ones() {
+        let spec: Spec =
+            from_str(r#"{"extra": {"deep": [1, {"x": null}]}, "capacity": 1.5, "more": "s"}"#)
+                .unwrap();
+        assert_eq!(spec, Spec { capacity: 1.5, label: None, tags: vec![] });
+        let spec: Spec = from_str(r#"{"\u0063apacity": 2, "tags": [4]}"#).unwrap();
+        assert_eq!(spec, Spec { capacity: 2.0, label: None, tags: vec![4] });
+    }
+
+    #[test]
+    fn derived_reads_reject_malformed_input() {
+        for (text, why) in [
+            (r#"{"label": "a"}"#, "missing field `capacity`"),
+            (r#"{"capacity": "big"}"#, "expected number"),
+            (r#"{"capacity": 1, "capacity": 2}"#, "duplicate field `capacity`"),
+            (r#"{"capacity": 1.5"#, "unexpected end of input"),
+            (r#"{"capacity": 1.5} x"#, "trailing characters"),
+            (r#"{"capacity": 1.5,}"#, "expected string"),
+        ] {
+            let err = from_str::<Spec>(text).unwrap_err().to_string();
+            assert!(err.contains(why), "{text}: {err}");
+        }
+        for (text, why) in [
+            (r#""Triangle""#, "unknown unit variant `Triangle`"),
+            (r#"{"Triangle": 1}"#, "unknown variant `Triangle`"),
+            (r#""Newtype""#, "unknown unit variant `Newtype`"),
+            (r#"{"Newtype": 1, "Unit": null}"#, "second key `Unit`"),
+            (r#"{}"#, "expected a variant of Shape"),
+            (r#"{"Pair": [1]}"#, "missing tuple element 1"),
+            (r#"{"Pair": [1, 2, 3]}"#, "expected 2 tuple elements"),
+            (r#"{"Named": {"label": null}}"#, "missing field `weight`"),
+            ("3", "expected enum Shape"),
+        ] {
+            let err = from_str::<Shape>(text).unwrap_err().to_string();
+            assert!(err.contains(why), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(serde::de::MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nested(serde::de::MAX_DEPTH + 1)).is_err());
+        // 100,000 levels once overflowed the stack; every read path now
+        // stops at the cap: a `Value`, a skipped unknown key, and a typed
+        // read that recurses through `Value`.
+        let deep = nested(100_000);
+        let err = from_str::<Value>(&deep).unwrap_err().to_string();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let skipped = format!(r#"{{"capacity": 1, "extra": {deep}}}"#);
+        assert!(from_str::<Spec>(&skipped).unwrap_err().to_string().contains("nesting"));
+        assert!(from_str::<Vec<Value>>(&deep).unwrap_err().to_string().contains("nesting"));
     }
 }
