@@ -27,7 +27,7 @@ use crate::kernel::price::{NodePriceRule, PriceVector};
 use crate::plan::{AutoModel, ExecutionPlan, IncrementalMode, Numerics, Parallelism, Reliability};
 use crate::pool::PoolHandle;
 use crate::trace::{Trace, TraceConfig};
-use lrgp_model::{Allocation, DeltaOp, FlowId, Problem, ProblemDelta, ValidationError};
+use lrgp_model::{Allocation, ClassId, DeltaOp, FlowId, Problem, ProblemDelta, ValidationError};
 use lrgp_num::series::ConvergenceCriterion;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -176,9 +176,9 @@ pub struct Engine {
     iteration: usize,
     trace: Trace,
     /// Built at construction so the first step pays only its (all-dirty)
-    /// kernel work; dropped whenever the problem's cost structure or the
-    /// optimizer state is replaced wholesale, then lazily rebuilt on the
-    /// next step.
+    /// kernel work; patched in place by every delta that keeps the id
+    /// space, dropped when the problem grows or the problem or optimizer
+    /// state is replaced wholesale, then lazily rebuilt on the next step.
     state: Option<StepState>,
 }
 
@@ -483,12 +483,14 @@ impl Engine {
     /// at their [`LrgpConfig::initial_rate`]), so
     /// `engine.apply_delta(&delta)` and
     /// `engine.replace_problem(delta.apply(engine.problem())?)` continue
-    /// bit-identically. Unlike `replace_problem`, capacity / population /
-    /// rate-bound edits keep the incremental executor's caches and inject
-    /// precise dirty marks instead of invalidating everything, so under an
+    /// bit-identically. Unlike `replace_problem`, every op that keeps the id
+    /// space (capacity, population, rate-bound and ρ-bound edits, flow
+    /// removals, `F_{b,i}` and link-loss edits) keeps the executor: cost
+    /// edits patch its term table in place, and every op injects precise
+    /// dirty marks instead of invalidating everything, so under an
     /// incremental plan the next step costs work proportional to what the
-    /// delta touched. Flow additions, removals and path-cost edits change
-    /// the cost structure and still invalidate wholesale.
+    /// delta touched. Only a flow addition, which changes the shape of the
+    /// term table, still rebuilds the executor.
     ///
     /// Applying a delta *before* the first step re-derives the initial
     /// optimizer state, making the engine bit-identical to one freshly
@@ -518,15 +520,16 @@ impl Engine {
                 next.num_classes(),
             );
             self.problem = Arc::new(next);
-            self.plan.auto = AutoModel::calibrated_for(&self.problem);
+            if delta.grows_problem() {
+                self.plan.auto = AutoModel::calibrated_for(&self.problem);
+            }
             self.state = Some(StepState::new(&self.problem));
             return Ok(());
         }
-        if delta.grows_problem() || delta.changes_costs() {
-            // The cost structure (and possibly the id space) changed: the
-            // term tables and caches are rebuilt and the next step treats
-            // everything as dirty, exactly like a freshly constructed
-            // engine would.
+        if delta.grows_problem() {
+            // The id space grew, so the term tables change shape: they and
+            // the caches are rebuilt and the next step treats everything
+            // as dirty, exactly like a freshly constructed engine would.
             for f in self.problem.num_flows()..next.num_flows() {
                 let flow = FlowId::new(f as u32);
                 let bounds = next.flow(flow).bounds;
@@ -544,11 +547,12 @@ impl Engine {
             self.state = None;
             return Ok(());
         }
-        // Capacity / population / rate-bound edits keep the cost structure:
-        // reconcile only the touched state and hand the executor precise
-        // dirty marks. Clamps run against the *final* problem so a batched
-        // delta matches a wholesale replacement bitwise.
+        // Every other op keeps the id space and the table's shape: reconcile
+        // only the touched state and hand the executor the cost patches and
+        // precise dirty marks. Clamps run against the *final* problem so a
+        // batched delta matches a wholesale replacement bitwise.
         self.problem = Arc::new(next);
+        let problem = Arc::clone(&self.problem);
         for op in delta.ops() {
             match op {
                 DeltaOp::SetNodeCapacity { node, .. } => {
@@ -560,37 +564,73 @@ impl Engine {
                     // The link price update always runs and reads the
                     // capacity directly; no cached quantity depends on it.
                 }
-                DeltaOp::SetMaxPopulation { class, .. } => {
-                    let max = self.problem.class(*class).max_population as f64;
-                    let slot = &mut self.populations[class.index()];
-                    let clamped = slot.min(max);
-                    let moved = clamped.to_bits() != slot.to_bits();
-                    *slot = clamped;
+                DeltaOp::SetMaxPopulation { class, .. } => self.clamp_population(*class),
+                DeltaOp::SetRateBounds { flow, .. } => self.clamp_rate(*flow),
+                DeltaOp::RemoveFlow { flow } => {
+                    // The bounds collapse to [0, 0] and the classes' maxima
+                    // to 0 (unless a later op in the batch restores them).
+                    self.clamp_rate(*flow);
+                    for &class in problem.classes_of_flow(*flow) {
+                        self.clamp_population(class);
+                    }
                     if let Some(state) = self.state.as_mut() {
-                        state.note_population_change(&self.problem, *class, moved);
+                        state.note_cost_edit(&problem, op);
                     }
                 }
-                DeltaOp::SetRateBounds { flow, .. } => {
-                    let bounds = self.problem.flow(*flow).bounds;
-                    let slot = &mut self.rates[flow.index()];
-                    let clamped = bounds.clamp(*slot);
-                    let moved = clamped.to_bits() != slot.to_bits();
-                    *slot = clamped;
+                DeltaOp::SetFlowNodeCost { .. } | DeltaOp::SetLinkLoss { .. } => {
                     if let Some(state) = self.state.as_mut() {
-                        state.note_bounds_change(&self.problem, *flow, moved);
+                        state.note_cost_edit(&problem, op);
                     }
                 }
-                DeltaOp::AddFlow { .. }
-                | DeltaOp::RemoveFlow { .. }
-                | DeltaOp::SetFlowNodeCost { .. }
-                | DeltaOp::SetLinkLoss { .. }
-                | DeltaOp::SetRhoBounds { .. } => {
-                    // Excluded by the `changes_costs` branch above (the
-                    // reliability edits rebuild the loss-weighted term rows).
+                DeltaOp::SetRhoBounds { flow, .. } => self.clamp_rho(*flow),
+                DeltaOp::AddFlow { .. } => {
+                    // Excluded by the `grows_problem` branch above.
                 }
             }
         }
         Ok(())
+    }
+
+    /// Clamps `flow`'s stored rate into its current bounds and tells the
+    /// executor whether the clamp moved it.
+    fn clamp_rate(&mut self, flow: FlowId) {
+        let bounds = self.problem.flow(flow).bounds;
+        let slot = &mut self.rates[flow.index()];
+        let clamped = bounds.clamp(*slot);
+        let moved = clamped.to_bits() != slot.to_bits();
+        *slot = clamped;
+        if let Some(state) = self.state.as_mut() {
+            state.note_bounds_change(&self.problem, flow, moved);
+        }
+    }
+
+    /// Caps `class`'s published population at its current maximum and
+    /// tells the executor whether the cap moved it.
+    fn clamp_population(&mut self, class: ClassId) {
+        let max = self.problem.class(class).max_population as f64;
+        let slot = &mut self.populations[class.index()];
+        let clamped = slot.min(max);
+        let moved = clamped.to_bits() != slot.to_bits();
+        *slot = clamped;
+        if let Some(state) = self.state.as_mut() {
+            state.note_population_change(&self.problem, class, moved);
+        }
+    }
+
+    /// Clamps `flow`'s stored ρ into its current bounds (1.0 without a
+    /// spec, as [`Self::clamp_state_into_problem`] does) and tells the
+    /// executor whether the clamp moved it.
+    fn clamp_rho(&mut self, flow: FlowId) {
+        let slot = &mut self.rhos[flow.index()];
+        let clamped = match self.problem.rho_bounds(flow) {
+            Some(bounds) => bounds.clamp(*slot),
+            None => 1.0,
+        };
+        let moved = clamped.to_bits() != slot.to_bits();
+        *slot = clamped;
+        if let Some(state) = self.state.as_mut() {
+            state.note_rho_bounds_change(&self.problem, flow, moved);
+        }
     }
 
     /// Clamps rates into the current problem's bounds and populations under

@@ -46,12 +46,17 @@
 //! change dirties that node's admission, a population bound change dirties
 //! the class's node and (if the published population moved) the class's
 //! flow, a rate-bound change dirties the flow and (if the clamp moved the
-//! stored rate) everything downstream of it. The next step unions this
+//! stored rate) everything downstream of it. Cost edits patch the term
+//! table in place ([`PriceTermTable::refresh`]) and dirty exactly the
+//! readers of the patched coefficients: a flow removal or `F_{b,i}` edit
+//! dirties the flow, its nodes and its links; a loss edit dirties the link
+//! (joint usage reads the loss) and every flow on it (the ρ solve reads
+//! `cost · loss`); a ρ-bound edit dirties the flow and, if the clamp moved
+//! the stored ρ, its links and the utility. The next step unions this
 //! external dirt into its derived dirty sets, so a delta costs work
-//! proportional to what it touched. Cost-coefficient changes (flow
-//! add/remove, path cost edits) invalidate the state wholesale instead —
-//! the term tables are rebuilt and the next step treats everything as
-//! dirty.
+//! proportional to what it touched. Only a growing delta (a flow addition
+//! changes the table's shape) invalidates the state wholesale: the next
+//! step rebuilds the tables and treats everything as dirty.
 //!
 //! # State layout and the pooled handoff
 //!
@@ -90,7 +95,7 @@ use crate::pool::{
     lock_unpoisoned, shard_chunk, shard_count, AdmissionJob, AdmissionOrder, Job, PoolHandle,
     RateJob, ReliabilityJob,
 };
-use lrgp_model::{ClassId, FlowId, LinkId, NodeId, PriceTermTable, Problem};
+use lrgp_model::{ClassId, DeltaOp, FlowId, LinkId, NodeId, PriceTermTable, Problem};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Adds `id` to `list` unless its flag is already set.
@@ -176,8 +181,8 @@ struct VectorScratch {
 }
 
 /// The executor's persistent state: term tables, caches, dirty sets, and
-/// scratch buffers. Dropped (and lazily rebuilt) whenever the problem's
-/// cost structure changes.
+/// scratch buffers. Dropped (and lazily rebuilt) when the problem grows or
+/// is replaced wholesale; every other delta patches it in place.
 #[derive(Debug, Clone)]
 pub(crate) struct StepState {
     terms: Arc<PriceTermTable>,
@@ -331,12 +336,74 @@ impl StepState {
         }
     }
 
+    /// Records that `op`, a cost edit that keeps the id space, reached the
+    /// final `problem`: patches the term table's touched coefficients in
+    /// place and dirties exactly what reads them. A removal or `F_{b,i}`
+    /// edit dirties the flow (its rate and ρ solves read its path
+    /// coefficients), its nodes (admission reads `F_{b,i}`) and its links
+    /// (usage reads `L_{l,i}`). A loss edit dirties the link (joint usage
+    /// reads the loss) and every flow on it (the ρ solve reads
+    /// `cost · loss`). Other ops patch nothing and mark nothing here.
+    ///
+    /// The table is shared with engine clones (and with pooled jobs, during
+    /// a phase only), so the patch copies it first if another reference is
+    /// alive.
+    pub(crate) fn note_cost_edit(&mut self, problem: &Problem, op: &DeltaOp) {
+        match *op {
+            DeltaOp::RemoveFlow { flow } | DeltaOp::SetFlowNodeCost { flow, .. } => {
+                mark(&mut self.ext_flow_dirty, &mut self.ext_dirty_flows, flow.index() as u32);
+                for &(node, _) in problem.nodes_of_flow(flow) {
+                    mark(&mut self.ext_node_dirty, &mut self.ext_dirty_nodes, node.index() as u32);
+                }
+                for &(link, _) in problem.links_of_flow(flow) {
+                    mark(&mut self.ext_link_dirty, &mut self.ext_dirty_links, link.index() as u32);
+                }
+            }
+            DeltaOp::SetLinkLoss { link, .. } => {
+                mark(&mut self.ext_link_dirty, &mut self.ext_dirty_links, link.index() as u32);
+                for &flow in problem.flows_on_link(link) {
+                    mark(&mut self.ext_flow_dirty, &mut self.ext_dirty_flows, flow.index() as u32);
+                }
+            }
+            _ => return,
+        }
+        let patched = Arc::make_mut(&mut self.terms).refresh(problem, op);
+        debug_assert!(patched, "only shape-keeping cost edits reach the patch");
+    }
+
+    /// Records that `flow`'s ρ bounds changed, and whether the stored ρ was
+    /// clamped to new bits. The flow must re-solve (the ρ solve clamps into
+    /// the bounds); a moved ρ additionally dirties the flow's links (joint
+    /// usage reads ρ) and stalenesses the cached utility (its reliability
+    /// term reads ρ).
+    pub(crate) fn note_rho_bounds_change(
+        &mut self,
+        problem: &Problem,
+        flow: FlowId,
+        rho_bits_changed: bool,
+    ) {
+        mark(&mut self.ext_flow_dirty, &mut self.ext_dirty_flows, flow.index() as u32);
+        if rho_bits_changed {
+            for &(link, _) in problem.links_of_flow(flow) {
+                mark(&mut self.ext_link_dirty, &mut self.ext_dirty_links, link.index() as u32);
+            }
+            self.force_utility = true;
+        }
+    }
+
     /// The current dirty/changed set sizes, for tests:
     /// `(changed_rates, changed_nodes, changed_links)` as published by the
     /// last completed step.
     #[cfg(test)]
     pub(crate) fn changed_counts(&self) -> (usize, usize, usize) {
         (self.changed_rates.len(), self.changed_nodes.len(), self.changed_links.len())
+    }
+
+    /// The work-list sizes of the last completed step, for tests:
+    /// `(dirty_flows, dirty_nodes, dirty_links)`.
+    #[cfg(test)]
+    pub(crate) fn dirty_counts(&self) -> (usize, usize, usize) {
+        (self.dirty_flows.len(), self.dirty_nodes.len(), self.dirty_links.len())
     }
 
     /// The node ids whose prices changed in the last completed step.
@@ -1061,9 +1128,11 @@ fn total_utility(problem: &Problem, rates: &[f64], populations: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use crate::engine::{Engine, LrgpConfig};
-    use crate::plan::{IncrementalMode, Parallelism};
-    use lrgp_model::workloads::base_workload;
-    use lrgp_model::{FlowId, ProblemDelta};
+    use crate::plan::{IncrementalMode, Parallelism, Reliability};
+    use lrgp_model::workloads::{base_workload, mixed_loss_workload, RandomWorkload};
+    use lrgp_model::{FlowId, LinkId, ProblemDelta, UtilityShape};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn incremental_config() -> LrgpConfig {
         LrgpConfig { incremental: IncrementalMode::On, ..LrgpConfig::default() }
@@ -1125,7 +1194,7 @@ mod tests {
     }
 
     #[test]
-    fn flow_removal_invalidates_and_stays_identical() {
+    fn flow_removal_keeps_the_state_and_stays_identical() {
         let problem = base_workload();
         let mut baseline = Engine::new(problem.clone(), LrgpConfig::default());
         let mut incremental = Engine::new(problem, incremental_config());
@@ -1136,12 +1205,102 @@ mod tests {
         let removal = ProblemDelta::new().remove_flow(FlowId::new(5));
         baseline.apply_delta(&removal).unwrap();
         incremental.apply_delta(&removal).unwrap();
+        assert!(incremental.step_state().is_some(), "a removal patches the state in place");
         for k in 0..120 {
             let a = baseline.step();
             let b = incremental.step();
             assert_eq!(a.to_bits(), b.to_bits(), "diverged at post-removal iteration {k}");
         }
         assert_eq!(baseline.allocation(), incremental.allocation());
+    }
+
+    #[test]
+    fn shape_keeping_deltas_do_not_mark_everything_dirty() {
+        // A converged mid-size system: a departure, an `F_{b,i}` edit and a
+        // re-join must each keep the step state, and the step after each
+        // must recompute only part of the system.
+        let mut rng = StdRng::seed_from_u64(3);
+        let generator = RandomWorkload {
+            flows: 60,
+            consumer_nodes: 8,
+            classes_per_flow: 3,
+            ..RandomWorkload::default()
+        };
+        let problem = generator.generate(&mut rng);
+        let flow = FlowId::new(7);
+        let spec = problem.flow(flow).clone();
+        let (node, cost) = spec.node_costs[0];
+        let mut rejoin = ProblemDelta::new().set_rate_bounds(flow, spec.bounds);
+        for &(node, cost) in &spec.node_costs {
+            rejoin = rejoin.set_flow_node_cost(flow, node, cost);
+        }
+        for &class in problem.classes_of_flow(flow) {
+            rejoin = rejoin.resize_class(class, problem.class(class).max_population);
+        }
+        let deltas = [
+            ProblemDelta::new().set_flow_node_cost(flow, node, cost * 2.0),
+            ProblemDelta::new().remove_flow(flow),
+            rejoin,
+        ];
+        let mut engine = Engine::new(problem.clone(), incremental_config());
+        engine.run_until_converged(2_000);
+        for delta in &deltas {
+            engine.apply_delta(delta).unwrap();
+            assert!(engine.step_state().is_some(), "{delta:?} dropped the step state");
+            engine.step();
+            let (flows, nodes, _) = engine.step_state().expect("kept").dirty_counts();
+            assert!(
+                flows < problem.num_flows() || nodes < problem.num_nodes(),
+                "{delta:?}: the next step marked everything dirty ({flows} flows, {nodes} nodes)"
+            );
+            engine.run(60);
+        }
+    }
+
+    #[test]
+    fn cost_edits_on_a_clone_leave_the_original_untouched() {
+        // The term table is shared between clones until one of them patches
+        // it. Cost edits on a clone of a converged lossy engine must leave
+        // the original stepping exactly like an engine that was never
+        // cloned, while the clone tracks the wholesale-rebuild oracle.
+        // Power utilities and tight links keep ρ interior, so the loss
+        // edits reach the ρ solve through the patched table.
+        let config = LrgpConfig {
+            reliability: Reliability::Joint,
+            ..incremental_config()
+        };
+        let problem =
+            mixed_loss_workload(6, 100.0, 7).with_utilities(|w| UtilityShape::Pow75.build(w));
+        let start = |p: &lrgp_model::Problem| {
+            let mut engine = Engine::new(p.clone(), config);
+            engine.run(150);
+            engine
+        };
+        let mut original = start(&problem);
+        let mut never_cloned = start(&problem);
+        let mut oracle = start(&problem);
+        let sink = problem.nodes_of_flow(FlowId::new(3))[0].0;
+        let delta = ProblemDelta::new()
+            .remove_flow(FlowId::new(1))
+            .set_flow_node_cost(FlowId::new(3), sink, 0.5)
+            .set_link_loss(LinkId::new(0), 0.35)
+            .set_link_loss(LinkId::new(2), 0.05);
+        let mut clone = original.clone();
+        clone.apply_delta(&delta).unwrap();
+        oracle.replace_problem(delta.apply(oracle.problem()).unwrap());
+        for k in 0..80 {
+            let (a, b) = (original.step(), never_cloned.step());
+            assert_eq!(a.to_bits(), b.to_bits(), "original diverged at iteration {k}");
+            let (c, d) = (clone.step(), oracle.step());
+            assert_eq!(c.to_bits(), d.to_bits(), "clone diverged at iteration {k}");
+        }
+        let bits = |e: &Engine| e.rhos().iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        for (reference, candidate) in [(&never_cloned, &original), (&oracle, &clone)] {
+            assert_eq!(reference.allocation(), candidate.allocation());
+            assert_eq!(reference.prices(), candidate.prices());
+            assert_eq!(bits(reference), bits(candidate));
+        }
+        assert_ne!(bits(&original)[4], bits(&clone)[4], "the loss edit must move ρ on link 2");
     }
 
     #[test]

@@ -62,11 +62,11 @@
 //! [`Parallelism::Auto`] resolves its worker count per phase through an
 //! [`AutoModel`]: a tiny analytic cost model calibrated **once at engine
 //! construction** from the problem's dimensions (average classes per flow
-//! sets the per-unit kernel cost; [`std::thread::available_parallelism`]
-//! caps the worker count). For a phase of `units` dirty elements the model
-//! picks the largest worker count whose wake/sync overhead is still covered
-//! by the kernel work it takes off the calling thread — and stays
-//! sequential below the crossover. The model is deterministic (pure integer
+//! sets the per-unit kernel cost; the host's hardware parallelism, resolved
+//! once per process, caps the worker count). For a phase of `units` dirty
+//! elements the model picks the largest worker count whose wake/sync
+//! overhead is still covered by the kernel work it takes off the calling
+//! thread — and stays sequential below the crossover. The model is deterministic (pure integer
 //! arithmetic, no clocks) and monotone (more units never picks fewer
 //! workers), properties pinned by tests.
 //!
@@ -177,11 +177,12 @@ impl AutoModel {
     /// per-unit kernel cost scales with the average class count per flow
     /// (both the rate solve's term refill and the admission sort are linear
     /// in it), and the worker ceiling is capped by the host's hardware
-    /// parallelism, resolved once here so repeated derivations agree.
+    /// parallelism, resolved once per process so repeated derivations
+    /// agree.
     pub fn calibrated_for(problem: &Problem) -> Self {
         let flows = (problem.num_flows() as u64).max(1);
         let classes_per_flow = (problem.num_classes() as u64).div_ceil(flows).max(1);
-        let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let hardware = crate::pool::hardware_threads();
         Self {
             // ~40 for the bounds/price plumbing plus ~25 per class term.
             unit_cost: 40 + 25 * classes_per_flow,

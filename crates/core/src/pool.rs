@@ -59,9 +59,9 @@
 //! the shards on parked workers or inline on the caller is bit-identical
 //! by construction. The pool dispatches to its workers only when the
 //! hardware actually offers a second execution context
-//! ([`std::thread::available_parallelism`], resolved once at pool
-//! construction); on a single-core host every shard runs inline, which is
-//! the fastest valid schedule there. Tests force cross-thread dispatch
+//! ([`hardware_threads`], resolved once per process); on a single-core host
+//! every shard runs inline, which is the fastest valid schedule there.
+//! Tests force cross-thread dispatch
 //! through [`Engine::force_pool_dispatch`](crate::Engine::force_pool_dispatch)
 //! to exercise the real handoff regardless of the host.
 //!
@@ -81,7 +81,7 @@ use std::any::Any;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::thread::{Builder, JoinHandle, ThreadId};
 
 /// The contiguous half-open spans that partition a work list of `len`
@@ -406,20 +406,29 @@ struct PoolShared {
     force_dispatch: AtomicBool,
 }
 
+/// The host's hardware parallelism (at least 1), resolved once per process
+/// and shared by the pool's dispatch decision and
+/// [`crate::plan::AutoModel::calibrated_for`]. On Linux,
+/// [`std::thread::available_parallelism`] reads cgroup files on every call,
+/// which costs tens of microseconds per engine construction.
+pub(crate) fn hardware_threads() -> usize {
+    static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
+    *HARDWARE_THREADS
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// A persistent, parked worker pool. Created once per engine; workers
 /// live until the pool is dropped.
 pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
-    /// `available_parallelism()` resolved once at construction.
-    hardware_threads: usize,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
             .field("workers", &self.handles.len())
-            .field("hardware_threads", &self.hardware_threads)
+            .field("hardware_threads", &hardware_threads())
             .finish()
     }
 }
@@ -452,9 +461,7 @@ impl WorkerPool {
                 handles.push(handle);
             }
         }
-        let hardware_threads =
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self { shared, handles, hardware_threads }
+        Self { shared, handles }
     }
 
     /// Number of live worker threads.
@@ -469,8 +476,7 @@ impl WorkerPool {
     /// valid and faster).
     pub(crate) fn dispatches(&self) -> bool {
         !self.handles.is_empty()
-            && (self.hardware_threads > 1
-                || self.shared.force_dispatch.load(Ordering::Relaxed))
+            && (hardware_threads() > 1 || self.shared.force_dispatch.load(Ordering::Relaxed))
     }
 
     /// Test hook: force cross-thread dispatch regardless of the host's

@@ -126,10 +126,13 @@ impl CallGraph {
 /// Recovers callee names from a body token range: identifiers directly
 /// followed by `(`, excluding keywords, macro bangs (`name!(..)` — those
 /// are the lexical layer's business), fn definitions themselves, and bare
-/// calls of a fn *parameter* (`apply(f, rate)` where `apply: impl FnMut`
-/// is a closure argument — a higher-order call whose target is unknown,
-/// which must not resolve by name to an unrelated workspace fn).
+/// calls of a fn *parameter* or of a local closure (`apply(f, rate)` where
+/// `apply: impl FnMut` is a closure argument, or where `let mut apply =
+/// |f, rate| ..` binds one in the body — a call whose target is no
+/// workspace fn, which must not resolve by name to an unrelated one).
 fn callees_in(tokens: &[Token], lo: usize, hi: usize, params: &BTreeSet<&str>) -> Vec<String> {
+    let mut params = params.clone();
+    params.extend(closure_bindings(tokens, lo, hi));
     let mut names = BTreeSet::new();
     for i in lo..hi.min(tokens.len()) {
         let t = &tokens[i];
@@ -150,6 +153,23 @@ fn callees_in(tokens: &[Token], lo: usize, hi: usize, params: &BTreeSet<&str>) -
         names.insert(t.text.clone());
     }
     names.into_iter().collect()
+}
+
+/// Names bound to a closure literal by a `let` in `[lo, hi)`:
+/// `let [mut] name = [move] |..| ..` (or `||`).
+fn closure_bindings(tokens: &[Token], lo: usize, hi: usize) -> Vec<&str> {
+    crate::parser::let_bindings(tokens, lo, hi)
+        .into_iter()
+        .filter(|b| tokens.get(b.idx + 1).is_some_and(|t| t.is_punct("=")))
+        .filter(|b| {
+            let mut init = b.idx + 2;
+            if tokens.get(init).is_some_and(|t| t.is_ident("move")) {
+                init += 1;
+            }
+            tokens.get(init).is_some_and(|t| t.is_punct("|") || t.is_punct("||"))
+        })
+        .map(|b| tokens[b.idx].text.as_str())
+        .collect()
 }
 
 #[cfg(test)]
@@ -199,6 +219,23 @@ mod tests {
         assert!(g.fns[0].callees.is_empty(), "{:?}", g.fns[0].callees);
         // A *method* call spelled like the param still resolves by name.
         assert_eq!(g.fns[1].callees, vec!["apply"]);
+    }
+
+    #[test]
+    fn bare_call_of_a_let_bound_closure_is_not_a_callee() {
+        let g = graph_of(&[(
+            "crates/core/src/a.rs",
+            Some("core"),
+            "fn drive(out: &mut Vec<u32>) { let mut apply = |f: u32| out.push(f); apply(1); }\n\
+             fn drive_move() { let apply = move || 2; apply(); }\n\
+             fn drive_value() { let apply = 3; apply(4); }\n\
+             fn apply(n: u32) {}\n",
+        )]);
+        // Both closure forms shadow the workspace fn named `apply` ...
+        assert_eq!(g.fns[0].callees, vec!["push"]);
+        assert!(g.fns[1].callees.is_empty(), "{:?}", g.fns[1].callees);
+        // ... a non-closure binding of the same name does not.
+        assert_eq!(g.fns[2].callees, vec!["apply"]);
     }
 
     #[test]

@@ -143,6 +143,8 @@ const DIRTY_API_FNS: &[&str] = &[
     "note_capacity_change",
     "note_population_change",
     "note_bounds_change",
+    "note_cost_edit",
+    "note_rho_bounds_change",
 ];
 
 /// Per-function analysis results, aligned with [`CallGraph::fns`].

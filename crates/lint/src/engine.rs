@@ -162,7 +162,10 @@ pub struct FileAnalysis {
 /// stream mentions the ident `test` and does not mention `not` (so
 /// `#[cfg(not(test))]` correctly stays live code). The region extends over
 /// the item's brace block, or to the terminating `;` for brace-less items
-/// like `#[cfg(test)] mod tests;`.
+/// like `#[cfg(test)] mod tests;`. An attribute on a struct field or a
+/// struct-literal field (`#[cfg(test)] pub(crate) name: T` last in its
+/// braces) has neither: its region ends at the enclosing unmatched `}`, so
+/// it never runs on into the next item.
 fn test_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut ranges = Vec::new();
     let mut i = 0;
@@ -218,7 +221,8 @@ fn test_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
             }
             k += 1;
         }
-        // Scan the item header for `{` (start of body) or `;` (no body).
+        // Scan the item header for `{` (start of body) or `;` (no body);
+        // an unmatched `}` first means a field closed by its parent braces.
         let mut paren = 0i32;
         let mut end = None;
         while k < tokens.len() {
@@ -229,6 +233,9 @@ fn test_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
                 paren -= 1;
             } else if paren == 0 && t.is_punct(";") {
                 end = Some(k);
+                break;
+            } else if paren == 0 && t.is_punct("}") {
+                end = Some(k - 1);
                 break;
             } else if paren == 0 && t.is_punct("{") {
                 let mut braces = 1i32;

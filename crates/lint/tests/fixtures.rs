@@ -176,6 +176,27 @@ fn unmarked_dirty_write_fixture_pair() {
 }
 
 #[test]
+fn cfg_test_field_fixture_pair() {
+    // A `#[cfg(test)]` field last in its struct must not hide the impl
+    // after it from the rules.
+    let bad = run("core", include_str!("fixtures/cfg_test_field_bad.rs"));
+    assert_eq!(triples(&bad), vec![("unmarked-dirty-write", 15, 14)]);
+    let good = run("core", include_str!("fixtures/cfg_test_field_good.rs"));
+    assert!(triples(&good).is_empty(), "{:?}", good.findings);
+}
+
+#[test]
+fn cfg_test_pub_field_fixture_pair() {
+    // The same with a `pub(crate)` field, whose impl the call graph and
+    // the hot-path budget must see.
+    let label = "crates/core/src/kernel/fixture.rs";
+    let bad = run_at(label, include_str!("fixtures/cfg_test_pub_field_bad.rs"));
+    assert_eq!(triples(&bad), vec![("hot-path-alloc", 14, 16)]);
+    let good = run_at(label, include_str!("fixtures/cfg_test_pub_field_good.rs"));
+    assert!(triples(&good).is_empty(), "{:?}", good.findings);
+}
+
+#[test]
 fn condvar_wait_fixture_pair() {
     let bad = run("core", include_str!("fixtures/condvar_wait_bad.rs"));
     assert_eq!(

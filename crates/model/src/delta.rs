@@ -171,11 +171,14 @@ impl DeltaOp {
         matches!(self, DeltaOp::AddFlow { .. })
     }
 
-    /// `true` if this op changes resource-cost coefficients (so price term
-    /// tables built from the problem must be rebuilt). Reliability edits
-    /// count: link loss feeds the ρ term columns of the table, and ρ-bound
-    /// edits change the feasible set the cached best-responses were clamped
-    /// into.
+    /// `true` if this op changes resource-cost coefficients or reliability
+    /// inputs: flow additions and removals, `F_{b,i}` edits, link-loss
+    /// edits (loss feeds the ρ term columns of the price term table) and
+    /// ρ-bound edits (the cached best-responses were clamped into the old
+    /// bounds). A term table follows every one of them in place through
+    /// [`crate::PriceTermTable::refresh`] except [`DeltaOp::AddFlow`], which
+    /// changes the table's shape and needs a rebuild
+    /// ([`DeltaOp::grows_problem`]).
     pub fn changes_costs(&self) -> bool {
         matches!(
             self,
@@ -556,7 +559,7 @@ mod tests {
     }
 
     #[test]
-    fn reliability_ops_invalidate_term_tables() {
+    fn reliability_ops_count_as_cost_edits() {
         let loss_edit = ProblemDelta::new().set_link_loss(LinkId::new(0), 0.2);
         assert!(!loss_edit.grows_problem());
         assert!(loss_edit.changes_costs());

@@ -23,9 +23,14 @@
 //! [`Problem::classes_of_flow_at_node`], [`Problem::flows_on_link`]), so a
 //! consumer that folds them left-to-right performs the same floating-point
 //! additions in the same order as the accessor-based code and obtains
-//! bit-identical sums. A table is a snapshot: rebuild it whenever the
-//! problem is replaced.
+//! bit-identical sums.
+//!
+//! A table follows its problem through every delta that keeps the id space:
+//! [`PriceTermTable::refresh`] rewrites, in place, the coefficients one
+//! [`DeltaOp`] touched, and the CSR shape never changes. Rebuild the table
+//! when the problem grows ([`DeltaOp::AddFlow`]) or is replaced.
 
+use crate::delta::DeltaOp;
 use crate::ids::{FlowId, LinkId};
 use crate::problem::Problem;
 use crate::utility::Utility;
@@ -265,6 +270,89 @@ impl PriceTermTable {
     pub fn rho_link_terms(&self, flow: FlowId) -> &[(u32, f64)] {
         csr_row(&self.rho_link_terms, &self.rho_link_offsets, flow.index())
     }
+
+    /// Rewrites the coefficients `op` touched, reading them from `problem`:
+    /// the problem *after* the delta that carried `op`. The CSR shape stays,
+    /// so the patched table equals [`PriceTermTable::new`] on `problem` bit
+    /// for bit, and a patch costs only the touched rows.
+    ///
+    /// * [`DeltaOp::RemoveFlow`] and [`DeltaOp::SetFlowNodeCost`] rewrite the
+    ///   flow's link terms, its node terms' `F_{b,i}`, its entries in the
+    ///   usage rows of its links, and its reliability column.
+    /// * [`DeltaOp::SetLinkLoss`] rewrites the reliability column of every
+    ///   flow on the link.
+    /// * The other ops that keep the id space touch no coefficient here.
+    ///
+    /// Returns `false`, and leaves the table as it was, for an op that grows
+    /// the problem ([`DeltaOp::grows_problem`]): new rows change the shape,
+    /// so the table must be rebuilt with [`PriceTermTable::new`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lrgp_model::workloads::base_workload;
+    /// use lrgp_model::{DeltaOp, FlowId, PriceTermTable};
+    ///
+    /// let problem = base_workload();
+    /// let mut table = PriceTermTable::new(&problem);
+    /// let op = DeltaOp::RemoveFlow { flow: FlowId::new(2) };
+    /// let edited = op.apply(&problem).unwrap();
+    /// assert!(table.refresh(&edited, &op));
+    /// assert_eq!(table, PriceTermTable::new(&edited));
+    /// ```
+    #[must_use = "`false` means the table is stale and must be rebuilt"]
+    pub fn refresh(&mut self, problem: &Problem, op: &DeltaOp) -> bool {
+        match *op {
+            DeltaOp::AddFlow { .. } => return false,
+            DeltaOp::RemoveFlow { flow } | DeltaOp::SetFlowNodeCost { flow, .. } => {
+                self.refresh_flow(problem, flow);
+            }
+            DeltaOp::SetLinkLoss { link, .. } => {
+                for &flow in problem.flows_on_link(link) {
+                    self.refresh_rho_column(problem, flow);
+                }
+            }
+            DeltaOp::SetNodeCapacity { .. }
+            | DeltaOp::SetLinkCapacity { .. }
+            | DeltaOp::SetMaxPopulation { .. }
+            | DeltaOp::SetRateBounds { .. }
+            | DeltaOp::SetRhoBounds { .. } => {}
+        }
+        true
+    }
+
+    /// Rewrites every path coefficient of `flow`: its link and node terms,
+    /// its entry in each of its links' usage rows, and its reliability
+    /// column.
+    fn refresh_flow(&mut self, problem: &Problem, flow: FlowId) {
+        let f = flow.index();
+        let links = problem.links_of_flow(flow);
+        let row = csr_row_mut(&mut self.link_terms, &self.link_offsets, f);
+        for (term, &(link, cost)) in row.iter_mut().zip(links) {
+            term.1 = cost;
+            // A usage row lists its flows in ascending id, each once.
+            let usage = csr_row_mut(&mut self.usage_terms, &self.usage_offsets, link.index());
+            if let Ok(at) = usage.binary_search_by_key(&(f as u32), |&(g, _)| g) {
+                if let Some(entry) = usage.get_mut(at) {
+                    entry.1 = cost;
+                }
+            }
+        }
+        let row = csr_row_mut(&mut self.node_terms, &self.node_offsets, f);
+        for (term, &(_, flow_cost)) in row.iter_mut().zip(problem.nodes_of_flow(flow)) {
+            term.flow_cost = flow_cost;
+        }
+        self.refresh_rho_column(problem, flow);
+    }
+
+    /// Rewrites `flow`'s reliability column, `L_{l,i} · loss_l` per link
+    /// (a no-op when the problem carries no spec, whose column is empty).
+    fn refresh_rho_column(&mut self, problem: &Problem, flow: FlowId) {
+        let row = csr_row_mut(&mut self.rho_link_terms, &self.rho_link_offsets, flow.index());
+        for (term, &(link, cost)) in row.iter_mut().zip(problem.links_of_flow(flow)) {
+            term.1 = cost * problem.link_loss(link);
+        }
+    }
 }
 
 /// Row `i` of a CSR layout: `terms[offsets[i]..offsets[i + 1]]`, empty for
@@ -275,6 +363,14 @@ fn csr_row<'a, T>(terms: &'a [T], offsets: &[u32], i: usize) -> &'a [T] {
     match (offsets.get(i), offsets.get(i + 1)) {
         (Some(&lo), Some(&hi)) => terms.get(lo as usize..hi as usize).unwrap_or(&[]),
         _ => &[],
+    }
+}
+
+/// The mutable twin of [`csr_row`], equally total.
+fn csr_row_mut<'a, T>(terms: &'a mut [T], offsets: &[u32], i: usize) -> &'a mut [T] {
+    match (offsets.get(i), offsets.get(i + 1)) {
+        (Some(&lo), Some(&hi)) => terms.get_mut(lo as usize..hi as usize).unwrap_or(&mut []),
+        _ => &mut [],
     }
 }
 
@@ -528,6 +624,72 @@ mod tests {
             let fast = PriceTermTable::new(&p);
             assert_eq!(fingerprint(&fast), fingerprint(&reference_build(&p)), "{name}");
         }
+    }
+
+    /// A seed-driven list of ops that keep the id space: flow removals,
+    /// edits of existing `F_{b,i}` entries, and, where a spec is attached,
+    /// link-loss edits.
+    fn shape_keeping_ops(problem: &Problem, seed: u64) -> Vec<DeltaOp> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let lossy = problem.reliability().is_some() && problem.num_links() > 0;
+        (0..6)
+            .map(|_| {
+                let flow = FlowId::new(rng.gen_range(0..problem.num_flows()) as u32);
+                let nodes = problem.nodes_of_flow(flow);
+                match rng.gen_range(0..3) {
+                    1 if !nodes.is_empty() => DeltaOp::SetFlowNodeCost {
+                        flow,
+                        node: nodes[rng.gen_range(0..nodes.len())].0,
+                        cost: rng.gen_range(0.0..40.0),
+                    },
+                    2 if lossy => DeltaOp::SetLinkLoss {
+                        link: LinkId::new(rng.gen_range(0..problem.num_links()) as u32),
+                        loss: rng.gen_range(0.0..0.5),
+                    },
+                    _ => DeltaOp::RemoveFlow { flow },
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn refreshed_table_equals_a_fresh_build_on_every_generator() {
+        let mut lossy_cases = 0;
+        for (name, p) in every_generator() {
+            for seed in 0..4 {
+                let ops = shape_keeping_ops(&p, seed);
+                lossy_cases += ops.iter().filter(|op| matches!(op, DeltaOp::SetLinkLoss { .. })).count();
+                let mut delta = crate::ProblemDelta::new();
+                for op in &ops {
+                    delta.push(op.clone());
+                }
+                let edited = delta.apply(&p).expect("every op is valid");
+                let mut table = PriceTermTable::new(&p);
+                for op in &ops {
+                    assert!(table.refresh(&edited, op), "{name} seed {seed}: {op:?}");
+                }
+                assert_eq!(
+                    fingerprint(&table),
+                    fingerprint(&PriceTermTable::new(&edited)),
+                    "{name} seed {seed}: {ops:?}"
+                );
+            }
+        }
+        assert!(lossy_cases > 0, "the lossy generators must draw loss edits");
+    }
+
+    #[test]
+    fn refresh_refuses_a_growing_op() {
+        let p = fixture();
+        let mut table = PriceTermTable::new(&p);
+        let op = DeltaOp::AddFlow {
+            flow: p.flow(FlowId::new(0)).clone(),
+            classes: vec![p.class(crate::ClassId::new(0)).clone()],
+        };
+        let grown = op.apply(&p).expect("a copy of flow 0 is valid");
+        assert!(!table.refresh(&grown, &op));
+        assert_eq!(table, PriceTermTable::new(&p), "a refused op leaves the table as it was");
     }
 
     #[test]

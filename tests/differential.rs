@@ -128,8 +128,8 @@ fn assert_same_state(label: &str, k: usize, reference: &Engine, candidate: &Engi
 /// `Some((k, flow))`, the flow is removed from all three engines right
 /// before iteration `k` — the baseline through the wholesale
 /// `replace_problem` oracle, the incremental engines through
-/// [`Engine::apply_delta`], which must invalidate their dirty sets and stay
-/// identical afterwards.
+/// [`Engine::apply_delta`], which must patch their term tables, mark the
+/// flow's readers dirty and stay identical afterwards.
 fn assert_incremental_identical(
     problem: Problem,
     config: LrgpConfig,
@@ -212,10 +212,11 @@ fn workload_strategy() -> impl Strategy<Value = (RandomWorkload, u64, usize)> {
         })
 }
 
-/// A seed-chosen targeted delta: `(kind, element selector, magnitude)`
-/// resolved against the problem's current dimensions at application time.
-/// Kind 4, a cost edit, is drawn only by the batch test; the engine
-/// schedules draw kinds 0–3.
+/// A seed-chosen delta: `(kind, element selector, magnitude)` resolved
+/// against the problem's current dimensions at application time. Kinds
+/// 0–2 are capacity, population and rate-bound edits, kind 4 edits an
+/// existing `F_{b,i}`, and kind 3 (or any other) removes a flow. The engine
+/// delta schedule adds a re-join kind on top ([`rejoin`]).
 fn resolve_delta(problem: &Problem, kind: u8, sel: u64, magnitude: f64) -> ProblemDelta {
     match kind {
         0 => {
@@ -246,6 +247,22 @@ fn resolve_delta(problem: &Problem, kind: u8, sel: u64, magnitude: f64) -> Probl
             ProblemDelta::new().remove_flow(flow)
         }
     }
+}
+
+/// `flow` re-joins with its spec in `origin`: its rate bounds restored,
+/// `F_{b,i}` set on each of its nodes, and each of its classes resized to
+/// its original maximum. This is the op mix the repository benchmark sends
+/// when a departed flow comes back.
+fn rejoin(origin: &Problem, flow: FlowId) -> ProblemDelta {
+    let spec = origin.flow(flow);
+    let mut delta = ProblemDelta::new().set_rate_bounds(flow, spec.bounds);
+    for &(node, cost) in &spec.node_costs {
+        delta = delta.set_flow_node_cost(flow, node, cost);
+    }
+    for &class in origin.classes_of_flow(flow) {
+        delta = delta.resize_class(class, origin.class(class).max_population);
+    }
+    delta
 }
 
 /// `delta` applied to plain copies of `problem`'s specs, then built from
@@ -363,8 +380,8 @@ proptest! {
     /// The incremental acceptance criterion: on the same randomized problem
     /// population, the dirty-set engine (sequential and threaded) is
     /// bit-identical to the full-recompute baseline at every iteration —
-    /// including across a mid-run flow removal, which must invalidate the
-    /// term tables and dirty sets.
+    /// including across a mid-run flow removal, which must patch the term
+    /// tables and mark exactly the removed flow's readers dirty.
     #[test]
     fn incremental_engine_bit_identical_on_random_problems(
         (workload, seed, threads) in workload_strategy()
@@ -373,7 +390,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let problem = workload.generate(&mut rng);
         // Remove a seed-chosen flow before iteration 16 of 25, so every case
-        // exercises both steady-state skipping and invalidation.
+        // exercises both steady-state skipping and a removal's patch.
         let removal = Some((16, (seed % flows as u64) as u32));
         assert_incremental_identical(
             problem,
@@ -403,9 +420,11 @@ proptest! {
         assert_batch_matches_reference(&problem, &batch);
     }
 
-    /// The delta-sequence oracle: a random schedule of targeted edits and
-    /// removals applied mid-run through [`Engine::apply_delta`] (which
-    /// keeps the dirty-set caches alive where it can) must leave the
+    /// The delta-sequence oracle: a random schedule of targeted edits,
+    /// `F_{b,i}` edits, removals and re-joins (kind 5: the most recently
+    /// removed flow comes back, see [`rejoin`]) applied mid-run through
+    /// [`Engine::apply_delta`] (which keeps the executor and patches its
+    /// term table for every op that keeps the id space) must leave the
     /// incremental engines bit-identical, at every iteration, to the
     /// full-recompute baseline that rebuilds its problem wholesale with
     /// `replace_problem(delta.apply(..))`. The pooled candidates run the
@@ -423,7 +442,7 @@ proptest! {
     fn delta_sequences_bit_identical_to_from_scratch(
         (workload, seed, _threads) in workload_strategy(),
         schedule in proptest::collection::vec(
-            (0u8..4, 0u64..1_000_000, 0.0f64..1_000_000.0),
+            (0u8..6, 0u64..1_000_000, 0.0f64..1_000_000.0),
             1..5,
         )
     ) {
@@ -457,12 +476,22 @@ proptest! {
                 engine
             })
             .collect();
+        // Removed flows, most recent last, for the re-join kind to bring
+        // back.
+        let mut departed: Vec<FlowId> = Vec::new();
         // One delta every 6 iterations, starting at iteration 7 so the
         // first edits land on a warm dirty-set state.
         for k in 1..=30usize {
             if k >= 7 && (k - 7) % 6 == 0 {
                 if let Some(&(kind, sel, magnitude)) = schedule.get((k - 7) / 6) {
-                    let delta = resolve_delta(baseline.problem(), kind, sel, magnitude);
+                    let chosen = FlowId::new((sel % problem.num_flows() as u64) as u32);
+                    let delta = match kind {
+                        5 => rejoin(&problem, departed.pop().unwrap_or(chosen)),
+                        _ => resolve_delta(baseline.problem(), kind, sel, magnitude),
+                    };
+                    if kind == 3 {
+                        departed.push(chosen);
+                    }
                     let edited = delta.apply(baseline.problem()).expect("delta is valid");
                     baseline.replace_problem(edited);
                     inc_seq.apply_delta(&delta).expect("delta is valid");
