@@ -8,9 +8,15 @@
 //!   work dominates; this is where the incremental path's skipping pays.
 //!
 //! A third, crossover-scale workload (**huge_10k**: 10,000 flows, 100,000
-//! classes) runs only a sequential-vs-pooled comparison — the
-//! `--min-thread-ratio` floor asserts the persistent worker pool is no
-//! slower than the sequential path at the scale where it must pay.
+//! classes) runs two paired comparisons, each gated by a floor:
+//!
+//! * `incremental_ratio` — `IncrementalMode::Off` against `On` on two warm
+//!   sequential engines, each timed step following the same targeted
+//!   capacity delta. This is what the incremental axis claims, and the
+//!   `--min-speedup` floor reads it.
+//! * `thread_ratio` — the sequential engine against the pooled one. The
+//!   `--min-thread-ratio` floor asserts the persistent worker pool is no
+//!   slower than the sequential path at the scale where it must pay.
 //!
 //! **What "baseline" means.** Since the engines were unified behind one
 //! dirty-set executor, `IncrementalMode::Off` runs as the all-dirty
@@ -22,6 +28,8 @@
 //! every timed step, so each sample pays the full rebuild from the bare
 //! problem — the cost a non-incremental implementation pays per
 //! iteration, and what the pre-unification reference engine measured.
+//! The baseline rows and their `near_converged_speedup` are context only;
+//! no floor reads them.
 //!
 //! For each workload the report carries the median first-iteration time
 //! (on a fresh engine; term tables are precomputed at construction, so
@@ -31,9 +39,9 @@
 //! `BENCH_lrgp.json`), which is committed to the repository as the
 //! tracked baseline.
 
-use lrgp::{Engine, IncrementalMode, LrgpConfig, Numerics, Parallelism, Reliability};
+use lrgp::{AutoModel, Engine, IncrementalMode, LrgpConfig, Parallelism, Reliability};
 use lrgp_model::workloads::{mixed_loss_workload, paper_workload, RandomWorkload};
-use lrgp_model::{Problem, UtilityShape};
+use lrgp_model::{NodeId, Problem, ProblemDelta, UtilityShape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -90,6 +98,34 @@ pub struct WorkloadBench {
     pub threads_sweep: Vec<ThreadsEntry>,
 }
 
+/// Full-recompute-vs-incremental comparison at the crossover scale, after
+/// targeted deltas.
+///
+/// Both engines run sequentially and keep their executor state; the only
+/// difference is the [`IncrementalMode`] axis. Each timed sample first
+/// applies the same `set_node_capacity` delta to both engines (a consumer
+/// node resized to ±5% of its base capacity), as in the repository
+/// benchmark's `churn_2000` targeted share, and then times the step that
+/// follows. `ratio ≥ 1.0` means dirty-set skipping pays for its
+/// bookkeeping; CI enforces a floor on it via `--min-speedup`.
+#[derive(Debug, Clone, Serialize)]
+pub struct IncrementalRatioBench {
+    /// Workload label.
+    pub name: String,
+    /// Problem dimensions, for context.
+    pub flows: usize,
+    /// Number of nodes.
+    pub nodes: usize,
+    /// Number of consumer classes.
+    pub classes: usize,
+    /// Median step after a targeted delta, `IncrementalMode::Off`.
+    pub off_ns: u64,
+    /// Median step after a targeted delta, `IncrementalMode::On`.
+    pub on_ns: u64,
+    /// `off / on` (higher is better).
+    pub ratio: f64,
+}
+
 /// Sequential-vs-pooled comparison at the crossover scale.
 ///
 /// The per-workload [`WorkloadBench::threads_sweep`] shows *where* the
@@ -97,9 +133,9 @@ pub struct WorkloadBench {
 /// workload big enough that a near-converged step still carries thousands
 /// of dirty flows, the pooled `Threads` engine must not be slower than the
 /// sequential reference (`thread_ratio ≥ 1.0`). CI enforces the floor via
-/// `--min-thread-ratio`. On a single-CPU host the pool declines to
-/// dispatch and runs shards inline, so the ratio degenerates to ~1.0 by
-/// construction; the floor only bites where hardware parallelism exists.
+/// `--min-thread-ratio`. On a single-CPU host there is no second worker,
+/// so the row compares the sequential path with itself and the floor
+/// fails rather than pass on a ratio of ~1.0.
 #[derive(Debug, Clone, Serialize)]
 pub struct ThreadRatioBench {
     /// Workload label.
@@ -120,43 +156,14 @@ pub struct ThreadRatioBench {
     pub thread_ratio: f64,
 }
 
-/// Strict-vs-vectorized numerics comparison on one workload.
-///
-/// Both engines run the sequential incremental path; the only difference
-/// is the [`lrgp::Numerics`] axis. `vector_ratio` is `strict / vectorized`
-/// on the near-converged median, so ≥ 1.0 means the lane-batched kernels
-/// and cohort fast paths pay for their dispatch. CI enforces the floor on
-/// the crossover-scale workload via `--min-vector-ratio`; the paper-scale
-/// entry is context only (it is bookkeeping-bound and its flows sit below
-/// one lane, where Vectorized degenerates to the strict code).
-#[derive(Debug, Clone, Serialize)]
-pub struct NumericsBench {
-    /// Workload label.
-    pub name: String,
-    /// Problem dimensions, for context.
-    pub flows: usize,
-    /// Number of nodes.
-    pub nodes: usize,
-    /// Number of consumer classes.
-    pub classes: usize,
-    /// Median near-converged incremental step, `Numerics::Strict`.
-    pub strict_ns: u64,
-    /// Median near-converged incremental step, `Numerics::Vectorized`.
-    pub vectorized_ns: u64,
-    /// `strict / vectorized` (≥ 1.0 means vectorization is no slower).
-    pub vector_ratio: f64,
-}
-
 /// Reliability-axis comparison on one lossy workload.
 ///
-/// Three engines run the sequential incremental path on the same
+/// Two engines run the sequential incremental path on the same
 /// spec-carrying problem: `Reliability::Off` (the rate-only control — the
-/// pre-reliability step, which must stay bit-identical to it),
-/// `Reliability::Joint` with `Numerics::Strict`, and `Joint` with
-/// `Numerics::Vectorized`. `joint_overhead` is `strict / off` — what the
+/// pre-reliability step, which must stay bit-identical to it) and
+/// `Reliability::Joint`. `joint_overhead` is `joint / off` — what the
 /// per-step ρ phase and the redundancy-coupled link usage cost on top of
-/// the rate-only step. `vector_ratio` is `strict / vectorized` within the
-/// joint step, mirroring [`NumericsBench`].
+/// the rate-only step.
 #[derive(Debug, Clone, Serialize)]
 pub struct ReliabilityBench {
     /// Workload label.
@@ -169,15 +176,10 @@ pub struct ReliabilityBench {
     pub links: usize,
     /// Median near-converged step, `Reliability::Off` (rate-only control).
     pub off_ns: u64,
-    /// Median near-converged step, `Reliability::Joint` + `Numerics::Strict`.
-    pub strict_ns: u64,
-    /// Median near-converged step, `Reliability::Joint` + `Numerics::Vectorized`.
-    pub vectorized_ns: u64,
-    /// `strict / off`: the cost of the joint ρ phase relative to rate-only.
+    /// Median near-converged step, `Reliability::Joint`.
+    pub joint_ns: u64,
+    /// `joint / off`: the cost of the joint ρ phase relative to rate-only.
     pub joint_overhead: f64,
-    /// `strict / vectorized` within the joint step (≥ 1.0 means the
-    /// lane-batched ρ kernels are no slower).
-    pub vector_ratio: f64,
 }
 
 /// The whole report, serialized to `BENCH_lrgp.json`.
@@ -191,12 +193,11 @@ pub struct BenchReport {
     pub sample_iterations: usize,
     /// Per-workload results.
     pub workloads: Vec<WorkloadBench>,
+    /// Incremental-vs-full-recompute floors at the crossover scale.
+    pub incremental_ratio: Vec<IncrementalRatioBench>,
     /// Pooled-threads floors at the crossover scale.
     pub thread_ratio: Vec<ThreadRatioBench>,
-    /// Strict-vs-vectorized numerics comparison per workload.
-    pub numerics: Vec<NumericsBench>,
-    /// Reliability-axis (Off vs Joint, strict vs vectorized) comparison on
-    /// lossy workloads.
+    /// Reliability-axis (Off vs Joint) comparison on lossy workloads.
     pub reliability: Vec<ReliabilityBench>,
 }
 
@@ -214,6 +215,13 @@ fn median(mut samples: Vec<u64>) -> u64 {
     assert!(!samples.is_empty(), "median of no samples");
     samples.sort_unstable();
     samples[samples.len() / 2]
+}
+
+/// Wall time of one step of `engine`, nanoseconds.
+fn timed_step(engine: &mut Engine) -> u64 {
+    let start = Instant::now();
+    engine.step();
+    start.elapsed().as_nanos() as u64
 }
 
 /// Median wall time of the first iteration over fresh engines.
@@ -343,11 +351,14 @@ fn bench_workload(name: &str, problem: &Problem, params: &BenchParams) -> Worklo
 ///
 /// Both engines warm up independently, then the timed steps alternate
 /// between the two so scheduler drift and frequency scaling land on both
-/// sides of the ratio equally. The pooled side uses the machine's
-/// available parallelism capped at four workers — the same cap the
-/// committed `threads_sweep` tops out at.
+/// sides of the ratio equally. The pooled side uses the host's hardware
+/// threads capped at four workers — the same cap the committed
+/// `threads_sweep` tops out at. The count comes from
+/// [`AutoModel::calibrated_for`], whose ceiling is the hardware-thread
+/// count the engine's pool resolves once per process, so the bench and the
+/// pool never disagree about the host.
 fn thread_ratio_bench(name: &str, problem: &Problem, params: &BenchParams) -> ThreadRatioBench {
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4);
+    let workers = (AutoModel::calibrated_for(problem).max_workers as usize).min(4);
     let sequential_config = config(IncrementalMode::On, Parallelism::Sequential);
     let pooled_config = if workers > 1 {
         config(IncrementalMode::On, Parallelism::Threads(workers))
@@ -361,12 +372,8 @@ fn thread_ratio_bench(name: &str, problem: &Problem, params: &BenchParams) -> Th
     let mut sequential_samples = Vec::with_capacity(params.samples);
     let mut pooled_samples = Vec::with_capacity(params.samples);
     for _ in 0..params.samples {
-        let start = Instant::now();
-        sequential.step();
-        sequential_samples.push(start.elapsed().as_nanos() as u64);
-        let start = Instant::now();
-        pooled.step();
-        pooled_samples.push(start.elapsed().as_nanos() as u64);
+        sequential_samples.push(timed_step(&mut sequential));
+        pooled_samples.push(timed_step(&mut pooled));
     }
     let sequential_ns = median(sequential_samples);
     let pooled_ns = median(pooled_samples);
@@ -382,99 +389,96 @@ fn thread_ratio_bench(name: &str, problem: &Problem, params: &BenchParams) -> Th
     }
 }
 
-/// Interleaved near-converged comparison of `Numerics::Strict` against
-/// `Numerics::Vectorized` on one workload.
+/// Paired comparison of `IncrementalMode::Off` against `On` on one
+/// workload, each timed step following a targeted delta.
 ///
-/// Mirrors [`thread_ratio_bench`]: both engines warm up independently, then
-/// the timed steps alternate so scheduler drift and frequency scaling land
-/// on both sides of the ratio equally. Both engines run the sequential
-/// incremental path, so the ratio isolates the numerics axis.
-fn numerics_bench(name: &str, problem: &Problem, params: &BenchParams) -> NumericsBench {
-    let base = config(IncrementalMode::On, Parallelism::Sequential);
-    let strict_config = LrgpConfig { numerics: Numerics::Strict, ..base };
-    let vectorized_config = LrgpConfig { numerics: Numerics::Vectorized, ..base };
-    let mut strict = Engine::new(problem.clone(), strict_config);
-    let mut vectorized = Engine::new(problem.clone(), vectorized_config);
-    strict.run(params.warmup);
-    vectorized.run(params.warmup);
-    let mut strict_samples = Vec::with_capacity(params.samples);
-    let mut vectorized_samples = Vec::with_capacity(params.samples);
-    for _ in 0..params.samples {
-        let start = Instant::now();
-        strict.step();
-        strict_samples.push(start.elapsed().as_nanos() as u64);
-        let start = Instant::now();
-        vectorized.step();
-        vectorized_samples.push(start.elapsed().as_nanos() as u64);
+/// Both sequential engines warm up independently. Each sample then resizes
+/// one consumer node to ±5% of its base capacity on both engines, the sign
+/// alternating and the node advancing by a fixed stride, and times the step
+/// that follows on each. The two engines alternate which one steps first,
+/// so scheduler drift and frequency scaling land on both sides of the ratio
+/// equally.
+fn incremental_ratio_bench(
+    name: &str,
+    problem: &Problem,
+    params: &BenchParams,
+) -> IncrementalRatioBench {
+    const NODE_STRIDE: usize = 7;
+    let consumer_nodes: Vec<NodeId> =
+        problem.node_ids().filter(|&n| !problem.classes_at_node(n).is_empty()).collect();
+    let mut off =
+        Engine::new(problem.clone(), config(IncrementalMode::Off, Parallelism::Sequential));
+    let mut on = Engine::new(problem.clone(), config(IncrementalMode::On, Parallelism::Sequential));
+    off.run(params.warmup);
+    on.run(params.warmup);
+    let mut off_samples = Vec::with_capacity(params.samples);
+    let mut on_samples = Vec::with_capacity(params.samples);
+    for k in 0..params.samples {
+        let node = consumer_nodes[(k * NODE_STRIDE) % consumer_nodes.len()];
+        let scale = if k % 2 == 0 { 1.05 } else { 0.95 };
+        let delta =
+            ProblemDelta::new().set_node_capacity(node, problem.node(node).capacity * scale);
+        off.apply_delta(&delta).expect("a resized consumer node is valid");
+        on.apply_delta(&delta).expect("a resized consumer node is valid");
+        if k % 2 == 0 {
+            off_samples.push(timed_step(&mut off));
+            on_samples.push(timed_step(&mut on));
+        } else {
+            on_samples.push(timed_step(&mut on));
+            off_samples.push(timed_step(&mut off));
+        }
     }
-    let strict_ns = median(strict_samples);
-    let vectorized_ns = median(vectorized_samples);
-    NumericsBench {
+    let off_ns = median(off_samples);
+    let on_ns = median(on_samples);
+    IncrementalRatioBench {
         name: name.to_string(),
         flows: problem.num_flows(),
         nodes: problem.num_nodes(),
         classes: problem.num_classes(),
-        strict_ns,
-        vectorized_ns,
-        vector_ratio: strict_ns as f64 / vectorized_ns.max(1) as f64,
+        off_ns,
+        on_ns,
+        ratio: off_ns as f64 / on_ns.max(1) as f64,
     }
 }
 
 /// Interleaved near-converged comparison of the reliability axis on one
-/// lossy workload: `Off` (rate-only control) vs `Joint`+`Strict` vs
-/// `Joint`+`Vectorized`, all on the sequential incremental path. The
-/// timed steps rotate through the three engines so scheduler drift and
-/// frequency scaling land on every side of the ratios equally.
+/// lossy workload: `Off` (rate-only control) vs `Joint`, both on the
+/// sequential incremental path. The timed steps alternate between the two
+/// engines so scheduler drift and frequency scaling land on both sides of
+/// the ratio equally.
 fn reliability_bench(name: &str, problem: &Problem, params: &BenchParams) -> ReliabilityBench {
     let base = config(IncrementalMode::On, Parallelism::Sequential);
     let off_config = LrgpConfig { reliability: Reliability::Off, ..base };
-    let strict_config =
-        LrgpConfig { reliability: Reliability::Joint, numerics: Numerics::Strict, ..base };
-    let vectorized_config = LrgpConfig { numerics: Numerics::Vectorized, ..strict_config };
+    let joint_config = LrgpConfig { reliability: Reliability::Joint, ..base };
     let mut off = Engine::new(problem.clone(), off_config);
-    let mut strict = Engine::new(problem.clone(), strict_config);
-    let mut vectorized = Engine::new(problem.clone(), vectorized_config);
+    let mut joint = Engine::new(problem.clone(), joint_config);
     off.run(params.warmup);
-    strict.run(params.warmup);
-    vectorized.run(params.warmup);
+    joint.run(params.warmup);
     let mut off_samples = Vec::with_capacity(params.samples);
-    let mut strict_samples = Vec::with_capacity(params.samples);
-    let mut vectorized_samples = Vec::with_capacity(params.samples);
+    let mut joint_samples = Vec::with_capacity(params.samples);
     for _ in 0..params.samples {
-        let start = Instant::now();
-        off.step();
-        off_samples.push(start.elapsed().as_nanos() as u64);
-        let start = Instant::now();
-        strict.step();
-        strict_samples.push(start.elapsed().as_nanos() as u64);
-        let start = Instant::now();
-        vectorized.step();
-        vectorized_samples.push(start.elapsed().as_nanos() as u64);
+        off_samples.push(timed_step(&mut off));
+        joint_samples.push(timed_step(&mut joint));
     }
     let off_ns = median(off_samples);
-    let strict_ns = median(strict_samples);
-    let vectorized_ns = median(vectorized_samples);
+    let joint_ns = median(joint_samples);
     ReliabilityBench {
         name: name.to_string(),
         flows: problem.num_flows(),
         nodes: problem.num_nodes(),
         links: problem.num_links(),
         off_ns,
-        strict_ns,
-        vectorized_ns,
-        joint_overhead: strict_ns as f64 / off_ns.max(1) as f64,
-        vector_ratio: strict_ns as f64 / vectorized_ns.max(1) as f64,
+        joint_ns,
+        joint_overhead: joint_ns as f64 / off_ns.max(1) as f64,
     }
 }
 
 /// The large synthetic workload: enough flows, nodes, and classes that the
 /// per-iteration kernel work dominates the step.
-fn large_workload(_quick: bool) -> Problem {
-    // Same dimensions in quick mode: the --min-speedup floor is asserted
-    // against this workload in CI's quick run, and the speedup only
-    // reaches its asymptote once the O(flows × nodes) rebuild dominates
-    // the step. Quick mode saves time through warmup/sample counts, not
-    // problem size (the full quick suite runs in well under a second).
+fn large_workload() -> Problem {
+    // Same dimensions in quick mode, so quick and full reports compare
+    // like for like: quick mode saves time through warmup/sample counts,
+    // not problem size.
     let workload = RandomWorkload {
         flows: 400,
         consumer_nodes: 24,
@@ -489,8 +493,10 @@ fn large_workload(_quick: bool) -> Problem {
 /// The crossover-scale workload: 10,000 flows × 10 classes each (100,000
 /// classes) over 64 consumer nodes. A near-converged step still carries
 /// thousands of dirty flows at this size, so the pooled `Threads` path is
-/// past the Auto cost model's crossover on any multi-core machine — this
-/// is the workload the `--min-thread-ratio` floor is asserted against.
+/// past the Auto cost model's crossover on any multi-core machine, and a
+/// targeted delta dirties a small share of the problem — this is the
+/// workload both the `--min-speedup` and the `--min-thread-ratio` floors
+/// are asserted against.
 fn huge_workload() -> Problem {
     let workload = RandomWorkload {
         flows: 10_000,
@@ -512,28 +518,20 @@ pub fn run_bench(quick: bool) -> BenchReport {
     };
     let workloads = vec![
         bench_workload("paper_base", &paper_workload(UtilityShape::Log, 1, 1), &params),
-        bench_workload("large_synthetic", &large_workload(quick), &params),
+        bench_workload("large_synthetic", &large_workload(), &params),
     ];
-    // The 10k-flow workload runs only the sequential-vs-pooled comparison:
-    // its per-step cost is three orders of magnitude above paper scale, so
-    // the full baseline/incremental matrix would dominate the suite's
-    // runtime without informing the floor the workload exists to assert.
+    // The 10k-flow workload runs only the two paired comparisons its
+    // floors read: its per-step cost is three orders of magnitude above
+    // paper scale, so the full baseline/incremental matrix would dominate
+    // the suite's runtime without informing either floor.
     let ratio_params = if quick {
         BenchParams { warmup: 40, samples: 30, first_repeats: 1 }
     } else {
         BenchParams { warmup: 100, samples: 80, first_repeats: 1 }
     };
     let huge = huge_workload();
+    let incremental_ratio = vec![incremental_ratio_bench("huge_10k", &huge, &ratio_params)];
     let thread_ratio = vec![thread_ratio_bench("huge_10k", &huge, &ratio_params)];
-    // The numerics axis is compared on every workload, but the
-    // `--min-vector-ratio` floor is asserted only against the
-    // crossover-scale entry (see `NumericsBench`): at paper scale the
-    // vectorized path degenerates to the strict code by design.
-    let numerics = vec![
-        numerics_bench("paper_base", &paper_workload(UtilityShape::Log, 1, 1), &params),
-        numerics_bench("large_synthetic", &large_workload(quick), &params),
-        numerics_bench("huge_10k", &huge, &ratio_params),
-    ];
     // The reliability axis is timed on a lossy multi-link workload where
     // every flow carries ρ terms; 512 bottleneck pairs put the per-step ρ
     // phase at a scale where its cost is visible over bookkeeping.
@@ -547,8 +545,8 @@ pub fn run_bench(quick: bool) -> BenchReport {
         warmup_iterations: params.warmup,
         sample_iterations: params.samples,
         workloads,
+        incremental_ratio,
         thread_ratio,
-        numerics,
         reliability,
     }
 }
@@ -579,6 +577,17 @@ pub fn print_report(report: &BenchReport) {
             );
         }
     }
+    for r in &report.incremental_ratio {
+        println!(
+            "{} incremental ({} flows, {} nodes, {} classes):",
+            r.name, r.flows, r.nodes, r.classes
+        );
+        println!(
+            "  after a targeted delta: full recompute {:>10} ns, incremental {:>10} ns \
+             (ratio {:.2}x)",
+            r.off_ns, r.on_ns, r.ratio
+        );
+    }
     for r in &report.thread_ratio {
         println!(
             "{} ({} flows, {} nodes, {} classes):",
@@ -589,25 +598,141 @@ pub fn print_report(report: &BenchReport) {
             r.sequential_ns, r.workers, r.pooled_ns, r.thread_ratio
         );
     }
-    for n in &report.numerics {
-        println!(
-            "{} numerics ({} flows, {} nodes, {} classes):",
-            n.name, n.flows, n.nodes, n.classes
-        );
-        println!(
-            "  near converged  : strict {:>10} ns, vectorized {:>10} ns (ratio {:.2}x)",
-            n.strict_ns, n.vectorized_ns, n.vector_ratio
-        );
-    }
     for r in &report.reliability {
         println!(
             "{} reliability ({} flows, {} nodes, {} links):",
             r.name, r.flows, r.nodes, r.links
         );
         println!(
-            "  near converged  : off {:>10} ns, joint strict {:>10} ns (overhead {:.2}x), \
-             joint vectorized {:>10} ns (ratio {:.2}x)",
-            r.off_ns, r.strict_ns, r.joint_overhead, r.vectorized_ns, r.vector_ratio
+            "  near converged  : off {:>10} ns, joint {:>10} ns (overhead {:.2}x)",
+            r.off_ns, r.joint_ns, r.joint_overhead
         );
+    }
+}
+
+/// The outcome of every floor a `lrgp bench` run was asked to enforce, one
+/// line per floor: `Ok` when the floor is met, `Err` when it fails. Every
+/// requested floor is checked, so one failure never hides another.
+///
+/// * `min_speedup` reads the `incremental_ratio` rows (full recompute over
+///   incremental after a targeted delta); the worst row must reach it.
+/// * `min_thread_ratio` reads the `thread_ratio` rows. A row whose pooled
+///   engine had fewer than two workers fails whatever its ratio: it timed
+///   the sequential path against itself, so it proves nothing.
+///
+/// A floor with no row to read fails too.
+pub fn check_floors(
+    report: &BenchReport,
+    min_speedup: Option<f64>,
+    min_thread_ratio: Option<f64>,
+) -> Vec<Result<String, String>> {
+    let mut checks = Vec::new();
+    if let Some(min) = min_speedup {
+        let worst =
+            report.incremental_ratio.iter().min_by(|a, b| a.ratio.total_cmp(&b.ratio));
+        checks.push(match worst {
+            None => Err("no incremental_ratio row to check --min-speedup against".to_string()),
+            Some(r) if r.ratio < min => Err(format!(
+                "{} incremental ratio {:.2}x after a targeted delta is below the \
+                 --min-speedup floor {min}x",
+                r.name, r.ratio
+            )),
+            Some(r) => Ok(format!(
+                "speedup floor met: {} incremental at {:.2}x after a targeted delta (≥ {min}x)",
+                r.name, r.ratio
+            )),
+        });
+    }
+    if let Some(min) = min_thread_ratio {
+        let rows = report.thread_ratio.iter();
+        let worst = rows.clone().find(|r| r.workers < 2).or_else(|| {
+            rows.min_by(|a, b| a.thread_ratio.total_cmp(&b.thread_ratio))
+        });
+        checks.push(match worst {
+            None => Err("no thread_ratio row to check --min-thread-ratio against".to_string()),
+            Some(r) if r.workers < 2 => Err(format!(
+                "{} pooled engine ran with {} worker(s): the --min-thread-ratio floor needs \
+                 at least 2 to compare the pool with the sequential path",
+                r.name, r.workers
+            )),
+            Some(r) if r.thread_ratio < min => Err(format!(
+                "{} pooled-threads ratio {:.2}x ({} workers) is below the \
+                 --min-thread-ratio floor {min}x",
+                r.name, r.thread_ratio, r.workers
+            )),
+            Some(r) => Ok(format!(
+                "thread-ratio floor met: {} at {:.2}x with {} workers (≥ {min}x)",
+                r.name, r.thread_ratio, r.workers
+            )),
+        });
+    }
+    checks
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A report carrying only the two gated rows.
+    fn report(incremental: f64, thread_ratio: f64, workers: usize) -> BenchReport {
+        BenchReport {
+            quick: true,
+            warmup_iterations: 0,
+            sample_iterations: 0,
+            workloads: Vec::new(),
+            incremental_ratio: vec![IncrementalRatioBench {
+                name: "huge_10k".to_string(),
+                flows: 1,
+                nodes: 1,
+                classes: 1,
+                off_ns: 100,
+                on_ns: 10,
+                ratio: incremental,
+            }],
+            thread_ratio: vec![ThreadRatioBench {
+                name: "huge_10k".to_string(),
+                flows: 1,
+                nodes: 1,
+                classes: 1,
+                workers,
+                sequential_ns: 100,
+                pooled_ns: 80,
+                thread_ratio,
+            }],
+            reliability: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn met_floors_print_one_line_each() {
+        let checks = check_floors(&report(14.0, 1.3, 2), Some(3.5), Some(1.0));
+        assert_eq!(checks.len(), 2);
+        assert!(checks.iter().all(Result::is_ok), "{checks:?}");
+        assert!(check_floors(&report(14.0, 1.3, 2), None, None).is_empty());
+    }
+
+    #[test]
+    fn a_single_worker_thread_row_fails_the_floor() {
+        // A ratio of ~1.0 from one worker compares the sequential path with
+        // itself; it must not pass a floor of 1.0.
+        let checks = check_floors(&report(14.0, 1.03, 1), None, Some(1.0));
+        let [Err(failure)] = checks.as_slice() else { panic!("{checks:?}") };
+        assert!(failure.contains("1 worker(s)"), "{failure}");
+    }
+
+    #[test]
+    fn every_failing_floor_is_reported() {
+        let checks = check_floors(&report(2.1, 0.8, 2), Some(3.5), Some(1.0));
+        let failures: Vec<&String> = checks.iter().filter_map(|c| c.as_ref().err()).collect();
+        assert_eq!(failures.len(), 2, "{checks:?}");
+        assert!(failures[0].contains("--min-speedup"), "{}", failures[0]);
+        assert!(failures[1].contains("--min-thread-ratio"), "{}", failures[1]);
+    }
+
+    #[test]
+    fn a_floor_without_its_row_fails() {
+        let empty = BenchReport { incremental_ratio: Vec::new(), ..report(14.0, 1.3, 2) };
+        let checks = check_floors(&empty, Some(3.5), None);
+        assert!(matches!(checks.as_slice(), [Err(_)]), "{checks:?}");
     }
 }

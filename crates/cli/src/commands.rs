@@ -70,27 +70,6 @@ impl IncrementalArg {
     }
 }
 
-/// Numerics selection for `solve`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NumericsArg {
-    /// The bitwise-reproducible scalar kernels (the default).
-    Strict,
-    /// The lane-batched kernels with closed-form cohort solves.
-    Vectorized,
-}
-
-impl NumericsArg {
-    fn parse(raw: &str) -> Result<NumericsArg, ParseError> {
-        match raw {
-            "strict" => Ok(NumericsArg::Strict),
-            "vectorized" => Ok(NumericsArg::Vectorized),
-            other => {
-                Err(ParseError(format!("--numerics: expected strict|vectorized, got {other:?}")))
-            }
-        }
-    }
-}
-
 /// Reliability-axis selection for `solve`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReliabilityArg {
@@ -138,8 +117,6 @@ pub struct SolveCmd {
     pub threads: ThreadsArg,
     /// Incremental dirty-set evaluation.
     pub incremental: IncrementalArg,
-    /// Numerics axis: strict scalar kernels or vectorized ones.
-    pub numerics: NumericsArg,
     /// Reliability axis: rate-only or joint rate–reliability.
     pub reliability: ReliabilityArg,
     /// Optional CSV path for the utility trace.
@@ -157,15 +134,14 @@ pub struct BenchCmd {
     pub quick: bool,
     /// Report path (default `BENCH_lrgp.json`).
     pub output: PathBuf,
-    /// Fail (exit non-zero) when the large workload's near-converged
-    /// incremental speedup falls below this factor.
+    /// Fail (exit non-zero) when the crossover workload's incremental
+    /// ratio (full recompute / incremental after a targeted delta) falls
+    /// below this factor.
     pub min_speedup: Option<f64>,
     /// Fail (exit non-zero) when the crossover workload's pooled-threads
-    /// ratio (sequential / pooled near-converged) falls below this factor.
+    /// ratio (sequential / pooled near-converged) falls below this factor,
+    /// or when the pooled engine had fewer than two workers.
     pub min_thread_ratio: Option<f64>,
-    /// Fail (exit non-zero) when the large workload's vectorized-numerics
-    /// ratio (strict / vectorized near-converged) falls below this factor.
-    pub min_vector_ratio: Option<f64>,
 }
 
 /// `lrgp anneal` — run the simulated-annealing baseline.
@@ -274,8 +250,8 @@ lrgp — utility optimization for event-driven distributed infrastructures
 
 USAGE:
   lrgp workload [--shape log|pow25|pow50|pow75] [--systems N] [--cnodes N] -o FILE
-  lrgp solve    <base|FILE> [--iters N] [--gamma adaptive|FLOAT] [--threads auto|N] [--incremental on|off|auto] [--numerics strict|vectorized] [--reliability off|joint] [--trace CSV] [--save JSON]
-  lrgp bench    [--json] [--quick] [--out FILE] [--min-speedup X] [--min-thread-ratio X] [--min-vector-ratio X]
+  lrgp solve    <base|FILE> [--iters N] [--gamma adaptive|FLOAT] [--threads auto|N] [--incremental on|off|auto] [--reliability off|joint] [--trace CSV] [--save JSON]
+  lrgp bench    [--json] [--quick] [--out FILE] [--min-speedup X] [--min-thread-ratio X]
   lrgp anneal   <base|FILE> [--steps N] [--temp T] [--seed N]
   lrgp compare  <base|FILE> [--steps N] [--seed N]
   lrgp simulate <base|FILE> [--async] [--latency MS] [--amount N]
@@ -341,7 +317,6 @@ where
                 gamma: GammaArg::Adaptive,
                 threads: ThreadsArg::Sequential,
                 incremental: IncrementalArg::Auto,
-                numerics: NumericsArg::Strict,
                 reliability: ReliabilityArg::Off,
                 trace: None,
                 save: None,
@@ -376,9 +351,6 @@ where
                     "--incremental" => {
                         cmd.incremental = IncrementalArg::parse(take_value(flag, &mut it)?)?;
                     }
-                    "--numerics" => {
-                        cmd.numerics = NumericsArg::parse(take_value(flag, &mut it)?)?;
-                    }
                     "--reliability" => {
                         cmd.reliability = ReliabilityArg::parse(take_value(flag, &mut it)?)?;
                     }
@@ -396,7 +368,6 @@ where
                 output: PathBuf::from("BENCH_lrgp.json"),
                 min_speedup: None,
                 min_thread_ratio: None,
-                min_vector_ratio: None,
             };
             while let Some(flag) = it.next() {
                 match flag {
@@ -410,9 +381,6 @@ where
                     }
                     "--min-thread-ratio" => {
                         cmd.min_thread_ratio = Some(parse_num(flag, take_value(flag, &mut it)?)?);
-                    }
-                    "--min-vector-ratio" => {
-                        cmd.min_vector_ratio = Some(parse_num(flag, take_value(flag, &mut it)?)?);
                     }
                     other => return Err(ParseError(format!("bench: unknown flag {other}"))),
                 }
@@ -578,7 +546,6 @@ mod tests {
                 gamma: GammaArg::Adaptive,
                 threads: ThreadsArg::Sequential,
                 incremental: IncrementalArg::Auto,
-                numerics: NumericsArg::Strict,
                 reliability: ReliabilityArg::Off,
                 trace: None,
                 save: None,
@@ -603,22 +570,17 @@ mod tests {
     }
 
     #[test]
-    fn solve_numerics_variants() {
-        let numerics = |args: &[&str]| match p(args).unwrap() {
-            Command::Solve(s) => s.numerics,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(numerics(&["solve", "base"]), NumericsArg::Strict);
-        assert_eq!(numerics(&["solve", "base", "--numerics", "strict"]), NumericsArg::Strict);
-        assert_eq!(
-            numerics(&["solve", "base", "--numerics", "vectorized"]),
-            NumericsArg::Vectorized
-        );
-        assert!(p(&["solve", "base", "--numerics", "fast"])
+    fn removed_numerics_flags_are_unknown() {
+        // The vectorized numerics axis is gone; its flags must be refused,
+        // not silently accepted.
+        assert!(p(&["solve", "base", "--numerics", "strict"])
             .unwrap_err()
             .0
-            .contains("strict|vectorized"));
-        assert!(p(&["solve", "base", "--numerics"]).unwrap_err().0.contains("requires a value"));
+            .contains("unknown flag --numerics"));
+        assert!(p(&["bench", "--min-vector-ratio", "1.15"])
+            .unwrap_err()
+            .0
+            .contains("unknown flag --min-vector-ratio"));
     }
 
     #[test]
@@ -672,7 +634,6 @@ mod tests {
                 output: PathBuf::from("BENCH_lrgp.json"),
                 min_speedup: None,
                 min_thread_ratio: None,
-                min_vector_ratio: None,
             })
         );
         assert_eq!(
@@ -686,8 +647,6 @@ mod tests {
                 "3.5",
                 "--min-thread-ratio",
                 "1.0",
-                "--min-vector-ratio",
-                "1.15",
             ])
             .unwrap(),
             Command::Bench(BenchCmd {
@@ -696,7 +655,6 @@ mod tests {
                 output: PathBuf::from("b.json"),
                 min_speedup: Some(3.5),
                 min_thread_ratio: Some(1.0),
-                min_vector_ratio: Some(1.15),
             })
         );
         assert!(p(&["bench", "--bogus"]).unwrap_err().0.contains("unknown flag"));
@@ -704,8 +662,6 @@ mod tests {
         assert!(p(&["bench", "--min-speedup", "fast"]).unwrap_err().0.contains("cannot parse"));
         assert!(p(&["bench", "--min-thread-ratio"]).unwrap_err().0.contains("requires a value"));
         assert!(p(&["bench", "--min-thread-ratio", "x"]).unwrap_err().0.contains("cannot parse"));
-        assert!(p(&["bench", "--min-vector-ratio"]).unwrap_err().0.contains("requires a value"));
-        assert!(p(&["bench", "--min-vector-ratio", "x"]).unwrap_err().0.contains("cannot parse"));
     }
 
     #[test]

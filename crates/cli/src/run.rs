@@ -2,12 +2,9 @@
 
 use crate::commands::{
     AnnealCmd, BenchCmd, Command, CompareCmd, GammaArg, IncrementalArg, InfoCmd, LintCmd,
-    NumericsArg, ReliabilityArg, SimulateCmd, SolveCmd, ThreadsArg, WorkloadCmd, WorkloadRef,
+    ReliabilityArg, SimulateCmd, SolveCmd, ThreadsArg, WorkloadCmd, WorkloadRef,
 };
-use lrgp::{
-    Engine, GammaMode, IncrementalMode, LrgpConfig, Numerics, Parallelism, Reliability,
-    TraceConfig,
-};
+use lrgp::{Engine, GammaMode, IncrementalMode, LrgpConfig, Parallelism, Reliability, TraceConfig};
 use lrgp_anneal::{sweep, AnnealConfig};
 use lrgp_model::io::ProblemFile;
 use lrgp_model::workloads::{self, paper_workload};
@@ -144,10 +141,6 @@ fn solve(cmd: SolveCmd) -> CliResult {
         IncrementalArg::On => IncrementalMode::On,
         IncrementalArg::Auto => IncrementalMode::Auto,
     };
-    let numerics = match cmd.numerics {
-        NumericsArg::Strict => Numerics::Strict,
-        NumericsArg::Vectorized => Numerics::Vectorized,
-    };
     let reliability = match cmd.reliability {
         ReliabilityArg::Off => Reliability::Off,
         ReliabilityArg::Joint => Reliability::Joint,
@@ -162,7 +155,6 @@ fn solve(cmd: SolveCmd) -> CliResult {
         gamma,
         parallelism,
         incremental,
-        numerics,
         reliability,
         trace: TraceConfig::default(),
         ..LrgpConfig::default()
@@ -226,88 +218,17 @@ fn bench(cmd: BenchCmd) -> CliResult {
         std::fs::write(&cmd.output, serde_json::to_string_pretty(&report)?)?;
         println!("report written to {}", cmd.output.display());
     }
-    if let Some(min) = cmd.min_speedup {
-        // The large workload is where the dirty-set path is meant to pay;
-        // the paper-scale workload is bookkeeping-bound, so it is exempt.
-        let large = report
-            .workloads
-            .iter()
-            .filter(|w| w.name.starts_with("large"))
-            .min_by(|a, b| a.near_converged_speedup.total_cmp(&b.near_converged_speedup));
-        match large {
-            Some(w) if w.near_converged_speedup < min => {
-                return Err(format!(
-                    "bench: {} near-converged incremental speedup {:.2}x is below the \
-                     --min-speedup floor {min}x",
-                    w.name, w.near_converged_speedup
-                )
-                .into());
-            }
-            Some(w) => println!(
-                "speedup floor met: {} at {:.2}x (≥ {min}x)",
-                w.name, w.near_converged_speedup
-            ),
-            None => return Err("bench: no large workload to check --min-speedup against".into()),
+    let mut failures = Vec::new();
+    for check in crate::bench::check_floors(&report, cmd.min_speedup, cmd.min_thread_ratio) {
+        match check {
+            Ok(line) => println!("{line}"),
+            Err(line) => failures.push(line),
         }
     }
-    if let Some(min) = cmd.min_thread_ratio {
-        // The crossover-scale workload is where the pooled Threads path
-        // must not lose to the sequential reference.
-        let worst = report
-            .thread_ratio
-            .iter()
-            .min_by(|a, b| a.thread_ratio.total_cmp(&b.thread_ratio));
-        match worst {
-            Some(r) if r.thread_ratio < min => {
-                return Err(format!(
-                    "bench: {} pooled-threads ratio {:.2}x ({} workers) is below the \
-                     --min-thread-ratio floor {min}x",
-                    r.name, r.thread_ratio, r.workers
-                )
-                .into());
-            }
-            Some(r) => println!(
-                "thread-ratio floor met: {} at {:.2}x with {} worker(s) (≥ {min}x)",
-                r.name, r.thread_ratio, r.workers
-            ),
-            None => {
-                return Err(
-                    "bench: no crossover workload to check --min-thread-ratio against".into()
-                )
-            }
-        }
+    if failures.is_empty() {
+        return Ok(());
     }
-    if let Some(min) = cmd.min_vector_ratio {
-        // The crossover-scale workload is where the lane-batched kernels
-        // and cohort fast paths must pay; paper-scale entries are context
-        // only (their flows sit below one lane, where Vectorized
-        // degenerates to the strict code) and are exempt.
-        let worst = report
-            .numerics
-            .iter()
-            .filter(|n| n.name.starts_with("huge"))
-            .min_by(|a, b| a.vector_ratio.total_cmp(&b.vector_ratio));
-        match worst {
-            Some(n) if n.vector_ratio < min => {
-                return Err(format!(
-                    "bench: {} vectorized-numerics ratio {:.2}x is below the \
-                     --min-vector-ratio floor {min}x",
-                    n.name, n.vector_ratio
-                )
-                .into());
-            }
-            Some(n) => println!(
-                "vector-ratio floor met: {} at {:.2}x (≥ {min}x)",
-                n.name, n.vector_ratio
-            ),
-            None => {
-                return Err(
-                    "bench: no crossover workload to check --min-vector-ratio against".into()
-                )
-            }
-        }
-    }
-    Ok(())
+    Err(format!("bench: {} floor(s) failed:\n  {}", failures.len(), failures.join("\n  ")).into())
 }
 
 fn anneal_cmd(cmd: AnnealCmd) -> CliResult {

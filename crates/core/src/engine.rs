@@ -24,7 +24,7 @@ use crate::exec::StepState;
 use crate::gamma::{GammaController, GammaMode};
 use crate::kernel::admission::{AdmissionPolicy, PopulationMode};
 use crate::kernel::price::{NodePriceRule, PriceVector};
-use crate::plan::{AutoModel, ExecutionPlan, IncrementalMode, Numerics, Parallelism, Reliability};
+use crate::plan::{AutoModel, ExecutionPlan, IncrementalMode, Parallelism, Reliability};
 use crate::pool::PoolHandle;
 use crate::trace::{Trace, TraceConfig};
 use lrgp_model::{Allocation, ClassId, DeltaOp, FlowId, Problem, ProblemDelta, ValidationError};
@@ -87,11 +87,6 @@ pub struct LrgpConfig {
     /// (off by default — the full recompute is the reference; the
     /// incremental path is bit-identical, see [`crate::exec`]).
     pub incremental: IncrementalMode,
-    /// Which numeric kernels the step dispatches to (Strict by default —
-    /// bitwise-reproducible scalar code; the vectorized path trades the
-    /// bitwise guarantee for bounded drift, see [`crate::plan::Numerics`]).
-    #[serde(default)]
-    pub numerics: Numerics,
     /// Whether the step solves per-flow delivery reliability jointly with
     /// the rate (Off by default — the classic rate-only pipeline, bitwise
     /// identical to the pre-reliability engine; see
@@ -116,7 +111,6 @@ impl Default for LrgpConfig {
             trace: TraceConfig::default(),
             parallelism: Parallelism::default(),
             incremental: IncrementalMode::default(),
-            numerics: Numerics::default(),
             reliability: Reliability::default(),
         }
     }
@@ -181,11 +175,6 @@ pub struct Engine {
     /// state is replaced wholesale, then lazily rebuilt on the next step.
     state: Option<StepState>,
 }
-
-/// Deprecated name of [`Engine`], from when the crate had one engine type
-/// per execution strategy.
-#[deprecated(since = "0.2.0", note = "renamed to `Engine`")]
-pub type LrgpEngine = Engine;
 
 impl Engine {
     /// Creates an engine over `problem` with the given configuration.
@@ -677,18 +666,6 @@ impl Engine {
         // the next step rebuilds them and treats everything as dirty,
         // exactly like a freshly constructed engine would.
         self.state = None;
-    }
-
-    /// Removes `flow` from the system (its source leaves, §4.2 Fig. 3):
-    /// rate collapses to zero, its classes stop being admitted, its resource
-    /// costs vanish. Ids remain valid.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Engine::apply_delta` with `ProblemDelta::remove_flow`"
-    )]
-    pub fn remove_flow(&mut self, flow: FlowId) {
-        let pruned = self.problem.without_flow(flow);
-        self.replace_problem(pruned);
     }
 }
 

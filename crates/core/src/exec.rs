@@ -85,11 +85,7 @@ use crate::gamma::GammaController;
 use crate::kernel::admission::allocate_consumers_into;
 use crate::kernel::price::{update_link_price, update_node_price_with_rule, PriceVector};
 use crate::kernel::rate::{solve_rate, AggregateUtility};
-use crate::kernel::reliability::{solve_flow_rho, solve_flow_rho_vectorized};
-use crate::kernel::vector::{
-    dot_gather, dot_gather3, link_price_batch, node_price_batch, solve_flow_rate_from_table,
-    GroupedAggregate,
-};
+use crate::kernel::reliability::solve_flow_rho;
 use crate::plan::ExecutionPlan;
 use crate::pool::{
     lock_unpoisoned, shard_chunk, shard_count, AdmissionJob, AdmissionOrder, Job, PoolHandle,
@@ -166,18 +162,7 @@ impl Clone for NodeTable {
 #[derive(Debug, Clone, Default)]
 struct RateScratch {
     agg: AggregateUtility,
-    grouped: GroupedAggregate,
     out: Vec<(u32, f64)>,
-}
-
-/// Reusable dense columns for the vectorized price batches: gathered
-/// inputs (γ, capacities) and the batch outputs, sized lazily on first
-/// vectorized step.
-#[derive(Debug, Clone, Default)]
-struct VectorScratch {
-    gammas: Vec<f64>,
-    caps: Vec<f64>,
-    next: Vec<f64>,
 }
 
 /// The executor's persistent state: term tables, caches, dirty sets, and
@@ -229,7 +214,6 @@ pub(crate) struct StepState {
     dirty_links: Vec<u32>,
 
     rate_scratch: RateScratch,
-    vector_scratch: VectorScratch,
     /// The caller's shard-0 admission output, `(node, used, bc)`.
     admission_scratch: Vec<(u32, f64, f64)>,
     /// The caller's shard-0 reliability output, `(flow, rho)`.
@@ -273,7 +257,6 @@ impl StepState {
             link_dirty: vec![false; problem.num_links()],
             dirty_links: Vec::with_capacity(problem.num_links()),
             rate_scratch: RateScratch::default(),
-            vector_scratch: VectorScratch::default(),
             admission_scratch: Vec::new(),
             rho_scratch: Vec::new(),
             #[cfg(test)]
@@ -448,9 +431,9 @@ impl StepState {
         self.derive_dirty_nodes(problem);
         self.run_dirty_admissions(problem, config, plan, pool, rates);
         self.apply_populations(populations);
-        self.update_node_prices(problem, config, plan, prices, gammas);
+        self.update_node_prices(problem, config, prices, gammas);
         self.derive_dirty_links(problem);
-        self.update_link_usage_and_prices(problem, config, plan, rates, rhos, joint, prices);
+        self.update_link_usage_and_prices(problem, config, rates, rhos, joint, prices);
         if self.first
             || self.force_utility
             || !self.changed_rates.is_empty()
@@ -550,25 +533,11 @@ impl StepState {
             let Self { terms, dirty_flows, rate_changed, changed_rates, rate_scratch, .. } =
                 self;
             let agg = &mut rate_scratch.agg;
-            let grouped = &mut rate_scratch.grouped;
-            let vectorized = plan.numerics.vectorized();
             for &f in dirty_flows.iter() {
                 let flow = FlowId::new(f);
-                let next = if vectorized {
-                    solve_flow_rate_from_table(
-                        problem,
-                        terms,
-                        prices,
-                        populations,
-                        flow,
-                        rates[f as usize],
-                        grouped,
-                    )
-                } else {
-                    agg.refill_for_flow(problem, flow, populations);
-                    let price = prices.aggregate_price_from_table(terms, flow, populations);
-                    solve_rate(agg, price, problem.flow(flow).bounds, rates[f as usize])
-                };
+                agg.refill_for_flow(problem, flow, populations);
+                let price = prices.aggregate_price_from_table(terms, flow, populations);
+                let next = solve_rate(agg, price, problem.flow(flow).bounds, rates[f as usize]);
                 if next.to_bits() != rates[f as usize].to_bits() {
                     rates[f as usize] = next;
                     mark(rate_changed, changed_rates, f);
@@ -586,14 +555,13 @@ impl StepState {
             populations: std::mem::take(populations),
             prices: std::mem::replace(prices, PriceVector::detached()),
             chunk,
-            numerics: plan.numerics,
             #[cfg(test)]
             panic_on_flow: self.panic_on_flow,
         });
         let scratch = &mut self.rate_scratch;
         let (job, panic) = pool.run(job, shards, |job| {
             if let Job::Rates(job) = job {
-                job.run_shard(0, &mut scratch.out, &mut scratch.agg, &mut scratch.grouped);
+                job.run_shard(0, &mut scratch.out, &mut scratch.agg);
             }
         });
         // Move the inputs back out before anything can unwind, so a
@@ -665,34 +633,20 @@ impl StepState {
             // rate phase: a flow's ρ solve reads `rhos` only at its own
             // index (the fallback).
             let Self { terms, dirty_flows, rho_changed, changed_rhos, .. } = self;
-            let vectorized = plan.numerics.vectorized();
             let link_prices = prices.link_prices();
             for &f in dirty_flows.iter() {
                 let flow = FlowId::new(f);
                 let bounds = problem.rho_bounds(flow).unwrap_or_default();
-                let next = if vectorized {
-                    solve_flow_rho_vectorized(
-                        terms,
-                        flow,
-                        link_prices,
-                        populations,
-                        rates[f as usize],
-                        bounds,
-                        redundancy,
-                        rhos[f as usize],
-                    )
-                } else {
-                    solve_flow_rho(
-                        terms,
-                        flow,
-                        link_prices,
-                        populations,
-                        rates[f as usize],
-                        bounds,
-                        redundancy,
-                        rhos[f as usize],
-                    )
-                };
+                let next = solve_flow_rho(
+                    terms,
+                    flow,
+                    link_prices,
+                    populations,
+                    rates[f as usize],
+                    bounds,
+                    redundancy,
+                    rhos[f as usize],
+                );
                 if next.to_bits() != rhos[f as usize].to_bits() {
                     rhos[f as usize] = next;
                     mark(rho_changed, changed_rhos, f);
@@ -712,7 +666,6 @@ impl StepState {
             prices: std::mem::replace(prices, PriceVector::detached()),
             redundancy,
             chunk,
-            numerics: plan.numerics,
         });
         let scratch = &mut self.rho_scratch;
         let (job, panic) = pool.run(job, shards, |job| {
@@ -891,45 +844,9 @@ impl StepState {
         &mut self,
         problem: &Problem,
         config: &LrgpConfig,
-        plan: &ExecutionPlan,
         prices: &mut PriceVector,
         gammas: &mut [GammaController],
     ) {
-        if plan.numerics.vectorized() {
-            // Batched Eq. 12: gather the γ and capacity columns, compute
-            // every node's next price over dense slices, then run the
-            // observe/publish loop. Per-element math is identical to the
-            // scalar loop below, so this path stays bit-identical to it.
-            let Self { nodes, vector_scratch, node_price_changed, changed_nodes, .. } = self;
-            let VectorScratch { gammas: gamma_col, caps, next } = vector_scratch;
-            gamma_col.clear();
-            caps.clear();
-            for (ctl, node) in gammas.iter().zip(problem.node_ids()) {
-                gamma_col.push(ctl.gamma());
-                caps.push(problem.node(node).capacity);
-            }
-            next.clear();
-            next.resize(nodes.used.len(), 0.0);
-            node_price_batch(
-                config.node_price_rule,
-                prices.node_prices(),
-                &nodes.bc,
-                &nodes.used,
-                caps,
-                gamma_col,
-                next,
-            );
-            for (b, ctl) in gammas.iter_mut().enumerate() {
-                let node = NodeId::new(b as u32);
-                ctl.observe_price(next[b]);
-                let before = prices.node(node);
-                prices.set_node(node, next[b]);
-                if prices.node(node).to_bits() != before.to_bits() {
-                    mark(node_price_changed, changed_nodes, b as u32);
-                }
-            }
-            return;
-        }
         for (b, ctl) in gammas.iter_mut().enumerate() {
             let node = NodeId::new(b as u32);
             let gamma = ctl.gamma();
@@ -994,55 +911,15 @@ impl StepState {
 
     /// Phase 3: recompute the dirty links' usage from the term tables, then
     /// run the O(1) Eq. 13 update for every link against the cached usage.
-    #[allow(clippy::too_many_arguments)]
     fn update_link_usage_and_prices(
         &mut self,
         problem: &Problem,
         config: &LrgpConfig,
-        plan: &ExecutionPlan,
         rates: &[f64],
         rhos: &[f64],
         joint: bool,
         prices: &mut PriceVector,
     ) {
-        if plan.numerics.vectorized() {
-            // Lane-batched usage recompute (reassociated sum) for the dirty
-            // links, then batched Eq. 13 over every link. The price batch's
-            // per-element math is identical to the scalar loop below; any
-            // drift on this path comes from the usage dot products alone.
-            // Under a Joint plan the per-flow usage inflates by
-            // `redundancy · loss_l · ρ_f`, computed as a second gather so
-            // the Off path stays the untouched single dot product.
-            let redundancy =
-                problem.reliability().map(|spec| spec.redundancy).unwrap_or_default();
-            for &l in &self.dirty_links {
-                let link = LinkId::new(l);
-                let mut usage = dot_gather(self.terms.link_usage_terms(link), rates);
-                if joint {
-                    let scale = redundancy * problem.link_loss(link);
-                    usage += scale
-                        * dot_gather3(self.terms.link_usage_terms(link), rates, rhos);
-                }
-                self.link_usage[l as usize] = usage;
-            }
-            let Self { link_usage, vector_scratch, link_price_changed, changed_links, .. } =
-                self;
-            let VectorScratch { caps, next, .. } = vector_scratch;
-            caps.clear();
-            caps.extend(problem.link_ids().map(|link| problem.link(link).capacity));
-            next.clear();
-            next.resize(link_usage.len(), 0.0);
-            link_price_batch(prices.link_prices(), link_usage, caps, config.link_gamma, next);
-            for (l, &updated) in next.iter().enumerate() {
-                let link = LinkId::new(l as u32);
-                let before = prices.link(link);
-                prices.set_link(link, updated);
-                if prices.link(link).to_bits() != before.to_bits() {
-                    mark(link_price_changed, changed_links, l as u32);
-                }
-            }
-            return;
-        }
         if joint {
             // One strict left fold per dirty link with the redundancy
             // inflation folded into each term; kept on a separate branch so

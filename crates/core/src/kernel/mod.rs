@@ -19,16 +19,11 @@
 //!   documented and tested bit-identical.
 //! * [`reliability`] — the per-flow delivery-reliability best-response for
 //!   the joint rate–reliability extension ([`crate::plan::Reliability`]):
-//!   closed-form ρ solve against loss-weighted link prices, in strict and
-//!   lane-batched forms.
-//! * [`vector`] — lane-batched variants of the above for the
-//!   [`crate::plan::Numerics::Vectorized`] axis: unrolled gather-dot
-//!   aggregation, cohort-dispatched closed-form rate solves, a
-//!   shape-grouped bisection derivative, and dense Eq. 12/13 batches.
-//!   Strictly opt-in; reassociates sums within a documented drift bound.
+//!   closed-form ρ solve against loss-weighted link prices.
 //!
-//! Because kernels are pure and every reduction runs in a fixed element
-//! order, recomputing an element whose inputs are bitwise-unchanged returns
+//! There is one implementation of each kernel. Every reduction folds its
+//! terms left to right in a fixed element order, never in lanes, so
+//! recomputing an element whose inputs are bitwise-unchanged returns
 //! the bitwise-same output — the property the incremental plan relies on to
 //! skip clean elements, and the parallel plan relies on to shard work.
 
@@ -36,4 +31,3 @@ pub mod admission;
 pub mod price;
 pub mod rate;
 pub mod reliability;
-pub mod vector;

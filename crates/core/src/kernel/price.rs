@@ -13,9 +13,8 @@
 //! prices together with the flow's cost coefficients and the current
 //! consumer populations.
 //!
-//! This module unifies the former `lrgp::price` (update rules) and
-//! `lrgp::prices` (the [`PriceVector`] state + aggregation) modules; the old
-//! paths remain as deprecated re-exports.
+//! This module holds both the update rules and the [`PriceVector`] state
+//! with its aggregation.
 
 use lrgp_model::{FlowId, LinkId, NodeId, PriceTermTable, Problem};
 use serde::{Deserialize, Serialize};

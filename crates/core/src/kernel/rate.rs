@@ -16,12 +16,10 @@
 use lrgp_model::{FlowId, Problem, RateBounds, Utility};
 use lrgp_num::roots::bisect_decreasing;
 
-/// Absolute tolerance on the rate produced by the numeric fallback (shared
-/// with the vectorized solver so both bisections stop at the same width).
-pub(crate) const RATE_TOL: f64 = 1e-9;
-/// Iteration cap for the numeric fallback (shared with the vectorized
-/// solver).
-pub(crate) const MAX_ITER: usize = 200;
+/// Absolute tolerance on the rate produced by the numeric fallback.
+const RATE_TOL: f64 = 1e-9;
+/// Iteration cap for the numeric fallback.
+const MAX_ITER: usize = 200;
 
 /// The weighted utility terms `Σ_j n_j U_j(r)` of one flow's rate
 /// subproblem.
@@ -128,7 +126,7 @@ impl AggregateUtility {
 /// # Examples
 ///
 /// ```
-/// use lrgp::rate::{solve_rate, AggregateUtility};
+/// use lrgp::kernel::rate::{solve_rate, AggregateUtility};
 /// use lrgp_model::{RateBounds, Utility};
 ///
 /// // One class: 5 consumers of 20·log(1+r); price 1. r* = 100/1 − 1 = 99.

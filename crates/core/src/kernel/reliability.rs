@@ -16,8 +16,8 @@
 //! transmissions: the flow's usage of link `l` inflates by
 //! `redundancy · loss_l · ρ_i`. Differentiating the Lagrangian in `ρ_i`
 //! gives a closed-form best-response against the current link prices,
-//! exactly mirroring the structure of
-//! [`crate::kernel::vector::solve_log_rate`]:
+//! exactly mirroring the all-logarithmic closed form of
+//! [`crate::kernel::rate::solve_rate`]:
 //!
 //! ```text
 //! ρ_i* = clamp( mass_i / price_i ),
@@ -27,22 +27,14 @@
 //! The coupling with the rate solve is handled by alternating best-response:
 //! the rate kernel is untouched, and the two variables interact only through
 //! the link prices (inflated usage raises `λ_l`, which lowers both `r` and
-//! `ρ` on the next sweep). Like every kernel, both the strict and the
-//! vectorized form are pure, allocation-free functions of their borrowed
-//! inputs; the strict form folds terms left-to-right for bitwise
-//! reproducibility, the vectorized form reuses [`dot_gather`]'s lane-batched
-//! reduction and stays within the documented drift bound.
+//! `ρ` on the next sweep). Like every kernel, the solve is a pure,
+//! allocation-free function of its borrowed inputs, and it folds its terms
+//! left to right for bitwise reproducibility.
 
 use lrgp_model::{FlowId, PriceTermTable, RhoBounds};
 
-use crate::kernel::vector::{dot_gather, weighted_population_mass};
-
 /// Weighted population mass `Σ_j n_j · w_j` of a flow's utility terms as a
 /// strict left fold, plus whether any class has positive population.
-///
-/// Bitwise-reproducible counterpart of
-/// [`weighted_population_mass`]; the two agree within the vectorized drift
-/// bound and are bit-identical for ≤ [`crate::kernel::vector::LANES`] terms.
 ///
 /// # Panics
 ///
@@ -84,27 +76,10 @@ pub fn rho_price_from_table(
     redundancy * rate * sum
 }
 
-/// Lane-batched form of [`rho_price_from_table`] for the
-/// [`crate::plan::Numerics::Vectorized`] axis: the gather-dot reduction is
-/// reassociated, everything else is identical.
-///
-/// # Panics
-///
-/// Panics if a term's link index is out of range for `link_prices`.
-pub fn rho_price_from_table_vectorized(
-    table: &PriceTermTable,
-    flow: FlowId,
-    rate: f64,
-    redundancy: f64,
-    link_prices: &[f64],
-) -> f64 {
-    redundancy * rate * dot_gather(table.rho_link_terms(flow), link_prices)
-}
-
 /// Closed-form reliability best-response `ρ* = clamp(mass / price)` for the
 /// logarithmic reliability utility `mass · ln(ρ)`.
 ///
-/// Branch structure mirrors [`crate::kernel::vector::solve_log_rate`]: with
+/// Branch structure mirrors [`crate::kernel::rate::solve_rate`]: with
 /// no active consumers the flow retreats to `bounds.min` under a positive
 /// price and pins to the clamped `fallback` otherwise, and a zero price with
 /// consumers saturates at `bounds.max` (extra delivery is free). Strictly
@@ -121,8 +96,8 @@ pub fn solve_rho(mass: f64, active: bool, price: f64, bounds: RhoBounds, fallbac
     bounds.clamp(mass / price)
 }
 
-/// Full per-flow reliability solve in strict numerics: strict mass fold,
-/// strict price fold, then the closed form. Pure and allocation-free; this
+/// Full per-flow reliability solve: strict mass fold, strict price fold,
+/// then the closed form. Pure and allocation-free; this
 /// is the unit of work the executor and the worker pool shard over.
 ///
 /// # Panics
@@ -142,29 +117,6 @@ pub fn solve_flow_rho(
 ) -> f64 {
     let (mass, active) = rho_mass(table.utility_terms(flow), populations);
     let price = rho_price_from_table(table, flow, rate, redundancy, link_prices);
-    solve_rho(mass, active, price, bounds, previous_rho)
-}
-
-/// Lane-batched sibling of [`solve_flow_rho`]: both reductions go through
-/// [`dot_gather`], the branch structure and clamping are identical.
-///
-/// # Panics
-///
-/// Panics if a term's class or link index is out of range for `populations`
-/// or `link_prices`.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_flow_rho_vectorized(
-    table: &PriceTermTable,
-    flow: FlowId,
-    link_prices: &[f64],
-    populations: &[f64],
-    rate: f64,
-    bounds: RhoBounds,
-    redundancy: f64,
-    previous_rho: f64,
-) -> f64 {
-    let (mass, active) = weighted_population_mass(table.utility_terms(flow), populations);
-    let price = rho_price_from_table_vectorized(table, flow, rate, redundancy, link_prices);
     solve_rho(mass, active, price, bounds, previous_rho)
 }
 
@@ -196,14 +148,16 @@ mod tests {
     }
 
     #[test]
-    fn rho_mass_matches_vectorized_mass_on_short_rows() {
+    fn rho_mass_folds_left_and_flags_idle_flows() {
         let terms: Vec<(u32, f64)> = vec![(0, 1.5), (2, 2.0), (1, 0.25)];
         let populations = [3.0, 0.0, 7.0];
-        let (strict, strict_active) = rho_mass(&terms, &populations);
-        let (vector, vector_active) = weighted_population_mass(&terms, &populations);
-        assert_eq!(strict.to_bits(), vector.to_bits());
-        assert_eq!(strict_active, vector_active);
-        let (_, idle) = rho_mass(&terms, &[0.0, 0.0, 0.0]);
+        let (mass, active) = rho_mass(&terms, &populations);
+        // The idle class adds +0.0, which leaves a positive sum's bits alone.
+        let expected: f64 = 1.5 * 3.0 + 2.0 * 7.0;
+        assert_eq!(mass.to_bits(), expected.to_bits());
+        assert!(active);
+        let (idle_mass, idle) = rho_mass(&terms, &[0.0, 0.0, 0.0]);
+        assert_eq!(idle_mass.to_bits(), 0.0f64.to_bits());
         assert!(!idle);
     }
 
@@ -219,13 +173,9 @@ mod tests {
             .map(|&(l, w)| w * link_prices[l as usize])
             .sum();
         let expected = 1.5 * 3.0 * sum;
-        let strict = rho_price_from_table(&table, flow, 3.0, 1.5, &link_prices);
-        let vector = rho_price_from_table_vectorized(&table, flow, 3.0, 1.5, &link_prices);
-        assert_eq!(strict.to_bits(), expected.to_bits());
-        // Short rows take dot_gather's scalar tail, so the two forms agree
-        // bitwise here.
-        assert_eq!(vector.to_bits(), strict.to_bits());
-        assert!(strict > 0.0, "lossy bottleneck must charge for reliability");
+        let price = rho_price_from_table(&table, flow, 3.0, 1.5, &link_prices);
+        assert_eq!(price.to_bits(), expected.to_bits());
+        assert!(price > 0.0, "lossy bottleneck must charge for reliability");
     }
 
     #[test]
@@ -235,30 +185,6 @@ mod tests {
         let flow = problem.flow_ids().next().unwrap();
         let link_prices = vec![5.0; problem.num_links()];
         assert_eq!(rho_price_from_table(&table, flow, 3.0, 1.0, &link_prices), 0.0);
-    }
-
-    #[test]
-    fn solve_flow_rho_strict_and_vectorized_agree_on_workload() {
-        let problem = workloads::lossy_link_bottleneck_workload(500.0, 0.2);
-        let table = PriceTermTable::new(&problem);
-        let populations = vec![1.0; problem.num_classes()];
-        let link_prices = vec![0.01; problem.num_links()];
-        for flow in problem.flow_ids() {
-            let b = problem.rho_bounds(flow).unwrap();
-            let strict = solve_flow_rho(&table, flow, &link_prices, &populations, 40.0, b, 1.0, 0.9);
-            let vector = solve_flow_rho_vectorized(
-                &table,
-                flow,
-                &link_prices,
-                &populations,
-                40.0,
-                b,
-                1.0,
-                0.9,
-            );
-            assert!(b.contains(strict, 0.0));
-            assert_eq!(strict.to_bits(), vector.to_bits());
-        }
     }
 
     proptest! {
@@ -289,28 +215,6 @@ mod tests {
             let cheap = solve_rho(mass, true, lo, b, fallback);
             let dear = solve_rho(mass, true, lo + bump, b, fallback);
             prop_assert!(dear <= cheap, "ρ({}) = {dear} > ρ({lo}) = {cheap}", lo + bump);
-        }
-
-        /// Strict and vectorized per-flow solves stay within the documented
-        /// relative drift bound on the mixed-loss workload.
-        #[test]
-        fn strict_and_vectorized_flow_solves_agree(
-            seed in 0u64..64,
-            price in 0.0f64..1.0,
-            rate in 1.0f64..100.0,
-        ) {
-            let problem = workloads::mixed_loss_workload(3, 500.0, seed);
-            let table = PriceTermTable::new(&problem);
-            let populations = vec![2.0; problem.num_classes()];
-            let link_prices = vec![price; problem.num_links()];
-            for flow in problem.flow_ids() {
-                let b = problem.rho_bounds(flow).unwrap();
-                let s = solve_flow_rho(&table, flow, &link_prices, &populations, rate, b, 1.0, 0.9);
-                let v = solve_flow_rho_vectorized(
-                    &table, flow, &link_prices, &populations, rate, b, 1.0, 0.9,
-                );
-                prop_assert!((s - v).abs() <= 1e-12 * s.abs().max(1.0));
-            }
         }
     }
 }

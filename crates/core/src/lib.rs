@@ -27,7 +27,9 @@
 //!                              │ one ExecutionPlan, every step
 //!  ┌───────────────────────────▼───────────────────────────────┐
 //!  │ plan       ExecutionPlan = Parallelism × IncrementalMode  │
-//!  │            (pure strategy: bit-identical by construction) │
+//!  │                            × Reliability                  │
+//!  │            (the first two never change a bit; Reliability │
+//!  │            picks rate-only or joint rate–reliability)     │
 //!  └───────────────────────────┬───────────────────────────────┘
 //!                              │ drives the single solve loop
 //!  ┌───────────────────────────▼───────────────────────────────┐
@@ -100,32 +102,13 @@ pub mod snapshot;
 pub mod trace;
 pub mod two_stage;
 
-#[deprecated(since = "0.2.0", note = "moved to `lrgp::kernel::admission`")]
-pub mod admission;
-#[deprecated(since = "0.2.0", note = "moved to `lrgp::plan`")]
-pub mod incremental;
-#[deprecated(since = "0.2.0", note = "`Parallelism` moved to `lrgp::plan`")]
-pub mod parallel;
-#[deprecated(since = "0.2.0", note = "merged into `lrgp::kernel::price`")]
-pub mod price;
-#[deprecated(since = "0.2.0", note = "merged into `lrgp::kernel::price`")]
-pub mod prices;
-#[deprecated(since = "0.2.0", note = "moved to `lrgp::kernel::rate`")]
-pub mod rate;
-
 pub use dynamics::{run_scenario, ProblemChange, RandomChurn, Scenario, ScenarioOutcome};
 pub use enactment::{EnactmentPolicy, Enactor};
 pub use engine::{Engine, InitialRate, LrgpConfig, RunOutcome};
 pub use gamma::{AdaptiveGammaConfig, GammaController, GammaMode};
 pub use kernel::admission::{AdmissionPolicy, PopulationMode};
 pub use kernel::price::PriceVector;
-pub use plan::{AutoModel, ExecutionPlan, IncrementalMode, Numerics, Parallelism, Reliability};
+pub use plan::{AutoModel, ExecutionPlan, IncrementalMode, Parallelism, Reliability};
 pub use snapshot::EngineSnapshot;
 pub use trace::{Trace, TraceConfig};
 pub use two_stage::{two_stage_solve, TwoStageOutcome};
-
-// Deprecated names kept importable at the crate root for one release.
-#[allow(deprecated)]
-pub use engine::LrgpEngine;
-#[allow(deprecated)]
-pub use parallel::ParallelLrgpEngine;

@@ -2,35 +2,26 @@
 //!
 //! The kernel layer ([`crate::kernel`]) defines *what* one LRGP iteration
 //! computes. This module defines *how* the engine executes it: an
-//! [`ExecutionPlan`] is the product of four independent axes —
+//! [`ExecutionPlan`] is the product of three independent axes —
 //!
 //! * [`Parallelism`] — whether each phase shards its work over the engine's
 //!   persistent worker pool ([`crate::pool`]), and over how many workers;
 //! * [`IncrementalMode`] — whether the step recomputes everything or only
 //!   the dirty subset tracked by [`crate::exec::StepState`];
-//! * [`Numerics`] — whether the per-element kernels run the scalar
-//!   reference code or the lane-batched variants in
-//!   [`crate::kernel::vector`];
 //! * [`Reliability`] — whether the step also solves each flow's
 //!   delivery-reliability variable ρ against the link prices
 //!   ([`crate::kernel::reliability`]) or runs the classic rate-only
 //!   pipeline.
 //!
-//! The first two axes preserve bit-identical results, so within
-//! [`Numerics::Strict`] a plan is purely a performance choice: every
-//! parallelism × incrementality combination produces the same
-//! `f64::to_bits` trace as the sequential full-recompute reference
-//! (enforced by `tests/differential.rs`). [`Numerics::Vectorized`]
-//! deliberately reassociates floating-point sums and replaces bisection
-//! with closed forms where possible, so it trades the bitwise guarantee
-//! for a bounded one: total utility at convergence stays within `1e-12`
-//! relative drift of the Strict trace (also enforced by the differential
-//! harness). [`Reliability`] is the one axis that changes *what* is
-//! optimized rather than how fast: [`Reliability::Off`] (the default)
-//! takes the classic rate-only code path byte for byte, while
-//! [`Reliability::Joint`] adds the ρ phase — within `Joint`, all
-//! parallelism × incrementality plans are still bit-identical to each
-//! other.
+//! The first two axes preserve bit-identical results, so a plan is purely
+//! a performance choice: every parallelism × incrementality combination
+//! produces the same `f64::to_bits` trace as the sequential
+//! full-recompute reference (enforced by `tests/differential.rs`).
+//! [`Reliability`] is the one axis that changes *what* is optimized rather
+//! than how fast: [`Reliability::Off`] (the default) takes the classic
+//! rate-only code path byte for byte, while [`Reliability::Joint`] adds
+//! the ρ phase — within `Joint`, all parallelism × incrementality plans
+//! are still bit-identical to each other.
 //!
 //! # Determinism guarantee
 //!
@@ -216,36 +207,6 @@ impl AutoModel {
     }
 }
 
-/// Which numeric kernel implementations the executor dispatches to.
-///
-/// [`Numerics::Strict`] is the default and keeps the engine's original
-/// guarantee: every plan produces the same `f64::to_bits` trace as the
-/// sequential reference. [`Numerics::Vectorized`] opts into the
-/// lane-batched kernels in [`crate::kernel::vector`]: price aggregation
-/// over the CSR term table runs in fixed-width unrolled chunks with
-/// independent partial accumulators (reassociating the sums), and the
-/// per-flow rate solve dispatches on the flow's pre-classified utility
-/// cohort — closed forms for all-log and uniform-power flows, a
-/// shape-grouped derivative for the generic bisection residue. The
-/// results differ from Strict only in low-order bits; the differential
-/// harness bounds the drift at `< 1e-12` relative total utility at
-/// convergence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum Numerics {
-    /// Bitwise-reproducible scalar kernels (the default).
-    #[default]
-    Strict,
-    /// Lane-batched kernels with bounded (non-bitwise) drift.
-    Vectorized,
-}
-
-impl Numerics {
-    /// `true` when the plan dispatches to the lane-batched kernels.
-    pub fn vectorized(self) -> bool {
-        matches!(self, Numerics::Vectorized)
-    }
-}
-
 /// Whether the step solves the per-flow delivery-reliability variable
 /// jointly with the rate.
 ///
@@ -317,9 +278,6 @@ pub struct ExecutionPlan {
     /// [`Parallelism::Auto`]).
     #[serde(default)]
     pub auto: AutoModel,
-    /// Which numeric kernel implementations the executor dispatches to.
-    #[serde(default)]
-    pub numerics: Numerics,
     /// Whether ρ is solved jointly with the rate.
     #[serde(default)]
     pub reliability: Reliability,
@@ -334,7 +292,6 @@ impl ExecutionPlan {
             parallelism: config.parallelism,
             incrementality: config.incremental,
             auto: AutoModel::default(),
-            numerics: config.numerics,
             reliability: config.reliability,
         }
     }
@@ -374,12 +331,9 @@ impl ExecutionPlan {
             Parallelism::Auto => "auto-parallel".to_string(),
         };
         let inc = if self.incremental() { "incremental" } else { "full recompute" };
-        // Strict and Off are the invariant defaults and stay out of the
-        // string so pre-existing renderings are unchanged.
-        let mut rendered = match self.numerics {
-            Numerics::Strict => format!("{par}, {inc}"),
-            Numerics::Vectorized => format!("{par}, {inc}, vectorized"),
-        };
+        // Off is the invariant default and stays out of the string so
+        // pre-existing renderings are unchanged.
+        let mut rendered = format!("{par}, {inc}");
         if self.reliability.joint() {
             rendered.push_str(", joint reliability");
         }
@@ -542,30 +496,31 @@ mod tests {
         let plan = ExecutionPlan {
             parallelism: Parallelism::Auto,
             incrementality: IncrementalMode::Auto,
-            numerics: Numerics::Vectorized,
             ..ExecutionPlan::default()
         };
         let json = serde_json::to_string(&plan).unwrap();
         let back: ExecutionPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(plan, back);
-        // Pre-AutoModel plan JSON (no `auto`/`numerics` fields) still
-        // deserializes, defaulting to Strict.
+        // Pre-AutoModel plan JSON (no `auto` field) still deserializes.
         let legacy = r#"{"parallelism":"Sequential","incrementality":"On"}"#;
         let back: ExecutionPlan = serde_json::from_str(legacy).unwrap();
         assert_eq!(back.auto, AutoModel::default());
-        assert_eq!(back.numerics, Numerics::Strict);
     }
 
     #[test]
-    fn numerics_axis_defaults_to_strict_and_renders_only_when_vectorized() {
-        assert_eq!(Numerics::default(), Numerics::Strict);
-        assert!(!Numerics::Strict.vectorized());
-        assert!(Numerics::Vectorized.vectorized());
-        let plan = ExecutionPlan { numerics: Numerics::Vectorized, ..ExecutionPlan::default() };
-        assert_eq!(plan.describe(), "sequential, full recompute, vectorized");
-        // The config axis flows into the plan like the other two.
-        let config = LrgpConfig { numerics: Numerics::Vectorized, ..LrgpConfig::default() };
-        assert_eq!(ExecutionPlan::from_config(&config).numerics, Numerics::Vectorized);
+    fn plan_json_with_a_numerics_key_still_loads() {
+        // Plans written while the engine had a `numerics` axis carry the
+        // key; the reader skips it and the plan loads as if it were absent.
+        for numerics in ["Strict", "Vectorized"] {
+            let old = format!(
+                r#"{{"parallelism":"Sequential","incrementality":"On","numerics":"{numerics}"}}"#
+            );
+            let back: ExecutionPlan = serde_json::from_str(&old).unwrap();
+            let without: ExecutionPlan =
+                serde_json::from_str(r#"{"parallelism":"Sequential","incrementality":"On"}"#)
+                    .unwrap();
+            assert_eq!(back, without, "numerics {numerics}");
+        }
     }
 
     #[test]
@@ -575,13 +530,7 @@ mod tests {
         assert!(Reliability::Joint.joint());
         let plan = ExecutionPlan { reliability: Reliability::Joint, ..ExecutionPlan::default() };
         assert_eq!(plan.describe(), "sequential, full recompute, joint reliability");
-        let both = ExecutionPlan {
-            reliability: Reliability::Joint,
-            numerics: Numerics::Vectorized,
-            ..ExecutionPlan::default()
-        };
-        assert_eq!(both.describe(), "sequential, full recompute, vectorized, joint reliability");
-        // The config axis flows into the plan like the other three, and
+        // The config axis flows into the plan like the other two, and
         // pre-reliability plan JSON still deserializes to Off.
         let config = LrgpConfig { reliability: Reliability::Joint, ..LrgpConfig::default() };
         assert_eq!(ExecutionPlan::from_config(&config).reliability, Reliability::Joint);

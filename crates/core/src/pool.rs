@@ -73,9 +73,7 @@ use crate::kernel::admission::{
 };
 use crate::kernel::price::PriceVector;
 use crate::kernel::rate::{solve_rate, AggregateUtility};
-use crate::kernel::reliability::{solve_flow_rho, solve_flow_rho_vectorized};
-use crate::kernel::vector::{solve_flow_rate_from_table, GroupedAggregate};
-use crate::plan::Numerics;
+use crate::kernel::reliability::solve_flow_rho;
 use lrgp_model::{ClassId, FlowId, NodeId, PriceTermTable, Problem};
 use std::any::Any;
 use std::ops::Range;
@@ -165,9 +163,6 @@ pub(crate) struct RateJob {
     pub(crate) prices: PriceVector,
     /// Shard chunk size ([`shard_chunk`] of the dirty length).
     pub(crate) chunk: usize,
-    /// Which solver family to run: the bitwise-reproducible scalar kernel
-    /// or the lane-batched cohort-dispatched one.
-    pub(crate) numerics: Numerics,
     /// Panic-injection test hook: solving this flow id panics.
     #[cfg(test)]
     pub(crate) panic_on_flow: Option<u32>,
@@ -181,7 +176,6 @@ impl RateJob {
         shard: usize,
         out: &mut Vec<(u32, f64)>,
         agg: &mut AggregateUtility,
-        grouped: &mut GroupedAggregate,
     ) {
         out.clear();
         let lo = shard * self.chunk;
@@ -195,22 +189,11 @@ impl RateJob {
                 std::panic::panic_any(format!("injected rate-kernel panic on flow {f}"));
             }
             let flow = FlowId::new(f);
-            let next = if self.numerics.vectorized() {
-                solve_flow_rate_from_table(
-                    &self.problem,
-                    &self.terms,
-                    &self.prices,
-                    &self.populations,
-                    flow,
-                    self.rates[f as usize],
-                    grouped,
-                )
-            } else {
-                agg.refill_for_flow(&self.problem, flow, &self.populations);
-                let price =
-                    self.prices.aggregate_price_from_table(&self.terms, flow, &self.populations);
-                solve_rate(agg, price, self.problem.flow(flow).bounds, self.rates[f as usize])
-            };
+            agg.refill_for_flow(&self.problem, flow, &self.populations);
+            let price =
+                self.prices.aggregate_price_from_table(&self.terms, flow, &self.populations);
+            let next =
+                solve_rate(agg, price, self.problem.flow(flow).bounds, self.rates[f as usize]);
             out.push((f, next));
         }
     }
@@ -238,8 +221,6 @@ pub(crate) struct ReliabilityJob {
     pub(crate) redundancy: f64,
     /// Shard chunk size ([`shard_chunk`] of the dirty length).
     pub(crate) chunk: usize,
-    /// Which solver family to run.
-    pub(crate) numerics: Numerics,
 }
 
 impl ReliabilityJob {
@@ -256,29 +237,16 @@ impl ReliabilityJob {
         for &f in self.dirty.get(lo..hi).unwrap_or(&[]) {
             let flow = FlowId::new(f);
             let bounds = self.problem.rho_bounds(flow).unwrap_or_default();
-            let next = if self.numerics.vectorized() {
-                solve_flow_rho_vectorized(
-                    &self.terms,
-                    flow,
-                    link_prices,
-                    &self.populations,
-                    self.rates[f as usize],
-                    bounds,
-                    self.redundancy,
-                    self.rhos[f as usize],
-                )
-            } else {
-                solve_flow_rho(
-                    &self.terms,
-                    flow,
-                    link_prices,
-                    &self.populations,
-                    self.rates[f as usize],
-                    bounds,
-                    self.redundancy,
-                    self.rhos[f as usize],
-                )
-            };
+            let next = solve_flow_rho(
+                &self.terms,
+                flow,
+                link_prices,
+                &self.populations,
+                self.rates[f as usize],
+                bounds,
+                self.redundancy,
+                self.rhos[f as usize],
+            );
             out.push((f, next));
         }
     }
@@ -353,8 +321,6 @@ struct WorkerSlot {
     admissions_out: Vec<(u32, f64, f64)>,
     /// Per-worker rate scratch, reused across steps.
     agg: AggregateUtility,
-    /// Per-worker grouped-aggregate scratch for vectorized rate shards.
-    grouped: GroupedAggregate,
     /// A caught panic payload from the last shard, if any.
     panic: Option<Box<dyn Any + Send>>,
     /// Number of shards this worker has executed (test instrumentation).
@@ -371,7 +337,6 @@ impl WorkerSlot {
             rhos_out: Vec::new(),
             admissions_out: Vec::new(),
             agg: AggregateUtility::default(),
-            grouped: GroupedAggregate::default(),
             panic: None,
             jobs_completed: 0,
             thread_id: None,
@@ -658,7 +623,7 @@ fn worker_loop(shared: Arc<PoolShared>, w: usize) {
             let outcome = match &*guard {
                 Job::Idle => Ok(()),
                 Job::Rates(job) => catch_unwind(AssertUnwindSafe(|| {
-                    job.run_shard(shard, &mut slot.rates_out, &mut slot.agg, &mut slot.grouped)
+                    job.run_shard(shard, &mut slot.rates_out, &mut slot.agg)
                 })),
                 Job::Reliabilities(job) => catch_unwind(AssertUnwindSafe(|| {
                     job.run_shard(shard, &mut slot.rhos_out)

@@ -121,6 +121,27 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_with_a_numerics_key_restores_like_one_without() {
+        // Snapshots written while the engine had a `numerics` axis carry the
+        // key in their config. The reader skips it, so such a snapshot
+        // resumes bit for bit like the same snapshot without the key.
+        let mut engine = Engine::new(base_workload(), LrgpConfig::default());
+        engine.run(20);
+        let json = serde_json::to_string(&engine.snapshot()).expect("snapshot serializes");
+        let old = json.replacen(r#""config":{"#, r#""config":{"numerics":"Vectorized","#, 1);
+        assert_ne!(old, json, "the config object must take the key");
+        let with_key: EngineSnapshot = serde_json::from_str(&old).expect("old snapshot loads");
+        let without: EngineSnapshot = serde_json::from_str(&json).expect("snapshot loads");
+        let mut a = Engine::restore(base_workload(), with_key);
+        let mut b = Engine::restore(base_workload(), without);
+        for k in 0..40 {
+            assert_eq!(a.step().to_bits(), b.step().to_bits(), "diverged at step {k}");
+        }
+        assert_eq!(a.allocation(), b.allocation());
+        assert_eq!(a.prices(), b.prices());
+    }
+
+    #[test]
     #[should_panic(expected = "flow count mismatch")]
     fn restore_rejects_wrong_problem() {
         let mut engine = Engine::new(base_workload(), LrgpConfig::default());

@@ -145,7 +145,7 @@ proptest! {
             .populations
             .iter()
             .filter(|&&(c, n)| n < p.class(c).max_population as f64)
-            .map(|&(c, _)| lrgp::admission::benefit_cost(&p, c, 100.0))
+            .map(|&(c, _)| benefit_cost(&p, c, 100.0))
             .fold(0.0f64, f64::max);
         prop_assert!((adm.benefit_cost - expected).abs() < 1e-12);
     }

@@ -267,24 +267,23 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "vector-escape",
-        summary: "lane-batched f64 accumulation outside kernel/vector.rs",
-        invariant: "lane-batched (chunked / multi-accumulator) reduction \
-                    reassociates f64 adds; PR 7 confines that reassociation to \
-                    the `Numerics`-gated kernel::vector module, where the \
-                    equivalence tests and suppressions live",
+        summary: "lane-batched f64 accumulation in crates/core",
+        invariant: "every reduction in crates/core folds its terms sequentially \
+                    in a fixed element order, so every execution plan produces \
+                    the same bits as the sequential reference",
         explain: "Splitting a reduction into lanes and recombining changes the \
                   association order of f64 adds, which changes low bits. The \
-                  workspace allows that only inside kernel/vector.rs, where \
-                  the Numerics policy gates whether the vector path may run \
-                  and the differential tests pin its behavior. This rule \
-                  flags the two shapes elsewhere in crates/core: a \
-                  `chunks_exact`/`array_chunks` call feeding an accumulation, \
-                  and a loop feeding two or more float accumulators that are \
-                  later recombined.\n\
+                  engine promises that every plan is bit-identical to the \
+                  sequential full recompute, and the differential tests pin \
+                  that with `to_bits` equality, so no core module may \
+                  reassociate a sum. This rule flags the two shapes in \
+                  crates/core library code: a `chunks_exact`/`array_chunks` \
+                  call feeding an accumulation, and a loop feeding two or more \
+                  float accumulators that are later recombined.\n\
                   Example: let mut s0 = 0.0; let mut s1 = 0.0; for c in \
                   xs.chunks_exact(2) { s0 += c[0]; s1 += c[1]; } s0 + s1\n\
-                  Fix: call the kernel::vector entry points (they are \
-                  calibrated and policy-gated), or accumulate sequentially.",
+                  Fix: accumulate sequentially into one accumulator, in \
+                  element order.",
         check: semantic::vector_escape,
     },
     Rule {

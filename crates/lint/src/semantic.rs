@@ -1021,16 +1021,13 @@ pub fn lock_held_across_park(ctx: &FileContext) -> Vec<Finding> {
     out
 }
 
-/// `vector-escape`: lane-batched f64 accumulation shapes outside the
-/// `Numerics`-gated `kernel/vector.rs` — `chunks_exact`-style reduction
-/// loops and manual multi-accumulator unrolling. Reassociation changes
-/// f64 low bits, so these shapes are only allowed behind the calibrated
-/// vector module.
+/// `vector-escape`: lane-batched f64 accumulation shapes in `crates/core`
+/// library code — `chunks_exact`-style reduction loops and manual
+/// multi-accumulator unrolling. Reassociation changes f64 low bits, and
+/// every core reduction must fold sequentially so that all plans agree bit
+/// for bit, so no module is exempt.
 pub fn vector_escape(ctx: &FileContext) -> Vec<Finding> {
-    if ctx.kind != FileKind::Library
-        || ctx.krate != Some("core")
-        || ctx.path.ends_with("kernel/vector.rs")
-    {
+    if ctx.kind != FileKind::Library || ctx.krate != Some("core") {
         return Vec::new();
     }
     let toks = ctx.tokens;
@@ -1127,11 +1124,9 @@ fn vector_finding(ctx: &FileContext, idx: usize, what: &str) -> Finding {
         "vector-escape",
         idx,
         format!(
-            "{what} outside kernel/vector.rs: lane-batched accumulation \
-             reassociates f64 adds, and only the `Numerics`-gated \
-             kernel::vector module is calibrated (and suppression-confined) \
-             for that; route this through kernel::vector or accumulate \
-             sequentially",
+            "{what} in crates/core: lane-batched accumulation reassociates \
+             f64 adds, which breaks the bitwise agreement every execution \
+             plan promises; accumulate sequentially",
         ),
     )
 }

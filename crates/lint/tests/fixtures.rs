@@ -15,7 +15,7 @@ fn run(krate: &str, src: &str) -> lrgp_lint::FileAnalysis {
 }
 
 /// Analyzes a fixture under an explicit label, for rules whose scope is a
-/// specific path (kernel files, kernel/vector.rs).
+/// specific path (kernel files).
 fn run_at(label: &str, src: &str) -> lrgp_lint::FileAnalysis {
     analyze_source(label, src)
 }
@@ -239,12 +239,12 @@ fn vector_escape_fixture_pair() {
             ("vector-escape", 18, 5),
         ]
     );
-    // The identical shapes inside kernel/vector.rs are the sanctioned home
-    // for the vector policy — but the layer-4 hot-path budget still sees
-    // the panic-capable `xs[i + 1]` arithmetic indexing there.
+    // No core module is exempt: at the label of the deleted vectorized
+    // kernel module both shapes are findings, next to the layer-4 hot-path
+    // budget's panic-capable `xs[i + 1]` arithmetic indexing.
     assert_eq!(
         triples(&run_at("crates/core/src/kernel/vector.rs", src)),
-        vec![("hot-path-panic", 14, 5)]
+        vec![("vector-escape", 7, 18), ("hot-path-panic", 14, 5), ("vector-escape", 18, 5)]
     );
     // Outside crates/core the vector policy does not apply.
     assert!(triples(&run("model", src)).is_empty());

@@ -1,5 +1,5 @@
-//! Known-bad fixture: lane-batched f64 reduction outside
-//! kernel/vector.rs.
+//! Known-bad fixture: lane-batched f64 reduction in crates/core
+//! library code.
 
 /// Chunked reduction: reassociates the adds.
 pub fn chunked_sum(xs: &[f64]) -> f64 {

@@ -1,8 +1,7 @@
 //! The linter must hold on its own workspace: `lrgp-lint --deny` exiting 0
 //! over the repo is an acceptance criterion, and `crates/core` must be
-//! clean without a single suppression outside the one module allowed to
-//! carry them (`kernel/vector.rs`, whose float-eq sentinels are load-
-//! bearing — see `core_suppressions_confined_to_the_vector_module`).
+//! clean without a single suppression (see
+//! `core_carries_no_suppressions`).
 
 use std::path::PathBuf;
 
@@ -23,54 +22,19 @@ fn workspace_is_lint_clean() {
 }
 
 #[test]
-fn core_suppressions_confined_to_the_vector_module() {
-    // The vectorized kernel legitimately compares floats for exact
-    // sentinel equality (an exponent stored as exactly 1.0; the +∞ a power
-    // derivative produces at r = 0), so its module carries suppressions —
-    // each with a mandatory reason. Everywhere else in `crates/core` the
-    // zero-suppression bar still holds: a new allow outside
-    // `kernel/vector.rs`, or one without a reason, fails this test.
+fn core_carries_no_suppressions() {
+    // `crates/core` satisfies every rule without a single allow. This
+    // covers the dirty-set soundness rule too: an unmarked cached write
+    // breaks incremental-vs-full bitwise equality silently, so there is no
+    // legitimate exception to document.
     let core = repo_root().join("crates/core");
     let report = lrgp_lint::lint_paths(&[core]).expect("core scan");
     assert!(report.findings.is_empty(), "\n{}", report.render_human());
-    let strays: Vec<_> = report
-        .suppressions
-        .iter()
-        .filter(|s| !s.file.ends_with("kernel/vector.rs"))
-        .collect();
     assert!(
-        strays.is_empty(),
-        "crates/core outside kernel/vector.rs must satisfy every rule without allows: {strays:?}"
+        report.suppressions.is_empty(),
+        "crates/core must satisfy every rule without allows: {:?}",
+        report.suppressions
     );
-    // The dirty-set soundness rule in particular may never be allowed in
-    // core — an unmarked cached write breaks incremental-vs-full bitwise
-    // equality silently, so there is no legitimate exception to document.
-    let dirty_allows: Vec<_> = report
-        .suppressions
-        .iter()
-        .filter(|s| s.rule == "unmarked-dirty-write")
-        .collect();
-    assert!(
-        dirty_allows.is_empty(),
-        "unmarked-dirty-write must never be suppressed in crates/core: {dirty_allows:?}"
-    );
-    let vector: Vec<_> = report
-        .suppressions
-        .iter()
-        .filter(|s| s.file.ends_with("kernel/vector.rs"))
-        .collect();
-    assert!(
-        !vector.is_empty(),
-        "kernel/vector.rs should carry its documented float-eq sentinels"
-    );
-    for s in vector {
-        assert!(
-            !s.reason.trim().is_empty(),
-            "suppression at {}:{} has no reason",
-            s.file,
-            s.line
-        );
-    }
 }
 
 #[test]

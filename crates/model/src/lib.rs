@@ -57,5 +57,5 @@ pub use problem::{
     ClassSpec, FlowSpec, LinkSpec, NodeSpec, Problem, ProblemBuilder, RateBounds, ReliabilitySpec,
     RhoBounds, ValidationError,
 };
-pub use terms::{FlowCohort, NodePriceTerm, PriceTermTable};
+pub use terms::{NodePriceTerm, PriceTermTable};
 pub use utility::{Utility, UtilityShape};

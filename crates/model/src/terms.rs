@@ -33,30 +33,6 @@
 use crate::delta::DeltaOp;
 use crate::ids::{FlowId, LinkId};
 use crate::problem::Problem;
-use crate::utility::Utility;
-
-/// How a flow's Eq. 7 rate subproblem can be solved, decided once at table
-/// build time from the *shapes* of the flow's classes (populations vary per
-/// iteration; shapes do not).
-///
-/// A vectorized rate solver dispatches on the cohort: [`FlowCohort::Log`]
-/// and [`FlowCohort::Power`] flows solve in closed form from a single
-/// weighted-population mass (no bisection), so the bisection loop only ever
-/// sees the [`FlowCohort::Generic`] residue.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FlowCohort {
-    /// Every class of the flow is logarithmic (`w · ln(1+r)`):
-    /// `r* = S/P − 1` with `S = Σ n_j w_j`.
-    Log,
-    /// Every class is a power utility sharing one exponent:
-    /// `r* = (kS/P)^(1/(1−k))`.
-    Power {
-        /// The shared concavity exponent.
-        exponent: f64,
-    },
-    /// Mixed shapes, or no classes at all: no single closed form applies.
-    Generic,
-}
 
 /// One node term of a flow's `PB_i` aggregation (Eq. 9): the node, the
 /// flow-cost coefficient `F_{b,i}`, and the slice of class terms attached to
@@ -103,8 +79,6 @@ pub struct PriceTermTable {
     usage_terms: Vec<(u32, f64)>,
     /// Per-link offsets into `usage_terms` (length `num_links + 1`).
     usage_offsets: Vec<u32>,
-    /// Per-flow rate-solve classification (length `num_flows`).
-    cohorts: Vec<FlowCohort>,
     /// `(class index, utility weight)` for every flow, concatenated in
     /// [`Problem::classes_of_flow`] order.
     utility_terms: Vec<(u32, f64)>,
@@ -128,7 +102,6 @@ impl PriceTermTable {
         let mut node_terms = Vec::new();
         let mut node_offsets = Vec::with_capacity(problem.num_flows() + 1);
         let mut class_terms = Vec::with_capacity(problem.num_classes());
-        let mut cohorts = Vec::with_capacity(problem.num_flows());
         let mut utility_terms = Vec::with_capacity(problem.num_classes());
         let mut utility_offsets = Vec::with_capacity(problem.num_flows() + 1);
         link_offsets.push(0);
@@ -153,24 +126,9 @@ impl PriceTermTable {
                 });
             }
             node_offsets.push(node_terms.len() as u32);
-            let mut cohort = None;
             for &c in problem.classes_of_flow(flow) {
-                let u = problem.class(c).utility;
-                utility_terms.push((c.index() as u32, u.weight()));
-                let shape = match u {
-                    Utility::Log { .. } => FlowCohort::Log,
-                    Utility::Power { exponent, .. } => FlowCohort::Power { exponent },
-                    _ => FlowCohort::Generic,
-                };
-                cohort = Some(match cohort {
-                    None => shape,
-                    Some(prev) if prev == shape => prev,
-                    Some(_) => FlowCohort::Generic,
-                });
+                utility_terms.push((c.index() as u32, problem.class(c).utility.weight()));
             }
-            // A flow with no classes gets no closed form: whichever subset
-            // of consumers is admitted, the generic path handles it.
-            cohorts.push(cohort.unwrap_or(FlowCohort::Generic));
             utility_offsets.push(utility_terms.len() as u32);
         }
         // Usage terms are `link_terms` transposed by a counting sort: count
@@ -217,7 +175,6 @@ impl PriceTermTable {
             class_terms,
             usage_terms,
             usage_offsets,
-            cohorts,
             utility_terms,
             utility_offsets,
             rho_link_terms,
@@ -249,15 +206,10 @@ impl PriceTermTable {
         csr_row(&self.usage_terms, &self.usage_offsets, link.index())
     }
 
-    /// `flow`'s rate-solve cohort, classified at build time.
-    pub fn cohort(&self, flow: FlowId) -> FlowCohort {
-        self.cohorts[flow.index()]
-    }
-
     /// `flow`'s `(class index, utility weight)` pairs, in
     /// [`Problem::classes_of_flow`] order. The weighted-population mass
-    /// `S = Σ n_j w_j` of a [`FlowCohort::Log`] or [`FlowCohort::Power`]
-    /// flow is a dot product of this slice against the population vector.
+    /// `S = Σ n_j w_j` that the ρ best response reads is a dot product of
+    /// this slice against the population vector.
     pub fn utility_terms(&self, flow: FlowId) -> &[(u32, f64)] {
         csr_row(&self.utility_terms, &self.utility_offsets, flow.index())
     }
@@ -443,37 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn cohorts_classify_by_class_shapes() {
-        let mut b = ProblemBuilder::new();
-        let src = b.add_node(1e9);
-        let sink = b.add_node(1e9);
-        let bounds = RateBounds::new(10.0, 1000.0).unwrap();
-        let all_log = b.add_flow(src, bounds);
-        let uniform_pow = b.add_flow(src, bounds);
-        let mixed_pow = b.add_flow(src, bounds);
-        let mixed = b.add_flow(src, bounds);
-        let classless = b.add_flow(src, bounds);
-        for f in [all_log, uniform_pow, mixed_pow, mixed, classless] {
-            b.set_node_cost(f, sink, 1.0);
-        }
-        b.add_class(all_log, sink, 10, Utility::log(20.0), 1.0);
-        b.add_class(all_log, sink, 10, Utility::log(5.0), 1.0);
-        b.add_class(uniform_pow, sink, 10, Utility::power(3.0, 0.5), 1.0);
-        b.add_class(uniform_pow, sink, 10, Utility::power(7.0, 0.5), 1.0);
-        b.add_class(mixed_pow, sink, 10, Utility::power(3.0, 0.25), 1.0);
-        b.add_class(mixed_pow, sink, 10, Utility::power(3.0, 0.75), 1.0);
-        b.add_class(mixed, sink, 10, Utility::log(20.0), 1.0);
-        b.add_class(mixed, sink, 10, Utility::power(3.0, 0.5), 1.0);
-        let p = b.build().unwrap();
-        let t = PriceTermTable::new(&p);
-        assert_eq!(t.cohort(all_log), FlowCohort::Log);
-        assert_eq!(t.cohort(uniform_pow), FlowCohort::Power { exponent: 0.5 });
-        assert_eq!(t.cohort(mixed_pow), FlowCohort::Generic);
-        assert_eq!(t.cohort(mixed), FlowCohort::Generic);
-        assert_eq!(t.cohort(classless), FlowCohort::Generic);
-    }
-
-    #[test]
     fn utility_terms_mirror_classes_of_flow() {
         let p = workloads::base_workload();
         let t = PriceTermTable::new(&p);
@@ -567,13 +488,6 @@ mod tests {
         out.extend(pairs(&t.class_terms));
         out.extend(pairs(&t.usage_terms));
         out.extend(offsets(&t.usage_offsets));
-        for cohort in &t.cohorts {
-            out.push(match cohort {
-                FlowCohort::Log => 0,
-                FlowCohort::Power { exponent } => exponent.to_bits(),
-                FlowCohort::Generic => 1,
-            });
-        }
         out.extend(pairs(&t.utility_terms));
         out.extend(offsets(&t.utility_offsets));
         out.extend(pairs(&t.rho_link_terms));

@@ -9,7 +9,7 @@
 //! racy write, out-of-order reduction, or stale dirty-set entry shows up
 //! as a hard failure with the iteration and element index.
 //!
-//! Six axes are covered, alone and combined:
+//! Five axes are covered, alone and combined:
 //!
 //! * **parallelism** — sharded over the persistent worker pool vs
 //!   sequential, with dispatch forced so the cross-thread handoff runs
@@ -19,13 +19,7 @@
 //!   `replace_problem` oracle, mid-run;
 //! * **churn scenarios** — capacity/population/bounds edits, flow removal,
 //!   and flow addition while converging.
-//! * **numerics** — the third oracle column: `Strict` engines (the
-//!   default, and every engine above) stay bit-identical to the reference,
-//!   while a `Vectorized` engine running the same delta schedule must track
-//!   the reference within `1e-12` *relative total-utility drift* at
-//!   convergence — its lane-batched sums and closed-form cohort solves are
-//!   allowed to differ in the low-order bits, and nothing else.
-//! * **reliability** — the fourth oracle column: a `Reliability::Off`
+//! * **reliability** — the third oracle column: a `Reliability::Off`
 //!   engine on a spec-carrying lossy workload must be bit-identical to an
 //!   engine on the spec-stripped problem (the pre-reliability engine, by
 //!   construction), even while loss/ρ-bound deltas land on the
@@ -33,8 +27,7 @@
 //!   bit-identical across the whole plan matrix, ρ state included.
 
 use lrgp::{
-    Engine, IncrementalMode, LrgpConfig, Numerics, Parallelism, ProblemChange, Reliability,
-    TraceConfig,
+    Engine, IncrementalMode, LrgpConfig, Parallelism, ProblemChange, Reliability, TraceConfig,
 };
 use lrgp_model::workloads::{
     base_workload, link_bottleneck_workload, mixed_loss_workload, paper_workload, RandomWorkload,
@@ -431,13 +424,6 @@ proptest! {
     /// same schedule at 2, 3, and 4 contexts with dispatch forced, covering
     /// non-divisible shard splits and dirty sets smaller than the worker
     /// count (the workload floor is 2 flows / 1 node).
-    ///
-    /// The numerics axis rides the same schedule as a third oracle column:
-    /// the explicitly-`Strict` engine must stay `to_bits`-identical to the
-    /// baseline (column two re-asserted under the new axis), and the
-    /// `Vectorized` engine must track the baseline's total utility within
-    /// `1e-9` relative while converging and within `1e-12` relative after
-    /// the post-schedule settle — the convergence drift gate.
     #[test]
     fn delta_sequences_bit_identical_to_from_scratch(
         (workload, seed, _threads) in workload_strategy(),
@@ -453,7 +439,6 @@ proptest! {
             parallelism: Parallelism::Sequential,
             incremental: IncrementalMode::Off,
             trace: TraceConfig::full(),
-            numerics: Numerics::Strict,
             // Explicitly rate-only: this schedule pins the pre-reliability
             // engine behavior that `Reliability::Off` must reproduce.
             reliability: Reliability::Off,
@@ -461,11 +446,8 @@ proptest! {
         };
         let inc_seq_config =
             LrgpConfig { incremental: IncrementalMode::On, ..baseline_config };
-        let vectorized_config =
-            LrgpConfig { numerics: Numerics::Vectorized, ..baseline_config };
         let mut baseline = Engine::new(problem.clone(), baseline_config);
         let mut inc_seq = Engine::new(problem.clone(), inc_seq_config);
-        let mut vectorized = Engine::new(problem.clone(), vectorized_config);
         let mut pooled: Vec<Engine> = POOLED_WORKERS
             .iter()
             .map(|&w| {
@@ -495,7 +477,6 @@ proptest! {
                     let edited = delta.apply(baseline.problem()).expect("delta is valid");
                     baseline.replace_problem(edited);
                     inc_seq.apply_delta(&delta).expect("delta is valid");
-                    vectorized.apply_delta(&delta).expect("delta is valid");
                     for engine in &mut pooled {
                         engine.apply_delta(&delta).expect("delta is valid");
                     }
@@ -509,13 +490,6 @@ proptest! {
                 k, u_base, u_seq
             );
             assert_same_state("delta-sequential", k, &baseline, &inc_seq);
-            let u_vec = vectorized.step();
-            prop_assert!(
-                (u_vec - u_base).abs() <= 1e-9 * u_base.abs().max(1.0),
-                "vectorized utility drifted past the transient bound at iteration {}: \
-                 strict {:?} vs vectorized {:?}",
-                k, u_base, u_vec
-            );
             for (engine, w) in pooled.iter_mut().zip(POOLED_WORKERS) {
                 let u_par = engine.step();
                 prop_assert!(
@@ -528,20 +502,6 @@ proptest! {
                 assert_same_state(&format!("delta-threads-{w}"), k, &baseline, engine);
             }
         }
-        // The convergence gate: settle both numerics columns well past the
-        // last delta, then hold the vectorized engine to the tight bound.
-        let mut u_base = 0.0;
-        let mut u_vec = 0.0;
-        for _ in 0..120 {
-            u_base = baseline.step();
-            u_vec = vectorized.step();
-        }
-        prop_assert!(
-            (u_vec - u_base).abs() <= 1e-12 * u_base.abs().max(1.0),
-            "vectorized utility drifted past 1e-12 relative at convergence: \
-             strict {:?} vs vectorized {:?}",
-            u_base, u_vec
-        );
     }
 }
 
@@ -723,37 +683,19 @@ fn pow_lossy_pairs(pairs: usize, link_capacity: f64) -> Problem {
 }
 
 #[test]
-fn joint_vectorized_drift_bounded_at_convergence() {
-    // The vectorized joint step reassociates both the ρ price gathers and
-    // the redundancy-coupled link-usage sums; like the rate-only numerics
-    // axis it is held to the 1e-12 relative drift gate at convergence
-    // rather than bitwise identity.
-    let problem = pow_lossy_pairs(6, 100.0);
-    let strict_config = LrgpConfig {
+fn joint_moves_rho_off_its_ceiling_on_lossy_pairs() {
+    // Power utilities on tight lossy links make reliability worth trading:
+    // after 400 joint steps some flow's ρ must sit below its 0.999 ceiling,
+    // or the joint axis optimizes nothing on a lossy workload.
+    let config = LrgpConfig {
         reliability: Reliability::Joint,
-        numerics: Numerics::Strict,
         link_gamma: 2e-3,
         ..LrgpConfig::default()
     };
-    let vectorized_config = LrgpConfig { numerics: Numerics::Vectorized, ..strict_config };
-    let mut strict = Engine::new(problem.clone(), strict_config);
-    let mut vectorized = Engine::new(problem, vectorized_config);
-    let mut u_strict = 0.0;
-    let mut u_vectorized = 0.0;
-    for _ in 0..400 {
-        u_strict = strict.step();
-        u_vectorized = vectorized.step();
-    }
-    let drift = (u_vectorized - u_strict).abs() / u_strict.abs().max(1.0);
+    let mut engine = Engine::new(pow_lossy_pairs(6, 100.0), config);
+    engine.run(400);
     assert!(
-        drift <= 1e-12,
-        "joint vectorized relative drift {drift:e} exceeds 1e-12 at convergence: \
-         strict {u_strict:?} vs vectorized {u_vectorized:?}"
-    );
-    // ρ must actually have moved off its ceiling somewhere, or this test
-    // exercised nothing.
-    assert!(
-        strict.rhos().iter().any(|&rho| rho < 0.999),
+        engine.rhos().iter().any(|&rho| rho < 0.999),
         "joint engine never traded reliability away on a lossy workload"
     );
 }
@@ -826,43 +768,6 @@ fn parallel_engine_matches_through_flow_removal() {
             "utility diverged at post-removal iteration {k}: {u_seq:?} vs {u_par:?}"
         );
     }
-}
-
-#[test]
-fn vectorized_drift_bounded_at_convergence_on_wide_mixed_workload() {
-    // The randomized schedule above keeps every flow in one utility shape
-    // with sub-lane-width term lists, where the vectorized engine happens
-    // to reproduce the strict sums exactly. This workload denies it that:
-    // 12 mixed-shape classes per flow push every flow into the Generic
-    // cohort (grouped-derivative bisection) and make the gather dot
-    // products wider than one lane chunk, so the sums genuinely
-    // reassociate. The drift gate must still hold at convergence.
-    let workload = RandomWorkload {
-        flows: 96,
-        consumer_nodes: 12,
-        classes_per_flow: 12,
-        mixed_shapes: true,
-        ..RandomWorkload::default()
-    };
-    let mut rng = StdRng::seed_from_u64(42);
-    let problem = workload.generate(&mut rng);
-    let strict_config = LrgpConfig { numerics: Numerics::Strict, ..LrgpConfig::default() };
-    let vectorized_config =
-        LrgpConfig { numerics: Numerics::Vectorized, ..LrgpConfig::default() };
-    let mut strict = Engine::new(problem.clone(), strict_config);
-    let mut vectorized = Engine::new(problem, vectorized_config);
-    let mut u_strict = 0.0;
-    let mut u_vectorized = 0.0;
-    for _ in 0..400 {
-        u_strict = strict.step();
-        u_vectorized = vectorized.step();
-    }
-    let drift = (u_vectorized - u_strict).abs() / u_strict.abs().max(1.0);
-    assert!(
-        drift <= 1e-12,
-        "vectorized relative drift {drift:e} exceeds 1e-12 at convergence: \
-         strict {u_strict:?} vs vectorized {u_vectorized:?}"
-    );
 }
 
 #[test]
