@@ -147,9 +147,10 @@ pub struct RunOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Engine {
-    /// Shared with pooled jobs (pointer-swap handoff, see [`crate::pool`]);
-    /// the engine holds the only long-lived reference, so problem edits
-    /// simply install a new `Arc`.
+    /// Shared with pooled jobs only while a phase runs (pointer-swap
+    /// handoff, see [`crate::pool`]), and with engine clones until one of
+    /// them applies a delta. Deltas edit it in place through
+    /// `Arc::make_mut`, which copies only while it is shared.
     problem: Arc<Problem>,
     config: LrgpConfig,
     plan: ExecutionPlan,
@@ -485,6 +486,14 @@ impl Engine {
     /// optimizer state, making the engine bit-identical to one freshly
     /// constructed on the changed problem.
     ///
+    /// The ops edit the engine's problem in place
+    /// ([`ProblemDelta::apply_in_place`]). On an engine that does not share
+    /// its problem the edit copies nothing and costs `O(ops)`: `O(1)` per
+    /// scalar edit, `O(|B_i| + |L_i| + |C_i|)` per removal. A clone shares
+    /// its problem with the engine it came from until one of them applies a
+    /// delta, so a clone's first delta copies the problem once. A flow
+    /// addition still derives every index of the problem again.
+    ///
     /// # Errors
     ///
     /// Whatever [`ProblemDelta::apply`] reports; on error the engine is
@@ -494,44 +503,44 @@ impl Engine {
         if delta.is_empty() {
             return Ok(());
         }
-        let next = delta.apply(&self.problem)?;
+        let flows_before = self.problem.num_flows();
+        delta.apply_in_place(Arc::make_mut(&mut self.problem))?;
+        let problem = Arc::clone(&self.problem);
         if self.iteration == 0 {
             // Nothing has run: re-derive the initial state from the changed
             // problem, as a fresh construction would.
-            self.rates = initial_rates(&next, self.config.initial_rate);
-            self.rhos = initial_rhos(&next);
-            self.populations = vec![0.0; next.num_classes()];
+            self.rates = initial_rates(&problem, self.config.initial_rate);
+            self.rhos = initial_rhos(&problem);
+            self.populations = vec![0.0; problem.num_classes()];
             self.trace = Trace::new(
                 self.config.trace,
-                next.num_flows(),
-                next.num_nodes(),
-                next.num_links(),
-                next.num_classes(),
+                problem.num_flows(),
+                problem.num_nodes(),
+                problem.num_links(),
+                problem.num_classes(),
             );
-            self.problem = Arc::new(next);
             if delta.grows_problem() {
-                self.plan.auto = AutoModel::calibrated_for(&self.problem);
+                self.plan.auto = AutoModel::calibrated_for(&problem);
             }
-            self.state = Some(StepState::new(&self.problem));
+            self.state = Some(StepState::new(&problem));
             return Ok(());
         }
         if delta.grows_problem() {
             // The id space grew, so the term tables change shape: they and
             // the caches are rebuilt and the next step treats everything
             // as dirty, exactly like a freshly constructed engine would.
-            for f in self.problem.num_flows()..next.num_flows() {
+            for f in flows_before..problem.num_flows() {
                 let flow = FlowId::new(f as u32);
-                let bounds = next.flow(flow).bounds;
+                let bounds = problem.flow(flow).bounds;
                 self.rates.push(self.config.initial_rate.rate_for(bounds));
-                self.rhos.push(next.rho_bounds(flow).map_or(1.0, |b| b.max));
+                self.rhos.push(problem.rho_bounds(flow).map_or(1.0, |b| b.max));
             }
-            self.populations.resize(next.num_classes(), 0.0);
-            self.trace.grow(next.num_flows(), next.num_classes());
-            self.problem = Arc::new(next);
+            self.populations.resize(problem.num_classes(), 0.0);
+            self.trace.grow(problem.num_flows(), problem.num_classes());
             // Dimensions changed, so the Auto crossover may have moved; the
             // pool itself is sized by `max_concurrency`, which is
             // hardware-capped and does not depend on the problem.
-            self.plan.auto = AutoModel::calibrated_for(&self.problem);
+            self.plan.auto = AutoModel::calibrated_for(&problem);
             self.clamp_state_into_problem();
             self.state = None;
             return Ok(());
@@ -540,8 +549,6 @@ impl Engine {
         // only the touched state and hand the executor the cost patches and
         // precise dirty marks. Clamps run against the *final* problem so a
         // batched delta matches a wholesale replacement bitwise.
-        self.problem = Arc::new(next);
-        let problem = Arc::clone(&self.problem);
         for op in delta.ops() {
             match op {
                 DeltaOp::SetNodeCapacity { node, .. } => {
@@ -967,16 +974,80 @@ mod tests {
 
     #[test]
     fn failed_delta_leaves_engine_unchanged() {
-        let mut e = Engine::new(base_workload(), LrgpConfig::default());
-        e.run(40);
-        let before = e.allocation();
-        let bad = ProblemDelta::new()
-            .resize_class(ClassId::new(2), 1)
-            .set_node_capacity(NodeId::new(999), 1.0);
-        assert!(e.apply_delta(&bad).is_err());
-        assert_eq!(e.allocation(), before);
-        let next = e.step();
-        assert!(next > 0.0);
+        // The first batch fails after a removal, an `F_{b,i}` edit and a
+        // resize, which must be undone. The second is a valid flow addition
+        // on a problem whose existing utilities `build` refuses
+        // (`with_utilities` skips validation).
+        let p = base_workload();
+        let sink = p.nodes_of_flow(FlowId::new(3))[0].0;
+        let nan_weights =
+            p.with_utilities(|w| lrgp_model::Utility::log(if w == 1.0 { f64::NAN } else { w }));
+        let cases = [
+            (
+                p.clone(),
+                ProblemDelta::new()
+                    .remove_flow(FlowId::new(1))
+                    .set_flow_node_cost(FlowId::new(3), sink, 0.5)
+                    .resize_class(ClassId::new(2), 1)
+                    .set_node_capacity(NodeId::new(999), 1.0),
+            ),
+            (
+                nan_weights,
+                ProblemDelta::new().add_flow(
+                    p.flow(FlowId::new(0)).clone(),
+                    vec![p.class(ClassId::new(0)).clone()],
+                ),
+            ),
+        ];
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (problem, bad) in cases {
+            let mut e = Engine::new(problem, LrgpConfig::default());
+            e.run(40);
+            let mut untouched = e.clone();
+            assert!(e.apply_delta(&bad).is_err());
+            assert_eq!(format!("{:?}", e.problem()), format!("{:?}", untouched.problem()));
+            assert_eq!(format!("{:?}", e.allocation()), format!("{:?}", untouched.allocation()));
+            assert_eq!(format!("{:?}", e.prices()), format!("{:?}", untouched.prices()));
+            assert_eq!(bits(e.rhos()), bits(untouched.rhos()));
+            for k in 0..50 {
+                let (a, b) = (e.step(), untouched.step());
+                assert_eq!(a.to_bits(), b.to_bits(), "diverged at iteration {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn deltas_edit_an_unshared_problem_without_copying_it() {
+        // A departure, a class resize and a re-join, on an engine that
+        // shares its problem with nobody. Pooled jobs hold the problem only
+        // while a phase runs, so the pooled engine must not copy either.
+        let p = base_workload();
+        let flow = FlowId::new(2);
+        let spec = p.flow(flow).clone();
+        let mut rejoin = ProblemDelta::new().set_rate_bounds(flow, spec.bounds);
+        for &(node, cost) in &spec.node_costs {
+            rejoin = rejoin.set_flow_node_cost(flow, node, cost);
+        }
+        for &class in p.classes_of_flow(flow) {
+            rejoin = rejoin.resize_class(class, p.class(class).max_population);
+        }
+        let resize = ProblemDelta::new().resize_class(ClassId::new(0), 17);
+        let deltas = [ProblemDelta::new().remove_flow(flow), resize.clone(), rejoin];
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            let mut e = Engine::new(p.clone(), LrgpConfig { parallelism, ..LrgpConfig::default() });
+            e.force_pool_dispatch(true);
+            e.run(5);
+            let before: *const Problem = e.problem();
+            for delta in &deltas {
+                e.apply_delta(delta).unwrap();
+                assert!(std::ptr::eq(e.problem(), before), "{parallelism:?}: {delta:?} copied");
+                e.run(5);
+            }
+            assert_eq!(e.problem(), &resize.apply(&p).unwrap());
+            if parallelism != Parallelism::Sequential {
+                assert!(e.pool_jobs_completed().iter().sum::<u64>() > 0, "the pool never ran");
+            }
+        }
     }
 
     #[test]

@@ -1157,13 +1157,22 @@ mod tests {
         let mut never_cloned = start(&problem);
         let mut oracle = start(&problem);
         let sink = problem.nodes_of_flow(FlowId::new(3))[0].0;
-        let delta = ProblemDelta::new()
+        let removal = ProblemDelta::new()
             .remove_flow(FlowId::new(1))
-            .set_flow_node_cost(FlowId::new(3), sink, 0.5)
+            .set_flow_node_cost(FlowId::new(3), sink, 0.5);
+        let losses = ProblemDelta::new()
             .set_link_loss(LinkId::new(0), 0.35)
             .set_link_loss(LinkId::new(2), 0.05);
+        let before = format!("{:?}", original.problem());
         let mut clone = original.clone();
-        clone.apply_delta(&delta).unwrap();
+        clone.apply_delta(&removal).unwrap();
+        // The clone's first delta copied the shared problem; its second
+        // edits the copy, which nobody else holds.
+        assert_eq!(format!("{:?}", original.problem()), before);
+        let copy: *const lrgp_model::Problem = clone.problem();
+        clone.apply_delta(&losses).unwrap();
+        assert!(std::ptr::eq(clone.problem(), copy), "the second delta copied the problem");
+        let delta = removal.merge(losses);
         oracle.replace_problem(delta.apply(oracle.problem()).unwrap());
         for k in 0..80 {
             let (a, b) = (original.step(), never_cloned.step());

@@ -32,7 +32,7 @@
 //! ```
 
 use crate::ids::{ClassId, FlowId, LinkId, NodeId};
-use crate::problem::{ClassSpec, FlowSpec, Problem, RateBounds, RhoBounds, ValidationError};
+use crate::problem::{ClassSpec, FlowSpec, Problem, RateBounds, RhoBounds, Undo, ValidationError};
 use serde::{Deserialize, Serialize};
 
 /// One elementary change to a [`Problem`].
@@ -126,17 +126,19 @@ impl DeltaOp {
         Ok(p)
     }
 
-    /// Applies this single op to `problem` in place. Every op validates
-    /// before it mutates, so on `Err` the problem is unchanged.
-    fn apply_in_place(&self, problem: &mut Problem) -> Result<(), ValidationError> {
+    /// Applies this single op to `problem` in place and returns what it
+    /// overwrote. Every op validates before it mutates, so on `Err` the
+    /// problem is unchanged.
+    fn apply_in_place(&self, problem: &mut Problem) -> Result<Undo, ValidationError> {
         match self {
             DeltaOp::AddFlow { flow, classes } => {
-                problem.add_flow_in_place(flow.clone(), classes.clone())
+                let before = problem.clone();
+                problem.add_flow_in_place(flow.clone(), classes.clone())?;
+                Ok(Undo::AddFlow(Box::new(before)))
             }
             DeltaOp::RemoveFlow { flow } => {
                 check_flow(problem, *flow)?;
-                problem.remove_flow_in_place(*flow);
-                Ok(())
+                Ok(problem.remove_flow_in_place(*flow))
             }
             DeltaOp::SetNodeCapacity { node, capacity } => {
                 check_node(problem, *node)?;
@@ -147,8 +149,7 @@ impl DeltaOp {
             }
             DeltaOp::SetMaxPopulation { class, max_population } => {
                 check_class(problem, *class)?;
-                problem.set_max_population_in_place(*class, *max_population);
-                Ok(())
+                Ok(problem.set_max_population_in_place(*class, *max_population))
             }
             DeltaOp::SetRateBounds { flow, bounds } => {
                 check_flow(problem, *flow)?;
@@ -215,8 +216,9 @@ fn check_class(problem: &Problem, class: ClassId) -> Result<(), ValidationError>
 /// An ordered batch of [`DeltaOp`]s, applied atomically front to back.
 ///
 /// Construct with the chainable builder methods; apply with
-/// [`ProblemDelta::apply`] (pure) or hand it to an engine, which applies it
-/// to its own problem while carrying optimizer state across the change.
+/// [`ProblemDelta::apply`] (pure), [`ProblemDelta::apply_in_place`], or hand
+/// it to an engine, which applies it to its own problem in place while
+/// carrying optimizer state across the change.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ProblemDelta {
     ops: Vec<DeltaOp>,
@@ -319,12 +321,11 @@ impl ProblemDelta {
     }
 
     /// Applies the ops front to back, returning the final problem. The input
-    /// problem is untouched; a failing op leaves nothing half-applied.
+    /// problem is untouched.
     ///
-    /// The batch clones the problem once and applies every op to that copy
-    /// in place, so a batch of `k` ops costs one clone plus the ops' own
-    /// work — the same result as folding [`DeltaOp::apply`] over the ops,
-    /// without its `k` clones. On error the copy is dropped.
+    /// This is one clone of the problem plus [`Self::apply_in_place`] on the
+    /// copy: the same result as folding [`DeltaOp::apply`] over the ops,
+    /// without its `k` clones.
     ///
     /// # Errors
     ///
@@ -332,10 +333,39 @@ impl ProblemDelta {
     #[must_use = "this Result reports a failure the caller must handle"]
     pub fn apply(&self, problem: &Problem) -> Result<Problem, ValidationError> {
         let mut p = problem.clone();
-        for op in &self.ops {
-            op.apply_in_place(&mut p)?;
-        }
+        self.apply_in_place(&mut p)?;
         Ok(p)
+    }
+
+    /// Applies the ops front to back to `problem` in place, all or nothing:
+    /// on the first error the ops already applied are undone, newest first,
+    /// and `problem` is left exactly as it was.
+    ///
+    /// Each op records what it overwrote: the old value for a capacity,
+    /// population, rate-bound, `F_{b,i}`, loss or ρ-bound edit, and the
+    /// flow's old spec and its classes' old maxima for a removal. A batch
+    /// without [`DeltaOp::AddFlow`] therefore costs only the ops' own work,
+    /// never a copy of the problem. A flow addition derives every index again
+    /// anyway; it records a copy of the problem taken just before it.
+    ///
+    /// # Errors
+    ///
+    /// The first error any op reports (see [`DeltaOp::apply`]).
+    #[must_use = "this Result reports a failure the caller must handle"]
+    pub fn apply_in_place(&self, problem: &mut Problem) -> Result<(), ValidationError> {
+        let mut applied = Vec::with_capacity(self.ops.len());
+        for op in &self.ops {
+            match op.apply_in_place(problem) {
+                Ok(undo) => applied.push(undo),
+                Err(e) => {
+                    for undo in applied.into_iter().rev() {
+                        problem.undo(undo);
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -424,6 +454,46 @@ mod tests {
         ));
         assert_eq!(serde_json::to_string(&p).unwrap(), before);
         assert_eq!(p, base_workload());
+        let mut q = p.clone();
+        assert!(matches!(
+            delta.apply_in_place(&mut q),
+            Err(ValidationError::InvalidRateBounds { .. })
+        ));
+        assert_eq!(format!("{q:?}"), format!("{p:?}"));
+
+        // Every op kind in turn, then a failing op: in place, the undo of
+        // every kind runs, newest first. Some ops edit what an earlier op
+        // edited (the removed flow, the added one).
+        let p = crate::workloads::lossy_link_bottleneck_workload(500.0, 0.1);
+        let flow = FlowId::new(1);
+        let added = FlowId::new(p.num_flows() as u32);
+        let (node, _) = p.nodes_of_flow(flow)[0];
+        let class = p.classes_of_flow(flow)[0];
+        let ops = [
+            DeltaOp::RemoveFlow { flow },
+            DeltaOp::SetFlowNodeCost { flow, node, cost: 0.5 },
+            DeltaOp::SetLinkLoss { link: LinkId::new(0), loss: 0.25 },
+            DeltaOp::SetRhoBounds { flow, bounds: RhoBounds::new(0.6, 0.7).unwrap() },
+            DeltaOp::AddFlow { flow: p.flow(flow).clone(), classes: vec![p.class(class).clone()] },
+            DeltaOp::SetRateBounds { flow: added, bounds: RateBounds::new(1.0, 2.0).unwrap() },
+            DeltaOp::SetNodeCapacity { node, capacity: 3.0 },
+            DeltaOp::SetLinkCapacity { link: LinkId::new(0), capacity: 4.0 },
+            DeltaOp::SetMaxPopulation { class, max_population: 5 },
+            DeltaOp::SetRateBounds { flow, bounds: RateBounds::new(6.0, 7.0).unwrap() },
+        ];
+        for n in 1..=ops.len() {
+            let mut delta = ProblemDelta::new();
+            for op in &ops[..n] {
+                delta.push(op.clone());
+            }
+            let delta = delta.set_node_capacity(node, f64::NAN);
+            let mut q = p.clone();
+            assert!(matches!(
+                delta.apply_in_place(&mut q),
+                Err(ValidationError::NonPositiveCapacity { .. })
+            ));
+            assert_eq!(format!("{q:?}"), format!("{p:?}"), "after {:?}", ops[n - 1]);
+        }
     }
 
     #[test]

@@ -641,16 +641,19 @@ impl Problem {
         p
     }
 
-    /// In-place [`Self::without_flow`].
-    pub(crate) fn remove_flow_in_place(&mut self, flow: FlowId) {
+    /// In-place [`Self::without_flow`]; returns what it overwrote.
+    pub(crate) fn remove_flow_in_place(&mut self, flow: FlowId) -> Undo {
         let spec = &mut self.flows[flow.index()];
+        let before = spec.clone();
         spec.bounds = RateBounds { min: 0.0, max: 0.0 };
         // A removed flow consumes no resources.
         spec.node_costs.iter_mut().for_each(|(_, c)| *c = 0.0);
         spec.link_costs.iter_mut().for_each(|(_, c)| *c = 0.0);
-        for &class in &self.classes_of_flow[flow.index()] {
-            self.classes[class.index()].max_population = 0;
-        }
+        let max_populations = self.classes_of_flow[flow.index()]
+            .iter()
+            .map(|&class| std::mem::replace(&mut self.classes[class.index()].max_population, 0))
+            .collect();
+        Undo::RemoveFlow { flow, spec: before, max_populations }
     }
 
     /// Returns a copy with `node`'s capacity replaced.
@@ -670,21 +673,22 @@ impl Problem {
         Ok(p)
     }
 
-    /// In-place [`Self::with_node_capacity`]; validates before it mutates.
+    /// In-place [`Self::with_node_capacity`]; validates before it mutates
+    /// and returns what it overwrote.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub(crate) fn set_node_capacity_in_place(
         &mut self,
         node: NodeId,
         capacity: f64,
-    ) -> Result<(), ValidationError> {
+    ) -> Result<Undo, ValidationError> {
         if !(capacity.is_finite() && capacity > 0.0) {
             return Err(ValidationError::NonPositiveCapacity {
                 resource: node.to_string(),
                 capacity,
             });
         }
-        self.nodes[node.index()].capacity = capacity;
-        Ok(())
+        let capacity = std::mem::replace(&mut self.nodes[node.index()].capacity, capacity);
+        Ok(Undo::NodeCapacity { node, capacity })
     }
 
     /// Returns a copy with `class`'s maximum population replaced (consumer
@@ -695,9 +699,15 @@ impl Problem {
         p
     }
 
-    /// In-place [`Self::with_max_population`].
-    pub(crate) fn set_max_population_in_place(&mut self, class: ClassId, max_population: u32) {
-        self.classes[class.index()].max_population = max_population;
+    /// In-place [`Self::with_max_population`]; returns what it overwrote.
+    pub(crate) fn set_max_population_in_place(
+        &mut self,
+        class: ClassId,
+        max_population: u32,
+    ) -> Undo {
+        let slot = &mut self.classes[class.index()].max_population;
+        let max_population = std::mem::replace(slot, max_population);
+        Undo::MaxPopulation { class, max_population }
     }
 
     /// Returns a copy with `flow`'s rate bounds replaced.
@@ -716,16 +726,17 @@ impl Problem {
         Ok(p)
     }
 
-    /// In-place [`Self::with_rate_bounds`]; validates before it mutates.
+    /// In-place [`Self::with_rate_bounds`]; validates before it mutates
+    /// and returns what it overwrote.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub(crate) fn set_rate_bounds_in_place(
         &mut self,
         flow: FlowId,
         bounds: RateBounds,
-    ) -> Result<(), ValidationError> {
+    ) -> Result<Undo, ValidationError> {
         RateBounds::new(bounds.min, bounds.max)?;
-        self.flows[flow.index()].bounds = bounds;
-        Ok(())
+        let bounds = std::mem::replace(&mut self.flows[flow.index()].bounds, bounds);
+        Ok(Undo::RateBounds { flow, bounds })
     }
 
     /// Returns a copy with `link`'s capacity replaced.
@@ -746,13 +757,14 @@ impl Problem {
         Ok(p)
     }
 
-    /// In-place [`Self::with_link_capacity`]; validates before it mutates.
+    /// In-place [`Self::with_link_capacity`]; validates before it mutates
+    /// and returns what it overwrote.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub(crate) fn set_link_capacity_in_place(
         &mut self,
         link: LinkId,
         capacity: f64,
-    ) -> Result<(), ValidationError> {
+    ) -> Result<Undo, ValidationError> {
         if link.index() >= self.links.len() {
             return Err(ValidationError::UnknownLink { link });
         }
@@ -762,8 +774,8 @@ impl Problem {
                 capacity,
             });
         }
-        self.links[link.index()].capacity = capacity;
-        Ok(())
+        let capacity = std::mem::replace(&mut self.links[link.index()].capacity, capacity);
+        Ok(Undo::LinkCapacity { link, capacity })
     }
 
     /// Returns a copy with the `F_{b,i}` coefficient of an *existing*
@@ -789,14 +801,15 @@ impl Problem {
         Ok(p)
     }
 
-    /// In-place [`Self::with_flow_node_cost`]; validates before it mutates.
+    /// In-place [`Self::with_flow_node_cost`]; validates before it mutates
+    /// and returns what it overwrote.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub(crate) fn set_flow_node_cost_in_place(
         &mut self,
         flow: FlowId,
         node: NodeId,
         cost: f64,
-    ) -> Result<(), ValidationError> {
+    ) -> Result<Undo, ValidationError> {
         if flow.index() >= self.flows.len() {
             return Err(ValidationError::UnknownFlow { flow });
         }
@@ -809,15 +822,12 @@ impl Problem {
                 value: cost,
             });
         }
-        let entry = self.flows[flow.index()]
-            .node_costs
-            .iter_mut()
-            .find(|(n, _)| *n == node)
-            .ok_or(ValidationError::NoSuchCostEntry {
-                coefficient: format!("F[{node}, {flow}]"),
-            })?;
-        entry.1 = cost;
-        Ok(())
+        let costs = &mut self.flows[flow.index()].node_costs;
+        let entry = costs.iter().position(|(n, _)| *n == node).ok_or(
+            ValidationError::NoSuchCostEntry { coefficient: format!("F[{node}, {flow}]") },
+        )?;
+        let cost = std::mem::replace(&mut costs[entry].1, cost);
+        Ok(Undo::FlowNodeCost { flow, entry, cost })
     }
 
     /// Returns a copy with the joint rate–reliability extension `spec`
@@ -860,13 +870,14 @@ impl Problem {
         Ok(p)
     }
 
-    /// In-place [`Self::with_link_loss`]; validates before it mutates.
+    /// In-place [`Self::with_link_loss`]; validates before it mutates and
+    /// returns what it overwrote.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub(crate) fn set_link_loss_in_place(
         &mut self,
         link: LinkId,
         loss: f64,
-    ) -> Result<(), ValidationError> {
+    ) -> Result<Undo, ValidationError> {
         if link.index() >= self.links.len() {
             return Err(ValidationError::UnknownLink { link });
         }
@@ -874,8 +885,8 @@ impl Problem {
             return Err(ValidationError::InvalidLossRate { link, loss });
         }
         let spec = self.reliability.as_mut().ok_or(ValidationError::ReliabilityDisabled)?;
-        spec.link_loss[link.index()] = loss;
-        Ok(())
+        let loss = std::mem::replace(&mut spec.link_loss[link.index()], loss);
+        Ok(Undo::LinkLoss { link, loss })
     }
 
     /// Returns a copy with `flow`'s reliability bounds replaced.
@@ -896,20 +907,21 @@ impl Problem {
         Ok(p)
     }
 
-    /// In-place [`Self::with_rho_bounds`]; validates before it mutates.
+    /// In-place [`Self::with_rho_bounds`]; validates before it mutates and
+    /// returns what it overwrote.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub(crate) fn set_rho_bounds_in_place(
         &mut self,
         flow: FlowId,
         bounds: RhoBounds,
-    ) -> Result<(), ValidationError> {
+    ) -> Result<Undo, ValidationError> {
         if flow.index() >= self.flows.len() {
             return Err(ValidationError::UnknownFlow { flow });
         }
         RhoBounds::new(bounds.min, bounds.max)?;
         let spec = self.reliability.as_mut().ok_or(ValidationError::ReliabilityDisabled)?;
-        spec.rho_bounds[flow.index()] = bounds;
-        Ok(())
+        let bounds = std::mem::replace(&mut spec.rho_bounds[flow.index()], bounds);
+        Ok(Undo::RhoBounds { flow, bounds })
     }
 
     /// Returns a copy with a new flow (and its consumer classes) appended.
@@ -936,10 +948,11 @@ impl Problem {
         Ok(p)
     }
 
-    /// In-place [`Self::with_added_flow`]; validates before it mutates.
+    /// In-place [`Self::with_added_flow`]; validates before it mutates, so
+    /// on `Err` the problem is unchanged.
     ///
-    /// The indexes are then derived again by [`ProblemBuilder::build`], the
-    /// one place that derives them.
+    /// The indexes are then derived again by the indexing pass behind
+    /// [`ProblemBuilder::build`], the one place that derives them.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub(crate) fn add_flow_in_place(
         &mut self,
@@ -954,6 +967,16 @@ impl Problem {
             let cid = ClassId::new((self.classes.len() + k) as u32);
             validate_class(cid, class, Some(&flow), n_nodes)?;
         }
+        // The rest of what `build` checks is the existing data, which a
+        // problem made by `with_utilities` can fail. Check it before
+        // anything moves.
+        validate_parts(
+            &self.nodes,
+            &self.links,
+            &self.flows,
+            &self.classes,
+            self.reliability.as_ref(),
+        )?;
 
         let mut builder = ProblemBuilder {
             nodes: std::mem::take(&mut self.nodes),
@@ -969,8 +992,43 @@ impl Problem {
             // the new flow demands full reliability until edited.
             spec.rho_bounds.push(RhoBounds::default());
         }
-        *self = builder.build()?;
+        *self = builder.index();
         Ok(())
+    }
+
+    /// Writes back what an in-place edit overwrote. Records must be undone
+    /// newest first, so that each finds the problem as its edit left it.
+    pub(crate) fn undo(&mut self, undo: Undo) {
+        match undo {
+            Undo::NodeCapacity { node, capacity } => self.nodes[node.index()].capacity = capacity,
+            Undo::LinkCapacity { link, capacity } => self.links[link.index()].capacity = capacity,
+            Undo::MaxPopulation { class, max_population } => {
+                self.classes[class.index()].max_population = max_population;
+            }
+            Undo::RateBounds { flow, bounds } => self.flows[flow.index()].bounds = bounds,
+            Undo::FlowNodeCost { flow, entry, cost } => {
+                self.flows[flow.index()].node_costs[entry].1 = cost;
+            }
+            // The edits these undo succeeded, so a spec is attached.
+            Undo::LinkLoss { link, loss } => {
+                if let Some(spec) = &mut self.reliability {
+                    spec.link_loss[link.index()] = loss;
+                }
+            }
+            Undo::RhoBounds { flow, bounds } => {
+                if let Some(spec) = &mut self.reliability {
+                    spec.rho_bounds[flow.index()] = bounds;
+                }
+            }
+            Undo::RemoveFlow { flow, spec, max_populations } => {
+                self.flows[flow.index()] = spec;
+                let classes = &self.classes_of_flow[flow.index()];
+                for (&class, max_population) in classes.iter().zip(max_populations) {
+                    self.classes[class.index()].max_population = max_population;
+                }
+            }
+            Undo::AddFlow(before) => *self = *before,
+        }
     }
 
     /// Stage-two path pruning (§2.4): zero the `F_{b,i}` coefficient for
@@ -1001,6 +1059,24 @@ impl Problem {
         }
         p
     }
+}
+
+/// What one in-place edit of a [`Problem`] overwrote, so that
+/// [`Problem::undo`] can write it back. The scalar edits record the old
+/// value; a removal records the flow's old spec and its classes' old maxima,
+/// in `classes_of_flow` order; a flow addition, which derives every index
+/// again, records a copy of the whole problem taken before it.
+pub(crate) enum Undo {
+    NodeCapacity { node: NodeId, capacity: f64 },
+    LinkCapacity { link: LinkId, capacity: f64 },
+    MaxPopulation { class: ClassId, max_population: u32 },
+    RateBounds { flow: FlowId, bounds: RateBounds },
+    /// `entry` indexes the flow's `node_costs`.
+    FlowNodeCost { flow: FlowId, entry: usize, cost: f64 },
+    LinkLoss { link: LinkId, loss: f64 },
+    RhoBounds { flow: FlowId, bounds: RhoBounds },
+    RemoveFlow { flow: FlowId, spec: FlowSpec, max_populations: Vec<u32> },
+    AddFlow(Box<Problem>),
 }
 
 /// Incremental, validating constructor for [`Problem`] ([C-BUILDER]).
@@ -1117,43 +1193,22 @@ impl ProblemBuilder {
     /// classes attached to unreached nodes, or duplicate cost entries.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub fn build(self) -> Result<Problem, ValidationError> {
+        validate_parts(
+            &self.nodes,
+            &self.links,
+            &self.flows,
+            &self.classes,
+            self.reliability.as_ref(),
+        )?;
+        Ok(self.index())
+    }
+
+    /// Derives the indexes of primary data that has passed
+    /// [`validate_parts`].
+    fn index(self) -> Problem {
         let n_nodes = self.nodes.len();
         let n_links = self.links.len();
         let n_flows = self.flows.len();
-
-        for (i, node) in self.nodes.iter().enumerate() {
-            if !(node.capacity.is_finite() && node.capacity > 0.0) {
-                return Err(ValidationError::NonPositiveCapacity {
-                    resource: NodeId::new(i as u32).to_string(),
-                    capacity: node.capacity,
-                });
-            }
-        }
-        for (i, link) in self.links.iter().enumerate() {
-            if !(link.capacity.is_finite() && link.capacity > 0.0) {
-                return Err(ValidationError::NonPositiveCapacity {
-                    resource: LinkId::new(i as u32).to_string(),
-                    capacity: link.capacity,
-                });
-            }
-            for endpoint in [link.from, link.to].into_iter().flatten() {
-                if endpoint.index() >= n_nodes {
-                    return Err(ValidationError::UnknownNode { node: endpoint });
-                }
-            }
-        }
-        for (i, flow) in self.flows.iter().enumerate() {
-            validate_flow(FlowId::new(i as u32), flow, n_nodes, n_links)?;
-        }
-        for (i, class) in self.classes.iter().enumerate() {
-            let flow = self.flows.get(class.flow.index());
-            validate_class(ClassId::new(i as u32), class, flow, n_nodes)?;
-        }
-
-        if let Some(spec) = &self.reliability {
-            validate_reliability(spec, n_flows, n_links)?;
-        }
-
         // Build derived indices. Each row is allocated once at its final
         // length, in row order, so it never moves and consecutive rows sit
         // close together in memory; the executor walks them every step.
@@ -1182,7 +1237,7 @@ impl ProblemBuilder {
             }
         }
 
-        Ok(Problem {
+        Problem {
             nodes: self.nodes,
             links: self.links,
             flows: self.flows,
@@ -1192,8 +1247,56 @@ impl ProblemBuilder {
             classes_at_node,
             flows_at_node,
             flows_on_link,
-        })
+        }
     }
+}
+
+/// Checks primary problem data as [`ProblemBuilder::build`] does, returning
+/// the first inconsistency.
+fn validate_parts(
+    nodes: &[NodeSpec],
+    links: &[LinkSpec],
+    flows: &[FlowSpec],
+    classes: &[ClassSpec],
+    reliability: Option<&ReliabilitySpec>,
+) -> Result<(), ValidationError> {
+    let n_nodes = nodes.len();
+    let n_links = links.len();
+
+    for (i, node) in nodes.iter().enumerate() {
+        if !(node.capacity.is_finite() && node.capacity > 0.0) {
+            return Err(ValidationError::NonPositiveCapacity {
+                resource: NodeId::new(i as u32).to_string(),
+                capacity: node.capacity,
+            });
+        }
+    }
+    for (i, link) in links.iter().enumerate() {
+        if !(link.capacity.is_finite() && link.capacity > 0.0) {
+            return Err(ValidationError::NonPositiveCapacity {
+                resource: LinkId::new(i as u32).to_string(),
+                capacity: link.capacity,
+            });
+        }
+        for endpoint in [link.from, link.to].into_iter().flatten() {
+            if endpoint.index() >= n_nodes {
+                return Err(ValidationError::UnknownNode { node: endpoint });
+            }
+        }
+    }
+    for (i, flow) in flows.iter().enumerate() {
+        validate_flow(FlowId::new(i as u32), flow, n_nodes, n_links)?;
+    }
+    for (i, class) in classes.iter().enumerate() {
+        let flow = flows.get(class.flow.index());
+        validate_class(ClassId::new(i as u32), class, flow, n_nodes)?;
+    }
+
+    if let Some(spec) = reliability {
+        validate_reliability(spec, flows.len(), n_links)?;
+    }
+
+    Ok(())
 }
 
 /// `n` empty index rows, row `r` with capacity for every occurrence of `r`
@@ -1696,6 +1799,20 @@ mod tests {
         class.utility = Utility::Power { weight: 1.0, exponent: 1.5 };
         let err = p.with_added_flow(p.flow(FlowId::new(0)).clone(), vec![class]).unwrap_err();
         assert!(matches!(err, ValidationError::InvalidUtility { .. }), "{err}");
+    }
+
+    #[test]
+    fn failed_add_flow_in_place_leaves_the_problem_unchanged() {
+        // `with_utilities` skips validation, so the existing class carries a
+        // weight `build` refuses, while the added flow and class are valid.
+        let valid = tiny().build().unwrap();
+        let mut p = valid.with_utilities(|_| Utility::log(f64::NAN));
+        let before = format!("{p:?}");
+        let flow = valid.flow(FlowId::new(0)).clone();
+        let class = valid.class(ClassId::new(0)).clone();
+        let err = p.add_flow_in_place(flow, vec![class]).unwrap_err();
+        assert!(matches!(err, ValidationError::InvalidUtility { .. }), "{err}");
+        assert_eq!(format!("{p:?}"), before);
     }
 
     #[test]
