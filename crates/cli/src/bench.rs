@@ -39,7 +39,7 @@
 //! `BENCH_lrgp.json`), which is committed to the repository as the
 //! tracked baseline.
 
-use lrgp::{AutoModel, Engine, IncrementalMode, LrgpConfig, Parallelism, Reliability};
+use lrgp::{Engine, IncrementalMode, LrgpConfig, Parallelism, Reliability};
 use lrgp_model::workloads::{mixed_loss_workload, paper_workload, RandomWorkload};
 use lrgp_model::{NodeId, Problem, ProblemDelta, UtilityShape};
 use rand::rngs::StdRng;
@@ -353,12 +353,9 @@ fn bench_workload(name: &str, problem: &Problem, params: &BenchParams) -> Worklo
 /// between the two so scheduler drift and frequency scaling land on both
 /// sides of the ratio equally. The pooled side uses the host's hardware
 /// threads capped at four workers — the same cap the committed
-/// `threads_sweep` tops out at. The count comes from
-/// [`AutoModel::calibrated_for`], whose ceiling is the hardware-thread
-/// count the engine's pool resolves once per process, so the bench and the
-/// pool never disagree about the host.
+/// `threads_sweep` tops out at.
 fn thread_ratio_bench(name: &str, problem: &Problem, params: &BenchParams) -> ThreadRatioBench {
-    let workers = (AutoModel::calibrated_for(problem).max_workers as usize).min(4);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4);
     let sequential_config = config(IncrementalMode::On, Parallelism::Sequential);
     let pooled_config = if workers > 1 {
         config(IncrementalMode::On, Parallelism::Threads(workers))
@@ -492,8 +489,8 @@ fn large_workload() -> Problem {
 
 /// The crossover-scale workload: 10,000 flows × 10 classes each (100,000
 /// classes) over 64 consumer nodes. A near-converged step still carries
-/// thousands of dirty flows at this size, so the pooled `Threads` path is
-/// past the Auto cost model's crossover on any multi-core machine, and a
+/// thousands of dirty flows at this size, enough kernel work per phase for
+/// the pooled `Threads` path to win on a multi-core machine, and a
 /// targeted delta dirties a small share of the problem — this is the
 /// workload both the `--min-speedup` and the `--min-thread-ratio` floors
 /// are asserted against.

@@ -40,8 +40,6 @@ pub enum GammaArg {
 pub enum ThreadsArg {
     /// The sequential reference engine.
     Sequential,
-    /// Size the worker pool from the problem and the machine.
-    Auto,
     /// A fixed number of worker threads.
     Count(usize),
 }
@@ -250,7 +248,7 @@ lrgp — utility optimization for event-driven distributed infrastructures
 
 USAGE:
   lrgp workload [--shape log|pow25|pow50|pow75] [--systems N] [--cnodes N] -o FILE
-  lrgp solve    <base|FILE> [--iters N] [--gamma adaptive|FLOAT] [--threads auto|N] [--incremental on|off|auto] [--reliability off|joint] [--trace CSV] [--save JSON]
+  lrgp solve    <base|FILE> [--iters N] [--gamma adaptive|FLOAT] [--threads N] [--incremental on|off|auto] [--reliability off|joint] [--trace CSV] [--save JSON]
   lrgp bench    [--json] [--quick] [--out FILE] [--min-speedup X] [--min-thread-ratio X]
   lrgp anneal   <base|FILE> [--steps N] [--temp T] [--seed N]
   lrgp compare  <base|FILE> [--steps N] [--seed N]
@@ -333,19 +331,10 @@ where
                         };
                     }
                     "--threads" => {
-                        let raw = take_value(flag, &mut it)?;
-                        cmd.threads = if raw == "auto" {
-                            ThreadsArg::Auto
-                        } else {
-                            match parse_num(flag, raw)? {
-                                0 => {
-                                    return Err(ParseError(
-                                        "--threads: must be \"auto\" or ≥ 1".into(),
-                                    ))
-                                }
-                                1 => ThreadsArg::Sequential,
-                                n => ThreadsArg::Count(n),
-                            }
+                        cmd.threads = match parse_num(flag, take_value(flag, &mut it)?)? {
+                            0 => return Err(ParseError("--threads: must be ≥ 1".into())),
+                            1 => ThreadsArg::Sequential,
+                            n => ThreadsArg::Count(n),
                         };
                     }
                     "--incremental" => {
@@ -670,11 +659,11 @@ mod tests {
             Command::Solve(s) => s.threads,
             other => panic!("{other:?}"),
         };
-        assert_eq!(threads(&["solve", "base", "--threads", "auto"]), ThreadsArg::Auto);
         assert_eq!(threads(&["solve", "base", "--threads", "1"]), ThreadsArg::Sequential);
         assert_eq!(threads(&["solve", "base", "--threads", "8"]), ThreadsArg::Count(8));
-        assert!(p(&["solve", "base", "--threads", "0"]).unwrap_err().0.contains("≥ 1"));
+        assert!(p(&["solve", "base", "--threads", "0"]).unwrap_err().0.contains("must be ≥ 1"));
         assert!(p(&["solve", "base", "--threads", "many"]).unwrap_err().0.contains("cannot parse"));
+        assert!(p(&["solve", "base", "--threads", "auto"]).unwrap_err().0.contains("cannot parse"));
     }
 
     #[test]

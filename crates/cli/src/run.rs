@@ -133,7 +133,6 @@ fn solve(cmd: SolveCmd) -> CliResult {
     };
     let parallelism = match cmd.threads {
         ThreadsArg::Sequential => Parallelism::Sequential,
-        ThreadsArg::Auto => Parallelism::Auto,
         ThreadsArg::Count(n) => Parallelism::Threads(n),
     };
     let incremental = match cmd.incremental {

@@ -10,10 +10,10 @@
 //!    link prices via Eq. 13.
 //!
 //! The iteration itself is implemented once, in the dirty-set executor
-//! ([`crate::exec`]); the engine derives an [`ExecutionPlan`] from its
-//! configuration and delegates every step to it. Sequential, threaded,
-//! incremental and full-recompute execution are plan choices over the same
-//! loop, all bit-identical (see [`crate::plan`]).
+//! ([`crate::exec`]); the engine hands it every step together with its
+//! [`LrgpConfig`]. Sequential, threaded, incremental and full-recompute
+//! execution are configuration choices over the same loop, all
+//! bit-identical (see [`crate::plan`]).
 //!
 //! The engine records the total-utility trace and supports the paper's
 //! dynamics experiments (changing the problem mid-run, Fig. 3) through the
@@ -24,7 +24,7 @@ use crate::exec::StepState;
 use crate::gamma::{GammaController, GammaMode};
 use crate::kernel::admission::{AdmissionPolicy, PopulationMode};
 use crate::kernel::price::{NodePriceRule, PriceVector};
-use crate::plan::{AutoModel, ExecutionPlan, IncrementalMode, Parallelism, Reliability};
+use crate::plan::{IncrementalMode, Parallelism, Reliability};
 use crate::pool::PoolHandle;
 use crate::trace::{Trace, TraceConfig};
 use lrgp_model::{Allocation, ClassId, DeltaOp, FlowId, Problem, ProblemDelta, ValidationError};
@@ -153,15 +153,14 @@ pub struct Engine {
     /// `Arc::make_mut`, which copies only while it is shared.
     problem: Arc<Problem>,
     config: LrgpConfig,
-    plan: ExecutionPlan,
-    /// The persistent worker pool (empty handle under a sequential plan).
-    /// Workers are spawned once here and parked between steps; cloning the
-    /// engine respawns a same-sized pool.
+    /// The persistent worker pool (empty handle under
+    /// [`Parallelism::Sequential`]). Workers are spawned once here and
+    /// parked between steps; cloning the engine respawns a same-sized pool.
     pool: PoolHandle,
     rates: Vec<f64>,
     /// Per-flow delivery reliabilities ρ. Pinned at each flow's `ρ_max`
     /// (1.0 without a [`lrgp_model::ReliabilitySpec`]) until a
-    /// [`Reliability::Joint`] plan starts re-solving them; under
+    /// [`Reliability::Joint`] engine starts re-solving them; under
     /// [`Reliability::Off`] the vector is carried but never read by the
     /// step, keeping the rate-only trace bitwise unchanged.
     rhos: Vec<f64>,
@@ -195,14 +194,10 @@ impl Engine {
             problem.num_classes(),
         );
         let state = Some(StepState::new(&problem));
-        let mut plan = ExecutionPlan::from_config(&config);
-        // Calibrate Auto's cost model once, from the problem's dimensions
-        // (deterministic — no wall-clock measurement).
-        plan.auto = AutoModel::calibrated_for(&problem);
-        let pool = PoolHandle::for_concurrency(plan.max_concurrency());
+        // Never more workers than a phase of this problem can use.
+        let pool = PoolHandle::for_concurrency(config.parallelism.workers_for(max_units(&problem)));
         Self {
             populations: vec![0.0; problem.num_classes()],
-            plan,
             pool,
             problem: Arc::new(problem),
             config,
@@ -219,18 +214,17 @@ impl Engine {
     /// Executes one full LRGP iteration and returns the total utility after
     /// it.
     ///
-    /// The step runs under the engine's [`ExecutionPlan`]: depending on
-    /// [`LrgpConfig::parallelism`] the three phases run on this thread or
-    /// sharded over scoped workers, and depending on
-    /// [`LrgpConfig::incremental`] they recompute everything or only the
-    /// dirty subset; all plans call the same per-element kernels on the
-    /// same previous-iteration inputs, so the results (and the recorded
-    /// trace) are bit-identical (see [`crate::plan`]).
+    /// Depending on [`LrgpConfig::parallelism`] the three phases run on
+    /// this thread or sharded over the engine's pooled workers, and
+    /// depending on [`LrgpConfig::incremental`] they recompute everything
+    /// (every element is marked dirty first) or only the dirty subset. Every
+    /// configuration calls the same per-element kernels on the same
+    /// previous-iteration inputs, so the results (and the recorded trace)
+    /// are bit-identical (see [`crate::plan`]).
     pub fn step(&mut self) -> f64 {
         let Self {
             problem,
             config,
-            plan,
             pool,
             rates,
             rhos,
@@ -241,17 +235,11 @@ impl Engine {
             ..
         } = self;
         let state = state.get_or_insert_with(|| StepState::new(problem));
-        let utility = plan.execute(
-            state,
-            problem,
-            config,
-            pool,
-            rates,
-            rhos,
-            populations,
-            prices,
-            gamma_controllers,
-        );
+        if !config.incremental.enabled() {
+            state.mark_all_dirty();
+        }
+        let utility =
+            state.step(problem, config, pool, rates, rhos, populations, prices, gamma_controllers);
         self.record_step(utility);
         utility
     }
@@ -263,20 +251,10 @@ impl Engine {
         self.state.as_ref()
     }
 
-    /// The execution plan derived from the configuration at construction.
-    pub fn plan(&self) -> ExecutionPlan {
-        self.plan
-    }
-
     /// Worker count the configured [`Parallelism`] resolves to for this
     /// problem's size (1 means the sequential path).
     pub fn effective_workers(&self) -> usize {
-        let units = self
-            .problem
-            .num_flows()
-            .max(self.problem.num_nodes())
-            .max(self.problem.num_links());
-        self.plan.workers_for(units)
+        self.config.parallelism.workers_for(max_units(&self.problem))
     }
 
     /// Forces (or un-forces) the worker pool to dispatch shards even on a
@@ -290,8 +268,8 @@ impl Engine {
         }
     }
 
-    /// The OS thread ids of the pool's workers (empty under a sequential
-    /// plan). Test diagnostic — stress tests assert the same threads are
+    /// The OS thread ids of the pool's workers (empty without a pool).
+    /// Test diagnostic — stress tests assert the same threads are
     /// reused across steps rather than respawned.
     #[doc(hidden)]
     pub fn pool_worker_ids(&self) -> Vec<std::thread::ThreadId> {
@@ -299,18 +277,10 @@ impl Engine {
     }
 
     /// Per-worker counts of pooled jobs completed since construction (empty
-    /// under a sequential plan). Test diagnostic.
+    /// without a pool). Test diagnostic.
     #[doc(hidden)]
     pub fn pool_jobs_completed(&self) -> Vec<u64> {
         self.pool.get().map(|p| p.jobs_completed()).unwrap_or_default()
-    }
-
-    /// Overrides the calibrated [`AutoModel`] driving
-    /// [`Parallelism::Auto`]'s sequential/threads crossover. Test hook —
-    /// lets suites pin the crossover at a known size.
-    #[doc(hidden)]
-    pub fn set_auto_model(&mut self, model: AutoModel) {
-        self.plan.auto = model;
     }
 
     /// Arms the pooled rate kernel to panic at `flow` (test hook for the
@@ -409,7 +379,7 @@ impl Engine {
 
     /// Per-flow delivery reliabilities ρ, indexed by flow id. All `ρ_max`
     /// (1.0 without a [`lrgp_model::ReliabilitySpec`]) unless a
-    /// [`Reliability::Joint`] plan has stepped; see
+    /// [`Reliability::Joint`] engine has stepped; see
     /// [`crate::kernel::reliability`].
     pub fn rhos(&self) -> &[f64] {
         &self.rhos
@@ -478,7 +448,7 @@ impl Engine {
     /// removals, `F_{b,i}` and link-loss edits) keeps the executor: cost
     /// edits patch its term table in place, and every op injects precise
     /// dirty marks instead of invalidating everything, so under an
-    /// incremental plan the next step costs work proportional to what the
+    /// incremental engine the next step costs work proportional to what the
     /// delta touched. Only a flow addition, which changes the shape of the
     /// term table, still rebuilds the executor.
     ///
@@ -519,9 +489,6 @@ impl Engine {
                 problem.num_links(),
                 problem.num_classes(),
             );
-            if delta.grows_problem() {
-                self.plan.auto = AutoModel::calibrated_for(&problem);
-            }
             self.state = Some(StepState::new(&problem));
             return Ok(());
         }
@@ -537,10 +504,6 @@ impl Engine {
             }
             self.populations.resize(problem.num_classes(), 0.0);
             self.trace.grow(problem.num_flows(), problem.num_classes());
-            // Dimensions changed, so the Auto crossover may have moved; the
-            // pool itself is sized by `max_concurrency`, which is
-            // hardware-capped and does not depend on the problem.
-            self.plan.auto = AutoModel::calibrated_for(&problem);
             self.clamp_state_into_problem();
             self.state = None;
             return Ok(());
@@ -674,6 +637,13 @@ impl Engine {
         // exactly like a freshly constructed engine would.
         self.state = None;
     }
+}
+
+/// The problem's largest dimension. No phase shards over more elements
+/// (rates and ρ shard over flows, admission over nodes), so it bounds the
+/// execution contexts any step can use.
+fn max_units(problem: &Problem) -> usize {
+    problem.num_flows().max(problem.num_nodes()).max(problem.num_links())
 }
 
 /// The initial rate vector for `problem` under the configured policy.

@@ -1,15 +1,16 @@
-//! The dirty-set step executor shared by every execution plan.
+//! The dirty-set step executor shared by every engine configuration.
 //!
 //! [`StepState`] runs one LRGP iteration over the engine's state. It is the
 //! **only** solve loop in the crate: a full recompute is simply the
-//! all-dirty special case (the plan layer marks everything dirty first),
-//! and the parallel paths shard the dirty lists over the engine's
-//! persistent worker pool (see [`crate::plan`] and [`crate::pool`]).
+//! all-dirty special case (the engine marks everything dirty first under
+//! [`IncrementalMode::Off`](crate::IncrementalMode::Off)), and the
+//! parallel paths shard the dirty lists over the engine's persistent
+//! worker pool (see [`crate::plan`] and [`crate::pool`]).
 //!
 //! Near convergence almost every per-iteration quantity is recomputed to the
 //! very same bits it already had: prices stop moving (the γ step underflows
 //! against the price magnitude), so aggregated prices stop moving, so rates
-//! stop moving, so admissions stop moving. The incremental plan exploits
+//! stop moving, so admissions stop moving. The incremental step exploits
 //! that with **exact, bitwise dirty tracking** — work is proportional to
 //! what changed, and the result is bit-identical (`f64::to_bits`) to the
 //! full recompute, enforced by `tests/differential.rs`.
@@ -86,7 +87,6 @@ use crate::kernel::admission::allocate_consumers_into;
 use crate::kernel::price::{update_link_price, update_node_price_with_rule, PriceVector};
 use crate::kernel::rate::{solve_rate, AggregateUtility};
 use crate::kernel::reliability::solve_flow_rho;
-use crate::plan::ExecutionPlan;
 use crate::pool::{
     lock_unpoisoned, shard_chunk, shard_count, AdmissionJob, AdmissionOrder, Job, PoolHandle,
     RateJob, ReliabilityJob,
@@ -192,7 +192,7 @@ pub(crate) struct StepState {
     rate_changed: Vec<bool>,
     changed_rates: Vec<u32>,
     /// Flows whose ρ moved bitwise this iteration. Only populated by
-    /// [`crate::plan::Reliability::Joint`] plans; permanently empty under
+    /// [`crate::plan::Reliability::Joint`] steps; permanently empty under
     /// Off, so every consumer of these lists is a no-op there.
     rho_changed: Vec<bool>,
     changed_rhos: Vec<u32>,
@@ -265,7 +265,8 @@ impl StepState {
     }
 
     /// Marks everything dirty for the next step, turning it into an exact
-    /// full recompute (the non-incremental plans call this every step).
+    /// full recompute ([`crate::engine::Engine::step`] calls this every
+    /// step under `IncrementalMode::Off`).
     pub(crate) fn mark_all_dirty(&mut self) {
         self.first = true;
     }
@@ -402,15 +403,14 @@ impl StepState {
         self.panic_on_flow = flow;
     }
 
-    /// One LRGP iteration over the engine's state under `plan`, sharding
-    /// over `pool` where the plan asks for it. Returns the total utility
-    /// (recomputed only when a rate or population changed).
+    /// One LRGP iteration over the engine's state under `config`, sharding
+    /// over `pool` where `config.parallelism` asks for it. Returns the total
+    /// utility (recomputed only when a rate or population changed).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn step(
         &mut self,
         problem: &Arc<Problem>,
         config: &LrgpConfig,
-        plan: &ExecutionPlan,
         pool: &PoolHandle,
         rates: &mut Vec<f64>,
         rhos: &mut Vec<f64>,
@@ -418,18 +418,18 @@ impl StepState {
         prices: &mut PriceVector,
         gammas: &mut [GammaController],
     ) -> f64 {
-        // The ρ phase only exists under a Joint plan on a problem with a
-        // reliability spec; everywhere else the step is exactly the classic
+        // The ρ phase only exists under Reliability::Joint on a problem with
+        // a reliability spec; everywhere else the step is exactly the classic
         // rate-only pipeline (changed_rhos stays permanently empty, and the
         // Off gates below never add a float operation).
-        let joint = plan.reliability.joint() && problem.reliability().is_some();
+        let joint = config.reliability.joint() && problem.reliability().is_some();
         self.derive_dirty_flows(problem);
-        self.solve_dirty_rates(problem, plan, pool, rates, populations, prices);
+        self.solve_dirty_rates(problem, config, pool, rates, populations, prices);
         if joint {
-            self.solve_dirty_rhos(problem, plan, pool, rates, rhos, populations, prices);
+            self.solve_dirty_rhos(problem, config, pool, rates, rhos, populations, prices);
         }
         self.derive_dirty_nodes(problem);
-        self.run_dirty_admissions(problem, config, plan, pool, rates);
+        self.run_dirty_admissions(problem, config, pool, rates);
         self.apply_populations(populations);
         self.update_node_prices(problem, config, prices, gammas);
         self.derive_dirty_links(problem);
@@ -502,14 +502,15 @@ impl StepState {
     }
 
     /// Phase 1: re-solve the dirty flows' rates (Algorithm 1) against the
-    /// term tables, recording bitwise rate changes. When the plan resolves
-    /// to more than one context and the pool dispatches, the inputs move
-    /// into a [`RateJob`], shards `1..` run on parked workers while the
-    /// caller runs shard 0, and the results are applied in shard order.
+    /// term tables, recording bitwise rate changes. When
+    /// `config.parallelism` resolves to more than one context and the pool
+    /// dispatches, the inputs move into a [`RateJob`], shards `1..` run on
+    /// parked workers while the caller runs shard 0, and the results are
+    /// applied in shard order.
     fn solve_dirty_rates(
         &mut self,
         problem: &Arc<Problem>,
-        plan: &ExecutionPlan,
+        config: &LrgpConfig,
         pool: &PoolHandle,
         rates: &mut Vec<f64>,
         populations: &mut Vec<f64>,
@@ -519,7 +520,7 @@ impl StepState {
         if self.dirty_flows.is_empty() {
             return;
         }
-        let workers = plan.workers_for(self.dirty_flows.len());
+        let workers = config.parallelism.workers_for(self.dirty_flows.len());
         let pooled = pool
             .get()
             .filter(|p| workers > 1 && p.dispatches())
@@ -593,9 +594,9 @@ impl StepState {
         rate_scratch.out.clear();
     }
 
-    /// Phase 1b (Joint plans only): re-solve the dirty flows' reliability
-    /// best-response against the current link prices and the freshly solved
-    /// rates, recording bitwise ρ changes.
+    /// Phase 1b (`Reliability::Joint` only): re-solve the dirty flows'
+    /// reliability best-response against the current link prices and the
+    /// freshly solved rates, recording bitwise ρ changes.
     ///
     /// The ρ dirty set is exactly `dirty_flows`: a flow's ρ inputs are the
     /// link prices along its path, the populations of its classes, and its
@@ -608,7 +609,7 @@ impl StepState {
     fn solve_dirty_rhos(
         &mut self,
         problem: &Arc<Problem>,
-        plan: &ExecutionPlan,
+        config: &LrgpConfig,
         pool: &PoolHandle,
         rates: &mut Vec<f64>,
         rhos: &mut Vec<f64>,
@@ -622,7 +623,7 @@ impl StepState {
         if self.dirty_flows.is_empty() {
             return;
         }
-        let workers = plan.workers_for(self.dirty_flows.len());
+        let workers = config.parallelism.workers_for(self.dirty_flows.len());
         let pooled = pool
             .get()
             .filter(|p| workers > 1 && p.dispatches())
@@ -743,14 +744,13 @@ impl StepState {
         &mut self,
         problem: &Arc<Problem>,
         config: &LrgpConfig,
-        plan: &ExecutionPlan,
         pool: &PoolHandle,
         rates: &mut Vec<f64>,
     ) {
         if self.dirty_nodes.is_empty() {
             return;
         }
-        let workers = plan.workers_for(self.dirty_nodes.len());
+        let workers = config.parallelism.workers_for(self.dirty_nodes.len());
         let pooled = pool
             .get()
             .filter(|p| workers > 1 && p.dispatches())
@@ -894,7 +894,7 @@ impl StepState {
                     mark(link_dirty, dirty_links, link.index() as u32);
                 }
             }
-            // Under a Joint plan the usage also reads ρ; the list is
+            // Under Reliability::Joint the usage also reads ρ; the list is
             // permanently empty otherwise.
             for &f in changed_rhos.iter() {
                 for &(link, _) in problem.links_of_flow(FlowId::new(f)) {

@@ -22,16 +22,13 @@
 //!                 ▼                      ▼
 //!  ┌───────────────────────────────────────────────────────────┐
 //!  │ engine     Engine: owns problem + optimizer state, trace, │
-//!  │            snapshots, delta application                   │
-//!  └───────────────────────────┬───────────────────────────────┘
-//!                              │ one ExecutionPlan, every step
-//!  ┌───────────────────────────▼───────────────────────────────┐
-//!  │ plan       ExecutionPlan = Parallelism × IncrementalMode  │
-//!  │                            × Reliability                  │
+//!  │            snapshots, delta application, and the          │
+//!  │            LrgpConfig it runs exactly as written:         │
+//!  │ plan       Parallelism × IncrementalMode × Reliability    │
 //!  │            (the first two never change a bit; Reliability │
 //!  │            picks rate-only or joint rate–reliability)     │
 //!  └───────────────────────────┬───────────────────────────────┘
-//!                              │ drives the single solve loop
+//!                              │ config + pool, every step
 //!  ┌───────────────────────────▼───────────────────────────────┐
 //!  │ exec       StepState: dirty-set executor, caches, scratch │
 //!  │            (full recompute = the all-dirty special case)  │
@@ -52,16 +49,15 @@
 //!   ([`kernel::admission`], Algorithm 2), the node/link price updates
 //!   with their flow-path aggregation ([`kernel::price`], Eqs. 8–13), and
 //!   the per-flow reliability best response ([`kernel::reliability`]) used
-//!   when a plan enables the joint rate–reliability axis
+//!   when the configuration enables joint rate–reliability allocation
 //!   ([`plan::Reliability`]).
 //! * [`exec`] — the one solve loop: a dirty-set executor whose work is
 //!   proportional to what changed, bit-identical to a full recompute.
-//! * [`plan`] — the execution strategy ([`ExecutionPlan`]): sequential or
-//!   sharded over the persistent worker pool ([`pool`]), full-recompute or
-//!   incremental, rate-only or joint rate–reliability
-//!   ([`plan::Reliability`]), with [`Parallelism::Auto`] picking the
-//!   crossover from a calibrated cost model ([`AutoModel`]). Plans change
-//!   wall-clock time, never bits — except the reliability axis, which
+//! * [`plan`] — the three [`LrgpConfig`] enums that choose how a step
+//!   runs: sequential or sharded over the persistent worker pool ([`pool`])
+//!   ([`Parallelism`]), full-recompute or incremental ([`IncrementalMode`]),
+//!   rate-only or joint rate–reliability ([`plan::Reliability`]). The first
+//!   two change wall-clock time, never bits; the reliability choice
 //!   changes *what* is optimized and defaults to [`plan::Reliability::Off`].
 //! * [`engine`] — the synchronous driver ([`Engine`]), iteration traces
 //!   ([`trace`]), snapshots ([`snapshot`]), and first-class problem deltas
@@ -108,7 +104,7 @@ pub use engine::{Engine, InitialRate, LrgpConfig, RunOutcome};
 pub use gamma::{AdaptiveGammaConfig, GammaController, GammaMode};
 pub use kernel::admission::{AdmissionPolicy, PopulationMode};
 pub use kernel::price::PriceVector;
-pub use plan::{AutoModel, ExecutionPlan, IncrementalMode, Parallelism, Reliability};
+pub use plan::{IncrementalMode, Parallelism, Reliability};
 pub use snapshot::EngineSnapshot;
 pub use trace::{Trace, TraceConfig};
 pub use two_stage::{two_stage_solve, TwoStageOutcome};

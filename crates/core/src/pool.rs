@@ -1,14 +1,13 @@
-//! The persistent worker pool behind [`Parallelism::Threads`] and
-//! [`Parallelism::Auto`].
+//! The persistent worker pool behind [`Parallelism::Threads`].
 //!
 //! Before this module existed, every sharded phase spawned fresh
 //! [`std::thread::scope`] workers and joined them — per step, per phase.
 //! The tracked benchmarks showed that spawn/join cost dominating the kernel
 //! work at every measured scale, making `Threads` a regression over
 //! `Sequential`. The pool inverts the lifecycle: workers are spawned **once
-//! per engine** (one fewer than the plan's maximum concurrency — the caller
-//! is always shard 0), park on a condvar between steps, and receive work
-//! through a preallocated job slot. A steady-state step performs **no
+//! per engine** (one fewer than the most contexts `Threads(n)` can use on
+//! the engine's problem — the caller is always shard 0), park on a condvar
+//! between steps, and receive work through a preallocated job slot. A steady-state step performs **no
 //! thread spawning, no channel allocation, and no `O(problem)` copying**:
 //! job inputs are *moved* into the slot (pointer swaps) and moved back out
 //! after the phase.
@@ -54,7 +53,7 @@
 //! # Dispatch policy
 //!
 //! Sharding and *dispatching* are separate decisions. The shard layout
-//! ([`shard_spans`]) depends only on the element count and the plan's
+//! ([`shard_spans`]) depends only on the element count and the configured
 //! worker count, and the results are applied in shard order, so executing
 //! the shards on parked workers or inline on the caller is bit-identical
 //! by construction. The pool dispatches to its workers only when the
@@ -66,7 +65,6 @@
 //! to exercise the real handoff regardless of the host.
 //!
 //! [`Parallelism::Threads`]: crate::plan::Parallelism::Threads
-//! [`Parallelism::Auto`]: crate::plan::Parallelism::Auto
 
 use crate::kernel::admission::{
     allocate_consumers_into, AdmissionPolicy, PopulationMode,
@@ -303,7 +301,7 @@ pub(crate) enum Job {
     Idle,
     /// Phase 1: solve dirty rates.
     Rates(RateJob),
-    /// Phase 1b: re-solve dirty flows' reliabilities (Joint plans only).
+    /// Phase 1b: re-solve dirty flows' reliabilities (Joint only).
     Reliabilities(ReliabilityJob),
     /// Phase 2a: re-run dirty admissions.
     Admissions(AdmissionJob),
@@ -372,8 +370,7 @@ struct PoolShared {
 }
 
 /// The host's hardware parallelism (at least 1), resolved once per process
-/// and shared by the pool's dispatch decision and
-/// [`crate::plan::AutoModel::calibrated_for`]. On Linux,
+/// for the pool's dispatch decision. On Linux,
 /// [`std::thread::available_parallelism`] reads cgroup files on every call,
 /// which costs tens of microseconds per engine construction.
 pub(crate) fn hardware_threads() -> usize {
@@ -649,7 +646,7 @@ fn worker_loop(shared: Arc<PoolShared>, w: usize) {
     }
 }
 
-/// The engine's handle on its pool: `None` when the plan can never use
+/// The engine's handle on its pool: `None` when the engine can never use
 /// more than one execution context. Cloning an engine spawns a fresh pool
 /// of the same size — workers are never shared between engines.
 #[derive(Debug, Default)]

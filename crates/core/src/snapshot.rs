@@ -142,6 +142,27 @@ mod tests {
     }
 
     #[test]
+    fn json_naming_auto_parallelism_is_an_error() {
+        // `Parallelism` has no `Auto` variant: a snapshot or config that
+        // names one fails to load instead of panicking or loading as
+        // another variant.
+        let auto = |json: &str| {
+            let named =
+                json.replacen(r#""parallelism":"Sequential""#, r#""parallelism":"Auto""#, 1);
+            assert_ne!(named, json, "the JSON must carry the key");
+            named
+        };
+        let mut engine = Engine::new(base_workload(), LrgpConfig::default());
+        engine.run(5);
+        let snapshot = serde_json::to_string(&engine.snapshot()).expect("snapshot serializes");
+        assert!(serde_json::from_str::<EngineSnapshot>(&snapshot).is_ok());
+        assert!(serde_json::from_str::<EngineSnapshot>(&auto(&snapshot)).is_err());
+        let config = serde_json::to_string(&LrgpConfig::default()).expect("config serializes");
+        assert!(serde_json::from_str::<LrgpConfig>(&config).is_ok());
+        assert!(serde_json::from_str::<LrgpConfig>(&auto(&config)).is_err());
+    }
+
+    #[test]
     #[should_panic(expected = "flow count mismatch")]
     fn restore_rejects_wrong_problem() {
         let mut engine = Engine::new(base_workload(), LrgpConfig::default());

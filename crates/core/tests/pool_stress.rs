@@ -171,3 +171,25 @@ fn clone_and_drop_churn_neither_wedges_nor_diverges() {
         );
     });
 }
+
+#[test]
+fn an_unbounded_thread_count_sizes_the_pool_to_the_problem() {
+    with_watchdog("unbounded-threads", Duration::from_secs(300), || {
+        // No phase of the base workload can shard over more than its
+        // largest dimension (9 nodes), so the pool holds 8 workers beside
+        // the caller.
+        let mut engine = Engine::new(base_workload(), pooled_config(usize::MAX));
+        engine.force_pool_dispatch(true);
+        assert_eq!(engine.pool_worker_ids().len(), 8);
+        assert_eq!(engine.effective_workers(), 9);
+        let mut reference = Engine::new(base_workload(), LrgpConfig::default());
+        for k in 0..40 {
+            assert_eq!(
+                reference.step().to_bits(),
+                engine.step().to_bits(),
+                "Threads(usize::MAX) diverged from sequential at step {k}"
+            );
+        }
+        assert!(engine.pool_jobs_completed().iter().sum::<u64>() > 0, "the pool never ran");
+    });
+}

@@ -727,16 +727,6 @@ fn parallel_engine_bit_identical_with_link_prices() {
 }
 
 #[test]
-fn parallel_engine_bit_identical_under_auto() {
-    // Auto may resolve to any worker count (including 1); identity must
-    // hold regardless.
-    let mut rng = StdRng::seed_from_u64(7);
-    let workload = RandomWorkload { flows: 64, consumer_nodes: 16, ..RandomWorkload::default() };
-    let problem = workload.generate(&mut rng);
-    assert_engines_identical(problem, LrgpConfig::default(), Parallelism::Auto, 40);
-}
-
-#[test]
 fn parallel_engine_bit_identical_with_more_workers_than_elements() {
     // Degenerate sharding: more threads than flows/nodes must not change
     // results (each chunk holds at most one element).
@@ -798,14 +788,6 @@ fn incremental_engine_bit_identical_with_link_prices() {
         200,
         Some((120, 0)),
     );
-}
-
-#[test]
-fn incremental_engine_bit_identical_under_auto() {
-    let mut rng = StdRng::seed_from_u64(7);
-    let workload = RandomWorkload { flows: 64, consumer_nodes: 16, ..RandomWorkload::default() };
-    let problem = workload.generate(&mut rng);
-    assert_incremental_identical(problem, LrgpConfig::default(), Parallelism::Auto, 40, None);
 }
 
 #[test]
