@@ -24,7 +24,7 @@ use lrgp_model::workloads::{
     lossy_link_bottleneck_workload, mixed_loss_workload, GENERATOR_RHO_BOUNDS,
 };
 use lrgp_model::{
-    Problem, ProblemBuilder, RateBounds, ReliabilitySpec, RhoBounds, UtilityShape,
+    Problem, ProblemBuilder, ProblemDelta, RateBounds, ReliabilitySpec, RhoBounds, UtilityShape,
 };
 
 struct Run {
@@ -71,15 +71,13 @@ fn pow_lossy_bottleneck(link_capacity: f64, loss: f64) -> Problem {
 
 /// Collapses every flow's ρ range to a point at its current ceiling.
 fn pin_rho_at_max(problem: &Problem) -> Problem {
-    let mut pinned = problem.clone();
+    let mut delta = ProblemDelta::new();
     for flow in problem.flow_ids() {
         let max = problem.rho_bounds(flow).map_or(1.0, |b| b.max);
         let fixed = RhoBounds::fixed(max).expect("generator ceilings are valid ρ values");
-        pinned = pinned
-            .with_rho_bounds(flow, fixed)
-            .expect("pinning ρ on a spec-carrying workload cannot fail");
+        delta = delta.set_rho_bounds(flow, fixed);
     }
-    pinned
+    delta.apply(problem).expect("pinning ρ on a spec-carrying workload cannot fail")
 }
 
 fn main() {

@@ -3,97 +3,23 @@
 //! §2.1 frames LRGP as "running all the time, and responding to changes in
 //! workload and system capacity"; §4.2's Fig. 3 studies one such change
 //! (a departing flow source). This module generalizes that experiment: a
-//! [`Scenario`] is a schedule of [`ProblemChange`]s applied at given
-//! iterations while the engine keeps running, and [`RandomChurn`] generates
-//! such schedules for stress testing.
+//! [`Scenario`] is a schedule of [`DeltaOp`]s applied at given iterations
+//! while the engine keeps running, and [`RandomChurn`] generates such
+//! schedules for stress testing. Any op a [`ProblemDelta`] carries can be
+//! scheduled, flow additions and cost and loss edits included.
 
 use crate::engine::Engine;
-use lrgp_model::{
-    ClassId, DeltaOp, FlowId, NodeId, Problem, ProblemDelta, RateBounds, ValidationError,
-};
+use lrgp_model::{ClassId, DeltaOp, NodeId, Problem, ProblemDelta, ValidationError};
 use lrgp_num::series::TimeSeries;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// One atomic change to the live system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ProblemChange {
-    /// A flow source leaves (Fig. 3): rate to zero, classes shut out, costs
-    /// vanish.
-    RemoveFlow(FlowId),
-    /// A node's capacity changes (hardware re-provisioning, co-tenant
-    /// load).
-    SetNodeCapacity {
-        /// The node to re-provision.
-        node: NodeId,
-        /// New capacity (must be positive and finite).
-        capacity: f64,
-    },
-    /// A class's demand changes (consumers arriving/leaving).
-    SetMaxPopulation {
-        /// The class whose demand changes.
-        class: ClassId,
-        /// New maximum population.
-        max_population: u32,
-    },
-    /// A flow's rate bounds change (producer renegotiates its SLA).
-    SetRateBounds {
-        /// The flow whose bounds change.
-        flow: FlowId,
-        /// The new bounds.
-        bounds: RateBounds,
-    },
-}
-
-impl ProblemChange {
-    /// Applies the change to a problem, producing the modified copy.
-    ///
-    /// This is the pure-transform oracle; live engines apply changes
-    /// through [`Engine::apply_delta`] instead (see [`run_scenario`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates model validation errors (non-positive capacity, invalid
-    /// bounds).
-    #[must_use = "this Result reports a failure the caller must handle"]
-    pub fn apply(&self, problem: &Problem) -> Result<Problem, ValidationError> {
-        match *self {
-            ProblemChange::RemoveFlow(flow) => Ok(problem.without_flow(flow)),
-            ProblemChange::SetNodeCapacity { node, capacity } => {
-                problem.with_node_capacity(node, capacity)
-            }
-            ProblemChange::SetMaxPopulation { class, max_population } => {
-                Ok(problem.with_max_population(class, max_population))
-            }
-            ProblemChange::SetRateBounds { flow, bounds } => {
-                problem.with_rate_bounds(flow, bounds)
-            }
-        }
-    }
-
-    /// The equivalent first-class delta op.
-    pub fn to_delta_op(&self) -> DeltaOp {
-        match *self {
-            ProblemChange::RemoveFlow(flow) => DeltaOp::RemoveFlow { flow },
-            ProblemChange::SetNodeCapacity { node, capacity } => {
-                DeltaOp::SetNodeCapacity { node, capacity }
-            }
-            ProblemChange::SetMaxPopulation { class, max_population } => {
-                DeltaOp::SetMaxPopulation { class, max_population }
-            }
-            ProblemChange::SetRateBounds { flow, bounds } => {
-                DeltaOp::SetRateBounds { flow, bounds }
-            }
-        }
-    }
-}
-
 /// A schedule of changes, each firing after a given number of engine
 /// iterations.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Scenario {
-    events: Vec<(usize, ProblemChange)>,
+    events: Vec<(usize, DeltaOp)>,
 }
 
 impl Scenario {
@@ -102,17 +28,18 @@ impl Scenario {
         Self::default()
     }
 
-    /// Schedules `change` to fire *before* iteration `iteration`
-    /// (0-based: `at(0, ..)` applies before the first step). Returns `self`
-    /// for chaining.
-    pub fn at(mut self, iteration: usize, change: ProblemChange) -> Self {
-        self.events.push((iteration, change));
+    /// Schedules `op` to fire *before* iteration `iteration` (0-based:
+    /// `at(0, ..)` applies before the first step). Ops due at the same
+    /// iteration keep the order they were scheduled in. Returns `self` for
+    /// chaining.
+    pub fn at(mut self, iteration: usize, op: DeltaOp) -> Self {
+        self.events.push((iteration, op));
         self.events.sort_by_key(|(k, _)| *k);
         self
     }
 
     /// The scheduled events, sorted by iteration.
-    pub fn events(&self) -> &[(usize, ProblemChange)] {
+    pub fn events(&self) -> &[(usize, DeltaOp)] {
         &self.events
     }
 
@@ -162,9 +89,9 @@ pub fn run_scenario(
     let mut worst_drop = 0.0f64;
     for k in 0..iterations {
         let mut delta = ProblemDelta::new();
-        while let Some(&&(at, change)) = pending.peek() {
-            if at <= k {
-                delta.push(change.to_delta_op());
+        while let Some((at, op)) = pending.peek() {
+            if *at <= k {
+                delta.push(op.clone());
                 change_points.push(start + k);
                 pending.next();
             } else {
@@ -229,22 +156,19 @@ impl RandomChurn {
                 (false, true) => false,
                 (false, false) => unreachable!(),
             };
-            let change = if pick_capacity {
+            let op = if pick_capacity {
                 let node = NodeId::new(rng.gen_range(0..problem.num_nodes() as u32));
                 let factor = rng.gen_range(0.5..=1.5);
-                ProblemChange::SetNodeCapacity {
-                    node,
-                    capacity: problem.node(node).capacity * factor,
-                }
+                DeltaOp::SetNodeCapacity { node, capacity: problem.node(node).capacity * factor }
             } else {
                 let class = ClassId::new(rng.gen_range(0..problem.num_classes() as u32));
                 let current = problem.class(class).max_population;
-                ProblemChange::SetMaxPopulation {
+                DeltaOp::SetMaxPopulation {
                     class,
                     max_population: rng.gen_range(0..=current.saturating_mul(2).max(1)),
                 }
             };
-            scenario = scenario.at(at, change);
+            scenario = scenario.at(at, op);
         }
         scenario
     }
@@ -255,6 +179,7 @@ mod tests {
     use super::*;
     use crate::engine::LrgpConfig;
     use lrgp_model::workloads::base_workload;
+    use lrgp_model::{FlowId, RateBounds};
 
     #[test]
     fn empty_scenario_is_a_plain_run() {
@@ -267,7 +192,7 @@ mod tests {
 
     #[test]
     fn remove_flow_scenario_matches_manual_removal() {
-        let scenario = Scenario::new().at(20, ProblemChange::RemoveFlow(FlowId::new(5)));
+        let scenario = Scenario::new().at(20, DeltaOp::RemoveFlow { flow: FlowId::new(5) });
         let mut e = Engine::new(base_workload(), LrgpConfig::default());
         let out = run_scenario(&mut e, &scenario, 60).unwrap();
         assert_eq!(out.change_points, vec![20]);
@@ -283,7 +208,7 @@ mod tests {
     #[test]
     fn capacity_cut_reduces_utility_and_stays_feasible() {
         let scenario = Scenario::new()
-            .at(30, ProblemChange::SetNodeCapacity { node: NodeId::new(0), capacity: 3e5 });
+            .at(30, DeltaOp::SetNodeCapacity { node: NodeId::new(0), capacity: 3e5 });
         let mut e = Engine::new(base_workload(), LrgpConfig::default());
         let before = {
             let mut probe = Engine::new(base_workload(), LrgpConfig::default());
@@ -299,7 +224,7 @@ mod tests {
         // Double the rank-100 class's demand at iteration 50.
         let scenario = Scenario::new().at(
             50,
-            ProblemChange::SetMaxPopulation { class: ClassId::new(18), max_population: 3000 },
+            DeltaOp::SetMaxPopulation { class: ClassId::new(18), max_population: 3000 },
         );
         let baseline = {
             let mut e = Engine::new(base_workload(), LrgpConfig::default());
@@ -318,7 +243,7 @@ mod tests {
     fn rate_bound_tightening_is_enforced() {
         let nb = RateBounds { min: 10.0, max: 20.0 };
         let scenario = Scenario::new()
-            .at(10, ProblemChange::SetRateBounds { flow: FlowId::new(0), bounds: nb });
+            .at(10, DeltaOp::SetRateBounds { flow: FlowId::new(0), bounds: nb });
         let mut e = Engine::new(base_workload(), LrgpConfig::default());
         run_scenario(&mut e, &scenario, 50).unwrap();
         let r = e.allocation().rate(FlowId::new(0));
@@ -328,7 +253,7 @@ mod tests {
     #[test]
     fn invalid_change_propagates_error() {
         let scenario = Scenario::new()
-            .at(5, ProblemChange::SetNodeCapacity { node: NodeId::new(0), capacity: -1.0 });
+            .at(5, DeltaOp::SetNodeCapacity { node: NodeId::new(0), capacity: -1.0 });
         let mut e = Engine::new(base_workload(), LrgpConfig::default());
         assert!(run_scenario(&mut e, &scenario, 10).is_err());
     }
@@ -336,9 +261,9 @@ mod tests {
     #[test]
     fn scenario_events_sorted_and_multiple_at_same_iteration() {
         let s = Scenario::new()
-            .at(30, ProblemChange::RemoveFlow(FlowId::new(1)))
-            .at(10, ProblemChange::RemoveFlow(FlowId::new(0)))
-            .at(10, ProblemChange::RemoveFlow(FlowId::new(2)));
+            .at(30, DeltaOp::RemoveFlow { flow: FlowId::new(1) })
+            .at(10, DeltaOp::RemoveFlow { flow: FlowId::new(0) })
+            .at(10, DeltaOp::RemoveFlow { flow: FlowId::new(2) });
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
         assert_eq!(s.events()[0].0, 10);

@@ -154,8 +154,9 @@ pub struct Engine {
     problem: Arc<Problem>,
     config: LrgpConfig,
     /// The persistent worker pool (empty handle under
-    /// [`Parallelism::Sequential`]). Workers are spawned once here and
-    /// parked between steps; cloning the engine respawns a same-sized pool.
+    /// [`Parallelism::Sequential`]). Workers are spawned in `new`, and
+    /// again when a delta grows the problem, and park between steps;
+    /// cloning the engine respawns a same-sized pool.
     pool: PoolHandle,
     rates: Vec<f64>,
     /// Per-flow delivery reliabilities ρ. Pinned at each flow's `ρ_max`
@@ -251,10 +252,13 @@ impl Engine {
         self.state.as_ref()
     }
 
-    /// Worker count the configured [`Parallelism`] resolves to for this
-    /// problem's size (1 means the sequential path).
+    /// Execution contexts the engine's worker pool provides: its workers
+    /// plus the caller (1 means the sequential path). The pool is sized to
+    /// what the configured [`Parallelism`] resolves to for the problem's
+    /// largest dimension, at construction and again whenever a delta grows
+    /// the problem.
     pub fn effective_workers(&self) -> usize {
-        self.config.parallelism.workers_for(max_units(&self.problem))
+        self.pool.get().map_or(1, |pool| pool.workers() + 1)
     }
 
     /// Forces (or un-forces) the worker pool to dispatch shards even on a
@@ -410,19 +414,18 @@ impl Engine {
     pub(crate) fn load_state(
         &mut self,
         rates: Vec<f64>,
+        rhos: Vec<f64>,
         populations: Vec<f64>,
         prices: PriceVector,
         gamma_controllers: Vec<GammaController>,
         iteration: usize,
     ) {
         self.rates = rates;
+        self.rhos = rhos;
         self.populations = populations;
         self.prices = prices;
         self.gamma_controllers = gamma_controllers;
         self.iteration = iteration;
-        // Snapshots predate the reliability dimension and do not carry ρ;
-        // restore the deterministic initial vector.
-        self.rhos = initial_rhos(&self.problem);
         // The caches no longer describe the stored state; rebuild from
         // scratch on the next step.
         self.state = None;
@@ -462,12 +465,14 @@ impl Engine {
     /// scalar edit, `O(|B_i| + |L_i| + |C_i|)` per removal. A clone shares
     /// its problem with the engine it came from until one of them applies a
     /// delta, so a clone's first delta copies the problem once. A flow
-    /// addition still derives every index of the problem again.
+    /// addition still derives every index of the problem again, and
+    /// re-sizes the worker pool for the grown problem as [`Engine::new`]
+    /// sizes it.
     ///
     /// # Errors
     ///
-    /// Whatever [`ProblemDelta::apply`] reports; on error the engine is
-    /// unchanged.
+    /// Whatever [`ProblemDelta::apply_in_place`] reports; on error the
+    /// engine is unchanged.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub fn apply_delta(&mut self, delta: &ProblemDelta) -> Result<(), ValidationError> {
         if delta.is_empty() {
@@ -476,6 +481,10 @@ impl Engine {
         let flows_before = self.problem.num_flows();
         delta.apply_in_place(Arc::make_mut(&mut self.problem))?;
         let problem = Arc::clone(&self.problem);
+        if delta.grows_problem() {
+            // Size the pool for the grown problem, as `new` would.
+            self.pool.resize(self.config.parallelism.workers_for(max_units(&problem)));
+        }
         if self.iteration == 0 {
             // Nothing has run: re-derive the initial state from the changed
             // problem, as a fresh construction would.
@@ -610,11 +619,11 @@ impl Engine {
 
     /// Replaces the problem mid-run, preserving prices, rates, populations,
     /// γ controllers and the trace. The new problem must have identical
-    /// dimensions (same id spaces) — use the [`Problem::without_flow`] /
-    /// capacity-editing transforms, which keep ids stable. This is the
-    /// wholesale escape hatch (and the oracle [`Engine::apply_delta`] is
-    /// checked against); deltas should prefer `apply_delta`, which keeps
-    /// the incremental caches alive where it can.
+    /// dimensions (same id spaces), as [`ProblemDelta::apply`] leaves them
+    /// for every op but a flow addition. This is the wholesale escape hatch
+    /// (and the oracle [`Engine::apply_delta`] is checked against); deltas
+    /// should prefer `apply_delta`, which keeps the incremental caches alive
+    /// where it can.
     ///
     /// # Panics
     ///
@@ -945,33 +954,24 @@ mod tests {
     #[test]
     fn failed_delta_leaves_engine_unchanged() {
         // The first batch fails after a removal, an `F_{b,i}` edit and a
-        // resize, which must be undone. The second is a valid flow addition
-        // on a problem whose existing utilities `build` refuses
-        // (`with_utilities` skips validation).
+        // resize, which must be undone. The second adds a flow whose class
+        // sits on a node the flow does not reach.
         let p = base_workload();
         let sink = p.nodes_of_flow(FlowId::new(3))[0].0;
-        let nan_weights =
-            p.with_utilities(|w| lrgp_model::Utility::log(if w == 1.0 { f64::NAN } else { w }));
+        let flow = p.flow(FlowId::new(0)).clone();
+        let mut class = p.class(ClassId::new(0)).clone();
+        class.node = p.node_ids().find(|n| flow.node_costs.iter().all(|(m, _)| m != n)).unwrap();
         let cases = [
-            (
-                p.clone(),
-                ProblemDelta::new()
-                    .remove_flow(FlowId::new(1))
-                    .set_flow_node_cost(FlowId::new(3), sink, 0.5)
-                    .resize_class(ClassId::new(2), 1)
-                    .set_node_capacity(NodeId::new(999), 1.0),
-            ),
-            (
-                nan_weights,
-                ProblemDelta::new().add_flow(
-                    p.flow(FlowId::new(0)).clone(),
-                    vec![p.class(ClassId::new(0)).clone()],
-                ),
-            ),
+            ProblemDelta::new()
+                .remove_flow(FlowId::new(1))
+                .set_flow_node_cost(FlowId::new(3), sink, 0.5)
+                .resize_class(ClassId::new(2), 1)
+                .set_node_capacity(NodeId::new(999), 1.0),
+            ProblemDelta::new().add_flow(flow, vec![class]),
         ];
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (problem, bad) in cases {
-            let mut e = Engine::new(problem, LrgpConfig::default());
+        for bad in cases {
+            let mut e = Engine::new(p.clone(), LrgpConfig::default());
             e.run(40);
             let mut untouched = e.clone();
             assert!(e.apply_delta(&bad).is_err());

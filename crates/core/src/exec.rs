@@ -1,6 +1,6 @@
 //! The dirty-set step executor shared by every engine configuration.
 //!
-//! [`StepState`] runs one LRGP iteration over the engine's state. It is the
+//! `StepState` runs one LRGP iteration over the engine's state. It is the
 //! **only** solve loop in the crate: a full recompute is simply the
 //! all-dirty special case (the engine marks everything dirty first under
 //! [`IncrementalMode::Off`](crate::IncrementalMode::Off)), and the
@@ -62,10 +62,10 @@
 //! # State layout and the pooled handoff
 //!
 //! The hot per-node admission state is stored **struct-of-arrays**
-//! ([`NodeTable`]): the Eq. 12 inputs `used` and `BC` live in two dense
+//! (`NodeTable`): the Eq. 12 inputs `used` and `BC` live in two dense
 //! `Vec<f64>`s read linearly by the always-runs price loop, while the
 //! bulky per-node scratch (the sorted BC order and population decisions)
-//! lives in a parallel vector of [`AdmissionOrder`] slots, each behind a
+//! lives in a parallel vector of `AdmissionOrder` slots, each behind a
 //! `Mutex` so pooled workers can re-admit disjoint shards concurrently
 //! (each node belongs to exactly one shard, so the locks are uncontended;
 //! the sequential path bypasses them with `Mutex::get_mut`).
@@ -1146,8 +1146,7 @@ mod tests {
             reliability: Reliability::Joint,
             ..incremental_config()
         };
-        let problem =
-            mixed_loss_workload(6, 100.0, 7).with_utilities(|w| UtilityShape::Pow75.build(w));
+        let problem = mixed_loss_workload(6, 100.0, 7).with_utility_shape(UtilityShape::Pow75);
         let start = |p: &lrgp_model::Problem| {
             let mut engine = Engine::new(p.clone(), config);
             engine.run(150);

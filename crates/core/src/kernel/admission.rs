@@ -380,38 +380,57 @@ mod tests {
 
     #[test]
     fn nan_benefit_cost_is_handled_totally_and_deterministically() {
-        // A NaN utility weight drives BC to NaN while every cost stays
-        // finite. The old `partial_cmp(..).unwrap_or(Equal)` comparator was
+        // Valid input can drive BC to NaN: a `Linear` weight of 1e300 at rate
+        // 1e10 makes `U = ∞`, and `G = 1e300` makes `G·r = ∞`, so BC is
+        // ∞/∞. The old `partial_cmp(..).unwrap_or(Equal)` comparator was
         // *inconsistent* on such input (NaN "equal" to everything while real
         // ratios still ordered), leaving the sort order unspecified;
         // `total_cmp` keeps the order total, so the allocation must be
         // deterministic and must not panic.
         let cap = 30.0 * 1900.0;
-        let (p, rates) = one_node(cap, 0.0, &[(20, 1.0, 19.0), (20, 50.0, 19.0)]);
-        // `build` refuses a NaN weight, so it goes in afterwards, as
-        // `Problem::with_utilities` allows.
-        let p = p.with_utilities(|rank| Utility::log(if rank == 1.0 { f64::NAN } else { rank }));
-        assert!(benefit_cost(&p, ClassId::new(0), 100.0).is_nan());
-        let run = || {
-            allocate_consumers(
-                &p,
-                NodeId::new(0),
-                &rates,
-                PopulationMode::Integral,
-                AdmissionPolicy::StopAtFirstBlock,
-            )
+        let mut b = ProblemBuilder::new();
+        let sink = b.add_node(cap);
+        let (src0, src1) = (b.add_node(1e12), b.add_node(1e12));
+        let degenerate = b.add_flow(src0, RateBounds::new(0.0, 1e10).unwrap());
+        let finite = b.add_flow(src1, RateBounds::new(0.0, 1000.0).unwrap());
+        b.set_node_cost(degenerate, sink, 0.0);
+        b.set_node_cost(finite, sink, 0.0);
+        b.add_class(degenerate, sink, 20, Utility::linear(1e300), 1e300);
+        b.add_class(finite, sink, 20, Utility::log(50.0), 19.0);
+        let p = b.build().unwrap();
+        let rates = [1e10, 100.0];
+        let nan = benefit_cost(&p, ClassId::new(0), rates[0]);
+        assert!(nan.is_nan());
+        let finite_bc = benefit_cost(&p, ClassId::new(1), rates[1]);
+        let run = |policy| allocate_consumers(&p, sink, &rates, PopulationMode::Integral, policy);
+        // The degenerate class cannot afford one consumer (`G·r = ∞`).
+        // Under the total order a NaN ranks by its sign bit, above every
+        // real ratio when positive and below when negative, and which sign
+        // ∞/∞ takes is the hardware's choice. Ranked first, the degenerate
+        // class halts the paper's greedy before the finite one; ranked
+        // last, the finite class saturates (20 consumers) first. Eq. 11's
+        // max ignores NaN either way. (`used` reads NaN here: the blocked
+        // class adds `0 · ∞` to it.)
+        let stop = if nan.is_sign_positive() {
+            (vec![0.0, 0.0], finite_bc)
+        } else {
+            (vec![0.0, 20.0], 0.0)
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "NaN BC must not make the order unspecified");
-        // Under the total order NaN sorts above every real ratio, so the
-        // degenerate class saturates first (20 consumers) and the finite one
-        // takes the remaining 10 slots.
-        assert_eq!(pops(&a), vec![20.0, 10.0]);
-        assert!((a.used - cap).abs() < 1e-9);
-        // Eq. 11's max ignores NaN: the node BC is the finite class's ratio.
-        let expected_bc = benefit_cost(&p, ClassId::new(1), 100.0);
-        assert_eq!(a.benefit_cost.to_bits(), expected_bc.to_bits());
+        // First-fit decreasing skips the blocked class in either order.
+        let skip = (vec![0.0, 20.0], 0.0);
+        for (policy, (populations, bc)) in [
+            (AdmissionPolicy::StopAtFirstBlock, stop),
+            (AdmissionPolicy::FirstFitDecreasing, skip),
+        ] {
+            let a = run(policy);
+            assert_eq!(
+                format!("{a:?}"),
+                format!("{:?}", run(policy)),
+                "NaN BC must not make the order unspecified"
+            );
+            assert_eq!(pops(&a), populations, "{policy:?}");
+            assert_eq!(a.benefit_cost.to_bits(), f64::to_bits(bc), "{policy:?}");
+        }
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub fn update_link_price(current: f64, usage: f64, capacity: f64, gamma: f64) ->
 
 /// The complete price state of the system: one price per node and per link.
 ///
-/// Prices are always nonnegative; the update rules in [`update_node_price`](crate::kernel::price::update_node_price)
+/// Prices are always nonnegative; the update rules in [`update_node_price`]
 /// project onto `[0, ∞)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PriceVector {

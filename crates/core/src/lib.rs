@@ -98,7 +98,7 @@ pub mod snapshot;
 pub mod trace;
 pub mod two_stage;
 
-pub use dynamics::{run_scenario, ProblemChange, RandomChurn, Scenario, ScenarioOutcome};
+pub use dynamics::{run_scenario, RandomChurn, Scenario, ScenarioOutcome};
 pub use enactment::{EnactmentPolicy, Enactor};
 pub use engine::{Engine, InitialRate, LrgpConfig, RunOutcome};
 pub use gamma::{AdaptiveGammaConfig, GammaController, GammaMode};

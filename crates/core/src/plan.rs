@@ -7,7 +7,7 @@
 //! * [`Parallelism`] — whether each phase shards its work over the engine's
 //!   persistent worker pool ([`crate::pool`]), and over how many workers;
 //! * [`IncrementalMode`] — whether the step recomputes everything or only
-//!   the dirty subset tracked by [`crate::exec::StepState`];
+//!   the dirty subset tracked by the executor ([`crate::exec`]);
 //! * [`Reliability`] — whether the step also solves each flow's
 //!   delivery-reliability variable ρ against the link prices
 //!   ([`crate::kernel::reliability`]) or runs the classic rate-only
@@ -74,8 +74,9 @@ pub enum Parallelism {
     /// Shard each phase over exactly this many execution contexts — the
     /// calling thread plus `n − 1` pooled workers (values are clamped to at
     /// least 1 and at most one context per element). The engine sizes its
-    /// pool once, for the problem's largest dimension, so a count beyond
-    /// it spawns no idle workers.
+    /// pool for the problem's largest dimension, at construction and again
+    /// when a delta grows the problem, so a count beyond it spawns no idle
+    /// workers.
     Threads(usize),
 }
 

@@ -58,7 +58,7 @@
 //! the shards on parked workers or inline on the caller is bit-identical
 //! by construction. The pool dispatches to its workers only when the
 //! hardware actually offers a second execution context
-//! ([`hardware_threads`], resolved once per process); on a single-core host
+//! (`hardware_threads`, resolved once per process); on a single-core host
 //! every shard runs inline, which is the fastest valid schedule there.
 //! Tests force cross-thread dispatch
 //! through [`Engine::force_pool_dispatch`](crate::Engine::force_pool_dispatch)
@@ -668,6 +668,23 @@ impl PoolHandle {
     /// The pool, if one exists.
     pub(crate) fn get(&self) -> Option<&WorkerPool> {
         self.pool.as_ref()
+    }
+
+    /// Re-sizes the pool for `max_concurrency` contexts, as
+    /// [`Self::for_concurrency`] sizes a new one, unless it already holds
+    /// that many workers. The old workers are joined first; the test force
+    /// flag carries over.
+    pub(crate) fn resize(&mut self, max_concurrency: usize) {
+        let workers = max_concurrency.saturating_sub(1);
+        if self.pool.as_ref().map_or(0, WorkerPool::workers) == workers {
+            return;
+        }
+        let old = self.pool.take();
+        let force = old.is_some_and(|p| p.shared.force_dispatch.load(Ordering::Relaxed));
+        *self = Self::for_concurrency(max_concurrency);
+        if let Some(pool) = &self.pool {
+            pool.set_force_dispatch(force);
+        }
     }
 }
 

@@ -3,9 +3,10 @@
 //! LRGP "is running all the time" (§2.1); an operator restarting a broker's
 //! control plane should not have to re-converge from scratch. An
 //! [`EngineSnapshot`] captures the engine's optimizer state — rates,
-//! populations, prices, and the per-node γ controllers — and restores an
-//! engine that continues *exactly* where the original left off (traces are
-//! not part of the snapshot; a restored engine starts a fresh trace).
+//! reliabilities ρ, populations, prices, and the per-node γ controllers —
+//! and restores an engine that continues *exactly* where the original left
+//! off (traces are not part of the snapshot; a restored engine starts a
+//! fresh trace).
 
 use crate::engine::{LrgpConfig, Engine};
 use crate::gamma::GammaController;
@@ -20,6 +21,10 @@ pub struct EngineSnapshot {
     pub config: LrgpConfig,
     /// Flow rates.
     pub rates: Vec<f64>,
+    /// Per-flow delivery reliabilities ρ. Snapshots written before ρ was
+    /// captured load with an empty vector, and restore the initial ρ.
+    #[serde(default)]
+    pub rhos: Vec<f64>,
     /// Class populations.
     pub populations: Vec<f64>,
     /// Node and link prices.
@@ -36,6 +41,7 @@ impl Engine {
         EngineSnapshot {
             config: *self.config(),
             rates: self.allocation().rates().to_vec(),
+            rhos: self.rhos().to_vec(),
             populations: self.allocation().populations().to_vec(),
             prices: self.prices().clone(),
             gamma_controllers: self.gamma_controllers().to_vec(),
@@ -46,13 +52,19 @@ impl Engine {
     /// Rebuilds an engine from a snapshot over `problem`.
     ///
     /// The problem must have the same dimensions as the one the snapshot
-    /// was taken from (the usual id-stable transforms are fine).
+    /// was taken from (any delta that keeps the id space is fine). A
+    /// snapshot without ρ restores each flow's initial ρ, as
+    /// [`Engine::new`] sets it.
     ///
     /// # Panics
     ///
     /// Panics on any dimension mismatch.
     pub fn restore(problem: Problem, snapshot: EngineSnapshot) -> Engine {
         assert_eq!(snapshot.rates.len(), problem.num_flows(), "flow count mismatch");
+        assert!(
+            snapshot.rhos.is_empty() || snapshot.rhos.len() == problem.num_flows(),
+            "reliability count mismatch"
+        );
         assert_eq!(snapshot.populations.len(), problem.num_classes(), "class count mismatch");
         assert_eq!(
             snapshot.prices.node_prices().len(),
@@ -70,8 +82,11 @@ impl Engine {
             "controller count mismatch"
         );
         let mut engine = Engine::new(problem, snapshot.config);
+        let rhos =
+            if snapshot.rhos.is_empty() { engine.rhos().to_vec() } else { snapshot.rhos };
         engine.load_state(
             snapshot.rates,
+            rhos,
             snapshot.populations,
             snapshot.prices,
             snapshot.gamma_controllers,
@@ -84,7 +99,9 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrgp_model::workloads::base_workload;
+    use crate::plan::Reliability;
+    use lrgp_model::workloads::{base_workload, mixed_loss_workload};
+    use lrgp_model::UtilityShape;
 
     #[test]
     fn snapshot_restore_resumes_bit_identically() {
@@ -118,6 +135,44 @@ mod tests {
         let mut a = Engine::restore(base_workload(), snap);
         let mut b = Engine::restore(base_workload(), back);
         assert_eq!(a.step(), b.step());
+    }
+
+    #[test]
+    fn snapshot_restores_rho_under_joint_reliability() {
+        // Power utilities and tight links keep ρ interior, so a restore
+        // that fell back to the initial ρ would read a different
+        // reliability utility and step differently.
+        let problem = mixed_loss_workload(6, 100.0, 7).with_utility_shape(UtilityShape::Pow75);
+        let config = LrgpConfig { reliability: Reliability::Joint, ..LrgpConfig::default() };
+        let mut original = Engine::new(problem.clone(), config);
+        original.run(150);
+        let snap = original.snapshot();
+        let bits = |e: &Engine| e.rhos().iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        let initial = Engine::new(problem.clone(), config);
+        assert_ne!(bits(&original), bits(&initial), "ρ must have left its start");
+
+        let json = serde_json::to_string(&snap).expect("snapshot serializes");
+        let back: EngineSnapshot = serde_json::from_str(&json).expect("snapshot deserializes");
+        let mut restored = Engine::restore(problem.clone(), back);
+        assert_eq!(bits(&restored), bits(&original));
+        assert_eq!(
+            restored.reliability_utility().to_bits(),
+            original.reliability_utility().to_bits()
+        );
+        for k in 0..80 {
+            let (a, b) = (original.step(), restored.step());
+            assert_eq!(a.to_bits(), b.to_bits(), "diverged at continued step {k}");
+        }
+        assert_eq!(bits(&restored), bits(&original));
+
+        // A snapshot written before ρ was captured still loads, and starts
+        // from the initial ρ.
+        let start = json.find(r#""rhos":["#).expect("the snapshot carries the key");
+        let end = start + json[start..].find("],").expect("ρ is a flat list") + 2;
+        let old = format!("{}{}", &json[..start], &json[end..]);
+        let old: EngineSnapshot = serde_json::from_str(&old).expect("old snapshot loads");
+        assert!(old.rhos.is_empty());
+        assert_eq!(bits(&Engine::restore(problem, old)), bits(&initial));
     }
 
     #[test]

@@ -40,9 +40,8 @@ impl TwoStageOutcome {
 
 /// Builds the stage-two pruning delta: one zero-cost op per (flow, node)
 /// branch that carries a positive `F` cost but admitted no consumers in
-/// stage one (the flow's source always carries it). Applying the delta is
-/// bit-identical to [`Problem::prune_unused_paths`] on the same
-/// populations, and its length is the pruned-branch count.
+/// stage one (the flow's source always carries it). Its length is the
+/// pruned-branch count.
 fn pruning_delta(problem: &Problem, populations: &[f64]) -> ProblemDelta {
     let mut delta = ProblemDelta::new();
     for flow in problem.flow_ids() {
@@ -65,10 +64,11 @@ fn pruning_delta(problem: &Problem, populations: &[f64]) -> ProblemDelta {
 
 /// Runs the two-stage solve: converge, prune empty branches, re-converge.
 ///
-/// The pruning is expressed as a [`ProblemDelta`] of zero-cost ops (see
-/// [`pruning_delta`]). Each stage gets its own fresh engine (prices
-/// restart; the pruned problem has a different cost structure, so stale
-/// prices would mislead more than help).
+/// The pruning is expressed as a [`ProblemDelta`] of zero-cost ops on every
+/// (flow, node) branch with a positive `F` cost whose classes all ended
+/// stage one empty, the flow's source excepted. Each stage gets its own
+/// fresh engine (prices restart; the pruned problem has a different cost
+/// structure, so stale prices would mislead more than help).
 pub fn two_stage_solve(
     problem: &Problem,
     config: LrgpConfig,
@@ -80,13 +80,10 @@ pub fn two_stage_solve(
 
     let delta = pruning_delta(problem, stage1_allocation.populations());
     let pruned_branches = delta.len();
-    let pruned = match delta.apply(problem) {
-        Ok(p) => p,
-        // Unreachable — every op targets an existing cost entry with a
-        // valid cost — but fall back to the equivalent transform rather
-        // than panic in library code.
-        Err(_) => problem.prune_unused_paths(stage1_allocation.populations()),
-    };
+    // Every op targets an existing cost entry with a valid cost, so the
+    // delta applies; were it refused, stage two would re-solve the unpruned
+    // problem rather than panic in library code.
+    let pruned = delta.apply(problem).unwrap_or_else(|_| problem.clone());
 
     let mut stage2_engine = Engine::new(pruned, config);
     let stage2 = stage2_engine.run_until_converged(max_iterations);
@@ -99,7 +96,30 @@ pub fn two_stage_solve(
 mod tests {
     use super::*;
     use lrgp_model::workloads::base_workload;
-    use lrgp_model::{ProblemBuilder, RateBounds, Utility};
+    use lrgp_model::{ClassId, ProblemBuilder, RateBounds, Utility};
+
+    /// Test-local reference for the stage-two pruning: zero the `F_{b,i}`
+    /// coefficient of every (flow, node) pair at which *all* of the flow's
+    /// classes have zero population (the source always carries the flow).
+    /// It reloads the problem into a `ProblemBuilder` and rebuilds it, so it
+    /// shares no code with [`pruning_delta`] or the delta path.
+    fn reference_pruning(problem: &Problem, populations: &[f64]) -> Problem {
+        assert_eq!(populations.len(), problem.num_classes());
+        let json = serde_json::to_string(problem).expect("a problem serializes");
+        let mut b: ProblemBuilder = serde_json::from_str(&json).expect("and reloads");
+        for flow in problem.flow_ids() {
+            let source = problem.flow(flow).source;
+            for &(node, _) in problem.nodes_of_flow(flow) {
+                let any_live = problem.classes_of_flow(flow).iter().any(|&c| {
+                    problem.class(c).node == node && populations[c.index()] > 0.0
+                });
+                if node != source && !any_live {
+                    b.set_node_cost(flow, node, 0.0);
+                }
+            }
+        }
+        b.build().expect("zeroing costs keeps a problem valid")
+    }
 
     #[test]
     fn two_stage_on_base_workload_never_hurts_much() {
@@ -157,19 +177,29 @@ mod tests {
         let delta = pruning_delta(&p, &vec![0.0; p.num_classes()]);
         // 6 flows × 2 c-nodes each.
         assert_eq!(delta.len(), 12);
-        // Applying the delta matches the wholesale transform bitwise.
+        // Applying the delta matches the reference bitwise.
         let via_delta = delta.apply(&p).unwrap();
-        let via_transform = p.prune_unused_paths(&vec![0.0; p.num_classes()]);
-        assert_eq!(via_delta, via_transform);
+        let via_reference = reference_pruning(&p, &vec![0.0; p.num_classes()]);
+        assert_eq!(format!("{via_delta:?}"), format!("{via_reference:?}"));
         // Re-pruning the already-pruned problem finds nothing.
         assert!(pruning_delta(&via_delta, &vec![0.0; p.num_classes()]).is_empty());
+        // A live class keeps its branch: class 0 (flow 0 at its first
+        // consumer node) admitted someone, every other branch is dead.
+        let mut live = vec![0.0; p.num_classes()];
+        live[0] = 10.0;
+        let delta = pruning_delta(&p, &live);
+        assert_eq!(delta.len(), 11);
+        let pruned = delta.apply(&p).unwrap();
+        let class = p.class(ClassId::new(0));
+        assert_eq!(pruned.flow_node_cost(class.node, class.flow), 3.0);
+        assert_eq!(format!("{pruned:?}"), format!("{:?}", reference_pruning(&p, &live)));
     }
 
     #[test]
     fn delta_pruning_reproduces_the_legacy_outcome_bitwise() {
         // Regression pin: stage two built from the pruning delta must be
         // indistinguishable from the original construction (stage-one
-        // engine, `prune_unused_paths`, fresh stage-two engine).
+        // engine, the reference pruning, fresh stage-two engine).
         let p = base_workload();
         let config = LrgpConfig::default();
         let out = two_stage_solve(&p, config, 400);
@@ -177,7 +207,7 @@ mod tests {
         let mut s1 = Engine::new(p.clone(), config);
         let stage1 = s1.run_until_converged(400);
         let alloc = s1.allocation();
-        let pruned = p.prune_unused_paths(alloc.populations());
+        let pruned = reference_pruning(&p, alloc.populations());
         let mut s2 = Engine::new(pruned, config);
         let stage2 = s2.run_until_converged(400);
 

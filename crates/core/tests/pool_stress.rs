@@ -16,6 +16,7 @@
 
 use lrgp::{Engine, LrgpConfig, Parallelism};
 use lrgp_model::workloads::base_workload;
+use lrgp_model::{FlowId, ProblemDelta};
 use std::collections::HashSet;
 use std::sync::mpsc;
 use std::thread;
@@ -188,6 +189,44 @@ fn an_unbounded_thread_count_sizes_the_pool_to_the_problem() {
                 reference.step().to_bits(),
                 engine.step().to_bits(),
                 "Threads(usize::MAX) diverged from sequential at step {k}"
+            );
+        }
+        assert!(engine.pool_jobs_completed().iter().sum::<u64>() > 0, "the pool never ran");
+    });
+}
+
+#[test]
+fn a_growing_delta_resizes_the_pool_to_the_grown_problem() {
+    with_watchdog("growing-delta", Duration::from_secs(300), || {
+        // The base workload's largest dimension is its 9 nodes, so
+        // `Threads(64)` starts with 8 workers beside the caller. Forty flow
+        // additions make flows the largest dimension (46), and the pool
+        // must follow, as a fresh engine on the grown problem would size it.
+        let problem = base_workload();
+        let mut grow = ProblemDelta::new();
+        for f in 0..40 {
+            let template = FlowId::new(f % problem.num_flows() as u32);
+            let classes =
+                problem.classes_of_flow(template).iter().map(|&c| problem.class(c).clone());
+            grow = grow.add_flow(problem.flow(template).clone(), classes.collect());
+        }
+        let mut engine = Engine::new(problem.clone(), pooled_config(64));
+        engine.force_pool_dispatch(true);
+        let mut reference = Engine::new(problem, LrgpConfig::default());
+        assert_eq!(engine.effective_workers(), 9);
+        assert_eq!(engine.pool_worker_ids().len(), 8);
+        engine.run(10);
+        reference.run(10);
+        engine.apply_delta(&grow).expect("copies of existing flows are valid");
+        reference.apply_delta(&grow).expect("copies of existing flows are valid");
+        assert_eq!(engine.problem().num_flows(), 46);
+        assert_eq!(engine.effective_workers(), 46);
+        assert_eq!(engine.pool_worker_ids().len() + 1, 46);
+        for k in 0..40 {
+            assert_eq!(
+                reference.step().to_bits(),
+                engine.step().to_bits(),
+                "the grown Threads(64) engine diverged from sequential at step {k}"
             );
         }
         assert!(engine.pool_jobs_completed().iter().sum::<u64>() > 0, "the pool never ran");

@@ -1,18 +1,21 @@
-//! First-class, batched problem changes.
+//! First-class, batched problem changes: the one way to change a
+//! [`Problem`].
 //!
-//! Heavy-churn deployments (the ROADMAP's north star) change the problem
-//! constantly: consumers arrive and depart, producers join and leave, and
-//! operators resize brokers. A [`ProblemDelta`] describes such a change as
-//! data — an ordered batch of [`DeltaOp`]s — so it can be validated, logged,
-//! shipped across a control plane, and applied atomically, instead of being
-//! scattered across ad-hoc `Problem::without_flow`-style call sites.
+//! LRGP runs all the time and absorbs changes as they come (§2.1):
+//! consumers arrive and depart, producers join and leave, and operators
+//! resize brokers. A [`ProblemDelta`] describes such a change as data (an
+//! ordered batch of [`DeltaOp`]s), so it can be validated, logged, shipped
+//! across a control plane, and applied all or nothing. Each op runs one of
+//! the problem's validate-then-mutate mutators, which checks the op's ids
+//! before its values, so a problem that takes a delta stays one
+//! [`crate::ProblemBuilder::build`] accepts.
 //!
-//! Applying a delta never renumbers ids: removals keep their slots (rate
-//! bounds collapse to `[0, 0]`, costs and populations to zero, exactly as
-//! [`Problem::without_flow`] does) and additions append at the end of the id
-//! space. That id stability is what lets an engine carry optimizer state
-//! (prices, rates, γ controllers) *across* a delta and what lets the
-//! incremental dirty-set machinery re-evaluate only what the delta touched.
+//! Applying a delta never renumbers ids: a removal keeps its flow's slot
+//! (rate bounds collapse to `[0, 0]`, costs and populations to zero) and
+//! additions append at the end of the id space. That id stability is what
+//! lets an engine carry optimizer state (prices, rates, γ controllers)
+//! *across* a delta and what lets the incremental dirty-set machinery
+//! re-evaluate only what the delta touched.
 //!
 //! # Examples
 //!
@@ -112,20 +115,6 @@ pub enum DeltaOp {
 }
 
 impl DeltaOp {
-    /// Applies this single op, returning the changed problem.
-    ///
-    /// # Errors
-    ///
-    /// `Unknown*` on out-of-range ids, plus whatever the underlying
-    /// transform validates (capacities, bounds, costs; for
-    /// [`DeltaOp::AddFlow`], anything a `ProblemBuilder` would reject).
-    #[must_use = "this Result reports a failure the caller must handle"]
-    pub fn apply(&self, problem: &Problem) -> Result<Problem, ValidationError> {
-        let mut p = problem.clone();
-        self.apply_in_place(&mut p)?;
-        Ok(p)
-    }
-
     /// Applies this single op to `problem` in place and returns what it
     /// overwrote. Every op validates before it mutates, so on `Err` the
     /// problem is unchanged.
@@ -136,23 +125,17 @@ impl DeltaOp {
                 problem.add_flow_in_place(flow.clone(), classes.clone())?;
                 Ok(Undo::AddFlow(Box::new(before)))
             }
-            DeltaOp::RemoveFlow { flow } => {
-                check_flow(problem, *flow)?;
-                Ok(problem.remove_flow_in_place(*flow))
-            }
+            DeltaOp::RemoveFlow { flow } => problem.remove_flow_in_place(*flow),
             DeltaOp::SetNodeCapacity { node, capacity } => {
-                check_node(problem, *node)?;
                 problem.set_node_capacity_in_place(*node, *capacity)
             }
             DeltaOp::SetLinkCapacity { link, capacity } => {
                 problem.set_link_capacity_in_place(*link, *capacity)
             }
             DeltaOp::SetMaxPopulation { class, max_population } => {
-                check_class(problem, *class)?;
-                Ok(problem.set_max_population_in_place(*class, *max_population))
+                problem.set_max_population_in_place(*class, *max_population)
             }
             DeltaOp::SetRateBounds { flow, bounds } => {
-                check_flow(problem, *flow)?;
                 problem.set_rate_bounds_in_place(*flow, *bounds)
             }
             DeltaOp::SetFlowNodeCost { flow, node, cost } => {
@@ -160,7 +143,6 @@ impl DeltaOp {
             }
             DeltaOp::SetLinkLoss { link, loss } => problem.set_link_loss_in_place(*link, *loss),
             DeltaOp::SetRhoBounds { flow, bounds } => {
-                check_flow(problem, *flow)?;
                 problem.set_rho_bounds_in_place(*flow, *bounds)
             }
         }
@@ -190,27 +172,6 @@ impl DeltaOp {
                 | DeltaOp::SetRhoBounds { .. }
         )
     }
-}
-
-fn check_flow(problem: &Problem, flow: FlowId) -> Result<(), ValidationError> {
-    if flow.index() >= problem.num_flows() {
-        return Err(ValidationError::UnknownFlow { flow });
-    }
-    Ok(())
-}
-
-fn check_node(problem: &Problem, node: NodeId) -> Result<(), ValidationError> {
-    if node.index() >= problem.num_nodes() {
-        return Err(ValidationError::UnknownNode { node });
-    }
-    Ok(())
-}
-
-fn check_class(problem: &Problem, class: ClassId) -> Result<(), ValidationError> {
-    if class.index() >= problem.num_classes() {
-        return Err(ValidationError::UnknownClass { class });
-    }
-    Ok(())
 }
 
 /// An ordered batch of [`DeltaOp`]s, applied atomically front to back.
@@ -324,12 +285,11 @@ impl ProblemDelta {
     /// problem is untouched.
     ///
     /// This is one clone of the problem plus [`Self::apply_in_place`] on the
-    /// copy: the same result as folding [`DeltaOp::apply`] over the ops,
-    /// without its `k` clones.
+    /// copy.
     ///
     /// # Errors
     ///
-    /// The first error any op reports (see [`DeltaOp::apply`]).
+    /// The first error any op reports (see [`Self::apply_in_place`]).
     #[must_use = "this Result reports a failure the caller must handle"]
     pub fn apply(&self, problem: &Problem) -> Result<Problem, ValidationError> {
         let mut p = problem.clone();
@@ -350,7 +310,12 @@ impl ProblemDelta {
     ///
     /// # Errors
     ///
-    /// The first error any op reports (see [`DeltaOp::apply`]).
+    /// The first error any op reports. Each op checks its ids first
+    /// (`Unknown*` on an id out of range), then its values: capacities,
+    /// bounds, costs and loss rates, a missing `F_{b,i}` entry, a
+    /// reliability edit on a problem with no spec attached, and for
+    /// [`DeltaOp::AddFlow`] anything [`crate::ProblemBuilder::build`] would
+    /// reject in the new flow and classes.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub fn apply_in_place(&self, problem: &mut Problem) -> Result<(), ValidationError> {
         let mut applied = Vec::with_capacity(self.ops.len());
@@ -386,42 +351,72 @@ mod tests {
     #[test]
     fn batched_ops_apply_in_order() {
         let p = base_workload();
+        let bounds = RateBounds { min: 1.0, max: 50.0 };
         let delta = ProblemDelta::new()
             .resize_class(ClassId::new(0), 7)
+            .set_node_capacity(NodeId::new(7), 5e5)
+            .set_rate_bounds(FlowId::new(0), bounds)
             .resize_class(ClassId::new(0), 9);
         let q = delta.apply(&p).unwrap();
         assert_eq!(q.class(ClassId::new(0)).max_population, 9);
-        assert_eq!(delta.len(), 2);
+        assert_eq!(q.node(NodeId::new(7)).capacity, 5e5);
+        assert_eq!(q.flow(FlowId::new(0)).bounds, bounds);
+        assert_eq!(p, base_workload(), "the input is untouched");
+        assert_eq!(delta.len(), 4);
     }
 
     #[test]
-    fn remove_flow_matches_without_flow() {
-        let p = base_workload();
-        let flow = FlowId::new(2);
-        let via_delta = ProblemDelta::new().remove_flow(flow).apply(&p).unwrap();
-        assert_eq!(via_delta, p.without_flow(flow));
+    fn remove_flow_collapses_bounds_costs_and_populations() {
+        let p = crate::workloads::lossy_link_bottleneck_workload(500.0, 0.1);
+        let flow = FlowId::new(1);
+        let q = ProblemDelta::new().remove_flow(flow).apply(&p).unwrap();
+        assert_eq!(q.flow(flow).bounds, RateBounds { min: 0.0, max: 0.0 });
+        assert!(q.nodes_of_flow(flow).iter().all(|&(_, cost)| cost == 0.0));
+        assert!(q.links_of_flow(flow).iter().all(|&(_, cost)| cost == 0.0));
+        assert!(!q.links_of_flow(flow).is_empty(), "entries stay, only their costs go");
+        for &class in p.classes_of_flow(flow) {
+            assert_eq!(q.class(class).max_population, 0);
+        }
+        for other in p.flow_ids().filter(|&f| f != flow) {
+            assert_eq!(q.flow(other), p.flow(other));
+        }
     }
 
     #[test]
     fn out_of_range_ids_are_rejected() {
-        let p = base_workload();
-        let n = p.num_flows() as u32;
-        assert!(matches!(
-            ProblemDelta::new().remove_flow(FlowId::new(n)).apply(&p),
-            Err(ValidationError::UnknownFlow { .. })
-        ));
-        assert!(matches!(
-            ProblemDelta::new().resize_class(ClassId::new(999), 1).apply(&p),
-            Err(ValidationError::UnknownClass { .. })
-        ));
-        assert!(matches!(
-            ProblemDelta::new().set_node_capacity(NodeId::new(999), 1.0).apply(&p),
-            Err(ValidationError::UnknownNode { .. })
-        ));
-        assert!(matches!(
-            ProblemDelta::new().set_link_capacity(LinkId::new(0), 1.0).apply(&p),
-            Err(ValidationError::UnknownLink { .. })
-        ));
+        // Each op checks its ids before its values, so an op that is wrong
+        // in both reports the id. One past the end and `u32::MAX` alike.
+        let p = crate::workloads::lossy_link_bottleneck_workload(500.0, 0.1);
+        let bounds = RateBounds { min: 9.0, max: 2.0 };
+        let rho = RhoBounds { min: 0.9, max: 0.1 };
+        let (flow0, node0) = (FlowId::new(0), NodeId::new(0));
+        for max in [false, true] {
+            let past = |len: usize| if max { u32::MAX } else { len as u32 };
+            let flow = FlowId::new(past(p.num_flows()));
+            let node = NodeId::new(past(p.num_nodes()));
+            let link = LinkId::new(past(p.num_links()));
+            let class = ClassId::new(past(p.num_classes()));
+            let unknown_flow = ValidationError::UnknownFlow { flow };
+            let unknown_node = ValidationError::UnknownNode { node };
+            let unknown_link = ValidationError::UnknownLink { link };
+            let unknown_class = ValidationError::UnknownClass { class };
+            let cases = [
+                (DeltaOp::RemoveFlow { flow }, unknown_flow.clone()),
+                (DeltaOp::SetRateBounds { flow, bounds }, unknown_flow.clone()),
+                (DeltaOp::SetFlowNodeCost { flow, node: node0, cost: -1.0 }, unknown_flow.clone()),
+                (DeltaOp::SetRhoBounds { flow, bounds: rho }, unknown_flow),
+                (DeltaOp::SetNodeCapacity { node, capacity: -1.0 }, unknown_node.clone()),
+                (DeltaOp::SetFlowNodeCost { flow: flow0, node, cost: -1.0 }, unknown_node),
+                (DeltaOp::SetLinkCapacity { link, capacity: -1.0 }, unknown_link.clone()),
+                (DeltaOp::SetLinkLoss { link, loss: 2.0 }, unknown_link),
+                (DeltaOp::SetMaxPopulation { class, max_population: 1 }, unknown_class),
+            ];
+            for (op, expected) in cases {
+                let mut delta = ProblemDelta::new();
+                delta.push(op.clone());
+                assert_eq!(delta.apply(&p), Err(expected), "{op:?}");
+            }
+        }
     }
 
     #[test]
@@ -429,13 +424,15 @@ mod tests {
         let p = base_workload();
         // Second op fails; the caller's problem is untouched and nothing
         // half-applied escapes.
-        let delta = ProblemDelta::new()
-            .resize_class(ClassId::new(0), 5)
-            .set_node_capacity(NodeId::new(0), -3.0);
-        assert!(matches!(
-            delta.apply(&p),
-            Err(ValidationError::NonPositiveCapacity { .. })
-        ));
+        for capacity in [-3.0, 0.0, f64::NAN] {
+            let delta = ProblemDelta::new()
+                .resize_class(ClassId::new(0), 5)
+                .set_node_capacity(NodeId::new(0), capacity);
+            assert!(matches!(
+                delta.apply(&p),
+                Err(ValidationError::NonPositiveCapacity { .. })
+            ));
+        }
         assert_eq!(p.class(ClassId::new(0)).max_population, 400);
     }
 
@@ -545,7 +542,10 @@ mod tests {
         assert!(!q.flows_on_link(LinkId::new(0)).is_empty());
         let rebuilt: Problem = serde_json::from_str(&serde_json::to_string(&q).unwrap()).unwrap();
         assert_eq!(rebuilt, q);
-        assert_eq!(q.reliability().unwrap().rho_bounds.len(), p.num_flows() + 2);
+        // The new flows demand full reliability until edited.
+        let rho_bounds = &q.reliability().unwrap().rho_bounds;
+        assert_eq!(rho_bounds.len(), p.num_flows() + 2);
+        assert!(rho_bounds[p.num_flows()..].iter().all(|&b| b == RhoBounds::default()));
     }
 
     #[test]
@@ -612,18 +612,29 @@ mod tests {
             .unwrap();
         assert_eq!(q.link_loss(link), 0.2);
         assert_eq!(q.rho_bounds(flow), Some(bounds));
+        assert_eq!(p.link_loss(link), 0.1, "the input is untouched");
+        for loss in [1.0, -0.1] {
+            assert!(matches!(
+                ProblemDelta::new().set_link_loss(link, loss).apply(&p),
+                Err(ValidationError::InvalidLossRate { .. })
+            ));
+        }
         assert!(matches!(
-            ProblemDelta::new().set_link_loss(link, 1.0).apply(&p),
-            Err(ValidationError::InvalidLossRate { .. })
+            ProblemDelta::new().set_rho_bounds(flow, RhoBounds { min: 0.9, max: 0.1 }).apply(&p),
+            Err(ValidationError::InvalidRhoBounds { .. })
         ));
         assert!(matches!(
             ProblemDelta::new().set_rho_bounds(FlowId::new(99), bounds).apply(&p),
             Err(ValidationError::UnknownFlow { .. })
         ));
         // Reliability edits against a spec-less problem are rejected.
-        let plain = base_workload();
+        let plain = p.without_reliability();
         assert!(matches!(
-            ProblemDelta::new().set_rho_bounds(FlowId::new(0), bounds).apply(&plain),
+            ProblemDelta::new().set_rho_bounds(flow, bounds).apply(&plain),
+            Err(ValidationError::ReliabilityDisabled)
+        ));
+        assert!(matches!(
+            ProblemDelta::new().set_link_loss(link, 0.1).apply(&plain),
             Err(ValidationError::ReliabilityDisabled)
         ));
     }

@@ -3,12 +3,15 @@
 //! A [`Problem`] captures everything the optimizer needs: the overlay's nodes
 //! and links with their capacities, the flows with their rate bounds and
 //! resource costs, and the consumer classes with their utilities and
-//! per-consumer costs. Problems are immutable once built; construct them via
-//! [`ProblemBuilder`], which validates cross-references and returns a
-//! [`ValidationError`] describing the first inconsistency found.
+//! per-consumer costs. Construct one via [`ProblemBuilder`], which validates
+//! cross-references and returns a [`ValidationError`] describing the first
+//! inconsistency found. After that, a problem changes only through a
+//! [`crate::ProblemDelta`]: its ops run the validate-then-mutate
+//! `*_in_place` mutators below, so every `Problem` stays one that
+//! [`ProblemBuilder::build`] accepts.
 
 use crate::ids::{ClassId, FlowId, LinkId, NodeId};
-use crate::utility::Utility;
+use crate::utility::{Utility, UtilityShape};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -374,7 +377,8 @@ impl fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
-/// An immutable, validated problem instance.
+/// A validated problem instance. It changes only through a
+/// [`crate::ProblemDelta`], which keeps it valid.
 ///
 /// Besides the raw specification, a `Problem` precomputes the index maps the
 /// paper names `flowMap`, `linkMap`, `nodeMap`, `attachMap` and
@@ -620,30 +624,24 @@ impl Problem {
     }
 
     /// Returns a copy of this problem with every class utility replaced by
-    /// `f(rank)` where `rank` is the class's current weight. Used to produce
-    /// the §4.5 utility-shape variants of a workload.
-    pub fn with_utilities(&self, f: impl Fn(f64) -> Utility) -> Problem {
+    /// `shape` at the class's current weight: the §4.5 utility-shape
+    /// variants of a workload. Weights are kept, so the copy is as valid as
+    /// the original.
+    pub fn with_utility_shape(&self, shape: UtilityShape) -> Problem {
         let mut p = self.clone();
         for class in &mut p.classes {
-            class.utility = f(class.utility.weight());
+            class.utility = shape.build(class.utility.weight());
         }
         p
     }
 
-    /// Returns a copy with flow `flow` effectively removed: its rate bounds
-    /// collapse to `[0, 0]` and its classes' populations are capped at 0.
-    ///
-    /// This models a flow source leaving the system (§4.2, Fig. 3) without
-    /// renumbering ids, so traces remain comparable across the change.
-    pub fn without_flow(&self, flow: FlowId) -> Problem {
-        let mut p = self.clone();
-        p.remove_flow_in_place(flow);
-        p
-    }
-
-    /// In-place [`Self::without_flow`]; returns what it overwrote.
-    pub(crate) fn remove_flow_in_place(&mut self, flow: FlowId) -> Undo {
-        let spec = &mut self.flows[flow.index()];
+    /// Removes `flow` in place (a flow source leaves, §4.2 Fig. 3) and
+    /// returns what it overwrote: its rate bounds collapse to `[0, 0]`, its
+    /// costs and its classes' populations to zero. Ids are not renumbered,
+    /// so traces remain comparable across the change.
+    #[must_use = "this Result reports a failure the caller must handle"]
+    pub(crate) fn remove_flow_in_place(&mut self, flow: FlowId) -> Result<Undo, ValidationError> {
+        let spec = self.flows.get_mut(flow.index()).ok_or(ValidationError::UnknownFlow { flow })?;
         let before = spec.clone();
         spec.bounds = RateBounds { min: 0.0, max: 0.0 };
         // A removed flow consumes no resources.
@@ -653,80 +651,43 @@ impl Problem {
             .iter()
             .map(|&class| std::mem::replace(&mut self.classes[class.index()].max_population, 0))
             .collect();
-        Undo::RemoveFlow { flow, spec: before, max_populations }
+        Ok(Undo::RemoveFlow { flow, spec: before, max_populations })
     }
 
-    /// Returns a copy with `node`'s capacity replaced.
-    ///
-    /// # Errors
-    ///
-    /// [`ValidationError::NonPositiveCapacity`] unless the new capacity is
-    /// finite and strictly positive.
-    #[must_use = "this Result reports a failure the caller must handle"]
-    pub fn with_node_capacity(
-        &self,
-        node: NodeId,
-        capacity: f64,
-    ) -> Result<Problem, ValidationError> {
-        let mut p = self.clone();
-        p.set_node_capacity_in_place(node, capacity)?;
-        Ok(p)
-    }
-
-    /// In-place [`Self::with_node_capacity`]; validates before it mutates
-    /// and returns what it overwrote.
+    /// Replaces `node`'s capacity in place; validates before it mutates and
+    /// returns what it overwrote.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub(crate) fn set_node_capacity_in_place(
         &mut self,
         node: NodeId,
         capacity: f64,
     ) -> Result<Undo, ValidationError> {
+        let spec = self.nodes.get_mut(node.index()).ok_or(ValidationError::UnknownNode { node })?;
         if !(capacity.is_finite() && capacity > 0.0) {
             return Err(ValidationError::NonPositiveCapacity {
                 resource: node.to_string(),
                 capacity,
             });
         }
-        let capacity = std::mem::replace(&mut self.nodes[node.index()].capacity, capacity);
+        let capacity = std::mem::replace(&mut spec.capacity, capacity);
         Ok(Undo::NodeCapacity { node, capacity })
     }
 
-    /// Returns a copy with `class`'s maximum population replaced (consumer
-    /// churn: demand arriving or departing).
-    pub fn with_max_population(&self, class: ClassId, max_population: u32) -> Problem {
-        let mut p = self.clone();
-        p.set_max_population_in_place(class, max_population);
-        p
-    }
-
-    /// In-place [`Self::with_max_population`]; returns what it overwrote.
+    /// Replaces `class`'s maximum population in place (consumers arriving
+    /// or departing) and returns what it overwrote.
+    #[must_use = "this Result reports a failure the caller must handle"]
     pub(crate) fn set_max_population_in_place(
         &mut self,
         class: ClassId,
         max_population: u32,
-    ) -> Undo {
-        let slot = &mut self.classes[class.index()].max_population;
-        let max_population = std::mem::replace(slot, max_population);
-        Undo::MaxPopulation { class, max_population }
+    ) -> Result<Undo, ValidationError> {
+        let spec =
+            self.classes.get_mut(class.index()).ok_or(ValidationError::UnknownClass { class })?;
+        let max_population = std::mem::replace(&mut spec.max_population, max_population);
+        Ok(Undo::MaxPopulation { class, max_population })
     }
 
-    /// Returns a copy with `flow`'s rate bounds replaced.
-    ///
-    /// # Errors
-    ///
-    /// [`ValidationError::InvalidRateBounds`] on invalid bounds.
-    #[must_use = "this Result reports a failure the caller must handle"]
-    pub fn with_rate_bounds(
-        &self,
-        flow: FlowId,
-        bounds: RateBounds,
-    ) -> Result<Problem, ValidationError> {
-        let mut p = self.clone();
-        p.set_rate_bounds_in_place(flow, bounds)?;
-        Ok(p)
-    }
-
-    /// In-place [`Self::with_rate_bounds`]; validates before it mutates
+    /// Replaces `flow`'s rate bounds in place; validates before it mutates
     /// and returns what it overwrote.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub(crate) fn set_rate_bounds_in_place(
@@ -734,75 +695,36 @@ impl Problem {
         flow: FlowId,
         bounds: RateBounds,
     ) -> Result<Undo, ValidationError> {
+        let spec = self.flows.get_mut(flow.index()).ok_or(ValidationError::UnknownFlow { flow })?;
         RateBounds::new(bounds.min, bounds.max)?;
-        let bounds = std::mem::replace(&mut self.flows[flow.index()].bounds, bounds);
+        let bounds = std::mem::replace(&mut spec.bounds, bounds);
         Ok(Undo::RateBounds { flow, bounds })
     }
 
-    /// Returns a copy with `link`'s capacity replaced.
-    ///
-    /// # Errors
-    ///
-    /// [`ValidationError::NonPositiveCapacity`] unless the new capacity is
-    /// finite and strictly positive, [`ValidationError::UnknownLink`] if the
-    /// id is out of range.
-    #[must_use = "this Result reports a failure the caller must handle"]
-    pub fn with_link_capacity(
-        &self,
-        link: LinkId,
-        capacity: f64,
-    ) -> Result<Problem, ValidationError> {
-        let mut p = self.clone();
-        p.set_link_capacity_in_place(link, capacity)?;
-        Ok(p)
-    }
-
-    /// In-place [`Self::with_link_capacity`]; validates before it mutates
-    /// and returns what it overwrote.
+    /// Replaces `link`'s capacity in place; validates before it mutates and
+    /// returns what it overwrote.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub(crate) fn set_link_capacity_in_place(
         &mut self,
         link: LinkId,
         capacity: f64,
     ) -> Result<Undo, ValidationError> {
-        if link.index() >= self.links.len() {
-            return Err(ValidationError::UnknownLink { link });
-        }
+        let spec = self.links.get_mut(link.index()).ok_or(ValidationError::UnknownLink { link })?;
         if !(capacity.is_finite() && capacity > 0.0) {
             return Err(ValidationError::NonPositiveCapacity {
                 resource: link.to_string(),
                 capacity,
             });
         }
-        let capacity = std::mem::replace(&mut self.links[link.index()].capacity, capacity);
+        let capacity = std::mem::replace(&mut spec.capacity, capacity);
         Ok(Undo::LinkCapacity { link, capacity })
     }
 
-    /// Returns a copy with the `F_{b,i}` coefficient of an *existing*
-    /// (flow, node) path entry replaced. Setting a cost to `0.0` models a
-    /// pruned branch (as [`Self::prune_unused_paths`] does) without touching
-    /// the path structure, so ids and the derived index maps stay stable.
-    ///
-    /// # Errors
-    ///
-    /// [`ValidationError::UnknownFlow`] / [`ValidationError::UnknownNode`]
-    /// on out-of-range ids, [`ValidationError::NoSuchCostEntry`] if the flow
-    /// has no entry for the node, [`ValidationError::InvalidCost`] unless
-    /// the cost is finite and nonnegative.
-    #[must_use = "this Result reports a failure the caller must handle"]
-    pub fn with_flow_node_cost(
-        &self,
-        flow: FlowId,
-        node: NodeId,
-        cost: f64,
-    ) -> Result<Problem, ValidationError> {
-        let mut p = self.clone();
-        p.set_flow_node_cost_in_place(flow, node, cost)?;
-        Ok(p)
-    }
-
-    /// In-place [`Self::with_flow_node_cost`]; validates before it mutates
-    /// and returns what it overwrote.
+    /// Replaces the `F_{b,i}` coefficient of an *existing* (flow, node) path
+    /// entry in place; validates before it mutates and returns what it
+    /// overwrote. A cost of `0.0` models a pruned branch (§2.4) without
+    /// touching the path structure, so ids and the derived index maps stay
+    /// stable.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub(crate) fn set_flow_node_cost_in_place(
         &mut self,
@@ -855,23 +777,8 @@ impl Problem {
         p
     }
 
-    /// Returns a copy with `link`'s loss rate replaced.
-    ///
-    /// # Errors
-    ///
-    /// [`ValidationError::ReliabilityDisabled`] when no spec is attached,
-    /// [`ValidationError::UnknownLink`] on an out-of-range id,
-    /// [`ValidationError::InvalidLossRate`] unless `0 <= loss < 1` and
-    /// finite.
-    #[must_use = "this Result reports a failure the caller must handle"]
-    pub fn with_link_loss(&self, link: LinkId, loss: f64) -> Result<Problem, ValidationError> {
-        let mut p = self.clone();
-        p.set_link_loss_in_place(link, loss)?;
-        Ok(p)
-    }
-
-    /// In-place [`Self::with_link_loss`]; validates before it mutates and
-    /// returns what it overwrote.
+    /// Replaces `link`'s loss rate in place; validates before it mutates
+    /// and returns what it overwrote.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub(crate) fn set_link_loss_in_place(
         &mut self,
@@ -889,26 +796,8 @@ impl Problem {
         Ok(Undo::LinkLoss { link, loss })
     }
 
-    /// Returns a copy with `flow`'s reliability bounds replaced.
-    ///
-    /// # Errors
-    ///
-    /// [`ValidationError::ReliabilityDisabled`] when no spec is attached,
-    /// [`ValidationError::UnknownFlow`] on an out-of-range id,
-    /// [`ValidationError::InvalidRhoBounds`] on invalid bounds.
-    #[must_use = "this Result reports a failure the caller must handle"]
-    pub fn with_rho_bounds(
-        &self,
-        flow: FlowId,
-        bounds: RhoBounds,
-    ) -> Result<Problem, ValidationError> {
-        let mut p = self.clone();
-        p.set_rho_bounds_in_place(flow, bounds)?;
-        Ok(p)
-    }
-
-    /// In-place [`Self::with_rho_bounds`]; validates before it mutates and
-    /// returns what it overwrote.
+    /// Replaces `flow`'s reliability bounds in place; validates before it
+    /// mutates and returns what it overwrote.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub(crate) fn set_rho_bounds_in_place(
         &mut self,
@@ -924,35 +813,17 @@ impl Problem {
         Ok(Undo::RhoBounds { flow, bounds })
     }
 
-    /// Returns a copy with a new flow (and its consumer classes) appended.
-    /// Existing ids are untouched; the new flow takes the next flow id and
-    /// the classes take the next class ids, in the given order. The `flow`
-    /// field of each [`ClassSpec`] is overwritten with the new flow's id.
+    /// Appends a new flow and its consumer classes in place. Existing ids
+    /// are untouched; the new flow takes the next flow id and the classes
+    /// take the next class ids, in the given order. The `flow` field of
+    /// each [`ClassSpec`] is overwritten with the new flow's id.
     ///
     /// The new flow and classes pass the same checks [`ProblemBuilder::build`]
-    /// applies, so the returned instance upholds every builder invariant
-    /// (costs reference existing nodes/links, each class attaches to a node
-    /// the flow reaches, …) and equals a from-scratch build.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ValidationError`] a [`ProblemBuilder`] would report.
-    #[must_use = "this Result reports a failure the caller must handle"]
-    pub fn with_added_flow(
-        &self,
-        flow: FlowSpec,
-        classes: Vec<ClassSpec>,
-    ) -> Result<Problem, ValidationError> {
-        let mut p = self.clone();
-        p.add_flow_in_place(flow, classes)?;
-        Ok(p)
-    }
-
-    /// In-place [`Self::with_added_flow`]; validates before it mutates, so
-    /// on `Err` the problem is unchanged.
-    ///
+    /// applies, before anything moves, so on `Err` the problem is unchanged
+    /// and on `Ok` it equals a from-scratch build. The rest of what `build`
+    /// checks is the existing data, which every `Problem` already passed.
     /// The indexes are then derived again by the indexing pass behind
-    /// [`ProblemBuilder::build`], the one place that derives them.
+    /// `build`, the one place that derives them.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub(crate) fn add_flow_in_place(
         &mut self,
@@ -967,16 +838,6 @@ impl Problem {
             let cid = ClassId::new((self.classes.len() + k) as u32);
             validate_class(cid, class, Some(&flow), n_nodes)?;
         }
-        // The rest of what `build` checks is the existing data, which a
-        // problem made by `with_utilities` can fail. Check it before
-        // anything moves.
-        validate_parts(
-            &self.nodes,
-            &self.links,
-            &self.flows,
-            &self.classes,
-            self.reliability.as_ref(),
-        )?;
 
         let mut builder = ProblemBuilder {
             nodes: std::mem::take(&mut self.nodes),
@@ -1029,35 +890,6 @@ impl Problem {
             }
             Undo::AddFlow(before) => *self = *before,
         }
-    }
-
-    /// Stage-two path pruning (§2.4): zero the `F_{b,i}` coefficient for
-    /// every (flow, node) pair at which *all* of the flow's classes have zero
-    /// population in `populations` (indexed by class id). Nodes hosting no
-    /// class of the flow are also pruned. Returns the pruned problem.
-    pub fn prune_unused_paths(&self, populations: &[f64]) -> Problem {
-        assert_eq!(
-            populations.len(),
-            self.classes.len(),
-            "population vector length must equal the number of classes"
-        );
-        let mut p = self.clone();
-        for flow in self.flow_ids() {
-            let node_costs = &mut p.flows[flow.index()].node_costs;
-            for (node, cost) in node_costs.iter_mut() {
-                if *node == self.flows[flow.index()].source {
-                    continue; // the source always carries the flow
-                }
-                let any_live = self
-                    .classes_of_flow(flow)
-                    .iter()
-                    .any(|&c| self.classes[c.index()].node == *node && populations[c.index()] > 0.0);
-                if !any_live {
-                    *cost = 0.0;
-                }
-            }
-        }
-        p
     }
 }
 
@@ -1193,18 +1025,45 @@ impl ProblemBuilder {
     /// classes attached to unreached nodes, or duplicate cost entries.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub fn build(self) -> Result<Problem, ValidationError> {
-        validate_parts(
-            &self.nodes,
-            &self.links,
-            &self.flows,
-            &self.classes,
-            self.reliability.as_ref(),
-        )?;
+        let n_nodes = self.nodes.len();
+        let n_links = self.links.len();
+
+        for (i, node) in self.nodes.iter().enumerate() {
+            if !(node.capacity.is_finite() && node.capacity > 0.0) {
+                return Err(ValidationError::NonPositiveCapacity {
+                    resource: NodeId::new(i as u32).to_string(),
+                    capacity: node.capacity,
+                });
+            }
+        }
+        for (i, link) in self.links.iter().enumerate() {
+            if !(link.capacity.is_finite() && link.capacity > 0.0) {
+                return Err(ValidationError::NonPositiveCapacity {
+                    resource: LinkId::new(i as u32).to_string(),
+                    capacity: link.capacity,
+                });
+            }
+            for endpoint in [link.from, link.to].into_iter().flatten() {
+                if endpoint.index() >= n_nodes {
+                    return Err(ValidationError::UnknownNode { node: endpoint });
+                }
+            }
+        }
+        for (i, flow) in self.flows.iter().enumerate() {
+            validate_flow(FlowId::new(i as u32), flow, n_nodes, n_links)?;
+        }
+        for (i, class) in self.classes.iter().enumerate() {
+            let flow = self.flows.get(class.flow.index());
+            validate_class(ClassId::new(i as u32), class, flow, n_nodes)?;
+        }
+        if let Some(spec) = &self.reliability {
+            validate_reliability(spec, self.flows.len(), n_links)?;
+        }
         Ok(self.index())
     }
 
-    /// Derives the indexes of primary data that has passed
-    /// [`validate_parts`].
+    /// Derives the indexes of primary data that has passed the checks in
+    /// [`Self::build`].
     fn index(self) -> Problem {
         let n_nodes = self.nodes.len();
         let n_links = self.links.len();
@@ -1249,54 +1108,6 @@ impl ProblemBuilder {
             flows_on_link,
         }
     }
-}
-
-/// Checks primary problem data as [`ProblemBuilder::build`] does, returning
-/// the first inconsistency.
-fn validate_parts(
-    nodes: &[NodeSpec],
-    links: &[LinkSpec],
-    flows: &[FlowSpec],
-    classes: &[ClassSpec],
-    reliability: Option<&ReliabilitySpec>,
-) -> Result<(), ValidationError> {
-    let n_nodes = nodes.len();
-    let n_links = links.len();
-
-    for (i, node) in nodes.iter().enumerate() {
-        if !(node.capacity.is_finite() && node.capacity > 0.0) {
-            return Err(ValidationError::NonPositiveCapacity {
-                resource: NodeId::new(i as u32).to_string(),
-                capacity: node.capacity,
-            });
-        }
-    }
-    for (i, link) in links.iter().enumerate() {
-        if !(link.capacity.is_finite() && link.capacity > 0.0) {
-            return Err(ValidationError::NonPositiveCapacity {
-                resource: LinkId::new(i as u32).to_string(),
-                capacity: link.capacity,
-            });
-        }
-        for endpoint in [link.from, link.to].into_iter().flatten() {
-            if endpoint.index() >= n_nodes {
-                return Err(ValidationError::UnknownNode { node: endpoint });
-            }
-        }
-    }
-    for (i, flow) in flows.iter().enumerate() {
-        validate_flow(FlowId::new(i as u32), flow, n_nodes, n_links)?;
-    }
-    for (i, class) in classes.iter().enumerate() {
-        let flow = flows.get(class.flow.index());
-        validate_class(ClassId::new(i as u32), class, flow, n_nodes)?;
-    }
-
-    if let Some(spec) = reliability {
-        validate_reliability(spec, flows.len(), n_links)?;
-    }
-
-    Ok(())
 }
 
 /// `n` empty index rows, row `r` with capacity for every occurrence of `r`
@@ -1586,71 +1397,12 @@ mod tests {
     }
 
     #[test]
-    fn with_utilities_swaps_shape_preserving_rank() {
+    fn with_utility_shape_swaps_shape_preserving_rank() {
         let p = tiny().build().unwrap();
-        let q = p.with_utilities(|rank| Utility::power(rank, 0.5));
+        let q = p.with_utility_shape(UtilityShape::Pow50);
         assert_eq!(q.class(ClassId::new(0)).utility, Utility::power(20.0, 0.5));
         // Original untouched.
         assert_eq!(p.class(ClassId::new(0)).utility, Utility::log(20.0));
-    }
-
-    #[test]
-    fn without_flow_collapses_bounds_and_populations() {
-        let p = tiny().build().unwrap();
-        let q = p.without_flow(FlowId::new(0));
-        assert_eq!(q.flow(FlowId::new(0)).bounds, RateBounds { min: 0.0, max: 0.0 });
-        assert_eq!(q.class(ClassId::new(0)).max_population, 0);
-        assert_eq!(q.flow_node_cost(NodeId::new(1), FlowId::new(0)), 0.0);
-    }
-
-    #[test]
-    fn with_node_capacity_replaces_and_validates() {
-        let p = tiny().build().unwrap();
-        let q = p.with_node_capacity(NodeId::new(1), 5e5).unwrap();
-        assert_eq!(q.node(NodeId::new(1)).capacity, 5e5);
-        assert_eq!(p.node(NodeId::new(1)).capacity, 9e5); // original intact
-        assert!(p.with_node_capacity(NodeId::new(1), 0.0).is_err());
-        assert!(p.with_node_capacity(NodeId::new(1), f64::NAN).is_err());
-    }
-
-    #[test]
-    fn with_max_population_replaces() {
-        let p = tiny().build().unwrap();
-        let q = p.with_max_population(ClassId::new(0), 7);
-        assert_eq!(q.class(ClassId::new(0)).max_population, 7);
-        assert_eq!(p.class(ClassId::new(0)).max_population, 400);
-    }
-
-    #[test]
-    fn with_rate_bounds_replaces_and_validates() {
-        let p = tiny().build().unwrap();
-        let nb = RateBounds { min: 1.0, max: 50.0 };
-        let q = p.with_rate_bounds(FlowId::new(0), nb).unwrap();
-        assert_eq!(q.flow(FlowId::new(0)).bounds, nb);
-        assert!(p
-            .with_rate_bounds(FlowId::new(0), RateBounds { min: 9.0, max: 2.0 })
-            .is_err());
-    }
-
-    #[test]
-    fn prune_zeroes_dead_branch_costs() {
-        let mut b = tiny();
-        let extra = b.add_node(9e5);
-        let f0 = FlowId::new(0);
-        b.set_node_cost(f0, extra, 3.0);
-        b.add_class(f0, extra, 100, Utility::log(5.0), 19.0);
-        let p = b.build().unwrap();
-        // Class 0 (node1) live, class 1 (extra) empty.
-        let pruned = p.prune_unused_paths(&[10.0, 0.0]);
-        assert_eq!(pruned.flow_node_cost(NodeId::new(1), f0), 3.0);
-        assert_eq!(pruned.flow_node_cost(extra, f0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "population vector length")]
-    fn prune_checks_population_length() {
-        let p = tiny().build().unwrap();
-        let _ = p.prune_unused_paths(&[]);
     }
 
     #[test]
@@ -1759,77 +1511,18 @@ mod tests {
     }
 
     #[test]
-    fn with_link_loss_replaces_and_validates() {
-        let p = lossy();
-        let q = p.with_link_loss(LinkId::new(0), 0.25).unwrap();
-        assert_eq!(q.link_loss(LinkId::new(0)), 0.25);
-        assert_eq!(p.link_loss(LinkId::new(0)), 0.1, "original intact");
-        assert!(p.with_link_loss(LinkId::new(9), 0.1).is_err());
-        assert!(p.with_link_loss(LinkId::new(0), 1.0).is_err());
-        assert!(p.with_link_loss(LinkId::new(0), -0.1).is_err());
-        let plain = p.without_reliability();
-        assert!(matches!(
-            plain.with_link_loss(LinkId::new(0), 0.1).unwrap_err(),
-            ValidationError::ReliabilityDisabled
-        ));
-    }
-
-    #[test]
-    fn with_rho_bounds_replaces_and_validates() {
-        let p = lossy();
-        let nb = RhoBounds::new(0.7, 0.8).unwrap();
-        let q = p.with_rho_bounds(FlowId::new(0), nb).unwrap();
-        assert_eq!(q.rho_bounds(FlowId::new(0)), Some(nb));
-        assert!(p.with_rho_bounds(FlowId::new(9), nb).is_err());
-        assert!(p.with_rho_bounds(FlowId::new(0), RhoBounds { min: 0.9, max: 0.1 }).is_err());
-        let plain = tiny().build().unwrap();
-        assert!(matches!(
-            plain.with_rho_bounds(FlowId::new(0), nb).unwrap_err(),
-            ValidationError::ReliabilityDisabled
-        ));
-    }
-
-    #[test]
     fn build_and_added_flows_reject_out_of_range_utilities() {
         let mut b = tiny();
         b.classes[0].utility = Utility::log(f64::INFINITY);
         assert!(matches!(b.build().unwrap_err(), ValidationError::InvalidUtility { .. }));
-        let p = tiny().build().unwrap();
+        let mut p = tiny().build().unwrap();
+        let before = format!("{p:?}");
         let mut class = p.class(ClassId::new(0)).clone();
         class.utility = Utility::Power { weight: 1.0, exponent: 1.5 };
-        let err = p.with_added_flow(p.flow(FlowId::new(0)).clone(), vec![class]).unwrap_err();
-        assert!(matches!(err, ValidationError::InvalidUtility { .. }), "{err}");
-    }
-
-    #[test]
-    fn failed_add_flow_in_place_leaves_the_problem_unchanged() {
-        // `with_utilities` skips validation, so the existing class carries a
-        // weight `build` refuses, while the added flow and class are valid.
-        let valid = tiny().build().unwrap();
-        let mut p = valid.with_utilities(|_| Utility::log(f64::NAN));
-        let before = format!("{p:?}");
-        let flow = valid.flow(FlowId::new(0)).clone();
-        let class = valid.class(ClassId::new(0)).clone();
+        let flow = p.flow(FlowId::new(0)).clone();
         let err = p.add_flow_in_place(flow, vec![class]).unwrap_err();
         assert!(matches!(err, ValidationError::InvalidUtility { .. }), "{err}");
-        assert_eq!(format!("{p:?}"), before);
-    }
-
-    #[test]
-    fn with_added_flow_extends_rho_bounds() {
-        let p = lossy();
-        let src = NodeId::new(0);
-        let sink = NodeId::new(1);
-        let flow = FlowSpec {
-            source: src,
-            bounds: RateBounds::new(1.0, 100.0).unwrap(),
-            link_costs: vec![],
-            node_costs: vec![(sink, 1.0)],
-        };
-        let q = p.with_added_flow(flow, vec![]).unwrap();
-        let spec = q.reliability().expect("spec survives the growth");
-        assert_eq!(spec.rho_bounds.len(), 2);
-        assert_eq!(spec.rho_bounds[1], RhoBounds::default());
+        assert_eq!(format!("{p:?}"), before, "a refused flow leaves the problem unchanged");
     }
 
     #[test]

@@ -243,13 +243,13 @@ impl PriceTermTable {
     ///
     /// ```
     /// use lrgp_model::workloads::base_workload;
-    /// use lrgp_model::{DeltaOp, FlowId, PriceTermTable};
+    /// use lrgp_model::{FlowId, PriceTermTable, ProblemDelta};
     ///
     /// let problem = base_workload();
     /// let mut table = PriceTermTable::new(&problem);
-    /// let op = DeltaOp::RemoveFlow { flow: FlowId::new(2) };
-    /// let edited = op.apply(&problem).unwrap();
-    /// assert!(table.refresh(&edited, &op));
+    /// let delta = ProblemDelta::new().remove_flow(FlowId::new(2));
+    /// let edited = delta.apply(&problem).unwrap();
+    /// assert!(table.refresh(&edited, &delta.ops()[0]));
     /// assert_eq!(table, PriceTermTable::new(&edited));
     /// ```
     #[must_use = "`false` means the table is stale and must be rebuilt"]
@@ -526,10 +526,15 @@ mod tests {
         out.push(("mixed loss".to_string(), workloads::mixed_loss_workload(16, 800.0, 7)));
         let removed: Vec<_> = out
             .iter()
-            .map(|(name, p)| (format!("{name} without flow0"), p.without_flow(FlowId::new(0))))
+            .map(|(name, p)| (format!("{name} without flow0"), remove_flow0(p)))
             .collect();
         out.extend(removed);
         out
+    }
+
+    /// `p` with flow 0 removed: its entries stay, their costs go to zero.
+    fn remove_flow0(p: &Problem) -> Problem {
+        crate::ProblemDelta::new().remove_flow(FlowId::new(0)).apply(p).expect("flow 0 exists")
     }
 
     #[test]
@@ -601,7 +606,9 @@ mod tests {
             flow: p.flow(FlowId::new(0)).clone(),
             classes: vec![p.class(crate::ClassId::new(0)).clone()],
         };
-        let grown = op.apply(&p).expect("a copy of flow 0 is valid");
+        let mut delta = crate::ProblemDelta::new();
+        delta.push(op.clone());
+        let grown = delta.apply(&p).expect("a copy of flow 0 is valid");
         assert!(!table.refresh(&grown, &op));
         assert_eq!(table, PriceTermTable::new(&p), "a refused op leaves the table as it was");
     }
@@ -609,9 +616,9 @@ mod tests {
     #[test]
     fn rebuild_after_flow_removal_zeroes_its_costs() {
         let p = fixture();
-        let pruned = p.without_flow(FlowId::new(0));
+        let pruned = remove_flow0(&p);
         let t = PriceTermTable::new(&pruned);
-        // `without_flow` keeps the entries but zeroes the coefficients; the
+        // A removal keeps the entries but zeroes the coefficients; the
         // rebuilt table must reflect that, not the original costs.
         assert!(t.link_terms(FlowId::new(0)).iter().all(|&(_, c)| c == 0.0));
         assert!(t.node_terms(FlowId::new(0)).iter().all(|term| term.flow_cost == 0.0));

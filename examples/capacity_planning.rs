@@ -10,7 +10,7 @@
 use lrgp::{Engine, LrgpConfig};
 use lrgp_model::io::ProblemFile;
 use lrgp_model::workloads::base_workload;
-use lrgp_model::AllocationReport;
+use lrgp_model::{AllocationReport, ProblemDelta};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("scale | utility | admitted | Jain fairness | saturated nodes | starved classes");
@@ -19,11 +19,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = base_workload();
     let mut chosen = None;
     for scale in [0.25, 0.5, 1.0, 2.0, 4.0, 8.0] {
-        // Scale every node capacity.
-        let mut problem = base.clone();
-        for node in base.node_ids() {
-            problem = problem.with_node_capacity(node, base.node(node).capacity * scale)?;
-        }
+        // Scale every node capacity, in one batched delta.
+        let scaled = base.node_ids().fold(ProblemDelta::new(), |delta, node| {
+            delta.set_node_capacity(node, base.node(node).capacity * scale)
+        });
+        let problem = scaled.apply(&base)?;
         let mut engine = Engine::new(problem.clone(), LrgpConfig::default());
         engine.run_until_converged(400);
         let report = AllocationReport::new(engine.problem(), &engine.allocation());

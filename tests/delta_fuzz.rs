@@ -3,7 +3,9 @@
 //! A rejected batch leaves the engine bitwise unchanged. An accepted batch
 //! that keeps the id space leaves the engine stepping bit for bit like one
 //! that took the edited problem wholesale; a growing batch leaves the
-//! problem `ProblemDelta::apply` computes, and the engine steps on.
+//! problem `ProblemDelta::apply` computes, and the engine steps on. Either
+//! way the edited problem is one `ProblemBuilder::build` accepts: it comes
+//! back unchanged from a save and reload, which builds it again.
 //!
 //! Ops draw ids in range, one past the end (valid after a flow addition in
 //! the same batch) and `u32::MAX`, and values at the edges of what `f64` can
@@ -12,9 +14,11 @@
 //! node, an unknown source or a duplicate cost entry.
 
 use lrgp::{Engine, IncrementalMode, LrgpConfig, Reliability};
+use lrgp_model::io::ProblemFile;
 use lrgp_model::workloads::{mixed_loss_workload, RandomWorkload};
 use lrgp_model::{
     ClassId, DeltaOp, FlowId, LinkId, NodeId, Problem, ProblemDelta, RateBounds, RhoBounds,
+    UtilityShape,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -159,6 +163,13 @@ fn state(e: &Engine) -> (String, Vec<u64>) {
     (format!("{:?}", e.problem()), values.map(|x| x.to_bits()).collect())
 }
 
+/// `problem` after a save and a reload, which runs `ProblemBuilder::build`
+/// on its primary data.
+fn reloaded(problem: &Problem) -> Result<Problem, String> {
+    let json = ProblemFile::new("fuzz", problem.clone()).to_json().map_err(|e| e.to_string())?;
+    ProblemFile::from_json(&json).map(|file| file.problem).map_err(|e| e.to_string())
+}
+
 /// Steps both engines in lockstep and checks they stay bitwise equal.
 fn lockstep(a: &mut Engine, b: &mut Engine) -> Result<(), TestCaseError> {
     for k in 0..10 {
@@ -187,18 +198,23 @@ fn check(base: &Engine, delta: &ProblemDelta) -> Result<Outcome, TestCaseError> 
         lockstep(&mut engine, &mut reference)?;
         // Count the ops that applied before the one that failed.
         let mut p = base.problem().clone();
-        let mut applied = 0;
-        for op in delta.ops() {
-            let Ok(next) = op.apply(&p) else { break };
-            p = next;
-            applied += 1;
-        }
+        let applied = delta
+            .ops()
+            .iter()
+            .take_while(|&op| {
+                let mut single = ProblemDelta::new();
+                single.push(op.clone());
+                single.apply_in_place(&mut p).is_ok()
+            })
+            .count();
         return Ok(Outcome::Refused(applied > 0));
     };
     let Ok(expected) = delta.apply(base.problem()) else {
         return Err(TestCaseError::fail("the engine took a batch `apply` refuses"));
     };
     prop_assert_eq!(format!("{:?}", engine.problem()), format!("{expected:?}"));
+    let reloaded = reloaded(&expected).map_err(TestCaseError::fail)?;
+    prop_assert_eq!(format!("{reloaded:?}"), format!("{expected:?}"));
     if delta.grows_problem() {
         engine.run(10);
     } else {
@@ -238,5 +254,19 @@ fn delta_batches_reach_every_outcome() {
     for outcome in [Outcome::Applied, Outcome::Refused(false), Outcome::Refused(true)] {
         let count = outcomes.iter().filter(|&o| *o == outcome).count();
         assert!(count >= 16, "{outcome:?} reached only {count} of 256 batches");
+    }
+}
+
+#[test]
+fn every_utility_shape_leaves_a_problem_build_accepts() {
+    // The other route to a changed problem: a §4.5 utility-shape variant
+    // keeps every weight, so it stays valid and reloads unchanged.
+    for workload in 0..3 {
+        let problem = engine(workload).problem().clone();
+        for shape in UtilityShape::ALL {
+            let shaped = problem.with_utility_shape(shape);
+            let back = reloaded(&shaped).unwrap_or_else(|e| panic!("{workload} {shape}: {e}"));
+            assert_eq!(format!("{back:?}"), format!("{shaped:?}"), "{workload} {shape}");
+        }
     }
 }

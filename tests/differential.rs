@@ -27,7 +27,8 @@
 //!   bit-identical across the whole plan matrix, ρ state included.
 
 use lrgp::{
-    Engine, IncrementalMode, LrgpConfig, Parallelism, ProblemChange, Reliability, TraceConfig,
+    run_scenario, Engine, IncrementalMode, LrgpConfig, Parallelism, Reliability, Scenario,
+    TraceConfig,
 };
 use lrgp_model::workloads::{
     base_workload, link_bottleneck_workload, mixed_loss_workload, paper_workload, RandomWorkload,
@@ -321,15 +322,19 @@ fn rebuilt_with(problem: &Problem, delta: &ProblemDelta) -> Problem {
     b.build().expect("the edited specs are valid")
 }
 
-/// Asserts that `batch.apply(problem)` and the op-by-op fold of
-/// [`DeltaOp::apply`] both equal [`rebuilt_with`]'s reference. `Debug`
-/// equality also tells `-0.0` from `0.0`.
+/// Asserts that `batch.apply(problem)` and the op-by-op fold of one-op
+/// deltas both equal [`rebuilt_with`]'s reference. `Debug` equality also
+/// tells `-0.0` from `0.0`.
 fn assert_batch_matches_reference(problem: &Problem, batch: &ProblemDelta) {
     let batched = batch.apply(problem).expect("batch is valid");
     let folded = batch
         .ops()
         .iter()
-        .try_fold(problem.clone(), |p, op| op.apply(&p))
+        .try_fold(problem.clone(), |mut p, op| {
+            let mut single = ProblemDelta::new();
+            single.push(op.clone());
+            single.apply_in_place(&mut p).map(|()| p)
+        })
         .expect("ops are valid");
     let reference = format!("{:?}", rebuilt_with(problem, batch));
     assert_eq!(format!("{batched:?}"), reference, "batch differs from the rebuilt reference");
@@ -395,8 +400,8 @@ proptest! {
     }
 
     /// A batch applies to one clone of the problem in place. It must equal
-    /// the op-by-op fold of [`DeltaOp::apply`] and a reference that edits
-    /// copies of the specs and builds from scratch, indexes included.
+    /// the op-by-op fold of one-op deltas and a reference that edits copies
+    /// of the specs and builds from scratch, indexes included.
     #[test]
     fn batched_delta_matches_rebuilt_reference(
         (workload, seed, _threads) in workload_strategy(),
@@ -793,10 +798,10 @@ fn incremental_engine_bit_identical_with_link_prices() {
 #[test]
 fn incremental_engine_matches_through_capacity_and_population_churn() {
     // Dynamics beyond flow removal: capacity and max-population edits reach
-    // the candidate through `apply_delta` (via `ProblemChange::to_delta_op`,
-    // the same route `run_scenario` takes), which keeps the dirty-set
-    // caches alive; the baseline rebuilds wholesale through
-    // `replace_problem`. Both must stay in bitwise lockstep.
+    // the candidate through `apply_delta` (the route `run_scenario` takes),
+    // which keeps the dirty-set caches alive; the baseline rebuilds
+    // wholesale through `replace_problem`. Both must stay in bitwise
+    // lockstep.
     let problem = paper_workload(UtilityShape::Log, 1, 1);
     let config = LrgpConfig { trace: TraceConfig::full(), ..LrgpConfig::default() };
     let inc_config = LrgpConfig { incremental: IncrementalMode::On, ..config };
@@ -804,19 +809,17 @@ fn incremental_engine_matches_through_capacity_and_population_churn() {
     let mut incremental = Engine::new(problem, inc_config);
     let node = baseline.problem().node_ids().next().expect("workload has nodes");
     let class = baseline.problem().class_ids().next().expect("workload has classes");
-    let changes: [(usize, ProblemChange); 3] = [
-        (40, ProblemChange::SetNodeCapacity { node, capacity: 30_000.0 }),
-        (80, ProblemChange::SetMaxPopulation { class, max_population: 10 }),
-        (120, ProblemChange::SetNodeCapacity { node, capacity: 57_000.0 }),
+    let changes = [
+        (40, ProblemDelta::new().set_node_capacity(node, 30_000.0)),
+        (80, ProblemDelta::new().resize_class(class, 10)),
+        (120, ProblemDelta::new().set_node_capacity(node, 57_000.0)),
     ];
     for k in 1..=160 {
-        for (at, change) in &changes {
+        for (at, delta) in &changes {
             if k == *at {
-                let edited = change.apply(baseline.problem()).expect("change is valid");
+                let edited = delta.apply(baseline.problem()).expect("change is valid");
                 baseline.replace_problem(edited);
-                let mut delta = ProblemDelta::new();
-                delta.push(change.to_delta_op());
-                incremental.apply_delta(&delta).expect("change is valid");
+                incremental.apply_delta(delta).expect("change is valid");
             }
         }
         let u_base = baseline.step();
@@ -890,28 +893,53 @@ fn adding_a_flow_mid_run_stays_bit_identical() {
     assert!(baseline.allocation().rate(new_flow) > 0.0, "appended flow never got a rate");
 }
 
+
 #[test]
-fn delta_ops_list_matches_scenario_change_kinds() {
-    // `DeltaOp` must stay expressive enough for every scenario change kind;
-    // a new `ProblemChange` variant without a delta mapping would silently
-    // fall back to wholesale rebuilds in `run_scenario`.
-    let p = paper_workload(UtilityShape::Log, 1, 1);
-    let node = p.node_ids().next().unwrap();
-    let class = p.class_ids().next().unwrap();
-    let changes = [
-        ProblemChange::RemoveFlow(FlowId::new(0)),
-        ProblemChange::SetNodeCapacity { node, capacity: 1e5 },
-        ProblemChange::SetMaxPopulation { class, max_population: 5 },
-        ProblemChange::SetRateBounds {
-            flow: FlowId::new(1),
-            bounds: RateBounds::new(1.0, 10.0).unwrap(),
-        },
+fn a_scenario_carries_any_delta_op() {
+    // A scenario schedules `DeltaOp`s, so it can carry the ops the old
+    // four-kind change enum could not: a flow addition, an `F_{b,i}` edit
+    // and a link-loss edit, on a lossy workload under joint reliability.
+    // `run_scenario` must match, bit for bit, an engine that takes the
+    // same ops through `apply_delta` at the same iterations (ops due at one
+    // iteration form one batch): every traced rate, price, population and
+    // γ at every iteration, the channel grown for the added flow included.
+    let problem = pow_lossy_pairs(6, 100.0);
+    let config = LrgpConfig {
+        reliability: Reliability::Joint,
+        link_gamma: 2e-3,
+        trace: TraceConfig::full(),
+        ..LrgpConfig::default()
+    };
+    let (template, added) = (FlowId::new(3), FlowId::new(problem.num_flows() as u32));
+    let sink = problem.nodes_of_flow(FlowId::new(5))[0].0;
+    let classes = problem.classes_of_flow(template).iter().map(|&c| problem.class(c).clone());
+    let add = DeltaOp::AddFlow { flow: problem.flow(template).clone(), classes: classes.collect() };
+    let schedule = [
+        (30, add),
+        (30, DeltaOp::SetLinkLoss { link: LinkId::new(1), loss: 0.3 }),
+        (70, DeltaOp::SetFlowNodeCost { flow: FlowId::new(5), node: sink, cost: 0.5 }),
+        (110, DeltaOp::SetLinkLoss { link: LinkId::new(1), loss: 0.02 }),
     ];
-    for change in changes {
+    let scenario =
+        schedule.iter().fold(Scenario::new(), |scenario, (at, op)| scenario.at(*at, op.clone()));
+    let mut scripted = Engine::new(problem.clone(), config);
+    let out = run_scenario(&mut scripted, &scenario, 150).expect("every op is valid");
+    assert_eq!(out.change_points, vec![30, 30, 70, 110]);
+
+    let mut manual = Engine::new(problem, config);
+    for k in 0..150 {
         let mut delta = ProblemDelta::new();
-        delta.push(change.to_delta_op());
-        let via_delta = delta.apply(&p).unwrap();
-        let via_change = change.apply(&p).unwrap();
-        assert_eq!(via_delta, via_change, "{change:?}");
+        for (_, op) in schedule.iter().filter(|(at, _)| *at == k) {
+            delta.push(op.clone());
+        }
+        manual.apply_delta(&delta).expect("every op is valid");
+        manual.step();
     }
+    assert_eq!(format!("{:?}", manual.trace()), format!("{:?}", scripted.trace()));
+    assert_bits_eq("scenario rhos", 150, manual.rhos(), scripted.rhos());
+    assert_eq!(format!("{:?}", manual.problem()), format!("{:?}", scripted.problem()));
+    let rates = scripted.trace().rates.as_ref().expect("rates are traced");
+    assert_eq!(rates.len(), added.index() + 1, "the trace grew a channel for the added flow");
+    assert_eq!(rates[added.index()].len(), 150 - 30, "the channel starts at the addition");
+    assert!(scripted.allocation().rate(added) > 0.0, "the added flow never got a rate");
 }
