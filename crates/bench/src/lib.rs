@@ -18,8 +18,10 @@
 //! | `reliability` | Joint rate–reliability vs fixed-ρ allocation on lossy links |
 //!
 //! Binaries print a Markdown table to stdout and write CSV/JSON series to
-//! `results/` (override with `--out DIR`). Criterion micro-benchmarks live
-//! under `benches/`.
+//! `results/` (override with `--out DIR`). Step timing is not done here:
+//! `lrgp bench` times the engine's step configurations, and the repository
+//! benchmark (its own package under `src/bin/benchmark/`) times cold
+//! solves, re-convergence and warm steps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,9 +11,9 @@
 //!
 //! The iteration itself is implemented once, in the dirty-set executor
 //! ([`crate::exec`]); the engine hands it every step together with its
-//! [`LrgpConfig`]. Sequential, threaded, incremental and full-recompute
-//! execution are configuration choices over the same loop, all
-//! bit-identical (see [`crate::plan`]).
+//! [`LrgpConfig`]. Sequential, threaded, incremental (the default) and
+//! full-recompute execution are configuration choices over the same loop,
+//! all bit-identical (see [`crate::plan`]).
 //!
 //! The engine records the total-utility trace and supports the paper's
 //! dynamics experiments (changing the problem mid-run, Fig. 3) through the
@@ -83,9 +83,9 @@ pub struct LrgpConfig {
     /// How the step's three phases are executed (sequential by default;
     /// the sharded parallel path is bit-identical, see [`crate::plan`]).
     pub parallelism: Parallelism,
-    /// Whether [`Engine::step`] carries dirty sets across iterations
-    /// (off by default — the full recompute is the reference; the
-    /// incremental path is bit-identical, see [`crate::exec`]).
+    /// Whether [`Engine::step`] carries dirty sets across iterations (on
+    /// by default; [`IncrementalMode::Off`] is the full-recompute
+    /// reference, and both yield the same bits, see [`crate::exec`]).
     pub incremental: IncrementalMode,
     /// Whether the step solves per-flow delivery reliability jointly with
     /// the rate (Off by default — the classic rate-only pipeline, bitwise
@@ -898,7 +898,7 @@ mod tests {
             .resize_class(ClassId::new(4), 3)
             .set_rate_bounds(FlowId::new(0), RateBounds::new(10.0, 400.0).unwrap());
         let configs = [
-            LrgpConfig::default(),
+            LrgpConfig { incremental: IncrementalMode::Off, ..LrgpConfig::default() },
             LrgpConfig { incremental: IncrementalMode::On, ..LrgpConfig::default() },
         ];
         for config in configs {

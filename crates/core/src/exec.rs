@@ -1,8 +1,10 @@
 //! The dirty-set step executor shared by every engine configuration.
 //!
 //! `StepState` runs one LRGP iteration over the engine's state. It is the
-//! **only** solve loop in the crate: a full recompute is simply the
-//! all-dirty special case (the engine marks everything dirty first under
+//! **only** solve loop in the crate: the default
+//! [`IncrementalMode::On`](crate::IncrementalMode::On) carries dirty sets
+//! from step to step, a full recompute is simply the all-dirty special case
+//! (the engine marks everything dirty first under
 //! [`IncrementalMode::Off`](crate::IncrementalMode::Off)), and the
 //! parallel paths shard the dirty lists over the engine's persistent
 //! worker pool (see [`crate::plan`] and [`crate::pool`]).
@@ -77,9 +79,15 @@
 //! heap allocation and no thread spawning** on either path. Results are
 //! applied in shard order, which keeps the pooled schedule bit-identical
 //! to the sequential one (see [`crate::plan`]). A panicking kernel
-//! resumes its unwind on the caller *after* the inputs are restored and
-//! all pending outputs are discarded, leaving the engine and the pool
-//! reusable.
+//! resumes its unwind on the caller *after* the inputs are restored, all
+//! pending outputs are discarded and everything is marked dirty, leaving
+//! the engine and the pool reusable: the next step is a full recompute of
+//! the state the engine holds, in either [`IncrementalMode`]. (The
+//! interrupted step had already consumed the previous step's change
+//! lists, so an incremental step after it would skip flows whose prices
+//! moved.) Phases that completed before the panic keep their writes.
+//!
+//! [`IncrementalMode`]: crate::IncrementalMode
 
 use crate::engine::LrgpConfig;
 use crate::gamma::GammaController;
@@ -266,7 +274,8 @@ impl StepState {
 
     /// Marks everything dirty for the next step, turning it into an exact
     /// full recompute ([`crate::engine::Engine::step`] calls this every
-    /// step under `IncrementalMode::Off`).
+    /// step under `IncrementalMode::Off`, and a pooled phase calls it
+    /// before it resumes a caught kernel panic).
     pub(crate) fn mark_all_dirty(&mut self) {
         self.first = true;
     }
@@ -576,6 +585,7 @@ impl StepState {
         if let Some(payload) = panic {
             self.rate_scratch.out.clear();
             pool.discard_outputs();
+            self.mark_all_dirty();
             std::panic::resume_unwind(payload);
         }
         let Self { rate_changed, changed_rates, rate_scratch, .. } = self;
@@ -684,6 +694,7 @@ impl StepState {
         if let Some(payload) = panic {
             self.rho_scratch.clear();
             pool.discard_outputs();
+            self.mark_all_dirty();
             std::panic::resume_unwind(payload);
         }
         let Self { rho_changed, changed_rhos, rho_scratch, .. } = self;
@@ -801,6 +812,7 @@ impl StepState {
         if let Some(payload) = panic {
             self.admission_scratch.clear();
             pool.discard_outputs();
+            self.mark_all_dirty();
             std::panic::resume_unwind(payload);
         }
         let Self { nodes, admission_scratch, .. } = self;
@@ -1015,10 +1027,15 @@ mod tests {
         LrgpConfig { incremental: IncrementalMode::On, ..LrgpConfig::default() }
     }
 
+    /// The all-dirty reference every incremental engine is compared with.
+    fn baseline_config() -> LrgpConfig {
+        LrgpConfig { incremental: IncrementalMode::Off, ..LrgpConfig::default() }
+    }
+
     #[test]
     fn incremental_matches_baseline_on_base_workload() {
         let problem = base_workload();
-        let mut baseline = Engine::new(problem.clone(), LrgpConfig::default());
+        let mut baseline = Engine::new(problem.clone(), baseline_config());
         let mut incremental = Engine::new(problem, incremental_config());
         for k in 0..200 {
             let a = baseline.step();
@@ -1032,7 +1049,7 @@ mod tests {
     #[test]
     fn incremental_threads_match_baseline() {
         let problem = base_workload();
-        let mut baseline = Engine::new(problem.clone(), LrgpConfig::default());
+        let mut baseline = Engine::new(problem.clone(), baseline_config());
         let config = LrgpConfig {
             parallelism: Parallelism::Threads(3),
             ..incremental_config()
@@ -1073,7 +1090,7 @@ mod tests {
     #[test]
     fn flow_removal_keeps_the_state_and_stays_identical() {
         let problem = base_workload();
-        let mut baseline = Engine::new(problem.clone(), LrgpConfig::default());
+        let mut baseline = Engine::new(problem.clone(), baseline_config());
         let mut incremental = Engine::new(problem, incremental_config());
         for _ in 0..80 {
             baseline.step();
@@ -1194,32 +1211,41 @@ mod tests {
         // hook so a pooled rate kernel panics, assert the unwind reaches
         // the caller with the original payload, then assert the very same
         // engine (and its pool) steps normally afterwards — and still
-        // matches a clean reference bitwise.
-        let config = LrgpConfig {
-            parallelism: Parallelism::Threads(3),
-            ..LrgpConfig::default()
-        };
-        let mut engine = Engine::new(base_workload(), config);
-        engine.force_pool_dispatch(true);
-        let mut reference = Engine::new(base_workload(), LrgpConfig::default());
-        for _ in 0..5 {
-            engine.step();
-            reference.step();
-        }
-        engine.arm_rate_panic(Some(0));
-        let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.step()));
-        let payload = boom.expect_err("injected panic must unwind out of step()");
-        let message = payload.downcast_ref::<String>().expect("payload preserved");
-        assert!(message.contains("injected rate-kernel panic"), "{message}");
-        // The engine's buffers were restored, the pool is reusable, and the
-        // interrupted step left no partial results behind: disarm and
-        // continue in lockstep with the reference (which never panicked and
-        // never ran the interrupted iteration's writes).
-        engine.arm_rate_panic(None);
-        for k in 0..40 {
-            let a = reference.step();
-            let b = engine.step();
-            assert_eq!(a.to_bits(), b.to_bits(), "diverged at post-panic iteration {k}");
+        // matches a clean reference bitwise. Under `On` the interrupted
+        // step has already consumed the previous step's change lists, so
+        // this also checks that the panic path marks everything dirty.
+        for incremental in [IncrementalMode::Off, IncrementalMode::On] {
+            let config = LrgpConfig {
+                parallelism: Parallelism::Threads(3),
+                incremental,
+                ..LrgpConfig::default()
+            };
+            let mut engine = Engine::new(base_workload(), config);
+            engine.force_pool_dispatch(true);
+            let mut reference = Engine::new(base_workload(), baseline_config());
+            for _ in 0..5 {
+                engine.step();
+                reference.step();
+            }
+            engine.arm_rate_panic(Some(0));
+            let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.step()));
+            let payload = boom.expect_err("injected panic must unwind out of step()");
+            let message = payload.downcast_ref::<String>().expect("payload preserved");
+            assert!(message.contains("injected rate-kernel panic"), "{message}");
+            // The engine's buffers were restored, the pool is reusable, and
+            // the interrupted step left no partial results behind: disarm
+            // and continue in lockstep with the reference (which never
+            // panicked and never ran the interrupted iteration's writes).
+            engine.arm_rate_panic(None);
+            for k in 0..40 {
+                let a = reference.step();
+                let b = engine.step();
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{incremental:?}: diverged at post-panic iteration {k}"
+                );
+            }
         }
     }
 }

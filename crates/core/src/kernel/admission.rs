@@ -42,13 +42,27 @@ pub enum AdmissionPolicy {
 /// utility gained per unit of node resource spent when admitting one more
 /// consumer.
 ///
-/// Returns 0 for non-positive rates (a removed flow carries no benefit).
+/// Returns 0 for non-positive rates (a removed flow carries no benefit)
+/// and for an undefined ratio: `∞/∞` (a huge weight and consumer cost at a
+/// huge rate) or `0/0` after underflow. Such a class then ranks with the
+/// zero-BC classes, by id.
 pub fn benefit_cost(problem: &Problem, class: ClassId, rate: f64) -> f64 {
     if rate <= 0.0 {
         return 0.0;
     }
     let spec = problem.class(class);
-    spec.utility.value(rate) / (spec.consumer_cost * rate)
+    defined_or_zero(spec.utility.value(rate) / (spec.consumer_cost * rate))
+}
+
+/// `ratio`, or 0 when it is NaN. `total_cmp` would rank a NaN by its sign
+/// bit, which the hardware picks (x86's default NaN is negative,
+/// AArch64's positive), so the greedy's order would depend on the CPU.
+fn defined_or_zero(ratio: f64) -> f64 {
+    if ratio.is_nan() {
+        0.0
+    } else {
+        ratio
+    }
 }
 
 /// Result of running the greedy admission at one node.
@@ -120,9 +134,8 @@ pub fn allocate_consumers_into(
     let capacity = problem.node(node).capacity;
 
     // Classes ordered by decreasing benefit–cost ratio. Ties broken by
-    // class id for determinism; `total_cmp` keeps the comparator a total
-    // order even for NaN/degenerate ratios (a NaN BC — e.g. an unbounded
-    // rate — must not make the sort order unspecified).
+    // class id for determinism; `benefit_cost` never returns NaN, so
+    // `total_cmp` orders real ratios (and ±∞) only.
     for entry in order.iter_mut() {
         let r = rates[problem.class(entry.0).flow.index()];
         entry.1 = benefit_cost(problem, entry.0, r);
@@ -170,8 +183,12 @@ pub fn allocate_consumers_into(
                 blocked = matches!(policy, AdmissionPolicy::StopAtFirstBlock);
             }
         }
-        remaining -= admitted * per_consumer;
-        used += admitted * per_consumer;
+        // Only admitted consumers spend capacity: a class that cannot
+        // afford one because `G·r = ∞` would add `0 · ∞ = NaN`.
+        if admitted > 0.0 {
+            remaining -= admitted * per_consumer;
+            used += admitted * per_consumer;
+        }
         populations.push((class, admitted));
     }
 
@@ -380,13 +397,14 @@ mod tests {
 
     #[test]
     fn nan_benefit_cost_is_handled_totally_and_deterministically() {
-        // Valid input can drive BC to NaN: a `Linear` weight of 1e300 at rate
-        // 1e10 makes `U = ∞`, and `G = 1e300` makes `G·r = ∞`, so BC is
-        // ∞/∞. The old `partial_cmp(..).unwrap_or(Equal)` comparator was
-        // *inconsistent* on such input (NaN "equal" to everything while real
-        // ratios still ordered), leaving the sort order unspecified;
-        // `total_cmp` keeps the order total, so the allocation must be
-        // deterministic and must not panic.
+        // Valid input can make BC undefined: a `Linear` weight of 1e300 at
+        // rate 1e10 makes `U = ∞`, and `G = 1e300` makes `G·r = ∞`, so the
+        // quotient is ∞/∞ = NaN. Ranked by `total_cmp`, a NaN would sit
+        // above every real ratio or below them all by its sign bit, which
+        // the hardware picks. BC reads 0 for a NaN of either sign.
+        for nan in [f64::NAN, -f64::NAN] {
+            assert_eq!(defined_or_zero(nan).to_bits(), 0.0f64.to_bits());
+        }
         let cap = 30.0 * 1900.0;
         let mut b = ProblemBuilder::new();
         let sink = b.add_node(cap);
@@ -399,37 +417,19 @@ mod tests {
         b.add_class(finite, sink, 20, Utility::log(50.0), 19.0);
         let p = b.build().unwrap();
         let rates = [1e10, 100.0];
-        let nan = benefit_cost(&p, ClassId::new(0), rates[0]);
-        assert!(nan.is_nan());
-        let finite_bc = benefit_cost(&p, ClassId::new(1), rates[1]);
-        let run = |policy| allocate_consumers(&p, sink, &rates, PopulationMode::Integral, policy);
-        // The degenerate class cannot afford one consumer (`G·r = ∞`).
-        // Under the total order a NaN ranks by its sign bit, above every
-        // real ratio when positive and below when negative, and which sign
-        // ∞/∞ takes is the hardware's choice. Ranked first, the degenerate
-        // class halts the paper's greedy before the finite one; ranked
-        // last, the finite class saturates (20 consumers) first. Eq. 11's
-        // max ignores NaN either way. (`used` reads NaN here: the blocked
-        // class adds `0 · ∞` to it.)
-        let stop = if nan.is_sign_positive() {
-            (vec![0.0, 0.0], finite_bc)
-        } else {
-            (vec![0.0, 20.0], 0.0)
-        };
-        // First-fit decreasing skips the blocked class in either order.
-        let skip = (vec![0.0, 20.0], 0.0);
-        for (policy, (populations, bc)) in [
-            (AdmissionPolicy::StopAtFirstBlock, stop),
-            (AdmissionPolicy::FirstFitDecreasing, skip),
-        ] {
-            let a = run(policy);
-            assert_eq!(
-                format!("{a:?}"),
-                format!("{:?}", run(policy)),
-                "NaN BC must not make the order unspecified"
-            );
-            assert_eq!(pops(&a), populations, "{policy:?}");
-            assert_eq!(a.benefit_cost.to_bits(), f64::to_bits(bc), "{policy:?}");
+        let spec = p.class(ClassId::new(0));
+        assert!((spec.utility.value(rates[0]) / (spec.consumer_cost * rates[0])).is_nan());
+        assert_eq!(benefit_cost(&p, ClassId::new(0), rates[0]).to_bits(), 0.0f64.to_bits());
+        // So the degenerate class ranks below the finite one, which
+        // saturates at 20 consumers (20 · 19 · 100 = 38,000). The degenerate
+        // class cannot afford one consumer and adds nothing to `used` (not
+        // `0 · ∞`). With the finite class saturated, Eq. 11 reads 0. Both
+        // policies agree.
+        for policy in [AdmissionPolicy::StopAtFirstBlock, AdmissionPolicy::FirstFitDecreasing] {
+            let a = allocate_consumers(&p, sink, &rates, PopulationMode::Integral, policy);
+            assert_eq!(pops(&a), vec![0.0, 20.0], "{policy:?}");
+            assert_eq!(a.benefit_cost.to_bits(), 0.0f64.to_bits(), "{policy:?}");
+            assert_eq!(a.used.to_bits(), 38_000.0f64.to_bits(), "{policy:?}: used {}", a.used);
         }
     }
 

@@ -6,8 +6,9 @@
 //!
 //! * [`Parallelism`] — whether each phase shards its work over the engine's
 //!   persistent worker pool ([`crate::pool`]), and over how many workers;
-//! * [`IncrementalMode`] — whether the step recomputes everything or only
-//!   the dirty subset tracked by the executor ([`crate::exec`]);
+//! * [`IncrementalMode`] — whether the step recomputes everything or, by
+//!   default, only the dirty subset tracked by the executor
+//!   ([`crate::exec`]);
 //! * [`Reliability`] — whether the step also solves each flow's
 //!   delivery-reliability variable ρ against the link prices
 //!   ([`crate::kernel::reliability`]) or runs the classic rate-only
@@ -123,13 +124,19 @@ impl Reliability {
 }
 
 /// Whether the step recomputes everything or only the dirty subset.
+///
+/// [`IncrementalMode::On`] is the default: it yields the same bits as the
+/// full recompute and skips the work whose inputs did not change.
+/// [`IncrementalMode::Off`] stays as the all-dirty reference that the
+/// differential tests compare against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum IncrementalMode {
     /// Recompute everything each step (the reference behaviour; the
     /// engine marks all elements dirty before each step).
-    #[default]
     Off,
-    /// Track dirty sets across steps and recompute only what changed.
+    /// Track dirty sets across steps and recompute only what changed (the
+    /// default).
+    #[default]
     On,
     /// Let the engine decide. Currently resolves to [`IncrementalMode::On`]:
     /// the incremental step is bit-identical and its bookkeeping overhead is
@@ -178,7 +185,7 @@ mod tests {
         assert!(!IncrementalMode::Off.enabled());
         assert!(IncrementalMode::On.enabled());
         assert!(IncrementalMode::Auto.enabled());
-        assert_eq!(IncrementalMode::default(), IncrementalMode::Off);
+        assert_eq!(IncrementalMode::default(), IncrementalMode::On);
     }
 
     #[test]

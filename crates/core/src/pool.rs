@@ -47,8 +47,13 @@
 //! the first payload (inline first, then ascending worker index — a
 //! deterministic choice) with [`std::panic::resume_unwind`] *after* moving
 //! the job inputs back out. The engine keeps its buffers, the pool keeps
-//! its workers, and the next step runs normally — the same contract the
-//! old scoped-thread path had through `join_worker`, plus reusability.
+//! its workers, and the executor marks everything dirty before it resumes
+//! the unwind, so the next step is a full recompute of the state the
+//! engine holds — under `IncrementalMode::On` too, whose change lists the
+//! interrupted step had already consumed. That is what "reusable" means:
+//! the same engine and pool step on, and a rate-phase panic leaves a
+//! trace bit-identical to an engine that never ran the interrupted step
+//! (pinned by the exec tests under both modes).
 //!
 //! # Dispatch policy
 //!

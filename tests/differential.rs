@@ -708,11 +708,12 @@ fn joint_moves_rho_off_its_ceiling_on_lossy_pairs() {
 #[test]
 fn parallel_engine_bit_identical_on_paper_workload() {
     // The Table 1 workload, long enough to pass through the initial
-    // oscillation and the adaptive-γ regime changes.
+    // oscillation and the adaptive-γ regime changes. The one case here that
+    // shards the all-dirty step: the others run the default incremental one.
     for threads in [2, 3, 4, 7] {
         assert_engines_identical(
             paper_workload(UtilityShape::Log, 1, 1),
-            LrgpConfig::default(),
+            LrgpConfig { incremental: IncrementalMode::Off, ..LrgpConfig::default() },
             Parallelism::Threads(threads),
             120,
         );
@@ -803,7 +804,11 @@ fn incremental_engine_matches_through_capacity_and_population_churn() {
     // wholesale through `replace_problem`. Both must stay in bitwise
     // lockstep.
     let problem = paper_workload(UtilityShape::Log, 1, 1);
-    let config = LrgpConfig { trace: TraceConfig::full(), ..LrgpConfig::default() };
+    let config = LrgpConfig {
+        incremental: IncrementalMode::Off,
+        trace: TraceConfig::full(),
+        ..LrgpConfig::default()
+    };
     let inc_config = LrgpConfig { incremental: IncrementalMode::On, ..config };
     let mut baseline = Engine::new(problem.clone(), config);
     let mut incremental = Engine::new(problem, inc_config);
@@ -829,6 +834,54 @@ fn incremental_engine_matches_through_capacity_and_population_churn() {
             "utility diverged at churn iteration {k}: {u_base:?} vs {u_inc:?}"
         );
         assert_same_state("churn", k, &baseline, &incremental);
+    }
+}
+
+#[test]
+fn deltas_on_a_settled_engine_stay_bit_identical() {
+    // Once an engine has settled, the dirt a delta injects is all that makes
+    // the next incremental step re-solve anything. Widening a flow's lower
+    // rate bound leaves its stored rate in bounds, so only that dirt tells
+    // the engine to re-solve the flow; capacity and population edits likewise
+    // reach admission only through the dirt they inject. An incremental
+    // engine that dropped it would keep its stale state, while the
+    // all-dirty reference re-solves everything.
+    let workload = RandomWorkload {
+        flows: 12,
+        consumer_nodes: 3,
+        classes_per_flow: 2,
+        ..RandomWorkload::default()
+    };
+    let problem = workload.generate(&mut StdRng::seed_from_u64(0));
+    let config = LrgpConfig { incremental: IncrementalMode::Off, ..LrgpConfig::default() };
+    let mut reference = Engine::new(problem.clone(), config);
+    let mut settled =
+        Engine::new(problem.clone(), LrgpConfig { incremental: IncrementalMode::On, ..config });
+    reference.run(2_000);
+    settled.run(2_000);
+    let widened = problem.flow_ids().map(|flow| {
+        let RateBounds { min, max } = problem.flow(flow).bounds;
+        ProblemDelta::new()
+            .set_rate_bounds(flow, RateBounds::new(min / 2.0, max).expect("min ≤ max"))
+    });
+    let capacities = problem
+        .node_ids()
+        .map(|node| ProblemDelta::new().set_node_capacity(node, problem.node(node).capacity * 0.9));
+    let populations = problem.class_ids().map(|class| {
+        ProblemDelta::new().resize_class(class, problem.class(class).max_population / 2)
+    });
+    for delta in widened.chain(capacities).chain(populations) {
+        let (mut a, mut b) = (reference.clone(), settled.clone());
+        a.apply_delta(&delta).expect("delta is valid");
+        b.apply_delta(&delta).expect("delta is valid");
+        for k in 1..=300 {
+            let (u_ref, u_inc) = (a.step(), b.step());
+            assert!(
+                u_ref.to_bits() == u_inc.to_bits(),
+                "{delta:?}: utility diverged at post-delta step {k}: {u_ref:?} vs {u_inc:?}"
+            );
+            assert_same_state(&format!("{delta:?}"), k, &a, &b);
+        }
     }
 }
 
