@@ -162,7 +162,7 @@ pub struct ThreadRatioBench {
 /// spec-carrying problem: `Reliability::Off` (the rate-only control — the
 /// pre-reliability step, which must stay bit-identical to it) and
 /// `Reliability::Joint`. `joint_overhead` is `joint / off` — what the
-/// per-step ρ phase and the redundancy-coupled link usage cost on top of
+/// per-step ρ solves and the redundancy-coupled link usage cost on top of
 /// the rate-only step.
 #[derive(Debug, Clone, Serialize)]
 pub struct ReliabilityBench {
@@ -178,7 +178,7 @@ pub struct ReliabilityBench {
     pub off_ns: u64,
     /// Median near-converged step, `Reliability::Joint`.
     pub joint_ns: u64,
-    /// `joint / off`: the cost of the joint ρ phase relative to rate-only.
+    /// `joint / off`: the cost of the joint ρ solves relative to rate-only.
     pub joint_overhead: f64,
 }
 

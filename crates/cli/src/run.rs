@@ -165,8 +165,12 @@ fn solve(cmd: SolveCmd) -> CliResult {
     let outcome = engine.run_until_converged(cmd.iterations);
     match outcome.converged_at {
         Some(k) => println!("converged after {k} iterations (0.1% amplitude criterion)"),
-        None => println!("ran {} iterations without meeting the criterion", outcome.iterations),
+        None => println!(
+            "ran {} iterations without meeting the criterion on a feasible allocation",
+            outcome.iterations
+        ),
     }
+    println!("worst capacity overload: {:.4}%", 100.0 * outcome.max_overload);
     println!("total utility: {:.0}", outcome.utility);
     let allocation = engine.allocation();
     let report = AllocationReport::new(&problem, &allocation);

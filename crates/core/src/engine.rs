@@ -116,18 +116,29 @@ impl Default for LrgpConfig {
     }
 }
 
+/// The relative slack each capacity gets before
+/// [`Engine::run_until_converged`] withholds a verdict: round-off, not a
+/// tolerance on the optimizer. Zero is too strict: a joint run's link can
+/// read 400.00000000000006 against a capacity of 400.
+const OVERLOAD_TOLERANCE: f64 = 1e-9;
+
 /// Outcome of [`Engine::run_until_converged`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RunOutcome {
-    /// Iteration at which the convergence criterion was first satisfied
+    /// Iteration at which the convergence criterion was first satisfied by
+    /// an allocation overloading no capacity by more than a relative 1e-9
     /// (`None` if the budget ran out first). Counted from the start of the
-    /// run call, 1-based: `Some(k)` means the criterion held after `k`
-    /// iterations.
+    /// run call, 1-based: `Some(k)` means both held after `k` iterations.
     pub converged_at: Option<usize>,
     /// Iterations actually executed by the call.
     pub iterations: usize,
     /// Total utility after the last executed iteration.
     pub utility: f64,
+    /// The worst relative capacity overload after the last executed
+    /// iteration, `max((usage − c) / c, 0)` over every node and link; link
+    /// usage carries the joint redundancy inflation, and a NaN usage reads
+    /// as infinite. 0.0 when no step has run.
+    pub max_overload: f64,
 }
 
 /// The synchronous LRGP optimizer.
@@ -339,16 +350,30 @@ impl Engine {
     }
 
     /// Runs until the configured convergence criterion holds on the utility
-    /// trace or `max_iterations` steps have executed, whichever is first.
+    /// trace with a feasible allocation, or `max_iterations` steps have
+    /// executed, whichever is first. An allocation counts as feasible when
+    /// no node or link is loaded beyond its capacity by more than a
+    /// relative 1e-9 ([`RunOutcome::max_overload`]).
     pub fn run_until_converged(&mut self, max_iterations: usize) -> RunOutcome {
-        let mut last = self.trace.utility.last().unwrap_or(0.0);
+        let mut utility = self.trace.utility.last().unwrap_or(0.0);
         for k in 1..=max_iterations {
-            last = self.step();
-            if self.config.convergence.is_met(&self.trace.utility) {
-                return RunOutcome { converged_at: Some(k), iterations: k, utility: last };
+            utility = self.step();
+            if !self.config.convergence.is_met(&self.trace.utility) {
+                continue;
+            }
+            let max_overload = self.max_overload();
+            if max_overload <= OVERLOAD_TOLERANCE {
+                return RunOutcome { converged_at: Some(k), iterations: k, utility, max_overload };
             }
         }
-        RunOutcome { converged_at: None, iterations: max_iterations, utility: last }
+        let max_overload = self.max_overload();
+        RunOutcome { converged_at: None, iterations: max_iterations, utility, max_overload }
+    }
+
+    /// The worst relative capacity overload after the last step (see
+    /// [`RunOutcome::max_overload`]), from the usages the executor cached.
+    fn max_overload(&self) -> f64 {
+        self.state.as_ref().map_or(0.0, |state| state.max_overload(&self.problem))
     }
 
     /// The current allocation (rates + populations).

@@ -96,10 +96,11 @@ use crate::kernel::price::{update_link_price, update_node_price_with_rule, Price
 use crate::kernel::rate::{solve_rate, AggregateUtility};
 use crate::kernel::reliability::solve_flow_rho;
 use crate::pool::{
-    lock_unpoisoned, shard_chunk, shard_count, AdmissionJob, AdmissionOrder, Job, PoolHandle,
-    RateJob, ReliabilityJob,
+    lock_unpoisoned, shard_chunk, shard_count, AdmissionJob, AdmissionOrder, FlowJob, Job,
+    PoolHandle, WorkerPool,
 };
 use lrgp_model::{ClassId, DeltaOp, FlowId, LinkId, NodeId, PriceTermTable, Problem};
+use std::any::Any;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Adds `id` to `list` unless its flag is already set.
@@ -166,13 +167,6 @@ impl Clone for NodeTable {
     }
 }
 
-/// The caller's reusable shard-0 scratch for the rate phase.
-#[derive(Debug, Clone, Default)]
-struct RateScratch {
-    agg: AggregateUtility,
-    out: Vec<(u32, f64)>,
-}
-
 /// The executor's persistent state: term tables, caches, dirty sets, and
 /// scratch buffers. Dropped (and lazily rebuilt) when the problem grows or
 /// is replaced wholesale; every other delta patches it in place.
@@ -221,12 +215,12 @@ pub(crate) struct StepState {
     link_dirty: Vec<bool>,
     dirty_links: Vec<u32>,
 
-    rate_scratch: RateScratch,
-    /// The caller's shard-0 admission output, `(node, used, bc)`.
-    admission_scratch: Vec<(u32, f64, f64)>,
-    /// The caller's shard-0 reliability output, `(flow, rho)`.
-    rho_scratch: Vec<(u32, f64)>,
-    /// Panic-injection test hook, threaded into pooled rate jobs.
+    /// The caller's rate-solve scratch, reused across steps.
+    agg_scratch: AggregateUtility,
+    /// The caller's shard-0 output in a pooled phase: `(flow, rate, rho)`
+    /// or `(node, used, bc)`.
+    out_scratch: Vec<(u32, f64, f64)>,
+    /// Panic-injection test hook, threaded into pooled flow jobs.
     #[cfg(test)]
     panic_on_flow: Option<u32>,
 }
@@ -264,9 +258,8 @@ impl StepState {
             dirty_nodes: Vec::with_capacity(problem.num_nodes()),
             link_dirty: vec![false; problem.num_links()],
             dirty_links: Vec::with_capacity(problem.num_links()),
-            rate_scratch: RateScratch::default(),
-            admission_scratch: Vec::new(),
-            rho_scratch: Vec::new(),
+            agg_scratch: AggregateUtility::default(),
+            out_scratch: Vec::new(),
             #[cfg(test)]
             panic_on_flow: None,
         }
@@ -384,6 +377,21 @@ impl StepState {
         }
     }
 
+    /// The worst relative overload `max((usage − c) / c, 0)` over every
+    /// node and link, read from the usages the last step cached (a link's
+    /// carries the joint redundancy inflation). A NaN usage counts as an
+    /// infinite overload.
+    pub(crate) fn max_overload(&self, problem: &Problem) -> f64 {
+        let nodes = problem.node_ids().map(|node| problem.node(node).capacity);
+        let links = problem.link_ids().map(|link| problem.link(link).capacity);
+        let usages = self.nodes.used.iter().chain(&self.link_usage);
+        usages.zip(nodes.chain(links)).fold(0.0, |worst, (&usage, capacity)| {
+            let overload =
+                if usage.is_nan() { f64::INFINITY } else { (usage - capacity) / capacity };
+            worst.max(overload)
+        })
+    }
+
     /// The current dirty/changed set sizes, for tests:
     /// `(changed_rates, changed_nodes, changed_links)` as published by the
     /// last completed step.
@@ -405,7 +413,7 @@ impl StepState {
         &self.changed_nodes
     }
 
-    /// Arms the panic-injection hook: the next pooled rate job panics when
+    /// Arms the panic-injection hook: the next pooled flow job panics when
     /// it reaches this flow id.
     #[cfg(test)]
     pub(crate) fn set_panic_on_flow(&mut self, flow: Option<u32>) {
@@ -427,16 +435,13 @@ impl StepState {
         prices: &mut PriceVector,
         gammas: &mut [GammaController],
     ) -> f64 {
-        // The ρ phase only exists under Reliability::Joint on a problem with
-        // a reliability spec; everywhere else the step is exactly the classic
+        // ρ is solved only under Reliability::Joint on a problem with a
+        // reliability spec; everywhere else the step is exactly the classic
         // rate-only pipeline (changed_rhos stays permanently empty, and the
         // Off gates below never add a float operation).
         let joint = config.reliability.joint() && problem.reliability().is_some();
         self.derive_dirty_flows(problem);
-        self.solve_dirty_rates(problem, config, pool, rates, populations, prices);
-        if joint {
-            self.solve_dirty_rhos(problem, config, pool, rates, rhos, populations, prices);
-        }
+        self.solve_dirty_flows(problem, config, pool, rates, rhos, populations, prices, joint);
         self.derive_dirty_nodes(problem);
         self.run_dirty_admissions(problem, config, pool, rates);
         self.apply_populations(populations);
@@ -511,112 +516,22 @@ impl StepState {
     }
 
     /// Phase 1: re-solve the dirty flows' rates (Algorithm 1) against the
-    /// term tables, recording bitwise rate changes. When
-    /// `config.parallelism` resolves to more than one context and the pool
-    /// dispatches, the inputs move into a [`RateJob`], shards `1..` run on
-    /// parked workers while the caller runs shard 0, and the results are
-    /// applied in shard order.
-    fn solve_dirty_rates(
-        &mut self,
-        problem: &Arc<Problem>,
-        config: &LrgpConfig,
-        pool: &PoolHandle,
-        rates: &mut Vec<f64>,
-        populations: &mut Vec<f64>,
-        prices: &mut PriceVector,
-    ) {
-        clear_marks(&mut self.rate_changed, &mut self.changed_rates);
-        if self.dirty_flows.is_empty() {
-            return;
-        }
-        let workers = config.parallelism.workers_for(self.dirty_flows.len());
-        let pooled = pool
-            .get()
-            .filter(|p| workers > 1 && p.dispatches())
-            .map(|p| (p, workers.min(p.workers() + 1)))
-            .filter(|&(_, w)| w > 1);
-        let Some((pool, workers)) = pooled else {
-            // The sequential schedule is bit-identical to shard-and-apply:
-            // a flow's solve reads `rates` only at its own index (the
-            // solver's fallback), so in-place iteration sees the same
-            // inputs a frozen pre-phase copy would.
-            let Self { terms, dirty_flows, rate_changed, changed_rates, rate_scratch, .. } =
-                self;
-            let agg = &mut rate_scratch.agg;
-            for &f in dirty_flows.iter() {
-                let flow = FlowId::new(f);
-                agg.refill_for_flow(problem, flow, populations);
-                let price = prices.aggregate_price_from_table(terms, flow, populations);
-                let next = solve_rate(agg, price, problem.flow(flow).bounds, rates[f as usize]);
-                if next.to_bits() != rates[f as usize].to_bits() {
-                    rates[f as usize] = next;
-                    mark(rate_changed, changed_rates, f);
-                }
-            }
-            return;
-        };
-        let chunk = shard_chunk(self.dirty_flows.len(), workers);
-        let shards = shard_count(self.dirty_flows.len(), workers);
-        let job = Job::Rates(RateJob {
-            problem: Arc::clone(problem),
-            terms: Arc::clone(&self.terms),
-            dirty: std::mem::take(&mut self.dirty_flows),
-            rates: std::mem::take(rates),
-            populations: std::mem::take(populations),
-            prices: std::mem::replace(prices, PriceVector::detached()),
-            chunk,
-            #[cfg(test)]
-            panic_on_flow: self.panic_on_flow,
-        });
-        let scratch = &mut self.rate_scratch;
-        let (job, panic) = pool.run(job, shards, |job| {
-            if let Job::Rates(job) = job {
-                job.run_shard(0, &mut scratch.out, &mut scratch.agg);
-            }
-        });
-        // Move the inputs back out before anything can unwind, so a
-        // panicking kernel leaves the engine's state intact.
-        if let Job::Rates(job) = job {
-            self.dirty_flows = job.dirty;
-            *rates = job.rates;
-            *populations = job.populations;
-            *prices = job.prices;
-        }
-        if let Some(payload) = panic {
-            self.rate_scratch.out.clear();
-            pool.discard_outputs();
-            self.mark_all_dirty();
-            std::panic::resume_unwind(payload);
-        }
-        let Self { rate_changed, changed_rates, rate_scratch, .. } = self;
-        let mut apply = |f: u32, next: f64| {
-            if next.to_bits() != rates[f as usize].to_bits() {
-                rates[f as usize] = next;
-                mark(rate_changed, changed_rates, f);
-            }
-        };
-        for &(f, next) in &rate_scratch.out {
-            apply(f, next);
-        }
-        for w in 0..shards - 1 {
-            pool.drain_rates(w, &mut apply);
-        }
-        rate_scratch.out.clear();
-    }
-
-    /// Phase 1b (`Reliability::Joint` only): re-solve the dirty flows'
-    /// reliability best-response against the current link prices and the
-    /// freshly solved rates, recording bitwise ρ changes.
+    /// term tables and, under `joint`, each one's reliability best response
+    /// against the rate just solved, recording bitwise rate and ρ changes.
+    /// When `config.parallelism` resolves to more than one context and the
+    /// pool dispatches, the inputs move into a [`FlowJob`], shards `1..`
+    /// run on parked workers while the caller runs shard 0, and the results
+    /// are applied in shard order.
     ///
     /// The ρ dirty set is exactly `dirty_flows`: a flow's ρ inputs are the
     /// link prices along its path, the populations of its classes, and its
-    /// own rate — the first two are the rate solve's inputs (so they dirty
-    /// the flow through phase 0), and a rate can only move for a flow in the
-    /// dirty set. A clean flow therefore re-derives the bitwise-same ρ, and
-    /// skipping it is exact — the same argument that makes rate skipping
-    /// exact, applied one phase later.
+    /// own rate. The first two are the rate solve's inputs (so they dirty
+    /// the flow through phase 0), this phase writes neither, and a rate can
+    /// only move for a flow in the dirty set. A clean flow therefore
+    /// re-derives the bitwise-same ρ, and skipping it is exact — the same
+    /// argument that makes rate skipping exact.
     #[allow(clippy::too_many_arguments)]
-    fn solve_dirty_rhos(
+    fn solve_dirty_flows(
         &mut self,
         problem: &Arc<Problem>,
         config: &LrgpConfig,
@@ -625,41 +540,52 @@ impl StepState {
         rhos: &mut Vec<f64>,
         populations: &mut Vec<f64>,
         prices: &mut PriceVector,
+        joint: bool,
     ) {
+        clear_marks(&mut self.rate_changed, &mut self.changed_rates);
         clear_marks(&mut self.rho_changed, &mut self.changed_rhos);
-        let Some(redundancy) = problem.reliability().map(|spec| spec.redundancy) else {
-            return;
-        };
         if self.dirty_flows.is_empty() {
             return;
         }
-        let workers = config.parallelism.workers_for(self.dirty_flows.len());
-        let pooled = pool
-            .get()
-            .filter(|p| workers > 1 && p.dispatches())
-            .map(|p| (p, workers.min(p.workers() + 1)))
-            .filter(|&(_, w)| w > 1);
-        let Some((pool, workers)) = pooled else {
-            // Bit-identical to shard-and-apply for the same reason as the
-            // rate phase: a flow's ρ solve reads `rhos` only at its own
-            // index (the fallback).
-            let Self { terms, dirty_flows, rho_changed, changed_rhos, .. } = self;
-            let link_prices = prices.link_prices();
+        let redundancy = problem.reliability().filter(|_| joint).map(|spec| spec.redundancy);
+        let Some((pool, workers)) = pool.dispatch(config.parallelism, self.dirty_flows.len())
+        else {
+            // The sequential schedule is bit-identical to shard-and-apply:
+            // a flow's solves read `rates` and `rhos` only at its own index
+            // (the solvers' fallbacks), so in-place iteration sees the same
+            // inputs a frozen pre-phase copy would.
+            let Self {
+                terms,
+                dirty_flows,
+                rate_changed,
+                changed_rates,
+                rho_changed,
+                changed_rhos,
+                agg_scratch: agg,
+                ..
+            } = self;
             for &f in dirty_flows.iter() {
                 let flow = FlowId::new(f);
-                let bounds = problem.rho_bounds(flow).unwrap_or_default();
-                let next = solve_flow_rho(
+                agg.refill_for_flow(problem, flow, populations);
+                let price = prices.aggregate_price_from_table(terms, flow, populations);
+                let rate = solve_rate(agg, price, problem.flow(flow).bounds, rates[f as usize]);
+                if rate.to_bits() != rates[f as usize].to_bits() {
+                    rates[f as usize] = rate;
+                    mark(rate_changed, changed_rates, f);
+                }
+                let Some(redundancy) = redundancy else { continue };
+                let rho = solve_flow_rho(
                     terms,
                     flow,
-                    link_prices,
+                    prices.link_prices(),
                     populations,
-                    rates[f as usize],
-                    bounds,
+                    rate,
+                    problem.rho_bounds(flow).unwrap_or_default(),
                     redundancy,
                     rhos[f as usize],
                 );
-                if next.to_bits() != rhos[f as usize].to_bits() {
-                    rhos[f as usize] = next;
+                if rho.to_bits() != rhos[f as usize].to_bits() {
+                    rhos[f as usize] = rho;
                     mark(rho_changed, changed_rhos, f);
                 }
             }
@@ -667,50 +593,60 @@ impl StepState {
         };
         let chunk = shard_chunk(self.dirty_flows.len(), workers);
         let shards = shard_count(self.dirty_flows.len(), workers);
-        let job = Job::Reliabilities(ReliabilityJob {
+        let job = Job::Flows(FlowJob {
             problem: Arc::clone(problem),
             terms: Arc::clone(&self.terms),
             dirty: std::mem::take(&mut self.dirty_flows),
-            rhos: std::mem::take(rhos),
             rates: std::mem::take(rates),
+            rhos: std::mem::take(rhos),
             populations: std::mem::take(populations),
             prices: std::mem::replace(prices, PriceVector::detached()),
             redundancy,
             chunk,
+            #[cfg(test)]
+            panic_on_flow: self.panic_on_flow,
         });
-        let scratch = &mut self.rho_scratch;
+        let Self { agg_scratch, out_scratch, .. } = self;
         let (job, panic) = pool.run(job, shards, |job| {
-            if let Job::Reliabilities(job) = job {
-                job.run_shard(0, scratch);
+            if let Job::Flows(job) = job {
+                job.run_shard(0, out_scratch, agg_scratch);
             }
         });
-        if let Job::Reliabilities(job) = job {
+        // Move the inputs back out before anything can unwind, so a
+        // panicking kernel leaves the engine's state intact.
+        if let Job::Flows(job) = job {
             self.dirty_flows = job.dirty;
-            *rhos = job.rhos;
             *rates = job.rates;
+            *rhos = job.rhos;
             *populations = job.populations;
             *prices = job.prices;
         }
         if let Some(payload) = panic {
-            self.rho_scratch.clear();
-            pool.discard_outputs();
-            self.mark_all_dirty();
-            std::panic::resume_unwind(payload);
+            self.abandon_phase(pool, payload);
         }
-        let Self { rho_changed, changed_rhos, rho_scratch, .. } = self;
-        let mut apply = |f: u32, next: f64| {
-            if next.to_bits() != rhos[f as usize].to_bits() {
-                rhos[f as usize] = next;
+        let Self { rate_changed, changed_rates, rho_changed, changed_rhos, out_scratch, .. } =
+            self;
+        pool.drain(out_scratch, shards, |f, rate, rho| {
+            if rate.to_bits() != rates[f as usize].to_bits() {
+                rates[f as usize] = rate;
+                mark(rate_changed, changed_rates, f);
+            }
+            if rho.to_bits() != rhos[f as usize].to_bits() {
+                rhos[f as usize] = rho;
                 mark(rho_changed, changed_rhos, f);
             }
-        };
-        for &(f, next) in rho_scratch.iter() {
-            apply(f, next);
-        }
-        for w in 0..shards - 1 {
-            pool.drain_rhos(w, &mut apply);
-        }
-        rho_scratch.clear();
+        });
+    }
+
+    /// The panic path of a pooled phase, once its inputs are moved back:
+    /// drops every pending shard output, marks everything dirty (the
+    /// interrupted step already consumed the previous step's change lists)
+    /// and resumes the unwind on the caller.
+    fn abandon_phase(&mut self, pool: &WorkerPool, payload: Box<dyn Any + Send>) -> ! {
+        self.out_scratch.clear();
+        pool.discard_outputs();
+        self.mark_all_dirty();
+        std::panic::resume_unwind(payload)
     }
 
     /// A node's admission inputs are the rates of the flows reaching it; it
@@ -761,13 +697,8 @@ impl StepState {
         if self.dirty_nodes.is_empty() {
             return;
         }
-        let workers = config.parallelism.workers_for(self.dirty_nodes.len());
-        let pooled = pool
-            .get()
-            .filter(|p| workers > 1 && p.dispatches())
-            .map(|p| (p, workers.min(p.workers() + 1)))
-            .filter(|&(_, w)| w > 1);
-        let Some((pool, workers)) = pooled else {
+        let Some((pool, workers)) = pool.dispatch(config.parallelism, self.dirty_nodes.len())
+        else {
             let Self { nodes, dirty_nodes, .. } = self;
             for &b in dirty_nodes.iter() {
                 let slot = nodes.orders[b as usize]
@@ -798,7 +729,7 @@ impl StepState {
             policy: config.admission_policy,
             chunk,
         });
-        let out = &mut self.admission_scratch;
+        let out = &mut self.out_scratch;
         let (job, panic) = pool.run(job, shards, |job| {
             if let Job::Admissions(job) = job {
                 job.run_shard(0, out);
@@ -810,23 +741,13 @@ impl StepState {
             self.nodes.orders = job.orders;
         }
         if let Some(payload) = panic {
-            self.admission_scratch.clear();
-            pool.discard_outputs();
-            self.mark_all_dirty();
-            std::panic::resume_unwind(payload);
+            self.abandon_phase(pool, payload);
         }
-        let Self { nodes, admission_scratch, .. } = self;
-        let mut apply = |b: u32, used: f64, bc: f64| {
+        let Self { nodes, out_scratch, .. } = self;
+        pool.drain(out_scratch, shards, |b, used, bc| {
             nodes.used[b as usize] = used;
             nodes.bc[b as usize] = bc;
-        };
-        for &(b, used, bc) in admission_scratch.iter() {
-            apply(b, used, bc);
-        }
-        for w in 0..shards - 1 {
-            pool.drain_admissions(w, &mut apply);
-        }
-        admission_scratch.clear();
+        });
     }
 
     /// Phase 2b: publish the dirty nodes' population decisions into the
@@ -1208,43 +1129,52 @@ mod tests {
     #[test]
     fn pooled_worker_panic_resumes_on_caller_and_pool_stays_usable() {
         // The regression fixture for panic propagation: arm the injection
-        // hook so a pooled rate kernel panics, assert the unwind reaches
+        // hook so a pooled flow kernel panics, assert the unwind reaches
         // the caller with the original payload, then assert the very same
         // engine (and its pool) steps normally afterwards — and still
         // matches a clean reference bitwise. Under `On` the interrupted
         // step has already consumed the previous step's change lists, so
         // this also checks that the panic path marks everything dirty.
-        for incremental in [IncrementalMode::Off, IncrementalMode::On] {
-            let config = LrgpConfig {
-                parallelism: Parallelism::Threads(3),
-                incremental,
-                ..LrgpConfig::default()
-            };
-            let mut engine = Engine::new(base_workload(), config);
-            engine.force_pool_dispatch(true);
-            let mut reference = Engine::new(base_workload(), baseline_config());
-            for _ in 0..5 {
-                engine.step();
-                reference.step();
-            }
-            engine.arm_rate_panic(Some(0));
-            let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.step()));
-            let payload = boom.expect_err("injected panic must unwind out of step()");
-            let message = payload.downcast_ref::<String>().expect("payload preserved");
-            assert!(message.contains("injected rate-kernel panic"), "{message}");
-            // The engine's buffers were restored, the pool is reusable, and
-            // the interrupted step left no partial results behind: disarm
-            // and continue in lockstep with the reference (which never
-            // panicked and never ran the interrupted iteration's writes).
-            engine.arm_rate_panic(None);
-            for k in 0..40 {
-                let a = reference.step();
-                let b = engine.step();
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{incremental:?}: diverged at post-panic iteration {k}"
-                );
+        // Under `Joint` the flow job holds ρ while the phase runs, so the
+        // panic path must hand it back untouched too.
+        let lossy = mixed_loss_workload(6, 100.0, 7).with_utility_shape(UtilityShape::Pow75);
+        let cases = [(base_workload(), Reliability::Off), (lossy, Reliability::Joint)];
+        for (problem, reliability) in cases {
+            for incremental in [IncrementalMode::Off, IncrementalMode::On] {
+                let config = LrgpConfig {
+                    parallelism: Parallelism::Threads(3),
+                    incremental,
+                    reliability,
+                    ..LrgpConfig::default()
+                };
+                let mut engine = Engine::new(problem.clone(), config);
+                engine.force_pool_dispatch(true);
+                let mut reference =
+                    Engine::new(problem.clone(), LrgpConfig { reliability, ..baseline_config() });
+                for _ in 0..5 {
+                    engine.step();
+                    reference.step();
+                }
+                engine.arm_rate_panic(Some(0));
+                let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.step()));
+                let payload = boom.expect_err("injected panic must unwind out of step()");
+                let message = payload.downcast_ref::<String>().expect("payload preserved");
+                assert!(message.contains("injected rate-kernel panic"), "{message}");
+                // The engine's buffers were restored, the pool is reusable,
+                // and the interrupted step left no partial results behind:
+                // disarm and continue in lockstep with the reference (which
+                // never panicked and never ran the interrupted iteration's
+                // writes).
+                engine.arm_rate_panic(None);
+                let label = format!("{reliability:?}/{incremental:?}");
+                let bits = |e: &Engine| e.rhos().iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+                for k in 0..40 {
+                    let a = reference.step();
+                    let b = engine.step();
+                    assert_eq!(a.to_bits(), b.to_bits(), "{label}: post-panic iteration {k}");
+                    assert_eq!(reference.allocation(), engine.allocation(), "{label}: {k}");
+                    assert_eq!(bits(&reference), bits(&engine), "{label}: ρ at iteration {k}");
+                }
             }
         }
     }

@@ -23,9 +23,10 @@
 //! full-recompute reference (enforced by `tests/differential.rs`).
 //! [`Reliability`] is the one choice that changes *what* is optimized rather
 //! than how fast: [`Reliability::Off`] (the default) takes the classic
-//! rate-only code path byte for byte, while [`Reliability::Joint`] adds
-//! the ρ phase — within `Joint`, all parallelism × incrementality
-//! combinations are still bit-identical to each other.
+//! rate-only code path byte for byte, while [`Reliability::Joint`] also
+//! solves each dirty flow's ρ in the flow pass, right after its rate —
+//! within `Joint`, all parallelism × incrementality combinations are
+//! still bit-identical to each other.
 //!
 //! # Determinism guarantee
 //!
@@ -97,13 +98,13 @@ impl Parallelism {
 /// jointly with the rate.
 ///
 /// [`Reliability::Off`] is the default and leaves the engine's trace
-/// bitwise-identical to the pre-reliability pipeline — the ρ phase is
-/// skipped entirely, link usage is the plain `Σ cost · r` fold, and total
+/// bitwise-identical to the pre-reliability pipeline — no ρ is solved,
+/// link usage is the plain `Σ cost · r` fold, and total
 /// utility carries no reliability term (enforced by the differential
 /// harness). [`Reliability::Joint`] activates the
 /// [`crate::kernel::reliability`] best-response for problems that carry a
 /// [`lrgp_model::ReliabilitySpec`]: each step re-solves dirty flows' ρ
-/// against the current link prices, link usage inflates by
+/// against the current link prices and the rate just solved, link usage inflates by
 /// `redundancy · loss_l · ρ_f` per unit of rate, and total utility gains
 /// `Σ_f mass_f · ln(ρ_f)`. On problems without a spec, `Joint` degrades to
 /// `Off` (there is nothing to solve).

@@ -51,9 +51,10 @@
 //! the unwind, so the next step is a full recompute of the state the
 //! engine holds — under `IncrementalMode::On` too, whose change lists the
 //! interrupted step had already consumed. That is what "reusable" means:
-//! the same engine and pool step on, and a rate-phase panic leaves a
-//! trace bit-identical to an engine that never ran the interrupted step
-//! (pinned by the exec tests under both modes).
+//! the same engine and pool step on, and a flow-phase panic leaves a
+//! trace bit-identical to an engine that never ran the interrupted step,
+//! ρ included (pinned by the exec tests under both modes, rate-only and
+//! joint).
 //!
 //! # Dispatch policy
 //!
@@ -77,6 +78,7 @@ use crate::kernel::admission::{
 use crate::kernel::price::PriceVector;
 use crate::kernel::rate::{solve_rate, AggregateUtility};
 use crate::kernel::reliability::solve_flow_rho;
+use crate::plan::Parallelism;
 use lrgp_model::{ClassId, FlowId, NodeId, PriceTermTable, Problem};
 use std::any::Any;
 use std::ops::Range;
@@ -151,19 +153,34 @@ pub(crate) struct AdmissionOrder {
     pub(crate) populations: Vec<(ClassId, f64)>,
 }
 
-/// The rate phase's job: everything a worker needs to solve a shard of
+/// Shard `shard` of `dirty` split into `chunk`-sized pieces (empty past
+/// the end, and for `chunk == 0`).
+fn shard_of(dirty: &[u32], chunk: usize, shard: usize) -> &[u32] {
+    let lo = shard.saturating_mul(chunk).min(dirty.len());
+    let hi = lo.saturating_add(chunk).min(dirty.len());
+    dirty.get(lo..hi).unwrap_or(&[])
+}
+
+/// The flow phase's job: everything a worker needs to solve a shard of
 /// dirty flows, moved in from the engine for the duration of the phase.
-pub(crate) struct RateJob {
+pub(crate) struct FlowJob {
     pub(crate) problem: Arc<Problem>,
     pub(crate) terms: Arc<PriceTermTable>,
     /// The sorted dirty-flow list (moved from the executor).
     pub(crate) dirty: Vec<u32>,
-    /// Previous-iteration rates (read-only: the solver's fallback input).
+    /// Previous-iteration rates (read-only: the rate solver's fallback).
     pub(crate) rates: Vec<f64>,
+    /// Previous-iteration reliabilities (read-only: the ρ solver's
+    /// fallback).
+    pub(crate) rhos: Vec<f64>,
     /// Previous-iteration populations (read-only).
     pub(crate) populations: Vec<f64>,
     /// Previous-iteration prices (read-only).
     pub(crate) prices: PriceVector,
+    /// The spec's redundancy factor when ρ is solved jointly
+    /// ([`crate::plan::Reliability::Joint`] on a problem carrying a
+    /// [`lrgp_model::ReliabilitySpec`]); `None` leaves ρ as it is.
+    pub(crate) redundancy: Option<f64>,
     /// Shard chunk size ([`shard_chunk`] of the dirty length).
     pub(crate) chunk: usize,
     /// Panic-injection test hook: solving this flow id panics.
@@ -171,22 +188,18 @@ pub(crate) struct RateJob {
     pub(crate) panic_on_flow: Option<u32>,
 }
 
-impl RateJob {
-    /// Solves shard `shard`'s dirty flows into `out` as `(flow, rate)`
-    /// pairs, in dirty-list order.
+impl FlowJob {
+    /// Solves shard `shard`'s dirty flows into `out` as `(flow, rate, rho)`
+    /// triples, in dirty-list order. The ρ solve reads the rate just solved
+    /// (see [`crate::kernel::reliability`]).
     pub(crate) fn run_shard(
         &self,
         shard: usize,
-        out: &mut Vec<(u32, f64)>,
+        out: &mut Vec<(u32, f64, f64)>,
         agg: &mut AggregateUtility,
     ) {
         out.clear();
-        let lo = shard * self.chunk;
-        if self.chunk == 0 || lo >= self.dirty.len() {
-            return;
-        }
-        let hi = (lo + self.chunk).min(self.dirty.len());
-        for &f in self.dirty.get(lo..hi).unwrap_or(&[]) {
+        for &f in shard_of(&self.dirty, self.chunk, shard) {
             #[cfg(test)]
             if self.panic_on_flow == Some(f) {
                 std::panic::panic_any(format!("injected rate-kernel panic on flow {f}"));
@@ -195,62 +208,22 @@ impl RateJob {
             agg.refill_for_flow(&self.problem, flow, &self.populations);
             let price =
                 self.prices.aggregate_price_from_table(&self.terms, flow, &self.populations);
-            let next =
+            let rate =
                 solve_rate(agg, price, self.problem.flow(flow).bounds, self.rates[f as usize]);
-            out.push((f, next));
-        }
-    }
-}
-
-/// The reliability phase's job: a shard of dirty flows whose ρ
-/// best-response is re-solved against the current link prices and the
-/// freshly solved rates (see [`crate::kernel::reliability`]). Dispatched
-/// only under [`crate::plan::Reliability::Joint`] on problems carrying a
-/// [`lrgp_model::ReliabilitySpec`].
-pub(crate) struct ReliabilityJob {
-    pub(crate) problem: Arc<Problem>,
-    pub(crate) terms: Arc<PriceTermTable>,
-    /// The sorted dirty-flow list (moved from the executor).
-    pub(crate) dirty: Vec<u32>,
-    /// Previous-iteration reliabilities (read-only: the solver's fallback).
-    pub(crate) rhos: Vec<f64>,
-    /// This-iteration rates (read-only: they scale the ρ price).
-    pub(crate) rates: Vec<f64>,
-    /// Previous-iteration populations (read-only).
-    pub(crate) populations: Vec<f64>,
-    /// Previous-iteration prices (read-only).
-    pub(crate) prices: PriceVector,
-    /// The spec's redundancy factor.
-    pub(crate) redundancy: f64,
-    /// Shard chunk size ([`shard_chunk`] of the dirty length).
-    pub(crate) chunk: usize,
-}
-
-impl ReliabilityJob {
-    /// Solves shard `shard`'s dirty flows' ρ into `out` as `(flow, rho)`
-    /// pairs, in dirty-list order.
-    pub(crate) fn run_shard(&self, shard: usize, out: &mut Vec<(u32, f64)>) {
-        out.clear();
-        let lo = shard * self.chunk;
-        if self.chunk == 0 || lo >= self.dirty.len() {
-            return;
-        }
-        let hi = (lo + self.chunk).min(self.dirty.len());
-        let link_prices = self.prices.link_prices();
-        for &f in self.dirty.get(lo..hi).unwrap_or(&[]) {
-            let flow = FlowId::new(f);
-            let bounds = self.problem.rho_bounds(flow).unwrap_or_default();
-            let next = solve_flow_rho(
-                &self.terms,
-                flow,
-                link_prices,
-                &self.populations,
-                self.rates[f as usize],
-                bounds,
-                self.redundancy,
-                self.rhos[f as usize],
-            );
-            out.push((f, next));
+            let rho = match self.redundancy {
+                Some(redundancy) => solve_flow_rho(
+                    &self.terms,
+                    flow,
+                    self.prices.link_prices(),
+                    &self.populations,
+                    rate,
+                    self.problem.rho_bounds(flow).unwrap_or_default(),
+                    redundancy,
+                    self.rhos[f as usize],
+                ),
+                None => self.rhos[f as usize],
+            };
+            out.push((f, rate, rho));
         }
     }
 }
@@ -278,12 +251,7 @@ impl AdmissionJob {
     /// `out` in dirty-list order.
     pub(crate) fn run_shard(&self, shard: usize, out: &mut Vec<(u32, f64, f64)>) {
         out.clear();
-        let lo = shard * self.chunk;
-        if self.chunk == 0 || lo >= self.dirty.len() {
-            return;
-        }
-        let hi = (lo + self.chunk).min(self.dirty.len());
-        for &b in self.dirty.get(lo..hi).unwrap_or(&[]) {
+        for &b in shard_of(&self.dirty, self.chunk, shard) {
             let mut slot = lock_unpoisoned(&self.orders[b as usize]);
             let slot = &mut *slot;
             let (used, bc) = allocate_consumers_into(
@@ -304,10 +272,8 @@ impl AdmissionJob {
 pub(crate) enum Job {
     /// No phase in flight; the slot's resting state.
     Idle,
-    /// Phase 1: solve dirty rates.
-    Rates(RateJob),
-    /// Phase 1b: re-solve dirty flows' reliabilities (Joint only).
-    Reliabilities(ReliabilityJob),
+    /// Phase 1: solve dirty flows' rates, and their ρ under `Joint`.
+    Flows(FlowJob),
     /// Phase 2a: re-run dirty admissions.
     Admissions(AdmissionJob),
 }
@@ -316,12 +282,9 @@ pub(crate) enum Job {
 /// it while the caller waits on `done`, and the caller drains it after
 /// `remaining == 0`.
 struct WorkerSlot {
-    /// Rate-phase results, `(flow, rate)` in shard order.
-    rates_out: Vec<(u32, f64)>,
-    /// Reliability-phase results, `(flow, rho)` in shard order.
-    rhos_out: Vec<(u32, f64)>,
-    /// Admission-phase results, `(node, used, bc)` in shard order.
-    admissions_out: Vec<(u32, f64, f64)>,
+    /// The last shard's results in shard order: `(flow, rate, rho)` from a
+    /// flow job, `(node, used, bc)` from an admission job.
+    out: Vec<(u32, f64, f64)>,
     /// Per-worker rate scratch, reused across steps.
     agg: AggregateUtility,
     /// A caught panic payload from the last shard, if any.
@@ -336,9 +299,7 @@ struct WorkerSlot {
 impl WorkerSlot {
     fn new() -> Self {
         Self {
-            rates_out: Vec::new(),
-            rhos_out: Vec::new(),
-            admissions_out: Vec::new(),
+            out: Vec::new(),
             agg: AggregateUtility::default(),
             panic: None,
             jobs_completed: 0,
@@ -532,34 +493,26 @@ impl WorkerPool {
         (job, first_panic)
     }
 
-    /// Drains worker `w`'s rate-phase results into `apply`, in shard
-    /// order. Call with ascending `w` after [`Self::run`].
-    pub(crate) fn drain_rates(&self, w: usize, apply: &mut impl FnMut(u32, f64)) {
-        let mut slot = lock_unpoisoned(&self.shared.slots[w]);
-        for &(f, rate) in &slot.rates_out {
-            apply(f, rate);
+    /// Applies a phase's results in shard order: the caller's shard 0 from
+    /// `inline`, then workers `0..shards − 1`. Call after [`Self::run`];
+    /// every buffer it reads is left empty.
+    pub(crate) fn drain(
+        &self,
+        inline: &mut Vec<(u32, f64, f64)>,
+        shards: usize,
+        mut apply: impl FnMut(u32, f64, f64),
+    ) {
+        for &(id, a, b) in inline.iter() {
+            apply(id, a, b);
         }
-        slot.rates_out.clear();
-    }
-
-    /// Drains worker `w`'s reliability-phase results into `apply`, in shard
-    /// order. Call with ascending `w` after [`Self::run`].
-    pub(crate) fn drain_rhos(&self, w: usize, apply: &mut impl FnMut(u32, f64)) {
-        let mut slot = lock_unpoisoned(&self.shared.slots[w]);
-        for &(f, rho) in &slot.rhos_out {
-            apply(f, rho);
+        inline.clear();
+        for slot in self.shared.slots.iter().take(shards.saturating_sub(1)) {
+            let mut slot = lock_unpoisoned(slot);
+            for &(id, a, b) in &slot.out {
+                apply(id, a, b);
+            }
+            slot.out.clear();
         }
-        slot.rhos_out.clear();
-    }
-
-    /// Drains worker `w`'s admission-phase results into `apply`, in shard
-    /// order. Call with ascending `w` after [`Self::run`].
-    pub(crate) fn drain_admissions(&self, w: usize, apply: &mut impl FnMut(u32, f64, f64)) {
-        let mut slot = lock_unpoisoned(&self.shared.slots[w]);
-        for &(b, used, bc) in &slot.admissions_out {
-            apply(b, used, bc);
-        }
-        slot.admissions_out.clear();
     }
 
     /// Clears every worker's pending results without applying them: the
@@ -567,10 +520,7 @@ impl WorkerPool {
     /// step's drains.
     pub(crate) fn discard_outputs(&self) {
         for slot in &self.shared.slots {
-            let mut slot = lock_unpoisoned(slot);
-            slot.rates_out.clear();
-            slot.rhos_out.clear();
-            slot.admissions_out.clear();
+            lock_unpoisoned(slot).out.clear();
         }
     }
 }
@@ -624,21 +574,16 @@ fn worker_loop(shared: Arc<PoolShared>, w: usize) {
             let shard = w + 1;
             let outcome = match &*guard {
                 Job::Idle => Ok(()),
-                Job::Rates(job) => catch_unwind(AssertUnwindSafe(|| {
-                    job.run_shard(shard, &mut slot.rates_out, &mut slot.agg)
+                Job::Flows(job) => catch_unwind(AssertUnwindSafe(|| {
+                    job.run_shard(shard, &mut slot.out, &mut slot.agg)
                 })),
-                Job::Reliabilities(job) => catch_unwind(AssertUnwindSafe(|| {
-                    job.run_shard(shard, &mut slot.rhos_out)
-                })),
-                Job::Admissions(job) => catch_unwind(AssertUnwindSafe(|| {
-                    job.run_shard(shard, &mut slot.admissions_out)
-                })),
+                Job::Admissions(job) => {
+                    catch_unwind(AssertUnwindSafe(|| job.run_shard(shard, &mut slot.out)))
+                }
             };
             if let Err(payload) = outcome {
                 // A panicking shard publishes no results.
-                slot.rates_out.clear();
-                slot.rhos_out.clear();
-                slot.admissions_out.clear();
+                slot.out.clear();
                 slot.panic = Some(payload);
             }
             slot.jobs_completed += 1;
@@ -673,6 +618,25 @@ impl PoolHandle {
     /// The pool, if one exists.
     pub(crate) fn get(&self) -> Option<&WorkerPool> {
         self.pool.as_ref()
+    }
+
+    /// The pool and the number of contexts (caller plus workers) to shard
+    /// a phase of `units` dirty elements over under `parallelism`, or
+    /// `None` when the phase runs inline: `parallelism` resolves to one
+    /// context, the pool does not dispatch (see
+    /// [`WorkerPool::dispatches`]), or it has no workers to hand to. The
+    /// count is clamped to the workers actually spawned plus the caller.
+    pub(crate) fn dispatch(
+        &self,
+        parallelism: Parallelism,
+        units: usize,
+    ) -> Option<(&WorkerPool, usize)> {
+        let workers = parallelism.workers_for(units);
+        self.pool
+            .as_ref()
+            .filter(|p| workers > 1 && p.dispatches())
+            .map(|p| (p, workers.min(p.workers() + 1)))
+            .filter(|&(_, w)| w > 1)
     }
 
     /// Re-sizes the pool for `max_concurrency` contexts, as

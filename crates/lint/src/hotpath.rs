@@ -2,9 +2,9 @@
 //! (`crates/lint/hot_paths.txt` — the kernel modules, the `exec.rs` step
 //! fns, the `pool.rs` worker protocol) must reach neither `ALLOC` nor
 //! `PANIC` under the interprocedural effect fixpoint. These are the fns
-//! the steady-state step executes per delta; a new allocation or panic
-//! branch on them is a latency cliff or an abort waiting for the
-//! sustained-traffic regime, and it fails `hot-path-alloc` /
+//! every engine step executes, thousands of times per convergence; a new
+//! allocation or panic branch on them is a latency cliff or an abort
+//! waiting to happen, and it fails `hot-path-alloc` /
 //! `hot-path-panic` with the full call-chain witness in the message.
 
 use crate::dataflow::EffectSet;

@@ -186,10 +186,11 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "kernel-impure",
         summary: "effectful code reachable from a `kernel::*` function",
-        invariant: "kernels are pure per-element math: the three engines call \
-                    them in different orders and counts, so any effect (IO, \
-                    locks, clocks, RNG, spawns, static muts) reachable from one \
-                    diverges the engines or races",
+        invariant: "kernels are pure per-element math: the executor's \
+                    sequential, pooled and incremental schedules call them in \
+                    different orders and counts, so any effect (IO, locks, \
+                    clocks, RNG, spawns, static muts) reachable from one \
+                    diverges the schedules or races",
         explain: "The layer-3 effect fixpoint computes, for every fn in the \
                   workspace, which effects it can reach through any chain of \
                   calls. A fn declared under crates/core/src/kernel/ must reach \
@@ -315,9 +316,9 @@ pub const RULES: &[Rule] = &[
         summary: "a declared hot-path root fn reaches a heap allocation",
         invariant: "the steady-state step (kernel::*, the exec.rs dirty-set fns, \
                     the pool.rs worker protocol — the roots in \
-                    crates/lint/hot_paths.txt) runs per delta at 1M+ consumers \
-                    and must reuse caller-owned capacity, never touch the \
-                    allocator",
+                    crates/lint/hot_paths.txt) runs thousands of times per \
+                    convergence and must reuse caller-owned capacity, never \
+                    touch the allocator",
         explain: "An allocation on the per-delta path is a latency cliff: it \
                   serializes workers on the allocator, fragments under \
                   sustained traffic, and turns the amortized O(1) step into \

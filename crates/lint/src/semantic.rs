@@ -726,9 +726,10 @@ pub fn kernel_impure(ctx: &FileContext) -> Vec<Finding> {
                 item.kw,
                 format!(
                     "kernel fn `{}` acquires effects: {}; kernel::* is pure \
-                     per-element math — the three engines call it in different \
-                     orders and counts, so any effect diverges them; hoist the \
-                     effect into the executor and pass results in",
+                     per-element math — the executor's sequential, pooled and \
+                     incremental schedules call it in different orders and \
+                     counts, so any effect diverges them; hoist the effect into \
+                     the executor and pass results in",
                     item.name,
                     ctx.flow.table.describe(i, denied)
                 ),

@@ -26,6 +26,7 @@
 //!   spec-carrying side only; `Reliability::Joint` engines must be
 //!   bit-identical across the whole plan matrix, ρ state included.
 
+use lrgp::kernel::reliability::solve_flow_rho;
 use lrgp::{
     run_scenario, Engine, IncrementalMode, LrgpConfig, Parallelism, Reliability, Scenario,
     TraceConfig,
@@ -34,8 +35,8 @@ use lrgp_model::workloads::{
     base_workload, link_bottleneck_workload, mixed_loss_workload, paper_workload, RandomWorkload,
 };
 use lrgp_model::{
-    ClassId, ClassSpec, DeltaOp, FlowId, FlowSpec, LinkId, NodeId, NodeSpec, Problem,
-    ProblemBuilder, ProblemDelta, RateBounds, RhoBounds, Utility, UtilityShape,
+    ClassId, ClassSpec, DeltaOp, FlowId, FlowSpec, LinkId, NodeId, NodeSpec, PriceTermTable,
+    Problem, ProblemBuilder, ProblemDelta, RateBounds, RhoBounds, Utility, UtilityShape,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -703,6 +704,52 @@ fn joint_moves_rho_off_its_ceiling_on_lossy_pairs() {
         engine.rhos().iter().any(|&rho| rho < 0.999),
         "joint engine never traded reliability away on a lossy workload"
     );
+}
+
+#[test]
+fn joint_rho_is_solved_against_this_iterations_rate() {
+    // Lee–Chiang–Calderbank's per-source update: each flow's ρ best
+    // response reads the previous iteration's link prices and populations
+    // and the rate the same iteration just solved. Every plan would share a
+    // mistake here, so the plan matrix cannot catch it; the kernel can.
+    let problem = mixed_loss_workload(6, 100.0, 7).with_utility_shape(UtilityShape::Pow75);
+    let redundancy = problem.reliability().expect("lossy workload carries a spec").redundancy;
+    let terms = PriceTermTable::new(&problem);
+    for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
+        let config =
+            LrgpConfig { parallelism, reliability: Reliability::Joint, ..LrgpConfig::default() };
+        let mut engine = Engine::new(problem.clone(), config);
+        engine.force_pool_dispatch(true);
+        let mut moves = 0usize;
+        for k in 1..=200 {
+            let link_prices = engine.prices().link_prices().to_vec();
+            let populations = engine.allocation().populations().to_vec();
+            let rhos = engine.rhos().to_vec();
+            engine.step();
+            let allocation = engine.allocation();
+            for flow in problem.flow_ids() {
+                let f = flow.index();
+                let expected = solve_flow_rho(
+                    &terms,
+                    flow,
+                    &link_prices,
+                    &populations,
+                    allocation.rate(flow),
+                    problem.rho_bounds(flow).unwrap_or_default(),
+                    redundancy,
+                    rhos[f],
+                );
+                let rho = engine.rhos()[f];
+                assert!(
+                    rho.to_bits() == expected.to_bits(),
+                    "{parallelism:?}: ρ[{f}] at iteration {k} is {rho:?}, the best response to \
+                     this iteration's rate is {expected:?}"
+                );
+                moves += usize::from(rho.to_bits() != rhos[f].to_bits());
+            }
+        }
+        assert!(moves > 0, "{parallelism:?}: ρ never moved, so the check proved nothing");
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! End-to-end integration tests spanning model → optimizer → baselines →
 //! overlay, asserting the *shapes* the paper reports.
 
-use lrgp::{Engine, GammaMode, LrgpConfig};
+use lrgp::{Engine, GammaMode, LrgpConfig, Reliability};
 use lrgp_anneal::{anneal, AnnealConfig};
 use lrgp_model::workloads::{self, Table2Workload};
 use lrgp_model::UtilityShape;
@@ -122,6 +122,29 @@ fn flow_removal_recovers_to_a_stable_feasible_state() {
     let amp = e.trace().utility.relative_amplitude(10).unwrap();
     assert!(amp < 0.01, "post-removal amplitude {amp}");
     assert!(e.allocation().is_feasible(e.problem(), 1e-6));
+}
+
+/// "Converged" claims a feasible allocation. Eq. 13's fixed link step is
+/// far too slow for a capacity-10 link: the utility trace meets the 0.1%
+/// criterion by iteration ~375 while the link is ~58% over capacity, and it
+/// is still overloaded at 1,000 (the lossy case counts the redundancy
+/// inflation the link price sees). At capacity 1,000 the step overshoots
+/// into a cycle that never meets the criterion.
+#[test]
+fn no_verdict_while_a_link_is_overloaded() {
+    let joint = LrgpConfig { reliability: Reliability::Joint, ..LrgpConfig::default() };
+    let overloaded = [
+        ("link capacity 10", workloads::link_bottleneck_workload(10.0), LrgpConfig::default()),
+        ("lossy link capacity 10", workloads::lossy_link_bottleneck_workload(10.0, 0.1), joint),
+    ];
+    for (label, problem, config) in overloaded {
+        let outcome = Engine::new(problem, config).run_until_converged(1_000);
+        assert_eq!(outcome.converged_at, None, "{label}: {outcome:?}");
+        assert!(outcome.max_overload > 0.01, "{label}: {outcome:?}");
+    }
+    let cycling = workloads::link_bottleneck_workload(1000.0);
+    let outcome = Engine::new(cycling, LrgpConfig::default()).run_until_converged(1_000);
+    assert_eq!(outcome.converged_at, None, "link capacity 1000: {outcome:?}");
 }
 
 /// SA quality improves monotonically-ish with step budget (§4.4's

@@ -5,9 +5,10 @@
 //! and the incremental pooled engine must step in bitwise lockstep, never
 //! panic, and never publish a NaN rate, population, price or utility.
 //!
-//! Feasibility and convergence are not asserted. Some valid instances end
-//! overloaded (a usage of ∞ against a capacity of 1e-300, say), and the
-//! generator is not narrowed to hide them.
+//! Convergence is not asserted, and feasibility only where the engine
+//! claims it: some valid instances end overloaded (a usage of ∞ against a
+//! capacity of 1e-300, say), and the generator is not narrowed to hide
+//! them, but a converged verdict must come with a feasible allocation.
 
 use lrgp::{Engine, IncrementalMode, LrgpConfig, Parallelism};
 use lrgp_model::{Allocation, NodeId, Problem, ProblemBuilder, RateBounds, Utility};
@@ -103,6 +104,21 @@ fn check(problem: &Problem) -> Result<(), String> {
     }
     if a.iter().any(|x| x.is_nan()) {
         return Err(format!("NaN in the state: {a:?}"));
+    }
+    // Checked from the allocation, independently of the usages the
+    // executor caches for the verdict.
+    if let Some(k) = reference.run_until_converged(200).converged_at {
+        let (problem, allocation) = (reference.problem(), reference.allocation());
+        let nodes = problem
+            .node_ids()
+            .map(|node| (allocation.node_usage(problem, node), problem.node(node).capacity));
+        let links = problem
+            .link_ids()
+            .map(|link| (allocation.link_usage(problem, link), problem.link(link).capacity));
+        let overloaded = |&(u, c): &(f64, f64)| u.is_nan() || u > c * (1.0 + 1e-6);
+        if let Some((usage, capacity)) = nodes.chain(links).find(overloaded) {
+            return Err(format!("converged at {k} with a usage of {usage:?} over {capacity:?}"));
+        }
     }
     Ok(())
 }
