@@ -7,7 +7,7 @@
 //! proportional fairness — rates split in proportion to `n_j · rank_j` —
 //! which LRGP's Eq. 13 link pricing should find.
 
-use lrgp::{Engine, GammaMode, LrgpConfig, TraceConfig};
+use lrgp::{Engine, GammaMode, LrgpConfig};
 use lrgp_bench::{Args, Table};
 use lrgp_model::workloads::link_bottleneck_workload;
 use lrgp_model::{FlowId, LinkId};
@@ -20,7 +20,6 @@ fn main() {
         // Node prices are irrelevant here; give link pricing a usable step.
         gamma: GammaMode::adaptive(),
         link_gamma: 2e-3,
-        trace: TraceConfig { link_prices: true, rates: true, ..Default::default() },
         ..LrgpConfig::default()
     };
     let mut engine = Engine::new(problem.clone(), config);

@@ -1,6 +1,6 @@
 //! Shared experiment runners used by the figure/table binaries.
 
-use lrgp::{Engine, GammaMode, LrgpConfig, RunOutcome, TraceConfig};
+use lrgp::{Engine, GammaMode, LrgpConfig, RunOutcome};
 use lrgp_anneal::{sweep, SweepRun};
 use lrgp_model::Problem;
 use lrgp_num::series::TimeSeries;
@@ -11,7 +11,7 @@ pub const PAPER_TEMPERATURES: [f64; 4] = [5.0, 10.0, 50.0, 100.0];
 /// Runs LRGP for exactly `iters` iterations with the given γ mode and
 /// returns the utility trace.
 pub fn lrgp_trace(problem: &Problem, gamma: GammaMode, iters: usize) -> TimeSeries {
-    let config = LrgpConfig { gamma, trace: TraceConfig::default(), ..LrgpConfig::default() };
+    let config = LrgpConfig { gamma, ..LrgpConfig::default() };
     let mut engine = Engine::new(problem.clone(), config);
     engine.run(iters);
     engine.trace().utility.clone()

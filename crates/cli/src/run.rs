@@ -4,7 +4,7 @@ use crate::commands::{
     AnnealCmd, BenchCmd, Command, CompareCmd, GammaArg, IncrementalArg, InfoCmd, LintCmd,
     ReliabilityArg, SimulateCmd, SolveCmd, ThreadsArg, WorkloadCmd, WorkloadRef,
 };
-use lrgp::{Engine, GammaMode, IncrementalMode, LrgpConfig, Parallelism, Reliability, TraceConfig};
+use lrgp::{Engine, GammaMode, IncrementalMode, LrgpConfig, Parallelism, Reliability};
 use lrgp_anneal::{sweep, AnnealConfig};
 use lrgp_model::io::ProblemFile;
 use lrgp_model::workloads::{self, paper_workload};
@@ -155,7 +155,6 @@ fn solve(cmd: SolveCmd) -> CliResult {
         parallelism,
         incremental,
         reliability,
-        trace: TraceConfig::default(),
         ..LrgpConfig::default()
     };
     let mut engine = Engine::new(problem.clone(), config);

@@ -15,10 +15,11 @@
 //! full-recompute execution are configuration choices over the same loop,
 //! all bit-identical (see [`crate::plan`]).
 //!
-//! The engine records the total-utility trace and supports the paper's
-//! dynamics experiments (changing the problem mid-run, Fig. 3) through the
-//! first-class delta API ([`Engine::apply_delta`]) and enactment policies
-//! (§2.1).
+//! Every engine starts where the paper's runs do: each flow at `r_i^max`
+//! and every node and link price at 0. It records the total-utility trace
+//! and supports the paper's dynamics experiments (changing the problem
+//! mid-run, Fig. 3) through the first-class delta API
+//! ([`Engine::apply_delta`]) and enactment policies (§2.1).
 
 use crate::exec::StepState;
 use crate::gamma::{GammaController, GammaMode};
@@ -26,35 +27,11 @@ use crate::kernel::admission::{AdmissionPolicy, PopulationMode};
 use crate::kernel::price::{NodePriceRule, PriceVector};
 use crate::plan::{IncrementalMode, Parallelism, Reliability};
 use crate::pool::PoolHandle;
-use crate::trace::{Trace, TraceConfig};
+use crate::trace::Trace;
 use lrgp_model::{Allocation, ClassId, DeltaOp, FlowId, Problem, ProblemDelta, ValidationError};
 use lrgp_num::series::ConvergenceCriterion;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Starting point for the flow rates.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub enum InitialRate {
-    /// Every flow starts at `r_i^max` (optimistic; reproduces the paper's
-    /// initial oscillation in Fig. 1).
-    #[default]
-    Max,
-    /// Every flow starts at `r_i^min` (conservative).
-    Min,
-    /// Every flow starts at the given rate, clamped into its bounds.
-    Value(f64),
-}
-
-impl InitialRate {
-    /// The starting rate for a flow with the given bounds.
-    fn rate_for(self, bounds: lrgp_model::RateBounds) -> f64 {
-        match self {
-            InitialRate::Max => bounds.max,
-            InitialRate::Min => bounds.min,
-            InitialRate::Value(v) => bounds.clamp(v),
-        }
-    }
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -66,20 +43,12 @@ pub struct LrgpConfig {
     /// Link price step size γ_l (Eq. 13). Irrelevant for workloads without
     /// links.
     pub link_gamma: f64,
-    /// Initial flow rates.
-    pub initial_rate: InitialRate,
-    /// Initial node prices.
-    pub initial_node_price: f64,
-    /// Initial link prices.
-    pub initial_link_price: f64,
     /// Whether populations are integral (paper) or fractional (relaxation).
     pub population_mode: PopulationMode,
     /// Greedy admission variant (paper stops at the first blocked class).
     pub admission_policy: AdmissionPolicy,
     /// Convergence test applied by [`Engine::run_until_converged`].
     pub convergence: ConvergenceCriterion,
-    /// Which trace channels to record.
-    pub trace: TraceConfig,
     /// How the step's three phases are executed (sequential by default;
     /// the sharded parallel path is bit-identical, see [`crate::plan`]).
     pub parallelism: Parallelism,
@@ -102,13 +71,9 @@ impl Default for LrgpConfig {
             gamma: GammaMode::default(),
             node_price_rule: NodePriceRule::default(),
             link_gamma: 1e-3,
-            initial_rate: InitialRate::default(),
-            initial_node_price: 0.0,
-            initial_link_price: 0.0,
             population_mode: PopulationMode::default(),
             admission_policy: AdmissionPolicy::default(),
             convergence: ConvergenceCriterion::paper_default(),
-            trace: TraceConfig::default(),
             parallelism: Parallelism::default(),
             incremental: IncrementalMode::default(),
             reliability: Reliability::default(),
@@ -191,20 +156,11 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine over `problem` with the given configuration.
     pub fn new(problem: Problem, config: LrgpConfig) -> Self {
-        let rates = initial_rates(&problem, config.initial_rate);
+        let rates = initial_rates(&problem);
         let rhos = initial_rhos(&problem);
-        let prices =
-            PriceVector::uniform(&problem, config.initial_node_price, config.initial_link_price);
-        let gamma_controllers = (0..problem.num_nodes())
-            .map(|_| GammaController::new(config.gamma, config.initial_node_price))
-            .collect();
-        let trace = Trace::new(
-            config.trace,
-            problem.num_flows(),
-            problem.num_nodes(),
-            problem.num_links(),
-            problem.num_classes(),
-        );
+        let prices = PriceVector::zeros(&problem);
+        let gamma_controllers =
+            (0..problem.num_nodes()).map(|_| GammaController::new(config.gamma)).collect();
         let state = Some(StepState::new(&problem));
         // Never more workers than a phase of this problem can use.
         let pool = PoolHandle::for_concurrency(config.parallelism.workers_for(max_units(&problem)));
@@ -218,7 +174,7 @@ impl Engine {
             prices,
             gamma_controllers,
             iteration: 0,
-            trace,
+            trace: Trace::new(),
             state,
         }
     }
@@ -252,7 +208,8 @@ impl Engine {
         }
         let utility =
             state.step(problem, config, pool, rates, rhos, populations, prices, gamma_controllers);
-        self.record_step(utility);
+        self.iteration += 1;
+        self.trace.utility.push(utility);
         utility
     }
 
@@ -304,38 +261,6 @@ impl Engine {
     pub(crate) fn arm_rate_panic(&mut self, flow: Option<u32>) {
         if let Some(state) = self.state.as_mut() {
             state.set_panic_on_flow(flow);
-        }
-    }
-
-    /// Advances the iteration counter and records the enabled trace
-    /// channels.
-    fn record_step(&mut self, utility: f64) {
-        self.iteration += 1;
-        self.trace.utility.push(utility);
-        if let Some(series) = self.trace.rates.as_mut() {
-            for (s, &r) in series.iter_mut().zip(&self.rates) {
-                s.push(r);
-            }
-        }
-        if let Some(series) = self.trace.node_prices.as_mut() {
-            for (s, &p) in series.iter_mut().zip(self.prices.node_prices()) {
-                s.push(p);
-            }
-        }
-        if let Some(series) = self.trace.link_prices.as_mut() {
-            for (s, &p) in series.iter_mut().zip(self.prices.link_prices()) {
-                s.push(p);
-            }
-        }
-        if let Some(series) = self.trace.populations.as_mut() {
-            for (s, &n) in series.iter_mut().zip(&self.populations) {
-                s.push(n);
-            }
-        }
-        if let Some(series) = self.trace.gammas.as_mut() {
-            for (s, ctl) in series.iter_mut().zip(&self.gamma_controllers) {
-                s.push(ctl.gamma());
-            }
         }
     }
 
@@ -468,7 +393,7 @@ impl Engine {
     /// The optimizer state is reconciled with the changed problem exactly
     /// as [`Engine::replace_problem`] would (rates clamped into the final
     /// bounds, populations capped at the final maxima, new flows starting
-    /// at their [`LrgpConfig::initial_rate`]), so
+    /// at `r_i^max`), so
     /// `engine.apply_delta(&delta)` and
     /// `engine.replace_problem(delta.apply(engine.problem())?)` continue
     /// bit-identically. Unlike `replace_problem`, every op that keeps the id
@@ -513,16 +438,9 @@ impl Engine {
         if self.iteration == 0 {
             // Nothing has run: re-derive the initial state from the changed
             // problem, as a fresh construction would.
-            self.rates = initial_rates(&problem, self.config.initial_rate);
+            self.rates = initial_rates(&problem);
             self.rhos = initial_rhos(&problem);
             self.populations = vec![0.0; problem.num_classes()];
-            self.trace = Trace::new(
-                self.config.trace,
-                problem.num_flows(),
-                problem.num_nodes(),
-                problem.num_links(),
-                problem.num_classes(),
-            );
             self.state = Some(StepState::new(&problem));
             return Ok(());
         }
@@ -532,12 +450,10 @@ impl Engine {
             // as dirty, exactly like a freshly constructed engine would.
             for f in flows_before..problem.num_flows() {
                 let flow = FlowId::new(f as u32);
-                let bounds = problem.flow(flow).bounds;
-                self.rates.push(self.config.initial_rate.rate_for(bounds));
+                self.rates.push(problem.flow(flow).bounds.max);
                 self.rhos.push(problem.rho_bounds(flow).map_or(1.0, |b| b.max));
             }
             self.populations.resize(problem.num_classes(), 0.0);
-            self.trace.grow(problem.num_flows(), problem.num_classes());
             self.clamp_state_into_problem();
             self.state = None;
             return Ok(());
@@ -680,13 +596,14 @@ fn max_units(problem: &Problem) -> usize {
     problem.num_flows().max(problem.num_nodes()).max(problem.num_links())
 }
 
-/// The initial rate vector for `problem` under the configured policy.
-fn initial_rates(problem: &Problem, initial: InitialRate) -> Vec<f64> {
-    problem.flow_ids().map(|f| initial.rate_for(problem.flow(f).bounds)).collect()
+/// The initial rate vector: every flow starts at `r_i^max`, the paper's
+/// optimistic start, which reproduces the initial oscillation of Fig. 1.
+fn initial_rates(problem: &Problem) -> Vec<f64> {
+    problem.flow_ids().map(|f| problem.flow(f).bounds.max).collect()
 }
 
 /// The initial reliability vector: every flow starts at its `ρ_max`
-/// (mirroring [`InitialRate::Max`]), or 1.0 — lossless delivery — without a
+/// (mirroring the rates' `r_i^max`), or 1.0 — lossless delivery — without a
 /// [`lrgp_model::ReliabilitySpec`].
 fn initial_rhos(problem: &Problem) -> Vec<f64> {
     problem.flow_ids().map(|f| problem.rho_bounds(f).map_or(1.0, |b| b.max)).collect()
@@ -698,13 +615,9 @@ mod tests {
     use lrgp_model::workloads::{self, base_workload};
     use lrgp_model::{ClassId, NodeId, RateBounds};
 
-    fn quick_config() -> LrgpConfig {
-        LrgpConfig { trace: TraceConfig::full(), ..LrgpConfig::default() }
-    }
-
     #[test]
     fn engine_runs_and_produces_positive_utility() {
-        let mut e = Engine::new(base_workload(), quick_config());
+        let mut e = Engine::new(base_workload(), LrgpConfig::default());
         let u = e.run(50);
         assert!(u > 0.0, "utility {u}");
         assert_eq!(e.iteration(), 50);
@@ -804,7 +717,7 @@ mod tests {
 
     #[test]
     fn removing_a_flow_drops_then_recovers_utility() {
-        let mut e = Engine::new(base_workload(), quick_config());
+        let mut e = Engine::new(base_workload(), LrgpConfig::default());
         e.run(150);
         let before = e.total_utility();
         // Remove the rank-100 flow, as in Fig. 3.
@@ -826,31 +739,36 @@ mod tests {
     }
 
     #[test]
-    fn trace_channels_populate_when_enabled() {
-        let mut e = Engine::new(base_workload(), quick_config());
-        e.run(5);
-        let t = e.trace();
-        assert_eq!(t.rates.as_ref().unwrap()[0].len(), 5);
-        assert_eq!(t.node_prices.as_ref().unwrap()[0].len(), 5);
-        assert_eq!(t.populations.as_ref().unwrap()[0].len(), 5);
-        assert_eq!(t.gammas.as_ref().unwrap()[0].len(), 5);
+    fn starts_at_max_rates_and_zero_prices() {
+        let p = workloads::link_bottleneck_workload(100.0);
+        let e = Engine::new(p.clone(), LrgpConfig::default());
+        for f in p.flow_ids() {
+            assert_eq!(e.allocation().rate(f), p.flow(f).bounds.max);
+        }
+        assert!(e.prices().node_prices().iter().all(|&x| x == 0.0));
+        assert!(e.prices().link_prices().iter().all(|&x| x == 0.0));
+        assert!(!e.prices().link_prices().is_empty());
     }
 
     #[test]
-    fn initial_rate_variants() {
-        let p = base_workload();
-        let min = Engine::new(
-            p.clone(),
-            LrgpConfig { initial_rate: InitialRate::Min, ..Default::default() },
+    fn config_with_the_removed_start_and_trace_keys_loads_as_default() {
+        // `LrgpConfig::default()` as serialized while the config still had
+        // its initial-rate, initial-price and trace fields, with a
+        // non-default initial node price. The reader skips the four keys,
+        // so the value is ignored.
+        let legacy = concat!(
+            r#"{"gamma":{"Adaptive":{"initial":0.1,"min":0.001,"max":0.1,"#,
+            r#""increment":0.001,"decay":0.5}},"node_price_rule":"BenefitCost","#,
+            r#""link_gamma":0.001,"initial_rate":"Max","initial_node_price":5,"#,
+            r#""initial_link_price":0,"population_mode":"Integral","#,
+            r#""admission_policy":"StopAtFirstBlock","#,
+            r#""convergence":{"window":10,"relative_amplitude":0.001},"#,
+            r#""trace":{"rates":false,"node_prices":false,"link_prices":false,"#,
+            r#""populations":false,"gammas":false},"parallelism":"Sequential","#,
+            r#""incremental":"On","reliability":"Off"}"#,
         );
-        assert!(min.allocation().rates().iter().all(|&r| r == 10.0));
-        let max = Engine::new(p.clone(), LrgpConfig::default());
-        assert!(max.allocation().rates().iter().all(|&r| r == 1000.0));
-        let fixed = Engine::new(
-            p,
-            LrgpConfig { initial_rate: InitialRate::Value(5000.0), ..Default::default() },
-        );
-        assert!(fixed.allocation().rates().iter().all(|&r| r == 1000.0)); // clamped
+        let config: LrgpConfig = serde_json::from_str(legacy).expect("legacy config loads");
+        assert_eq!(config, LrgpConfig::default());
     }
 
     #[test]
@@ -963,7 +881,7 @@ mod tests {
             utility: lrgp_model::Utility::log(50.0),
             consumer_cost: 2.0,
         };
-        let mut e = Engine::new(p.clone(), quick_config());
+        let mut e = Engine::new(p.clone(), LrgpConfig::default());
         e.run(150);
         let flows_before = e.problem().num_flows();
         e.apply_delta(&ProblemDelta::new().add_flow(spec, vec![class])).unwrap();
@@ -972,8 +890,6 @@ mod tests {
         let new_flow = FlowId::new(flows_before as u32);
         assert!(e.allocation().rate(new_flow) > 0.0);
         assert!(e.allocation().is_feasible(e.problem(), 1e-6));
-        // The grown trace channel recorded only the post-delta iterations.
-        assert_eq!(e.trace().rates.as_ref().unwrap()[flows_before].len(), 150);
     }
 
     #[test]

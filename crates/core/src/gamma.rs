@@ -89,13 +89,13 @@ pub struct GammaController {
 
 impl GammaController {
     /// Creates a controller for one node, primed with the node's initial
-    /// price.
+    /// price of 0.
     ///
     /// # Panics
     ///
     /// Panics if an adaptive configuration is invalid (see
     /// [`AdaptiveGammaConfig::validate`]) or a fixed γ is negative.
-    pub fn new(mode: GammaMode, initial_price: f64) -> Self {
+    pub fn new(mode: GammaMode) -> Self {
         let gamma = match mode {
             GammaMode::Fixed { gamma } => {
                 assert!(gamma >= 0.0, "fixed gamma must be nonnegative");
@@ -106,7 +106,7 @@ impl GammaController {
                 cfg.initial
             }
         };
-        Self { mode, gamma, detector: FluctuationDetector::new(initial_price) }
+        Self { mode, gamma, detector: FluctuationDetector::new(0.0) }
     }
 
     /// The step size to use for the *next* price update.
@@ -136,7 +136,7 @@ mod tests {
 
     #[test]
     fn fixed_mode_never_changes() {
-        let mut c = GammaController::new(GammaMode::fixed(0.3), 0.0);
+        let mut c = GammaController::new(GammaMode::fixed(0.3));
         assert_eq!(c.gamma(), 0.3);
         for p in [1.0, 0.0, 2.0, -1.0, 3.0] {
             c.observe_price(p);
@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn adaptive_grows_while_quiet() {
         let cfg = AdaptiveGammaConfig { initial: 0.01, ..Default::default() };
-        let mut c = GammaController::new(GammaMode::Adaptive(cfg), 0.0);
+        let mut c = GammaController::new(GammaMode::Adaptive(cfg));
         // Monotone rising price: quiet.
         for i in 1..=5 {
             c.observe_price(i as f64);
@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn adaptive_halves_on_fluctuation() {
         let cfg = AdaptiveGammaConfig { initial: 0.08, ..Default::default() };
-        let mut c = GammaController::new(GammaMode::Adaptive(cfg), 0.0);
+        let mut c = GammaController::new(GammaMode::Adaptive(cfg));
         c.observe_price(1.0); // up, quiet → 0.081
         c.observe_price(0.5); // down: fluctuation → 0.0405
         assert!((c.gamma() - 0.0405).abs() < 1e-12);
@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn adaptive_clamps_at_both_ends() {
         let cfg = AdaptiveGammaConfig::default(); // initial = max = 0.1
-        let mut c = GammaController::new(GammaMode::Adaptive(cfg), 0.0);
+        let mut c = GammaController::new(GammaMode::Adaptive(cfg));
         c.observe_price(1.0);
         assert_eq!(c.gamma(), 0.1); // clamped at max
         // Alternate to force repeated halving to the floor.
@@ -196,12 +196,12 @@ mod tests {
     #[should_panic(expected = "min <= initial <= max")]
     fn adaptive_rejects_initial_outside_clamp() {
         let cfg = AdaptiveGammaConfig { initial: 0.5, ..Default::default() };
-        let _ = GammaController::new(GammaMode::Adaptive(cfg), 0.0);
+        let _ = GammaController::new(GammaMode::Adaptive(cfg));
     }
 
     #[test]
     #[should_panic(expected = "fixed gamma must be nonnegative")]
     fn fixed_rejects_negative() {
-        let _ = GammaController::new(GammaMode::fixed(-0.1), 0.0);
+        let _ = GammaController::new(GammaMode::fixed(-0.1));
     }
 }

@@ -100,18 +100,12 @@ pub struct PriceVector {
 }
 
 impl PriceVector {
-    /// Creates a price vector with every price set to the given initial
-    /// values.
-    pub fn uniform(problem: &Problem, node_price: f64, link_price: f64) -> Self {
-        Self {
-            node_prices: vec![node_price; problem.num_nodes()],
-            link_prices: vec![link_price; problem.num_links()],
-        }
-    }
-
-    /// All-zero prices (the customary starting point).
+    /// All-zero prices, the engine's starting point.
     pub fn zeros(problem: &Problem) -> Self {
-        Self::uniform(problem, 0.0, 0.0)
+        Self {
+            node_prices: vec![0.0; problem.num_nodes()],
+            link_prices: vec![0.0; problem.num_links()],
+        }
     }
 
     /// An empty, zero-length placeholder left behind while the real vector
@@ -266,14 +260,11 @@ mod tests {
     }
 
     #[test]
-    fn uniform_and_zero_construction() {
+    fn zero_construction() {
         let p = fixture();
         let z = PriceVector::zeros(&p);
         assert_eq!(z.node_prices(), &[0.0, 0.0]);
         assert_eq!(z.link_prices(), &[0.0]);
-        let u = PriceVector::uniform(&p, 1.5, 2.5);
-        assert_eq!(u.node(NodeId::new(0)), 1.5);
-        assert_eq!(u.link(LinkId::new(0)), 2.5);
     }
 
     #[test]

@@ -184,24 +184,6 @@ pub fn allocate_rate_for_flow(
     solve_rate(&aggregate, price, problem.flow(flow).bounds, previous_rate)
 }
 
-/// Computes new rates for every flow (the rate-allocation half of one LRGP
-/// iteration). `populations` and the returned vector are indexed by class id
-/// and flow id respectively; `previous_rates` supplies the fallback for
-/// indifferent flows.
-pub fn allocate_rates(
-    problem: &Problem,
-    prices: &crate::kernel::price::PriceVector,
-    populations: &[f64],
-    previous_rates: &[f64],
-) -> Vec<f64> {
-    problem
-        .flow_ids()
-        .map(|flow| {
-            allocate_rate_for_flow(problem, prices, populations, flow, previous_rates[flow.index()])
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,7 +298,7 @@ mod tests {
     }
 
     #[test]
-    fn allocate_rates_spans_flows() {
+    fn allocate_rate_for_flow_spans_flows() {
         // Two flows to one node; flow 1 has twice the consumers.
         let mut b = ProblemBuilder::new();
         let src = b.add_node(1e9);
@@ -329,14 +311,13 @@ mod tests {
         let _c1 = b.add_class(f1, sink, 100, Utility::log(10.0), 1.0);
         let p = b.build().unwrap();
         let mut prices = PriceVector::zeros(&p);
-        prices.set_node(lrgp_model::NodeId::new(1), 1.0);
+        prices.set_node(lrgp_model::NodeId::new(1), 0.1);
         // n0 = 5, n1 = 10.
         let pops = [5.0, 10.0];
-        let prev = [10.0, 10.0];
-        let rates = allocate_rates(&p, &prices, &pops, &prev);
-        // P_i = (F + G·n_i)·p = (1 + n_i)·1; S_i = 10·n_i.
-        let expect = |n: f64| (10.0 * n / (1.0 + n) - 1.0).clamp(10.0, 1000.0);
-        assert!((rates[0] - expect(5.0)).abs() < 1e-9);
-        assert!((rates[1] - expect(10.0)).abs() < 1e-9);
+        let rate = |flow| allocate_rate_for_flow(&p, &prices, &pops, flow, 10.0);
+        // P_i = (F + G·n_i)·p = (1 + n_i)·0.1; S_i = 10·n_i; both interior.
+        let expect = |n: f64| 10.0 * n / (0.1 * (1.0 + n)) - 1.0;
+        assert!((rate(f0) - expect(5.0)).abs() < 1e-9);
+        assert!((rate(f1) - expect(10.0)).abs() < 1e-9);
     }
 }

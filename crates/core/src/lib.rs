@@ -100,11 +100,11 @@ pub mod two_stage;
 
 pub use dynamics::{run_scenario, RandomChurn, Scenario, ScenarioOutcome};
 pub use enactment::{EnactmentPolicy, Enactor};
-pub use engine::{Engine, InitialRate, LrgpConfig, RunOutcome};
+pub use engine::{Engine, LrgpConfig, RunOutcome};
 pub use gamma::{AdaptiveGammaConfig, GammaController, GammaMode};
 pub use kernel::admission::{AdmissionPolicy, PopulationMode};
 pub use kernel::price::PriceVector;
 pub use plan::{IncrementalMode, Parallelism, Reliability};
 pub use snapshot::EngineSnapshot;
-pub use trace::{Trace, TraceConfig};
+pub use trace::Trace;
 pub use two_stage::{two_stage_solve, TwoStageOutcome};

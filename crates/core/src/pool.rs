@@ -502,16 +502,14 @@ impl WorkerPool {
         shards: usize,
         mut apply: impl FnMut(u32, f64, f64),
     ) {
-        for &(id, a, b) in inline.iter() {
+        for (id, a, b) in inline.drain(..) {
             apply(id, a, b);
         }
-        inline.clear();
         for slot in self.shared.slots.iter().take(shards.saturating_sub(1)) {
             let mut slot = lock_unpoisoned(slot);
-            for &(id, a, b) in &slot.out {
+            for (id, a, b) in slot.out.drain(..) {
                 apply(id, a, b);
             }
-            slot.out.clear();
         }
     }
 

@@ -1,83 +1,29 @@
-//! Iteration traces recorded by the engine.
+//! The iteration trace recorded by the engine.
 //!
-//! The paper's figures plot the total system utility per iteration (Figs.
-//! 1–4); debugging and the ablation benches additionally want rate, price,
-//! population and γ traces. Recording everything on large workloads is
-//! wasteful, so each channel is opt-in through [`TraceConfig`].
+//! The paper's figures plot one series, the total system utility per
+//! iteration (Figs. 1–4), and [`crate::Engine::run_until_converged`] tests
+//! its convergence criterion on that same series.
 
 use lrgp_num::series::TimeSeries;
 use serde::{Deserialize, Serialize};
-
-/// Which per-entity channels to record besides the always-on utility trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct TraceConfig {
-    /// Record one series per flow with its rate.
-    pub rates: bool,
-    /// Record one series per node with its price.
-    pub node_prices: bool,
-    /// Record one series per link with its price.
-    pub link_prices: bool,
-    /// Record one series per class with its population.
-    pub populations: bool,
-    /// Record one series per node with its current γ.
-    pub gammas: bool,
-}
-
-impl TraceConfig {
-    /// Enables every channel (small workloads / debugging).
-    pub fn full() -> Self {
-        Self { rates: true, node_prices: true, link_prices: true, populations: true, gammas: true }
-    }
-}
 
 /// The recorded trace of an engine run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     /// Total system utility after each iteration (objective (1)).
     pub utility: TimeSeries,
-    /// Per-flow rate series, when enabled.
-    pub rates: Option<Vec<TimeSeries>>,
-    /// Per-node price series, when enabled.
-    pub node_prices: Option<Vec<TimeSeries>>,
-    /// Per-link price series, when enabled.
-    pub link_prices: Option<Vec<TimeSeries>>,
-    /// Per-class population series, when enabled.
-    pub populations: Option<Vec<TimeSeries>>,
-    /// Per-node γ series, when enabled.
-    pub gammas: Option<Vec<TimeSeries>>,
+}
+
+impl Default for Trace {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Trace {
-    /// Creates an empty trace for a system of the given dimensions.
-    pub fn new(config: TraceConfig, flows: usize, nodes: usize, links: usize, classes: usize) -> Self {
-        let mk = |on: bool, n: usize, tag: &str| {
-            on.then(|| (0..n).map(|i| TimeSeries::new(format!("{tag}{i}"))).collect())
-        };
-        Self {
-            utility: TimeSeries::new("utility"),
-            rates: mk(config.rates, flows, "rate/flow"),
-            node_prices: mk(config.node_prices, nodes, "price/node"),
-            link_prices: mk(config.link_prices, links, "price/link"),
-            populations: mk(config.populations, classes, "population/class"),
-            gammas: mk(config.gammas, nodes, "gamma/node"),
-        }
-    }
-
-    /// Extends the per-flow and per-class channels to the given counts
-    /// (problem deltas can append flows and classes mid-run; nodes and
-    /// links are fixed). New series start empty, so after a growth the
-    /// per-element series lengths differ: an appended flow's series covers
-    /// only the iterations since it joined.
-    pub fn grow(&mut self, flows: usize, classes: usize) {
-        let extend = |series: &mut Option<Vec<TimeSeries>>, n: usize, tag: &str| {
-            if let Some(series) = series.as_mut() {
-                for i in series.len()..n {
-                    series.push(TimeSeries::new(format!("{tag}{i}")));
-                }
-            }
-        };
-        extend(&mut self.rates, flows, "rate/flow");
-        extend(&mut self.populations, classes, "population/class");
+    /// Creates an empty trace.
+    pub fn new() -> Self {
+        Self { utility: TimeSeries::new("utility") }
     }
 
     /// Number of recorded iterations.
@@ -96,25 +42,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_records_only_utility() {
-        let t = Trace::new(TraceConfig::default(), 2, 3, 1, 4);
-        assert!(t.rates.is_none());
-        assert!(t.node_prices.is_none());
-        assert!(t.link_prices.is_none());
-        assert!(t.populations.is_none());
-        assert!(t.gammas.is_none());
+    fn new_trace_is_empty() {
+        let t = Trace::new();
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
-    }
-
-    #[test]
-    fn full_config_allocates_all_channels() {
-        let t = Trace::new(TraceConfig::full(), 2, 3, 1, 4);
-        assert_eq!(t.rates.as_ref().unwrap().len(), 2);
-        assert_eq!(t.node_prices.as_ref().unwrap().len(), 3);
-        assert_eq!(t.link_prices.as_ref().unwrap().len(), 1);
-        assert_eq!(t.populations.as_ref().unwrap().len(), 4);
-        assert_eq!(t.gammas.as_ref().unwrap().len(), 3);
-        assert_eq!(t.rates.as_ref().unwrap()[1].name(), "rate/flow1");
+        assert_eq!(t.utility.name(), "utility");
+        assert_eq!(Trace::default(), t);
     }
 }

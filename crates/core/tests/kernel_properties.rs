@@ -349,7 +349,7 @@ fn underload_moves_node_price_toward_benefit_cost() {
 fn gamma_controller_grows_by_increment_when_quiet() {
     // §4.2: +0.001 per quiet iteration, clamped at 0.1.
     let cfg = AdaptiveGammaConfig { initial: 0.05, ..AdaptiveGammaConfig::default() };
-    let mut ctl = GammaController::new(GammaMode::Adaptive(cfg), 0.0);
+    let mut ctl = GammaController::new(GammaMode::Adaptive(cfg));
     for k in 1..=10 {
         ctl.observe_price(k as f64); // strictly rising: never a fluctuation
         let expected = (0.05 + 0.001 * k as f64).min(0.1);
@@ -364,7 +364,7 @@ fn gamma_controller_grows_by_increment_when_quiet() {
 #[test]
 fn gamma_controller_halves_on_fluctuation_and_clamps() {
     let cfg = AdaptiveGammaConfig::default(); // initial = max = 0.1
-    let mut ctl = GammaController::new(GammaMode::Adaptive(cfg), 0.0);
+    let mut ctl = GammaController::new(GammaMode::Adaptive(cfg));
     ctl.observe_price(1.0); // quiet; γ stays clamped at the 0.1 ceiling
     assert!((ctl.gamma() - 0.1).abs() < 1e-12);
     let mut expected = 0.1f64;
@@ -384,7 +384,7 @@ fn gamma_controller_halves_on_fluctuation_and_clamps() {
 
 #[test]
 fn fixed_gamma_ignores_observations() {
-    let mut ctl = GammaController::new(GammaMode::fixed(0.07), 0.0);
+    let mut ctl = GammaController::new(GammaMode::fixed(0.07));
     for price in [1.0, -3.0, 2.5, 0.0, 9.9] {
         ctl.observe_price(price);
         assert_eq!(ctl.gamma(), 0.07);

@@ -109,7 +109,7 @@ impl LockGraph {
                 let krate = graph.fns[i].krate.clone();
                 for c in 0..graph.fns[i].callees.len() {
                     let callee = graph.fns[i].callees[c].clone();
-                    for place in callee_acquires(graph, &trans, &krate, &callee) {
+                    for place in callee_acquires(graph, &trans, &krate, &callee, None) {
                         if trans[i].insert(place) {
                             changed = true;
                         }
@@ -153,7 +153,10 @@ impl LockGraph {
                         record(&a.place, &b.place, &node.file, &toks[b.idx], b.idx, &node.name);
                     }
                 }
-                // Calls whose transitive acquire set is non-empty.
+                // Calls whose transitive acquire set is non-empty. A method
+                // call on a receiver other than `self` is not a call of the
+                // fn it sits in: `slot.out.drain(..)` inside a fn named
+                // `drain` is `Vec::drain`.
                 let mut k = lo;
                 while k < hi.min(toks.len()) {
                     let t = &toks[k];
@@ -161,7 +164,10 @@ impl LockGraph {
                         && toks.get(k + 1).is_some_and(|nx| nx.is_punct("("))
                         && !fn_acqs.iter().any(|b| b.idx == k)
                     {
-                        for place in callee_acquires(graph, &trans, &node.krate, &t.text) {
+                        let foreign_receiver =
+                            k >= 2 && toks[k - 1].is_punct(".") && !toks[k - 2].is_ident("self");
+                        let not = foreign_receiver.then_some(i);
+                        for place in callee_acquires(graph, &trans, &node.krate, &t.text, not) {
                             record(&a.place, &place, &node.file, t, k, &node.name);
                         }
                     }
@@ -220,23 +226,18 @@ pub fn lock_order_inversion(ctx: &crate::engine::FileContext) -> Vec<crate::engi
 
 /// The acquire set a call to `name` from `krate` contributes: the unique
 /// candidate's transitive set, or the intersection over an ambiguous
-/// name's candidates.
+/// name's candidates. Candidate `not`, when given, is no target of the
+/// call.
 fn callee_acquires(
     graph: &CallGraph,
     trans: &[BTreeSet<String>],
     krate: &str,
     name: &str,
+    not: Option<usize>,
 ) -> BTreeSet<String> {
-    let cands = graph.candidates(krate, name);
-    match cands {
-        [] => BTreeSet::new(),
-        [one] => trans[*one].clone(),
-        many => {
-            let mut it = many.iter().map(|&i| &trans[i]);
-            let first = it.next().cloned().unwrap_or_default();
-            it.fold(first, |acc, s| acc.intersection(s).cloned().collect())
-        }
-    }
+    let mut it = graph.candidates(krate, name).iter().filter(|&&c| Some(c) != not);
+    let Some(&first) = it.next() else { return BTreeSet::new() };
+    it.fold(trans[first].clone(), |acc, &c| acc.intersection(&trans[c]).cloned().collect())
 }
 
 /// Direct acquisitions in one fn body, with guard spans for `let`-bound

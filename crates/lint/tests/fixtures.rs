@@ -269,6 +269,17 @@ fn lock_order_inversion_fixture_pair() {
 }
 
 #[test]
+fn lock_order_receiver_fixture_pair() {
+    // A recursive `self.drain(..)` under the live `slot` guard re-takes the
+    // lock; `slot.buf.drain(..)` in a fn named `drain` is `Vec::drain`.
+    let bad = run("core", include_str!("fixtures/lock_order_receiver_bad.rs"));
+    assert_eq!(triples(&bad), vec![("lock-order-inversion", 11, 18)]);
+    assert!(bad.findings[0].message.contains("`slot` → `slot`"), "{}", bad.findings[0].message);
+    let good = run("core", include_str!("fixtures/lock_order_receiver_good.rs"));
+    assert!(triples(&good).is_empty(), "{:?}", good.findings);
+}
+
+#[test]
 fn hot_path_alloc_fixture_pair() {
     let src = include_str!("fixtures/hot_path_alloc_bad.rs");
     let bad = run_at("crates/core/src/kernel/fixture.rs", src);
@@ -355,6 +366,7 @@ fn layer3_rules_are_report_only() {
         run("core", include_str!("fixtures/lock_held_bad.rs")),
         run("core", include_str!("fixtures/vector_escape_bad.rs")),
         run("core", include_str!("fixtures/lock_order_bad.rs")),
+        run("core", include_str!("fixtures/lock_order_receiver_bad.rs")),
         run_at("crates/core/src/kernel/fixture.rs", include_str!("fixtures/hot_path_alloc_bad.rs")),
         run_at("crates/core/src/kernel/fixture.rs", include_str!("fixtures/hot_path_panic_bad.rs")),
     ];

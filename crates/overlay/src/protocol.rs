@@ -23,7 +23,7 @@ use lrgp::kernel::admission::allocate_consumers;
 use lrgp::gamma::GammaController;
 use lrgp::kernel::price::{update_link_price, update_node_price_with_rule};
 use lrgp::kernel::rate::{solve_rate, AggregateUtility};
-use lrgp::{InitialRate, LrgpConfig};
+use lrgp::LrgpConfig;
 use lrgp_model::{Allocation, ClassId, FlowId, LinkId, NodeId, Problem};
 use lrgp_num::series::TimeSeries;
 use lrgp_num::SlidingWindow;
@@ -67,8 +67,8 @@ enum Event {
 /// link" (paper fn. 2). The owner must *hear* the rates of every flow on
 /// the link, so we prefer the downstream endpoint (which all flows reach),
 /// then the upstream one, then any node that hears them all; a link whose
-/// flows no node fully observes keeps its initial price (and we fall back
-/// to an endpoint or node 0 purely to keep the vector total).
+/// flows no node fully observes keeps its starting price of 0 (and we
+/// fall back to an endpoint or node 0 purely to keep the vector total).
 fn link_owner(problem: &Problem, link: LinkId) -> NodeId {
     let flows = problem.flows_on_link(link);
     let hears_all =
@@ -118,31 +118,22 @@ struct ProtocolState<'p> {
 
 impl<'p> ProtocolState<'p> {
     fn new(problem: &'p Problem, config: LrgpConfig, price_window: usize) -> Self {
-        let initial_rate = |f: FlowId| {
-            let b = problem.flow(f).bounds;
-            match config.initial_rate {
-                InitialRate::Max => b.max,
-                InitialRate::Min => b.min,
-                InitialRate::Value(v) => b.clamp(v),
-            }
-        };
-        let rates: Vec<f64> = problem.flow_ids().map(initial_rate).collect();
+        // The engine's start: rates at `r_i^max`, every price at 0.
+        let rates: Vec<f64> = problem.flow_ids().map(|f| problem.flow(f).bounds.max).collect();
         Self {
             problem,
             source_rates: rates.clone(),
             source_populations: vec![0.0; problem.num_classes()],
-            source_known_prices: vec![config.initial_node_price; problem.num_nodes()],
-            source_known_link_prices: vec![config.initial_link_price; problem.num_links()],
+            source_known_prices: vec![0.0; problem.num_nodes()],
+            source_known_link_prices: vec![0.0; problem.num_links()],
             price_windows: (price_window > 1)
                 .then(|| (0..problem.num_nodes()).map(|_| SlidingWindow::new(price_window)).collect()),
             node_known_rates: rates,
-            node_prices: vec![config.initial_node_price; problem.num_nodes()],
-            link_prices: vec![config.initial_link_price; problem.num_links()],
+            node_prices: vec![0.0; problem.num_nodes()],
+            link_prices: vec![0.0; problem.num_links()],
             link_owners: problem.link_ids().map(|l| link_owner(problem, l)).collect(),
             node_populations: vec![0.0; problem.num_classes()],
-            gamma: (0..problem.num_nodes())
-                .map(|_| GammaController::new(config.gamma, config.initial_node_price))
-                .collect(),
+            gamma: (0..problem.num_nodes()).map(|_| GammaController::new(config.gamma)).collect(),
             messages_sent: 0,
             config,
         }

@@ -27,10 +27,7 @@
 //!   bit-identical across the whole plan matrix, ρ state included.
 
 use lrgp::kernel::reliability::solve_flow_rho;
-use lrgp::{
-    run_scenario, Engine, IncrementalMode, LrgpConfig, Parallelism, Reliability, Scenario,
-    TraceConfig,
-};
+use lrgp::{run_scenario, Engine, IncrementalMode, LrgpConfig, Parallelism, Reliability, Scenario};
 use lrgp_model::workloads::{
     base_workload, link_bottleneck_workload, mixed_loss_workload, paper_workload, RandomWorkload,
 };
@@ -64,9 +61,8 @@ fn assert_engines_identical(
     parallelism: Parallelism,
     iterations: usize,
 ) {
-    let sequential_config =
-        LrgpConfig { parallelism: Parallelism::Sequential, trace: TraceConfig::full(), ..config };
-    let parallel_config = LrgpConfig { parallelism, trace: TraceConfig::full(), ..config };
+    let sequential_config = LrgpConfig { parallelism: Parallelism::Sequential, ..config };
+    let parallel_config = LrgpConfig { parallelism, ..config };
     let mut sequential = Engine::new(problem.clone(), sequential_config);
     let mut parallel = Engine::new(problem, parallel_config);
     // Dispatch through the worker pool even on single-CPU hosts, so the
@@ -135,7 +131,6 @@ fn assert_incremental_identical(
     let baseline_config = LrgpConfig {
         parallelism: Parallelism::Sequential,
         incremental: IncrementalMode::Off,
-        trace: TraceConfig::full(),
         ..config
     };
     let inc_seq_config = LrgpConfig { incremental: IncrementalMode::On, ..baseline_config };
@@ -444,7 +439,6 @@ proptest! {
         let baseline_config = LrgpConfig {
             parallelism: Parallelism::Sequential,
             incremental: IncrementalMode::Off,
-            trace: TraceConfig::full(),
             // Explicitly rate-only: this schedule pins the pre-reliability
             // engine behavior that `Reliability::Off` must reproduce.
             reliability: Reliability::Off,
@@ -555,11 +549,7 @@ proptest! {
         )
     ) {
         let problem = mixed_loss_workload(pairs, 400.0, seed);
-        let stripped_config = LrgpConfig {
-            link_gamma: 2e-3,
-            trace: TraceConfig::full(),
-            ..LrgpConfig::default()
-        };
+        let stripped_config = LrgpConfig { link_gamma: 2e-3, ..LrgpConfig::default() };
         let off_config = LrgpConfig { reliability: Reliability::Off, ..stripped_config };
         let off_par_config =
             LrgpConfig { parallelism: Parallelism::Threads(threads), ..off_config };
@@ -617,7 +607,6 @@ proptest! {
             incremental: IncrementalMode::Off,
             reliability: Reliability::Joint,
             link_gamma: 2e-3,
-            trace: TraceConfig::full(),
             ..LrgpConfig::default()
         };
         let inc_seq_config = LrgpConfig { incremental: IncrementalMode::On, ..baseline_config };
@@ -794,7 +783,7 @@ fn parallel_engine_matches_through_flow_removal() {
     // Dynamics (Fig. 3): removing a flow mid-run must keep the engines in
     // lockstep afterwards too.
     let problem = paper_workload(UtilityShape::Log, 1, 1);
-    let config = LrgpConfig { trace: TraceConfig::full(), ..LrgpConfig::default() };
+    let config = LrgpConfig::default();
     let threads_config = LrgpConfig { parallelism: Parallelism::Threads(4), ..config };
     let mut sequential = Engine::new(problem.clone(), config);
     let mut parallel = Engine::new(problem, threads_config);
@@ -851,11 +840,7 @@ fn incremental_engine_matches_through_capacity_and_population_churn() {
     // wholesale through `replace_problem`. Both must stay in bitwise
     // lockstep.
     let problem = paper_workload(UtilityShape::Log, 1, 1);
-    let config = LrgpConfig {
-        incremental: IncrementalMode::Off,
-        trace: TraceConfig::full(),
-        ..LrgpConfig::default()
-    };
+    let config = LrgpConfig { incremental: IncrementalMode::Off, ..LrgpConfig::default() };
     let inc_config = LrgpConfig { incremental: IncrementalMode::On, ..config };
     let mut baseline = Engine::new(problem.clone(), config);
     let mut incremental = Engine::new(problem, inc_config);
@@ -959,7 +944,6 @@ fn adding_a_flow_mid_run_stays_bit_identical() {
     let baseline_config = LrgpConfig {
         parallelism: Parallelism::Sequential,
         incremental: IncrementalMode::Off,
-        trace: TraceConfig::full(),
         ..LrgpConfig::default()
     };
     let inc_config = LrgpConfig { incremental: IncrementalMode::On, ..baseline_config };
@@ -1001,15 +985,11 @@ fn a_scenario_carries_any_delta_op() {
     // and a link-loss edit, on a lossy workload under joint reliability.
     // `run_scenario` must match, bit for bit, an engine that takes the
     // same ops through `apply_delta` at the same iterations (ops due at one
-    // iteration form one batch): every traced rate, price, population and
-    // γ at every iteration, the channel grown for the added flow included.
+    // iteration form one batch): the utility at every iteration, and the
+    // final rates, populations, prices, γ and ρ, the added flow's included.
     let problem = pow_lossy_pairs(6, 100.0);
-    let config = LrgpConfig {
-        reliability: Reliability::Joint,
-        link_gamma: 2e-3,
-        trace: TraceConfig::full(),
-        ..LrgpConfig::default()
-    };
+    let config =
+        LrgpConfig { reliability: Reliability::Joint, link_gamma: 2e-3, ..LrgpConfig::default() };
     let (template, added) = (FlowId::new(3), FlowId::new(problem.num_flows() as u32));
     let sink = problem.nodes_of_flow(FlowId::new(5))[0].0;
     let classes = problem.classes_of_flow(template).iter().map(|&c| problem.class(c).clone());
@@ -1038,8 +1018,6 @@ fn a_scenario_carries_any_delta_op() {
     assert_eq!(format!("{:?}", manual.trace()), format!("{:?}", scripted.trace()));
     assert_bits_eq("scenario rhos", 150, manual.rhos(), scripted.rhos());
     assert_eq!(format!("{:?}", manual.problem()), format!("{:?}", scripted.problem()));
-    let rates = scripted.trace().rates.as_ref().expect("rates are traced");
-    assert_eq!(rates.len(), added.index() + 1, "the trace grew a channel for the added flow");
-    assert_eq!(rates[added.index()].len(), 150 - 30, "the channel starts at the addition");
+    assert_same_state("scenario", 150, &manual, &scripted);
     assert!(scripted.allocation().rate(added) > 0.0, "the added flow never got a rate");
 }

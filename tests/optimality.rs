@@ -5,6 +5,11 @@
 use lrgp::{Engine, LrgpConfig, PopulationMode};
 use lrgp_anneal::{anneal, exhaustive_search, exhaustive_search_exact_rates, AnnealConfig};
 use lrgp_model::{Problem, ProblemBuilder, RateBounds, Utility};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Random instances per run; the release build affords more.
+const CASES: usize = if cfg!(debug_assertions) { 20 } else { 200 };
 
 /// One flow, one node, two classes competing for a tight budget.
 fn tiny_two_class() -> Problem {
@@ -65,6 +70,62 @@ fn lrgp_within_a_few_percent_of_exhaustive_on_tiny_two_flow() {
         out.utility >= 0.93 * optimum,
         "LRGP {} vs exhaustive optimum {optimum}",
         out.utility
+    );
+}
+
+/// One consumer node of capacity c ∈ [500, 3500], reached by 1–3 flows
+/// from a source that charges nothing, so the exact oracle applies. Each
+/// flow has rate bounds within [1, 100], F ∈ [0, 3] at the node and 1–2
+/// classes there: `n_max` 1–7, G ∈ [2, 12], a log or r^0.75 utility of
+/// weight 1–30.
+fn random_single_node(rng: &mut StdRng) -> Problem {
+    let mut b = ProblemBuilder::new();
+    let src = b.add_node(1e12);
+    let sink = b.add_node(rng.gen_range(500.0..3500.0));
+    for _ in 0..rng.gen_range(1..=3) {
+        let bounds = RateBounds::new(rng.gen_range(1.0..10.0), rng.gen_range(20.0..100.0));
+        let f = b.add_flow(src, bounds.unwrap());
+        b.set_node_cost(f, sink, rng.gen_range(0.0..3.0));
+        for _ in 0..rng.gen_range(1..=2) {
+            let weight = rng.gen_range(1.0..30.0);
+            let utility =
+                if rng.gen_bool(0.5) { Utility::log(weight) } else { Utility::power(weight, 0.75) };
+            b.add_class(f, sink, rng.gen_range(1..=7), utility, rng.gen_range(2.0..12.0));
+        }
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn lrgp_never_beats_the_exact_optimum_on_random_single_node_instances() {
+    // Only what must hold: the final allocation is feasible and no better
+    // than the optimum. How far below it LRGP ends is reported, not
+    // asserted (`-- --nocapture` prints the distribution).
+    let mut rng = StdRng::seed_from_u64(2006);
+    let mut gaps = Vec::with_capacity(CASES);
+    for draw in 0..CASES {
+        let p = random_single_node(&mut rng);
+        let optimum = exhaustive_optimum(&p);
+        let mut e = Engine::new(p.clone(), LrgpConfig::default());
+        e.run_until_converged(3_000);
+        let report = e.allocation().check_feasibility(&p, 1e-6);
+        assert!(report.is_feasible(), "draw {draw}: {report}\n{p:?}");
+        let utility = e.total_utility();
+        assert!(
+            utility <= optimum * (1.0 + 1e-9),
+            "draw {draw}: LRGP {utility} above the optimum {optimum}\n{p:?}"
+        );
+        gaps.push(1.0 - utility / optimum);
+    }
+    gaps.sort_by(f64::total_cmp);
+    let below = |gap: f64| gaps.iter().filter(|&&g| g >= gap).count();
+    eprintln!(
+        "{CASES} instances: LRGP >= 1% below the optimum in {}, >= 10% below in {}, \
+         median gap {:.4}, worst {:.4}",
+        below(0.01),
+        below(0.10),
+        gaps[CASES / 2],
+        gaps[CASES - 1]
     );
 }
 
