@@ -24,8 +24,8 @@
 //! step but still reuses the persistent step state (price term tables,
 //! per-node admission orders, scratch buffers) across steps. That warm
 //! all-dirty step is reported as `warm_all_dirty_ns` for context, but it
-//! is *not* the baseline: the baseline drops the executor state before
-//! every timed step, so each sample pays the full rebuild from the bare
+//! is *not* the baseline: the baseline rebuilds the executor state inside
+//! every timed sample, so each sample pays the full rebuild from the bare
 //! problem — the cost a non-incremental implementation pays per
 //! iteration, and what the pre-unification reference engine measured.
 //! The baseline rows and their `near_converged_speedup` are context only;
@@ -78,8 +78,8 @@ pub struct WorkloadBench {
     pub nodes: usize,
     /// Number of consumer classes.
     pub classes: usize,
-    /// The full-recompute sequential reference: executor state is dropped
-    /// before every timed step, so each sample rebuilds term tables and
+    /// The full-recompute sequential reference: executor state is rebuilt
+    /// inside every timed sample, so each sample rebuilds term tables and
     /// admission orders from the bare problem.
     pub baseline: VariantNs,
     /// The dirty-set path, single-threaded.
@@ -257,13 +257,13 @@ fn near_converged_ns(
 }
 
 /// Median per-step wall time after `warmup` iterations, with the executor
-/// state dropped before every timed step: each sample pays the full
+/// state rebuilt inside every timed sample: each sample pays the full
 /// rebuild (term tables, admission orders) from the bare problem, which
 /// is the per-iteration cost of a non-incremental implementation.
 /// `replace_problem` with an identical problem keeps the operating point
-/// (rates, populations, prices) and discards only the step state, so the
+/// (rates, populations, prices) and rebuilds only the step state, so the
 /// iterate trajectory is bit-identical to a plain `IncrementalMode::Off`
-/// run.
+/// run. The problem copy it takes is made outside the timed region.
 fn from_scratch_near_converged_ns(
     problem: &Problem,
     config: LrgpConfig,
@@ -275,8 +275,8 @@ fn from_scratch_near_converged_ns(
     let times = (0..samples)
         .map(|_| {
             let current = engine.problem().clone();
-            engine.replace_problem(current);
             let start = Instant::now();
+            engine.replace_problem(current);
             engine.step();
             start.elapsed().as_nanos() as u64
         })

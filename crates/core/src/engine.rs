@@ -147,10 +147,9 @@ pub struct Engine {
     iteration: usize,
     trace: Trace,
     /// Built at construction so the first step pays only its (all-dirty)
-    /// kernel work; patched in place by every delta that keeps the id
-    /// space, dropped when the problem grows or the problem or optimizer
-    /// state is replaced wholesale, then lazily rebuilt on the next step.
-    state: Option<StepState>,
+    /// kernel work, rebuilt by [`Engine::replace_problem`], and patched in
+    /// place by every delta.
+    state: StepState,
 }
 
 impl Engine {
@@ -161,7 +160,7 @@ impl Engine {
         let prices = PriceVector::zeros(&problem);
         let gamma_controllers =
             (0..problem.num_nodes()).map(|_| GammaController::new(config.gamma)).collect();
-        let state = Some(StepState::new(&problem));
+        let state = StepState::new(&problem);
         // Never more workers than a phase of this problem can use.
         let pool = PoolHandle::for_concurrency(config.parallelism.workers_for(max_units(&problem)));
         Self {
@@ -202,7 +201,6 @@ impl Engine {
             state,
             ..
         } = self;
-        let state = state.get_or_insert_with(|| StepState::new(problem));
         if !config.incremental.enabled() {
             state.mark_all_dirty();
         }
@@ -213,11 +211,10 @@ impl Engine {
         utility
     }
 
-    /// The step state, if the engine has one since the last invalidation
-    /// (test hook).
+    /// The step state (test hook).
     #[cfg(test)]
-    pub(crate) fn step_state(&self) -> Option<&StepState> {
-        self.state.as_ref()
+    pub(crate) fn step_state(&self) -> &StepState {
+        &self.state
     }
 
     /// Execution contexts the engine's worker pool provides: its workers
@@ -259,9 +256,7 @@ impl Engine {
     /// panic-propagation regression suite).
     #[cfg(test)]
     pub(crate) fn arm_rate_panic(&mut self, flow: Option<u32>) {
-        if let Some(state) = self.state.as_mut() {
-            state.set_panic_on_flow(flow);
-        }
+        self.state.set_panic_on_flow(flow);
     }
 
     /// Runs exactly `iterations` steps; returns the final utility (0.0 if
@@ -286,19 +281,13 @@ impl Engine {
             if !self.config.convergence.is_met(&self.trace.utility) {
                 continue;
             }
-            let max_overload = self.max_overload();
+            let max_overload = self.state.max_overload(&self.problem);
             if max_overload <= OVERLOAD_TOLERANCE {
                 return RunOutcome { converged_at: Some(k), iterations: k, utility, max_overload };
             }
         }
-        let max_overload = self.max_overload();
+        let max_overload = self.state.max_overload(&self.problem);
         RunOutcome { converged_at: None, iterations: max_iterations, utility, max_overload }
-    }
-
-    /// The worst relative capacity overload after the last step (see
-    /// [`RunOutcome::max_overload`]), from the usages the executor cached.
-    fn max_overload(&self) -> f64 {
-        self.state.as_ref().map_or(0.0, |state| state.max_overload(&self.problem))
     }
 
     /// The current allocation (rates + populations).
@@ -358,9 +347,10 @@ impl Engine {
         &self.gamma_controllers
     }
 
-    /// Overwrites the optimizer state (snapshot support). Lengths are the
-    /// caller's responsibility; [`crate::snapshot`] validates them against
-    /// the problem.
+    /// Overwrites the optimizer state of a freshly built engine (snapshot
+    /// support), whose first step recomputes everything anyway. Lengths are
+    /// the caller's responsibility; [`crate::snapshot`] validates them
+    /// against the problem.
     pub(crate) fn load_state(
         &mut self,
         rates: Vec<f64>,
@@ -376,9 +366,6 @@ impl Engine {
         self.prices = prices;
         self.gamma_controllers = gamma_controllers;
         self.iteration = iteration;
-        // The caches no longer describe the stored state; rebuild from
-        // scratch on the next step.
-        self.state = None;
     }
 
     /// Current γ of `node`'s price controller.
@@ -392,18 +379,17 @@ impl Engine {
     ///
     /// The optimizer state is reconciled with the changed problem exactly
     /// as [`Engine::replace_problem`] would (rates clamped into the final
-    /// bounds, populations capped at the final maxima, new flows starting
-    /// at `r_i^max`), so
-    /// `engine.apply_delta(&delta)` and
+    /// bounds, populations capped at the final maxima), and a new flow
+    /// starts at `r_i^max` with its classes empty, as [`Engine::new`] starts
+    /// every flow. So `engine.apply_delta(&delta)` and
     /// `engine.replace_problem(delta.apply(engine.problem())?)` continue
-    /// bit-identically. Unlike `replace_problem`, every op that keeps the id
-    /// space (capacity, population, rate-bound and ρ-bound edits, flow
-    /// removals, `F_{b,i}` and link-loss edits) keeps the executor: cost
-    /// edits patch its term table in place, and every op injects precise
-    /// dirty marks instead of invalidating everything, so under an
-    /// incremental engine the next step costs work proportional to what the
-    /// delta touched. Only a flow addition, which changes the shape of the
-    /// term table, still rebuilds the executor.
+    /// bit-identically, and after a flow addition the engine continues
+    /// bit-identically to [`Engine::restore`] of its snapshot over the grown
+    /// problem. Unlike those two, every op keeps the executor: cost edits
+    /// patch its term table in place, a flow addition appends its rows, and
+    /// every op injects precise dirty marks instead of invalidating
+    /// everything, so under an incremental engine the next step costs work
+    /// proportional to what the delta touched.
     ///
     /// Applying a delta *before* the first step re-derives the initial
     /// optimizer state, making the engine bit-identical to one freshly
@@ -412,12 +398,12 @@ impl Engine {
     /// The ops edit the engine's problem in place
     /// ([`ProblemDelta::apply_in_place`]). On an engine that does not share
     /// its problem the edit copies nothing and costs `O(ops)`: `O(1)` per
-    /// scalar edit, `O(|B_i| + |L_i| + |C_i|)` per removal. A clone shares
-    /// its problem with the engine it came from until one of them applies a
-    /// delta, so a clone's first delta copies the problem once. A flow
-    /// addition still derives every index of the problem again, and
-    /// re-sizes the worker pool for the grown problem as [`Engine::new`]
-    /// sizes it.
+    /// scalar edit, `O(|B_i| + |L_i| + |C_i|)` per removal or addition. A
+    /// clone shares its problem with the engine it came from until one of
+    /// them applies a delta, so a clone's first delta copies the problem
+    /// once. A flow addition also rebuilds the term table's usage rows
+    /// (one pass over the link terms) and re-sizes the worker pool for the
+    /// grown problem as [`Engine::new`] sizes it.
     ///
     /// # Errors
     ///
@@ -428,47 +414,26 @@ impl Engine {
         if delta.is_empty() {
             return Ok(());
         }
-        let flows_before = self.problem.num_flows();
         delta.apply_in_place(Arc::make_mut(&mut self.problem))?;
         let problem = Arc::clone(&self.problem);
         if delta.grows_problem() {
             // Size the pool for the grown problem, as `new` would.
             self.pool.resize(self.config.parallelism.workers_for(max_units(&problem)));
         }
-        if self.iteration == 0 {
-            // Nothing has run: re-derive the initial state from the changed
-            // problem, as a fresh construction would.
-            self.rates = initial_rates(&problem);
-            self.rhos = initial_rhos(&problem);
-            self.populations = vec![0.0; problem.num_classes()];
-            self.state = Some(StepState::new(&problem));
-            return Ok(());
-        }
-        if delta.grows_problem() {
-            // The id space grew, so the term tables change shape: they and
-            // the caches are rebuilt and the next step treats everything
-            // as dirty, exactly like a freshly constructed engine would.
-            for f in flows_before..problem.num_flows() {
-                let flow = FlowId::new(f as u32);
-                self.rates.push(problem.flow(flow).bounds.max);
-                self.rhos.push(problem.rho_bounds(flow).map_or(1.0, |b| b.max));
-            }
-            self.populations.resize(problem.num_classes(), 0.0);
-            self.clamp_state_into_problem();
-            self.state = None;
-            return Ok(());
-        }
-        // Every other op keeps the id space and the table's shape: reconcile
-        // only the touched state and hand the executor the cost patches and
-        // precise dirty marks. Clamps run against the *final* problem so a
-        // batched delta matches a wholesale replacement bitwise.
+        // Reconcile only the touched state and hand the executor the cost
+        // patches and precise dirty marks. Clamps run against the *final*
+        // problem so a batched delta matches a wholesale replacement bitwise.
         for op in delta.ops() {
             match op {
-                DeltaOp::SetNodeCapacity { node, .. } => {
-                    if let Some(state) = self.state.as_mut() {
-                        state.note_capacity_change(*node);
-                    }
+                DeltaOp::AddFlow { .. } => {
+                    // The ops' new flows take the next ids in op order.
+                    let flow = FlowId::new(self.rates.len() as u32);
+                    self.rates.push(problem.flow(flow).bounds.max);
+                    self.rhos.push(problem.rho_bounds(flow).map_or(1.0, |b| b.max));
+                    self.populations.resize(problem.num_classes(), 0.0);
+                    self.state.note_flow_added(&problem, op);
                 }
+                DeltaOp::SetNodeCapacity { node, .. } => self.state.note_capacity_change(*node),
                 DeltaOp::SetLinkCapacity { .. } => {
                     // The link price update always runs and reads the
                     // capacity directly; no cached quantity depends on it.
@@ -482,20 +447,21 @@ impl Engine {
                     for &class in problem.classes_of_flow(*flow) {
                         self.clamp_population(class);
                     }
-                    if let Some(state) = self.state.as_mut() {
-                        state.note_cost_edit(&problem, op);
-                    }
+                    self.state.note_cost_edit(&problem, op);
                 }
                 DeltaOp::SetFlowNodeCost { .. } | DeltaOp::SetLinkLoss { .. } => {
-                    if let Some(state) = self.state.as_mut() {
-                        state.note_cost_edit(&problem, op);
-                    }
+                    self.state.note_cost_edit(&problem, op);
                 }
                 DeltaOp::SetRhoBounds { flow, .. } => self.clamp_rho(*flow),
-                DeltaOp::AddFlow { .. } => {
-                    // Excluded by the `grows_problem` branch above.
-                }
             }
+        }
+        if self.iteration == 0 {
+            // Nothing has run, so the first step is all-dirty anyway:
+            // re-derive the initial state from the changed problem, as a
+            // fresh construction would.
+            self.rates = initial_rates(&problem);
+            self.rhos = initial_rhos(&problem);
+            self.populations = vec![0.0; problem.num_classes()];
         }
         Ok(())
     }
@@ -508,9 +474,7 @@ impl Engine {
         let clamped = bounds.clamp(*slot);
         let moved = clamped.to_bits() != slot.to_bits();
         *slot = clamped;
-        if let Some(state) = self.state.as_mut() {
-            state.note_bounds_change(&self.problem, flow, moved);
-        }
+        self.state.note_bounds_change(&self.problem, flow, moved);
     }
 
     /// Caps `class`'s published population at its current maximum and
@@ -521,14 +485,11 @@ impl Engine {
         let clamped = slot.min(max);
         let moved = clamped.to_bits() != slot.to_bits();
         *slot = clamped;
-        if let Some(state) = self.state.as_mut() {
-            state.note_population_change(&self.problem, class, moved);
-        }
+        self.state.note_population_change(&self.problem, class, moved);
     }
 
     /// Clamps `flow`'s stored ρ into its current bounds (1.0 without a
-    /// spec, as [`Self::clamp_state_into_problem`] does) and tells the
-    /// executor whether the clamp moved it.
+    /// spec) and tells the executor whether the clamp moved it.
     fn clamp_rho(&mut self, flow: FlowId) {
         let slot = &mut self.rhos[flow.index()];
         let clamped = match self.problem.rho_bounds(flow) {
@@ -537,34 +498,16 @@ impl Engine {
         };
         let moved = clamped.to_bits() != slot.to_bits();
         *slot = clamped;
-        if let Some(state) = self.state.as_mut() {
-            state.note_rho_bounds_change(&self.problem, flow, moved);
-        }
-    }
-
-    /// Clamps rates into the current problem's bounds and populations under
-    /// its maxima, so the next iteration starts feasible.
-    fn clamp_state_into_problem(&mut self) {
-        for f in self.problem.flow_ids() {
-            self.rates[f.index()] = self.problem.flow(f).bounds.clamp(self.rates[f.index()]);
-            self.rhos[f.index()] = match self.problem.rho_bounds(f) {
-                Some(bounds) => bounds.clamp(self.rhos[f.index()]),
-                None => 1.0,
-            };
-        }
-        for c in self.problem.class_ids() {
-            let max = self.problem.class(c).max_population as f64;
-            self.populations[c.index()] = self.populations[c.index()].min(max);
-        }
+        self.state.note_rho_bounds_change(&self.problem, flow, moved);
     }
 
     /// Replaces the problem mid-run, preserving prices, rates, populations,
     /// γ controllers and the trace. The new problem must have identical
     /// dimensions (same id spaces), as [`ProblemDelta::apply`] leaves them
     /// for every op but a flow addition. This is the wholesale escape hatch
-    /// (and the oracle [`Engine::apply_delta`] is checked against); deltas
-    /// should prefer `apply_delta`, which keeps the incremental caches alive
-    /// where it can.
+    /// (and the oracle [`Engine::apply_delta`] is checked against): it
+    /// rebuilds the executor, and the next step recomputes everything.
+    /// Deltas should prefer `apply_delta`, which keeps the executor.
     ///
     /// # Panics
     ///
@@ -579,13 +522,18 @@ impl Engine {
             "class count must not change"
         );
         self.problem = Arc::new(problem);
+        // Term tables and dirty sets were built against the old problem.
+        self.state = StepState::new(&self.problem);
         // Clamp state into the new problem's bounds so the next iteration
         // starts feasible.
-        self.clamp_state_into_problem();
-        // Term tables and dirty sets were built against the old problem;
-        // the next step rebuilds them and treats everything as dirty,
-        // exactly like a freshly constructed engine would.
-        self.state = None;
+        let problem = Arc::clone(&self.problem);
+        for flow in problem.flow_ids() {
+            self.clamp_rate(flow);
+            self.clamp_rho(flow);
+        }
+        for class in problem.class_ids() {
+            self.clamp_population(class);
+        }
     }
 }
 
@@ -818,9 +766,12 @@ mod tests {
     #[test]
     fn unstepped_delta_matches_fresh_engine_bitwise() {
         let p = base_workload();
+        let template = FlowId::new(2);
+        let classes = p.classes_of_flow(template).iter().map(|&c| p.class(c).clone()).collect();
         let delta = ProblemDelta::new()
             .set_node_capacity(NodeId::new(6), 5e5)
             .resize_class(ClassId::new(0), 17)
+            .add_flow(p.flow(template).clone(), classes)
             .set_rate_bounds(FlowId::new(1), RateBounds::new(5.0, 250.0).unwrap());
         let mut delta_first = Engine::new(p.clone(), LrgpConfig::default());
         delta_first.apply_delta(&delta).unwrap();

@@ -55,11 +55,11 @@
 //! dirties the flow, its nodes and its links; a loss edit dirties the link
 //! (joint usage reads the loss) and every flow on it (the ρ solve reads
 //! `cost · loss`); a ρ-bound edit dirties the flow and, if the clamp moved
-//! the stored ρ, its links and the utility. The next step unions this
+//! the stored ρ, its links and the utility. A flow addition appends the
+//! flow's rows to the table, grows the flags and the admission orders of
+//! its nodes, and dirties it as a moved rate. The next step unions this
 //! external dirt into its derived dirty sets, so a delta costs work
-//! proportional to what it touched. Only a growing delta (a flow addition
-//! changes the table's shape) invalidates the state wholesale: the next
-//! step rebuilds the tables and treats everything as dirty.
+//! proportional to what it touched.
 //!
 //! # State layout and the pooled handoff
 //!
@@ -168,8 +168,8 @@ impl Clone for NodeTable {
 }
 
 /// The executor's persistent state: term tables, caches, dirty sets, and
-/// scratch buffers. Dropped (and lazily rebuilt) when the problem grows or
-/// is replaced wholesale; every other delta patches it in place.
+/// scratch buffers. Every delta patches it in place; it is rebuilt only
+/// when the problem is replaced wholesale.
 #[derive(Debug, Clone)]
 pub(crate) struct StepState {
     terms: Arc<PriceTermTable>,
@@ -347,14 +347,38 @@ impl StepState {
             }
             DeltaOp::SetLinkLoss { link, .. } => {
                 mark(&mut self.ext_link_dirty, &mut self.ext_dirty_links, link.index() as u32);
-                for &flow in problem.flows_on_link(link) {
+                // A flow that a later op of the batch adds is not here yet;
+                // its addition dirties it and reads the final loss. The row
+                // is ascending, so such flows come last.
+                let known = self.ext_flow_dirty.len();
+                for flow in problem.flows_on_link(link).iter().take_while(|f| f.index() < known) {
                     mark(&mut self.ext_flow_dirty, &mut self.ext_dirty_flows, flow.index() as u32);
                 }
             }
             _ => return,
         }
-        let patched = Arc::make_mut(&mut self.terms).refresh(problem, op);
-        debug_assert!(patched, "only shape-keeping cost edits reach the patch");
+        Arc::make_mut(&mut self.terms).refresh(problem, op);
+    }
+
+    /// Records that `op`, a flow addition, reached the final `problem`,
+    /// where the new flow holds the next flow id. Grows the per-flow and
+    /// per-class flags, appends the flow's classes to their nodes'
+    /// admission orders and its rows to the term table, and dirties it as a
+    /// rate that moved: the flow, its nodes, its links and the utility.
+    pub(crate) fn note_flow_added(&mut self, problem: &Problem, op: &DeltaOp) {
+        let flow = FlowId::new(self.flow_dirty.len() as u32);
+        self.flow_dirty.push(false);
+        self.rate_changed.push(false);
+        self.rho_changed.push(false);
+        self.ext_flow_dirty.push(false);
+        for &class in problem.classes_of_flow(flow) {
+            self.pop_changed.push(false);
+            if let Some(slot) = self.nodes.orders.get_mut(problem.class(class).node.index()) {
+                slot.get_mut().unwrap_or_else(PoisonError::into_inner).order.push((class, 0.0));
+            }
+        }
+        self.note_bounds_change(problem, flow, true);
+        Arc::make_mut(&mut self.terms).refresh(problem, op);
     }
 
     /// Records that `flow`'s ρ bounds changed, and whether the stored ρ was
@@ -996,7 +1020,7 @@ mod tests {
         engine.run(400);
         let problem_nodes = engine.problem().num_nodes();
         let problem_flows = engine.problem().num_flows();
-        let state = engine.step_state().expect("state built after stepping");
+        let state = engine.step_state();
         let (changed_rates, changed_nodes, changed_links) = state.changed_counts();
         assert!(
             changed_nodes <= 3,
@@ -1020,7 +1044,6 @@ mod tests {
         let removal = ProblemDelta::new().remove_flow(FlowId::new(5));
         baseline.apply_delta(&removal).unwrap();
         incremental.apply_delta(&removal).unwrap();
-        assert!(incremental.step_state().is_some(), "a removal patches the state in place");
         for k in 0..120 {
             let a = baseline.step();
             let b = incremental.step();
@@ -1031,9 +1054,9 @@ mod tests {
 
     #[test]
     fn shape_keeping_deltas_do_not_mark_everything_dirty() {
-        // A converged mid-size system: a departure, an `F_{b,i}` edit and a
-        // re-join must each keep the step state, and the step after each
-        // must recompute only part of the system.
+        // A converged mid-size system: after a departure, an `F_{b,i}` edit,
+        // a re-join and an arrival (a copy of the departed flow under a new
+        // id), the step after each must recompute only part of the system.
         let mut rng = StdRng::seed_from_u64(3);
         let generator = RandomWorkload {
             flows: 60,
@@ -1052,18 +1075,20 @@ mod tests {
         for &class in problem.classes_of_flow(flow) {
             rejoin = rejoin.resize_class(class, problem.class(class).max_population);
         }
+        let classes = problem.classes_of_flow(flow).iter().map(|&c| problem.class(c).clone());
         let deltas = [
             ProblemDelta::new().set_flow_node_cost(flow, node, cost * 2.0),
             ProblemDelta::new().remove_flow(flow),
             rejoin,
+            ProblemDelta::new().add_flow(spec, classes.collect()),
         ];
-        let mut engine = Engine::new(problem.clone(), incremental_config());
+        let mut engine = Engine::new(problem, incremental_config());
         engine.run_until_converged(2_000);
         for delta in &deltas {
             engine.apply_delta(delta).unwrap();
-            assert!(engine.step_state().is_some(), "{delta:?} dropped the step state");
             engine.step();
-            let (flows, nodes, _) = engine.step_state().expect("kept").dirty_counts();
+            let (flows, nodes, _) = engine.step_state().dirty_counts();
+            let problem = engine.problem();
             assert!(
                 flows < problem.num_flows() || nodes < problem.num_nodes(),
                 "{delta:?}: the next step marked everything dirty ({flows} flows, {nodes} nodes)"

@@ -2,53 +2,16 @@
 //!
 //! The paper first uses a fixed step γ in Eq. 12, observing that large γ
 //! converges fast but oscillates, while small γ converges slowly (Fig. 1).
-//! It then proposes an adaptive heuristic (Fig. 2): start from a fixed
-//! value, grow γ by 0.001 each quiet iteration, halve it whenever the
-//! node's price fluctuates, and clamp to `[0.001, 0.1]`.
+//! It then proposes an adaptive heuristic (Fig. 2): start at 0.1, grow γ
+//! by 0.001 each quiet iteration, halve it whenever the node's price
+//! fluctuates, and clamp to `[0.001, 0.1]`. Those constants are fixed
+//! here, as [`GammaMode::Adaptive`].
 
 use lrgp_num::series::FluctuationDetector;
 use serde::{Deserialize, Serialize};
 
-/// Parameters of the adaptive-γ heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdaptiveGammaConfig {
-    /// Starting value of γ.
-    pub initial: f64,
-    /// Lower clamp (paper: 0.001).
-    pub min: f64,
-    /// Upper clamp (paper: 0.1).
-    pub max: f64,
-    /// Additive increment applied each non-fluctuating iteration
-    /// (paper: 0.001).
-    pub increment: f64,
-    /// Multiplicative factor applied when a fluctuation is detected
-    /// (paper: 0.5).
-    pub decay: f64,
-}
-
-impl Default for AdaptiveGammaConfig {
-    fn default() -> Self {
-        Self { initial: 0.1, min: 0.001, max: 0.1, increment: 0.001, decay: 0.5 }
-    }
-}
-
-impl AdaptiveGammaConfig {
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < min <= initial <= max`, `increment >= 0` and
-    /// `0 < decay < 1`.
-    pub fn validate(&self) {
-        assert!(self.min > 0.0, "gamma min must be positive");
-        assert!(self.min <= self.initial && self.initial <= self.max, "need min <= initial <= max");
-        assert!(self.increment >= 0.0, "gamma increment must be nonnegative");
-        assert!(self.decay > 0.0 && self.decay < 1.0, "gamma decay must be in (0, 1)");
-    }
-}
-
 /// Selects how the node price step size is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub enum GammaMode {
     /// A constant γ (used for Fig. 1's γ ∈ {1, 0.1, 0.01} sweeps). The same
     /// value serves as γ₁ and γ₂ in Eq. 12, as in the paper's experiments.
@@ -56,14 +19,38 @@ pub enum GammaMode {
         /// The constant step size.
         gamma: f64,
     },
-    /// The adaptive heuristic of §4.2.
-    Adaptive(AdaptiveGammaConfig),
+    /// The adaptive heuristic of §4.2 with the paper's constants: γ starts
+    /// at 0.1, grows by 0.001 per quiet iteration, halves on a fluctuation,
+    /// and stays in `[0.001, 0.1]`.
+    #[default]
+    Adaptive,
 }
 
-impl Default for GammaMode {
-    fn default() -> Self {
-        GammaMode::Adaptive(AdaptiveGammaConfig::default())
+impl Deserialize for GammaMode {
+    fn deserialize(r: &mut serde::de::Reader<'_>) -> Result<Self, serde::DeError> {
+        let (tag, payload) = r.variant("GammaMode")?;
+        let mode = match (&*tag, payload) {
+            ("Fixed", true) => GammaMode::Fixed { gamma: FixedGamma::deserialize(r)?.gamma },
+            ("Adaptive", false) => GammaMode::Adaptive,
+            // The heuristic's five parameters were fields once and are
+            // constants now, so a legacy payload is skipped unread.
+            ("Adaptive", true) => {
+                r.skip_value()?;
+                GammaMode::Adaptive
+            }
+            _ => return Err(r.unknown_variant(&tag, payload, "GammaMode")),
+        };
+        if payload {
+            r.end_variant()?;
+        }
+        Ok(mode)
     }
+}
+
+/// The payload of a serialized [`GammaMode::Fixed`].
+#[derive(Deserialize)]
+struct FixedGamma {
+    gamma: f64,
 }
 
 impl GammaMode {
@@ -72,9 +59,9 @@ impl GammaMode {
         GammaMode::Fixed { gamma }
     }
 
-    /// Convenience constructor for the paper's default adaptive heuristic.
+    /// The paper's adaptive heuristic.
     pub fn adaptive() -> Self {
-        GammaMode::Adaptive(AdaptiveGammaConfig::default())
+        GammaMode::Adaptive
     }
 }
 
@@ -93,18 +80,14 @@ impl GammaController {
     ///
     /// # Panics
     ///
-    /// Panics if an adaptive configuration is invalid (see
-    /// [`AdaptiveGammaConfig::validate`]) or a fixed γ is negative.
+    /// Panics if a fixed γ is negative.
     pub fn new(mode: GammaMode) -> Self {
         let gamma = match mode {
             GammaMode::Fixed { gamma } => {
                 assert!(gamma >= 0.0, "fixed gamma must be nonnegative");
                 gamma
             }
-            GammaMode::Adaptive(cfg) => {
-                cfg.validate();
-                cfg.initial
-            }
+            GammaMode::Adaptive => 0.1,
         };
         Self { mode, gamma, detector: FluctuationDetector::new(0.0) }
     }
@@ -119,11 +102,12 @@ impl GammaController {
     /// next.
     pub fn observe_price(&mut self, price: f64) -> f64 {
         let fluctuated = self.detector.observe(price);
-        if let GammaMode::Adaptive(cfg) = self.mode {
+        if self.mode == GammaMode::Adaptive {
+            // §4.2's constants (see `GammaMode::Adaptive`).
             if fluctuated {
-                self.gamma = (self.gamma * cfg.decay).max(cfg.min);
+                self.gamma = (self.gamma * 0.5).max(0.001);
             } else {
-                self.gamma = (self.gamma + cfg.increment).min(cfg.max);
+                self.gamma = (self.gamma + 0.001).min(0.1);
             }
         }
         self.gamma
@@ -146,28 +130,29 @@ mod tests {
 
     #[test]
     fn adaptive_grows_while_quiet() {
-        let cfg = AdaptiveGammaConfig { initial: 0.01, ..Default::default() };
-        let mut c = GammaController::new(GammaMode::Adaptive(cfg));
-        // Monotone rising price: quiet.
+        let mut c = GammaController::new(GammaMode::Adaptive);
+        c.observe_price(1.0); // up, quiet: stays at the 0.1 ceiling
+        c.observe_price(0.5); // down: fluctuation → 0.05
+        // Monotone falling price: quiet.
         for i in 1..=5 {
-            c.observe_price(i as f64);
+            c.observe_price(0.5 - 0.1 * i as f64);
         }
-        assert!((c.gamma() - 0.015).abs() < 1e-12);
+        assert!((c.gamma() - 0.055).abs() < 1e-12);
     }
 
     #[test]
     fn adaptive_halves_on_fluctuation() {
-        let cfg = AdaptiveGammaConfig { initial: 0.08, ..Default::default() };
-        let mut c = GammaController::new(GammaMode::Adaptive(cfg));
-        c.observe_price(1.0); // up, quiet → 0.081
-        c.observe_price(0.5); // down: fluctuation → 0.0405
-        assert!((c.gamma() - 0.0405).abs() < 1e-12);
+        let mut c = GammaController::new(GammaMode::Adaptive);
+        c.observe_price(1.0); // up, quiet → 0.1
+        c.observe_price(0.5); // down: fluctuation → 0.05
+        c.observe_price(0.4); // down, quiet → 0.051
+        c.observe_price(0.6); // up: fluctuation → 0.0255
+        assert!((c.gamma() - 0.0255).abs() < 1e-12);
     }
 
     #[test]
     fn adaptive_clamps_at_both_ends() {
-        let cfg = AdaptiveGammaConfig::default(); // initial = max = 0.1
-        let mut c = GammaController::new(GammaMode::Adaptive(cfg));
+        let mut c = GammaController::new(GammaMode::Adaptive);
         c.observe_price(1.0);
         assert_eq!(c.gamma(), 0.1); // clamped at max
         // Alternate to force repeated halving to the floor.
@@ -181,22 +166,22 @@ mod tests {
 
     #[test]
     fn default_mode_is_paper_adaptive() {
-        match GammaMode::default() {
-            GammaMode::Adaptive(cfg) => {
-                assert_eq!(cfg.min, 0.001);
-                assert_eq!(cfg.max, 0.1);
-                assert_eq!(cfg.increment, 0.001);
-                assert_eq!(cfg.decay, 0.5);
-            }
-            _ => panic!("default must be adaptive"),
-        }
+        assert_eq!(GammaMode::default(), GammaMode::Adaptive);
+        assert_eq!(GammaController::new(GammaMode::default()).gamma(), 0.1);
     }
 
     #[test]
-    #[should_panic(expected = "min <= initial <= max")]
-    fn adaptive_rejects_initial_outside_clamp() {
-        let cfg = AdaptiveGammaConfig { initial: 0.5, ..Default::default() };
-        let _ = GammaController::new(GammaMode::Adaptive(cfg));
+    fn gamma_mode_json_round_trips_and_skips_a_legacy_payload() {
+        for mode in [GammaMode::fixed(0.25), GammaMode::Adaptive] {
+            let json = serde_json::to_string(&mode).unwrap();
+            assert_eq!(serde_json::from_str::<GammaMode>(&json).unwrap(), mode, "{json}");
+        }
+        // The form written while the heuristic's parameters were fields,
+        // with a non-default start: the payload is ignored.
+        let legacy = r#"{"Adaptive":{"initial":0.05,"min":0.001,"max":0.1,"increment":0.001,"decay":0.5}}"#;
+        assert_eq!(serde_json::from_str::<GammaMode>(legacy).unwrap(), GammaMode::Adaptive);
+        assert!(serde_json::from_str::<GammaMode>(r#""Fixed""#).is_err());
+        assert!(serde_json::from_str::<GammaMode>(r#"{"Adaptive":{},"Fixed":{}}"#).is_err());
     }
 
     #[test]

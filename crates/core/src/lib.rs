@@ -101,7 +101,7 @@ pub mod two_stage;
 pub use dynamics::{run_scenario, RandomChurn, Scenario, ScenarioOutcome};
 pub use enactment::{EnactmentPolicy, Enactor};
 pub use engine::{Engine, LrgpConfig, RunOutcome};
-pub use gamma::{AdaptiveGammaConfig, GammaController, GammaMode};
+pub use gamma::{GammaController, GammaMode};
 pub use kernel::admission::{AdmissionPolicy, PopulationMode};
 pub use kernel::price::PriceVector;
 pub use plan::{IncrementalMode, Parallelism, Reliability};

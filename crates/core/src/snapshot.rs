@@ -132,6 +132,13 @@ mod tests {
         let json = serde_json::to_string(&snap).expect("snapshot serializes");
         let back: EngineSnapshot = serde_json::from_str(&json).expect("snapshot deserializes");
         assert_eq!(back, snap);
+        // A snapshot written while the adaptive γ carried its parameters
+        // still restores: the controllers skip the legacy payload.
+        let payload = r#"{"initial":0.1,"min":0.001,"max":0.1,"increment":0.001,"decay":0.5}"#;
+        let legacy = json.replace(r#""Adaptive""#, &format!(r#"{{"Adaptive":{payload}}}"#));
+        assert_ne!(legacy, json);
+        let legacy: EngineSnapshot = serde_json::from_str(&legacy).expect("legacy snapshot loads");
+        assert_eq!(legacy, snap);
         let mut a = Engine::restore(base_workload(), snap);
         let mut b = Engine::restore(base_workload(), back);
         assert_eq!(a.step(), b.step());

@@ -4,7 +4,7 @@
 //! solver's closed forms (Eqs. 7–9).
 
 use lrgp::kernel::admission::{allocate_consumers, benefit_cost, AdmissionPolicy, PopulationMode};
-use lrgp::gamma::{AdaptiveGammaConfig, GammaController, GammaMode};
+use lrgp::gamma::{GammaController, GammaMode};
 use lrgp::kernel::price::{update_link_price, update_node_price_with_rule, NodePriceRule};
 use lrgp::kernel::rate::{solve_rate, AggregateUtility};
 use lrgp_model::{ClassId, NodeId, ProblemBuilder, RateBounds, Utility};
@@ -347,11 +347,13 @@ fn underload_moves_node_price_toward_benefit_cost() {
 
 #[test]
 fn gamma_controller_grows_by_increment_when_quiet() {
-    // §4.2: +0.001 per quiet iteration, clamped at 0.1.
-    let cfg = AdaptiveGammaConfig { initial: 0.05, ..AdaptiveGammaConfig::default() };
-    let mut ctl = GammaController::new(GammaMode::Adaptive(cfg));
-    for k in 1..=10 {
-        ctl.observe_price(k as f64); // strictly rising: never a fluctuation
+    // §4.2: +0.001 per quiet iteration, clamped at 0.1. γ starts at the
+    // ceiling, so one fluctuation first halves it to 0.05.
+    let mut ctl = GammaController::new(GammaMode::Adaptive);
+    ctl.observe_price(1.0); // rising: quiet, γ stays at 0.1
+    ctl.observe_price(0.0); // turned around: γ halves to 0.05
+    for k in 1..=60 {
+        ctl.observe_price(-(k as f64)); // strictly falling: never a fluctuation
         let expected = (0.05 + 0.001 * k as f64).min(0.1);
         assert!(
             (ctl.gamma() - expected).abs() < 1e-12,
@@ -363,8 +365,7 @@ fn gamma_controller_grows_by_increment_when_quiet() {
 
 #[test]
 fn gamma_controller_halves_on_fluctuation_and_clamps() {
-    let cfg = AdaptiveGammaConfig::default(); // initial = max = 0.1
-    let mut ctl = GammaController::new(GammaMode::Adaptive(cfg));
+    let mut ctl = GammaController::new(GammaMode::Adaptive); // starts at the 0.1 ceiling
     ctl.observe_price(1.0); // quiet; γ stays clamped at the 0.1 ceiling
     assert!((ctl.gamma() - 0.1).abs() < 1e-12);
     let mut expected = 0.1f64;

@@ -290,6 +290,8 @@ pub fn local_effects(
     let mut int_names: Vec<&str> = Vec::new();
     let mut container_typed: Vec<&str> = Vec::new();
     let mut container_locals: Vec<&str> = Vec::new();
+    // `impl Into<String>` parameters: their `.into()` builds a `String`.
+    let mut into_string: Vec<&str> = Vec::new();
     let mut j = kw + 1;
     while j + 1 < sig_end {
         if tokens[j].is_punct(":") && tokens[j - 1].kind == TokenKind::Ident {
@@ -307,6 +309,12 @@ pub fn local_effects(
                     int_names.push(pname);
                 } else if CONTAINER_HEADS.contains(&ty.text.as_str()) {
                     container_typed.push(pname);
+                } else if ty.is_ident("impl")
+                    && tokens.get(k + 1).is_some_and(|t| t.is_ident("Into"))
+                    && tokens.get(k + 2).is_some_and(|t| t.is_punct("<"))
+                    && tokens.get(k + 3).is_some_and(|t| t.is_ident("String"))
+                {
+                    into_string.push(pname);
                 }
             }
         }
@@ -425,6 +433,11 @@ pub fn local_effects(
                     }) =>
             {
                 add(&mut eff, EffectSet::ALLOC, format!("`{name}::`"));
+            }
+            "into" if prev_dot && zero_arg
+                && bare_receiver(tokens, i).is_some_and(|recv| into_string.contains(&recv)) =>
+            {
+                add(&mut eff, EffectSet::ALLOC, "`.into()` of an `impl Into<String>`".to_string());
             }
             "clone" if prev_dot && zero_arg && clones_container(tokens, i, krate_opt, symbols, &container_typed) => {
                 add(&mut eff, EffectSet::ALLOC, "`.clone()` of a container".to_string());

@@ -292,6 +292,23 @@ fn hot_path_alloc_fixture_pair() {
 }
 
 #[test]
+fn hot_path_into_string_fixture_pair() {
+    // `.into()` on an `impl Into<String>` parameter allocates the `String`;
+    // the same call on an `impl Into<f64>` does not.
+    let bad = run_at(
+        "crates/core/src/kernel/fixture.rs",
+        include_str!("fixtures/hot_path_into_string_bad.rs"),
+    );
+    assert_eq!(triples(&bad), vec![("hot-path-alloc", 5, 5)]);
+    assert!(bad.findings[0].message.contains("`.into()` of an `impl Into<String>`"), "{:?}", bad.findings);
+    let good = run_at(
+        "crates/core/src/kernel/fixture.rs",
+        include_str!("fixtures/hot_path_into_string_good.rs"),
+    );
+    assert!(triples(&good).is_empty(), "{:?}", good.findings);
+}
+
+#[test]
 fn hot_path_panic_fixture_pair() {
     let src = include_str!("fixtures/hot_path_panic_bad.rs");
     let bad = run_at("crates/core/src/kernel/fixture.rs", src);

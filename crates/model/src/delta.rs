@@ -121,9 +121,7 @@ impl DeltaOp {
     fn apply_in_place(&self, problem: &mut Problem) -> Result<Undo, ValidationError> {
         match self {
             DeltaOp::AddFlow { flow, classes } => {
-                let before = problem.clone();
-                problem.add_flow_in_place(flow.clone(), classes.clone())?;
-                Ok(Undo::AddFlow(Box::new(before)))
+                problem.add_flow_in_place(flow.clone(), classes.clone())
             }
             DeltaOp::RemoveFlow { flow } => problem.remove_flow_in_place(*flow),
             DeltaOp::SetNodeCapacity { node, capacity } => {
@@ -159,9 +157,7 @@ impl DeltaOp {
     /// edits (loss feeds the ρ term columns of the price term table) and
     /// ρ-bound edits (the cached best-responses were clamped into the old
     /// bounds). A term table follows every one of them in place through
-    /// [`crate::PriceTermTable::refresh`] except [`DeltaOp::AddFlow`], which
-    /// changes the table's shape and needs a rebuild
-    /// ([`DeltaOp::grows_problem`]).
+    /// [`crate::PriceTermTable::refresh`]; a flow addition appends rows.
     pub fn changes_costs(&self) -> bool {
         matches!(
             self,
@@ -303,10 +299,10 @@ impl ProblemDelta {
     ///
     /// Each op records what it overwrote: the old value for a capacity,
     /// population, rate-bound, `F_{b,i}`, loss or ρ-bound edit, and the
-    /// flow's old spec and its classes' old maxima for a removal. A batch
-    /// without [`DeltaOp::AddFlow`] therefore costs only the ops' own work,
-    /// never a copy of the problem. A flow addition derives every index again
-    /// anyway; it records a copy of the problem taken just before it.
+    /// flow's old spec and its classes' old maxima for a removal. A flow
+    /// addition records nothing: its ids are the largest, so its undo pops
+    /// them off the end of every index row they joined. A batch therefore
+    /// costs only the ops' own work, never a copy of the problem.
     ///
     /// # Errors
     ///
@@ -459,13 +455,16 @@ mod tests {
         assert_eq!(format!("{q:?}"), format!("{p:?}"));
 
         // Every op kind in turn, then a failing op: in place, the undo of
-        // every kind runs, newest first. Some ops edit what an earlier op
-        // edited (the removed flow, the added one).
+        // every kind runs, newest first, and leaves the derived indexes as
+        // they were too (`Debug` prints them). Some ops edit what an earlier
+        // op edited (the removed flow, the added one), and two additions
+        // join the same index rows.
         let p = crate::workloads::lossy_link_bottleneck_workload(500.0, 0.1);
         let flow = FlowId::new(1);
         let added = FlowId::new(p.num_flows() as u32);
         let (node, _) = p.nodes_of_flow(flow)[0];
         let class = p.classes_of_flow(flow)[0];
+        let copies = vec![p.class(class).clone(); 2];
         let ops = [
             DeltaOp::RemoveFlow { flow },
             DeltaOp::SetFlowNodeCost { flow, node, cost: 0.5 },
@@ -473,6 +472,7 @@ mod tests {
             DeltaOp::SetRhoBounds { flow, bounds: RhoBounds::new(0.6, 0.7).unwrap() },
             DeltaOp::AddFlow { flow: p.flow(flow).clone(), classes: vec![p.class(class).clone()] },
             DeltaOp::SetRateBounds { flow: added, bounds: RateBounds::new(1.0, 2.0).unwrap() },
+            DeltaOp::AddFlow { flow: p.flow(flow).clone(), classes: copies },
             DeltaOp::SetNodeCapacity { node, capacity: 3.0 },
             DeltaOp::SetLinkCapacity { link: LinkId::new(0), capacity: 4.0 },
             DeltaOp::SetMaxPopulation { class, max_population: 5 },

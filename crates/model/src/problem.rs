@@ -813,23 +813,24 @@ impl Problem {
         Ok(Undo::RhoBounds { flow, bounds })
     }
 
-    /// Appends a new flow and its consumer classes in place. Existing ids
-    /// are untouched; the new flow takes the next flow id and the classes
-    /// take the next class ids, in the given order. The `flow` field of
-    /// each [`ClassSpec`] is overwritten with the new flow's id.
+    /// Appends a new flow and its consumer classes in place and returns
+    /// the undo record. Existing ids are untouched; the new flow takes the
+    /// next flow id and the classes take the next class ids, in the given
+    /// order. The `flow` field of each [`ClassSpec`] is overwritten with the
+    /// new flow's id.
     ///
     /// The new flow and classes pass the same checks [`ProblemBuilder::build`]
     /// applies, before anything moves, so on `Err` the problem is unchanged
     /// and on `Ok` it equals a from-scratch build. The rest of what `build`
     /// checks is the existing data, which every `Problem` already passed.
-    /// The indexes are then derived again by the indexing pass behind
-    /// `build`, the one place that derives them.
+    /// The new ids are the largest, so appending them to the index rows
+    /// they join keeps every row ascending, as `build` derives it.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub(crate) fn add_flow_in_place(
         &mut self,
         flow: FlowSpec,
         mut classes: Vec<ClassSpec>,
-    ) -> Result<(), ValidationError> {
+    ) -> Result<Undo, ValidationError> {
         let n_nodes = self.nodes.len();
         let fid = FlowId::new(self.flows.len() as u32);
         validate_flow(fid, &flow, n_nodes, self.links.len())?;
@@ -839,22 +840,27 @@ impl Problem {
             validate_class(cid, class, Some(&flow), n_nodes)?;
         }
 
-        let mut builder = ProblemBuilder {
-            nodes: std::mem::take(&mut self.nodes),
-            links: std::mem::take(&mut self.links),
-            flows: std::mem::take(&mut self.flows),
-            classes: std::mem::take(&mut self.classes),
-            reliability: self.reliability.take(),
-        };
-        builder.flows.push(flow);
-        builder.classes.extend(classes);
-        if let Some(spec) = &mut builder.reliability {
+        for &(node, _) in &flow.node_costs {
+            self.flows_at_node[node.index()].push(fid);
+        }
+        for &(link, _) in &flow.link_costs {
+            self.flows_on_link[link.index()].push(fid);
+        }
+        let mut of_flow = Vec::with_capacity(classes.len());
+        for class in classes {
+            let cid = ClassId::new(self.classes.len() as u32);
+            self.classes_at_node[class.node.index()].push(cid);
+            of_flow.push(cid);
+            self.classes.push(class);
+        }
+        self.classes_of_flow.push(of_flow);
+        self.flows.push(flow);
+        if let Some(spec) = &mut self.reliability {
             // The grown flow dimension keeps the spec's shape invariant;
             // the new flow demands full reliability until edited.
             spec.rho_bounds.push(RhoBounds::default());
         }
-        *self = builder.index();
-        Ok(())
+        Ok(Undo::AddFlow)
     }
 
     /// Writes back what an in-place edit overwrote. Records must be undone
@@ -888,7 +894,25 @@ impl Problem {
                     self.classes[class.index()].max_population = max_population;
                 }
             }
-            Undo::AddFlow(before) => *self = *before,
+            Undo::AddFlow => {
+                // The added flow and its classes hold the largest ids, so
+                // each sits at the end of every index row it joined.
+                let Some(flow) = self.flows.pop() else { return };
+                for &(node, _) in &flow.node_costs {
+                    self.flows_at_node[node.index()].pop();
+                }
+                for &(link, _) in &flow.link_costs {
+                    self.flows_on_link[link.index()].pop();
+                }
+                for _ in self.classes_of_flow.pop().unwrap_or_default() {
+                    if let Some(class) = self.classes.pop() {
+                        self.classes_at_node[class.node.index()].pop();
+                    }
+                }
+                if let Some(spec) = &mut self.reliability {
+                    spec.rho_bounds.pop();
+                }
+            }
         }
     }
 }
@@ -896,8 +920,8 @@ impl Problem {
 /// What one in-place edit of a [`Problem`] overwrote, so that
 /// [`Problem::undo`] can write it back. The scalar edits record the old
 /// value; a removal records the flow's old spec and its classes' old maxima,
-/// in `classes_of_flow` order; a flow addition, which derives every index
-/// again, records a copy of the whole problem taken before it.
+/// in `classes_of_flow` order; a flow addition records nothing, since its
+/// ids are the last ones.
 pub(crate) enum Undo {
     NodeCapacity { node: NodeId, capacity: f64 },
     LinkCapacity { link: LinkId, capacity: f64 },
@@ -908,7 +932,7 @@ pub(crate) enum Undo {
     LinkLoss { link: LinkId, loss: f64 },
     RhoBounds { flow: FlowId, bounds: RhoBounds },
     RemoveFlow { flow: FlowId, spec: FlowSpec, max_populations: Vec<u32> },
-    AddFlow(Box<Problem>),
+    AddFlow,
 }
 
 /// Incremental, validating constructor for [`Problem`] ([C-BUILDER]).
@@ -1059,18 +1083,11 @@ impl ProblemBuilder {
         if let Some(spec) = &self.reliability {
             validate_reliability(spec, self.flows.len(), n_links)?;
         }
-        Ok(self.index())
-    }
 
-    /// Derives the indexes of primary data that has passed the checks in
-    /// [`Self::build`].
-    fn index(self) -> Problem {
-        let n_nodes = self.nodes.len();
-        let n_links = self.links.len();
-        let n_flows = self.flows.len();
         // Build derived indices. Each row is allocated once at its final
-        // length, in row order, so it never moves and consecutive rows sit
-        // close together in memory; the executor walks them every step.
+        // length, in row order, so consecutive rows sit close together in
+        // memory; the executor walks them every step.
+        let n_flows = self.flows.len();
         let mut classes_of_flow = index_rows(n_flows, self.classes.iter().map(|c| c.flow.index()));
         let mut classes_at_node = index_rows(n_nodes, self.classes.iter().map(|c| c.node.index()));
         let mut flows_at_node = index_rows(
@@ -1096,7 +1113,7 @@ impl ProblemBuilder {
             }
         }
 
-        Problem {
+        Ok(Problem {
             nodes: self.nodes,
             links: self.links,
             flows: self.flows,
@@ -1106,7 +1123,7 @@ impl ProblemBuilder {
             classes_at_node,
             flows_at_node,
             flows_on_link,
-        }
+        })
     }
 }
 
@@ -1520,7 +1537,7 @@ mod tests {
         let mut class = p.class(ClassId::new(0)).clone();
         class.utility = Utility::Power { weight: 1.0, exponent: 1.5 };
         let flow = p.flow(FlowId::new(0)).clone();
-        let err = p.add_flow_in_place(flow, vec![class]).unwrap_err();
+        let Err(err) = p.add_flow_in_place(flow, vec![class]) else { panic!("flow accepted") };
         assert!(matches!(err, ValidationError::InvalidUtility { .. }), "{err}");
         assert_eq!(format!("{p:?}"), before, "a refused flow leaves the problem unchanged");
     }

@@ -1,11 +1,13 @@
 //! Fuzzing the engine behind the delta boundary: `Engine::apply_delta` on a
 //! batch of valid and invalid ops must return `Ok` or `Err`, never panic.
 //! A rejected batch leaves the engine bitwise unchanged. An accepted batch
-//! that keeps the id space leaves the engine stepping bit for bit like one
-//! that took the edited problem wholesale; a growing batch leaves the
-//! problem `ProblemDelta::apply` computes, and the engine steps on. Either
-//! way the edited problem is one `ProblemBuilder::build` accepts: it comes
-//! back unchanged from a save and reload, which builds it again.
+//! leaves the problem `ProblemDelta::apply` computes, and the engine
+//! stepping bit for bit like one that took the edited problem wholesale:
+//! through `replace_problem` when the batch keeps the id space, and as a
+//! snapshot restored over the grown problem when it adds a flow, a fresh
+//! executor whose first step recomputes everything. Either way the edited
+//! problem is one `ProblemBuilder::build` accepts: it comes back unchanged
+//! from a save and reload, which builds it again.
 //!
 //! Ops draw ids in range, one past the end (valid after a flow addition in
 //! the same batch) and `u32::MAX`, and values at the edges of what `f64` can
@@ -216,11 +218,11 @@ fn check(base: &Engine, delta: &ProblemDelta) -> Result<Outcome, TestCaseError> 
     let reloaded = reloaded(&expected).map_err(TestCaseError::fail)?;
     prop_assert_eq!(format!("{reloaded:?}"), format!("{expected:?}"));
     if delta.grows_problem() {
-        engine.run(10);
+        reference = Engine::restore(expected, engine.snapshot());
     } else {
         reference.replace_problem(expected);
-        lockstep(&mut engine, &mut reference)?;
     }
+    lockstep(&mut engine, &mut reference)?;
     Ok(Outcome::Applied)
 }
 

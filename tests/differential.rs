@@ -977,6 +977,84 @@ fn adding_a_flow_mid_run_stays_bit_identical() {
     assert!(baseline.allocation().rate(new_flow) > 0.0, "appended flow never got a rate");
 }
 
+#[test]
+fn arrivals_match_a_rebuilt_engine_bitwise() {
+    // An arrival patches the executor in place: it appends the new flow's
+    // term rows and dirties the flow, its nodes and its links. The
+    // reference restores the grown engine's snapshot into a fresh engine,
+    // whose first step recomputes everything. On a settled engine a pinned
+    // rate does not move in its first solve, so only the arrival's own dirt
+    // makes the new flow's nodes admit its classes and its links count its
+    // rate.
+    let random = RandomWorkload { flows: 60, consumer_nodes: 8, ..RandomWorkload::default() }
+        .generate(&mut StdRng::seed_from_u64(5));
+    let links = LrgpConfig { link_gamma: 2e-3, ..LrgpConfig::default() };
+    let joint = LrgpConfig { reliability: Reliability::Joint, ..links };
+    let cases = [
+        ("base", base_workload(), LrgpConfig::default()),
+        ("random", random, LrgpConfig::default()),
+        ("pow lossy pairs", pow_lossy_pairs(6, 100.0), joint),
+        ("link bottleneck", link_bottleneck_workload(100.0), links),
+    ];
+    let mut loss_first_runs = 0;
+    for (name, problem, config) in cases {
+        let template = FlowId::new(1);
+        let first = FlowId::new(problem.num_flows() as u32);
+        let second = FlowId::new(first.index() as u32 + 1);
+        let classes: Vec<ClassSpec> =
+            problem.classes_of_flow(template).iter().map(|&c| problem.class(c).clone()).collect();
+        let copy = problem.flow(template).clone();
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            let mut engine = Engine::new(problem.clone(), LrgpConfig { parallelism, ..config });
+            engine.force_pool_dispatch(true);
+            engine.run(2_000);
+            let rate = engine.allocation().rate(template);
+            let pinned = FlowSpec { bounds: RateBounds::new(rate, rate).unwrap(), ..copy.clone() };
+            let halved = RateBounds::new(copy.bounds.min, copy.bounds.max / 2.0).unwrap();
+            let mut deltas = vec![
+                ("copy", ProblemDelta::new().add_flow(copy.clone(), classes.clone())),
+                ("pinned", ProblemDelta::new().add_flow(pinned, classes.clone())),
+                (
+                    "batch",
+                    ProblemDelta::new()
+                        .remove_flow(FlowId::new(0))
+                        .add_flow(copy.clone(), classes.clone())
+                        .add_flow(copy.clone(), classes.clone())
+                        .set_rate_bounds(second, halved),
+                ),
+            ];
+            // A loss edit on a link the arrival joins, ahead of the arrival
+            // in one batch: the final problem already lists the new flow on
+            // that link when the loss edit reaches the executor.
+            if let (Some(_), Some(&(link, _))) =
+                (problem.reliability(), problem.links_of_flow(template).first())
+            {
+                let delta = ProblemDelta::new().set_link_loss(link, 0.2);
+                deltas.push(("loss first", delta.add_flow(copy.clone(), classes.clone())));
+                loss_first_runs += 1;
+            }
+            for (delta_name, delta) in &deltas {
+                let label = format!("{name} {parallelism:?} {delta_name}");
+                let mut grown = engine.clone();
+                grown.force_pool_dispatch(true);
+                grown.apply_delta(delta).expect("every arrival is valid");
+                let mut rebuilt = Engine::restore(grown.problem().clone(), grown.snapshot());
+                rebuilt.force_pool_dispatch(true);
+                for k in 1..=150 {
+                    let (u_ref, u_arr) = (rebuilt.step(), grown.step());
+                    assert!(
+                        u_ref.to_bits() == u_arr.to_bits(),
+                        "{label}: utility diverged at post-arrival step {k}: {u_ref:?} vs {u_arr:?}"
+                    );
+                    assert_same_state(&label, k, &rebuilt, &grown);
+                    assert_bits_eq(&format!("{label} rhos"), k, rebuilt.rhos(), grown.rhos());
+                }
+                assert!(grown.allocation().rate(first) > 0.0, "{label}: the arrival got no rate");
+            }
+        }
+    }
+    assert!(loss_first_runs > 0, "no workload carried a loss edit ahead of an arrival");
+}
 
 #[test]
 fn a_scenario_carries_any_delta_op() {
@@ -994,30 +1072,42 @@ fn a_scenario_carries_any_delta_op() {
     let sink = problem.nodes_of_flow(FlowId::new(5))[0].0;
     let classes = problem.classes_of_flow(template).iter().map(|&c| problem.class(c).clone());
     let add = DeltaOp::AddFlow { flow: problem.flow(template).clone(), classes: classes.collect() };
-    let schedule = [
-        (30, add),
-        (30, DeltaOp::SetLinkLoss { link: LinkId::new(1), loss: 0.3 }),
-        (70, DeltaOp::SetFlowNodeCost { flow: FlowId::new(5), node: sink, cost: 0.5 }),
-        (110, DeltaOp::SetLinkLoss { link: LinkId::new(1), loss: 0.02 }),
-    ];
-    let scenario =
-        schedule.iter().fold(Scenario::new(), |scenario, (at, op)| scenario.at(*at, op.clone()));
-    let mut scripted = Engine::new(problem.clone(), config);
-    let out = run_scenario(&mut scripted, &scenario, 150).expect("every op is valid");
-    assert_eq!(out.change_points, vec![30, 30, 70, 110]);
+    let loss = DeltaOp::SetLinkLoss { link: LinkId::new(1), loss: 0.3 };
+    assert!(
+        problem.links_of_flow(template).iter().any(|&(link, _)| link == LinkId::new(1)),
+        "the added flow joins the link whose loss the same batch edits"
+    );
+    // Both orders of the iteration-30 batch: with the loss edit first, the
+    // final problem lists the added flow on the link before the executor
+    // has it.
+    for batch in [[add.clone(), loss.clone()], [loss, add]] {
+        let [first, second] = batch;
+        let schedule = [
+            (30, first),
+            (30, second),
+            (70, DeltaOp::SetFlowNodeCost { flow: FlowId::new(5), node: sink, cost: 0.5 }),
+            (110, DeltaOp::SetLinkLoss { link: LinkId::new(1), loss: 0.02 }),
+        ];
+        let scenario = schedule
+            .iter()
+            .fold(Scenario::new(), |scenario, (at, op)| scenario.at(*at, op.clone()));
+        let mut scripted = Engine::new(problem.clone(), config);
+        let out = run_scenario(&mut scripted, &scenario, 150).expect("every op is valid");
+        assert_eq!(out.change_points, vec![30, 30, 70, 110]);
 
-    let mut manual = Engine::new(problem, config);
-    for k in 0..150 {
-        let mut delta = ProblemDelta::new();
-        for (_, op) in schedule.iter().filter(|(at, _)| *at == k) {
-            delta.push(op.clone());
+        let mut manual = Engine::new(problem.clone(), config);
+        for k in 0..150 {
+            let mut delta = ProblemDelta::new();
+            for (_, op) in schedule.iter().filter(|(at, _)| *at == k) {
+                delta.push(op.clone());
+            }
+            manual.apply_delta(&delta).expect("every op is valid");
+            manual.step();
         }
-        manual.apply_delta(&delta).expect("every op is valid");
-        manual.step();
+        assert_eq!(format!("{:?}", manual.trace()), format!("{:?}", scripted.trace()));
+        assert_bits_eq("scenario rhos", 150, manual.rhos(), scripted.rhos());
+        assert_eq!(format!("{:?}", manual.problem()), format!("{:?}", scripted.problem()));
+        assert_same_state("scenario", 150, &manual, &scripted);
+        assert!(scripted.allocation().rate(added) > 0.0, "the added flow never got a rate");
     }
-    assert_eq!(format!("{:?}", manual.trace()), format!("{:?}", scripted.trace()));
-    assert_bits_eq("scenario rhos", 150, manual.rhos(), scripted.rhos());
-    assert_eq!(format!("{:?}", manual.problem()), format!("{:?}", scripted.problem()));
-    assert_same_state("scenario", 150, &manual, &scripted);
-    assert!(scripted.allocation().rate(added) > 0.0, "the added flow never got a rate");
 }

@@ -67,18 +67,33 @@ proptest! {
 
     /// Utility is monotone in node capacity: doubling every capacity never
     /// reduces the converged utility (more resources, superset of feasible
-    /// allocations).
+    /// allocations). On both problems a convergence verdict comes with a
+    /// feasible allocation.
     #[test]
     fn utility_monotone_in_capacity((cfg, seed) in workload_strategy()) {
         let small = cfg.generate(&mut StdRng::seed_from_u64(seed));
         let big_cfg = RandomWorkload { node_capacity: cfg.node_capacity * 2.0, ..cfg };
         let big = big_cfg.generate(&mut StdRng::seed_from_u64(seed));
-        let run = |p: &lrgp_model::Problem| {
+        let run = |p: &lrgp_model::Problem| -> Result<f64, TestCaseError> {
             let mut e = Engine::new(p.clone(), LrgpConfig::default());
-            e.run_until_converged(300).utility
+            let outcome = e.run_until_converged(300);
+            // Converged ⇒ feasible: a verdict's allocation fits every
+            // capacity.
+            if let Some(k) = outcome.converged_at {
+                let a = e.allocation();
+                for node in p.node_ids() {
+                    let (usage, capacity) = (a.node_usage(p, node), p.node(node).capacity);
+                    prop_assert!(usage <= capacity * (1.0 + 1e-6), "{node} at {usage} / {capacity} after a verdict at {k}");
+                }
+                for link in p.link_ids() {
+                    let (usage, capacity) = (a.link_usage(p, link), p.link(link).capacity);
+                    prop_assert!(usage <= capacity * (1.0 + 1e-6), "{link} at {usage} / {capacity} after a verdict at {k}");
+                }
+            }
+            Ok(outcome.utility)
         };
-        let u_small = run(&small);
-        let u_big = run(&big);
+        let u_small = run(&small)?;
+        let u_big = run(&big)?;
         // Allow tiny slack: the heuristic need not be exactly monotone, but
         // a regression beyond 2 % signals a real bug.
         prop_assert!(u_big >= u_small * 0.98, "2x capacity: {u_small} -> {u_big}");
