@@ -6,10 +6,10 @@
 //! T ≤ 1), reporting the best run per workload. This crate implements that
 //! solver plus supporting baselines:
 //!
-//! * [`sa`] — simulated annealing with the paper's cooling schedule, the
-//!   parallel sweep harness, and the hill-climbing / random-walk ablations.
-//! * [`state`] — the incrementally evaluated search state shared by all
-//!   baselines (`O(touched entities)` per move).
+//! * [`sa`] — simulated annealing with the paper's cooling schedule, and
+//!   the parallel sweep harness.
+//! * [`state`] — the incrementally evaluated search state the annealer
+//!   moves through (`O(touched entities)` per move).
 //! * [`exhaustive`] — exact grid enumeration for tiny instances, used as a
 //!   ground-truth oracle in tests.
 //!
@@ -33,8 +33,5 @@ pub mod sa;
 pub mod state;
 
 pub use exhaustive::{exhaustive_search, exhaustive_search_exact_rates, ExhaustiveOutcome, SpaceTooLarge};
-pub use sa::{
-    anneal, anneal_from, hill_climb, random_walk, sweep, AnnealConfig, CoolingSchedule,
-    SearchOutcome, SweepRun,
-};
+pub use sa::{anneal, anneal_from, sweep, AnnealConfig, CoolingSchedule, SearchOutcome, SweepRun};
 pub use state::{Move, SearchState};

@@ -93,7 +93,7 @@ impl AnnealConfig {
     }
 }
 
-/// Result of one annealing (or hill-climbing / random-walk) run.
+/// Result of one annealing run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
     /// Best allocation found.
@@ -208,60 +208,6 @@ pub fn anneal_from(
         }
     }
 
-    SearchOutcome { best, best_utility, steps, accepted, elapsed: start.elapsed() }
-}
-
-/// Greedy hill climbing: annealing at zero temperature (only improving
-/// moves accepted). Ablation baseline showing the value of SA's backward
-/// steps.
-pub fn hill_climb(problem: &Problem, config: &AnnealConfig) -> SearchOutcome {
-    let start = Instant::now();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut state = SearchState::lower_bounds(problem);
-    let mut steps = 0;
-    let mut accepted = 0;
-    while steps < config.total_steps {
-        steps += 1;
-        let Some(mv) = propose(&state, config, &mut rng) else { continue };
-        if let Some(delta) = state.evaluate(mv) {
-            if delta > 0.0 {
-                state.apply(mv);
-                accepted += 1;
-            }
-        }
-    }
-    let best_utility = state.utility();
-    SearchOutcome {
-        best: state.to_allocation(),
-        best_utility,
-        steps,
-        accepted,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// Random walk: every feasible move is accepted; the best state seen is
-/// kept. Weakest baseline, included for scale.
-pub fn random_walk(problem: &Problem, config: &AnnealConfig) -> SearchOutcome {
-    let start = Instant::now();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut state = SearchState::lower_bounds(problem);
-    let mut best = state.to_allocation();
-    let mut best_utility = state.utility();
-    let mut steps = 0;
-    let mut accepted = 0;
-    while steps < config.total_steps {
-        steps += 1;
-        let Some(mv) = propose(&state, config, &mut rng) else { continue };
-        if state.evaluate(mv).is_some() {
-            state.apply(mv);
-            accepted += 1;
-            if state.utility() > best_utility {
-                best_utility = state.utility();
-                best = state.to_allocation();
-            }
-        }
-    }
     SearchOutcome { best, best_utility, steps, accepted, elapsed: start.elapsed() }
 }
 
@@ -416,25 +362,6 @@ mod tests {
             long.best_utility,
             short.best_utility
         );
-    }
-
-    #[test]
-    fn hill_climb_accepts_only_improvements() {
-        let p = base_workload();
-        let out = hill_climb(&p, &small_cfg(4));
-        assert!(out.best_utility > 0.0);
-        assert!(out.best.is_feasible(&p, 1e-6));
-    }
-
-    #[test]
-    fn random_walk_tracks_best_seen() {
-        let p = base_workload();
-        let out = random_walk(&p, &small_cfg(5));
-        assert!(out.best_utility > 0.0);
-        assert!(out.best.is_feasible(&p, 1e-6));
-        // The walk's final state can be worse than the best, but the best is
-        // what's reported.
-        assert!(out.best_utility >= out.best.total_utility(&p) - 1e-9);
     }
 
     #[test]

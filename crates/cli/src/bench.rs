@@ -256,14 +256,14 @@ fn near_converged_ns(
     median(times)
 }
 
-/// Median per-step wall time after `warmup` iterations, with the executor
-/// state rebuilt inside every timed sample: each sample pays the full
-/// rebuild (term tables, admission orders) from the bare problem, which
-/// is the per-iteration cost of a non-incremental implementation.
-/// `replace_problem` with an identical problem keeps the operating point
-/// (rates, populations, prices) and rebuilds only the step state, so the
-/// iterate trajectory is bit-identical to a plain `IncrementalMode::Off`
-/// run. The problem copy it takes is made outside the timed region.
+/// Median per-step wall time after `warmup` iterations, with the engine
+/// rebuilt inside every timed sample: each sample pays the full rebuild
+/// (term tables, admission orders, worker pool) from the bare problem,
+/// which is the per-iteration cost of a non-incremental implementation.
+/// [`Engine::restore`] over an identical problem keeps the operating point
+/// (rates, populations, prices, γ), so the iterate trajectory is
+/// bit-identical to a plain `IncrementalMode::Off` run. The snapshot and
+/// the problem copy it takes are made outside the timed region.
 fn from_scratch_near_converged_ns(
     problem: &Problem,
     config: LrgpConfig,
@@ -274,9 +274,9 @@ fn from_scratch_near_converged_ns(
     engine.run(warmup);
     let times = (0..samples)
         .map(|_| {
-            let current = engine.problem().clone();
+            let (current, snapshot) = (engine.problem().clone(), engine.snapshot());
             let start = Instant::now();
-            engine.replace_problem(current);
+            engine = Engine::restore(current, snapshot);
             engine.step();
             start.elapsed().as_nanos() as u64
         })

@@ -186,27 +186,6 @@ pub struct InfoCmd {
     pub workload: WorkloadRef,
 }
 
-/// `lrgp lint` — run the determinism-invariant static analyzer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LintCmd {
-    /// Roots to scan (default: the current directory).
-    pub paths: Vec<PathBuf>,
-    /// Exit non-zero when any finding survives suppression.
-    pub deny: bool,
-    /// Emit the machine-readable JSON report instead of human lines.
-    pub json: bool,
-    /// Write the report to this file as well as stdout.
-    pub out: Option<PathBuf>,
-    /// Apply machine-applicable rewrites in place before reporting.
-    pub fix: bool,
-    /// Report only files that differ from this git ref (diff-scoped mode).
-    pub changed: Option<String>,
-    /// Print the rule table and exit.
-    pub list_rules: bool,
-    /// Print one rule's rationale, example, and remediation, then exit.
-    pub explain: Option<String>,
-}
-
 /// A parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -224,8 +203,6 @@ pub enum Command {
     Simulate(SimulateCmd),
     /// Describe a workload file.
     Info(InfoCmd),
-    /// Static analysis.
-    Lint(LintCmd),
     /// Print usage.
     Help,
 }
@@ -254,7 +231,6 @@ USAGE:
   lrgp compare  <base|FILE> [--steps N] [--seed N]
   lrgp simulate <base|FILE> [--async] [--latency MS] [--amount N]
   lrgp info     <FILE>
-  lrgp lint     [PATH ...] [--deny] [--json] [--out FILE] [--fix] [--changed REF] [--list-rules] [--explain RULE]
   lrgp help";
 
 fn take_value<'a, I: Iterator<Item = &'a str>>(
@@ -437,40 +413,6 @@ where
         "info" => {
             let target = it.next().ok_or_else(|| ParseError("info: missing workload".into()))?;
             Ok(Command::Info(InfoCmd { workload: WorkloadRef::parse(target) }))
-        }
-        "lint" => {
-            let mut cmd = LintCmd {
-                paths: Vec::new(),
-                deny: false,
-                json: false,
-                out: None,
-                fix: false,
-                changed: None,
-                list_rules: false,
-                explain: None,
-            };
-            while let Some(arg) = it.next() {
-                match arg {
-                    "--deny" => cmd.deny = true,
-                    "--json" => cmd.json = true,
-                    "--fix" => cmd.fix = true,
-                    "--out" | "--output" => {
-                        cmd.out = Some(PathBuf::from(take_value(arg, &mut it)?));
-                    }
-                    "--changed" => {
-                        cmd.changed = Some(take_value(arg, &mut it)?.to_string());
-                    }
-                    "--list-rules" => cmd.list_rules = true,
-                    "--explain" => {
-                        cmd.explain = Some(take_value(arg, &mut it)?.to_string());
-                    }
-                    other if other.starts_with('-') => {
-                        return Err(ParseError(format!("lint: unknown flag {other}")))
-                    }
-                    path => cmd.paths.push(PathBuf::from(path)),
-                }
-            }
-            Ok(Command::Lint(cmd))
         }
         other => Err(ParseError(format!("unknown subcommand {other:?}"))),
     }
@@ -705,79 +647,14 @@ mod tests {
     }
 
     #[test]
-    fn lint_defaults_and_flags() {
-        let defaults = LintCmd {
-            paths: vec![],
-            deny: false,
-            json: false,
-            out: None,
-            fix: false,
-            changed: None,
-            list_rules: false,
-            explain: None,
-        };
-        assert_eq!(p(&["lint"]).unwrap(), Command::Lint(defaults.clone()));
-        assert_eq!(
-            p(&["lint", "crates/core", "crates/model", "--deny", "--json", "--out", "r.json"])
-                .unwrap(),
-            Command::Lint(LintCmd {
-                paths: vec![PathBuf::from("crates/core"), PathBuf::from("crates/model")],
-                deny: true,
-                json: true,
-                out: Some(PathBuf::from("r.json")),
-                ..defaults.clone()
-            })
-        );
-        assert_eq!(
-            p(&["lint", "--list-rules"]).unwrap(),
-            Command::Lint(LintCmd { list_rules: true, ..defaults.clone() })
-        );
-        assert_eq!(
-            p(&["lint", "--explain", "kernel-impure"]).unwrap(),
-            Command::Lint(LintCmd {
-                explain: Some("kernel-impure".to_string()),
-                ..defaults.clone()
-            })
-        );
-        assert!(p(&["lint", "--bogus"]).unwrap_err().0.contains("unknown flag"));
-        assert!(p(&["lint", "--out"]).unwrap_err().0.contains("requires a value"));
-        assert!(p(&["lint", "--explain"]).unwrap_err().0.contains("requires a value"));
-    }
-
-    #[test]
-    fn lint_fix_and_changed_flags() {
-        let defaults = LintCmd {
-            paths: vec![],
-            deny: false,
-            json: false,
-            out: None,
-            fix: false,
-            changed: None,
-            list_rules: false,
-            explain: None,
-        };
-        assert_eq!(
-            p(&["lint", "--fix"]).unwrap(),
-            Command::Lint(LintCmd { fix: true, ..defaults.clone() })
-        );
-        assert_eq!(
-            p(&["lint", "--changed", "origin/main", "--deny"]).unwrap(),
-            Command::Lint(LintCmd {
-                changed: Some("origin/main".to_string()),
-                deny: true,
-                ..defaults.clone()
-            })
-        );
-        assert!(p(&["lint", "--changed"]).unwrap_err().0.contains("requires a value"));
-    }
-
-    #[test]
     fn info_and_unknowns() {
         assert_eq!(
             p(&["info", "w.json"]).unwrap(),
             Command::Info(InfoCmd { workload: WorkloadRef::File(PathBuf::from("w.json")) })
         );
         assert!(p(&["frobnicate"]).unwrap_err().0.contains("unknown subcommand"));
+        // Static analysis is the `lrgp-lint` binary's job.
+        assert!(p(&["lint", "--deny"]).unwrap_err().0.contains("unknown subcommand"));
         assert!(p(&["solve", "base", "--bogus"]).unwrap_err().0.contains("unknown flag"));
         assert!(p(&["solve", "base", "--iters"]).unwrap_err().0.contains("requires a value"));
         assert!(p(&["solve", "base", "--iters", "abc"]).unwrap_err().0.contains("cannot parse"));

@@ -1,9 +1,10 @@
 //! `lrgp` — command-line interface to the LRGP reproduction.
 //!
 //! Run `lrgp help` for usage. Subcommands: generate workload files, solve
-//! them with LRGP, run the simulated-annealing baseline, compare the two,
-//! simulate the distributed protocol, inspect workload files, and run the
-//! determinism-invariant static analyzer.
+//! them with LRGP, time the engine's steps, run the simulated-annealing
+//! baseline, compare the two, simulate the distributed protocol, and
+//! inspect workload files. The determinism-invariant static analyzer is its
+//! own binary, `lrgp-lint`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

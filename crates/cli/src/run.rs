@@ -1,8 +1,8 @@
 //! Execution of parsed CLI commands.
 
 use crate::commands::{
-    AnnealCmd, BenchCmd, Command, CompareCmd, GammaArg, IncrementalArg, InfoCmd, LintCmd,
-    ReliabilityArg, SimulateCmd, SolveCmd, ThreadsArg, WorkloadCmd, WorkloadRef,
+    AnnealCmd, BenchCmd, Command, CompareCmd, GammaArg, IncrementalArg, InfoCmd, ReliabilityArg,
+    SimulateCmd, SolveCmd, ThreadsArg, WorkloadCmd, WorkloadRef,
 };
 use lrgp::{Engine, GammaMode, IncrementalMode, LrgpConfig, Parallelism, Reliability};
 use lrgp_anneal::{sweep, AnnealConfig};
@@ -26,68 +26,8 @@ pub fn run(command: Command) -> CliResult {
         Command::Compare(c) => compare(c),
         Command::Simulate(c) => simulate(c),
         Command::Info(c) => info(c),
-        Command::Lint(c) => lint(c),
         Command::Help => unreachable!("handled in main"),
     }
-}
-
-fn lint(cmd: LintCmd) -> CliResult {
-    if cmd.list_rules {
-        for rule in lrgp_lint::RULES {
-            println!("{}", rule.id);
-            println!("  flags:     {}", rule.summary);
-            println!("  protects:  {}", rule.invariant);
-        }
-        println!(
-            "\nsuppress with: // lrgp-lint: allow(<rule>, reason = \"...\") \
-             (covers its line and the next code line)"
-        );
-        return Ok(());
-    }
-    if let Some(id) = &cmd.explain {
-        let rule = lrgp_lint::RULES
-            .iter()
-            .find(|r| r.id == id.as_str())
-            .ok_or_else(|| format!("lint: unknown rule '{id}' (see --list-rules)"))?;
-        println!("{}", rule.id);
-        println!("  flags:     {}", rule.summary);
-        println!("  protects:  {}\n", rule.invariant);
-        println!("{}", rule.explain);
-        return Ok(());
-    }
-    let roots = if cmd.paths.is_empty() {
-        vec![std::path::PathBuf::from(".")]
-    } else {
-        cmd.paths
-    };
-    if cmd.fix {
-        let outcome = lrgp_lint::fix_paths(&roots)?;
-        eprintln!(
-            "lrgp-lint: applied {} fix edit(s) across {} file(s)",
-            outcome.edits_applied, outcome.files_changed
-        );
-    }
-    let only = match &cmd.changed {
-        None => None,
-        Some(base) => Some(lrgp_lint::changed_labels(base)?),
-    };
-    let report = lrgp_lint::lint_paths_filtered(&roots, only.as_ref())?;
-    if let Some(path) = &cmd.out {
-        std::fs::write(path, report.to_json())?;
-    }
-    if cmd.json {
-        print!("{}", report.to_json());
-    } else {
-        print!("{}", report.render_human());
-    }
-    if cmd.deny && !report.is_clean() {
-        return Err(format!(
-            "lint: {} unsuppressed finding(s) with --deny",
-            report.findings.len()
-        )
-        .into());
-    }
-    Ok(())
 }
 
 fn load(workload: &WorkloadRef) -> Result<Problem, Box<dyn Error>> {

@@ -146,9 +146,10 @@ pub struct Engine {
     gamma_controllers: Vec<GammaController>,
     iteration: usize,
     trace: Trace,
-    /// Built at construction so the first step pays only its (all-dirty)
-    /// kernel work, rebuilt by [`Engine::replace_problem`], and patched in
-    /// place by every delta.
+    /// Built at construction, so the first step pays only its (all-dirty)
+    /// kernel work, and patched in place by every delta. Nothing rebuilds
+    /// it: a changed problem either arrives as a delta or goes to a fresh
+    /// engine through [`Engine::restore`].
     state: StepState,
 }
 
@@ -348,8 +349,11 @@ impl Engine {
     }
 
     /// Overwrites the optimizer state of a freshly built engine (snapshot
-    /// support), whose first step recomputes everything anyway. Lengths are
-    /// the caller's responsibility; [`crate::snapshot`] validates them
+    /// support), whose first step recomputes everything anyway, then brings
+    /// every rate, ρ and population within the bounds of the engine's
+    /// problem through the clamps [`Engine::apply_delta`] uses. Over the
+    /// problem the state was taken from, the clamps move nothing. Lengths
+    /// are the caller's responsibility; [`crate::snapshot`] validates them
     /// against the problem.
     pub(crate) fn load_state(
         &mut self,
@@ -366,6 +370,14 @@ impl Engine {
         self.prices = prices;
         self.gamma_controllers = gamma_controllers;
         self.iteration = iteration;
+        let problem = Arc::clone(&self.problem);
+        for flow in problem.flow_ids() {
+            self.clamp_rate(flow);
+            self.clamp_rho(flow);
+        }
+        for class in problem.class_ids() {
+            self.clamp_population(class);
+        }
     }
 
     /// Current γ of `node`'s price controller.
@@ -378,18 +390,18 @@ impl Engine {
     /// across the change.
     ///
     /// The optimizer state is reconciled with the changed problem exactly
-    /// as [`Engine::replace_problem`] would (rates clamped into the final
+    /// as [`Engine::restore`] would (rates and ρ clamped into the final
     /// bounds, populations capped at the final maxima), and a new flow
     /// starts at `r_i^max` with its classes empty, as [`Engine::new`] starts
-    /// every flow. So `engine.apply_delta(&delta)` and
-    /// `engine.replace_problem(delta.apply(engine.problem())?)` continue
-    /// bit-identically, and after a flow addition the engine continues
-    /// bit-identically to [`Engine::restore`] of its snapshot over the grown
-    /// problem. Unlike those two, every op keeps the executor: cost edits
-    /// patch its term table in place, a flow addition appends its rows, and
-    /// every op injects precise dirty marks instead of invalidating
-    /// everything, so under an incremental engine the next step costs work
-    /// proportional to what the delta touched.
+    /// every flow. So once the engine has stepped, `engine.apply_delta(&delta)`
+    /// continues bit-identically to
+    /// `Engine::restore(delta.apply(engine.problem())?, engine.snapshot())`
+    /// (for a flow addition, to a restore of the grown engine's snapshot over
+    /// the grown problem). Unlike a restore, every op keeps the executor:
+    /// cost edits patch its term table in place, a flow addition appends its
+    /// rows, and every op injects precise dirty marks instead of
+    /// invalidating everything, so under an incremental engine the next step
+    /// costs work proportional to what the delta touched.
     ///
     /// Applying a delta *before* the first step re-derives the initial
     /// optimizer state, making the engine bit-identical to one freshly
@@ -422,7 +434,7 @@ impl Engine {
         }
         // Reconcile only the touched state and hand the executor the cost
         // patches and precise dirty marks. Clamps run against the *final*
-        // problem so a batched delta matches a wholesale replacement bitwise.
+        // problem so a batched delta matches a restore over it bitwise.
         for op in delta.ops() {
             match op {
                 DeltaOp::AddFlow { .. } => {
@@ -499,41 +511,6 @@ impl Engine {
         let moved = clamped.to_bits() != slot.to_bits();
         *slot = clamped;
         self.state.note_rho_bounds_change(&self.problem, flow, moved);
-    }
-
-    /// Replaces the problem mid-run, preserving prices, rates, populations,
-    /// γ controllers and the trace. The new problem must have identical
-    /// dimensions (same id spaces), as [`ProblemDelta::apply`] leaves them
-    /// for every op but a flow addition. This is the wholesale escape hatch
-    /// (and the oracle [`Engine::apply_delta`] is checked against): it
-    /// rebuilds the executor, and the next step recomputes everything.
-    /// Deltas should prefer `apply_delta`, which keeps the executor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension differs.
-    pub fn replace_problem(&mut self, problem: Problem) {
-        assert_eq!(problem.num_flows(), self.problem.num_flows(), "flow count must not change");
-        assert_eq!(problem.num_nodes(), self.problem.num_nodes(), "node count must not change");
-        assert_eq!(problem.num_links(), self.problem.num_links(), "link count must not change");
-        assert_eq!(
-            problem.num_classes(),
-            self.problem.num_classes(),
-            "class count must not change"
-        );
-        self.problem = Arc::new(problem);
-        // Term tables and dirty sets were built against the old problem.
-        self.state = StepState::new(&self.problem);
-        // Clamp state into the new problem's bounds so the next iteration
-        // starts feasible.
-        let problem = Arc::clone(&self.problem);
-        for flow in problem.flow_ids() {
-            self.clamp_rate(flow);
-            self.clamp_rho(flow);
-        }
-        for class in problem.class_ids() {
-            self.clamp_population(class);
-        }
     }
 }
 
@@ -730,17 +707,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "flow count must not change")]
-    fn replace_problem_rejects_dimension_change() {
-        let mut e = Engine::new(base_workload(), LrgpConfig::default());
-        e.replace_problem(workloads::paper_workload(
-            lrgp_model::UtilityShape::Log,
-            2,
-            1,
-        ));
-    }
-
-    #[test]
     fn high_rank_classes_admitted_first() {
         let mut e = Engine::new(base_workload(), LrgpConfig::default());
         e.run_until_converged(250);
@@ -786,31 +752,45 @@ mod tests {
     }
 
     #[test]
-    fn targeted_delta_matches_replace_problem_bitwise() {
+    fn targeted_delta_matches_restore_bitwise() {
+        // Class 18's maximum and flow 5's `r_max` are cut below what the
+        // engine holds at iteration 90, so both clamps bind: the restore
+        // must move the stored population and rate exactly as the delta does.
+        let (class, flow) = (ClassId::new(18), FlowId::new(5));
         let delta = ProblemDelta::new()
             .set_node_capacity(NodeId::new(7), 1.2e5)
             .resize_class(ClassId::new(4), 3)
-            .set_rate_bounds(FlowId::new(0), RateBounds::new(10.0, 400.0).unwrap());
-        let configs = [
-            LrgpConfig { incremental: IncrementalMode::Off, ..LrgpConfig::default() },
-            LrgpConfig { incremental: IncrementalMode::On, ..LrgpConfig::default() },
-        ];
-        for config in configs {
+            .resize_class(class, 1)
+            .set_rate_bounds(FlowId::new(0), RateBounds::new(10.0, 400.0).unwrap())
+            .set_rate_bounds(flow, RateBounds::new(10.0, 20.0).unwrap());
+        for incremental in [IncrementalMode::Off, IncrementalMode::On] {
+            let config = LrgpConfig { incremental, ..LrgpConfig::default() };
             let mut via_delta = Engine::new(base_workload(), config);
-            let mut via_replace = Engine::new(base_workload(), config);
-            for _ in 0..90 {
-                via_delta.step();
-                via_replace.step();
-            }
+            via_delta.run(90);
+            let held = via_delta.allocation();
+            assert!(held.population(class) > 1.0, "the population cut must bind");
+            assert!(held.rate(flow) > 20.0, "the rate cut must bind");
+            let snapshot = via_delta.snapshot();
             via_delta.apply_delta(&delta).unwrap();
-            via_replace.replace_problem(delta.apply(via_replace.problem()).unwrap());
+            let mut via_restore = Engine::restore(delta.apply(&base_workload()).unwrap(), snapshot);
+            let (problem, restored) = (via_restore.problem(), via_restore.allocation());
+            for f in problem.flow_ids() {
+                let rate = restored.rate(f);
+                assert!(problem.flow(f).bounds.contains(rate, 0.0), "{f:?} at {rate}");
+                assert_eq!(via_restore.rhos()[f.index()], 1.0, "{f:?}: ρ without a spec");
+            }
+            for c in problem.class_ids() {
+                let population = restored.population(c);
+                let max = problem.class(c).max_population as f64;
+                assert!(population <= max, "{c:?}: {population} consumers over {max}");
+            }
             for k in 0..150 {
                 let a = via_delta.step();
-                let b = via_replace.step();
-                assert_eq!(a.to_bits(), b.to_bits(), "diverged at iteration {k}");
+                let b = via_restore.step();
+                assert_eq!(a.to_bits(), b.to_bits(), "{incremental:?}: diverged at iteration {k}");
             }
-            assert_eq!(via_delta.allocation(), via_replace.allocation());
-            assert_eq!(via_delta.prices(), via_replace.prices());
+            assert_eq!(via_delta.allocation(), via_restore.allocation());
+            assert_eq!(via_delta.prices(), via_restore.prices());
         }
     }
 

@@ -168,8 +168,8 @@ impl Clone for NodeTable {
 }
 
 /// The executor's persistent state: term tables, caches, dirty sets, and
-/// scratch buffers. Every delta patches it in place; it is rebuilt only
-/// when the problem is replaced wholesale.
+/// scratch buffers. Built once per engine, in `Engine::new`; every delta
+/// patches it in place.
 #[derive(Debug, Clone)]
 pub(crate) struct StepState {
     terms: Arc<PriceTermTable>,
@@ -1102,7 +1102,7 @@ mod tests {
         // The term table is shared between clones until one of them patches
         // it. Cost edits on a clone of a converged lossy engine must leave
         // the original stepping exactly like an engine that was never
-        // cloned, while the clone tracks the wholesale-rebuild oracle.
+        // cloned, while the clone tracks a restore over the edited problem.
         // Power utilities and tight links keep ρ interior, so the loss
         // edits reach the ρ solve through the patched table.
         let config = LrgpConfig {
@@ -1117,7 +1117,6 @@ mod tests {
         };
         let mut original = start(&problem);
         let mut never_cloned = start(&problem);
-        let mut oracle = start(&problem);
         let sink = problem.nodes_of_flow(FlowId::new(3))[0].0;
         let removal = ProblemDelta::new()
             .remove_flow(FlowId::new(1))
@@ -1135,7 +1134,7 @@ mod tests {
         clone.apply_delta(&losses).unwrap();
         assert!(std::ptr::eq(clone.problem(), copy), "the second delta copied the problem");
         let delta = removal.merge(losses);
-        oracle.replace_problem(delta.apply(oracle.problem()).unwrap());
+        let mut oracle = Engine::restore(delta.apply(&problem).unwrap(), original.snapshot());
         for k in 0..80 {
             let (a, b) = (original.step(), never_cloned.step());
             assert_eq!(a.to_bits(), b.to_bits(), "original diverged at iteration {k}");

@@ -36,9 +36,8 @@
 //! (Algorithm 2 + Eq. 12; every class is attached to exactly one node, so
 //! population writes never conflict), and the link price update is
 //! independent per link (Eq. 13). The executor shards each phase over the
-//! pool's parked workers in contiguous id-order chunks
-//! ([`crate::pool::shard_spans`]) and applies the per-element results in
-//! shard order. The parallel trace is **bit-identical** to the sequential
+//! pool's parked workers in contiguous id-order chunks and applies the
+//! per-element results in shard order. The parallel trace is **bit-identical** to the sequential
 //! trace, regardless of worker count or scheduling, by construction rather
 //! than by tolerance:
 //!

@@ -59,8 +59,9 @@
 //! # Dispatch policy
 //!
 //! Sharding and *dispatching* are separate decisions. The shard layout
-//! ([`shard_spans`]) depends only on the element count and the configured
-//! worker count, and the results are applied in shard order, so executing
+//! (`shard_count` pieces of the dirty list, each `shard_chunk` long but the
+//! last) depends only on the element count and the resolved worker count,
+//! and the results are applied in shard order, so executing
 //! the shards on parked workers or inline on the caller is bit-identical
 //! by construction. The pool dispatches to its workers only when the
 //! hardware actually offers a second execution context
@@ -81,36 +82,14 @@ use crate::kernel::reliability::solve_flow_rho;
 use crate::plan::Parallelism;
 use lrgp_model::{ClassId, FlowId, NodeId, PriceTermTable, Problem};
 use std::any::Any;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::thread::{Builder, JoinHandle, ThreadId};
 
-/// The contiguous half-open spans that partition a work list of `len`
-/// elements into at most `workers` shards.
-///
-/// Guarantees, for every `len` and `workers` (including `len == 0`,
-/// `len == 1`, and `workers > len`):
-///
-/// * the spans are disjoint, ascending, and their concatenation is exactly
-///   `0..len` — no overlap, no gap, order preserved;
-/// * every span is non-empty, and there are `min(workers, ceil(len/chunk))`
-///   of them where `chunk = ceil(len / workers)`;
-/// * span sizes differ by at most `chunk − floor(len/chunk)` (all spans are
-///   `chunk` long except a possibly shorter final one).
-///
-/// Both the pool dispatch and the sequential fallback iterate these spans
-/// in order, which is what makes the two schedules bit-identical.
-pub fn shard_spans(len: usize, workers: usize) -> impl Iterator<Item = Range<usize>> {
-    let chunk = shard_chunk(len, workers);
-    let count = if chunk == 0 { 0 } else { len.div_ceil(chunk) };
-    (0..count).map(move |s| s * chunk..((s + 1) * chunk).min(len))
-}
-
 /// The shard chunk size for `len` elements over at most `workers` shards
 /// (0 when `len == 0`).
-pub fn shard_chunk(len: usize, workers: usize) -> usize {
+pub(crate) fn shard_chunk(len: usize, workers: usize) -> usize {
     if len == 0 {
         0
     } else {
@@ -118,8 +97,11 @@ pub fn shard_chunk(len: usize, workers: usize) -> usize {
     }
 }
 
-/// The number of non-empty shards [`shard_spans`] yields.
-pub fn shard_count(len: usize, workers: usize) -> usize {
+/// The number of non-empty [`shard_chunk`]-sized pieces of `len` elements
+/// over at most `workers` shards. A pooled phase splits its dirty list into
+/// these pieces with [`shard_of`] and applies their results in shard order,
+/// which keeps it bit-identical to the sequential loop over the whole list.
+pub(crate) fn shard_count(len: usize, workers: usize) -> usize {
     let chunk = shard_chunk(len, workers);
     if chunk == 0 {
         0
@@ -155,7 +137,7 @@ pub(crate) struct AdmissionOrder {
 
 /// Shard `shard` of `dirty` split into `chunk`-sized pieces (empty past
 /// the end, and for `chunk == 0`).
-fn shard_of(dirty: &[u32], chunk: usize, shard: usize) -> &[u32] {
+pub(crate) fn shard_of(dirty: &[u32], chunk: usize, shard: usize) -> &[u32] {
     let lo = shard.saturating_mul(chunk).min(dirty.len());
     let hi = lo.saturating_add(chunk).min(dirty.len());
     dirty.get(lo..hi).unwrap_or(&[])
@@ -668,31 +650,63 @@ impl Clone for PoolHandle {
 mod tests {
     use super::*;
 
-    #[test]
-    fn shard_spans_cover_exactly() {
-        for len in 0..40usize {
-            for workers in 1..10usize {
-                let spans: Vec<_> = shard_spans(len, workers).collect();
-                let mut covered = Vec::new();
-                for s in &spans {
-                    assert!(!s.is_empty(), "empty span for len {len} workers {workers}");
-                    covered.extend(s.clone());
-                }
-                let expect: Vec<usize> = (0..len).collect();
-                assert_eq!(covered, expect, "len {len} workers {workers}");
-                assert!(spans.len() <= workers.max(1));
-            }
+    use proptest::prelude::*;
+
+    /// The pieces a pooled phase splits `dirty` into over `workers`
+    /// contexts: `shard_of(dirty, shard_chunk(len, workers), k)` for every
+    /// `k` in `0..shard_count(len, workers)`.
+    fn pieces(dirty: &[u32], workers: usize) -> Vec<&[u32]> {
+        let chunk = shard_chunk(dirty.len(), workers);
+        (0..shard_count(dirty.len(), workers)).map(|k| shard_of(dirty, chunk, k)).collect()
+    }
+
+    /// Bit-identity with the sequential loop rests on the split: the pieces
+    /// reassemble `dirty` exactly and in order, each is non-empty, there
+    /// are at most `workers` of them, and each is `shard_chunk` long except
+    /// the last.
+    fn assert_split(dirty: &[u32], workers: usize) {
+        let label = format!("{} elements over {workers} workers", dirty.len());
+        let pieces = pieces(dirty, workers);
+        assert_eq!(pieces.concat(), dirty, "{label}: reassembly");
+        assert!(pieces.iter().all(|piece| !piece.is_empty()), "{label}: an empty piece");
+        assert!(pieces.len() <= workers, "{label}: {} pieces", pieces.len());
+        let chunk = shard_chunk(dirty.len(), workers);
+        if let Some((last, full)) = pieces.split_last() {
+            assert!(full.iter().all(|piece| piece.len() == chunk), "{label}: a short piece");
+            assert!(last.len() <= chunk, "{label}: the last piece is {} long", last.len());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Every list length (0 and 1 included) and worker count (more
+        /// workers than elements included).
+        #[test]
+        fn shard_split_partitions_the_dirty_list(
+            dirty in proptest::collection::vec(any::<u32>(), 0..2_000),
+            workers in 1usize..64,
+        ) {
+            assert_split(&dirty, workers);
         }
     }
 
     #[test]
-    fn shard_spans_degenerate_cases() {
-        assert_eq!(shard_spans(0, 4).count(), 0);
-        assert_eq!(shard_spans(1, 8).collect::<Vec<_>>(), vec![0..1]);
-        assert_eq!(shard_spans(3, 8).count(), 3);
-        assert_eq!(shard_chunk(0, 3), 0);
-        assert_eq!(shard_count(0, 3), 0);
-        assert_eq!(shard_count(10, 3), 3);
+    fn shard_split_edge_cases() {
+        for len in 0..40u32 {
+            let dirty: Vec<u32> = (0..len).collect();
+            for workers in 1..10 {
+                assert_split(&dirty, workers);
+            }
+        }
+        for workers in [1, 2, 7] {
+            assert_eq!(shard_chunk(0, workers), 0);
+            assert_eq!(shard_count(0, workers), 0);
+        }
+        // Fewer elements than workers: one single-element piece each.
+        assert_eq!(pieces(&[9], 8), [&[9][..]]);
+        assert_eq!(pieces(&[4, 5, 6], 8), [&[4][..], &[5][..], &[6][..]]);
+        assert_eq!(pieces(&[0; 10], 3).len(), 3);
     }
 
     #[test]

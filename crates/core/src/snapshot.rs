@@ -49,11 +49,17 @@ impl Engine {
         }
     }
 
-    /// Rebuilds an engine from a snapshot over `problem`.
+    /// Rebuilds an engine from a snapshot over `problem`: the engine's one
+    /// rebuild path. Its executor is fresh, so its first step recomputes
+    /// everything, and its trace starts empty.
     ///
     /// The problem must have the same dimensions as the one the snapshot
-    /// was taken from (any delta that keeps the id space is fine). A
-    /// snapshot without ρ restores each flow's initial ρ, as
+    /// was taken from, but may differ from it by any delta that keeps the
+    /// id space. The restore reconciles the snapshot with `problem` as
+    /// [`Engine::apply_delta`] reconciles an engine with a delta: each rate
+    /// and ρ is clamped into its flow's bounds, and each population capped
+    /// at its class's maximum. Over the snapshot's own problem nothing
+    /// moves. A snapshot without ρ restores each flow's initial ρ, as
     /// [`Engine::new`] sets it.
     ///
     /// # Panics
@@ -132,16 +138,28 @@ mod tests {
         let json = serde_json::to_string(&snap).expect("snapshot serializes");
         let back: EngineSnapshot = serde_json::from_str(&json).expect("snapshot deserializes");
         assert_eq!(back, snap);
-        // A snapshot written while the adaptive γ carried its parameters
-        // still restores: the controllers skip the legacy payload.
+        // A snapshot written while the adaptive γ carried its parameters and
+        // each fluctuation detector its (always zero) tolerance still
+        // restores: the controllers skip the legacy payload and the
+        // detectors the key.
         let payload = r#"{"initial":0.1,"min":0.001,"max":0.1,"increment":0.001,"decay":0.5}"#;
-        let legacy = json.replace(r#""Adaptive""#, &format!(r#"{{"Adaptive":{payload}}}"#));
-        assert_ne!(legacy, json);
+        let legacy = json
+            .replace(r#""Adaptive""#, &format!(r#"{{"Adaptive":{payload}}}"#))
+            .replacen(r#""detector":{"#, r#""detector":{"tolerance":0.0,"#, 1);
+        assert!(legacy.contains(payload), "a controller must carry the γ payload");
+        assert!(legacy.contains(r#""tolerance":0.0"#), "a detector must carry the key");
         let legacy: EngineSnapshot = serde_json::from_str(&legacy).expect("legacy snapshot loads");
         assert_eq!(legacy, snap);
         let mut a = Engine::restore(base_workload(), snap);
         let mut b = Engine::restore(base_workload(), back);
-        assert_eq!(a.step(), b.step());
+        let mut c = Engine::restore(base_workload(), legacy);
+        for k in 0..40 {
+            let (x, y, z) = (a.step(), b.step(), c.step());
+            assert_eq!(x.to_bits(), y.to_bits(), "round trip diverged at step {k}");
+            assert_eq!(x.to_bits(), z.to_bits(), "legacy snapshot diverged at step {k}");
+        }
+        assert_eq!(a.allocation(), c.allocation());
+        assert_eq!(a.prices(), c.prices());
     }
 
     #[test]

@@ -391,85 +391,3 @@ fn fixed_gamma_ignores_observations() {
         assert_eq!(ctl.gamma(), 0.07);
     }
 }
-
-// ---------------------------------------------------------------------------
-// Shard assembly (`lrgp::pool`): the executor splits each dirty list into
-// contiguous spans handed to pool workers, and applies the results back in
-// span order. Bit-identity with the sequential schedule rests entirely on
-// those spans partitioning the list exactly — no overlap, no gap, and
-// order-preserving concatenation.
-// ---------------------------------------------------------------------------
-
-use lrgp::pool::{shard_chunk, shard_count, shard_spans};
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-
-    /// Spans tile `0..len` exactly: consecutive, non-empty, in order, and
-    /// ending at `len` — for every list size (including 0 and 1) and every
-    /// worker count (including more workers than elements).
-    #[test]
-    fn shard_spans_partition_the_index_range_exactly(
-        len in 0usize..5_000,
-        workers in 1usize..64,
-    ) {
-        let spans: Vec<_> = shard_spans(len, workers).collect();
-        prop_assert_eq!(spans.len(), shard_count(len, workers));
-        prop_assert!(spans.len() <= workers, "never more shards than contexts");
-        let mut next_start = 0;
-        for span in &spans {
-            prop_assert_eq!(span.start, next_start, "gap or overlap at {}", span.start);
-            prop_assert!(span.end > span.start, "empty span at {}", span.start);
-            next_start = span.end;
-        }
-        prop_assert_eq!(next_start, len, "spans must end exactly at len");
-    }
-
-    /// Every span except the last holds exactly `shard_chunk` elements (the
-    /// last holds the remainder), so a worker's shard is one contiguous run.
-    #[test]
-    fn shard_spans_use_a_fixed_chunk_except_the_tail(
-        len in 1usize..5_000,
-        workers in 1usize..64,
-    ) {
-        let chunk = shard_chunk(len, workers);
-        prop_assert!(chunk >= 1);
-        let spans: Vec<_> = shard_spans(len, workers).collect();
-        for span in spans.iter().take(spans.len() - 1) {
-            prop_assert_eq!(span.end - span.start, chunk);
-        }
-        let last = spans.last().expect("len ≥ 1 yields at least one span");
-        prop_assert!(last.end - last.start <= chunk);
-    }
-
-    /// Concatenating the sharded slices of an arbitrary dirty list
-    /// reproduces the list element-for-element — the property the pooled
-    /// executor's apply-in-shard-order loop relies on.
-    #[test]
-    fn shard_spans_reassemble_the_dirty_list(
-        dirty in proptest::collection::vec(any::<u32>(), 0..2_000),
-        workers in 1usize..17,
-    ) {
-        let mut reassembled = Vec::with_capacity(dirty.len());
-        for span in shard_spans(dirty.len(), workers) {
-            reassembled.extend_from_slice(&dirty[span]);
-        }
-        prop_assert_eq!(reassembled, dirty);
-    }
-}
-
-#[test]
-fn shard_spans_edge_cases() {
-    // Empty dirty list: no spans at all, any worker count.
-    for workers in [1, 2, 7] {
-        assert_eq!(shard_spans(0, workers).count(), 0);
-        assert_eq!(shard_count(0, workers), 0);
-        assert_eq!(shard_chunk(0, workers), 0);
-    }
-    // Single element: exactly one span covering it.
-    let spans: Vec<_> = shard_spans(1, 8).collect();
-    assert_eq!(spans, vec![0..1]);
-    // Fewer elements than workers: one single-element span each.
-    let spans: Vec<_> = shard_spans(3, 8).collect();
-    assert_eq!(spans, vec![0..1, 1..2, 2..3]);
-}

@@ -76,7 +76,7 @@ pub struct Finding {
     pub col: u32,
     /// Human explanation of what is wrong and what to do instead.
     pub message: String,
-    /// True if `lrgp lint --fix` can rewrite this finding mechanically.
+    /// True if `lrgp-lint --fix` can rewrite this finding mechanically.
     pub fixable: bool,
 }
 

@@ -1,4 +1,4 @@
-//! Machine-applicable rewrites (`lrgp lint --fix`).
+//! Machine-applicable rewrites (`lrgp-lint --fix`).
 //!
 //! Only rewrites whose correctness is decidable from the finding itself
 //! are applied — everything else stays a diagnostic for a human:

@@ -124,7 +124,7 @@ pub fn collect_rust_files(root: &Path) -> io::Result<Vec<PathBuf>> {
 /// Labels of the `.rs` files that differ from `base`, as reported by
 /// `git diff --name-only <base>` (deleted files excluded). Paths come back
 /// repo-relative with `/` separators, i.e. already in [`label_of`] form —
-/// so diff-scoped linting (`lrgp lint --changed <ref>`) must run from the
+/// so diff-scoped linting (`lrgp-lint --changed <ref>`) must run from the
 /// repository root, which is where every other workspace-relative command
 /// runs from too.
 #[must_use = "this Result reports a failure the caller must handle"]
@@ -161,7 +161,7 @@ pub fn lint_paths(roots: &[PathBuf]) -> io::Result<Report> {
 /// Like [`lint_paths`], but reports findings and suppressions only for
 /// files whose label is in `only` (when given). The **whole** tree is
 /// still read and analyzed — cross-file symbol resolution needs it — so a
-/// diff-scoped run (`lrgp lint --changed <ref>`) is faster to act on, not
+/// diff-scoped run (`lrgp-lint --changed <ref>`) is faster to act on, not
 /// less correct. `files_scanned` counts analyzed files, not reported ones.
 #[must_use = "the report carries the findings; dropping it skips enforcement"]
 pub fn lint_paths_filtered(

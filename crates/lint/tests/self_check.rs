@@ -3,6 +3,7 @@
 //! clean without a single suppression (see
 //! `core_carries_no_suppressions`).
 
+use lrgp_lint::lexer::TokenKind;
 use std::path::PathBuf;
 
 fn repo_root() -> PathBuf {
@@ -50,7 +51,7 @@ fn semantic_rules_are_registered_and_enforced() {
 
 #[test]
 fn fix_plans_nothing_on_the_clean_workspace() {
-    // `lrgp lint --fix` must be a no-op on a workspace that lints clean:
+    // `lrgp-lint --fix` must be a no-op on a workspace that lints clean:
     // every fixable finding has been applied, so planning again finds no
     // edits. CI re-asserts this on every push.
     let root = repo_root();
@@ -62,6 +63,32 @@ fn fix_plans_nothing_on_the_clean_workspace() {
     let plans = lrgp_lint::fix::plan_fixes(&files);
     let touched: Vec<&str> = plans.iter().map(|(label, _, _)| label.as_str()).collect();
     assert!(touched.is_empty(), "--fix would still rewrite: {touched:?}");
+}
+
+#[test]
+fn every_hot_path_exemption_names_a_fn_of_its_file() {
+    // A `!` line whose fn is gone exempts nothing and would silently exempt
+    // a later fn of that name. Each must name a fn its file declares.
+    let root = repo_root();
+    let policy = std::fs::read_to_string(root.join("crates/lint/hot_paths.txt"))
+        .expect("hot_paths.txt exists");
+    let mut exemptions = 0;
+    for line in policy.lines().filter(|line| line.trim_start().starts_with('!')) {
+        let mut words = line.split_whitespace().skip(1);
+        let (Some(path), Some(name)) = (words.next(), words.next()) else {
+            panic!("malformed exemption: {line:?}");
+        };
+        let src = std::fs::read_to_string(root.join(path))
+            .unwrap_or_else(|e| panic!("{path} named by {line:?}: {e}"));
+        // The lexer drops comments, so a `fn` in a comment does not count.
+        let tokens = lrgp_lint::lexer::lex(&src).tokens;
+        let declared = tokens.windows(2).any(|pair| {
+            pair[0].kind == TokenKind::Ident && pair[0].text == "fn" && pair[1].text == name
+        });
+        assert!(declared, "hot_paths.txt exempts `{name}`, which {path} does not declare");
+        exemptions += 1;
+    }
+    assert!(exemptions > 0, "no exemption was checked");
 }
 
 #[test]

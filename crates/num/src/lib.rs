@@ -3,15 +3,14 @@
 //! This crate collects the small, self-contained numerical tools the rest of
 //! the workspace builds on:
 //!
-//! * [`roots`] — safeguarded scalar root finding (bisection, Newton with a
-//!   bisection fallback) used by the Lagrangian rate allocator to solve
-//!   `Φ'(r) = 0` for utility functions without a closed form.
+//! * [`roots`] — safeguarded scalar root finding by bisection, used by the
+//!   Lagrangian rate allocator to solve `Φ'(r) = 0` for utility functions
+//!   without a closed form.
 //! * [`series`] — time-series recording and analysis: sliding-window
 //!   oscillation amplitude, the paper's convergence criterion (amplitude below
 //!   0.1 % of the utility), and sign-flip fluctuation detection used by the
 //!   adaptive-γ controller.
-//! * [`stats`] — summary statistics (mean, variance, extrema) and an
-//!   exponentially weighted moving average.
+//! * [`stats`] — streaming summary statistics (mean, variance, extrema).
 //!
 //! Everything here is deterministic and allocation-light; no global state.
 //!
@@ -33,6 +32,6 @@ pub mod roots;
 pub mod series;
 pub mod stats;
 
-pub use roots::{bisect_decreasing, newton_safeguarded, RootError};
+pub use roots::{bisect_decreasing, RootError};
 pub use series::{ConvergenceCriterion, FluctuationDetector, SlidingWindow, TimeSeries};
-pub use stats::{Ewma, Summary};
+pub use stats::Summary;

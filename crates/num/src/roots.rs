@@ -3,13 +3,13 @@
 //! The rate-allocation subproblem of LRGP maximizes a strictly concave,
 //! differentiable objective `Φ(r)` over a closed interval. Its derivative
 //! `Φ'(r)` is therefore strictly decreasing, so the maximizer is either a
-//! boundary point or the unique root of `Φ'`. The solvers here exploit that
-//! monotone structure: they never require derivatives of the input function
-//! itself and always converge on a valid bracket.
+//! boundary point or the unique root of `Φ'`. The bisection solver here
+//! exploits that monotone structure: it never requires derivatives of the
+//! input function itself and always converges on a valid bracket.
 
 use std::fmt;
 
-/// Error returned by the root finders in this module.
+/// Error returned by the root finder in this module.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RootError {
     /// The supplied interval is empty or reversed (`lo > hi`), or a bound is
@@ -19,14 +19,6 @@ pub enum RootError {
         lo: f64,
         /// Upper bound supplied by the caller.
         hi: f64,
-    },
-    /// The function does not change sign over the interval, so no root is
-    /// bracketed. The payload carries the endpoint values.
-    NotBracketed {
-        /// `f(lo)`.
-        f_lo: f64,
-        /// `f(hi)`.
-        f_hi: f64,
     },
     /// The function returned a non-finite value during iteration.
     NonFinite {
@@ -46,9 +38,6 @@ impl fmt::Display for RootError {
         match self {
             RootError::InvalidInterval { lo, hi } => {
                 write!(f, "invalid interval [{lo}, {hi}]")
-            }
-            RootError::NotBracketed { f_lo, f_hi } => {
-                write!(f, "root not bracketed: f(lo) = {f_lo}, f(hi) = {f_hi}")
             }
             RootError::NonFinite { at } => write!(f, "non-finite function value at {at}"),
             RootError::IterationLimit { best } => {
@@ -138,98 +127,6 @@ pub fn bisect_decreasing<F: FnMut(f64) -> f64>(
     Err(RootError::IterationLimit { best: 0.5 * (a + b) })
 }
 
-/// Newton's method with a bisection safeguard on a *strictly decreasing*
-/// function `f` with derivative `df`, over the bracket `[lo, hi]`.
-///
-/// Newton steps that would leave the current bracket, or for which the
-/// derivative is ill-conditioned, fall back to bisection, so the method
-/// inherits bisection's guaranteed convergence while retaining quadratic
-/// local convergence. Endpoint clamping follows the same convention as
-/// [`bisect_decreasing`].
-///
-/// # Errors
-///
-/// Same conditions as [`bisect_decreasing`].
-///
-/// # Examples
-///
-/// ```
-/// use lrgp_num::roots::newton_safeguarded;
-/// // f(x) = 27 - x^3 (strictly decreasing on [0, 10]); root at x = 3.
-/// let root = newton_safeguarded(
-///     |x| 27.0 - x * x * x,
-///     |x| -3.0 * x * x,
-///     0.0,
-///     10.0,
-///     1e-12,
-///     100,
-/// )
-/// .unwrap();
-/// assert!((root - 3.0).abs() < 1e-9);
-/// ```
-#[must_use = "this Result reports a failure the caller must handle"]
-pub fn newton_safeguarded<F, D>(
-    mut f: F,
-    mut df: D,
-    lo: f64,
-    hi: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<f64, RootError>
-where
-    F: FnMut(f64) -> f64,
-    D: FnMut(f64) -> f64,
-{
-    if !(lo.is_finite() && hi.is_finite()) || lo > hi {
-        return Err(RootError::InvalidInterval { lo, hi });
-    }
-    let f_lo = f(lo);
-    if !f_lo.is_finite() {
-        return Err(RootError::NonFinite { at: lo });
-    }
-    if f_lo <= 0.0 {
-        return Ok(lo);
-    }
-    let f_hi = f(hi);
-    if !f_hi.is_finite() {
-        return Err(RootError::NonFinite { at: hi });
-    }
-    if f_hi >= 0.0 {
-        return Ok(hi);
-    }
-
-    let (mut a, mut b) = (lo, hi);
-    let mut x = 0.5 * (a + b);
-    for _ in 0..max_iter {
-        let fx = f(x);
-        if !fx.is_finite() {
-            return Err(RootError::NonFinite { at: x });
-        }
-        // Maintain the bracket: f is decreasing, positive left of the root.
-        if fx > 0.0 {
-            a = x;
-        } else {
-            b = x;
-        }
-        if (b - a) <= tol || fx == 0.0 {
-            return Ok(x);
-        }
-        let dfx = df(x);
-        let newton = x - fx / dfx;
-        let next = if dfx.is_finite() && dfx != 0.0 && newton > a && newton < b {
-            newton
-        } else {
-            0.5 * (a + b)
-        };
-        // Sub-ULP bracket: no representable point strictly inside.
-        if next <= a || next >= b {
-            return Ok(0.5 * (a + b));
-        }
-        x = next;
-    }
-    Err(RootError::IterationLimit { best: x })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,41 +178,9 @@ mod tests {
     }
 
     #[test]
-    fn newton_matches_bisection_on_log_derivative() {
-        // Derivative of S·log(1+r) − P·r is S/(1+r) − P; root r = S/P − 1.
-        let (s, p) = (500.0, 2.5);
-        let f = |r: f64| s / (1.0 + r) - p;
-        let df = |r: f64| -s / (1.0 + r).powi(2);
-        let newton = newton_safeguarded(f, df, 0.0, 1000.0, 1e-12, 100).unwrap();
-        let bisect = bisect_decreasing(f, 0.0, 1000.0, 1e-12, 200).unwrap();
-        let exact = s / p - 1.0;
-        assert!((newton - exact).abs() < 1e-8);
-        assert!((bisect - exact).abs() < 1e-6);
-    }
-
-    #[test]
-    fn newton_clamps_like_bisection() {
-        assert_eq!(
-            newton_safeguarded(|_| -2.0, |_| -1.0, 1.0, 9.0, 1e-12, 50).unwrap(),
-            1.0
-        );
-        assert_eq!(
-            newton_safeguarded(|_| 2.0, |_| -1.0, 1.0, 9.0, 1e-12, 50).unwrap(),
-            9.0
-        );
-    }
-
-    #[test]
-    fn newton_survives_zero_derivative_via_bisection_fallback() {
-        // df = 0 everywhere forces the bisection fallback each step.
-        let r = newton_safeguarded(|x| 4.0 - x, |_| 0.0, 0.0, 10.0, 1e-10, 200).unwrap();
-        assert!((r - 4.0).abs() < 1e-8);
-    }
-
-    #[test]
     fn root_error_display_is_informative() {
-        let msg = RootError::NotBracketed { f_lo: 1.0, f_hi: 2.0 }.to_string();
-        assert!(msg.contains("not bracketed"));
+        let msg = RootError::NonFinite { at: 2.0 }.to_string();
+        assert!(msg.contains("non-finite"));
         let msg = RootError::InvalidInterval { lo: 3.0, hi: 1.0 }.to_string();
         assert!(msg.contains("invalid interval"));
     }

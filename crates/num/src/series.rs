@@ -99,8 +99,7 @@ impl TimeSeries {
 
     /// First iteration (1-based count of samples seen) at which the
     /// trailing window satisfies `criterion` — the measurement
-    /// `run_until_converged` makes online. Unlike
-    /// [`TimeSeries::convergence_iteration`], a later flare-up does not
+    /// `run_until_converged` makes online. A later flare-up does not
     /// retract the answer.
     pub fn first_convergence(&self, criterion: &ConvergenceCriterion) -> Option<usize> {
         let w = criterion.window;
@@ -120,46 +119,6 @@ impl TimeSeries {
             let mean = sum / w as f64;
             mean != 0.0 && (max - min) / mean.abs() <= criterion.relative_amplitude
         })
-    }
-
-    /// Index of the first iteration at which the series has *converged*
-    /// according to `criterion`, replaying the trace from the beginning.
-    ///
-    /// This mirrors how the paper reports "iterations until convergence":
-    /// the first iteration after which the relative amplitude over the
-    /// trailing window stays below the threshold for the remainder of the
-    /// recorded trace... more precisely, we report the first index `t` such
-    /// that every window ending in `(t, len]` satisfies the criterion; this
-    /// avoids declaring convergence during a transient lull.
-    pub fn convergence_iteration(&self, criterion: &ConvergenceCriterion) -> Option<usize> {
-        let w = criterion.window;
-        if self.values.len() < w {
-            return None;
-        }
-        // Walk backwards: find the longest suffix in which every trailing
-        // window satisfies the criterion.
-        let mut first_ok_end = None;
-        for end in (w..=self.values.len()).rev() {
-            let slice = &self.values[end - w..end];
-            let mut min = f64::INFINITY;
-            let mut max = f64::NEG_INFINITY;
-            let mut sum = 0.0;
-            for &v in slice {
-                min = min.min(v);
-                max = max.max(v);
-                sum += v;
-            }
-            let mean = sum / w as f64;
-            let ok = mean != 0.0 && (max - min) / mean.abs() <= criterion.relative_amplitude;
-            if ok {
-                first_ok_end = Some(end);
-            } else {
-                break;
-            }
-        }
-        // Convergence is attained at the *start* of the earliest all-quiet
-        // window, i.e. the iteration after which oscillation stays bounded.
-        first_ok_end.map(|end| end - w)
     }
 }
 
@@ -205,7 +164,8 @@ impl Default for ConvergenceCriterion {
 /// for v in [1.0, 2.0, 3.0, 4.0] {
 ///     w.push(v);
 /// }
-/// assert_eq!(w.as_slice(), &[2.0, 3.0, 4.0]);
+/// // 1.0 was evicted, so the window holds 2.0, 3.0 and 4.0.
+/// assert_eq!(w.len(), 3);
 /// assert_eq!(w.min(), Some(2.0));
 /// assert_eq!(w.max(), Some(4.0));
 /// ```
@@ -232,11 +192,6 @@ impl SlidingWindow {
             self.buf.pop_front();
         }
         self.buf.push_back(value);
-    }
-
-    /// `true` once `capacity` samples have been observed.
-    pub fn is_full(&self) -> bool {
-        self.buf.len() == self.capacity
     }
 
     /// Number of samples currently held.
@@ -267,11 +222,6 @@ impl SlidingWindow {
             Some(self.buf.iter().sum::<f64>() / self.buf.len() as f64)
         }
     }
-
-    /// Contents in arrival order (oldest first).
-    pub fn as_slice(&self) -> Vec<f64> {
-        self.buf.iter().copied().collect()
-    }
 }
 
 /// Detects oscillation in a scalar signal by watching for sign flips in its
@@ -296,20 +246,13 @@ impl SlidingWindow {
 pub struct FluctuationDetector {
     last_value: f64,
     last_delta_sign: i8,
-    tolerance: f64,
 }
 
 impl FluctuationDetector {
-    /// Creates a detector primed with the signal's initial value and zero
-    /// tolerance (any turn-around counts as a fluctuation).
+    /// Creates a detector primed with the signal's initial value. Any
+    /// turn-around counts as a fluctuation.
     pub fn new(initial: f64) -> Self {
-        Self::with_tolerance(initial, 0.0)
-    }
-
-    /// Creates a detector that ignores deltas whose magnitude is at most
-    /// `tolerance` (useful for noisy signals near a fixed point).
-    pub fn with_tolerance(initial: f64, tolerance: f64) -> Self {
-        Self { last_value: initial, last_delta_sign: 0, tolerance }
+        Self { last_value: initial, last_delta_sign: 0 }
     }
 
     /// Feeds the next sample; returns `true` if a fluctuation (sign flip in
@@ -317,8 +260,8 @@ impl FluctuationDetector {
     pub fn observe(&mut self, value: f64) -> bool {
         let delta = value - self.last_value;
         self.last_value = value;
-        if delta.abs() <= self.tolerance {
-            // Treat as flat: not a fluctuation, and it does not update the
+        if delta == 0.0 {
+            // Flat: not a fluctuation, and it does not update the
             // remembered direction.
             return false;
         }
@@ -373,47 +316,17 @@ mod tests {
     }
 
     #[test]
-    fn convergence_detects_quiet_suffix() {
-        // Noisy for 10 samples, then flat at 100.
-        let mut vals = vec![50.0, 150.0, 60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 90.0, 110.0];
-        vals.extend(std::iter::repeat_n(100.0, 20));
-        let ts = series_of(&vals);
-        let crit = ConvergenceCriterion { window: 5, relative_amplitude: 1e-3 };
-        let it = ts.convergence_iteration(&crit).unwrap();
-        // The earliest all-quiet window starts at index 10.
-        assert_eq!(it, 10);
-    }
-
-    #[test]
     fn first_convergence_is_online_measurement() {
         // Quiet early, flares later: first_convergence reports the early
-        // quiet point; convergence_iteration does not.
+        // quiet point.
         let mut vals = vec![100.0; 10];
         vals.extend([10.0, 200.0, 10.0, 200.0]);
         let ts = series_of(&vals);
         let crit = ConvergenceCriterion { window: 4, relative_amplitude: 1e-3 };
         assert_eq!(ts.first_convergence(&crit), Some(4));
-        assert_eq!(ts.convergence_iteration(&crit), None);
         // Too-short series.
         let short = series_of(&[1.0, 1.0]);
         assert_eq!(short.first_convergence(&crit), None);
-    }
-
-    #[test]
-    fn convergence_none_when_always_noisy() {
-        let ts = series_of(&[1.0, 100.0, 1.0, 100.0, 1.0, 100.0, 1.0, 100.0]);
-        let crit = ConvergenceCriterion { window: 4, relative_amplitude: 1e-3 };
-        assert_eq!(ts.convergence_iteration(&crit), None);
-    }
-
-    #[test]
-    fn convergence_ignores_transient_lull() {
-        // Quiet in the middle, noisy at the end: must not converge early.
-        let mut vals = vec![100.0; 10];
-        vals.extend([10.0, 200.0, 10.0, 200.0]);
-        let ts = series_of(&vals);
-        let crit = ConvergenceCriterion { window: 4, relative_amplitude: 1e-3 };
-        assert_eq!(ts.convergence_iteration(&crit), None);
     }
 
     #[test]
@@ -439,9 +352,7 @@ mod tests {
         assert!(w.is_empty());
         w.push(1.0);
         w.push(2.0);
-        assert!(w.is_full());
         w.push(3.0);
-        assert_eq!(w.as_slice(), vec![2.0, 3.0]);
         assert_eq!(w.len(), 2);
         assert_eq!(w.min(), Some(2.0));
         assert_eq!(w.max(), Some(3.0));
@@ -469,15 +380,6 @@ mod tests {
         assert!(!d.observe(2.0));
         assert!(d.observe(1.0)); // up then down
         assert!(d.observe(3.0)); // down then up
-    }
-
-    #[test]
-    fn fluctuation_tolerance_suppresses_noise() {
-        let mut d = FluctuationDetector::with_tolerance(0.0, 0.1);
-        assert!(!d.observe(1.0));
-        assert!(!d.observe(0.95)); // tiny dip, within tolerance
-        assert!(!d.observe(1.9)); // resumes rising
-        assert!(d.observe(0.5)); // real turnaround
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Summary statistics and smoothing.
+//! Summary statistics.
 
 use serde::{Deserialize, Serialize};
 
@@ -58,16 +58,6 @@ impl Summary {
         }
     }
 
-    /// Sample variance (divides by `n - 1`), or 0 when fewer than two
-    /// samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn population_std_dev(&self) -> f64 {
         self.population_variance().sqrt()
@@ -86,28 +76,6 @@ impl Summary {
     /// Range `max - min`, or `None` when empty.
     pub fn range(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max - self.min)
-    }
-
-    /// Merges another summary into this one (parallel Welford combine).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -135,59 +103,6 @@ impl Extend<f64> for Summary {
     }
 }
 
-/// Exponentially weighted moving average with smoothing factor `alpha`.
-///
-/// Used by the asynchronous protocol to smooth stale price and rate signals
-/// (the paper suggests averaging "over the last few prices from a
-/// resource"; an EWMA is the streaming analogue).
-///
-/// # Examples
-///
-/// ```
-/// use lrgp_num::stats::Ewma;
-/// let mut e = Ewma::new(0.5);
-/// assert_eq!(e.observe(10.0), 10.0); // first sample seeds the average
-/// assert_eq!(e.observe(0.0), 5.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA with smoothing factor `alpha`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < alpha <= 1`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Self { alpha, value: None }
-    }
-
-    /// Feeds a sample and returns the updated average. The first sample
-    /// seeds the average directly.
-    pub fn observe(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => prev + self.alpha * (x - prev),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current average, or `None` before any sample.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Resets to the pre-first-sample state.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,7 +113,6 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s.range(), None);
@@ -210,7 +124,7 @@ mod tests {
         let s: Summary = [3.5].iter().copied().collect();
         assert_eq!(s.count(), 1);
         assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.sample_variance(), 0.0);
+        assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.min(), Some(3.5));
         assert_eq!(s.max(), Some(3.5));
         assert_eq!(s.range(), Some(0.0));
@@ -227,60 +141,10 @@ mod tests {
     }
 
     #[test]
-    fn summary_merge_equals_combined_stream() {
-        let a_data = [1.0, 2.0, 3.0];
-        let b_data = [10.0, 20.0];
-        let mut a: Summary = a_data.iter().copied().collect();
-        let b: Summary = b_data.iter().copied().collect();
-        a.merge(&b);
-        let all: Summary = a_data.iter().chain(b_data.iter()).copied().collect();
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.population_variance() - all.population_variance()).abs() < 1e-12);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn summary_merge_with_empty_is_identity() {
-        let mut a: Summary = [1.0, 2.0].iter().copied().collect();
-        let before = a;
-        a.merge(&Summary::new());
-        assert_eq!(a, before);
-        let mut empty = Summary::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
     fn summary_extend() {
         let mut s = Summary::new();
         s.extend([1.0, 3.0]);
         assert_eq!(s.count(), 2);
         assert_eq!(s.mean(), 2.0);
-    }
-
-    #[test]
-    fn ewma_smooths() {
-        let mut e = Ewma::new(0.25);
-        assert_eq!(e.value(), None);
-        assert_eq!(e.observe(8.0), 8.0);
-        let v = e.observe(0.0);
-        assert!((v - 6.0).abs() < 1e-12);
-        e.reset();
-        assert_eq!(e.value(), None);
-    }
-
-    #[test]
-    fn ewma_alpha_one_tracks_input() {
-        let mut e = Ewma::new(1.0);
-        e.observe(5.0);
-        assert_eq!(e.observe(9.0), 9.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in (0, 1]")]
-    fn ewma_rejects_zero_alpha() {
-        let _ = Ewma::new(0.0);
     }
 }

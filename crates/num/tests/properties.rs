@@ -1,8 +1,7 @@
 //! Property-based tests for the numeric substrate.
 
-use lrgp_num::roots::{bisect_decreasing, newton_safeguarded};
+use lrgp_num::roots::bisect_decreasing;
 use lrgp_num::series::{ConvergenceCriterion, TimeSeries};
-use lrgp_num::stats::Summary;
 use proptest::prelude::*;
 
 proptest! {
@@ -21,44 +20,6 @@ proptest! {
         let expected = root.clamp(lo, hi);
         prop_assert!((found - expected).abs() < 1e-6 * expected.abs().max(1.0),
             "found {found}, expected {expected}");
-    }
-
-    /// Newton with safeguards agrees with bisection on a family of smooth
-    /// decreasing functions.
-    #[test]
-    fn newton_agrees_with_bisection(
-        s in 1.0f64..1e6,
-        p in 1e-6f64..1e3,
-        hi in 10.0f64..10_000.0,
-    ) {
-        // f(r) = s/(1+r) − p, the log-utility stationarity condition.
-        let f = |r: f64| s / (1.0 + r) - p;
-        let df = |r: f64| -s / (1.0 + r).powi(2);
-        let a = bisect_decreasing(f, 0.0, hi, 1e-12, 500).unwrap();
-        let b = newton_safeguarded(f, df, 0.0, hi, 1e-12, 500).unwrap();
-        prop_assert!((a - b).abs() <= 1e-6 * a.abs().max(1.0), "bisect {a} vs newton {b}");
-    }
-
-    /// Summary::merge is equivalent to streaming the concatenation, for any
-    /// split point.
-    #[test]
-    fn summary_merge_associative(
-        data in proptest::collection::vec(-1e6f64..1e6, 1..60),
-        split in 0usize..60,
-    ) {
-        let split = split.min(data.len());
-        let mut left: Summary = data[..split].iter().copied().collect();
-        let right: Summary = data[split..].iter().copied().collect();
-        left.merge(&right);
-        let whole: Summary = data.iter().copied().collect();
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert!((left.mean() - whole.mean()).abs() <= 1e-6 * whole.mean().abs().max(1.0));
-        prop_assert!(
-            (left.population_variance() - whole.population_variance()).abs()
-                <= 1e-4 * whole.population_variance().abs().max(1.0)
-        );
-        prop_assert_eq!(left.min(), whole.min());
-        prop_assert_eq!(left.max(), whole.max());
     }
 
     /// A series scaled to sit within ±ε of a constant converges under any
@@ -89,26 +50,4 @@ proptest! {
         prop_assert!(!crit.is_met(&noisy));
     }
 
-    /// first_convergence never reports later than convergence_iteration
-    /// reports quietness (when both report).
-    #[test]
-    fn first_convergence_is_no_later_than_suffix_measure(
-        vals in proptest::collection::vec(1.0f64..1000.0, 12..80),
-    ) {
-        let ts: TimeSeries = {
-            let mut t = TimeSeries::new("t");
-            for v in &vals {
-                t.push(*v);
-            }
-            t
-        };
-        let crit = ConvergenceCriterion { window: 10, relative_amplitude: 0.05 };
-        if let (Some(first), Some(suffix)) =
-            (ts.first_convergence(&crit), ts.convergence_iteration(&crit))
-        {
-            // first_convergence counts samples (window end); the suffix
-            // measure reports the window start of the final quiet stretch.
-            prop_assert!(first <= suffix + crit.window);
-        }
-    }
 }

@@ -2,55 +2,67 @@
 //! batch of valid and invalid ops must return `Ok` or `Err`, never panic.
 //! A rejected batch leaves the engine bitwise unchanged. An accepted batch
 //! leaves the problem `ProblemDelta::apply` computes, and the engine
-//! stepping bit for bit like one that took the edited problem wholesale:
-//! through `replace_problem` when the batch keeps the id space, and as a
-//! snapshot restored over the grown problem when it adds a flow, a fresh
-//! executor whose first step recomputes everything. Either way the edited
+//! stepping bit for bit like a fresh engine that `Engine::restore`s a
+//! snapshot over that problem, whose first step recomputes everything.
+//! When the batch keeps the id space, the snapshot is the one taken before
+//! the delta, so the restore's clamps check `apply_delta`'s on their own;
+//! when it adds a flow, it is the grown engine's. Either way the edited
 //! problem is one `ProblemBuilder::build` accepts: it comes back unchanged
 //! from a save and reload, which builds it again.
 //!
-//! Ops draw ids in range, one past the end (valid after a flow addition in
-//! the same batch) and `u32::MAX`, and values at the edges of what `f64` can
-//! say. Bounds are built directly, so they can be reversed or NaN. Flow
-//! additions copy an existing flow, or break it with an unreached class
-//! node, an unknown source or a duplicate cost entry.
+//! The engines are settled first, so only a delta's own dirt makes the next
+//! incremental step re-solve anything. Ops draw ids in range, one past the
+//! end (valid after a flow addition in the same batch) and `u32::MAX`, and
+//! values at the edges of what `f64` can say. Bounds are built directly, so
+//! they can be reversed or NaN. Flow additions copy an existing flow, its
+//! rate sometimes pinned, or break it with an unreached class node, an
+//! unknown source or a duplicate cost entry. On a problem with a reliability
+//! spec, half the batches also carry a valid loss edit on a link ahead of a
+//! valid copy of a flow that crosses it.
 
 use lrgp::{Engine, IncrementalMode, LrgpConfig, Reliability};
 use lrgp_model::io::ProblemFile;
 use lrgp_model::workloads::{mixed_loss_workload, RandomWorkload};
 use lrgp_model::{
-    ClassId, DeltaOp, FlowId, LinkId, NodeId, Problem, ProblemDelta, RateBounds, RhoBounds,
-    UtilityShape,
+    ClassId, ClassSpec, DeltaOp, FlowId, FlowSpec, LinkId, NodeId, Problem, ProblemDelta,
+    RateBounds, RhoBounds, UtilityShape,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 const EDGE_VALUES: [f64; 8] =
     [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -0.0, 0.0, 1e-300, 1e300];
 
-/// The engines every batch starts from, warmed a few steps: a small random
-/// workload (no links, no reliability spec), a small lossy one under joint
-/// rate–reliability allocation, and the lossy one without its spec, so that
-/// loss edits on a known link meet a problem that has no spec.
+/// A copy of one of the engines every batch starts from, each settled for
+/// 2,000 steps once: a small random workload (no links, no reliability
+/// spec), a small lossy one under joint rate–reliability allocation, and the
+/// lossy one without its spec, so that loss edits on a known link meet a
+/// problem that has no spec.
 fn engine(workload: usize) -> Engine {
-    let config = LrgpConfig { incremental: IncrementalMode::On, ..LrgpConfig::default() };
-    let lossy = mixed_loss_workload(3, 100.0, 7);
-    let mut engine = match workload {
-        0 => {
-            let generator = RandomWorkload {
-                flows: 6,
-                consumer_nodes: 3,
-                classes_per_flow: 2,
-                ..Default::default()
-            };
-            Engine::new(generator.generate(&mut StdRng::seed_from_u64(7)), config)
+    static SETTLED: OnceLock<Vec<Engine>> = OnceLock::new();
+    let settled = SETTLED.get_or_init(|| {
+        let config = LrgpConfig { incremental: IncrementalMode::On, ..LrgpConfig::default() };
+        let random = RandomWorkload {
+            flows: 6,
+            consumer_nodes: 3,
+            classes_per_flow: 2,
+            ..Default::default()
+        };
+        let lossy = mixed_loss_workload(3, 100.0, 7);
+        let joint = LrgpConfig { reliability: Reliability::Joint, ..config };
+        let mut engines = vec![
+            Engine::new(random.generate(&mut StdRng::seed_from_u64(7)), config),
+            Engine::new(lossy.clone(), joint),
+            Engine::new(lossy.without_reliability(), config),
+        ];
+        for engine in &mut engines {
+            engine.run(2_000);
         }
-        1 => Engine::new(lossy, LrgpConfig { reliability: Reliability::Joint, ..config }),
-        _ => Engine::new(lossy.without_reliability(), config),
-    };
-    engine.run(5);
-    engine
+        engines
+    });
+    settled[workload].clone()
 }
 
 /// An id in range, one past the end, or `u32::MAX`.
@@ -123,13 +135,26 @@ fn op(rng: &mut StdRng, p: &Problem) -> DeltaOp {
     }
 }
 
+/// A valid copy of `template` and its classes, its rate pinned
+/// (`r_min == r_max`) half the time. A pinned arrival does not move in its
+/// first solve, so on a settled engine only the arrival's own dirt makes
+/// its nodes admit its classes and its links count its rate.
+fn copy(rng: &mut StdRng, p: &Problem, template: FlowId) -> (FlowSpec, Vec<ClassSpec>) {
+    let mut flow = p.flow(template).clone();
+    if rng.gen_bool(0.5) {
+        let RateBounds { min, max } = flow.bounds;
+        let rate = min + (max - min) * rng.gen_range(0.0..1.0);
+        flow.bounds = RateBounds { min: rate, max: rate };
+    }
+    let classes = p.classes_of_flow(template).iter().map(|&c| p.class(c).clone()).collect();
+    (flow, classes)
+}
+
 /// A flow addition copying an existing flow and its classes, valid or
 /// broken in one of three ways.
 fn add_flow(rng: &mut StdRng, p: &Problem) -> DeltaOp {
     let template = FlowId::new(rng.gen_range(0..p.num_flows()) as u32);
-    let mut flow = p.flow(template).clone();
-    let mut classes: Vec<_> =
-        p.classes_of_flow(template).iter().map(|&c| p.class(c).clone()).collect();
+    let (mut flow, mut classes) = copy(rng, p, template);
     match rng.gen_range(0..6) {
         0 => {
             let unreached = p.node_ids().find(|n| flow.node_costs.iter().all(|(m, _)| m != n));
@@ -147,11 +172,35 @@ fn add_flow(rng: &mut StdRng, p: &Problem) -> DeltaOp {
     DeltaOp::AddFlow { flow, classes }
 }
 
-/// A batch of `len` ops against `p`.
+/// A valid loss edit on a link, and a valid copy of a flow that crosses it:
+/// in one batch, the final problem lists the new flow on that link before
+/// the executor has it. `None` without a reliability spec or a link.
+fn loss_then_arrival(rng: &mut StdRng, p: &Problem) -> Option<[DeltaOp; 2]> {
+    p.reliability()?;
+    let crossing: Vec<FlowId> = p.flow_ids().filter(|&f| !p.links_of_flow(f).is_empty()).collect();
+    let template = *crossing.get(rng.gen_range(0..crossing.len().max(1)))?;
+    let links = p.links_of_flow(template);
+    let link = links[rng.gen_range(0..links.len())].0;
+    let loss = DeltaOp::SetLinkLoss { link, loss: rng.gen_range(0.0..0.5) };
+    let (flow, classes) = copy(rng, p, template);
+    Some([loss, DeltaOp::AddFlow { flow, classes }])
+}
+
+/// A batch of `len` ops against `p`; on a problem with a reliability spec,
+/// half the time with [`loss_then_arrival`]'s pair at random places, the
+/// loss edit first.
 fn batch(rng: &mut StdRng, p: &Problem, len: usize) -> ProblemDelta {
+    let mut ops: Vec<DeltaOp> = (0..len).map(|_| op(rng, p)).collect();
+    if rng.gen_bool(0.5) {
+        if let Some([loss, arrival]) = loss_then_arrival(rng, p) {
+            let at = rng.gen_range(0..=ops.len());
+            ops.insert(at, loss);
+            ops.insert(rng.gen_range(at + 1..=ops.len()), arrival);
+        }
+    }
     let mut delta = ProblemDelta::new();
-    for _ in 0..len {
-        delta.push(op(rng, p));
+    for op in ops {
+        delta.push(op);
     }
     delta
 }
@@ -194,10 +243,9 @@ enum Outcome {
 /// The property every batch must meet.
 fn check(base: &Engine, delta: &ProblemDelta) -> Result<Outcome, TestCaseError> {
     let mut engine = base.clone();
-    let mut reference = base.clone();
     let Ok(()) = engine.apply_delta(delta) else {
         prop_assert_eq!(state(&engine), state(base));
-        lockstep(&mut engine, &mut reference)?;
+        lockstep(&mut engine, &mut base.clone())?;
         // Count the ops that applied before the one that failed.
         let mut p = base.problem().clone();
         let applied = delta
@@ -217,11 +265,8 @@ fn check(base: &Engine, delta: &ProblemDelta) -> Result<Outcome, TestCaseError> 
     prop_assert_eq!(format!("{:?}", engine.problem()), format!("{expected:?}"));
     let reloaded = reloaded(&expected).map_err(TestCaseError::fail)?;
     prop_assert_eq!(format!("{reloaded:?}"), format!("{expected:?}"));
-    if delta.grows_problem() {
-        reference = Engine::restore(expected, engine.snapshot());
-    } else {
-        reference.replace_problem(expected);
-    }
+    let snapshot = if delta.grows_problem() { engine.snapshot() } else { base.snapshot() };
+    let mut reference = Engine::restore(expected, snapshot);
     lockstep(&mut engine, &mut reference)?;
     Ok(Outcome::Applied)
 }

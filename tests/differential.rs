@@ -15,8 +15,9 @@
 //!   sequential, with dispatch forced so the cross-thread handoff runs
 //!   even on single-CPU hosts;
 //! * **incrementality** — dirty-set skipping vs full recompute;
-//! * **deltas** — [`Engine::apply_delta`] vs the wholesale
-//!   `replace_problem` oracle, mid-run;
+//! * **deltas** — [`Engine::apply_delta`] vs the rebuild oracle, mid-run:
+//!   a fresh engine that [`Engine::restore`]s the pre-delta snapshot over
+//!   `delta.apply(..)`, the one path that rebuilds an engine;
 //! * **churn scenarios** — capacity/population/bounds edits, flow removal,
 //!   and flow addition while converging.
 //! * **reliability** — the third oracle column: a `Reliability::Off`
@@ -117,10 +118,11 @@ fn assert_same_state(label: &str, k: usize, reference: &Engine, candidate: &Engi
 /// (sequential and sharded with the given parallelism) in lockstep,
 /// asserting full-state bit-identity after every iteration. If `removal` is
 /// `Some((k, flow))`, the flow is removed from all three engines right
-/// before iteration `k` — the baseline through the wholesale
-/// `replace_problem` oracle, the incremental engines through
-/// [`Engine::apply_delta`], which must patch their term tables, mark the
-/// flow's readers dirty and stay identical afterwards.
+/// before iteration `k` — the baseline by restoring its snapshot over the
+/// edited problem, the incremental engines through [`Engine::apply_delta`],
+/// which must patch their term tables, mark the flow's readers dirty and
+/// stay identical afterwards. The restored baseline starts a fresh trace,
+/// so the traces are compared from the removal on.
 fn assert_incremental_identical(
     problem: Problem,
     config: LrgpConfig,
@@ -139,11 +141,15 @@ fn assert_incremental_identical(
     let mut inc_seq = Engine::new(problem.clone(), inc_seq_config);
     let mut inc_par = Engine::new(problem, inc_par_config);
     inc_par.force_pool_dispatch(true);
+    // The candidates' iterations before the baseline's trace starts.
+    let mut restored_at = 0;
     for k in 1..=iterations {
         if let Some((at, flow)) = removal {
             if k == at {
                 let delta = ProblemDelta::new().remove_flow(FlowId::new(flow));
-                baseline.replace_problem(delta.apply(baseline.problem()).expect("flow exists"));
+                let edited = delta.apply(baseline.problem()).expect("flow exists");
+                baseline = Engine::restore(edited, baseline.snapshot());
+                restored_at = k - 1;
                 inc_seq.apply_delta(&delta).expect("flow exists");
                 inc_par.apply_delta(&delta).expect("flow exists");
             }
@@ -166,13 +172,13 @@ fn assert_incremental_identical(
         "incremental-sequential utility trace",
         iterations,
         baseline.trace().utility.values(),
-        inc_seq.trace().utility.values(),
+        &inc_seq.trace().utility.values()[restored_at..],
     );
     assert_bits_eq(
         "incremental-threads utility trace",
         iterations,
         baseline.trace().utility.values(),
-        inc_par.trace().utility.values(),
+        &inc_par.trace().utility.values()[restored_at..],
     );
 }
 
@@ -420,8 +426,8 @@ proptest! {
     /// [`Engine::apply_delta`] (which keeps the executor and patches its
     /// term table for every op that keeps the id space) must leave the
     /// incremental engines bit-identical, at every iteration, to the
-    /// full-recompute baseline that rebuilds its problem wholesale with
-    /// `replace_problem(delta.apply(..))`. The pooled candidates run the
+    /// full-recompute baseline that restores its snapshot over
+    /// `delta.apply(..)` in a fresh engine. The pooled candidates run the
     /// same schedule at 2, 3, and 4 contexts with dispatch forced, covering
     /// non-divisible shard splits and dirty sets smaller than the worker
     /// count (the workload floor is 2 flows / 1 node).
@@ -475,7 +481,7 @@ proptest! {
                         departed.push(chosen);
                     }
                     let edited = delta.apply(baseline.problem()).expect("delta is valid");
-                    baseline.replace_problem(edited);
+                    baseline = Engine::restore(edited, baseline.snapshot());
                     inc_seq.apply_delta(&delta).expect("delta is valid");
                     for engine in &mut pooled {
                         engine.apply_delta(&delta).expect("delta is valid");
@@ -592,7 +598,7 @@ proptest! {
     /// the plan matrix (sequential full recompute vs incremental
     /// sequential vs incremental pooled), through a schedule of rate-side
     /// and reliability-side deltas applied via [`Engine::apply_delta`]
-    /// against the wholesale `replace_problem` baseline.
+    /// against a baseline that restores its snapshot over the edited problem.
     #[test]
     fn joint_reliability_bit_identical_across_plans(
         (pairs, seed, threads) in (1usize..5, 0u64..1_000_000, 2usize..5),
@@ -621,7 +627,7 @@ proptest! {
                 if let Some(&(kind, sel, magnitude)) = schedule.get((k - 7) / 6) {
                     let delta = resolve_lossy_delta(baseline.problem(), kind, sel, magnitude);
                     let edited = delta.apply(baseline.problem()).expect("delta is valid");
-                    baseline.replace_problem(edited);
+                    baseline = Engine::restore(edited, baseline.snapshot());
                     inc_seq.apply_delta(&delta).expect("delta is valid");
                     inc_par.apply_delta(&delta).expect("delta is valid");
                 }
@@ -836,9 +842,9 @@ fn incremental_engine_bit_identical_with_link_prices() {
 fn incremental_engine_matches_through_capacity_and_population_churn() {
     // Dynamics beyond flow removal: capacity and max-population edits reach
     // the candidate through `apply_delta` (the route `run_scenario` takes),
-    // which keeps the dirty-set caches alive; the baseline rebuilds
-    // wholesale through `replace_problem`. Both must stay in bitwise
-    // lockstep.
+    // which keeps the dirty-set caches alive; the baseline restores its
+    // snapshot over the edited problem in a fresh engine. Both must stay in
+    // bitwise lockstep.
     let problem = paper_workload(UtilityShape::Log, 1, 1);
     let config = LrgpConfig { incremental: IncrementalMode::Off, ..LrgpConfig::default() };
     let inc_config = LrgpConfig { incremental: IncrementalMode::On, ..config };
@@ -855,7 +861,7 @@ fn incremental_engine_matches_through_capacity_and_population_churn() {
         for (at, delta) in &changes {
             if k == *at {
                 let edited = delta.apply(baseline.problem()).expect("change is valid");
-                baseline.replace_problem(edited);
+                baseline = Engine::restore(edited, baseline.snapshot());
                 incremental.apply_delta(delta).expect("change is valid");
             }
         }
@@ -919,10 +925,10 @@ fn deltas_on_a_settled_engine_stay_bit_identical() {
 
 #[test]
 fn adding_a_flow_mid_run_stays_bit_identical() {
-    // The growing delta: `AddFlow` resizes every engine-side vector.
-    // (`replace_problem` rejects dimension changes, so growth has no
-    // wholesale oracle; the check here is that all three execution plans
-    // re-derive against the grown problem in bitwise lockstep.)
+    // The growing delta: `AddFlow` resizes every engine-side vector. The
+    // check here is that all three execution plans re-derive against the
+    // grown problem in bitwise lockstep; `arrivals_match_a_rebuilt_engine_bitwise`
+    // holds arrivals to the restore oracle.
     let problem = paper_workload(UtilityShape::Log, 1, 1);
     let source = problem.flow(FlowId::new(0)).source;
     let consumer = problem.class(ClassId::new(0)).node;
