@@ -52,11 +52,6 @@ impl<'p> SearchState<'p> {
         Self { problem, rates, populations, node_used, link_used, utility }
     }
 
-    /// The feasible all-minimum starting state.
-    pub fn lower_bounds(problem: &'p Problem) -> Self {
-        Self::new(problem, &Allocation::lower_bounds(problem))
-    }
-
     /// Current total utility (cached).
     pub fn utility(&self) -> f64 {
         self.utility
@@ -218,7 +213,7 @@ mod tests {
     #[test]
     fn lower_bounds_state_matches_direct_evaluation() {
         let p = base_workload();
-        let s = SearchState::lower_bounds(&p);
+        let s = SearchState::new(&p, &Allocation::lower_bounds(&p));
         assert_eq!(s.utility(), 0.0);
         assert_eq!(s.rate(FlowId::new(0)), 10.0);
         assert_eq!(s.population(ClassId::new(0)), 0.0);
@@ -227,7 +222,7 @@ mod tests {
     #[test]
     fn population_move_evaluates_and_applies() {
         let p = base_workload();
-        let mut s = SearchState::lower_bounds(&p);
+        let mut s = SearchState::new(&p, &Allocation::lower_bounds(&p));
         let mv = Move::SetPopulation { class: ClassId::new(18), population: 10.0 };
         let delta = s.evaluate(mv).expect("feasible");
         let expected = 10.0 * 100.0 * (11.0f64).ln(); // rank 100 at rate 10
@@ -240,7 +235,7 @@ mod tests {
     #[test]
     fn infeasible_population_move_rejected() {
         let p = base_workload();
-        let mut s = SearchState::lower_bounds(&p);
+        let mut s = SearchState::new(&p, &Allocation::lower_bounds(&p));
         // Max out the rate first so consumers are expensive.
         s.apply(Move::SetRate { flow: FlowId::new(5), rate: 1000.0 });
         // 9e5 / (19·1000) ≈ 47 consumers fit; 100 do not.
@@ -253,7 +248,7 @@ mod tests {
     #[test]
     fn infeasible_rate_move_rejected() {
         let p = base_workload();
-        let mut s = SearchState::lower_bounds(&p);
+        let mut s = SearchState::new(&p, &Allocation::lower_bounds(&p));
         // Fill a node with consumers at the low rate, then try to raise the
         // rate past what the node can carry.
         s.apply(Move::SetPopulation { class: ClassId::new(18), population: 1500.0 });
@@ -267,7 +262,7 @@ mod tests {
     #[test]
     fn random_walk_keeps_caches_exact() {
         let p = base_workload();
-        let mut s = SearchState::lower_bounds(&p);
+        let mut s = SearchState::new(&p, &Allocation::lower_bounds(&p));
         let mut rng = StdRng::seed_from_u64(42);
         let mut applied = 0;
         for _ in 0..2000 {
@@ -295,7 +290,7 @@ mod tests {
     #[test]
     fn evaluate_does_not_mutate() {
         let p = base_workload();
-        let s = SearchState::lower_bounds(&p);
+        let s = SearchState::new(&p, &Allocation::lower_bounds(&p));
         let before = s.to_allocation();
         let _ = s.evaluate(Move::SetPopulation { class: ClassId::new(0), population: 5.0 });
         assert_eq!(s.to_allocation(), before);

@@ -276,7 +276,7 @@ fn from_scratch_near_converged_ns(
         .map(|_| {
             let (current, snapshot) = (engine.problem().clone(), engine.snapshot());
             let start = Instant::now();
-            engine = Engine::restore(current, snapshot);
+            engine = Engine::restore(current, snapshot).expect("a snapshot fits its own problem");
             engine.step();
             start.elapsed().as_nanos() as u64
         })

@@ -772,7 +772,8 @@ mod tests {
             assert!(held.rate(flow) > 20.0, "the rate cut must bind");
             let snapshot = via_delta.snapshot();
             via_delta.apply_delta(&delta).unwrap();
-            let mut via_restore = Engine::restore(delta.apply(&base_workload()).unwrap(), snapshot);
+            let mut via_restore =
+                Engine::restore(delta.apply(&base_workload()).unwrap(), snapshot).unwrap();
             let (problem, restored) = (via_restore.problem(), via_restore.allocation());
             for f in problem.flow_ids() {
                 let rate = restored.rate(f);

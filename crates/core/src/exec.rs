@@ -28,11 +28,34 @@
 //! in it (`clamp(clamp(r)) = clamp(r)`), so a skipped flow's stored rate
 //! still equals what a fresh solve would return.
 //!
+//! Two skips go further, because some inputs cannot change a result:
+//!
+//! * **Price-free flows.** A flow is *price-free* when its last solve found
+//!   no class with a positive population and left its rate bitwise at
+//!   `r_min`, and, when the step solves ρ, its ρ bitwise at `ρ_min`. With
+//!   an empty aggregate, `solve_rate` returns `bounds.min` for a positive
+//!   price and `bounds.clamp(fallback)` otherwise; the fallback is the
+//!   stored rate, which is `bounds.min`, so every price (NaN included)
+//!   gives `bounds.min`. The ρ solve of a flow with no admitted class has
+//!   the same two branches, which is why the flag also needs ρ at `ρ_min`.
+//!   So phase 0 skips a price-free flow's node and link price marks. Every
+//!   other input still marks it: a population change in one of its classes,
+//!   any delta on the flow, and the all-dirty first step (and panic path),
+//!   which recomputes every flag. Each solve, sequential or pooled, rewrites
+//!   the flag (`solve_flow`). Phase 0 reads the flags through per-node and
+//!   per-link rows of the flows that are not price-free, so a moved price
+//!   costs work in its busy flows only; the rows are rebuilt from the flags
+//!   before the first incremental phase 0 after any flag flips or a flow
+//!   joins.
+//! * **Benefit–cost ratios.** Each admission-order entry keeps the rate its
+//!   ratio was computed at, and a re-admission recomputes only the ratios
+//!   whose flow rate moved bitwise (see [`crate::kernel::admission`]).
+//!
 //! # Dirty-set invariants
 //!
 //! | recompute          | iff one of its inputs changed bitwise            |
 //! |--------------------|--------------------------------------------------|
-//! | rate of flow `i`   | price of a node in `B_i` / link in `L_i`, or the population of a class in `C_i`, changed last iteration |
+//! | rate of flow `i`   | price of a node in `B_i` / link in `L_i` (unless the flow is price-free), or the population of a class in `C_i`, changed last iteration |
 //! | admission at `b`   | the rate of a flow in `nodeMap(b)` changed this iteration |
 //! | usage of link `l`  | the rate of a flow in `linkMap(l)` changed this iteration |
 //! | total utility      | any rate or population changed this iteration    |
@@ -91,13 +114,13 @@
 
 use crate::engine::LrgpConfig;
 use crate::gamma::GammaController;
-use crate::kernel::admission::allocate_consumers_into;
+use crate::kernel::admission::{allocate_consumers_into, OrderEntry};
 use crate::kernel::price::{update_link_price, update_node_price_with_rule, PriceVector};
 use crate::kernel::rate::{solve_rate, AggregateUtility};
 use crate::kernel::reliability::solve_flow_rho;
 use crate::pool::{
     lock_unpoisoned, shard_chunk, shard_count, AdmissionJob, AdmissionOrder, FlowJob, Job,
-    PoolHandle, WorkerPool,
+    PoolHandle, ShardOut, WorkerPool,
 };
 use lrgp_model::{ClassId, DeltaOp, FlowId, LinkId, NodeId, PriceTermTable, Problem};
 use std::any::Any;
@@ -110,6 +133,37 @@ fn mark(flags: &mut [bool], list: &mut Vec<u32>, id: u32) {
     if !*slot {
         *slot = true;
         list.push(id);
+    }
+}
+
+/// Rows of flow ids in one flat buffer: row `r` is
+/// `flows[starts[r]..starts[r + 1]]`.
+#[derive(Debug, Clone)]
+struct FlowRows {
+    starts: Vec<usize>,
+    flows: Vec<u32>,
+}
+
+impl FlowRows {
+    /// Refills the rows from `index` (`flows_at_node` or `flows_on_link`
+    /// rows), keeping the flows that are not price-free, in index order.
+    fn fill_busy<'a>(&mut self, index: impl Iterator<Item = &'a [FlowId]>, price_free: &[bool]) {
+        self.starts.clear();
+        self.flows.clear();
+        self.starts.push(0);
+        for row in index {
+            let ids = row.iter().map(|f| f.index() as u32);
+            self.flows.extend(ids.filter(|&f| !price_free[f as usize]));
+            self.starts.push(self.flows.len());
+        }
+    }
+
+    /// Row `r`; empty past the end.
+    fn row(&self, r: usize) -> &[u32] {
+        match self.starts.get(r..r.saturating_add(2)) {
+            Some(&[lo, hi]) => self.flows.get(lo..hi).unwrap_or(&[]),
+            _ => &[],
+        }
     }
 }
 
@@ -142,7 +196,7 @@ impl NodeTable {
                 .map(|node| {
                     let classes = problem.classes_at_node(node);
                     Mutex::new(AdmissionOrder {
-                        order: classes.iter().map(|&c| (c, 0.0)).collect(),
+                        order: classes.iter().map(|&c| OrderEntry::new(c)).collect(),
                         populations: Vec::with_capacity(classes.len()),
                     })
                 })
@@ -198,6 +252,19 @@ pub(crate) struct StepState {
     /// Off, so every consumer of these lists is a no-op there.
     rho_changed: Vec<bool>,
     changed_rhos: Vec<u32>,
+    /// Flows whose last solve left them price-free (see the module docs):
+    /// a price move cannot change their solve, so phase 0 skips their
+    /// price marks.
+    price_free: Vec<bool>,
+    /// For each node, the flows of `flows_at_node` that are not
+    /// price-free: the flows a move of its price re-solves.
+    busy_at_node: FlowRows,
+    /// For each link, the flows of `flows_on_link` that are not
+    /// price-free.
+    busy_on_link: FlowRows,
+    /// A flag flipped or a flow joined since the busy rows were built, so
+    /// the next incremental phase 0 rebuilds them first.
+    busy_stale: bool,
 
     // External dirt injected between steps by problem deltas.
     ext_flow_dirty: Vec<bool>,
@@ -217,9 +284,8 @@ pub(crate) struct StepState {
 
     /// The caller's rate-solve scratch, reused across steps.
     agg_scratch: AggregateUtility,
-    /// The caller's shard-0 output in a pooled phase: `(flow, rate, rho)`
-    /// or `(node, used, bc)`.
-    out_scratch: Vec<(u32, f64, f64)>,
+    /// The caller's shard-0 output in a pooled phase.
+    out_scratch: Vec<ShardOut>,
     /// Panic-injection test hook, threaded into pooled flow jobs.
     #[cfg(test)]
     panic_on_flow: Option<u32>,
@@ -246,6 +312,21 @@ impl StepState {
             changed_rates: Vec::with_capacity(problem.num_flows()),
             rho_changed: vec![false; problem.num_flows()],
             changed_rhos: Vec::new(),
+            price_free: vec![false; problem.num_flows()],
+            // Sized for the whole index, so refills do not grow them.
+            busy_at_node: FlowRows {
+                starts: Vec::with_capacity(problem.num_nodes() + 1),
+                flows: Vec::with_capacity(
+                    problem.node_ids().map(|node| problem.flows_at_node(node).len()).sum(),
+                ),
+            },
+            busy_on_link: FlowRows {
+                starts: Vec::with_capacity(problem.num_links() + 1),
+                flows: Vec::with_capacity(
+                    problem.link_ids().map(|link| problem.flows_on_link(link).len()).sum(),
+                ),
+            },
+            busy_stale: true,
             ext_flow_dirty: vec![false; problem.num_flows()],
             ext_dirty_flows: Vec::new(),
             ext_node_dirty: vec![false; problem.num_nodes()],
@@ -370,11 +451,14 @@ impl StepState {
         self.flow_dirty.push(false);
         self.rate_changed.push(false);
         self.rho_changed.push(false);
+        self.price_free.push(false);
+        self.busy_stale = true;
         self.ext_flow_dirty.push(false);
         for &class in problem.classes_of_flow(flow) {
             self.pop_changed.push(false);
             if let Some(slot) = self.nodes.orders.get_mut(problem.class(class).node.index()) {
-                slot.get_mut().unwrap_or_else(PoisonError::into_inner).order.push((class, 0.0));
+                let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
+                slot.order.push(OrderEntry::new(class));
             }
         }
         self.note_bounds_change(problem, flow, true);
@@ -490,8 +574,10 @@ impl StepState {
 
     /// Phase 0: a flow's rate inputs are the prices along its path and the
     /// populations of its classes; it is dirty iff one of them changed last
-    /// iteration (or a delta dirtied it externally). Consumes (and clears)
-    /// the previous iteration's change sets and the external dirt.
+    /// iteration (or a delta dirtied it externally). A price move marks
+    /// only the busy rows of its node or link, which leave out the
+    /// price-free flows. Consumes (and clears) the previous iteration's
+    /// change sets and the external dirt.
     fn derive_dirty_flows(&mut self, problem: &Problem) {
         let Self {
             flow_dirty,
@@ -502,6 +588,10 @@ impl StepState {
             changed_links,
             pop_changed,
             changed_classes,
+            price_free,
+            busy_at_node,
+            busy_on_link,
+            busy_stale,
             ext_flow_dirty,
             ext_dirty_flows,
             first,
@@ -514,14 +604,21 @@ impl StepState {
                 dirty_flows.push(f);
             }
         } else {
+            if *busy_stale {
+                let at_nodes = problem.node_ids().map(|node| problem.flows_at_node(node));
+                busy_at_node.fill_busy(at_nodes, price_free);
+                let on_links = problem.link_ids().map(|link| problem.flows_on_link(link));
+                busy_on_link.fill_busy(on_links, price_free);
+                *busy_stale = false;
+            }
             for &b in changed_nodes.iter() {
-                for &f in problem.flows_at_node(NodeId::new(b)) {
-                    mark(flow_dirty, dirty_flows, f.index() as u32);
+                for &f in busy_at_node.row(b as usize) {
+                    mark(flow_dirty, dirty_flows, f);
                 }
             }
             for &l in changed_links.iter() {
-                for &f in problem.flows_on_link(LinkId::new(l)) {
-                    mark(flow_dirty, dirty_flows, f.index() as u32);
+                for &f in busy_on_link.row(l as usize) {
+                    mark(flow_dirty, dirty_flows, f);
                 }
             }
             for &c in changed_classes.iter() {
@@ -539,13 +636,12 @@ impl StepState {
         clear_marks(ext_flow_dirty, ext_dirty_flows);
     }
 
-    /// Phase 1: re-solve the dirty flows' rates (Algorithm 1) against the
-    /// term tables and, under `joint`, each one's reliability best response
-    /// against the rate just solved, recording bitwise rate and ρ changes.
-    /// When `config.parallelism` resolves to more than one context and the
-    /// pool dispatches, the inputs move into a [`FlowJob`], shards `1..`
-    /// run on parked workers while the caller runs shard 0, and the results
-    /// are applied in shard order.
+    /// Phase 1: re-solve the dirty flows ([`solve_flow`]), recording bitwise
+    /// rate and ρ changes and each flow's price-free flag. When
+    /// `config.parallelism` resolves to more than one context and the pool
+    /// dispatches, the inputs move into a [`FlowJob`], shards `1..` run on
+    /// parked workers while the caller runs shard 0, and the results are
+    /// applied in shard order.
     ///
     /// The ρ dirty set is exactly `dirty_flows`: a flow's ρ inputs are the
     /// link prices along its path, the populations of its classes, and its
@@ -585,32 +681,34 @@ impl StepState {
                 changed_rates,
                 rho_changed,
                 changed_rhos,
+                price_free,
+                busy_stale,
                 agg_scratch: agg,
                 ..
             } = self;
             for &f in dirty_flows.iter() {
-                let flow = FlowId::new(f);
-                agg.refill_for_flow(problem, flow, populations);
-                let price = prices.aggregate_price_from_table(terms, flow, populations);
-                let rate = solve_rate(agg, price, problem.flow(flow).bounds, rates[f as usize]);
+                let (rate, rho, free) = solve_flow(
+                    problem,
+                    terms,
+                    prices,
+                    populations,
+                    redundancy,
+                    agg,
+                    FlowId::new(f),
+                    rates[f as usize],
+                    rhos[f as usize],
+                );
                 if rate.to_bits() != rates[f as usize].to_bits() {
                     rates[f as usize] = rate;
                     mark(rate_changed, changed_rates, f);
                 }
-                let Some(redundancy) = redundancy else { continue };
-                let rho = solve_flow_rho(
-                    terms,
-                    flow,
-                    prices.link_prices(),
-                    populations,
-                    rate,
-                    problem.rho_bounds(flow).unwrap_or_default(),
-                    redundancy,
-                    rhos[f as usize],
-                );
                 if rho.to_bits() != rhos[f as usize].to_bits() {
                     rhos[f as usize] = rho;
                     mark(rho_changed, changed_rhos, f);
+                }
+                if price_free[f as usize] != free {
+                    price_free[f as usize] = free;
+                    *busy_stale = true;
                 }
             }
             return;
@@ -648,9 +746,17 @@ impl StepState {
         if let Some(payload) = panic {
             self.abandon_phase(pool, payload);
         }
-        let Self { rate_changed, changed_rates, rho_changed, changed_rhos, out_scratch, .. } =
-            self;
-        pool.drain(out_scratch, shards, |f, rate, rho| {
+        let Self {
+            rate_changed,
+            changed_rates,
+            rho_changed,
+            changed_rhos,
+            price_free,
+            busy_stale,
+            out_scratch,
+            ..
+        } = self;
+        pool.drain(out_scratch, shards, |(f, rate, rho, free)| {
             if rate.to_bits() != rates[f as usize].to_bits() {
                 rates[f as usize] = rate;
                 mark(rate_changed, changed_rates, f);
@@ -658,6 +764,10 @@ impl StepState {
             if rho.to_bits() != rhos[f as usize].to_bits() {
                 rhos[f as usize] = rho;
                 mark(rho_changed, changed_rhos, f);
+            }
+            if price_free[f as usize] != free {
+                price_free[f as usize] = free;
+                *busy_stale = true;
             }
         });
     }
@@ -768,7 +878,7 @@ impl StepState {
             self.abandon_phase(pool, payload);
         }
         let Self { nodes, out_scratch, .. } = self;
-        pool.drain(out_scratch, shards, |b, used, bc| {
+        pool.drain(out_scratch, shards, |(b, used, bc, _)| {
             nodes.used[b as usize] = used;
             nodes.bc[b as usize] = bc;
         });
@@ -921,6 +1031,48 @@ impl StepState {
     }
 }
 
+/// Solves `flow`'s rate (Algorithm 1) against the term table and, when
+/// `redundancy` is set (a joint step), its reliability best response against
+/// the rate just solved. `rate` and `rho` are the stored values, the
+/// solvers' fallbacks. Returns the new rate and ρ, and whether the flow is
+/// now price-free: no class of it has a positive population, and its rate,
+/// and its ρ when solved, sit bitwise at their lower bounds. The sequential
+/// pass and the pooled [`FlowJob`] both solve through here, so their flags
+/// agree. Inlined into both loops: as a call, the joint flow pass on the
+/// benchmark's `lossy_joint` spent about a tenth longer.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn solve_flow(
+    problem: &Problem,
+    terms: &PriceTermTable,
+    prices: &PriceVector,
+    populations: &[f64],
+    redundancy: Option<f64>,
+    agg: &mut AggregateUtility,
+    flow: FlowId,
+    rate: f64,
+    rho: f64,
+) -> (f64, f64, bool) {
+    agg.refill_for_flow(problem, flow, populations);
+    let price = prices.aggregate_price_from_table(terms, flow, populations);
+    let bounds = problem.flow(flow).bounds;
+    let rate = solve_rate(agg, price, bounds, rate);
+    let price_free = agg.is_empty() && rate.to_bits() == bounds.min.to_bits();
+    let Some(redundancy) = redundancy else { return (rate, rho, price_free) };
+    let bounds = problem.rho_bounds(flow).unwrap_or_default();
+    let rho = solve_flow_rho(
+        terms,
+        flow,
+        prices.link_prices(),
+        populations,
+        rate,
+        bounds,
+        redundancy,
+        rho,
+    );
+    (rate, rho, price_free && rho.to_bits() == bounds.min.to_bits())
+}
+
 /// The reliability term `Σ_f mass_f · ln(ρ_f)` of the joint objective,
 /// `mass_f = Σ_{j ∈ C_f} w_j · n_j` in `classes_of_flow` order (the same
 /// fold order as [`crate::kernel::reliability::rho_mass`] over the term
@@ -1033,6 +1185,104 @@ mod tests {
     }
 
     #[test]
+    fn price_free_flows_leave_the_dirty_set_on_both_paths() {
+        // `huge_cold`'s shape at debug size: many mixed-shape flows per
+        // consumer node. Most settle at `r_min` with no admitted class
+        // while the consumer-node prices keep moving, so a converged step
+        // re-solves fewer flows than a price move reaches. The pooled
+        // engine takes its flags from the pool's drain; it must skip
+        // exactly the flows the sequential one skips, on every step.
+        let generator = RandomWorkload {
+            flows: 120,
+            consumer_nodes: 4,
+            classes_per_flow: 10,
+            mixed_shapes: true,
+            ..RandomWorkload::default()
+        };
+        let problem = generator.generate(&mut StdRng::seed_from_u64(7));
+        let flows = problem.num_flows();
+        let mut sequential = Engine::new(problem.clone(), incremental_config());
+        let config = LrgpConfig { parallelism: Parallelism::Threads(2), ..incremental_config() };
+        let mut pooled = Engine::new(problem, config);
+        pooled.force_pool_dispatch(true);
+        for k in 0..200 {
+            let (a, b) = (sequential.step(), pooled.step());
+            assert_eq!(a.to_bits(), b.to_bits(), "diverged at iteration {k}");
+            let counts = sequential.step_state().dirty_counts();
+            assert_eq!(counts, pooled.step_state().dirty_counts(), "dirty sets at iteration {k}");
+        }
+        let (_, moved, _) = sequential.step_state().changed_counts();
+        assert!(moved > 0, "no node price moves, so no flow is marked by one");
+        let (dirty, _, _) = sequential.step_state().dirty_counts();
+        assert!(2 * dirty < flows, "a converged step re-solved {dirty} of {flows} flows");
+    }
+
+    /// Asserts the invariant phase 0 relies on: unless they are marked
+    /// stale, the busy rows hold exactly the flows of each node's and
+    /// link's index row that are not price-free.
+    fn assert_busy_rows_current(engine: &Engine, label: &str) {
+        let (state, problem) = (engine.step_state(), engine.problem());
+        if state.busy_stale {
+            return;
+        }
+        let busy = |flows: &[FlowId]| -> Vec<u32> {
+            let ids = flows.iter().map(|f| f.index() as u32);
+            ids.filter(|&f| !state.price_free[f as usize]).collect()
+        };
+        for node in problem.node_ids() {
+            let row = state.busy_at_node.row(node.index());
+            assert_eq!(row, busy(problem.flows_at_node(node)), "{label}: {node:?}");
+        }
+        for link in problem.link_ids() {
+            let row = state.busy_on_link.row(link.index());
+            assert_eq!(row, busy(problem.flows_on_link(link)), "{label}: {link:?}");
+        }
+    }
+
+    #[test]
+    fn busy_rows_follow_the_flags_through_steps_and_deltas() {
+        // Flags flip while the allocation settles and again after deltas;
+        // an arrival joins index rows without a solve. Every flip and every
+        // arrival must leave the rows current or marked stale.
+        let lossy = mixed_loss_workload(6, 100.0, 7).with_utility_shape(UtilityShape::Pow75);
+        let joint = LrgpConfig { reliability: Reliability::Joint, ..incremental_config() };
+        let random = RandomWorkload {
+            flows: 40,
+            consumer_nodes: 4,
+            classes_per_flow: 10,
+            mixed_shapes: true,
+            ..RandomWorkload::default()
+        };
+        let cases =
+            [(random.generate(&mut StdRng::seed_from_u64(7)), incremental_config()), (lossy, joint)];
+        for (problem, config) in cases {
+            let flow = FlowId::new(1);
+            let classes = problem.classes_of_flow(flow).iter().map(|&c| problem.class(c).clone());
+            let deltas = [
+                ProblemDelta::new().remove_flow(flow),
+                ProblemDelta::new().add_flow(problem.flow(flow).clone(), classes.collect()),
+            ];
+            for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
+                let mut engine = Engine::new(problem.clone(), LrgpConfig { parallelism, ..config });
+                engine.force_pool_dispatch(true);
+                for k in 0..150 {
+                    engine.step();
+                    assert_busy_rows_current(&engine, &format!("{parallelism:?} step {k}"));
+                }
+                for delta in &deltas {
+                    engine.apply_delta(delta).unwrap();
+                    assert_busy_rows_current(&engine, &format!("{parallelism:?} {delta:?}"));
+                    for k in 0..60 {
+                        engine.step();
+                        let label = format!("{parallelism:?} {delta:?} step {k}");
+                        assert_busy_rows_current(&engine, &label);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn flow_removal_keeps_the_state_and_stays_identical() {
         let problem = base_workload();
         let mut baseline = Engine::new(problem.clone(), baseline_config());
@@ -1134,7 +1384,8 @@ mod tests {
         clone.apply_delta(&losses).unwrap();
         assert!(std::ptr::eq(clone.problem(), copy), "the second delta copied the problem");
         let delta = removal.merge(losses);
-        let mut oracle = Engine::restore(delta.apply(&problem).unwrap(), original.snapshot());
+        let mut oracle =
+            Engine::restore(delta.apply(&problem).unwrap(), original.snapshot()).unwrap();
         for k in 0..80 {
             let (a, b) = (original.step(), never_cloned.step());
             assert_eq!(a.to_bits(), b.to_bits(), "original diverged at iteration {k}");

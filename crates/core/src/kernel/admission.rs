@@ -8,6 +8,15 @@
 //! first class blocked by the constraint; the first-fit-decreasing variant
 //! (which continues down the list to try cheaper classes) is available as an
 //! ablation via [`AdmissionPolicy::FirstFitDecreasing`].
+//!
+//! The engine keeps each node's order between steps. Every entry carries
+//! the rate its ratio was computed at, and a re-admission recomputes the
+//! ratio only for the classes whose flow rate moved bitwise. Reusing the
+//! others is exact: [`benefit_cost`] is a pure function of the class's
+//! utility, its consumer cost and the rate, and no `DeltaOp` edits a
+//! class's utility or consumer cost. A fresh entry holds rate 0.0 and ratio
+//! 0.0, which is `benefit_cost(class, 0.0)`. So the sort sees the keys a
+//! full recompute would, and yields the same order and populations.
 
 use lrgp_model::{ClassId, NodeId, Problem};
 use serde::{Deserialize, Serialize};
@@ -65,6 +74,23 @@ fn defined_or_zero(ratio: f64) -> f64 {
     }
 }
 
+/// One entry of a node's admission order: a class, its benefit–cost ratio,
+/// and the rate of the class's flow that the ratio was computed at.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct OrderEntry {
+    pub(crate) class: ClassId,
+    pub(crate) rate: f64,
+    pub(crate) ratio: f64,
+}
+
+impl OrderEntry {
+    /// A class not yet ranked: rate 0.0 and ratio 0.0, which is
+    /// `benefit_cost(class, 0.0)`, so the entry is consistent from the start.
+    pub(crate) fn new(class: ClassId) -> Self {
+        Self { class, rate: 0.0, ratio: 0.0 }
+    }
+}
+
 /// Result of running the greedy admission at one node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeAdmission {
@@ -95,8 +121,8 @@ pub fn allocate_consumers(
     mode: PopulationMode,
     policy: AdmissionPolicy,
 ) -> NodeAdmission {
-    let mut order: Vec<(ClassId, f64)> =
-        problem.classes_at_node(node).iter().map(|&c| (c, 0.0)).collect();
+    let mut order: Vec<OrderEntry> =
+        problem.classes_at_node(node).iter().map(|&c| OrderEntry::new(c)).collect();
     let mut populations = Vec::with_capacity(order.len());
     let (used, benefit_cost) =
         allocate_consumers_into(problem, node, rates, mode, policy, &mut order, &mut populations);
@@ -106,8 +132,10 @@ pub fn allocate_consumers(
 /// The greedy admission kernel of [`allocate_consumers`], writing into
 /// caller-owned scratch so the engine's hot loop allocates nothing.
 ///
-/// `order` must hold exactly the classes of `node` (any permutation; the
-/// paired `f64`s are stale benefit–cost values and are overwritten).
+/// `order` must hold exactly the classes of `node` (any permutation), each
+/// entry's ratio equal to `benefit_cost` at the entry's rate. An entry whose
+/// rate differs bitwise from its flow's rate in `rates` is re-ranked at the
+/// new rate; the others keep their ratio (see the module docs).
 /// `populations` is cleared and refilled. Returns `(used, benefit_cost)`.
 ///
 /// The comparator below is a *strict total order* (`f64::total_cmp`, ties
@@ -116,13 +144,13 @@ pub fn allocate_consumers(
 /// engine keep each node's previously sorted order as the starting point
 /// (`sort_by` is adaptive and near-sorted input re-sorts in linear time)
 /// while staying bit-identical to a from-scratch sort.
-pub fn allocate_consumers_into(
+pub(crate) fn allocate_consumers_into(
     problem: &Problem,
     node: NodeId,
     rates: &[f64],
     mode: PopulationMode,
     policy: AdmissionPolicy,
-    order: &mut [(ClassId, f64)],
+    order: &mut [OrderEntry],
     populations: &mut Vec<(ClassId, f64)>,
 ) -> (f64, f64) {
     // Consumer-independent flow cost at this node.
@@ -137,10 +165,13 @@ pub fn allocate_consumers_into(
     // class id for determinism; `benefit_cost` never returns NaN, so
     // `total_cmp` orders real ratios (and ±∞) only.
     for entry in order.iter_mut() {
-        let r = rates[problem.class(entry.0).flow.index()];
-        entry.1 = benefit_cost(problem, entry.0, r);
+        let rate = rates[problem.class(entry.class).flow.index()];
+        if rate.to_bits() != entry.rate.to_bits() {
+            entry.rate = rate;
+            entry.ratio = benefit_cost(problem, entry.class, rate);
+        }
     }
-    order.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    order.sort_by(|a, b| b.ratio.total_cmp(&a.ratio).then_with(|| a.class.cmp(&b.class)));
 
     let mut remaining = capacity - flow_cost;
     let mut used = flow_cost;
@@ -148,9 +179,8 @@ pub fn allocate_consumers_into(
     let mut node_bc: f64 = 0.0;
     let mut blocked = false;
 
-    for &(class, bc) in order.iter() {
+    for &OrderEntry { class, rate, ratio: bc } in order.iter() {
         let spec = problem.class(class);
-        let rate = rates[spec.flow.index()];
         let max = spec.max_population as f64;
         if max == 0.0 || rate <= 0.0 {
             populations.push((class, 0.0));
@@ -448,11 +478,13 @@ mod tests {
             AdmissionPolicy::StopAtFirstBlock,
         );
         // Feed the kernel every rotation of the class list with stale BC
-        // values: the strict total order must produce the identical result.
+        // values at a stale rate: each is re-ranked, and the strict total
+        // order must produce the identical result.
         let classes: Vec<ClassId> = p.classes_at_node(NodeId::new(0)).to_vec();
         for rot in 0..classes.len() {
-            let mut order: Vec<(ClassId, f64)> =
-                classes.iter().cycle().skip(rot).take(classes.len()).map(|&c| (c, -1.0)).collect();
+            let stale = |class| OrderEntry { class, rate: -1.0, ratio: -1.0 };
+            let mut order: Vec<OrderEntry> =
+                classes.iter().cycle().skip(rot).take(classes.len()).map(|&c| stale(c)).collect();
             let mut populations = Vec::new();
             let (used, bc) = allocate_consumers_into(
                 &p,
@@ -466,6 +498,48 @@ mod tests {
             assert_eq!(used.to_bits(), reference.used.to_bits());
             assert_eq!(bc.to_bits(), reference.benefit_cost.to_bits());
             assert_eq!(populations, reference.populations, "rotation {rot}");
+        }
+    }
+
+    #[test]
+    fn cached_ratios_match_a_fresh_admission_while_rates_move() {
+        // One order kept across calls, as the engine keeps it: each call
+        // moves some flows' rates and leaves the rest, so the kernel must
+        // re-rank exactly the classes whose rate moved. A fresh admission
+        // ranks every class from scratch, and the two must agree bitwise.
+        let specs = [(40, 5.0, 19.0), (30, 50.0, 19.0), (20, 2.0, 7.0), (50, 9.0, 3.0)];
+        let (p, mut rates) = one_node(20.0 * 1900.0, 1.0, &specs);
+        let node = NodeId::new(0);
+        let mut order: Vec<OrderEntry> =
+            p.classes_at_node(node).iter().map(|&c| OrderEntry::new(c)).collect();
+        let mut populations = Vec::new();
+        let moves = [(0, 400.0), (2, 900.0), (1, 10.0), (3, 0.0), (0, 100.0), (3, 250.0)];
+        for (step, &(flow, rate)) in moves.iter().enumerate() {
+            rates[flow] = rate;
+            let fresh = allocate_consumers(
+                &p,
+                node,
+                &rates,
+                PopulationMode::Integral,
+                AdmissionPolicy::StopAtFirstBlock,
+            );
+            let (used, bc) = allocate_consumers_into(
+                &p,
+                node,
+                &rates,
+                PopulationMode::Integral,
+                AdmissionPolicy::StopAtFirstBlock,
+                &mut order,
+                &mut populations,
+            );
+            assert_eq!(used.to_bits(), fresh.used.to_bits(), "step {step}");
+            assert_eq!(bc.to_bits(), fresh.benefit_cost.to_bits(), "step {step}");
+            assert_eq!(populations, fresh.populations, "step {step}");
+            for entry in &order {
+                let rate = rates[p.class(entry.class).flow.index()];
+                let expected = benefit_cost(&p, entry.class, rate);
+                assert_eq!(entry.ratio.to_bits(), expected.to_bits(), "step {step}: {entry:?}");
+            }
         }
     }
 

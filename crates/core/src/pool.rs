@@ -73,12 +73,12 @@
 //!
 //! [`Parallelism::Threads`]: crate::plan::Parallelism::Threads
 
+use crate::exec::solve_flow;
 use crate::kernel::admission::{
-    allocate_consumers_into, AdmissionPolicy, PopulationMode,
+    allocate_consumers_into, AdmissionPolicy, OrderEntry, PopulationMode,
 };
 use crate::kernel::price::PriceVector;
-use crate::kernel::rate::{solve_rate, AggregateUtility};
-use crate::kernel::reliability::solve_flow_rho;
+use crate::kernel::rate::AggregateUtility;
 use crate::plan::Parallelism;
 use lrgp_model::{ClassId, FlowId, NodeId, PriceTermTable, Problem};
 use std::any::Any;
@@ -118,8 +118,9 @@ pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// One node's reusable admission scratch: the previously *sorted* BC order
-/// (kept as the next recompute's starting permutation) and the population
-/// decisions of the last recompute.
+/// (kept as the next recompute's starting permutation, each entry with the
+/// rate its ratio was computed at) and the population decisions of the last
+/// recompute.
 ///
 /// Wrapped in a `Mutex` inside [`crate::exec::StepState`] so disjoint
 /// shards of pooled workers can re-admit their nodes concurrently; each
@@ -130,10 +131,14 @@ pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 pub(crate) struct AdmissionOrder {
     /// The node's classes with their BC ratios, in last-recompute sorted
     /// order (seeded from `classes_at_node` order).
-    pub(crate) order: Vec<(ClassId, f64)>,
+    pub(crate) order: Vec<OrderEntry>,
     /// The populations decided by the last recompute (admission order).
     pub(crate) populations: Vec<(ClassId, f64)>,
 }
+
+/// One element's result from a shard: `(flow, rate, rho, price_free)` from
+/// a flow job, `(node, used, bc, false)` from an admission job.
+pub(crate) type ShardOut = (u32, f64, f64, bool);
 
 /// Shard `shard` of `dirty` split into `chunk`-sized pieces (empty past
 /// the end, and for `chunk == 0`).
@@ -171,13 +176,13 @@ pub(crate) struct FlowJob {
 }
 
 impl FlowJob {
-    /// Solves shard `shard`'s dirty flows into `out` as `(flow, rate, rho)`
-    /// triples, in dirty-list order. The ρ solve reads the rate just solved
-    /// (see [`crate::kernel::reliability`]).
+    /// Solves shard `shard`'s dirty flows into `out` as `(flow, rate, rho,
+    /// price_free)`, in dirty-list order, through the sequential pass's
+    /// [`solve_flow`].
     pub(crate) fn run_shard(
         &self,
         shard: usize,
-        out: &mut Vec<(u32, f64, f64)>,
+        out: &mut Vec<ShardOut>,
         agg: &mut AggregateUtility,
     ) {
         out.clear();
@@ -186,26 +191,18 @@ impl FlowJob {
             if self.panic_on_flow == Some(f) {
                 std::panic::panic_any(format!("injected rate-kernel panic on flow {f}"));
             }
-            let flow = FlowId::new(f);
-            agg.refill_for_flow(&self.problem, flow, &self.populations);
-            let price =
-                self.prices.aggregate_price_from_table(&self.terms, flow, &self.populations);
-            let rate =
-                solve_rate(agg, price, self.problem.flow(flow).bounds, self.rates[f as usize]);
-            let rho = match self.redundancy {
-                Some(redundancy) => solve_flow_rho(
-                    &self.terms,
-                    flow,
-                    self.prices.link_prices(),
-                    &self.populations,
-                    rate,
-                    self.problem.rho_bounds(flow).unwrap_or_default(),
-                    redundancy,
-                    self.rhos[f as usize],
-                ),
-                None => self.rhos[f as usize],
-            };
-            out.push((f, rate, rho));
+            let (rate, rho, price_free) = solve_flow(
+                &self.problem,
+                &self.terms,
+                &self.prices,
+                &self.populations,
+                self.redundancy,
+                agg,
+                FlowId::new(f),
+                self.rates[f as usize],
+                self.rhos[f as usize],
+            );
+            out.push((f, rate, rho, price_free));
         }
     }
 }
@@ -229,9 +226,9 @@ pub(crate) struct AdmissionJob {
 
 impl AdmissionJob {
     /// Re-admits shard `shard`'s dirty nodes, updating their
-    /// [`AdmissionOrder`]s in place and pushing `(node, used, bc)` into
-    /// `out` in dirty-list order.
-    pub(crate) fn run_shard(&self, shard: usize, out: &mut Vec<(u32, f64, f64)>) {
+    /// [`AdmissionOrder`]s in place and pushing `(node, used, bc, false)`
+    /// into `out` in dirty-list order.
+    pub(crate) fn run_shard(&self, shard: usize, out: &mut Vec<ShardOut>) {
         out.clear();
         for &b in shard_of(&self.dirty, self.chunk, shard) {
             let mut slot = lock_unpoisoned(&self.orders[b as usize]);
@@ -245,7 +242,7 @@ impl AdmissionJob {
                 &mut slot.order,
                 &mut slot.populations,
             );
-            out.push((b, used, bc));
+            out.push((b, used, bc, false));
         }
     }
 }
@@ -264,9 +261,8 @@ pub(crate) enum Job {
 /// it while the caller waits on `done`, and the caller drains it after
 /// `remaining == 0`.
 struct WorkerSlot {
-    /// The last shard's results in shard order: `(flow, rate, rho)` from a
-    /// flow job, `(node, used, bc)` from an admission job.
-    out: Vec<(u32, f64, f64)>,
+    /// The last shard's results in shard order.
+    out: Vec<ShardOut>,
     /// Per-worker rate scratch, reused across steps.
     agg: AggregateUtility,
     /// A caught panic payload from the last shard, if any.
@@ -480,18 +476,13 @@ impl WorkerPool {
     /// every buffer it reads is left empty.
     pub(crate) fn drain(
         &self,
-        inline: &mut Vec<(u32, f64, f64)>,
+        inline: &mut Vec<ShardOut>,
         shards: usize,
-        mut apply: impl FnMut(u32, f64, f64),
+        mut apply: impl FnMut(ShardOut),
     ) {
-        for (id, a, b) in inline.drain(..) {
-            apply(id, a, b);
-        }
+        inline.drain(..).for_each(&mut apply);
         for slot in self.shared.slots.iter().take(shards.saturating_sub(1)) {
-            let mut slot = lock_unpoisoned(slot);
-            for (id, a, b) in slot.out.drain(..) {
-                apply(id, a, b);
-            }
+            lock_unpoisoned(slot).out.drain(..).for_each(&mut apply);
         }
     }
 

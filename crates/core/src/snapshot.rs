@@ -11,7 +11,7 @@
 use crate::engine::{LrgpConfig, Engine};
 use crate::gamma::GammaController;
 use crate::kernel::price::PriceVector;
-use lrgp_model::Problem;
+use lrgp_model::{Problem, ValidationError};
 use serde::{Deserialize, Serialize};
 
 /// A serializable checkpoint of an engine's optimizer state.
@@ -62,31 +62,33 @@ impl Engine {
     /// moves. A snapshot without ρ restores each flow's initial ρ, as
     /// [`Engine::new`] sets it.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on any dimension mismatch.
-    pub fn restore(problem: Problem, snapshot: EngineSnapshot) -> Engine {
-        assert_eq!(snapshot.rates.len(), problem.num_flows(), "flow count mismatch");
-        assert!(
-            snapshot.rhos.is_empty() || snapshot.rhos.len() == problem.num_flows(),
-            "reliability count mismatch"
-        );
-        assert_eq!(snapshot.populations.len(), problem.num_classes(), "class count mismatch");
-        assert_eq!(
-            snapshot.prices.node_prices().len(),
-            problem.num_nodes(),
-            "node count mismatch"
-        );
-        assert_eq!(
-            snapshot.prices.link_prices().len(),
-            problem.num_links(),
-            "link count mismatch"
-        );
-        assert_eq!(
-            snapshot.gamma_controllers.len(),
-            problem.num_nodes(),
-            "controller count mismatch"
-        );
+    /// [`ValidationError::SnapshotShape`] when one of the snapshot's vectors
+    /// does not match the problem's dimensions, naming the vector, its
+    /// length and the length the problem needs.
+    #[must_use = "this Result reports a failure the caller must handle"]
+    pub fn restore(problem: Problem, snapshot: EngineSnapshot) -> Result<Engine, ValidationError> {
+        let (flows, nodes) = (problem.num_flows(), problem.num_nodes());
+        // An empty ρ vector restores the initial ρ.
+        let rhos = if snapshot.rhos.is_empty() { flows } else { snapshot.rhos.len() };
+        let shapes = [
+            ("rates", snapshot.rates.len(), flows),
+            ("rhos", rhos, flows),
+            ("populations", snapshot.populations.len(), problem.num_classes()),
+            ("node prices", snapshot.prices.node_prices().len(), nodes),
+            ("link prices", snapshot.prices.link_prices().len(), problem.num_links()),
+            ("gamma controllers", snapshot.gamma_controllers.len(), nodes),
+        ];
+        for (what, len, needed) in shapes {
+            if len != needed {
+                return Err(ValidationError::SnapshotShape {
+                    what: what.to_owned(),
+                    snapshot: len,
+                    problem: needed,
+                });
+            }
+        }
         let mut engine = Engine::new(problem, snapshot.config);
         let rhos =
             if snapshot.rhos.is_empty() { engine.rhos().to_vec() } else { snapshot.rhos };
@@ -98,7 +100,7 @@ impl Engine {
             snapshot.gamma_controllers,
             snapshot.iteration,
         );
-        engine
+        Ok(engine)
     }
 }
 
@@ -116,7 +118,7 @@ mod tests {
         let snap = original.snapshot();
         assert_eq!(snap.iteration, 37);
 
-        let mut restored = Engine::restore(base_workload(), snap);
+        let mut restored = Engine::restore(base_workload(), snap).expect("same problem");
         assert_eq!(restored.iteration(), 37);
         assert_eq!(restored.allocation(), original.allocation());
 
@@ -150,9 +152,8 @@ mod tests {
         assert!(legacy.contains(r#""tolerance":0.0"#), "a detector must carry the key");
         let legacy: EngineSnapshot = serde_json::from_str(&legacy).expect("legacy snapshot loads");
         assert_eq!(legacy, snap);
-        let mut a = Engine::restore(base_workload(), snap);
-        let mut b = Engine::restore(base_workload(), back);
-        let mut c = Engine::restore(base_workload(), legacy);
+        let restore = |snap| Engine::restore(base_workload(), snap).expect("same problem");
+        let (mut a, mut b, mut c) = (restore(snap), restore(back), restore(legacy));
         for k in 0..40 {
             let (x, y, z) = (a.step(), b.step(), c.step());
             assert_eq!(x.to_bits(), y.to_bits(), "round trip diverged at step {k}");
@@ -178,7 +179,7 @@ mod tests {
 
         let json = serde_json::to_string(&snap).expect("snapshot serializes");
         let back: EngineSnapshot = serde_json::from_str(&json).expect("snapshot deserializes");
-        let mut restored = Engine::restore(problem.clone(), back);
+        let mut restored = Engine::restore(problem.clone(), back).expect("same problem");
         assert_eq!(bits(&restored), bits(&original));
         assert_eq!(
             restored.reliability_utility().to_bits(),
@@ -197,7 +198,8 @@ mod tests {
         let old = format!("{}{}", &json[..start], &json[end..]);
         let old: EngineSnapshot = serde_json::from_str(&old).expect("old snapshot loads");
         assert!(old.rhos.is_empty());
-        assert_eq!(bits(&Engine::restore(problem, old)), bits(&initial));
+        let old = Engine::restore(problem, old).expect("an empty ρ vector restores");
+        assert_eq!(bits(&old), bits(&initial));
     }
 
     #[test]
@@ -212,8 +214,8 @@ mod tests {
         assert_ne!(old, json, "the config object must take the key");
         let with_key: EngineSnapshot = serde_json::from_str(&old).expect("old snapshot loads");
         let without: EngineSnapshot = serde_json::from_str(&json).expect("snapshot loads");
-        let mut a = Engine::restore(base_workload(), with_key);
-        let mut b = Engine::restore(base_workload(), without);
+        let restore = |snap| Engine::restore(base_workload(), snap).expect("same problem");
+        let (mut a, mut b) = (restore(with_key), restore(without));
         for k in 0..40 {
             assert_eq!(a.step().to_bits(), b.step().to_bits(), "diverged at step {k}");
         }
@@ -243,12 +245,47 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "flow count mismatch")]
     fn restore_rejects_wrong_problem() {
-        let mut engine = Engine::new(base_workload(), LrgpConfig::default());
+        // A snapshot is read from outside JSON, so each of its vectors can
+        // have any length. Each of the six checks must refuse a mismatch
+        // with an error naming the vector and both lengths, never a panic.
+        let problem = mixed_loss_workload(2, 100.0, 7);
+        let mut engine = Engine::new(problem.clone(), LrgpConfig::default());
         engine.run(5);
         let snap = engine.snapshot();
+        let (flows, classes) = (problem.num_flows(), problem.num_classes());
+        let (nodes, links) = (problem.num_nodes(), problem.num_links());
+        let prices = |nodes: usize, links: usize| -> PriceVector {
+            let (node, link) = (vec![0.0; nodes], vec![0.0; links]);
+            let json = format!(r#"{{"node_prices":{node:?},"link_prices":{link:?}}}"#);
+            serde_json::from_str(&json).expect("price vectors load")
+        };
+        let edited = |edit: &dyn Fn(&mut EngineSnapshot)| {
+            let mut bad = snap.clone();
+            edit(&mut bad);
+            bad
+        };
+        let cases = [
+            ("rates", edited(&|s| s.rates.push(1.0)), flows + 1, flows),
+            ("rhos", edited(&|s| s.rhos.truncate(flows - 1)), flows - 1, flows),
+            ("populations", edited(&|s| s.populations.extend([0.0; 3])), classes + 3, classes),
+            ("node prices", edited(&|s| s.prices = prices(nodes + 2, links)), nodes + 2, nodes),
+            ("link prices", edited(&|s| s.prices = prices(nodes, links + 1)), links + 1, links),
+            ("gamma controllers", edited(&|s| s.gamma_controllers.truncate(1)), 1, nodes),
+        ];
+        for (what, bad, snapshot, needed) in cases {
+            let error = Engine::restore(problem.clone(), bad).expect_err(what);
+            let expected =
+                ValidationError::SnapshotShape { what: what.to_owned(), snapshot, problem: needed };
+            assert_eq!(error, expected);
+            let message = error.to_string();
+            assert!(message.contains(what) && message.contains(&needed.to_string()), "{message}");
+        }
+        // A snapshot of another problem fails at its first vector.
         let bigger = lrgp_model::workloads::paper_workload(lrgp_model::UtilityShape::Log, 2, 1);
-        let _ = Engine::restore(bigger, snap);
+        match Engine::restore(bigger, snap) {
+            Err(ValidationError::SnapshotShape { what, .. }) => assert_eq!(what, "rates"),
+            other => panic!("a snapshot of another problem restored: {:?}", other.map(|_| ())),
+        }
     }
 }

@@ -203,7 +203,8 @@ pub struct ClassSpec {
     pub consumer_cost: f64,
 }
 
-/// Structural inconsistency detected while building a [`Problem`].
+/// Structural inconsistency detected while building a [`Problem`], or
+/// between a problem and the state an engine is asked to take on it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ValidationError {
     /// A referenced node id does not exist.
@@ -321,6 +322,16 @@ pub enum ValidationError {
     /// attached. Edits never attach a spec — that would change the
     /// problem's decision-variable shape mid-run.
     ReliabilityDisabled,
+    /// An engine snapshot does not fit the problem it is restored over: one
+    /// of its per-element vectors has the wrong length.
+    SnapshotShape {
+        /// Which vector is misshapen (`"rates"`, `"node prices"`, ...).
+        what: String,
+        /// The snapshot's length.
+        snapshot: usize,
+        /// The length the problem needs.
+        problem: usize,
+    },
 }
 
 impl fmt::Display for ValidationError {
@@ -370,6 +381,9 @@ impl fmt::Display for ValidationError {
             }
             ValidationError::ReliabilityDisabled => {
                 write!(f, "problem has no reliability spec attached")
+            }
+            ValidationError::SnapshotShape { what, snapshot, problem } => {
+                write!(f, "snapshot carries {snapshot} {what}, the problem needs {problem}")
             }
         }
     }

@@ -266,7 +266,7 @@ fn check(base: &Engine, delta: &ProblemDelta) -> Result<Outcome, TestCaseError> 
     let reloaded = reloaded(&expected).map_err(TestCaseError::fail)?;
     prop_assert_eq!(format!("{reloaded:?}"), format!("{expected:?}"));
     let snapshot = if delta.grows_problem() { engine.snapshot() } else { base.snapshot() };
-    let mut reference = Engine::restore(expected, snapshot);
+    let mut reference = Engine::restore(expected, snapshot).expect("the snapshot fits");
     lockstep(&mut engine, &mut reference)?;
     Ok(Outcome::Applied)
 }

@@ -148,7 +148,7 @@ fn assert_incremental_identical(
             if k == at {
                 let delta = ProblemDelta::new().remove_flow(FlowId::new(flow));
                 let edited = delta.apply(baseline.problem()).expect("flow exists");
-                baseline = Engine::restore(edited, baseline.snapshot());
+                baseline = Engine::restore(edited, baseline.snapshot()).expect("the snapshot fits");
                 restored_at = k - 1;
                 inc_seq.apply_delta(&delta).expect("flow exists");
                 inc_par.apply_delta(&delta).expect("flow exists");
@@ -481,7 +481,8 @@ proptest! {
                         departed.push(chosen);
                     }
                     let edited = delta.apply(baseline.problem()).expect("delta is valid");
-                    baseline = Engine::restore(edited, baseline.snapshot());
+                    baseline =
+                        Engine::restore(edited, baseline.snapshot()).expect("the snapshot fits");
                     inc_seq.apply_delta(&delta).expect("delta is valid");
                     for engine in &mut pooled {
                         engine.apply_delta(&delta).expect("delta is valid");
@@ -627,7 +628,8 @@ proptest! {
                 if let Some(&(kind, sel, magnitude)) = schedule.get((k - 7) / 6) {
                     let delta = resolve_lossy_delta(baseline.problem(), kind, sel, magnitude);
                     let edited = delta.apply(baseline.problem()).expect("delta is valid");
-                    baseline = Engine::restore(edited, baseline.snapshot());
+                    baseline =
+                        Engine::restore(edited, baseline.snapshot()).expect("the snapshot fits");
                     inc_seq.apply_delta(&delta).expect("delta is valid");
                     inc_par.apply_delta(&delta).expect("delta is valid");
                 }
@@ -861,7 +863,7 @@ fn incremental_engine_matches_through_capacity_and_population_churn() {
         for (at, delta) in &changes {
             if k == *at {
                 let edited = delta.apply(baseline.problem()).expect("change is valid");
-                baseline = Engine::restore(edited, baseline.snapshot());
+                baseline = Engine::restore(edited, baseline.snapshot()).expect("the snapshot fits");
                 incremental.apply_delta(delta).expect("change is valid");
             }
         }
@@ -1044,7 +1046,8 @@ fn arrivals_match_a_rebuilt_engine_bitwise() {
                 let mut grown = engine.clone();
                 grown.force_pool_dispatch(true);
                 grown.apply_delta(delta).expect("every arrival is valid");
-                let mut rebuilt = Engine::restore(grown.problem().clone(), grown.snapshot());
+                let mut rebuilt = Engine::restore(grown.problem().clone(), grown.snapshot())
+                    .expect("the snapshot fits");
                 rebuilt.force_pool_dispatch(true);
                 for k in 1..=150 {
                     let (u_ref, u_arr) = (rebuilt.step(), grown.step());
@@ -1116,4 +1119,172 @@ fn a_scenario_carries_any_delta_op() {
         assert_same_state("scenario", 150, &manual, &scripted);
         assert!(scripted.allocation().rate(added) > 0.0, "the added flow never got a rate");
     }
+}
+
+/// Flows at `r_min` with no admitted class: the flows whose solve no price
+/// can change once their ρ, when solved, also sits at `ρ_min`.
+fn idle_at_min_rate(engine: &Engine) -> usize {
+    let (problem, allocation) = (engine.problem(), engine.allocation());
+    problem
+        .flow_ids()
+        .filter(|&flow| {
+            let classes = problem.classes_of_flow(flow);
+            let idle = classes.iter().all(|&class| allocation.population(class) <= 0.0);
+            idle && allocation.rate(flow).to_bits() == problem.flow(flow).bounds.min.to_bits()
+        })
+        .count()
+}
+
+/// Steps the all-dirty reference and the incremental candidates once each,
+/// asserting the utility, the full state and ρ bitwise.
+fn step_in_lockstep(label: &str, k: usize, reference: &mut Engine, candidates: &mut [Engine]) {
+    let u_ref = reference.step();
+    for (i, candidate) in candidates.iter_mut().enumerate() {
+        let u = candidate.step();
+        let label = format!("{label}: candidate {i}");
+        assert!(
+            u_ref.to_bits() == u.to_bits(),
+            "{label} utility diverged at step {k}: {u_ref:?} vs {u:?}"
+        );
+        assert_same_state(&label, k, reference, candidate);
+        assert_bits_eq(&format!("{label} rhos"), k, reference.rhos(), candidate.rhos());
+    }
+}
+
+/// The incremental engines of the price-free tests: `Sequential` and
+/// forced-dispatch `Threads(2)` over the all-dirty `reference` config.
+fn incremental_pair(problem: &Problem, reference: LrgpConfig) -> [Engine; 2] {
+    let config = LrgpConfig { incremental: IncrementalMode::On, ..reference };
+    let pooled = Engine::new(
+        problem.clone(),
+        LrgpConfig { parallelism: Parallelism::Threads(2), ..config },
+    );
+    pooled.force_pool_dispatch(true);
+    [Engine::new(problem.clone(), config), pooled]
+}
+
+#[test]
+fn price_free_flows_stay_bit_identical_through_churn() {
+    // `huge_cold`'s shape at debug size: many mixed-shape flows per
+    // consumer node. Most settle at `r_min` with no admitted class while
+    // the consumer-node prices keep moving, so the incremental engines skip
+    // them on every price move. Deltas then reach them and their
+    // neighbours: a departure, its re-join, a node resize, a class resize
+    // and an arrival. The all-dirty reference re-solves every flow on every
+    // step.
+    let generator = RandomWorkload {
+        flows: 120,
+        consumer_nodes: 4,
+        classes_per_flow: 10,
+        mixed_shapes: true,
+        ..RandomWorkload::default()
+    };
+    let problem = generator.generate(&mut StdRng::seed_from_u64(7));
+    let reference_config = LrgpConfig {
+        parallelism: Parallelism::Sequential,
+        incremental: IncrementalMode::Off,
+        ..LrgpConfig::default()
+    };
+    let mut reference = Engine::new(problem.clone(), reference_config);
+    let mut candidates = incremental_pair(&problem, reference_config);
+    let mut k = 0;
+    for _ in 0..150 {
+        k += 1;
+        step_in_lockstep("settling", k, &mut reference, &mut candidates);
+    }
+    let idle = idle_at_min_rate(&reference);
+    assert!(2 * idle > problem.num_flows(), "only {idle} flows settled price-free");
+    let before = reference.prices().node_prices().to_vec();
+    k += 1;
+    step_in_lockstep("settled", k, &mut reference, &mut candidates);
+    let after = reference.prices().node_prices();
+    assert!(
+        before.iter().zip(after).any(|(a, b)| a.to_bits() != b.to_bits()),
+        "no node price moves, so no step would re-solve a price-free flow anyway"
+    );
+    let allocation = reference.allocation();
+    let busy = problem
+        .flow_ids()
+        .find(|&f| problem.classes_of_flow(f).iter().any(|&c| allocation.population(c) > 0.0))
+        .expect("some flow has admitted consumers");
+    let consumer = problem.class(problem.classes_of_flow(busy)[0]).node;
+    let class = problem.classes_of_flow(busy)[1];
+    let classes = problem.classes_of_flow(busy).iter().map(|&c| problem.class(c).clone());
+    let deltas = [
+        ("departure", ProblemDelta::new().remove_flow(busy)),
+        ("re-join", rejoin(&problem, busy)),
+        (
+            "node resize",
+            ProblemDelta::new()
+                .set_node_capacity(consumer, problem.node(consumer).capacity * 0.9),
+        ),
+        (
+            "class resize",
+            ProblemDelta::new().resize_class(class, problem.class(class).max_population / 2),
+        ),
+        ("arrival", ProblemDelta::new().add_flow(problem.flow(busy).clone(), classes.collect())),
+    ];
+    for (label, delta) in &deltas {
+        reference.apply_delta(delta).expect("delta is valid");
+        for candidate in &mut candidates {
+            candidate.apply_delta(delta).expect("delta is valid");
+        }
+        for _ in 0..60 {
+            k += 1;
+            step_in_lockstep(label, k, &mut reference, &mut candidates);
+        }
+    }
+}
+
+#[test]
+fn an_idle_flow_whose_rho_is_above_its_floor_still_answers_its_link_price() {
+    // Under `Joint` a flow at `r_min` with no admitted class is price-free
+    // only once its ρ also sits at `ρ_min`: its ρ best response still reads
+    // the link price. Here flow 0 reaches `r_min` with ρ at its 0.999
+    // ceiling while its link price is 0, then the link tightens. An engine
+    // that took the flow for price-free would keep ρ[0] at 0.999 while the
+    // reference drops it to 0.5.
+    let problem = mixed_loss_workload(3, 100.0, 7);
+    let flow = FlowId::new(0);
+    let class = problem.classes_of_flow(flow)[0];
+    let sink = problem.class(class).node;
+    let link = LinkId::new(0);
+    let rho_min = problem.rho_bounds(flow).expect("the workload carries a spec").min;
+    let reference_config = LrgpConfig {
+        parallelism: Parallelism::Sequential,
+        incremental: IncrementalMode::Off,
+        reliability: Reliability::Joint,
+        ..LrgpConfig::default()
+    };
+    let mut reference = Engine::new(problem.clone(), reference_config);
+    let mut candidates = incremental_pair(&problem, reference_config);
+    let phases = [
+        ("settle", ProblemDelta::new(), 300),
+        (
+            "free link, tight sink",
+            ProblemDelta::new().set_link_capacity(link, 1e6).set_node_capacity(sink, 0.05),
+            300,
+        ),
+        ("no consumers", ProblemDelta::new().resize_class(class, 0), 300),
+        ("tight link", ProblemDelta::new().set_link_capacity(link, 100.0), 20),
+    ];
+    let mut k = 0;
+    for (label, delta, steps) in &phases {
+        if *label == "tight link" {
+            let rate = reference.allocation().rate(flow);
+            assert_eq!(rate.to_bits(), problem.flow(flow).bounds.min.to_bits(), "rate {rate}");
+            assert_eq!(reference.allocation().population(class), 0.0);
+            assert!(reference.rhos()[0] > rho_min, "ρ[0] is already at its floor");
+            assert_eq!(reference.prices().link(link), 0.0, "the link price must have fallen to 0");
+        }
+        reference.apply_delta(delta).expect("delta is valid");
+        for candidate in &mut candidates {
+            candidate.apply_delta(delta).expect("delta is valid");
+        }
+        for _ in 0..*steps {
+            k += 1;
+            step_in_lockstep(label, k, &mut reference, &mut candidates);
+        }
+    }
+    assert_eq!(reference.rhos()[0], rho_min, "the tight link must push ρ[0] to its floor");
 }

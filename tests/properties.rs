@@ -116,7 +116,7 @@ proptest! {
     #[test]
     fn search_state_caches_exact((cfg, seed) in workload_strategy()) {
         let problem = cfg.generate(&mut StdRng::seed_from_u64(seed));
-        let mut state = SearchState::lower_bounds(&problem);
+        let mut state = SearchState::new(&problem, &Allocation::lower_bounds(&problem));
         let mut rng = StdRng::seed_from_u64(seed ^ 0xDEAD_BEEF);
         for _ in 0..300 {
             let mv = if rng.gen_bool(0.5) && problem.num_flows() > 0 {
