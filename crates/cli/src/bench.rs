@@ -16,7 +16,10 @@
 //!   `--min-speedup` floor reads it.
 //! * `thread_ratio` — the sequential engine against the pooled one. The
 //!   `--min-thread-ratio` floor asserts the persistent worker pool is no
-//!   slower than the sequential path at the scale where it must pay.
+//!   slower than the sequential path at the scale where it must pay. The
+//!   row also records whether the host runs two threads at once: a VM can
+//!   list two CPUs and still run one thread at a time, and there the pool
+//!   cannot win whatever its code does.
 //!
 //! **What "baseline" means.** Since the engines were unified behind one
 //! dirty-set executor, `IncrementalMode::Off` runs as the all-dirty
@@ -154,6 +157,11 @@ pub struct ThreadRatioBench {
     pub pooled_ns: u64,
     /// `sequential / pooled` (≥ 1.0 means the pool is no slower).
     pub thread_ratio: f64,
+    /// Wall time of fixed integer work on two threads started together
+    /// over the same work on one, timed before the paired steps: about 1.0
+    /// on a host that runs two threads at once, about 2.0 on one that runs
+    /// them one at a time.
+    pub host_two_thread_ratio: f64,
 }
 
 /// Reliability-axis comparison on one lossy workload.
@@ -355,6 +363,7 @@ fn bench_workload(name: &str, problem: &Problem, params: &BenchParams) -> Worklo
 /// threads capped at four workers — the same cap the committed
 /// `threads_sweep` tops out at.
 fn thread_ratio_bench(name: &str, problem: &Problem, params: &BenchParams) -> ThreadRatioBench {
+    let host_two_thread_ratio = host_two_thread_ratio();
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4);
     let sequential_config = config(IncrementalMode::On, Parallelism::Sequential);
     let pooled_config = if workers > 1 {
@@ -383,7 +392,38 @@ fn thread_ratio_bench(name: &str, problem: &Problem, params: &BenchParams) -> Th
         sequential_ns,
         pooled_ns,
         thread_ratio: sequential_ns as f64 / pooled_ns.max(1) as f64,
+        host_two_thread_ratio,
     }
+}
+
+/// Fixed integer work for the host check: a chain of dependent
+/// multiply-adds (tens of milliseconds) that the optimizer cannot fold.
+fn spin() -> u64 {
+    let mut x = 1u64;
+    for i in 0..20_000_000u64 {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i);
+    }
+    std::hint::black_box(x)
+}
+
+/// The best of three wall times of [`spin`] on two threads started
+/// together, over the best of three on one thread. Each side starts its
+/// threads the same way, so spawning costs both the same.
+fn host_two_thread_ratio() -> f64 {
+    let best = |threads: usize| {
+        let times = (0..3).map(|_| {
+            let start = Instant::now();
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(spin);
+                }
+            });
+            start.elapsed().as_nanos() as u64
+        });
+        times.min().unwrap_or(1).max(1) as f64
+    };
+    let one = best(1);
+    best(2) / one
 }
 
 /// Paired comparison of `IncrementalMode::Off` against `On` on one
@@ -594,6 +634,10 @@ pub fn print_report(report: &BenchReport) {
             "  near converged  : sequential {:>10} ns, pooled({}) {:>10} ns (ratio {:.2}x)",
             r.sequential_ns, r.workers, r.pooled_ns, r.thread_ratio
         );
+        println!(
+            "  host check      : two threads of fixed work took {:.2}x the time of one",
+            r.host_two_thread_ratio
+        );
     }
     for r in &report.reliability {
         println!(
@@ -607,6 +651,13 @@ pub fn print_report(report: &BenchReport) {
     }
 }
 
+/// The host check's limit: two threads that take this many times as long
+/// as one mean the host runs one thread at a time. On a 2-vCPU Xeon VM the
+/// check read 1.01x while the host delivered two CPUs and 1.93–2.04x while
+/// it delivered one; CPU-bound Python loops read 0.97–1.13x and 1.6–2.2x
+/// there.
+pub const SLOW_HOST_RATIO: f64 = 1.5;
+
 /// The outcome of every floor a `lrgp bench` run was asked to enforce, one
 /// line per floor: `Ok` when the floor is met, `Err` when it fails. Every
 /// requested floor is checked, so one failure never hides another.
@@ -615,7 +666,10 @@ pub fn print_report(report: &BenchReport) {
 ///   incremental after a targeted delta); the worst row must reach it.
 /// * `min_thread_ratio` reads the `thread_ratio` rows. A row whose pooled
 ///   engine had fewer than two workers fails whatever its ratio: it timed
-///   the sequential path against itself, so it proves nothing.
+///   the sequential path against itself, so it proves nothing. So does a
+///   row whose host took [`SLOW_HOST_RATIO`] times as long or longer for
+///   two threads of fixed work as for one: that host runs one thread at a
+///   time, and the row cannot say whether the pool pays.
 ///
 /// A floor with no row to read fails too.
 pub fn check_floors(
@@ -642,7 +696,10 @@ pub fn check_floors(
     }
     if let Some(min) = min_thread_ratio {
         let rows = report.thread_ratio.iter();
-        let worst = rows.clone().find(|r| r.workers < 2).or_else(|| {
+        let unfit = |r: &&ThreadRatioBench| {
+            r.workers < 2 || r.host_two_thread_ratio >= SLOW_HOST_RATIO
+        };
+        let worst = rows.clone().find(unfit).or_else(|| {
             rows.min_by(|a, b| a.thread_ratio.total_cmp(&b.thread_ratio))
         });
         checks.push(match worst {
@@ -651,6 +708,12 @@ pub fn check_floors(
                 "{} pooled engine ran with {} worker(s): the --min-thread-ratio floor needs \
                  at least 2 to compare the pool with the sequential path",
                 r.name, r.workers
+            )),
+            Some(r) if r.host_two_thread_ratio >= SLOW_HOST_RATIO => Err(format!(
+                "{} host ran two threads of fixed work in {:.2}x the time of one (limit \
+                 {SLOW_HOST_RATIO}x): it runs one thread at a time, so the --min-thread-ratio \
+                 floor cannot compare the pool with the sequential path here",
+                r.name, r.host_two_thread_ratio
             )),
             Some(r) if r.thread_ratio < min => Err(format!(
                 "{} pooled-threads ratio {:.2}x ({} workers) is below the \
@@ -670,7 +733,8 @@ pub fn check_floors(
 mod tests {
     use super::*;
 
-    /// A report carrying only the two gated rows.
+    /// A report carrying only the two gated rows, on a host that runs two
+    /// threads at once.
     fn report(incremental: f64, thread_ratio: f64, workers: usize) -> BenchReport {
         BenchReport {
             quick: true,
@@ -695,6 +759,7 @@ mod tests {
                 sequential_ns: 100,
                 pooled_ns: 80,
                 thread_ratio,
+                host_two_thread_ratio: 1.05,
             }],
             reliability: Vec::new(),
         }
@@ -715,6 +780,44 @@ mod tests {
         let checks = check_floors(&report(14.0, 1.03, 1), None, Some(1.0));
         let [Err(failure)] = checks.as_slice() else { panic!("{checks:?}") };
         assert!(failure.contains("1 worker(s)"), "{failure}");
+    }
+
+    /// `report` on a host whose two threads took `host` times the time of
+    /// one.
+    fn on_host(host: f64, thread_ratio: f64) -> BenchReport {
+        let mut report = report(14.0, thread_ratio, 2);
+        report.thread_ratio[0].host_two_thread_ratio = host;
+        report
+    }
+
+    #[test]
+    fn a_host_running_one_thread_at_a_time_fails_the_floor() {
+        // Its own message, whatever the ratio: at or above the floor too.
+        for thread_ratio in [0.93, 1.0, 1.4] {
+            for host in [SLOW_HOST_RATIO, 2.1] {
+                let checks = check_floors(&on_host(host, thread_ratio), None, Some(1.0));
+                let [Err(failure)] = checks.as_slice() else { panic!("{checks:?}") };
+                assert!(failure.contains("one thread at a time"), "{failure}");
+            }
+        }
+        // A one-worker row keeps its own message on such a host.
+        let mut one_worker = on_host(2.0, 1.0);
+        one_worker.thread_ratio[0].workers = 1;
+        let checks = check_floors(&one_worker, None, Some(1.0));
+        let [Err(failure)] = checks.as_slice() else { panic!("{checks:?}") };
+        assert!(failure.contains("1 worker(s)"), "{failure}");
+    }
+
+    #[test]
+    fn a_host_running_two_threads_leaves_the_floor_to_the_ratio() {
+        let checks = check_floors(&on_host(1.13, 1.3), None, Some(1.0));
+        assert!(matches!(checks.as_slice(), [Ok(_)]), "{checks:?}");
+        let checks = check_floors(&on_host(1.13, 0.9), None, Some(1.0));
+        let [Err(failure)] = checks.as_slice() else { panic!("{checks:?}") };
+        assert!(failure.contains("below the --min-thread-ratio floor"), "{failure}");
+        // The host check gates only the thread floor.
+        let checks = check_floors(&on_host(2.0, 1.3), Some(3.5), None);
+        assert!(matches!(checks.as_slice(), [Ok(_)]), "{checks:?}");
     }
 
     #[test]

@@ -44,30 +44,6 @@ pub enum ThreadsArg {
     Count(usize),
 }
 
-/// Incremental-evaluation selection for `solve`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IncrementalArg {
-    /// Force the full-recompute reference step.
-    Off,
-    /// Force the dirty-set incremental step.
-    On,
-    /// Let the engine decide (the default).
-    Auto,
-}
-
-impl IncrementalArg {
-    fn parse(raw: &str) -> Result<IncrementalArg, ParseError> {
-        match raw {
-            "off" => Ok(IncrementalArg::Off),
-            "on" => Ok(IncrementalArg::On),
-            "auto" => Ok(IncrementalArg::Auto),
-            other => {
-                Err(ParseError(format!("--incremental: expected on|off|auto, got {other:?}")))
-            }
-        }
-    }
-}
-
 /// Reliability-axis selection for `solve`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReliabilityArg {
@@ -113,8 +89,6 @@ pub struct SolveCmd {
     pub gamma: GammaArg,
     /// Worker threads for the sharded engine.
     pub threads: ThreadsArg,
-    /// Incremental dirty-set evaluation.
-    pub incremental: IncrementalArg,
     /// Reliability axis: rate-only or joint rate–reliability.
     pub reliability: ReliabilityArg,
     /// Optional CSV path for the utility trace.
@@ -225,7 +199,7 @@ lrgp — utility optimization for event-driven distributed infrastructures
 
 USAGE:
   lrgp workload [--shape log|pow25|pow50|pow75] [--systems N] [--cnodes N] -o FILE
-  lrgp solve    <base|FILE> [--iters N] [--gamma adaptive|FLOAT] [--threads N] [--incremental on|off|auto] [--reliability off|joint] [--trace CSV] [--save JSON]
+  lrgp solve    <base|FILE> [--iters N] [--gamma adaptive|FLOAT] [--threads N] [--reliability off|joint] [--trace CSV] [--save JSON]
   lrgp bench    [--json] [--quick] [--out FILE] [--min-speedup X] [--min-thread-ratio X]
   lrgp anneal   <base|FILE> [--steps N] [--temp T] [--seed N]
   lrgp compare  <base|FILE> [--steps N] [--seed N]
@@ -290,7 +264,6 @@ where
                 iterations: 250,
                 gamma: GammaArg::Adaptive,
                 threads: ThreadsArg::Sequential,
-                incremental: IncrementalArg::Auto,
                 reliability: ReliabilityArg::Off,
                 trace: None,
                 save: None,
@@ -312,9 +285,6 @@ where
                             1 => ThreadsArg::Sequential,
                             n => ThreadsArg::Count(n),
                         };
-                    }
-                    "--incremental" => {
-                        cmd.incremental = IncrementalArg::parse(take_value(flag, &mut it)?)?;
                     }
                     "--reliability" => {
                         cmd.reliability = ReliabilityArg::parse(take_value(flag, &mut it)?)?;
@@ -476,7 +446,6 @@ mod tests {
                 iterations: 250,
                 gamma: GammaArg::Adaptive,
                 threads: ThreadsArg::Sequential,
-                incremental: IncrementalArg::Auto,
                 reliability: ReliabilityArg::Off,
                 trace: None,
                 save: None,
@@ -537,22 +506,15 @@ mod tests {
     }
 
     #[test]
-    fn solve_incremental_variants() {
-        let incremental = |args: &[&str]| match p(args).unwrap() {
-            Command::Solve(s) => s.incremental,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(incremental(&["solve", "base"]), IncrementalArg::Auto);
-        assert_eq!(incremental(&["solve", "base", "--incremental", "on"]), IncrementalArg::On);
-        assert_eq!(incremental(&["solve", "base", "--incremental", "off"]), IncrementalArg::Off);
-        assert_eq!(
-            incremental(&["solve", "base", "--incremental", "auto"]),
-            IncrementalArg::Auto
-        );
-        assert!(p(&["solve", "base", "--incremental", "maybe"])
-            .unwrap_err()
-            .0
-            .contains("on|off|auto"));
+    fn solve_incremental_flag_is_unknown() {
+        // Both steps give the same bits, so `solve` always runs the
+        // default; the selector is refused with any value, not ignored.
+        for value in ["on", "off", "auto", "maybe"] {
+            assert!(p(&["solve", "base", "--incremental", value])
+                .unwrap_err()
+                .0
+                .contains("unknown flag --incremental"));
+        }
     }
 
     #[test]

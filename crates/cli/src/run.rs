@@ -1,10 +1,10 @@
 //! Execution of parsed CLI commands.
 
 use crate::commands::{
-    AnnealCmd, BenchCmd, Command, CompareCmd, GammaArg, IncrementalArg, InfoCmd, ReliabilityArg,
-    SimulateCmd, SolveCmd, ThreadsArg, WorkloadCmd, WorkloadRef,
+    AnnealCmd, BenchCmd, Command, CompareCmd, GammaArg, InfoCmd, ReliabilityArg, SimulateCmd,
+    SolveCmd, ThreadsArg, WorkloadCmd, WorkloadRef,
 };
-use lrgp::{Engine, GammaMode, IncrementalMode, LrgpConfig, Parallelism, Reliability};
+use lrgp::{Engine, GammaMode, LrgpConfig, Parallelism, Reliability};
 use lrgp_anneal::{sweep, AnnealConfig};
 use lrgp_model::io::ProblemFile;
 use lrgp_model::workloads::{self, paper_workload};
@@ -75,11 +75,6 @@ fn solve(cmd: SolveCmd) -> CliResult {
         ThreadsArg::Sequential => Parallelism::Sequential,
         ThreadsArg::Count(n) => Parallelism::Threads(n),
     };
-    let incremental = match cmd.incremental {
-        IncrementalArg::Off => IncrementalMode::Off,
-        IncrementalArg::On => IncrementalMode::On,
-        IncrementalArg::Auto => IncrementalMode::Auto,
-    };
     let reliability = match cmd.reliability {
         ReliabilityArg::Off => Reliability::Off,
         ReliabilityArg::Joint => Reliability::Joint,
@@ -93,7 +88,6 @@ fn solve(cmd: SolveCmd) -> CliResult {
     let config = LrgpConfig {
         gamma,
         parallelism,
-        incremental,
         reliability,
         ..LrgpConfig::default()
     };

@@ -38,7 +38,6 @@ pub struct Enactor {
     policy: EnactmentPolicy,
     enacted: Option<Allocation>,
     iterations_since_enactment: usize,
-    enactment_count: usize,
 }
 
 impl Enactor {
@@ -60,7 +59,7 @@ impl Enactor {
             }
             EnactmentPolicy::EveryIteration => {}
         }
-        Self { policy, enacted: None, iterations_since_enactment: 0, enactment_count: 0 }
+        Self { policy, enacted: None, iterations_since_enactment: 0 }
     }
 
     /// Offers the allocation computed this iteration. Returns `true` if it
@@ -89,7 +88,6 @@ impl Enactor {
         if should {
             self.enacted = Some(allocation.clone());
             self.iterations_since_enactment = 0;
-            self.enactment_count += 1;
         }
         should
     }
@@ -97,11 +95,6 @@ impl Enactor {
     /// The currently enacted allocation, if any offer has been accepted.
     pub fn enacted(&self) -> Option<&Allocation> {
         self.enacted.as_ref()
-    }
-
-    /// Number of enactments so far.
-    pub fn enactment_count(&self) -> usize {
-        self.enactment_count
     }
 
     fn significantly_different(
@@ -147,7 +140,6 @@ mod tests {
             let mut e = Enactor::new(policy);
             assert!(e.enacted().is_none());
             assert!(e.offer(&a));
-            assert_eq!(e.enactment_count(), 1);
             assert_eq!(e.enacted(), Some(&a));
         }
     }
@@ -159,7 +151,6 @@ mod tests {
         for _ in 0..5 {
             assert!(e.offer(&a));
         }
-        assert_eq!(e.enactment_count(), 5);
     }
 
     #[test]
@@ -170,7 +161,6 @@ mod tests {
         assert!(!e.offer(&a));
         assert!(!e.offer(&a));
         assert!(e.offer(&a)); // 3 iterations after the last enactment
-        assert_eq!(e.enactment_count(), 2);
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //!    link prices via Eq. 13.
 //!
 //! The iteration itself is implemented once, in the dirty-set executor
-//! ([`crate::exec`]); the engine hands it every step together with its
-//! [`LrgpConfig`]. Sequential, threaded, incremental (the default) and
-//! full-recompute execution are configuration choices over the same loop,
-//! all bit-identical (see [`crate::plan`]).
+//! ([`crate::exec`]), which also owns the optimizer state it steps: rates,
+//! ρ, populations, prices and the γ controllers. The engine holds the
+//! problem, the configuration, the worker pool, the iteration count and the
+//! trace, and hands the executor every step and every delta. Sequential,
+//! threaded, incremental (the default) and full-recompute execution are
+//! configuration choices over the same loop, all bit-identical (see
+//! [`crate::plan`]).
 //!
 //! Every engine starts where the paper's runs do: each flow at `r_i^max`
 //! and every node and link price at 0. It records the total-utility trace
@@ -22,13 +25,14 @@
 //! ([`Engine::apply_delta`]) and enactment policies (§2.1).
 
 use crate::exec::StepState;
-use crate::gamma::{GammaController, GammaMode};
+use crate::gamma::GammaMode;
 use crate::kernel::admission::{AdmissionPolicy, PopulationMode};
 use crate::kernel::price::{NodePriceRule, PriceVector};
 use crate::plan::{IncrementalMode, Parallelism, Reliability};
 use crate::pool::PoolHandle;
+use crate::snapshot::EngineSnapshot;
 use crate::trace::Trace;
-use lrgp_model::{Allocation, ClassId, DeltaOp, FlowId, Problem, ProblemDelta, ValidationError};
+use lrgp_model::{Allocation, DeltaOp, Problem, ProblemDelta, ValidationError};
 use lrgp_num::series::ConvergenceCriterion;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -134,49 +138,24 @@ pub struct Engine {
     /// again when a delta grows the problem, and park between steps;
     /// cloning the engine respawns a same-sized pool.
     pool: PoolHandle,
-    rates: Vec<f64>,
-    /// Per-flow delivery reliabilities ρ. Pinned at each flow's `ρ_max`
-    /// (1.0 without a [`lrgp_model::ReliabilitySpec`]) until a
-    /// [`Reliability::Joint`] engine starts re-solving them; under
-    /// [`Reliability::Off`] the vector is carried but never read by the
-    /// step, keeping the rate-only trace bitwise unchanged.
-    rhos: Vec<f64>,
-    populations: Vec<f64>,
-    prices: PriceVector,
-    gamma_controllers: Vec<GammaController>,
     iteration: usize,
     trace: Trace,
-    /// Built at construction, so the first step pays only its (all-dirty)
-    /// kernel work, and patched in place by every delta. Nothing rebuilds
-    /// it: a changed problem either arrives as a delta or goes to a fresh
-    /// engine through [`Engine::restore`].
+    /// The optimizer state (rates, ρ, populations, prices and γ) with the
+    /// executor's tables, caches and dirty sets. Built at construction, so
+    /// the first step pays only its (all-dirty) kernel work, and patched in
+    /// place by every delta. Nothing rebuilds it: a changed problem either
+    /// arrives as a delta or goes to a fresh engine through
+    /// [`Engine::restore`].
     state: StepState,
 }
 
 impl Engine {
     /// Creates an engine over `problem` with the given configuration.
     pub fn new(problem: Problem, config: LrgpConfig) -> Self {
-        let rates = initial_rates(&problem);
-        let rhos = initial_rhos(&problem);
-        let prices = PriceVector::zeros(&problem);
-        let gamma_controllers =
-            (0..problem.num_nodes()).map(|_| GammaController::new(config.gamma)).collect();
-        let state = StepState::new(&problem);
+        let state = StepState::new(&problem, config.gamma);
         // Never more workers than a phase of this problem can use.
         let pool = PoolHandle::for_concurrency(config.parallelism.workers_for(max_units(&problem)));
-        Self {
-            populations: vec![0.0; problem.num_classes()],
-            pool,
-            problem: Arc::new(problem),
-            config,
-            rates,
-            rhos,
-            prices,
-            gamma_controllers,
-            iteration: 0,
-            trace: Trace::new(),
-            state,
-        }
+        Self { pool, problem: Arc::new(problem), config, iteration: 0, trace: Trace::new(), state }
     }
 
     /// Executes one full LRGP iteration and returns the total utility after
@@ -190,30 +169,16 @@ impl Engine {
     /// previous-iteration inputs, so the results (and the recorded trace)
     /// are bit-identical (see [`crate::plan`]).
     pub fn step(&mut self) -> f64 {
-        let Self {
-            problem,
-            config,
-            pool,
-            rates,
-            rhos,
-            populations,
-            prices,
-            gamma_controllers,
-            state,
-            ..
-        } = self;
-        if !config.incremental.enabled() {
-            state.mark_all_dirty();
+        if !self.config.incremental.enabled() {
+            self.state.mark_all_dirty();
         }
-        let utility =
-            state.step(problem, config, pool, rates, rhos, populations, prices, gamma_controllers);
+        let utility = self.state.step(&self.problem, &self.config, &self.pool);
         self.iteration += 1;
         self.trace.utility.push(utility);
         utility
     }
 
-    /// The step state (test hook).
-    #[cfg(test)]
+    /// The optimizer state and the executor that steps it.
     pub(crate) fn step_state(&self) -> &StepState {
         &self.state
     }
@@ -293,7 +258,8 @@ impl Engine {
 
     /// The current allocation (rates + populations).
     pub fn allocation(&self) -> Allocation {
-        Allocation::from_parts(&self.problem, self.rates.clone(), self.populations.clone())
+        let (rates, populations) = (self.state.rates(), self.state.populations());
+        Allocation::from_parts(&self.problem, rates.to_vec(), populations.to_vec())
     }
 
     /// Total utility of the current allocation.
@@ -318,7 +284,7 @@ impl Engine {
 
     /// Current prices.
     pub fn prices(&self) -> &PriceVector {
-        &self.prices
+        self.state.prices()
     }
 
     /// Per-flow delivery reliabilities ρ, indexed by flow id. All `ρ_max`
@@ -326,7 +292,7 @@ impl Engine {
     /// [`Reliability::Joint`] engine has stepped; see
     /// [`crate::kernel::reliability`].
     pub fn rhos(&self) -> &[f64] {
-        &self.rhos
+        self.state.rhos()
     }
 
     /// The reliability term `Σ_f mass_f · ln(ρ_f)` of the current state
@@ -335,7 +301,7 @@ impl Engine {
     /// component [`Engine::step`] adds to the rate utility under
     /// [`Reliability::Joint`].
     pub fn reliability_utility(&self) -> f64 {
-        crate::exec::reliability_utility(&self.problem, &self.rhos, &self.populations)
+        crate::exec::reliability_utility(&self.problem, self.state.rhos(), self.state.populations())
     }
 
     /// The recorded trace.
@@ -343,46 +309,19 @@ impl Engine {
         &self.trace
     }
 
-    /// The per-node γ controllers, indexed by node id (snapshot support).
-    pub(crate) fn gamma_controllers(&self) -> &[GammaController] {
-        &self.gamma_controllers
-    }
-
-    /// Overwrites the optimizer state of a freshly built engine (snapshot
-    /// support), whose first step recomputes everything anyway, then brings
-    /// every rate, ρ and population within the bounds of the engine's
-    /// problem through the clamps [`Engine::apply_delta`] uses. Over the
-    /// problem the state was taken from, the clamps move nothing. Lengths
-    /// are the caller's responsibility; [`crate::snapshot`] validates them
-    /// against the problem.
-    pub(crate) fn load_state(
-        &mut self,
-        rates: Vec<f64>,
-        rhos: Vec<f64>,
-        populations: Vec<f64>,
-        prices: PriceVector,
-        gamma_controllers: Vec<GammaController>,
-        iteration: usize,
-    ) {
-        self.rates = rates;
-        self.rhos = rhos;
-        self.populations = populations;
-        self.prices = prices;
-        self.gamma_controllers = gamma_controllers;
-        self.iteration = iteration;
-        let problem = Arc::clone(&self.problem);
-        for flow in problem.flow_ids() {
-            self.clamp_rate(flow);
-            self.clamp_rho(flow);
-        }
-        for class in problem.class_ids() {
-            self.clamp_population(class);
-        }
+    /// Overwrites the optimizer state of a freshly built engine with
+    /// `snapshot`'s (snapshot support), whose first step recomputes
+    /// everything anyway, bringing every rate, ρ and population within the
+    /// bounds of the engine's problem through the clamps
+    /// [`Engine::apply_delta`] uses (see `StepState::load_snapshot`).
+    pub(crate) fn load_state(&mut self, snapshot: EngineSnapshot) {
+        self.iteration = snapshot.iteration;
+        self.state.load_snapshot(&self.problem, snapshot);
     }
 
     /// Current γ of `node`'s price controller.
     pub fn node_gamma(&self, node: lrgp_model::NodeId) -> f64 {
-        self.gamma_controllers[node.index()].gamma()
+        self.state.gammas()[node.index()].gamma()
     }
 
     /// Applies a batched [`ProblemDelta`] to the engine's problem,
@@ -433,84 +372,42 @@ impl Engine {
             self.pool.resize(self.config.parallelism.workers_for(max_units(&problem)));
         }
         // Reconcile only the touched state and hand the executor the cost
-        // patches and precise dirty marks. Clamps run against the *final*
-        // problem so a batched delta matches a restore over it bitwise.
+        // patches; each call marks what it moved. Clamps run against the
+        // *final* problem so a batched delta matches a restore over it
+        // bitwise.
+        let state = &mut self.state;
         for op in delta.ops() {
-            match op {
-                DeltaOp::AddFlow { .. } => {
-                    // The ops' new flows take the next ids in op order.
-                    let flow = FlowId::new(self.rates.len() as u32);
-                    self.rates.push(problem.flow(flow).bounds.max);
-                    self.rhos.push(problem.rho_bounds(flow).map_or(1.0, |b| b.max));
-                    self.populations.resize(problem.num_classes(), 0.0);
-                    self.state.note_flow_added(&problem, op);
-                }
-                DeltaOp::SetNodeCapacity { node, .. } => self.state.note_capacity_change(*node),
+            match *op {
+                // The ops' new flows take the next ids in op order.
+                DeltaOp::AddFlow { .. } => state.note_flow_added(&problem, op),
+                DeltaOp::SetNodeCapacity { node, .. } => state.note_capacity_change(node),
                 DeltaOp::SetLinkCapacity { .. } => {
                     // The link price update always runs and reads the
                     // capacity directly; no cached quantity depends on it.
                 }
-                DeltaOp::SetMaxPopulation { class, .. } => self.clamp_population(*class),
-                DeltaOp::SetRateBounds { flow, .. } => self.clamp_rate(*flow),
+                DeltaOp::SetMaxPopulation { class, .. } => state.clamp_population(&problem, class),
+                DeltaOp::SetRateBounds { flow, .. } => state.clamp_rate(&problem, flow),
                 DeltaOp::RemoveFlow { flow } => {
                     // The bounds collapse to [0, 0] and the classes' maxima
                     // to 0 (unless a later op in the batch restores them).
-                    self.clamp_rate(*flow);
-                    for &class in problem.classes_of_flow(*flow) {
-                        self.clamp_population(class);
+                    state.clamp_rate(&problem, flow);
+                    for &class in problem.classes_of_flow(flow) {
+                        state.clamp_population(&problem, class);
                     }
-                    self.state.note_cost_edit(&problem, op);
+                    state.note_cost_edit(&problem, op);
                 }
                 DeltaOp::SetFlowNodeCost { .. } | DeltaOp::SetLinkLoss { .. } => {
-                    self.state.note_cost_edit(&problem, op);
+                    state.note_cost_edit(&problem, op);
                 }
-                DeltaOp::SetRhoBounds { flow, .. } => self.clamp_rho(*flow),
+                DeltaOp::SetRhoBounds { flow, .. } => state.clamp_rho(&problem, flow),
             }
         }
         if self.iteration == 0 {
-            // Nothing has run, so the first step is all-dirty anyway:
-            // re-derive the initial state from the changed problem, as a
-            // fresh construction would.
-            self.rates = initial_rates(&problem);
-            self.rhos = initial_rhos(&problem);
-            self.populations = vec![0.0; problem.num_classes()];
+            // Nothing has run: re-derive the initial state from the changed
+            // problem, as a fresh construction would.
+            state.restart(&problem);
         }
         Ok(())
-    }
-
-    /// Clamps `flow`'s stored rate into its current bounds and tells the
-    /// executor whether the clamp moved it.
-    fn clamp_rate(&mut self, flow: FlowId) {
-        let bounds = self.problem.flow(flow).bounds;
-        let slot = &mut self.rates[flow.index()];
-        let clamped = bounds.clamp(*slot);
-        let moved = clamped.to_bits() != slot.to_bits();
-        *slot = clamped;
-        self.state.note_bounds_change(&self.problem, flow, moved);
-    }
-
-    /// Caps `class`'s published population at its current maximum and
-    /// tells the executor whether the cap moved it.
-    fn clamp_population(&mut self, class: ClassId) {
-        let max = self.problem.class(class).max_population as f64;
-        let slot = &mut self.populations[class.index()];
-        let clamped = slot.min(max);
-        let moved = clamped.to_bits() != slot.to_bits();
-        *slot = clamped;
-        self.state.note_population_change(&self.problem, class, moved);
-    }
-
-    /// Clamps `flow`'s stored ρ into its current bounds (1.0 without a
-    /// spec) and tells the executor whether the clamp moved it.
-    fn clamp_rho(&mut self, flow: FlowId) {
-        let slot = &mut self.rhos[flow.index()];
-        let clamped = match self.problem.rho_bounds(flow) {
-            Some(bounds) => bounds.clamp(*slot),
-            None => 1.0,
-        };
-        let moved = clamped.to_bits() != slot.to_bits();
-        *slot = clamped;
-        self.state.note_rho_bounds_change(&self.problem, flow, moved);
     }
 }
 
@@ -521,24 +418,11 @@ fn max_units(problem: &Problem) -> usize {
     problem.num_flows().max(problem.num_nodes()).max(problem.num_links())
 }
 
-/// The initial rate vector: every flow starts at `r_i^max`, the paper's
-/// optimistic start, which reproduces the initial oscillation of Fig. 1.
-fn initial_rates(problem: &Problem) -> Vec<f64> {
-    problem.flow_ids().map(|f| problem.flow(f).bounds.max).collect()
-}
-
-/// The initial reliability vector: every flow starts at its `ρ_max`
-/// (mirroring the rates' `r_i^max`), or 1.0 — lossless delivery — without a
-/// [`lrgp_model::ReliabilitySpec`].
-fn initial_rhos(problem: &Problem) -> Vec<f64> {
-    problem.flow_ids().map(|f| problem.rho_bounds(f).map_or(1.0, |b| b.max)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lrgp_model::workloads::{self, base_workload};
-    use lrgp_model::{ClassId, NodeId, RateBounds};
+    use lrgp_model::{ClassId, FlowId, NodeId, RateBounds};
 
     #[test]
     fn engine_runs_and_produces_positive_utility() {

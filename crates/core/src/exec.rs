@@ -1,6 +1,7 @@
 //! The dirty-set step executor shared by every engine configuration.
 //!
-//! `StepState` runs one LRGP iteration over the engine's state. It is the
+//! `StepState` owns the optimizer state (rates, ρ, populations, prices and
+//! the γ controllers) and runs one LRGP iteration over it. It is the
 //! **only** solve loop in the crate: the default
 //! [`IncrementalMode::On`](crate::IncrementalMode::On) carries dirty sets
 //! from step to step, a full recompute is simply the all-dirty special case
@@ -15,7 +16,9 @@
 //! stop moving, so admissions stop moving. The incremental step exploits
 //! that with **exact, bitwise dirty tracking** — work is proportional to
 //! what changed, and the result is bit-identical (`f64::to_bits`) to the
-//! full recompute, enforced by `tests/differential.rs`.
+//! full recompute, enforced by `tests/differential.rs`. The state and the
+//! record of its moves live in one struct, so every write to the state is
+//! made next to its mark.
 //!
 //! # Why skipping is exact
 //!
@@ -42,7 +45,7 @@
 //!   other input still marks it: a population change in one of its classes,
 //!   any delta on the flow, and the all-dirty first step (and panic path),
 //!   which recomputes every flag. Each solve, sequential or pooled, rewrites
-//!   the flag (`solve_flow`). Phase 0 reads the flags through per-node and
+//!   the flag (`publish_flow`). Phase 0 reads the flags through per-node and
 //!   per-link rows of the flows that are not price-free, so a moved price
 //!   costs work in its busy flows only; the rows are rebuilt from the flags
 //!   before the first incremental phase 0 after any flag flips or a flow
@@ -65,23 +68,26 @@
 //! exactly as in the baseline — but they read the *cached* admission outcome
 //! (`BC`, `used`) and link usage, which is only recomputed when dirty.
 //!
-//! # External dirt
+//! # Deltas
 //!
-//! Problem deltas ([`crate::engine::Engine::apply_delta`]) inject dirt from
-//! *outside* the iteration loop through the `note_*` methods: a capacity
-//! change dirties that node's admission, a population bound change dirties
-//! the class's node and (if the published population moved) the class's
-//! flow, a rate-bound change dirties the flow and (if the clamp moved the
-//! stored rate) everything downstream of it. Cost edits patch the term
-//! table in place ([`PriceTermTable::refresh`]) and dirty exactly the
-//! readers of the patched coefficients: a flow removal or `F_{b,i}` edit
-//! dirties the flow, its nodes and its links; a loss edit dirties the link
-//! (joint usage reads the loss) and every flow on it (the ρ solve reads
-//! `cost · loss`); a ρ-bound edit dirties the flow and, if the clamp moved
-//! the stored ρ, its links and the utility. A flow addition appends the
-//! flow's rows to the table, grows the flags and the admission orders of
-//! its nodes, and dirties it as a moved rate. The next step unions this
-//! external dirt into its derived dirty sets, so a delta costs work
+//! Problem deltas ([`crate::engine::Engine::apply_delta`]) mark the next
+//! step's work lists (`dirty_flows`, `dirty_nodes`, `dirty_links`)
+//! directly. A step clears them when it finishes, so between steps they
+//! hold exactly the marks of the deltas applied since, and the next step
+//! adds what it derives to them. Each bound has one clamp-and-mark method:
+//! `clamp_rate`, `clamp_population` and `clamp_rho` clamp the stored value
+//! into the final problem's bounds and mark the flow (or, for a
+//! population, the class's node) dirty; a value the clamp moved also marks
+//! what reads it — a rate its nodes, links and the utility, a population
+//! its flow and the utility, a ρ its links and the utility. A capacity
+//! change dirties that node's admission. Cost edits patch the term table in
+//! place ([`PriceTermTable::refresh`]) and dirty exactly the readers of
+//! the patched coefficients: a flow removal or `F_{b,i}` edit dirties the
+//! flow, its nodes and its links; a loss edit dirties the link (joint
+//! usage reads the loss) and every flow on it (the ρ solve reads
+//! `cost · loss`). A flow addition appends the flow's rate, ρ and empty
+//! classes, its rows in the table, its flags and its classes' admission
+//! entries, and dirties it as a moved rate. A delta therefore costs work
 //! proportional to what it touched.
 //!
 //! # State layout and the pooled handoff
@@ -113,7 +119,7 @@
 //! [`IncrementalMode`]: crate::IncrementalMode
 
 use crate::engine::LrgpConfig;
-use crate::gamma::GammaController;
+use crate::gamma::{GammaController, GammaMode};
 use crate::kernel::admission::{allocate_consumers_into, OrderEntry};
 use crate::kernel::price::{update_link_price, update_node_price_with_rule, PriceVector};
 use crate::kernel::rate::{solve_rate, AggregateUtility};
@@ -122,17 +128,54 @@ use crate::pool::{
     lock_unpoisoned, shard_chunk, shard_count, AdmissionJob, AdmissionOrder, FlowJob, Job,
     PoolHandle, ShardOut, WorkerPool,
 };
+use crate::snapshot::EngineSnapshot;
 use lrgp_model::{ClassId, DeltaOp, FlowId, LinkId, NodeId, PriceTermTable, Problem};
 use std::any::Any;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Adds `id` to `list` unless its flag is already set.
-#[inline]
-fn mark(flags: &mut [bool], list: &mut Vec<u32>, id: u32) {
-    let slot = &mut flags[id as usize];
-    if !*slot {
-        *slot = true;
-        list.push(id);
+/// A set of ids in `0..len`: a flag per id for O(1) membership, and the
+/// marked ids in the order they were marked.
+#[derive(Debug, Clone)]
+struct Marks {
+    flags: Vec<bool>,
+    ids: Vec<u32>,
+}
+
+impl Marks {
+    /// An empty set over `len` ids, with room to mark every one.
+    fn new(len: usize) -> Self {
+        Self { flags: vec![false; len], ids: Vec::with_capacity(len) }
+    }
+
+    /// Adds `id` unless it is already marked.
+    #[inline]
+    fn mark(&mut self, id: impl Into<u32>) {
+        let id = id.into();
+        let flag = &mut self.flags[id as usize];
+        if !*flag {
+            *flag = true;
+            self.ids.push(id);
+        }
+    }
+
+    /// Marks every id, in ascending order.
+    fn mark_all(&mut self) {
+        self.flags.fill(true);
+        self.ids.clear();
+        self.ids.extend(0..self.flags.len() as u32);
+    }
+
+    /// Unmarks every id.
+    fn clear_marks(&mut self) {
+        for &id in &self.ids {
+            self.flags[id as usize] = false;
+        }
+        self.ids.clear();
+    }
+
+    /// Admits one more id, unmarked.
+    fn grow(&mut self) {
+        self.flags.push(false);
     }
 }
 
@@ -145,6 +188,12 @@ struct FlowRows {
 }
 
 impl FlowRows {
+    /// Empty rows with room for `rows` rows and `flows` entries, so refills
+    /// do not grow them.
+    fn new(rows: usize, flows: usize) -> Self {
+        Self { starts: Vec::with_capacity(rows + 1), flows: Vec::with_capacity(flows) }
+    }
+
     /// Refills the rows from `index` (`flows_at_node` or `flows_on_link`
     /// rows), keeping the flows that are not price-free, in index order.
     fn fill_busy<'a>(&mut self, index: impl Iterator<Item = &'a [FlowId]>, price_free: &[bool]) {
@@ -165,14 +214,6 @@ impl FlowRows {
             _ => &[],
         }
     }
-}
-
-/// Clears the flags of every id in `list`, then the list itself.
-fn clear_marks(flags: &mut [bool], list: &mut Vec<u32>) {
-    for &id in list.iter() {
-        flags[id as usize] = false;
-    }
-    list.clear();
 }
 
 /// The per-node admission state, struct-of-arrays (see the module docs):
@@ -221,11 +262,25 @@ impl Clone for NodeTable {
     }
 }
 
-/// The executor's persistent state: term tables, caches, dirty sets, and
-/// scratch buffers. Built once per engine, in `Engine::new`; every delta
-/// patches it in place.
+/// The optimizer state and everything the executor keeps to step it: the
+/// values each iteration reads and publishes (rates, ρ, populations,
+/// prices and γ), the term table, caches, dirty sets and scratch buffers.
+/// Built once per engine, in `Engine::new`; every delta patches it in place
+/// and marks what it moved.
 #[derive(Debug, Clone)]
 pub(crate) struct StepState {
+    /// Per-flow rates, indexed by flow id.
+    rates: Vec<f64>,
+    /// Per-flow delivery reliabilities ρ. Pinned at each flow's `ρ_max`
+    /// (1.0 without a [`lrgp_model::ReliabilitySpec`]) until a
+    /// [`crate::plan::Reliability::Joint`] step re-solves them; a rate-only
+    /// step carries them but never reads them.
+    rhos: Vec<f64>,
+    /// Per-class populations, indexed by class id.
+    populations: Vec<f64>,
+    prices: PriceVector,
+    /// Per-node γ controllers, indexed by node id.
+    gammas: Vec<GammaController>,
     terms: Arc<PriceTermTable>,
     nodes: NodeTable,
     link_usage: Vec<f64>,
@@ -236,22 +291,18 @@ pub(crate) struct StepState {
     /// population changes *within* it (a delta changed them between steps).
     force_utility: bool,
 
-    // Changes published by the previous iteration (inputs to this one).
-    node_price_changed: Vec<bool>,
-    changed_nodes: Vec<u32>,
-    link_price_changed: Vec<bool>,
-    changed_links: Vec<u32>,
-    pop_changed: Vec<bool>,
-    changed_classes: Vec<u32>,
+    // Changes published by the previous iteration (inputs to this one):
+    // node prices, link prices and populations.
+    changed_nodes: Marks,
+    changed_links: Marks,
+    changed_classes: Marks,
 
     // Changes produced within the current iteration.
-    rate_changed: Vec<bool>,
-    changed_rates: Vec<u32>,
+    changed_rates: Marks,
     /// Flows whose ρ moved bitwise this iteration. Only populated by
     /// [`crate::plan::Reliability::Joint`] steps; permanently empty under
-    /// Off, so every consumer of these lists is a no-op there.
-    rho_changed: Vec<bool>,
-    changed_rhos: Vec<u32>,
+    /// Off, so every consumer of this list is a no-op there.
+    changed_rhos: Marks,
     /// Flows whose last solve left them price-free (see the module docs):
     /// a price move cannot change their solve, so phase 0 skips their
     /// price marks.
@@ -266,21 +317,12 @@ pub(crate) struct StepState {
     /// the next incremental phase 0 rebuilds them first.
     busy_stale: bool,
 
-    // External dirt injected between steps by problem deltas.
-    ext_flow_dirty: Vec<bool>,
-    ext_dirty_flows: Vec<u32>,
-    ext_node_dirty: Vec<bool>,
-    ext_dirty_nodes: Vec<u32>,
-    ext_link_dirty: Vec<bool>,
-    ext_dirty_links: Vec<u32>,
-
-    // Dirty work lists (sorted ascending before use).
-    flow_dirty: Vec<bool>,
-    dirty_flows: Vec<u32>,
-    node_dirty: Vec<bool>,
-    dirty_nodes: Vec<u32>,
-    link_dirty: Vec<bool>,
-    dirty_links: Vec<u32>,
+    // Work lists (sorted ascending before use). Between steps they hold
+    // exactly the marks of the deltas applied since; a step adds what it
+    // derives and clears them when it finishes.
+    dirty_flows: Marks,
+    dirty_nodes: Marks,
+    dirty_links: Marks,
 
     /// The caller's rate-solve scratch, reused across steps.
     agg_scratch: AggregateUtility,
@@ -289,61 +331,112 @@ pub(crate) struct StepState {
     /// Panic-injection test hook, threaded into pooled flow jobs.
     #[cfg(test)]
     panic_on_flow: Option<u32>,
+    /// The work-list sizes of the last completed step, for tests.
+    #[cfg(test)]
+    last_dirty: (usize, usize, usize),
 }
 
 impl StepState {
-    /// Builds fresh tables and empty caches for `problem`; the first step
+    /// The paper's start on `problem` (every flow at `r_i^max` and `ρ_max`,
+    /// no consumer admitted, every price at 0, every γ controller fresh
+    /// under `gamma`), with fresh tables and empty caches; the first step
     /// marks everything dirty and fills the caches.
-    pub(crate) fn new(problem: &Problem) -> Self {
+    pub(crate) fn new(problem: &Problem, gamma: GammaMode) -> Self {
+        let (flows, nodes, links) = (problem.num_flows(), problem.num_nodes(), problem.num_links());
+        let (rates, rhos) = problem.flow_ids().map(|f| initial_rate_and_rho(problem, f)).unzip();
+        let at_nodes = problem.node_ids().map(|node| problem.flows_at_node(node).len()).sum();
+        let on_links = problem.link_ids().map(|link| problem.flows_on_link(link).len()).sum();
         Self {
+            rates,
+            rhos,
+            populations: vec![0.0; problem.num_classes()],
+            prices: PriceVector::zeros(problem),
+            gammas: vec![GammaController::new(gamma); nodes],
             terms: Arc::new(PriceTermTable::new(problem)),
             nodes: NodeTable::new(problem),
-            link_usage: vec![0.0; problem.num_links()],
+            link_usage: vec![0.0; links],
             cached_utility: 0.0,
             first: true,
             force_utility: false,
-            node_price_changed: vec![false; problem.num_nodes()],
-            changed_nodes: Vec::with_capacity(problem.num_nodes()),
-            link_price_changed: vec![false; problem.num_links()],
-            changed_links: Vec::with_capacity(problem.num_links()),
-            pop_changed: vec![false; problem.num_classes()],
-            changed_classes: Vec::with_capacity(problem.num_classes()),
-            rate_changed: vec![false; problem.num_flows()],
-            changed_rates: Vec::with_capacity(problem.num_flows()),
-            rho_changed: vec![false; problem.num_flows()],
-            changed_rhos: Vec::new(),
-            price_free: vec![false; problem.num_flows()],
-            // Sized for the whole index, so refills do not grow them.
-            busy_at_node: FlowRows {
-                starts: Vec::with_capacity(problem.num_nodes() + 1),
-                flows: Vec::with_capacity(
-                    problem.node_ids().map(|node| problem.flows_at_node(node).len()).sum(),
-                ),
-            },
-            busy_on_link: FlowRows {
-                starts: Vec::with_capacity(problem.num_links() + 1),
-                flows: Vec::with_capacity(
-                    problem.link_ids().map(|link| problem.flows_on_link(link).len()).sum(),
-                ),
-            },
+            changed_nodes: Marks::new(nodes),
+            changed_links: Marks::new(links),
+            changed_classes: Marks::new(problem.num_classes()),
+            changed_rates: Marks::new(flows),
+            changed_rhos: Marks::new(flows),
+            price_free: vec![false; flows],
+            busy_at_node: FlowRows::new(nodes, at_nodes),
+            busy_on_link: FlowRows::new(links, on_links),
             busy_stale: true,
-            ext_flow_dirty: vec![false; problem.num_flows()],
-            ext_dirty_flows: Vec::new(),
-            ext_node_dirty: vec![false; problem.num_nodes()],
-            ext_dirty_nodes: Vec::new(),
-            ext_link_dirty: vec![false; problem.num_links()],
-            ext_dirty_links: Vec::new(),
-            flow_dirty: vec![false; problem.num_flows()],
-            dirty_flows: Vec::with_capacity(problem.num_flows()),
-            node_dirty: vec![false; problem.num_nodes()],
-            dirty_nodes: Vec::with_capacity(problem.num_nodes()),
-            link_dirty: vec![false; problem.num_links()],
-            dirty_links: Vec::with_capacity(problem.num_links()),
+            dirty_flows: Marks::new(flows),
+            dirty_nodes: Marks::new(nodes),
+            dirty_links: Marks::new(links),
             agg_scratch: AggregateUtility::default(),
             out_scratch: Vec::new(),
             #[cfg(test)]
             panic_on_flow: None,
+            #[cfg(test)]
+            last_dirty: (0, 0, 0),
         }
+    }
+
+    /// Per-flow rates, indexed by flow id.
+    pub(crate) fn rates(&self) -> &[f64] {
+        &self.rates
+    }
+
+    /// Per-flow delivery reliabilities ρ, indexed by flow id.
+    pub(crate) fn rhos(&self) -> &[f64] {
+        &self.rhos
+    }
+
+    /// Per-class populations, indexed by class id.
+    pub(crate) fn populations(&self) -> &[f64] {
+        &self.populations
+    }
+
+    /// Node and link prices.
+    pub(crate) fn prices(&self) -> &PriceVector {
+        &self.prices
+    }
+
+    /// Per-node γ controllers, indexed by node id.
+    pub(crate) fn gammas(&self) -> &[GammaController] {
+        &self.gammas
+    }
+
+    /// Takes a snapshot's optimizer state (restore support), then clamps
+    /// every rate, ρ and population into `problem`'s bounds with the
+    /// clamps a delta uses; over the snapshot's own problem nothing moves.
+    /// A snapshot without ρ keeps the initial ρ. Lengths are the caller's
+    /// responsibility; [`crate::snapshot`] validates them against the
+    /// problem.
+    pub(crate) fn load_snapshot(&mut self, problem: &Problem, snapshot: EngineSnapshot) {
+        self.rates = snapshot.rates;
+        if !snapshot.rhos.is_empty() {
+            self.rhos = snapshot.rhos;
+        }
+        self.populations = snapshot.populations;
+        self.prices = snapshot.prices;
+        self.gammas = snapshot.gamma_controllers;
+        for flow in problem.flow_ids() {
+            self.clamp_rate(problem, flow);
+            self.clamp_rho(problem, flow);
+        }
+        for class in problem.class_ids() {
+            self.clamp_population(problem, class);
+        }
+    }
+
+    /// Puts every rate and ρ back at its start on `problem` and empties
+    /// every class, as [`Self::new`] starts them, and marks everything
+    /// dirty: a delta on an engine that has not stepped.
+    pub(crate) fn restart(&mut self, problem: &Problem) {
+        for flow in problem.flow_ids() {
+            (self.rates[flow.index()], self.rhos[flow.index()]) =
+                initial_rate_and_rho(problem, flow);
+        }
+        self.populations.fill(0.0);
+        self.mark_all_dirty();
     }
 
     /// Marks everything dirty for the next step, turning it into an exact
@@ -354,53 +447,71 @@ impl StepState {
         self.first = true;
     }
 
+    /// Marks `flow` and every node and link on its path dirty.
+    fn mark_path(&mut self, problem: &Problem, flow: FlowId) {
+        self.dirty_flows.mark(flow);
+        for &(node, _) in problem.nodes_of_flow(flow) {
+            self.dirty_nodes.mark(node);
+        }
+        for &(link, _) in problem.links_of_flow(flow) {
+            self.dirty_links.mark(link);
+        }
+    }
+
+    /// Clamps `flow`'s stored rate into its bounds in `problem` and marks
+    /// the flow dirty. A rate the clamp moved also dirties every node and
+    /// link it feeds (their cached admissions and usages were built against
+    /// the old rate) and the cached utility.
+    pub(crate) fn clamp_rate(&mut self, problem: &Problem, flow: FlowId) {
+        let slot = &mut self.rates[flow.index()];
+        let clamped = problem.flow(flow).bounds.clamp(*slot);
+        self.dirty_flows.mark(flow);
+        if clamped.to_bits() != slot.to_bits() {
+            *slot = clamped;
+            self.mark_path(problem, flow);
+            self.force_utility = true;
+        }
+    }
+
+    /// Caps `class`'s population at its maximum in `problem` and marks the
+    /// class's node dirty (it must re-admit). A population the cap moved
+    /// also dirties the class's flow (rate solves read populations) and the
+    /// cached utility.
+    pub(crate) fn clamp_population(&mut self, problem: &Problem, class: ClassId) {
+        let spec = problem.class(class);
+        let slot = &mut self.populations[class.index()];
+        let clamped = slot.min(spec.max_population as f64);
+        self.dirty_nodes.mark(spec.node);
+        if clamped.to_bits() != slot.to_bits() {
+            *slot = clamped;
+            self.dirty_flows.mark(spec.flow);
+            self.force_utility = true;
+        }
+    }
+
+    /// Clamps `flow`'s stored ρ into its bounds in `problem` (1.0 without a
+    /// spec) and marks the flow dirty (the ρ solve clamps into the
+    /// bounds). A ρ the clamp moved also dirties the flow's links (joint
+    /// usage reads ρ) and the cached utility (its reliability term reads
+    /// ρ).
+    pub(crate) fn clamp_rho(&mut self, problem: &Problem, flow: FlowId) {
+        let slot = &mut self.rhos[flow.index()];
+        let clamped = problem.rho_bounds(flow).map_or(1.0, |bounds| bounds.clamp(*slot));
+        self.dirty_flows.mark(flow);
+        if clamped.to_bits() != slot.to_bits() {
+            *slot = clamped;
+            for &(link, _) in problem.links_of_flow(flow) {
+                self.dirty_links.mark(link);
+            }
+            self.force_utility = true;
+        }
+    }
+
     /// Records that `node`'s capacity changed: its admission outcome must be
     /// recomputed (the price update always runs and reads the capacity
     /// directly).
     pub(crate) fn note_capacity_change(&mut self, node: NodeId) {
-        mark(&mut self.ext_node_dirty, &mut self.ext_dirty_nodes, node.index() as u32);
-    }
-
-    /// Records that `class`'s population bound changed, and whether the
-    /// published population itself was clamped to new bits. The class's
-    /// node must re-admit; a moved population additionally dirties the
-    /// class's flow (rate solves read populations) and staleness the cached
-    /// utility.
-    pub(crate) fn note_population_change(
-        &mut self,
-        problem: &Problem,
-        class: ClassId,
-        pop_bits_changed: bool,
-    ) {
-        let node = problem.class(class).node;
-        mark(&mut self.ext_node_dirty, &mut self.ext_dirty_nodes, node.index() as u32);
-        if pop_bits_changed {
-            mark(&mut self.pop_changed, &mut self.changed_classes, class.index() as u32);
-            self.force_utility = true;
-        }
-    }
-
-    /// Records that `flow`'s rate bounds changed, and whether the stored
-    /// rate itself was clamped to new bits. The flow must re-solve; a moved
-    /// rate additionally dirties every node and link it feeds (their cached
-    /// admissions / usages were built against the old rate) and stalenesses
-    /// the cached utility.
-    pub(crate) fn note_bounds_change(
-        &mut self,
-        problem: &Problem,
-        flow: FlowId,
-        rate_bits_changed: bool,
-    ) {
-        mark(&mut self.ext_flow_dirty, &mut self.ext_dirty_flows, flow.index() as u32);
-        if rate_bits_changed {
-            for &(node, _) in problem.nodes_of_flow(flow) {
-                mark(&mut self.ext_node_dirty, &mut self.ext_dirty_nodes, node.index() as u32);
-            }
-            for &(link, _) in problem.links_of_flow(flow) {
-                mark(&mut self.ext_link_dirty, &mut self.ext_dirty_links, link.index() as u32);
-            }
-            self.force_utility = true;
-        }
+        self.dirty_nodes.mark(node);
     }
 
     /// Records that `op`, a cost edit that keeps the id space, reached the
@@ -418,22 +529,16 @@ impl StepState {
     pub(crate) fn note_cost_edit(&mut self, problem: &Problem, op: &DeltaOp) {
         match *op {
             DeltaOp::RemoveFlow { flow } | DeltaOp::SetFlowNodeCost { flow, .. } => {
-                mark(&mut self.ext_flow_dirty, &mut self.ext_dirty_flows, flow.index() as u32);
-                for &(node, _) in problem.nodes_of_flow(flow) {
-                    mark(&mut self.ext_node_dirty, &mut self.ext_dirty_nodes, node.index() as u32);
-                }
-                for &(link, _) in problem.links_of_flow(flow) {
-                    mark(&mut self.ext_link_dirty, &mut self.ext_dirty_links, link.index() as u32);
-                }
+                self.mark_path(problem, flow);
             }
             DeltaOp::SetLinkLoss { link, .. } => {
-                mark(&mut self.ext_link_dirty, &mut self.ext_dirty_links, link.index() as u32);
+                self.dirty_links.mark(link);
                 // A flow that a later op of the batch adds is not here yet;
                 // its addition dirties it and reads the final loss. The row
                 // is ascending, so such flows come last.
-                let known = self.ext_flow_dirty.len();
-                for flow in problem.flows_on_link(link).iter().take_while(|f| f.index() < known) {
-                    mark(&mut self.ext_flow_dirty, &mut self.ext_dirty_flows, flow.index() as u32);
+                let known = self.rates.len();
+                for &flow in problem.flows_on_link(link).iter().take_while(|f| f.index() < known) {
+                    self.dirty_flows.mark(flow);
                 }
             }
             _ => return,
@@ -442,47 +547,33 @@ impl StepState {
     }
 
     /// Records that `op`, a flow addition, reached the final `problem`,
-    /// where the new flow holds the next flow id. Grows the per-flow and
-    /// per-class flags, appends the flow's classes to their nodes'
-    /// admission orders and its rows to the term table, and dirties it as a
-    /// rate that moved: the flow, its nodes, its links and the utility.
+    /// where the new flow holds the next flow id. Appends its rate (at
+    /// `r_max`), its ρ (at `ρ_max`) and its empty classes, as
+    /// [`Self::new`] starts every flow; grows the per-flow and per-class
+    /// flags, appends the flow's classes to their nodes' admission orders
+    /// and its rows to the term table, and dirties it as a rate that moved:
+    /// the flow, its nodes, its links and the utility.
     pub(crate) fn note_flow_added(&mut self, problem: &Problem, op: &DeltaOp) {
-        let flow = FlowId::new(self.flow_dirty.len() as u32);
-        self.flow_dirty.push(false);
-        self.rate_changed.push(false);
-        self.rho_changed.push(false);
+        let flow = FlowId::new(self.rates.len() as u32);
+        let (rate, rho) = initial_rate_and_rho(problem, flow);
+        self.rates.push(rate);
+        self.rhos.push(rho);
+        for marks in [&mut self.dirty_flows, &mut self.changed_rates, &mut self.changed_rhos] {
+            marks.grow();
+        }
         self.price_free.push(false);
         self.busy_stale = true;
-        self.ext_flow_dirty.push(false);
         for &class in problem.classes_of_flow(flow) {
-            self.pop_changed.push(false);
+            self.populations.push(0.0);
+            self.changed_classes.grow();
             if let Some(slot) = self.nodes.orders.get_mut(problem.class(class).node.index()) {
                 let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
                 slot.order.push(OrderEntry::new(class));
             }
         }
-        self.note_bounds_change(problem, flow, true);
+        self.mark_path(problem, flow);
+        self.force_utility = true;
         Arc::make_mut(&mut self.terms).refresh(problem, op);
-    }
-
-    /// Records that `flow`'s ρ bounds changed, and whether the stored ρ was
-    /// clamped to new bits. The flow must re-solve (the ρ solve clamps into
-    /// the bounds); a moved ρ additionally dirties the flow's links (joint
-    /// usage reads ρ) and stalenesses the cached utility (its reliability
-    /// term reads ρ).
-    pub(crate) fn note_rho_bounds_change(
-        &mut self,
-        problem: &Problem,
-        flow: FlowId,
-        rho_bits_changed: bool,
-    ) {
-        mark(&mut self.ext_flow_dirty, &mut self.ext_dirty_flows, flow.index() as u32);
-        if rho_bits_changed {
-            for &(link, _) in problem.links_of_flow(flow) {
-                mark(&mut self.ext_link_dirty, &mut self.ext_dirty_links, link.index() as u32);
-            }
-            self.force_utility = true;
-        }
     }
 
     /// The worst relative overload `max((usage − c) / c, 0)` over every
@@ -505,20 +596,27 @@ impl StepState {
     /// last completed step.
     #[cfg(test)]
     pub(crate) fn changed_counts(&self) -> (usize, usize, usize) {
-        (self.changed_rates.len(), self.changed_nodes.len(), self.changed_links.len())
+        (self.changed_rates.ids.len(), self.changed_nodes.ids.len(), self.changed_links.ids.len())
     }
 
     /// The work-list sizes of the last completed step, for tests:
     /// `(dirty_flows, dirty_nodes, dirty_links)`.
     #[cfg(test)]
     pub(crate) fn dirty_counts(&self) -> (usize, usize, usize) {
-        (self.dirty_flows.len(), self.dirty_nodes.len(), self.dirty_links.len())
+        self.last_dirty
+    }
+
+    /// The work lists as they stand: between steps, the marks of the
+    /// deltas applied since the last one, for tests.
+    #[cfg(test)]
+    pub(crate) fn work_lists(&self) -> [&[u32]; 3] {
+        [&self.dirty_flows.ids, &self.dirty_nodes.ids, &self.dirty_links.ids]
     }
 
     /// The node ids whose prices changed in the last completed step.
     #[cfg(test)]
     pub(crate) fn changed_node_ids(&self) -> &[u32] {
-        &self.changed_nodes
+        &self.changed_nodes.ids
     }
 
     /// Arms the panic-injection hook: the next pooled flow job panics when
@@ -528,20 +626,14 @@ impl StepState {
         self.panic_on_flow = flow;
     }
 
-    /// One LRGP iteration over the engine's state under `config`, sharding
-    /// over `pool` where `config.parallelism` asks for it. Returns the total
+    /// One LRGP iteration over the state under `config`, sharding over
+    /// `pool` where `config.parallelism` asks for it. Returns the total
     /// utility (recomputed only when a rate or population changed).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn step(
         &mut self,
         problem: &Arc<Problem>,
         config: &LrgpConfig,
         pool: &PoolHandle,
-        rates: &mut Vec<f64>,
-        rhos: &mut Vec<f64>,
-        populations: &mut Vec<f64>,
-        prices: &mut PriceVector,
-        gammas: &mut [GammaController],
     ) -> f64 {
         // ρ is solved only under Reliability::Joint on a problem with a
         // reliability spec; everywhere else the step is exactly the classic
@@ -549,24 +641,32 @@ impl StepState {
         // Off gates below never add a float operation).
         let joint = config.reliability.joint() && problem.reliability().is_some();
         self.derive_dirty_flows(problem);
-        self.solve_dirty_flows(problem, config, pool, rates, rhos, populations, prices, joint);
+        self.solve_dirty_flows(problem, config, pool, joint);
         self.derive_dirty_nodes(problem);
-        self.run_dirty_admissions(problem, config, pool, rates);
-        self.apply_populations(populations);
-        self.update_node_prices(problem, config, prices, gammas);
+        self.run_dirty_admissions(problem, config, pool);
+        self.apply_populations();
+        self.update_node_prices(problem, config);
         self.derive_dirty_links(problem);
-        self.update_link_usage_and_prices(problem, config, rates, rhos, joint, prices);
+        self.update_link_usage_and_prices(problem, config, joint);
         if self.first
             || self.force_utility
-            || !self.changed_rates.is_empty()
-            || !self.changed_rhos.is_empty()
-            || !self.changed_classes.is_empty()
+            || !self.changed_rates.ids.is_empty()
+            || !self.changed_rhos.ids.is_empty()
+            || !self.changed_classes.ids.is_empty()
         {
-            self.cached_utility = total_utility(problem, rates, populations);
+            self.cached_utility = total_utility(problem, &self.rates, &self.populations);
             if joint {
-                self.cached_utility += reliability_utility(problem, rhos, populations);
+                self.cached_utility += reliability_utility(problem, &self.rhos, &self.populations);
             }
         }
+        #[cfg(test)]
+        {
+            let [flows, nodes, links] = self.work_lists();
+            self.last_dirty = (flows.len(), nodes.len(), links.len());
+        }
+        self.dirty_flows.clear_marks();
+        self.dirty_nodes.clear_marks();
+        self.dirty_links.clear_marks();
         self.first = false;
         self.force_utility = false;
         self.cached_utility
@@ -574,35 +674,24 @@ impl StepState {
 
     /// Phase 0: a flow's rate inputs are the prices along its path and the
     /// populations of its classes; it is dirty iff one of them changed last
-    /// iteration (or a delta dirtied it externally). A price move marks
-    /// only the busy rows of its node or link, which leave out the
-    /// price-free flows. Consumes (and clears) the previous iteration's
-    /// change sets and the external dirt.
+    /// iteration (or a delta marked it). A price move marks only the busy
+    /// rows of its node or link, which leave out the price-free flows.
+    /// Consumes (and clears) the previous iteration's change sets.
     fn derive_dirty_flows(&mut self, problem: &Problem) {
         let Self {
-            flow_dirty,
             dirty_flows,
-            node_price_changed,
             changed_nodes,
-            link_price_changed,
             changed_links,
-            pop_changed,
             changed_classes,
             price_free,
             busy_at_node,
             busy_on_link,
             busy_stale,
-            ext_flow_dirty,
-            ext_dirty_flows,
             first,
             ..
         } = self;
-        clear_marks(flow_dirty, dirty_flows);
         if *first {
-            for f in 0..problem.num_flows() as u32 {
-                flow_dirty[f as usize] = true;
-                dirty_flows.push(f);
-            }
+            dirty_flows.mark_all();
         } else {
             if *busy_stale {
                 let at_nodes = problem.node_ids().map(|node| problem.flows_at_node(node));
@@ -611,37 +700,53 @@ impl StepState {
                 busy_on_link.fill_busy(on_links, price_free);
                 *busy_stale = false;
             }
-            for &b in changed_nodes.iter() {
+            for &b in &changed_nodes.ids {
                 for &f in busy_at_node.row(b as usize) {
-                    mark(flow_dirty, dirty_flows, f);
+                    dirty_flows.mark(f);
                 }
             }
-            for &l in changed_links.iter() {
+            for &l in &changed_links.ids {
                 for &f in busy_on_link.row(l as usize) {
-                    mark(flow_dirty, dirty_flows, f);
+                    dirty_flows.mark(f);
                 }
             }
-            for &c in changed_classes.iter() {
-                let flow = problem.class(ClassId::new(c)).flow;
-                mark(flow_dirty, dirty_flows, flow.index() as u32);
+            for &c in &changed_classes.ids {
+                dirty_flows.mark(problem.class(ClassId::new(c)).flow);
             }
-            for &f in ext_dirty_flows.iter() {
-                mark(flow_dirty, dirty_flows, f);
-            }
-            dirty_flows.sort_unstable();
+            dirty_flows.ids.sort_unstable();
         }
-        clear_marks(node_price_changed, changed_nodes);
-        clear_marks(link_price_changed, changed_links);
-        clear_marks(pop_changed, changed_classes);
-        clear_marks(ext_flow_dirty, ext_dirty_flows);
+        changed_nodes.clear_marks();
+        changed_links.clear_marks();
+        changed_classes.clear_marks();
     }
 
-    /// Phase 1: re-solve the dirty flows ([`solve_flow`]), recording bitwise
-    /// rate and ρ changes and each flow's price-free flag. When
-    /// `config.parallelism` resolves to more than one context and the pool
-    /// dispatches, the inputs move into a [`FlowJob`], shards `1..` run on
-    /// parked workers while the caller runs shard 0, and the results are
-    /// applied in shard order.
+    /// Stores flow `f`'s solve: a rate or ρ that moved bitwise is written
+    /// and marked changed, and the price-free flag is recorded (a flip
+    /// stales the busy rows). The sequential pass and the pooled drain both
+    /// publish through here. Inlined into both: as a call, the joint flow
+    /// pass on the benchmark's `lossy_joint` spent about a tenth longer.
+    #[inline(always)]
+    fn publish_flow(&mut self, (f, rate, rho, free): ShardOut) {
+        let i = f as usize;
+        if rate.to_bits() != self.rates[i].to_bits() {
+            self.rates[i] = rate;
+            self.changed_rates.mark(f);
+        }
+        if rho.to_bits() != self.rhos[i].to_bits() {
+            self.rhos[i] = rho;
+            self.changed_rhos.mark(f);
+        }
+        if self.price_free[i] != free {
+            self.price_free[i] = free;
+            self.busy_stale = true;
+        }
+    }
+
+    /// Phase 1: re-solve the dirty flows ([`solve_flow`]) and publish each
+    /// result ([`Self::publish_flow`]). When `config.parallelism` resolves
+    /// to more than one context and the pool dispatches, the inputs move
+    /// into a [`FlowJob`], shards `1..` run on parked workers while the
+    /// caller runs shard 0, and the results are published in shard order.
     ///
     /// The ρ dirty set is exactly `dirty_flows`: a flow's ρ inputs are the
     /// link prices along its path, the populations of its classes, and its
@@ -650,79 +755,52 @@ impl StepState {
     /// only move for a flow in the dirty set. A clean flow therefore
     /// re-derives the bitwise-same ρ, and skipping it is exact — the same
     /// argument that makes rate skipping exact.
-    #[allow(clippy::too_many_arguments)]
     fn solve_dirty_flows(
         &mut self,
         problem: &Arc<Problem>,
         config: &LrgpConfig,
         pool: &PoolHandle,
-        rates: &mut Vec<f64>,
-        rhos: &mut Vec<f64>,
-        populations: &mut Vec<f64>,
-        prices: &mut PriceVector,
         joint: bool,
     ) {
-        clear_marks(&mut self.rate_changed, &mut self.changed_rates);
-        clear_marks(&mut self.rho_changed, &mut self.changed_rhos);
-        if self.dirty_flows.is_empty() {
+        self.changed_rates.clear_marks();
+        self.changed_rhos.clear_marks();
+        let dirty = self.dirty_flows.ids.len();
+        if dirty == 0 {
             return;
         }
         let redundancy = problem.reliability().filter(|_| joint).map(|spec| spec.redundancy);
-        let Some((pool, workers)) = pool.dispatch(config.parallelism, self.dirty_flows.len())
-        else {
+        let Some((pool, workers)) = pool.dispatch(config.parallelism, dirty) else {
             // The sequential schedule is bit-identical to shard-and-apply:
             // a flow's solves read `rates` and `rhos` only at its own index
             // (the solvers' fallbacks), so in-place iteration sees the same
             // inputs a frozen pre-phase copy would.
-            let Self {
-                terms,
-                dirty_flows,
-                rate_changed,
-                changed_rates,
-                rho_changed,
-                changed_rhos,
-                price_free,
-                busy_stale,
-                agg_scratch: agg,
-                ..
-            } = self;
-            for &f in dirty_flows.iter() {
+            for k in 0..dirty {
+                let f = self.dirty_flows.ids[k];
                 let (rate, rho, free) = solve_flow(
                     problem,
-                    terms,
-                    prices,
-                    populations,
+                    &self.terms,
+                    &self.prices,
+                    &self.populations,
                     redundancy,
-                    agg,
+                    &mut self.agg_scratch,
                     FlowId::new(f),
-                    rates[f as usize],
-                    rhos[f as usize],
+                    self.rates[f as usize],
+                    self.rhos[f as usize],
                 );
-                if rate.to_bits() != rates[f as usize].to_bits() {
-                    rates[f as usize] = rate;
-                    mark(rate_changed, changed_rates, f);
-                }
-                if rho.to_bits() != rhos[f as usize].to_bits() {
-                    rhos[f as usize] = rho;
-                    mark(rho_changed, changed_rhos, f);
-                }
-                if price_free[f as usize] != free {
-                    price_free[f as usize] = free;
-                    *busy_stale = true;
-                }
+                self.publish_flow((f, rate, rho, free));
             }
             return;
         };
-        let chunk = shard_chunk(self.dirty_flows.len(), workers);
-        let shards = shard_count(self.dirty_flows.len(), workers);
+        let chunk = shard_chunk(dirty, workers);
+        let shards = shard_count(dirty, workers);
         let job = Job::Flows(FlowJob {
             problem: Arc::clone(problem),
             terms: Arc::clone(&self.terms),
-            dirty: std::mem::take(&mut self.dirty_flows),
-            rates: std::mem::take(rates),
-            rhos: std::mem::take(rhos),
-            populations: std::mem::take(populations),
-            prices: std::mem::replace(prices, PriceVector::detached()),
+            dirty: std::mem::take(&mut self.dirty_flows.ids),
+            rates: std::mem::take(&mut self.rates),
+            rhos: std::mem::take(&mut self.rhos),
+            populations: std::mem::take(&mut self.populations),
+            prices: std::mem::replace(&mut self.prices, PriceVector::detached()),
             redundancy,
             chunk,
             #[cfg(test)]
@@ -735,41 +813,20 @@ impl StepState {
             }
         });
         // Move the inputs back out before anything can unwind, so a
-        // panicking kernel leaves the engine's state intact.
+        // panicking kernel leaves the state intact.
         if let Job::Flows(job) = job {
-            self.dirty_flows = job.dirty;
-            *rates = job.rates;
-            *rhos = job.rhos;
-            *populations = job.populations;
-            *prices = job.prices;
+            self.dirty_flows.ids = job.dirty;
+            self.rates = job.rates;
+            self.rhos = job.rhos;
+            self.populations = job.populations;
+            self.prices = job.prices;
         }
         if let Some(payload) = panic {
             self.abandon_phase(pool, payload);
         }
-        let Self {
-            rate_changed,
-            changed_rates,
-            rho_changed,
-            changed_rhos,
-            price_free,
-            busy_stale,
-            out_scratch,
-            ..
-        } = self;
-        pool.drain(out_scratch, shards, |(f, rate, rho, free)| {
-            if rate.to_bits() != rates[f as usize].to_bits() {
-                rates[f as usize] = rate;
-                mark(rate_changed, changed_rates, f);
-            }
-            if rho.to_bits() != rhos[f as usize].to_bits() {
-                rhos[f as usize] = rho;
-                mark(rho_changed, changed_rhos, f);
-            }
-            if price_free[f as usize] != free {
-                price_free[f as usize] = free;
-                *busy_stale = true;
-            }
-        });
+        let mut inline = std::mem::take(&mut self.out_scratch);
+        pool.drain(&mut inline, shards, |out| self.publish_flow(out));
+        self.out_scratch = inline;
     }
 
     /// The panic path of a pooled phase, once its inputs are moved back:
@@ -785,35 +842,19 @@ impl StepState {
 
     /// A node's admission inputs are the rates of the flows reaching it; it
     /// is dirty iff one of them changed in this iteration's phase 1 (or a
-    /// delta dirtied it externally).
+    /// delta marked it).
     fn derive_dirty_nodes(&mut self, problem: &Problem) {
-        let Self {
-            node_dirty,
-            dirty_nodes,
-            changed_rates,
-            ext_node_dirty,
-            ext_dirty_nodes,
-            first,
-            ..
-        } = self;
-        clear_marks(node_dirty, dirty_nodes);
+        let Self { dirty_nodes, changed_rates, first, .. } = self;
         if *first {
-            for b in 0..problem.num_nodes() as u32 {
-                node_dirty[b as usize] = true;
-                dirty_nodes.push(b);
-            }
+            dirty_nodes.mark_all();
         } else {
-            for &f in changed_rates.iter() {
+            for &f in &changed_rates.ids {
                 for &(node, _) in problem.nodes_of_flow(FlowId::new(f)) {
-                    mark(node_dirty, dirty_nodes, node.index() as u32);
+                    dirty_nodes.mark(node);
                 }
             }
-            for &b in ext_dirty_nodes.iter() {
-                mark(node_dirty, dirty_nodes, b);
-            }
-            dirty_nodes.sort_unstable();
+            dirty_nodes.ids.sort_unstable();
         }
-        clear_marks(ext_node_dirty, ext_dirty_nodes);
     }
 
     /// Phase 2a: re-run greedy admission (Algorithm 2) on the dirty nodes,
@@ -826,15 +867,14 @@ impl StepState {
         problem: &Arc<Problem>,
         config: &LrgpConfig,
         pool: &PoolHandle,
-        rates: &mut Vec<f64>,
     ) {
-        if self.dirty_nodes.is_empty() {
+        let dirty = self.dirty_nodes.ids.len();
+        if dirty == 0 {
             return;
         }
-        let Some((pool, workers)) = pool.dispatch(config.parallelism, self.dirty_nodes.len())
-        else {
-            let Self { nodes, dirty_nodes, .. } = self;
-            for &b in dirty_nodes.iter() {
+        let Some((pool, workers)) = pool.dispatch(config.parallelism, dirty) else {
+            let Self { nodes, dirty_nodes, rates, .. } = self;
+            for &b in &dirty_nodes.ids {
                 let slot = nodes.orders[b as usize]
                     .get_mut()
                     .unwrap_or_else(PoisonError::into_inner);
@@ -852,12 +892,12 @@ impl StepState {
             }
             return;
         };
-        let chunk = shard_chunk(self.dirty_nodes.len(), workers);
-        let shards = shard_count(self.dirty_nodes.len(), workers);
+        let chunk = shard_chunk(dirty, workers);
+        let shards = shard_count(dirty, workers);
         let job = Job::Admissions(AdmissionJob {
             problem: Arc::clone(problem),
-            dirty: std::mem::take(&mut self.dirty_nodes),
-            rates: std::mem::take(rates),
+            dirty: std::mem::take(&mut self.dirty_nodes.ids),
+            rates: std::mem::take(&mut self.rates),
             orders: std::mem::take(&mut self.nodes.orders),
             mode: config.population_mode,
             policy: config.admission_policy,
@@ -870,8 +910,8 @@ impl StepState {
             }
         });
         if let Job::Admissions(job) = job {
-            self.dirty_nodes = job.dirty;
-            *rates = job.rates;
+            self.dirty_nodes.ids = job.dirty;
+            self.rates = job.rates;
             self.nodes.orders = job.orders;
         }
         if let Some(payload) = panic {
@@ -887,41 +927,36 @@ impl StepState {
     /// Phase 2b: publish the dirty nodes' population decisions into the
     /// global array, recording bitwise changes (each class belongs to
     /// exactly one node, so writes never collide).
-    fn apply_populations(&mut self, populations: &mut [f64]) {
-        let Self { dirty_nodes, nodes, pop_changed, changed_classes, .. } = self;
-        for &b in dirty_nodes.iter() {
+    fn apply_populations(&mut self) {
+        let Self { dirty_nodes, nodes, populations, changed_classes, .. } = self;
+        for &b in &dirty_nodes.ids {
             let slot =
                 nodes.orders[b as usize].get_mut().unwrap_or_else(PoisonError::into_inner);
             for &(class, n) in &slot.populations {
                 let target = &mut populations[class.index()];
                 if n.to_bits() != target.to_bits() {
                     *target = n;
-                    mark(pop_changed, changed_classes, class.index() as u32);
+                    changed_classes.mark(class);
                 }
             }
         }
-        changed_classes.sort_unstable();
+        changed_classes.ids.sort_unstable();
     }
 
     /// Phase 2c: the O(1) node price update (Eq. 12) plus γ observation runs
     /// for **every** node each iteration — controller state must advance
     /// exactly as in the baseline — reading the cached admission outcome
     /// from the dense `used`/`bc` columns.
-    fn update_node_prices(
-        &mut self,
-        problem: &Problem,
-        config: &LrgpConfig,
-        prices: &mut PriceVector,
-        gammas: &mut [GammaController],
-    ) {
+    fn update_node_prices(&mut self, problem: &Problem, config: &LrgpConfig) {
+        let Self { gammas, prices, nodes, changed_nodes, .. } = self;
         for (b, ctl) in gammas.iter_mut().enumerate() {
             let node = NodeId::new(b as u32);
             let gamma = ctl.gamma();
             let next = update_node_price_with_rule(
                 config.node_price_rule,
                 prices.node(node),
-                self.nodes.bc[b],
-                self.nodes.used[b],
+                nodes.bc[b],
+                nodes.used[b],
                 problem.node(node).capacity,
                 gamma,
                 gamma,
@@ -930,50 +965,27 @@ impl StepState {
             let before = prices.node(node);
             prices.set_node(node, next);
             if prices.node(node).to_bits() != before.to_bits() {
-                mark(&mut self.node_price_changed, &mut self.changed_nodes, b as u32);
+                changed_nodes.mark(node);
             }
         }
     }
 
-    /// A link's usage inputs are the rates of the flows on it; it is dirty
-    /// iff one of them changed in this iteration's phase 1 (or a delta
-    /// dirtied it externally).
+    /// A link's usage inputs are the rates of the flows on it, and under
+    /// Reliability::Joint their ρ; it is dirty iff one of them changed in
+    /// this iteration's phase 1 (or a delta marked it).
     fn derive_dirty_links(&mut self, problem: &Problem) {
-        let Self {
-            link_dirty,
-            dirty_links,
-            changed_rates,
-            changed_rhos,
-            ext_link_dirty,
-            ext_dirty_links,
-            first,
-            ..
-        } = self;
-        clear_marks(link_dirty, dirty_links);
+        let Self { dirty_links, changed_rates, changed_rhos, first, .. } = self;
         if *first {
-            for l in 0..problem.num_links() as u32 {
-                link_dirty[l as usize] = true;
-                dirty_links.push(l);
-            }
+            dirty_links.mark_all();
         } else {
-            for &f in changed_rates.iter() {
+            // The ρ list is permanently empty outside Reliability::Joint.
+            for &f in changed_rates.ids.iter().chain(&changed_rhos.ids) {
                 for &(link, _) in problem.links_of_flow(FlowId::new(f)) {
-                    mark(link_dirty, dirty_links, link.index() as u32);
+                    dirty_links.mark(link);
                 }
             }
-            // Under Reliability::Joint the usage also reads ρ; the list is
-            // permanently empty otherwise.
-            for &f in changed_rhos.iter() {
-                for &(link, _) in problem.links_of_flow(FlowId::new(f)) {
-                    mark(link_dirty, dirty_links, link.index() as u32);
-                }
-            }
-            for &l in ext_dirty_links.iter() {
-                mark(link_dirty, dirty_links, l);
-            }
-            dirty_links.sort_unstable();
+            dirty_links.ids.sort_unstable();
         }
-        clear_marks(ext_link_dirty, ext_dirty_links);
     }
 
     /// Phase 3: recompute the dirty links' usage from the term tables, then
@@ -982,53 +994,59 @@ impl StepState {
         &mut self,
         problem: &Problem,
         config: &LrgpConfig,
-        rates: &[f64],
-        rhos: &[f64],
         joint: bool,
-        prices: &mut PriceVector,
     ) {
+        let Self { rates, rhos, prices, terms, link_usage, dirty_links, changed_links, .. } = self;
         if joint {
             // One strict left fold per dirty link with the redundancy
             // inflation folded into each term; kept on a separate branch so
             // the Off path below is byte-for-byte the pre-reliability loop.
             let redundancy =
                 problem.reliability().map(|spec| spec.redundancy).unwrap_or_default();
-            for &l in &self.dirty_links {
+            for &l in &dirty_links.ids {
                 let link = LinkId::new(l);
                 let scale = redundancy * problem.link_loss(link);
                 let mut usage = 0.0;
-                for &(f, cost) in self.terms.link_usage_terms(link) {
+                for &(f, cost) in terms.link_usage_terms(link) {
                     usage += cost * rates[f as usize] * (1.0 + scale * rhos[f as usize]);
                 }
-                self.link_usage[l as usize] = usage;
+                link_usage[l as usize] = usage;
             }
         } else {
-            for &l in &self.dirty_links {
+            for &l in &dirty_links.ids {
                 let link = LinkId::new(l);
                 // Same additions in the same `flows_on_link` order as
                 // `Allocation::link_usage`, so the sum is bit-identical.
                 let mut usage = 0.0;
-                for &(f, cost) in self.terms.link_usage_terms(link) {
+                for &(f, cost) in terms.link_usage_terms(link) {
                     usage += cost * rates[f as usize];
                 }
-                self.link_usage[l as usize] = usage;
+                link_usage[l as usize] = usage;
             }
         }
-        for l in 0..problem.num_links() {
+        for (l, &usage) in link_usage.iter().enumerate() {
             let link = LinkId::new(l as u32);
             let next = update_link_price(
                 prices.link(link),
-                self.link_usage[l],
+                usage,
                 problem.link(link).capacity,
                 config.link_gamma,
             );
             let before = prices.link(link);
             prices.set_link(link, next);
             if prices.link(link).to_bits() != before.to_bits() {
-                mark(&mut self.link_price_changed, &mut self.changed_links, l as u32);
+                changed_links.mark(link);
             }
         }
     }
+}
+
+/// A flow's starting rate and ρ, where the paper's runs start it: `r_max`,
+/// the optimistic start that reproduces the initial oscillation of Fig. 1,
+/// and `ρ_max`, or 1.0 (lossless delivery) without a
+/// [`lrgp_model::ReliabilitySpec`].
+fn initial_rate_and_rho(problem: &Problem, flow: FlowId) -> (f64, f64) {
+    (problem.flow(flow).bounds.max, problem.rho_bounds(flow).map_or(1.0, |bounds| bounds.max))
 }
 
 /// Solves `flow`'s rate (Algorithm 1) against the term table and, when
@@ -1116,7 +1134,7 @@ mod tests {
     use crate::engine::{Engine, LrgpConfig};
     use crate::plan::{IncrementalMode, Parallelism, Reliability};
     use lrgp_model::workloads::{base_workload, mixed_loss_workload, RandomWorkload};
-    use lrgp_model::{FlowId, LinkId, ProblemDelta, UtilityShape};
+    use lrgp_model::{FlowId, LinkId, ProblemDelta, RateBounds, UtilityShape};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1215,6 +1233,39 @@ mod tests {
         assert!(moved > 0, "no node price moves, so no flow is marked by one");
         let (dirty, _, _) = sequential.step_state().dirty_counts();
         assert!(2 * dirty < flows, "a converged step re-solved {dirty} of {flows} flows");
+    }
+
+    #[test]
+    fn work_lists_hold_exactly_a_deltas_marks_between_steps() {
+        // A delta marks the next step's work lists, and a step clears them
+        // when it finishes, so between steps they hold exactly the marks of
+        // the deltas applied since.
+        let problem = mixed_loss_workload(6, 100.0, 7);
+        let lists = |e: &Engine| e.step_state().work_lists().map(<[u32]>::to_vec);
+        let none: [&[u32]; 3] = [&[]; 3];
+        let mut engine = Engine::new(problem.clone(), incremental_config());
+        engine.run(150);
+        assert_eq!(lists(&engine), none, "after a step with no delta");
+
+        let node = problem.nodes_of_flow(FlowId::new(3))[0].0;
+        let capacity = problem.node(node).capacity;
+        engine.apply_delta(&ProblemDelta::new().set_node_capacity(node, capacity / 2.0)).unwrap();
+        assert_eq!(lists(&engine), [vec![], vec![node.index() as u32], vec![]], "capacity");
+        engine.step();
+        assert_eq!(lists(&engine), none, "after the capacity delta's step");
+
+        let flow = FlowId::new(1);
+        let bounds = problem.flow(flow).bounds;
+        let held = engine.allocation().rate(flow);
+        assert!(held > bounds.min, "the rate cut must bind");
+        let cut = RateBounds::new(bounds.min, (bounds.min + held) / 2.0).unwrap();
+        engine.apply_delta(&ProblemDelta::new().set_rate_bounds(flow, cut)).unwrap();
+        let nodes: Vec<u32> = problem.nodes_of_flow(flow).iter().map(|&(b, _)| b.into()).collect();
+        let links: Vec<u32> = problem.links_of_flow(flow).iter().map(|&(l, _)| l.into()).collect();
+        assert!(!links.is_empty(), "the flow must cross a link");
+        assert_eq!(lists(&engine), [vec![1], nodes, links], "binding rate bound");
+        engine.step();
+        assert_eq!(lists(&engine), none, "after the rate delta's step");
     }
 
     /// Asserts the invariant phase 0 relies on: unless they are marked

@@ -269,20 +269,11 @@ struct WorkerSlot {
     panic: Option<Box<dyn Any + Send>>,
     /// Number of shards this worker has executed (test instrumentation).
     jobs_completed: u64,
-    /// The worker's OS thread id, set once at startup (test
-    /// instrumentation: stable ids prove reuse rather than respawn).
-    thread_id: Option<ThreadId>,
 }
 
 impl WorkerSlot {
     fn new() -> Self {
-        Self {
-            out: Vec::new(),
-            agg: AggregateUtility::default(),
-            panic: None,
-            jobs_completed: 0,
-            thread_id: None,
-        }
+        Self { out: Vec::new(), agg: AggregateUtility::default(), panic: None, jobs_completed: 0 }
     }
 }
 
@@ -515,10 +506,6 @@ impl Drop for WorkerPool {
 /// The body of one pooled worker: park, run the assigned shard of the
 /// current job, publish results, repeat until shutdown.
 fn worker_loop(shared: Arc<PoolShared>, w: usize) {
-    {
-        let mut slot = lock_unpoisoned(&shared.slots[w]);
-        slot.thread_id = Some(std::thread::current().id());
-    }
     let mut seen = 0u64;
     loop {
         let participate = {
@@ -642,6 +629,31 @@ mod tests {
     use super::*;
 
     use proptest::prelude::*;
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::time::Duration;
+
+    /// Runs `body` on a helper thread and fails the test if it has not
+    /// finished within 30 s, so a lost wakeup fails it instead of hanging
+    /// the suite (the same guard as `tests/pool_stress.rs`). A panic in
+    /// `body` is resumed on the test thread.
+    fn with_watchdog(body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = channel();
+        let helper = std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(Duration::from_secs(30)) {
+            // A body that panicked drops the sender without sending.
+            Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+                if let Err(payload) = helper.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("watchdog: the pool did not finish within 30 s (lost wakeup?)")
+            }
+        }
+    }
 
     /// The pieces a pooled phase splits `dirty` into over `workers`
     /// contexts: `shard_of(dirty, shard_chunk(len, workers), k)` for every
@@ -702,44 +714,50 @@ mod tests {
 
     #[test]
     fn pool_runs_and_reuses_workers() {
-        let pool = WorkerPool::new(2);
-        pool.set_force_dispatch(true);
-        assert_eq!(pool.workers(), 2);
-        let ids_before = pool.worker_thread_ids();
-        for _ in 0..50 {
-            let (job, panic) = pool.run(Job::Idle, 3, |_| {});
-            assert!(matches!(job, Job::Idle));
-            assert!(panic.is_none());
-        }
-        assert_eq!(pool.worker_thread_ids(), ids_before, "workers respawned");
-        let jobs = pool.jobs_completed();
-        assert_eq!(jobs.len(), 2);
-        assert!(jobs.iter().all(|&j| j == 50), "jobs per worker: {jobs:?}");
+        with_watchdog(|| {
+            let pool = WorkerPool::new(2);
+            pool.set_force_dispatch(true);
+            assert_eq!(pool.workers(), 2);
+            let ids_before = pool.worker_thread_ids();
+            for _ in 0..50 {
+                let (job, panic) = pool.run(Job::Idle, 3, |_| {});
+                assert!(matches!(job, Job::Idle));
+                assert!(panic.is_none());
+            }
+            assert_eq!(pool.worker_thread_ids(), ids_before, "workers respawned");
+            let jobs = pool.jobs_completed();
+            assert_eq!(jobs.len(), 2);
+            assert!(jobs.iter().all(|&j| j == 50), "jobs per worker: {jobs:?}");
+        });
     }
 
     #[test]
     fn fewer_shards_than_workers_leaves_spares_parked() {
-        let pool = WorkerPool::new(4);
-        pool.set_force_dispatch(true);
-        for _ in 0..20 {
-            let (_, panic) = pool.run(Job::Idle, 2, |_| {});
-            assert!(panic.is_none());
-        }
-        let jobs = pool.jobs_completed();
-        assert_eq!(jobs[0], 20, "worker 0 participates in 2-shard phases");
-        assert_eq!(&jobs[1..], &[0, 0, 0], "spare workers must stay parked");
+        with_watchdog(|| {
+            let pool = WorkerPool::new(4);
+            pool.set_force_dispatch(true);
+            for _ in 0..20 {
+                let (_, panic) = pool.run(Job::Idle, 2, |_| {});
+                assert!(panic.is_none());
+            }
+            let jobs = pool.jobs_completed();
+            assert_eq!(jobs[0], 20, "worker 0 participates in 2-shard phases");
+            assert_eq!(&jobs[1..], &[0, 0, 0], "spare workers must stay parked");
+        });
     }
 
     #[test]
     fn inline_panic_is_reported_and_pool_survives() {
-        let pool = WorkerPool::new(1);
-        pool.set_force_dispatch(true);
-        let (_, panic) = pool.run(Job::Idle, 2, |_| panic!("inline boom"));
-        let payload = panic.expect("inline panic must surface");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
-        assert_eq!(msg, "inline boom");
-        // Pool still serviceable.
-        let (_, panic) = pool.run(Job::Idle, 2, |_| {});
-        assert!(panic.is_none());
+        with_watchdog(|| {
+            let pool = WorkerPool::new(1);
+            pool.set_force_dispatch(true);
+            let (_, panic) = pool.run(Job::Idle, 2, |_| panic!("inline boom"));
+            let payload = panic.expect("inline panic must surface");
+            let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
+            assert_eq!(msg, "inline boom");
+            // Pool still serviceable.
+            let (_, panic) = pool.run(Job::Idle, 2, |_| {});
+            assert!(panic.is_none());
+        });
     }
 }

@@ -36,15 +36,17 @@ pub struct EngineSnapshot {
 }
 
 impl Engine {
-    /// Captures the optimizer state (not the trace).
+    /// Captures the optimizer state (not the trace), copying each vector
+    /// once.
     pub fn snapshot(&self) -> EngineSnapshot {
+        let state = self.step_state();
         EngineSnapshot {
             config: *self.config(),
-            rates: self.allocation().rates().to_vec(),
-            rhos: self.rhos().to_vec(),
-            populations: self.allocation().populations().to_vec(),
-            prices: self.prices().clone(),
-            gamma_controllers: self.gamma_controllers().to_vec(),
+            rates: state.rates().to_vec(),
+            rhos: state.rhos().to_vec(),
+            populations: state.populations().to_vec(),
+            prices: state.prices().clone(),
+            gamma_controllers: state.gammas().to_vec(),
             iteration: self.iteration(),
         }
     }
@@ -90,16 +92,7 @@ impl Engine {
             }
         }
         let mut engine = Engine::new(problem, snapshot.config);
-        let rhos =
-            if snapshot.rhos.is_empty() { engine.rhos().to_vec() } else { snapshot.rhos };
-        engine.load_state(
-            snapshot.rates,
-            rhos,
-            snapshot.populations,
-            snapshot.prices,
-            snapshot.gamma_controllers,
-            snapshot.iteration,
-        );
+        engine.load_state(snapshot);
         Ok(engine)
     }
 }

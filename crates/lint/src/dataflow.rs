@@ -135,16 +135,19 @@ const PROPAGATED: EffectSet = EffectSet(!EffectSet::MUT_PARAM.0);
 /// The dirty-set bookkeeping entry points in `crates/core` (see
 /// `StepState` in `crates/core/src/exec.rs`): calling one of these, or
 /// touching the `dirty_*`/`changed_*` lists directly, is what pairs a
-/// cached-state write with its invalidation.
+/// cached-state write with its invalidation. `mark` and `clear_marks` are
+/// the dirty-list set's methods; the clamps and `note_*` methods are how a
+/// delta writes the state and marks what it moved.
 const DIRTY_API_FNS: &[&str] = &[
     "mark",
     "clear_marks",
     "mark_all_dirty",
+    "clamp_rate",
+    "clamp_population",
+    "clamp_rho",
     "note_capacity_change",
-    "note_population_change",
-    "note_bounds_change",
     "note_cost_edit",
-    "note_rho_bounds_change",
+    "note_flow_added",
 ];
 
 /// Per-function analysis results, aligned with [`CallGraph::fns`].

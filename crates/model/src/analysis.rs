@@ -171,24 +171,6 @@ pub fn jain_index(values: &[f64]) -> f64 {
     sum * sum / (values.len() as f64 * sq_sum)
 }
 
-/// Gini coefficient of a nonnegative distribution: 0 = perfectly equal,
-/// → 1 = maximally concentrated. Returns 0 for empty or all-zero input.
-pub fn gini_coefficient(values: &[f64]) -> f64 {
-    let n = values.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let sum: f64 = sorted.iter().sum();
-    if sum == 0.0 {
-        return 0.0;
-    }
-    let weighted: f64 =
-        sorted.iter().enumerate().map(|(i, &x)| (i as f64 + 1.0) * x).sum();
-    (2.0 * weighted) / (n as f64 * sum) - (n as f64 + 1.0) / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,25 +260,10 @@ mod tests {
     }
 
     #[test]
-    fn gini_extremes() {
-        assert_eq!(gini_coefficient(&[]), 0.0);
-        assert_eq!(gini_coefficient(&[0.0, 0.0]), 0.0);
-        assert!(gini_coefficient(&[5.0, 5.0, 5.0]).abs() < 1e-12);
-        // Full concentration in one of n values: (n-1)/n.
-        let g = gini_coefficient(&[0.0, 0.0, 0.0, 10.0]);
-        assert!((g - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
     fn fairness_metrics_tolerate_nan_deterministically() {
-        // total_cmp gives NaN a fixed sort position, so the (NaN) result is
-        // bit-identical across input permutations instead of depending on
-        // where the NaN happened to sit.
-        let a = gini_coefficient(&[f64::NAN, 3.0, 1.0, 2.0]);
-        let b = gini_coefficient(&[2.0, 1.0, f64::NAN, 3.0]);
-        assert!(a.is_nan() && b.is_nan());
-        assert_eq!(a.to_bits(), b.to_bits());
+        // A NaN input yields a NaN index, whatever position it sits at.
         assert!(jain_index(&[f64::NAN, 1.0]).is_nan());
+        assert!(jain_index(&[1.0, f64::NAN]).is_nan());
     }
 
     #[test]

@@ -28,11 +28,6 @@ macro_rules! id_type {
             pub const fn index(self) -> usize {
                 self.0 as usize
             }
-
-            /// The raw `u32` value.
-            pub const fn raw(self) -> u32 {
-                self.0
-            }
         }
 
         impl fmt::Display for $name {
@@ -86,7 +81,6 @@ mod tests {
     fn round_trips_and_accessors() {
         let f = FlowId::new(3);
         assert_eq!(f.index(), 3);
-        assert_eq!(f.raw(), 3);
         assert_eq!(u32::from(f), 3);
         assert_eq!(FlowId::from(3u32), f);
     }

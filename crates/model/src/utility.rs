@@ -137,21 +137,6 @@ impl Utility {
         }
     }
 
-    /// Returns a copy with the weight replaced, keeping the shape.
-    pub fn with_weight(&self, weight: f64) -> Self {
-        match *self {
-            Utility::Log { .. } => Utility::Log { weight },
-            Utility::Power { exponent, .. } => Utility::Power { weight, exponent },
-            Utility::Linear { .. } => Utility::Linear { weight },
-            Utility::Saturating { scale, .. } => Utility::Saturating { weight, scale },
-        }
-    }
-
-    /// `true` if the function is strictly concave on `(0, ∞)` (the paper's
-    /// standing assumption). Linear utilities return `false`.
-    pub fn is_strictly_concave(&self) -> bool {
-        !matches!(self, Utility::Linear { .. })
-    }
 }
 
 impl fmt::Display for Utility {
@@ -263,7 +248,9 @@ mod tests {
     #[test]
     fn strictly_concave_shapes_have_decreasing_derivative() {
         for u in SHAPES {
-            if !u.is_strictly_concave() {
+            // Every shape but the linear one is strictly concave on
+            // `(0, ∞)`, the paper's standing assumption.
+            if matches!(u, Utility::Linear { .. }) {
                 continue;
             }
             let mut prev = u.derivative(0.1);
@@ -273,14 +260,6 @@ mod tests {
                 prev = d;
             }
         }
-    }
-
-    #[test]
-    fn concavity_flags() {
-        assert!(Utility::log(1.0).is_strictly_concave());
-        assert!(Utility::power(1.0, 0.25).is_strictly_concave());
-        assert!(Utility::saturating(1.0, 1.0).is_strictly_concave());
-        assert!(!Utility::linear(1.0).is_strictly_concave());
     }
 
     #[test]
@@ -313,9 +292,6 @@ mod tests {
     fn weight_accessors() {
         for u in SHAPES {
             assert_eq!(u.weight(), 10.0);
-            let w = u.with_weight(3.0);
-            assert_eq!(w.weight(), 3.0);
-            assert_eq!(std::mem::discriminant(&w), std::mem::discriminant(&u));
         }
     }
 
