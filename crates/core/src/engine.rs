@@ -380,10 +380,10 @@ impl Engine {
             match *op {
                 // The ops' new flows take the next ids in op order.
                 DeltaOp::AddFlow { .. } => state.note_flow_added(&problem, op),
-                DeltaOp::SetNodeCapacity { node, .. } => state.note_capacity_change(node),
-                DeltaOp::SetLinkCapacity { .. } => {
-                    // The link price update always runs and reads the
-                    // capacity directly; no cached quantity depends on it.
+                DeltaOp::SetNodeCapacity { .. } | DeltaOp::SetLinkCapacity { .. } => {
+                    // The price update reads the capacity, so a settled
+                    // node or link must rejoin its price loop.
+                    state.note_capacity_change(op);
                 }
                 DeltaOp::SetMaxPopulation { class, .. } => state.clamp_population(&problem, class),
                 DeltaOp::SetRateBounds { flow, .. } => state.clamp_rate(&problem, flow),

@@ -61,12 +61,27 @@
 //! | rate of flow `i`   | price of a node in `B_i` / link in `L_i` (unless the flow is price-free), or the population of a class in `C_i`, changed last iteration |
 //! | admission at `b`   | the rate of a flow in `nodeMap(b)` changed this iteration |
 //! | usage of link `l`  | the rate of a flow in `linkMap(l)` changed this iteration |
-//! | total utility      | any rate or population changed this iteration    |
+//! | price + γ of node `b` | its last update (Eq. 12) moved its price or γ controller, or its admission was recomputed this iteration |
+//! | price of link `l`  | its last update (Eq. 13) moved its price, or its usage was recomputed this iteration |
+//! | utility term of class `j` / flow `f` | the rate or population of `j` / the ρ or a population of `f` changed this iteration |
+//! | total utility      | any rate, ρ or population changed this iteration |
 //!
-//! The price updates themselves (Eqs. 12–13) and the γ controllers are O(1)
-//! per element and **always** run — their state must advance every iteration
-//! exactly as in the baseline — but they read the *cached* admission outcome
-//! (`BC`, `used`) and link usage, which is only recomputed when dirty.
+//! A price update is a pure function of the element's price, its γ
+//! controller (a node's), its cached admission outcome (`BC`, `used`) or
+//! link usage, and its capacity. An update that moved none of its own state
+//! left its inputs as they were, so until one of the others changes it
+//! would recompute the same bits: such an element leaves the price loop
+//! until its admission or usage is recomputed, a capacity delta marks it,
+//! or an all-dirty step runs. A node stays in the loop while its γ climbs
+//! back to its ceiling even if its price holds, because γ is part of the
+//! state the next update reads.
+//!
+//! The total utility folds cached per-class terms `n_j · U_j(r)` and, under
+//! [`crate::plan::Reliability::Joint`], per-flow terms `mass_f · ln ρ_f`;
+//! a step refreshes only the terms whose inputs moved (every term on an
+//! all-dirty step, after a delta that moved a rate, ρ or population, or
+//! when most rates moved) and adds them in ascending id, so the sum is the
+//! one a full recompute forms, bit for bit.
 //!
 //! # Deltas
 //!
@@ -80,7 +95,8 @@
 //! population, the class's node) dirty; a value the clamp moved also marks
 //! what reads it — a rate its nodes, links and the utility, a population
 //! its flow and the utility, a ρ its links and the utility. A capacity
-//! change dirties that node's admission. Cost edits patch the term table in
+//! change dirties that node's admission, or that link's usage, which puts
+//! the element back into its price loop. Cost edits patch the term table in
 //! place ([`PriceTermTable::refresh`]) and dirty exactly the readers of
 //! the patched coefficients: a flow removal or `F_{b,i}` edit dirties the
 //! flow, its nodes and its links; a loss edit dirties the link (joint
@@ -94,10 +110,10 @@
 //!
 //! The hot per-node admission state is stored **struct-of-arrays**
 //! (`NodeTable`): the Eq. 12 inputs `used` and `BC` live in two dense
-//! `Vec<f64>`s read linearly by the always-runs price loop, while the
-//! bulky per-node scratch (the sorted BC order and population decisions)
-//! lives in a parallel vector of `AdmissionOrder` slots, each behind a
-//! `Mutex` so pooled workers can re-admit disjoint shards concurrently
+//! `Vec<f64>`s read by the node price loop, while the bulky per-node
+//! scratch (the sorted BC order and population decisions) lives in a
+//! parallel vector of `AdmissionOrder` slots, each behind a `Mutex` so
+//! pooled workers can re-admit disjoint shards concurrently
 //! (each node belongs to exactly one shard, so the locks are uncontended;
 //! the sequential path bypasses them with `Mutex::get_mut`).
 //!
@@ -176,6 +192,17 @@ impl Marks {
     /// Admits one more id, unmarked.
     fn grow(&mut self) {
         self.flags.push(false);
+    }
+
+    /// Calls `keep` on every marked id in order, and unmarks the ids for
+    /// which it returns false.
+    fn sift(&mut self, mut keep: impl FnMut(u32) -> bool) {
+        let flags = &mut self.flags;
+        self.ids.retain(|&id| {
+            let kept = keep(id);
+            flags[id as usize] = kept;
+            kept
+        });
     }
 }
 
@@ -284,6 +311,19 @@ pub(crate) struct StepState {
     terms: Arc<PriceTermTable>,
     nodes: NodeTable,
     link_usage: Vec<f64>,
+    /// Nodes whose last price update moved their price or γ controller
+    /// bitwise; the next node price loop visits them and the dirty nodes.
+    live_nodes: Marks,
+    /// Links whose last price update moved their price bitwise; the next
+    /// link price loop visits them and the dirty links.
+    live_links: Marks,
+    /// Each class's utility term `n_j · U_j(r)`, current for every class
+    /// with a positive population.
+    class_terms: Vec<f64>,
+    /// Each flow's reliability mass and, where the mass is nonzero, its
+    /// term `mass_f · ln ρ_f` ([`rho_term`]); kept only under
+    /// [`crate::plan::Reliability::Joint`].
+    rho_terms: Vec<(f64, f64)>,
     cached_utility: f64,
     /// Everything dirty on the first step after (re)construction.
     first: bool,
@@ -334,6 +374,10 @@ pub(crate) struct StepState {
     /// The work-list sizes of the last completed step, for tests.
     #[cfg(test)]
     last_dirty: (usize, usize, usize),
+    /// The node and link price updates of the last completed step, for
+    /// tests.
+    #[cfg(test)]
+    last_price_updates: (usize, usize),
 }
 
 impl StepState {
@@ -355,6 +399,10 @@ impl StepState {
             terms: Arc::new(PriceTermTable::new(problem)),
             nodes: NodeTable::new(problem),
             link_usage: vec![0.0; links],
+            live_nodes: Marks::new(nodes),
+            live_links: Marks::new(links),
+            class_terms: vec![0.0; problem.num_classes()],
+            rho_terms: vec![(0.0, 0.0); flows],
             cached_utility: 0.0,
             first: true,
             force_utility: false,
@@ -376,6 +424,8 @@ impl StepState {
             panic_on_flow: None,
             #[cfg(test)]
             last_dirty: (0, 0, 0),
+            #[cfg(test)]
+            last_price_updates: (0, 0),
         }
     }
 
@@ -507,11 +557,16 @@ impl StepState {
         }
     }
 
-    /// Records that `node`'s capacity changed: its admission outcome must be
-    /// recomputed (the price update always runs and reads the capacity
-    /// directly).
-    pub(crate) fn note_capacity_change(&mut self, node: NodeId) {
-        self.dirty_nodes.mark(node);
+    /// Records that `op`, a node or link capacity edit, reached the problem:
+    /// the node re-admits, or the link recomputes its usage, and either goes
+    /// back into its price loop, whose update reads the capacity. Other ops
+    /// mark nothing here.
+    pub(crate) fn note_capacity_change(&mut self, op: &DeltaOp) {
+        match *op {
+            DeltaOp::SetNodeCapacity { node, .. } => self.dirty_nodes.mark(node),
+            DeltaOp::SetLinkCapacity { link, .. } => self.dirty_links.mark(link),
+            _ => {}
+        }
     }
 
     /// Records that `op`, a cost edit that keeps the id space, reached the
@@ -550,14 +605,15 @@ impl StepState {
     /// where the new flow holds the next flow id. Appends its rate (at
     /// `r_max`), its ρ (at `ρ_max`) and its empty classes, as
     /// [`Self::new`] starts every flow; grows the per-flow and per-class
-    /// flags, appends the flow's classes to their nodes' admission orders
-    /// and its rows to the term table, and dirties it as a rate that moved:
-    /// the flow, its nodes, its links and the utility.
+    /// flags and utility terms, appends the flow's classes to their nodes'
+    /// admission orders and its rows to the term table, and dirties it as a
+    /// rate that moved: the flow, its nodes, its links and the utility.
     pub(crate) fn note_flow_added(&mut self, problem: &Problem, op: &DeltaOp) {
         let flow = FlowId::new(self.rates.len() as u32);
         let (rate, rho) = initial_rate_and_rho(problem, flow);
         self.rates.push(rate);
         self.rhos.push(rho);
+        self.rho_terms.push((0.0, 0.0));
         for marks in [&mut self.dirty_flows, &mut self.changed_rates, &mut self.changed_rhos] {
             marks.grow();
         }
@@ -565,6 +621,7 @@ impl StepState {
         self.busy_stale = true;
         for &class in problem.classes_of_flow(flow) {
             self.populations.push(0.0);
+            self.class_terms.push(0.0);
             self.changed_classes.grow();
             if let Some(slot) = self.nodes.orders.get_mut(problem.class(class).node.index()) {
                 let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
@@ -604,6 +661,13 @@ impl StepState {
     #[cfg(test)]
     pub(crate) fn dirty_counts(&self) -> (usize, usize, usize) {
         self.last_dirty
+    }
+
+    /// The node and link price updates of the last completed step, for
+    /// tests: `(node updates, link updates)`.
+    #[cfg(test)]
+    pub(crate) fn price_update_counts(&self) -> (usize, usize) {
+        self.last_price_updates
     }
 
     /// The work lists as they stand: between steps, the marks of the
@@ -648,17 +712,7 @@ impl StepState {
         self.update_node_prices(problem, config);
         self.derive_dirty_links(problem);
         self.update_link_usage_and_prices(problem, config, joint);
-        if self.first
-            || self.force_utility
-            || !self.changed_rates.ids.is_empty()
-            || !self.changed_rhos.ids.is_empty()
-            || !self.changed_classes.ids.is_empty()
-        {
-            self.cached_utility = total_utility(problem, &self.rates, &self.populations);
-            if joint {
-                self.cached_utility += reliability_utility(problem, &self.rhos, &self.populations);
-            }
-        }
+        self.publish_utility(problem, joint);
         #[cfg(test)]
         {
             let [flows, nodes, links] = self.work_lists();
@@ -943,30 +997,43 @@ impl StepState {
         changed_classes.ids.sort_unstable();
     }
 
-    /// Phase 2c: the O(1) node price update (Eq. 12) plus γ observation runs
-    /// for **every** node each iteration — controller state must advance
-    /// exactly as in the baseline — reading the cached admission outcome
-    /// from the dense `used`/`bc` columns.
+    /// Phase 2c: the node price update (Eq. 12) and its γ observation, read
+    /// from the cached admission outcome in the dense `used`/`bc` columns,
+    /// for the live nodes and the dirty ones (every node on an all-dirty
+    /// step). Any other node would recompute the bits it holds (see the
+    /// module docs). A node whose update moves neither its price nor its γ
+    /// controller leaves the live list.
     fn update_node_prices(&mut self, problem: &Problem, config: &LrgpConfig) {
-        let Self { gammas, prices, nodes, changed_nodes, .. } = self;
-        for (b, ctl) in gammas.iter_mut().enumerate() {
-            let node = NodeId::new(b as u32);
-            let gamma = ctl.gamma();
+        let Self { gammas, prices, nodes, dirty_nodes, live_nodes, changed_nodes, .. } = self;
+        for &b in &dirty_nodes.ids {
+            live_nodes.mark(b);
+        }
+        #[cfg(test)]
+        let visits = live_nodes.ids.len();
+        live_nodes.sift(|b| {
+            let node = NodeId::new(b);
+            let ctl = &mut gammas[b as usize];
+            let (before, gamma) = (prices.node(node), ctl.gamma());
             let next = update_node_price_with_rule(
                 config.node_price_rule,
-                prices.node(node),
-                nodes.bc[b],
-                nodes.used[b],
+                before,
+                nodes.bc[b as usize],
+                nodes.used[b as usize],
                 problem.node(node).capacity,
                 gamma,
                 gamma,
             );
-            ctl.observe_price(next);
-            let before = prices.node(node);
+            let ctl_moved = ctl.observe_price_moved(next);
             prices.set_node(node, next);
-            if prices.node(node).to_bits() != before.to_bits() {
+            let moved = prices.node(node).to_bits() != before.to_bits();
+            if moved {
                 changed_nodes.mark(node);
             }
+            moved || ctl_moved
+        });
+        #[cfg(test)]
+        {
+            self.last_price_updates.0 = visits;
         }
     }
 
@@ -989,14 +1056,26 @@ impl StepState {
     }
 
     /// Phase 3: recompute the dirty links' usage from the term tables, then
-    /// run the O(1) Eq. 13 update for every link against the cached usage.
+    /// run the Eq. 13 update against the cached usage for the live links
+    /// and the dirty ones (every link on an all-dirty step). A link whose
+    /// update leaves its price bitwise where it was leaves the live list.
     fn update_link_usage_and_prices(
         &mut self,
         problem: &Problem,
         config: &LrgpConfig,
         joint: bool,
     ) {
-        let Self { rates, rhos, prices, terms, link_usage, dirty_links, changed_links, .. } = self;
+        let Self {
+            rates,
+            rhos,
+            prices,
+            terms,
+            link_usage,
+            dirty_links,
+            live_links,
+            changed_links,
+            ..
+        } = self;
         if joint {
             // One strict left fold per dirty link with the redundancy
             // inflation folded into each term; kept on a separate branch so
@@ -1024,20 +1103,116 @@ impl StepState {
                 link_usage[l as usize] = usage;
             }
         }
-        for (l, &usage) in link_usage.iter().enumerate() {
-            let link = LinkId::new(l as u32);
-            let next = update_link_price(
-                prices.link(link),
-                usage,
-                problem.link(link).capacity,
-                config.link_gamma,
-            );
+        for &l in &dirty_links.ids {
+            live_links.mark(l);
+        }
+        #[cfg(test)]
+        let visits = live_links.ids.len();
+        live_links.sift(|l| {
+            let link = LinkId::new(l);
             let before = prices.link(link);
+            let usage = link_usage[l as usize];
+            let capacity = problem.link(link).capacity;
+            let next = update_link_price(before, usage, capacity, config.link_gamma);
             prices.set_link(link, next);
-            if prices.link(link).to_bits() != before.to_bits() {
+            let moved = prices.link(link).to_bits() != before.to_bits();
+            if moved {
                 changed_links.mark(link);
             }
+            moved
+        });
+        #[cfg(test)]
+        {
+            self.last_price_updates.1 = visits;
         }
+    }
+
+    /// Republishes the total utility when a rate, ρ or population moved
+    /// this iteration, from the cached terms (see the module docs): first
+    /// the terms whose inputs moved are refreshed, then the cache is folded
+    /// in ascending id, skipping empty classes and zero-mass flows. An
+    /// all-dirty step, one after a delta that moved a rate, ρ or population
+    /// (`force_utility`), and one that moved most rates (where a separate
+    /// refresh pass would touch most terms anyway) refresh every term
+    /// inside the fold. These are the products and the additions of
+    /// `Allocation::total_utility` and [`reliability_utility`], in their
+    /// order, so the sum is theirs bit for bit.
+    fn publish_utility(&mut self, problem: &Problem, joint: bool) {
+        let Self {
+            rates,
+            rhos,
+            populations,
+            class_terms,
+            rho_terms,
+            changed_rates,
+            changed_rhos,
+            changed_classes,
+            cached_utility,
+            first,
+            force_utility,
+            ..
+        } = self;
+        let all = *first || *force_utility || 2 * changed_rates.ids.len() > rates.len();
+        if !all {
+            if changed_rates.ids.is_empty()
+                && changed_rhos.ids.is_empty()
+                && changed_classes.ids.is_empty()
+            {
+                return;
+            }
+            for &f in &changed_rates.ids {
+                for &class in problem.classes_of_flow(FlowId::new(f)) {
+                    let n = populations[class.index()];
+                    if n > 0.0 {
+                        class_terms[class.index()] = class_term(problem, class, n, rates);
+                    }
+                }
+            }
+            // A class whose rate moved was refreshed above.
+            for &c in &changed_classes.ids {
+                let class = ClassId::new(c);
+                let n = populations[class.index()];
+                if n > 0.0 && !changed_rates.flags[problem.class(class).flow.index()] {
+                    class_terms[class.index()] = class_term(problem, class, n, rates);
+                }
+            }
+            if joint {
+                for &f in &changed_rhos.ids {
+                    rho_terms[f as usize] = rho_term(problem, FlowId::new(f), rhos, populations);
+                }
+                // A flow whose ρ moved was refreshed above.
+                for &c in &changed_classes.ids {
+                    let flow = problem.class(ClassId::new(c)).flow;
+                    if !changed_rhos.flags[flow.index()] {
+                        rho_terms[flow.index()] = rho_term(problem, flow, rhos, populations);
+                    }
+                }
+            }
+        }
+        let mut total = 0.0;
+        for class in problem.class_ids() {
+            let n = populations[class.index()];
+            if n > 0.0 {
+                if all {
+                    class_terms[class.index()] = class_term(problem, class, n, rates);
+                }
+                total += class_terms[class.index()];
+            }
+        }
+        if joint {
+            let mut reliability = 0.0;
+            for flow in problem.flow_ids() {
+                if all {
+                    rho_terms[flow.index()] = rho_term(problem, flow, rhos, populations);
+                }
+                let (mass, term) = rho_terms[flow.index()];
+                if mass != 0.0 {
+                    reliability += term;
+                }
+            }
+            total += reliability;
+        }
+        *cached_utility = total;
     }
 }
 
@@ -1104,37 +1279,44 @@ pub(crate) fn reliability_utility(problem: &Problem, rhos: &[f64], populations: 
     }
     let mut total = 0.0;
     for flow in problem.flow_ids() {
-        let mut mass = 0.0;
-        for &class in problem.classes_of_flow(flow) {
-            mass += problem.class(class).utility.weight() * populations[class.index()];
-        }
+        let (mass, term) = rho_term(problem, flow, rhos, populations);
         if mass != 0.0 {
-            total += mass * rhos[flow.index()].ln();
+            total += term;
         }
     }
     total
 }
 
-/// Total utility in exactly `Allocation::total_utility`'s order (ascending
-/// class ids, zero-population classes skipped) — same additions, same bits.
-fn total_utility(problem: &Problem, rates: &[f64], populations: &[f64]) -> f64 {
-    let mut total = 0.0;
-    for class in problem.class_ids() {
-        let spec = problem.class(class);
-        let n = populations[class.index()];
-        if n > 0.0 {
-            total += n * spec.utility.value(rates[spec.flow.index()]);
-        }
+/// `flow`'s reliability mass `Σ_{j ∈ C_f} w_j · n_j`, folded in
+/// `classes_of_flow` order, and its term `mass · ln(ρ_f)` of the joint
+/// objective (0.0 where the mass is zero, which the sum skips).
+fn rho_term(problem: &Problem, flow: FlowId, rhos: &[f64], populations: &[f64]) -> (f64, f64) {
+    let mut mass = 0.0;
+    for &class in problem.classes_of_flow(flow) {
+        mass += problem.class(class).utility.weight() * populations[class.index()];
     }
-    total
+    (mass, if mass != 0.0 { mass * rhos[flow.index()].ln() } else { 0.0 })
+}
+
+/// `class`'s utility term `n · U_j(r)` at population `n` and its flow's
+/// rate, the product `Allocation::total_utility` sums.
+fn class_term(problem: &Problem, class: ClassId, n: f64, rates: &[f64]) -> f64 {
+    let spec = problem.class(class);
+    n * spec.utility.value(rates[spec.flow.index()])
 }
 
 #[cfg(test)]
 mod tests {
     use crate::engine::{Engine, LrgpConfig};
+    use crate::gamma::{GammaController, GammaMode};
     use crate::plan::{IncrementalMode, Parallelism, Reliability};
-    use lrgp_model::workloads::{base_workload, mixed_loss_workload, RandomWorkload};
-    use lrgp_model::{FlowId, LinkId, ProblemDelta, RateBounds, UtilityShape};
+    use crate::snapshot::EngineSnapshot;
+    use lrgp_model::workloads::{
+        base_workload, link_bottleneck_workload, mixed_loss_workload, RandomWorkload,
+    };
+    use lrgp_model::{
+        FlowId, LinkId, Problem, ProblemBuilder, ProblemDelta, RateBounds, UtilityShape,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1202,14 +1384,9 @@ mod tests {
         assert_eq!(changed_links, 0, "base workload has no links");
     }
 
-    #[test]
-    fn price_free_flows_leave_the_dirty_set_on_both_paths() {
-        // `huge_cold`'s shape at debug size: many mixed-shape flows per
-        // consumer node. Most settle at `r_min` with no admitted class
-        // while the consumer-node prices keep moving, so a converged step
-        // re-solves fewer flows than a price move reaches. The pooled
-        // engine takes its flags from the pool's drain; it must skip
-        // exactly the flows the sequential one skips, on every step.
+    /// `huge_cold`'s shape at debug size: 120 mixed-shape flows, each from
+    /// its own source node, feeding 4 consumer nodes (ids 0–3).
+    fn many_flows_few_consumers() -> Problem {
         let generator = RandomWorkload {
             flows: 120,
             consumer_nodes: 4,
@@ -1217,7 +1394,18 @@ mod tests {
             mixed_shapes: true,
             ..RandomWorkload::default()
         };
-        let problem = generator.generate(&mut StdRng::seed_from_u64(7));
+        generator.generate(&mut StdRng::seed_from_u64(7))
+    }
+
+    #[test]
+    fn price_free_flows_leave_the_dirty_set_on_both_paths() {
+        // Many mixed-shape flows per consumer node. Most settle at `r_min`
+        // with no admitted class while the consumer-node prices keep
+        // moving, so a converged step re-solves fewer flows than a price
+        // move reaches. The pooled engine takes its flags from the pool's
+        // drain; it must skip exactly the flows the sequential one skips,
+        // on every step.
+        let problem = many_flows_few_consumers();
         let flows = problem.num_flows();
         let mut sequential = Engine::new(problem.clone(), incremental_config());
         let config = LrgpConfig { parallelism: Parallelism::Threads(2), ..incremental_config() };
@@ -1226,13 +1414,130 @@ mod tests {
         for k in 0..200 {
             let (a, b) = (sequential.step(), pooled.step());
             assert_eq!(a.to_bits(), b.to_bits(), "diverged at iteration {k}");
-            let counts = sequential.step_state().dirty_counts();
-            assert_eq!(counts, pooled.step_state().dirty_counts(), "dirty sets at iteration {k}");
+            let (seq, par) = (sequential.step_state(), pooled.step_state());
+            assert_eq!(seq.dirty_counts(), par.dirty_counts(), "dirty sets at iteration {k}");
+            let updates = seq.price_update_counts();
+            assert_eq!(updates, par.price_update_counts(), "price updates at iteration {k}");
         }
         let (_, moved, _) = sequential.step_state().changed_counts();
         assert!(moved > 0, "no node price moves, so no flow is marked by one");
         let (dirty, _, _) = sequential.step_state().dirty_counts();
         assert!(2 * dirty < flows, "a converged step re-solved {dirty} of {flows} flows");
+    }
+
+    #[test]
+    fn settled_prices_leave_the_price_loops_on_both_paths() {
+        // A converged step updates the prices that still move and the
+        // dirty elements, nothing else: on the mixed-shape system the
+        // consumer nodes keep moving and the 120 load-free sources settle
+        // at 0; on an uncongested link bottleneck every price settles. A
+        // capacity delta on a settled node or link puts it back into the
+        // next step's loop, which an engine cloned before the delta does
+        // not visit.
+        let cases = [(many_flows_few_consumers(), 4), (link_bottleneck_workload(1e6), 0)];
+        for (problem, consumers) in cases {
+            for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
+                let config = LrgpConfig { parallelism, ..incremental_config() };
+                let mut engine = Engine::new(problem.clone(), config);
+                engine.force_pool_dispatch(true);
+                let mut baseline = Engine::new(problem.clone(), baseline_config());
+                for k in 0..200 {
+                    let (a, b) = (engine.step(), baseline.step());
+                    assert_eq!(a.to_bits(), b.to_bits(), "{parallelism:?}: diverged at {k}");
+                }
+                assert_eq!(engine.prices(), baseline.prices(), "{parallelism:?}");
+                let state = engine.step_state();
+                let (nodes, links) = state.price_update_counts();
+                let (_, dirty_nodes, dirty_links) = state.dirty_counts();
+                assert!(nodes <= consumers + dirty_nodes, "{parallelism:?}: {nodes} node updates");
+                assert!(links <= dirty_links, "{parallelism:?}: {links} link updates");
+                let everything = (problem.num_nodes(), problem.num_links());
+                assert_eq!(baseline.step_state().price_update_counts(), everything);
+
+                let node = problem.node_ids().find(|b| !state.live_nodes.flags[b.index()]);
+                let node = node.expect("a settled node");
+                let capacity = problem.node(node).capacity * 2.0;
+                let mut deltas =
+                    vec![(ProblemDelta::new().set_node_capacity(node, capacity), (1, 0))];
+                if problem.num_links() > 0 {
+                    let link = problem.link_ids().find(|l| !state.live_links.flags[l.index()]);
+                    let link = link.expect("a settled link");
+                    let capacity = problem.link(link).capacity * 2.0;
+                    deltas.push((ProblemDelta::new().set_link_capacity(link, capacity), (0, 1)));
+                }
+                for (delta, (extra_nodes, extra_links)) in &deltas {
+                    let label = format!("{parallelism:?} {delta:?}");
+                    let mut untouched = engine.clone();
+                    untouched.step();
+                    engine.apply_delta(delta).unwrap();
+                    baseline.apply_delta(delta).unwrap();
+                    let (a, b) = (engine.step(), baseline.step());
+                    assert_eq!(a.to_bits(), b.to_bits(), "{label}");
+                    let (nodes, links) = untouched.step_state().price_update_counts();
+                    let expected = (nodes + extra_nodes, links + extra_links);
+                    assert_eq!(engine.step_state().price_update_counts(), expected, "{label}");
+                    for k in 1..20 {
+                        let (a, b) = (engine.step(), baseline.step());
+                        assert_eq!(a.to_bits(), b.to_bits(), "{label}: step {k}");
+                    }
+                    assert_eq!(engine.prices(), baseline.prices(), "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_node_whose_gamma_climbs_under_a_held_price_stays_in_the_price_loop() {
+        // One flow feeding a consumer node with room for all ten of its
+        // consumers: BC is 0, so the node's price holds at 0 from the
+        // first step. Restored with a γ controller that has just seen a
+        // fluctuation (γ halved to 0.05), the price still holds while γ
+        // climbs back by 0.001 a step; a capacity cut then leaves demand
+        // unadmitted, and the next update reads γ. A node settled on its
+        // price alone would carry a stale γ into that update.
+        let mut builder = ProblemBuilder::new();
+        let source = builder.add_node(1e9);
+        let sink = builder.add_node(1e9);
+        let flow = builder.add_flow(source, RateBounds::new(1.0, 100.0).unwrap());
+        builder.set_node_cost(flow, sink, 0.001);
+        builder.add_class(flow, sink, 10, UtilityShape::Log.build(20.0), 0.001);
+        let problem = builder.build().unwrap();
+        let mut settled = Engine::new(problem.clone(), incremental_config());
+        settled.run(5);
+        let mut snapshot = settled.snapshot();
+        assert_eq!(snapshot.prices.node(sink).to_bits(), 0.0f64.to_bits());
+        let mut fluctuated = GammaController::new(GammaMode::Adaptive);
+        fluctuated.observe_price(1.0);
+        fluctuated.observe_price(0.0);
+        assert_eq!(fluctuated.gamma(), 0.05);
+        snapshot.gamma_controllers[sink.index()] = fluctuated;
+        let cut = ProblemDelta::new().set_node_capacity(sink, 0.5);
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            let restore = |config| {
+                let snapshot = EngineSnapshot { config, ..snapshot.clone() };
+                let engine = Engine::restore(problem.clone(), snapshot).unwrap();
+                engine.force_pool_dispatch(true);
+                engine
+            };
+            let mut reference = restore(baseline_config());
+            let mut engine = restore(LrgpConfig { parallelism, ..incremental_config() });
+            let lockstep = |reference: &mut Engine, engine: &mut Engine, label: &str| {
+                for k in 0..6 {
+                    let (a, b) = (reference.step(), engine.step());
+                    assert_eq!(a.to_bits(), b.to_bits(), "{parallelism:?} {label} {k}");
+                    assert_eq!(reference.prices(), engine.prices(), "{parallelism:?} {label} {k}");
+                    let (x, y) = (reference.node_gamma(sink), engine.node_gamma(sink));
+                    assert_eq!(x.to_bits(), y.to_bits(), "{parallelism:?} {label} {k}: γ");
+                }
+            };
+            lockstep(&mut reference, &mut engine, "quiet");
+            assert_eq!(engine.prices().node(sink), 0.0, "the price must hold");
+            assert!(engine.node_gamma(sink) > 0.055, "γ must climb");
+            reference.apply_delta(&cut).unwrap();
+            engine.apply_delta(&cut).unwrap();
+            lockstep(&mut reference, &mut engine, "cut");
+            assert!(engine.prices().node(sink) > 0.0, "the cut must price the node");
+        }
     }
 
     #[test]
@@ -1253,6 +1558,13 @@ mod tests {
         assert_eq!(lists(&engine), [vec![], vec![node.index() as u32], vec![]], "capacity");
         engine.step();
         assert_eq!(lists(&engine), none, "after the capacity delta's step");
+
+        let link = LinkId::new(2);
+        let capacity = problem.link(link).capacity;
+        engine.apply_delta(&ProblemDelta::new().set_link_capacity(link, capacity * 2.0)).unwrap();
+        assert_eq!(lists(&engine), [vec![], vec![], vec![2]], "link capacity");
+        engine.step();
+        assert_eq!(lists(&engine), none, "after the link capacity delta's step");
 
         let flow = FlowId::new(1);
         let bounds = problem.flow(flow).bounds;

@@ -112,6 +112,17 @@ impl GammaController {
         }
         self.gamma
     }
+
+    /// Feeds `price` as [`Self::observe_price`] does, and reports whether
+    /// the controller's state moved: γ or the remembered price changed
+    /// bitwise, or the price is NaN. The detector's remembered direction
+    /// turns only when the price differs numerically from the remembered
+    /// one, which changes its bits, or is NaN.
+    pub(crate) fn observe_price_moved(&mut self, price: f64) -> bool {
+        let before = (self.gamma.to_bits(), self.detector.last_value().to_bits());
+        self.observe_price(price);
+        price.is_nan() || before != (self.gamma.to_bits(), price.to_bits())
+    }
 }
 
 #[cfg(test)]
@@ -162,6 +173,23 @@ mod tests {
             c.observe_price(x);
         }
         assert!((c.gamma() - 0.001).abs() < 1e-12); // clamped at min
+    }
+
+    #[test]
+    fn a_held_price_moves_the_controller_until_gamma_is_back_at_its_ceiling() {
+        let mut c = GammaController::new(GammaMode::Adaptive);
+        assert!(!c.observe_price_moved(0.0), "a held price at the 0.1 ceiling moves nothing");
+        assert!(c.observe_price_moved(1.0), "a price move moves the remembered price");
+        assert!(c.observe_price_moved(0.5), "a fluctuation halves γ");
+        let mut climbs = 0;
+        while c.observe_price_moved(0.5) {
+            climbs += 1;
+        }
+        assert_eq!(c.gamma(), 0.1);
+        assert!((49..=51).contains(&climbs), "γ climbed back in {climbs} held steps");
+        let mut fixed = GammaController::new(GammaMode::fixed(0.3));
+        assert!(!fixed.observe_price_moved(0.0));
+        assert!(fixed.observe_price_moved(f64::NAN), "NaN counts as a move");
     }
 
     #[test]

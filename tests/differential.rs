@@ -600,15 +600,21 @@ proptest! {
     /// sequential vs incremental pooled), through a schedule of rate-side
     /// and reliability-side deltas applied via [`Engine::apply_delta`]
     /// against a baseline that restores its snapshot over the edited problem.
+    /// Under log utilities ρ pins at its ceiling (see [`pow_lossy_pairs`]),
+    /// so part of the cases draw power utilities, under which ρ must move:
+    /// the utility's reliability terms then change between steps.
     #[test]
     fn joint_reliability_bit_identical_across_plans(
-        (pairs, seed, threads) in (1usize..5, 0u64..1_000_000, 2usize..5),
+        (pairs, seed, threads, pow) in
+            (1usize..5, 0u64..1_000_000, 2usize..5, proptest::bool::ANY),
         schedule in proptest::collection::vec(
             (0u8..6, 0u64..1_000_000, 0.0f64..1_000_000.0),
             1..5,
         )
     ) {
         let problem = mixed_loss_workload(pairs, 400.0, seed);
+        let problem = if pow { problem.with_utility_shape(UtilityShape::Pow75) } else { problem };
+        let mut rho_moves = 0usize;
         let baseline_config = LrgpConfig {
             parallelism: Parallelism::Sequential,
             incremental: IncrementalMode::Off,
@@ -634,9 +640,12 @@ proptest! {
                     inc_par.apply_delta(&delta).expect("delta is valid");
                 }
             }
+            let rhos = baseline.rhos().to_vec();
             let u_base = baseline.step();
             let u_seq = inc_seq.step();
             let u_par = inc_par.step();
+            let before_after = rhos.iter().zip(baseline.rhos());
+            rho_moves += before_after.filter(|(a, b)| a.to_bits() != b.to_bits()).count();
             prop_assert!(
                 u_base.to_bits() == u_seq.to_bits(),
                 "joint-sequential utility diverged at iteration {}: {:?} vs {:?}",
@@ -652,6 +661,7 @@ proptest! {
             assert_bits_eq("joint-sequential rhos", k, baseline.rhos(), inc_seq.rhos());
             assert_bits_eq("joint-threads rhos", k, baseline.rhos(), inc_par.rhos());
         }
+        prop_assert!(!pow || rho_moves > 0, "power utilities moved no ρ in 30 joint steps");
     }
 }
 
