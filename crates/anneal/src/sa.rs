@@ -31,30 +31,25 @@ impl CoolingSchedule {
         Self { start_temperature, cooling_factor: 0.999, stop_temperature: 1.0 }
     }
 
-    /// Number of temperature rounds until the stop temperature is reached.
+    /// Number of temperature rounds until the stop temperature is reached
+    /// (at least 1).
     pub fn rounds(&self) -> u64 {
-        let mut t = self.start_temperature;
-        let mut rounds = 0;
-        while t > self.stop_temperature {
-            t *= self.cooling_factor;
-            rounds += 1;
-        }
-        rounds.max(1)
+        self.temperatures().count().max(1) as u64
     }
 
     /// Iterator over the round temperatures (before each multiplication).
+    /// A round that does not cool the next (an infinite start, or a factor
+    /// of 1 or more) would repeat forever, so it is the last; every start
+    /// that cools keeps its rounds.
     pub fn temperatures(&self) -> impl Iterator<Item = f64> + '_ {
-        let mut t = self.start_temperature;
+        let mut next = Some(self.start_temperature);
         let stop = self.stop_temperature;
         let factor = self.cooling_factor;
         std::iter::from_fn(move || {
-            if t > stop {
-                let current = t;
-                t *= factor;
-                Some(current)
-            } else {
-                None
-            }
+            let current = next.filter(|&t| t > stop)?;
+            let cooled = current * factor;
+            next = (cooled < current).then_some(cooled);
+            Some(current)
         })
     }
 }
@@ -325,6 +320,39 @@ mod tests {
         let s = CoolingSchedule { start_temperature: 0.5, cooling_factor: 0.999, stop_temperature: 1.0 };
         assert_eq!(s.rounds(), 1);
         assert_eq!(s.temperatures().count(), 0);
+    }
+
+    #[test]
+    fn schedule_keeps_every_cooling_start_and_ends_on_one_that_does_not_cool() {
+        // The plain loop every start that cools must still match.
+        let plain = |start: f64| {
+            let (mut t, mut rounds) = (start, 0u64);
+            while t > 1.0 {
+                t *= 0.999;
+                rounds += 1;
+            }
+            rounds
+        };
+        for start in [1.5, 5.0, 10.0, 50.0, 100.0, 1e300, f64::MAX] {
+            let s = CoolingSchedule::paper(start);
+            assert_eq!(s.temperatures().count() as u64, plain(start), "start {start}");
+            assert_eq!(s.rounds(), plain(start).max(1), "start {start}");
+        }
+        // ∞ · 0.999 = ∞, and a factor of 1 never cools: each ends after
+        // one round. Watched, so a schedule that loops fails instead of
+        // hanging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let schedules = [
+                CoolingSchedule::paper(f64::INFINITY),
+                CoolingSchedule { cooling_factor: 1.0, ..CoolingSchedule::paper(5.0) },
+            ];
+            let _ = tx.send(schedules.map(|s| (s.rounds(), s.temperatures().collect::<Vec<_>>())));
+        });
+        let ended = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("a schedule that does not cool did not end within 20 s");
+        assert_eq!(ended, [(1, vec![f64::INFINITY]), (1, vec![5.0])]);
     }
 
     #[test]

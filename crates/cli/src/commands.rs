@@ -218,6 +218,44 @@ fn parse_num<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, ParseErro
     raw.parse().map_err(|_| ParseError(format!("{flag}: cannot parse {raw:?}")))
 }
 
+/// A count that must be at least 1.
+fn parse_count<T: std::str::FromStr + PartialOrd + From<u8>>(
+    flag: &str,
+    raw: &str,
+) -> Result<T, ParseError> {
+    let count = parse_num(flag, raw)?;
+    if count < T::from(1) {
+        return Err(ParseError(format!("{flag}: must be ≥ 1")));
+    }
+    Ok(count)
+}
+
+/// `adaptive`, or a fixed step in (0, 1]: the range of the paper's fixed-γ
+/// runs (Fig. 1), which the γ controller accepts.
+fn parse_gamma(flag: &str, raw: &str) -> Result<GammaArg, ParseError> {
+    if raw == "adaptive" {
+        return Ok(GammaArg::Adaptive);
+    }
+    let gamma: f64 = parse_num(flag, raw)?;
+    if !(gamma > 0.0 && gamma <= 1.0) {
+        return Err(ParseError(format!("{flag}: must be adaptive or a step in (0, 1], got {raw}")));
+    }
+    Ok(GammaArg::Fixed(gamma))
+}
+
+/// An SA start temperature: finite and above the schedule's stop
+/// temperature, so the schedule runs at least one round and ends.
+fn parse_temperature(flag: &str, raw: &str) -> Result<f64, ParseError> {
+    let temperature: f64 = parse_num(flag, raw)?;
+    let stop = lrgp_anneal::CoolingSchedule::paper(temperature).stop_temperature;
+    if !(temperature.is_finite() && temperature > stop) {
+        return Err(ParseError(format!(
+            "{flag}: must be finite and above SA's stop temperature {stop}, got {raw}"
+        )));
+    }
+    Ok(temperature)
+}
+
 /// Parses an argument list (without the program name).
 pub fn parse<I, S>(args: I) -> Result<Command, ParseError>
 where
@@ -240,8 +278,10 @@ where
             while let Some(flag) = it.next() {
                 match flag {
                     "--shape" => cmd.shape = take_value(flag, &mut it)?.to_string(),
-                    "--systems" => cmd.system_copies = parse_num(flag, take_value(flag, &mut it)?)?,
-                    "--cnodes" => cmd.cnode_copies = parse_num(flag, take_value(flag, &mut it)?)?,
+                    "--systems" => {
+                        cmd.system_copies = parse_count(flag, take_value(flag, &mut it)?)?;
+                    }
+                    "--cnodes" => cmd.cnode_copies = parse_count(flag, take_value(flag, &mut it)?)?,
                     "-o" | "--output" => {
                         cmd.output = PathBuf::from(take_value(flag, &mut it)?);
                         have_output = true;
@@ -271,17 +311,9 @@ where
             while let Some(flag) = it.next() {
                 match flag {
                     "--iters" => cmd.iterations = parse_num(flag, take_value(flag, &mut it)?)?,
-                    "--gamma" => {
-                        let raw = take_value(flag, &mut it)?;
-                        cmd.gamma = if raw == "adaptive" {
-                            GammaArg::Adaptive
-                        } else {
-                            GammaArg::Fixed(parse_num(flag, raw)?)
-                        };
-                    }
+                    "--gamma" => cmd.gamma = parse_gamma(flag, take_value(flag, &mut it)?)?,
                     "--threads" => {
-                        cmd.threads = match parse_num(flag, take_value(flag, &mut it)?)? {
-                            0 => return Err(ParseError("--threads: must be ≥ 1".into())),
+                        cmd.threads = match parse_count(flag, take_value(flag, &mut it)?)? {
                             1 => ThreadsArg::Sequential,
                             n => ThreadsArg::Count(n),
                         };
@@ -332,8 +364,10 @@ where
             };
             while let Some(flag) = it.next() {
                 match flag {
-                    "--steps" => cmd.steps = parse_num(flag, take_value(flag, &mut it)?)?,
-                    "--temp" => cmd.temperature = parse_num(flag, take_value(flag, &mut it)?)?,
+                    "--steps" => cmd.steps = parse_count(flag, take_value(flag, &mut it)?)?,
+                    "--temp" => {
+                        cmd.temperature = parse_temperature(flag, take_value(flag, &mut it)?)?;
+                    }
                     "--seed" => cmd.seed = parse_num(flag, take_value(flag, &mut it)?)?,
                     other => return Err(ParseError(format!("anneal: unknown flag {other}"))),
                 }
@@ -347,7 +381,7 @@ where
                 CompareCmd { workload: WorkloadRef::parse(target), steps: 1_000_000, seed: 42 };
             while let Some(flag) = it.next() {
                 match flag {
-                    "--steps" => cmd.steps = parse_num(flag, take_value(flag, &mut it)?)?,
+                    "--steps" => cmd.steps = parse_count(flag, take_value(flag, &mut it)?)?,
                     "--seed" => cmd.seed = parse_num(flag, take_value(flag, &mut it)?)?,
                     other => return Err(ParseError(format!("compare: unknown flag {other}"))),
                 }
@@ -587,6 +621,53 @@ mod tests {
             c,
             Command::Compare(CompareCmd { workload: WorkloadRef::Base, steps: 1000, seed: 42 })
         );
+    }
+
+    #[test]
+    fn numbers_outside_their_range_are_refused() {
+        let refused: [(&[&str], &str); 14] = [
+            (&["solve", "base", "--gamma", "-1"], "--gamma: must be adaptive or a step in (0, 1]"),
+            (&["solve", "base", "--gamma", "0"], "--gamma: must be adaptive or a step in (0, 1]"),
+            (&["solve", "base", "--gamma", "nan"], "--gamma: must be adaptive or a step in (0, 1]"),
+            (&["solve", "base", "--gamma", "5"], "--gamma: must be adaptive or a step in (0, 1]"),
+            (&["solve", "base", "--gamma", "inf"], "--gamma: must be adaptive or a step in (0, 1]"),
+            (&["workload", "--systems", "0", "-o", "w.json"], "--systems: must be ≥ 1"),
+            (&["workload", "--cnodes", "0", "-o", "w.json"], "--cnodes: must be ≥ 1"),
+            (&["anneal", "base", "--temp", "inf"], "--temp: must be finite and above"),
+            (&["anneal", "base", "--temp", "nan"], "--temp: must be finite and above"),
+            (&["anneal", "base", "--temp", "1"], "--temp: must be finite and above"),
+            (&["anneal", "base", "--temp", "0"], "--temp: must be finite and above"),
+            (&["anneal", "base", "--temp", "-1"], "--temp: must be finite and above"),
+            (&["anneal", "base", "--steps", "0"], "--steps: must be ≥ 1"),
+            (&["compare", "base", "--steps", "0"], "--steps: must be ≥ 1"),
+        ];
+        for (args, message) in refused {
+            let error = p(args).expect_err(&format!("{args:?} must be refused")).0;
+            assert!(error.starts_with(message), "{args:?}: {error}");
+        }
+    }
+
+    #[test]
+    fn numbers_at_the_edges_of_their_range_are_accepted() {
+        let gamma = |raw| match p(&["solve", "base", "--gamma", raw]).unwrap() {
+            Command::Solve(s) => s.gamma,
+            other => panic!("expected solve, got {other:?}"),
+        };
+        assert_eq!(gamma("1"), GammaArg::Fixed(1.0));
+        assert_eq!(gamma("1e-300"), GammaArg::Fixed(1e-300));
+        assert_eq!(gamma("adaptive"), GammaArg::Adaptive);
+        match p(&["workload", "--systems", "1", "--cnodes", "1", "-o", "w.json"]).unwrap() {
+            Command::Workload(w) => assert_eq!((w.system_copies, w.cnode_copies), (1, 1)),
+            other => panic!("expected workload, got {other:?}"),
+        }
+        match p(&["anneal", "base", "--temp", "1.5", "--steps", "1"]).unwrap() {
+            Command::Anneal(a) => assert_eq!((a.temperature, a.steps), (1.5, 1)),
+            other => panic!("expected anneal, got {other:?}"),
+        }
+        match p(&["compare", "base", "--steps", "1"]).unwrap() {
+            Command::Compare(c) => assert_eq!(c.steps, 1),
+            other => panic!("expected compare, got {other:?}"),
+        }
     }
 
     #[test]

@@ -92,7 +92,8 @@
 //! adds what it derives to them. Each bound has one clamp-and-mark method:
 //! `clamp_rate`, `clamp_population` and `clamp_rho` clamp the stored value
 //! into the final problem's bounds and mark the flow (or, for a
-//! population, the class's node) dirty; a value the clamp moved also marks
+//! population, the class's node, whose admission entry takes the new
+//! maximum) dirty; a value the clamp moved also marks
 //! what reads it — a rate its nodes, links and the utility, a population
 //! its flow and the utility, a ρ its links and the utility. A capacity
 //! change dirties that node's admission, or that link's usage, which puts
@@ -117,8 +118,17 @@
 //! (each node belongs to exactly one shard, so the locks are uncontended;
 //! the sequential path bypasses them with `Mutex::get_mut`).
 //!
+//! An admission reads only rows that belong to its node: its order
+//! entries, each carrying its class's flow index, `n_j^max` and `G_{b,j}`
+//! next to its ratio, and its flow-cost row of the term table
+//! ([`PriceTermTable::flow_cost_terms`]). The class specs are read only to
+//! re-rank an entry whose rate moved. `clamp_population` rewrites an
+//! entry's `n_j^max` when a delta resizes or removes its class; the flow
+//! index and `G` never change.
+//!
 //! A pooled phase *moves* its inputs into the pool's job slot (pointer
-//! swaps via `mem::take` / `mem::replace`, never `O(problem)` copies), the
+//! swaps via `mem::take` / `mem::replace`, never `O(problem)` copies, and
+//! the problem and term table shared by `Arc`), the
 //! caller runs shard 0 inline while workers run shards `1..`, and the
 //! inputs move back out afterwards — so a steady-state step performs **no
 //! heap allocation and no thread spawning** on either path. Results are
@@ -264,7 +274,7 @@ impl NodeTable {
                 .map(|node| {
                     let classes = problem.classes_at_node(node);
                     Mutex::new(AdmissionOrder {
-                        order: classes.iter().map(|&c| OrderEntry::new(c)).collect(),
+                        order: classes.iter().map(|&c| OrderEntry::new(problem, c)).collect(),
                         populations: Vec::with_capacity(classes.len()),
                     })
                 })
@@ -454,12 +464,14 @@ impl StepState {
         &self.gammas
     }
 
-    /// Takes a snapshot's optimizer state (restore support), then clamps
-    /// every rate, ρ and population into `problem`'s bounds with the
-    /// clamps a delta uses; over the snapshot's own problem nothing moves.
-    /// A snapshot without ρ keeps the initial ρ. Lengths are the caller's
-    /// responsibility; [`crate::snapshot`] validates them against the
-    /// problem.
+    /// Takes a snapshot's optimizer state (restore support) into a state
+    /// fresh from [`Self::new`] over `problem`, then clamps every rate, ρ
+    /// and population into `problem`'s bounds with the clamps a delta uses;
+    /// over the snapshot's own problem nothing moves. The fresh admission
+    /// entries already carry `problem`'s maxima, so populations take
+    /// [`Self::cap_population`] alone. A snapshot without ρ keeps the
+    /// initial ρ. Lengths are the caller's responsibility;
+    /// [`crate::snapshot`] validates them against the problem.
     pub(crate) fn load_snapshot(&mut self, problem: &Problem, snapshot: EngineSnapshot) {
         self.rates = snapshot.rates;
         if !snapshot.rhos.is_empty() {
@@ -473,7 +485,7 @@ impl StepState {
             self.clamp_rho(problem, flow);
         }
         for class in problem.class_ids() {
-            self.clamp_population(problem, class);
+            self.cap_population(problem, class);
         }
     }
 
@@ -523,11 +535,25 @@ impl StepState {
         }
     }
 
+    /// Writes `class`'s maximum in `problem` into its node's admission
+    /// entry, which the greedy reads, then caps the population
+    /// ([`Self::cap_population`]): a resized or removed class.
+    pub(crate) fn clamp_population(&mut self, problem: &Problem, class: ClassId) {
+        let spec = problem.class(class);
+        if let Some(slot) = self.nodes.orders.get_mut(spec.node.index()) {
+            let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
+            if let Some(entry) = slot.order.iter_mut().find(|entry| entry.class == class) {
+                entry.n_max = f64::from(spec.max_population);
+            }
+        }
+        self.cap_population(problem, class);
+    }
+
     /// Caps `class`'s population at its maximum in `problem` and marks the
     /// class's node dirty (it must re-admit). A population the cap moved
     /// also dirties the class's flow (rate solves read populations) and the
     /// cached utility.
-    pub(crate) fn clamp_population(&mut self, problem: &Problem, class: ClassId) {
+    fn cap_population(&mut self, problem: &Problem, class: ClassId) {
         let spec = problem.class(class);
         let slot = &mut self.populations[class.index()];
         let clamped = slot.min(spec.max_population as f64);
@@ -625,7 +651,7 @@ impl StepState {
             self.changed_classes.grow();
             if let Some(slot) = self.nodes.orders.get_mut(problem.class(class).node.index()) {
                 let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
-                slot.order.push(OrderEntry::new(class));
+                slot.order.push(OrderEntry::new(problem, class));
             }
         }
         self.mark_path(problem, flow);
@@ -912,10 +938,12 @@ impl StepState {
     }
 
     /// Phase 2a: re-run greedy admission (Algorithm 2) on the dirty nodes,
-    /// writing each node's scratch in place and the `used`/`BC` outcomes
-    /// into the dense columns. Pooled execution moves the node scratch
-    /// (with the rates) into an [`AdmissionJob`]; workers lock only their
-    /// own shard's [`AdmissionOrder`]s.
+    /// each against its flow-cost row of the term table, writing each
+    /// node's scratch in place and the `used`/`BC` outcomes into the dense
+    /// columns. Pooled execution moves the node scratch (with the rates)
+    /// into an [`AdmissionJob`], which shares the term table as a
+    /// [`FlowJob`] does; workers lock only their own shard's
+    /// [`AdmissionOrder`]s.
     fn run_dirty_admissions(
         &mut self,
         problem: &Arc<Problem>,
@@ -927,14 +955,16 @@ impl StepState {
             return;
         }
         let Some((pool, workers)) = pool.dispatch(config.parallelism, dirty) else {
-            let Self { nodes, dirty_nodes, rates, .. } = self;
+            let Self { nodes, dirty_nodes, rates, terms, .. } = self;
             for &b in &dirty_nodes.ids {
                 let slot = nodes.orders[b as usize]
                     .get_mut()
                     .unwrap_or_else(PoisonError::into_inner);
+                let node = NodeId::new(b);
                 let (used, bc) = allocate_consumers_into(
                     problem,
-                    NodeId::new(b),
+                    node,
+                    terms.flow_cost_terms(node),
                     rates,
                     config.population_mode,
                     config.admission_policy,
@@ -950,6 +980,7 @@ impl StepState {
         let shards = shard_count(dirty, workers);
         let job = Job::Admissions(AdmissionJob {
             problem: Arc::clone(problem),
+            terms: Arc::clone(&self.terms),
             dirty: std::mem::take(&mut self.dirty_nodes.ids),
             rates: std::mem::take(&mut self.rates),
             orders: std::mem::take(&mut self.nodes.orders),
@@ -1641,6 +1672,55 @@ mod tests {
                         assert_busy_rows_current(&engine, &label);
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn resized_and_removed_classes_re_admit_against_their_new_maximum() {
+        // The admission entries carry each class's `n_max`, so a delta that
+        // moves a maximum must reach the entry. On a settled engine: a cut
+        // of the most populous class below its admitted population, then
+        // the removal of its flow (every maximum to 0), then the flow's
+        // rate bounds back without its consumers, whose maxima stay 0 (a
+        // stale entry would admit them again). After each delta the engine
+        // steps in bitwise lockstep with an all-dirty restore of the
+        // pre-delta snapshot over the edited problem, whose entries are
+        // built fresh.
+        let problem = many_flows_few_consumers();
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            let config = LrgpConfig { parallelism, ..incremental_config() };
+            let mut engine = Engine::new(problem.clone(), config);
+            engine.force_pool_dispatch(true);
+            engine.run(300);
+            let admitted = engine.allocation().populations().to_vec();
+            let class = problem.class_ids().max_by(|&a, &b| {
+                admitted[a.index()].total_cmp(&admitted[b.index()]).then(b.cmp(&a))
+            });
+            let class = class.expect("the problem has classes");
+            let held = admitted[class.index()];
+            assert!(held >= 2.0, "the most populous class holds {held}");
+            let cut = (held / 2.0) as u32;
+            let flow = problem.class(class).flow;
+            let deltas = [
+                ProblemDelta::new().resize_class(class, cut),
+                ProblemDelta::new().remove_flow(flow),
+                ProblemDelta::new().set_rate_bounds(flow, problem.flow(flow).bounds),
+            ];
+            for delta in &deltas {
+                let label = format!("{parallelism:?} {delta:?}");
+                let snapshot = EngineSnapshot { config: baseline_config(), ..engine.snapshot() };
+                let edited = delta.apply(engine.problem()).unwrap();
+                let mut reference = Engine::restore(edited, snapshot).unwrap();
+                engine.apply_delta(delta).unwrap();
+                for k in 0..40 {
+                    let (a, b) = (reference.step(), engine.step());
+                    assert_eq!(a.to_bits(), b.to_bits(), "{label}: diverged at step {k}");
+                }
+                assert_eq!(reference.allocation(), engine.allocation(), "{label}");
+                let limit = f64::from(engine.problem().class(class).max_population);
+                let population = engine.allocation().population(class);
+                assert!(population <= limit, "{label}: {population} admitted over {limit}");
             }
         }
     }

@@ -17,6 +17,17 @@
 //! class's utility or consumer cost. A fresh entry holds rate 0.0 and ratio
 //! 0.0, which is `benefit_cost(class, 0.0)`. So the sort sees the keys a
 //! full recompute would, and yields the same order and populations.
+//!
+//! The kernel reads only rows that belong to its node. Each entry also
+//! carries its class's flow index, `n_j^max` and `G_{b,j}`, so the rate
+//! check and the greedy loop read the entry alone, and the class spec is
+//! read only to re-rank an entry whose rate moved. The flow index and `G`
+//! never change; the engine rewrites an entry's `n_j^max` when a delta
+//! resizes or removes its class. The consumer-independent load
+//! `Σ_i F_{b,i} · r_i` folds the node's flow-cost row
+//! ([`lrgp_model::PriceTermTable::flow_cost_terms`]), the same products in
+//! the same ascending-flow order as [`Problem::flows_at_node`] with
+//! [`Problem::flow_node_cost`], so the sum keeps its bits.
 
 use lrgp_model::{ClassId, NodeId, Problem};
 use serde::{Deserialize, Serialize};
@@ -75,19 +86,35 @@ fn defined_or_zero(ratio: f64) -> f64 {
 }
 
 /// One entry of a node's admission order: a class, its benefit–cost ratio,
-/// and the rate of the class's flow that the ratio was computed at.
+/// the rate of the class's flow that the ratio was computed at, and the
+/// class's flow index, `n_j^max` and `G_{b,j}`, carried so the greedy reads
+/// only the entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct OrderEntry {
     pub(crate) class: ClassId,
+    /// The class's flow index.
+    pub(crate) flow: u32,
     pub(crate) rate: f64,
     pub(crate) ratio: f64,
+    /// `n_j^max`, as a float.
+    pub(crate) n_max: f64,
+    /// `G_{b,j}`: the per-rate cost of one consumer.
+    pub(crate) consumer_cost: f64,
 }
 
 impl OrderEntry {
-    /// A class not yet ranked: rate 0.0 and ratio 0.0, which is
+    /// `class` of `problem`, not yet ranked: rate 0.0 and ratio 0.0, which is
     /// `benefit_cost(class, 0.0)`, so the entry is consistent from the start.
-    pub(crate) fn new(class: ClassId) -> Self {
-        Self { class, rate: 0.0, ratio: 0.0 }
+    pub(crate) fn new(problem: &Problem, class: ClassId) -> Self {
+        let spec = problem.class(class);
+        Self {
+            class,
+            flow: spec.flow.index() as u32,
+            rate: 0.0,
+            ratio: 0.0,
+            n_max: f64::from(spec.max_population),
+            consumer_cost: spec.consumer_cost,
+        }
     }
 }
 
@@ -122,21 +149,37 @@ pub fn allocate_consumers(
     policy: AdmissionPolicy,
 ) -> NodeAdmission {
     let mut order: Vec<OrderEntry> =
-        problem.classes_at_node(node).iter().map(|&c| OrderEntry::new(c)).collect();
+        problem.classes_at_node(node).iter().map(|&c| OrderEntry::new(problem, c)).collect();
+    // The node's flow-cost row, as `PriceTermTable::flow_cost_terms` holds it.
+    let flow_costs: Vec<(u32, f64)> = problem
+        .flows_at_node(node)
+        .iter()
+        .map(|&flow| (flow.index() as u32, problem.flow_node_cost(node, flow)))
+        .collect();
     let mut populations = Vec::with_capacity(order.len());
-    let (used, benefit_cost) =
-        allocate_consumers_into(problem, node, rates, mode, policy, &mut order, &mut populations);
+    let (used, benefit_cost) = allocate_consumers_into(
+        problem,
+        node,
+        &flow_costs,
+        rates,
+        mode,
+        policy,
+        &mut order,
+        &mut populations,
+    );
     NodeAdmission { populations, used, benefit_cost }
 }
 
 /// The greedy admission kernel of [`allocate_consumers`], writing into
 /// caller-owned scratch so the engine's hot loop allocates nothing.
 ///
-/// `order` must hold exactly the classes of `node` (any permutation), each
-/// entry's ratio equal to `benefit_cost` at the entry's rate. An entry whose
-/// rate differs bitwise from its flow's rate in `rates` is re-ranked at the
-/// new rate; the others keep their ratio (see the module docs).
-/// `populations` is cleared and refilled. Returns `(used, benefit_cost)`.
+/// `flow_costs` must be `node`'s flow-cost row, and `order` must hold
+/// exactly the classes of `node` (any permutation), each entry's flow,
+/// `n_max` and `G` those of its class in `problem`, and its ratio equal to
+/// `benefit_cost` at the entry's rate. An entry whose rate differs bitwise
+/// from its flow's rate in `rates` is re-ranked at the new rate; the others
+/// keep their ratio (see the module docs). `populations` is cleared and
+/// refilled. Returns `(used, benefit_cost)`.
 ///
 /// The comparator below is a *strict total order* (`f64::total_cmp`, ties
 /// broken by class id, ids unique), so the sorted result is unique no matter
@@ -144,9 +187,11 @@ pub fn allocate_consumers(
 /// engine keep each node's previously sorted order as the starting point
 /// (`sort_by` is adaptive and near-sorted input re-sorts in linear time)
 /// while staying bit-identical to a from-scratch sort.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn allocate_consumers_into(
     problem: &Problem,
     node: NodeId,
+    flow_costs: &[(u32, f64)],
     rates: &[f64],
     mode: PopulationMode,
     policy: AdmissionPolicy,
@@ -154,18 +199,14 @@ pub(crate) fn allocate_consumers_into(
     populations: &mut Vec<(ClassId, f64)>,
 ) -> (f64, f64) {
     // Consumer-independent flow cost at this node.
-    let flow_cost: f64 = problem
-        .flows_at_node(node)
-        .iter()
-        .map(|&flow| problem.flow_node_cost(node, flow) * rates[flow.index()])
-        .sum();
+    let flow_cost: f64 = flow_costs.iter().map(|&(flow, cost)| cost * rates[flow as usize]).sum();
     let capacity = problem.node(node).capacity;
 
     // Classes ordered by decreasing benefit–cost ratio. Ties broken by
     // class id for determinism; `benefit_cost` never returns NaN, so
     // `total_cmp` orders real ratios (and ±∞) only.
     for entry in order.iter_mut() {
-        let rate = rates[problem.class(entry.class).flow.index()];
+        let rate = rates[entry.flow as usize];
         if rate.to_bits() != entry.rate.to_bits() {
             entry.rate = rate;
             entry.ratio = benefit_cost(problem, entry.class, rate);
@@ -179,14 +220,12 @@ pub(crate) fn allocate_consumers_into(
     let mut node_bc: f64 = 0.0;
     let mut blocked = false;
 
-    for &OrderEntry { class, rate, ratio: bc } in order.iter() {
-        let spec = problem.class(class);
-        let max = spec.max_population as f64;
+    for &OrderEntry { class, rate, ratio: bc, n_max: max, consumer_cost, .. } in order.iter() {
         if max == 0.0 || rate <= 0.0 {
             populations.push((class, 0.0));
             continue;
         }
-        let per_consumer = spec.consumer_cost * rate;
+        let per_consumer = consumer_cost * rate;
         let admitted = if blocked || remaining <= 0.0 {
             0.0
         } else {
@@ -481,14 +520,17 @@ mod tests {
         // values at a stale rate: each is re-ranked, and the strict total
         // order must produce the identical result.
         let classes: Vec<ClassId> = p.classes_at_node(NodeId::new(0)).to_vec();
+        let table = lrgp_model::PriceTermTable::new(&p);
         for rot in 0..classes.len() {
-            let stale = |class| OrderEntry { class, rate: -1.0, ratio: -1.0 };
+            let stale =
+                |class| OrderEntry { rate: -1.0, ratio: -1.0, ..OrderEntry::new(&p, class) };
             let mut order: Vec<OrderEntry> =
                 classes.iter().cycle().skip(rot).take(classes.len()).map(|&c| stale(c)).collect();
             let mut populations = Vec::new();
             let (used, bc) = allocate_consumers_into(
                 &p,
                 NodeId::new(0),
+                table.flow_cost_terms(NodeId::new(0)),
                 &rates,
                 PopulationMode::Integral,
                 AdmissionPolicy::StopAtFirstBlock,
@@ -507,11 +549,14 @@ mod tests {
         // moves some flows' rates and leaves the rest, so the kernel must
         // re-rank exactly the classes whose rate moved. A fresh admission
         // ranks every class from scratch, and the two must agree bitwise.
+        // The kept order reads its flow costs from the term table, as the
+        // engine does.
         let specs = [(40, 5.0, 19.0), (30, 50.0, 19.0), (20, 2.0, 7.0), (50, 9.0, 3.0)];
         let (p, mut rates) = one_node(20.0 * 1900.0, 1.0, &specs);
         let node = NodeId::new(0);
+        let table = lrgp_model::PriceTermTable::new(&p);
         let mut order: Vec<OrderEntry> =
-            p.classes_at_node(node).iter().map(|&c| OrderEntry::new(c)).collect();
+            p.classes_at_node(node).iter().map(|&c| OrderEntry::new(&p, c)).collect();
         let mut populations = Vec::new();
         let moves = [(0, 400.0), (2, 900.0), (1, 10.0), (3, 0.0), (0, 100.0), (3, 250.0)];
         for (step, &(flow, rate)) in moves.iter().enumerate() {
@@ -526,6 +571,7 @@ mod tests {
             let (used, bc) = allocate_consumers_into(
                 &p,
                 node,
+                table.flow_cost_terms(node),
                 &rates,
                 PopulationMode::Integral,
                 AdmissionPolicy::StopAtFirstBlock,

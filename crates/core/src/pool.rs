@@ -129,8 +129,9 @@ pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// `Mutex::get_mut`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AdmissionOrder {
-    /// The node's classes with their BC ratios, in last-recompute sorted
-    /// order (seeded from `classes_at_node` order).
+    /// The node's classes with their BC ratios (each entry also carrying
+    /// its class's flow, `n_max` and `G`), in last-recompute sorted order
+    /// (seeded from `classes_at_node` order).
     pub(crate) order: Vec<OrderEntry>,
     /// The populations decided by the last recompute (admission order).
     pub(crate) populations: Vec<(ClassId, f64)>,
@@ -212,6 +213,8 @@ impl FlowJob {
 /// their own shard's nodes.
 pub(crate) struct AdmissionJob {
     pub(crate) problem: Arc<Problem>,
+    /// The term table, read for each node's flow-cost row.
+    pub(crate) terms: Arc<PriceTermTable>,
     /// The sorted dirty-node list (moved from the executor).
     pub(crate) dirty: Vec<u32>,
     /// This-iteration rates (read-only).
@@ -233,9 +236,11 @@ impl AdmissionJob {
         for &b in shard_of(&self.dirty, self.chunk, shard) {
             let mut slot = lock_unpoisoned(&self.orders[b as usize]);
             let slot = &mut *slot;
+            let node = NodeId::new(b);
             let (used, bc) = allocate_consumers_into(
                 &self.problem,
-                NodeId::new(b),
+                node,
+                self.terms.flow_cost_terms(node),
                 &self.rates,
                 self.mode,
                 self.policy,

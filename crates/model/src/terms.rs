@@ -7,21 +7,24 @@
 //! the flow's and the node's class lists — fine for one evaluation,
 //! wasteful when the same walk runs every iteration of an optimizer.
 //!
-//! [`PriceTermTable`] precomputes the walks once into four contiguous arrays
-//! in CSR (compressed sparse row) style: all link terms of all flows live in
+//! [`PriceTermTable`] precomputes the walks once into contiguous arrays in
+//! CSR (compressed sparse row) style: all link terms of all flows live in
 //! one `Vec` sliced by per-flow offsets, and likewise for node terms, class
-//! terms, and per-link usage terms. Aggregating a flow's price becomes a
-//! pair of linear scans over adjacent memory with no nested id-indexed
-//! lookups and no per-call filtering.
+//! terms, per-link usage terms and per-node flow-cost terms. Aggregating a
+//! flow's price becomes a pair of linear scans over adjacent memory with no
+//! nested id-indexed lookups and no per-call filtering, and a node's
+//! admission reads its flow costs `F_{b,i}` from one row of its own.
 //!
 //! A build appends each flow's rows in id order, which costs
 //! `O(Σ_i Σ_{b∈B_i} min(|C_i|, |nodeClasses(b)|))` for the class terms and
 //! is linear in the number of terms otherwise, then transposes the link
-//! terms into the usage terms by a counting sort.
+//! terms into the usage terms, and the node terms into the flow-cost terms,
+//! by a counting sort.
 //!
 //! The tables store terms in **exactly** the order the `Problem` accessors
 //! produce them ([`Problem::links_of_flow`], [`Problem::nodes_of_flow`],
-//! [`Problem::classes_of_flow_at_node`], [`Problem::flows_on_link`]), so a
+//! [`Problem::classes_of_flow_at_node`], [`Problem::flows_on_link`],
+//! [`Problem::flows_at_node`]), so a
 //! consumer that folds them left-to-right performs the same floating-point
 //! additions in the same order as the accessor-based code and obtains
 //! bit-identical sums.
@@ -32,7 +35,7 @@
 //! way a build would. Rebuild the table only when the problem is replaced.
 
 use crate::delta::DeltaOp;
-use crate::ids::{FlowId, LinkId};
+use crate::ids::{FlowId, LinkId, NodeId};
 use crate::problem::Problem;
 
 /// One node term of a flow's `PB_i` aggregation (Eq. 9): the node, the
@@ -80,6 +83,11 @@ pub struct PriceTermTable {
     usage_terms: Vec<(u32, f64)>,
     /// Per-link offsets into `usage_terms` (length `num_links + 1`).
     usage_offsets: Vec<u32>,
+    /// `(flow index, F_{b,i})` for every node, concatenated: the node terms
+    /// transposed.
+    flow_cost_terms: Vec<(u32, f64)>,
+    /// Per-node offsets into `flow_cost_terms` (length `num_nodes + 1`).
+    flow_cost_offsets: Vec<u32>,
     /// `(class index, utility weight)` for every flow, concatenated in
     /// [`Problem::classes_of_flow`] order.
     utility_terms: Vec<(u32, f64)>,
@@ -96,7 +104,8 @@ pub struct PriceTermTable {
 
 impl PriceTermTable {
     /// Builds the tables by appending every flow's rows in id order, then
-    /// transposing the link rows into the usage rows.
+    /// transposing the link rows into the usage rows and the node rows into
+    /// the flow-cost rows.
     pub fn new(problem: &Problem) -> Self {
         // Reserve every offset row up front: growing the offsets instead
         // slowed a 10,000-flow build by about a third (2-vCPU Xeon).
@@ -109,6 +118,8 @@ impl PriceTermTable {
             class_terms: Vec::with_capacity(problem.num_classes()),
             usage_terms: Vec::new(),
             usage_offsets: Vec::new(),
+            flow_cost_terms: Vec::new(),
+            flow_cost_offsets: Vec::new(),
             utility_terms: Vec::with_capacity(problem.num_classes()),
             utility_offsets: Vec::with_capacity(rows),
             rho_link_terms: Vec::new(),
@@ -124,14 +135,14 @@ impl PriceTermTable {
         for flow in problem.flow_ids() {
             table.push_flow(problem, flow);
         }
-        table.transpose_usage(problem.num_links());
+        table.transpose(problem.num_nodes(), problem.num_links());
         table
     }
 
     /// Appends `flow`'s rows, which must come next in id order: its link,
     /// node, class and utility terms, and its reliability column when the
-    /// problem carries a spec. The usage rows are left to
-    /// [`Self::transpose_usage`].
+    /// problem carries a spec. The usage and flow-cost rows are left to
+    /// [`Self::transpose`].
     fn push_flow(&mut self, problem: &Problem, flow: FlowId) {
         for &(link, cost) in problem.links_of_flow(flow) {
             self.link_terms.push((link.index() as u32, cost));
@@ -162,40 +173,25 @@ impl PriceTermTable {
         }
     }
 
-    /// Derives the usage rows from the link rows by a counting sort, reusing
-    /// both buffers and indexing totally. Flows are visited in ascending id,
-    /// so each row lists its flows in [`Problem::flows_on_link`] order.
-    fn transpose_usage(&mut self, num_links: usize) {
-        let Self { link_terms, link_offsets, usage_terms, usage_offsets, .. } = self;
-        // Count each link's terms one slot ahead and prefix-sum the counts:
-        // `usage_offsets[l + 1]` is then where row `l` starts.
-        usage_offsets.clear();
-        usage_offsets.resize(num_links + 1, 0);
-        for &(link, _) in link_terms.iter() {
-            if let Some(count) = usage_offsets.get_mut(link as usize + 2) {
-                *count += 1;
-            }
-        }
-        let mut running = 0;
-        for offset in usage_offsets.iter_mut() {
-            running += *offset;
-            *offset = running;
-        }
-        // Drop every term into its row, advancing the row's cursor
-        // `usage_offsets[l + 1]`; once all are placed it is where row `l`
-        // ends, so the offsets are final.
-        usage_terms.clear();
-        usage_terms.resize(link_terms.len(), (0, 0.0));
-        for flow in 0..link_offsets.len().saturating_sub(1) {
-            for &(link, cost) in csr_row(link_terms, link_offsets, flow) {
-                if let Some(cursor) = usage_offsets.get_mut(link as usize + 1) {
-                    if let Some(slot) = usage_terms.get_mut(*cursor as usize) {
-                        *slot = (flow as u32, cost);
-                    }
-                    *cursor += 1;
-                }
-            }
-        }
+    /// Derives the usage rows from the link rows, and the flow-cost rows
+    /// from the node rows ([`transpose_rows`]).
+    fn transpose(&mut self, num_nodes: usize, num_links: usize) {
+        transpose_rows(
+            &self.link_terms,
+            &self.link_offsets,
+            |&term| term,
+            num_links,
+            &mut self.usage_terms,
+            &mut self.usage_offsets,
+        );
+        transpose_rows(
+            &self.node_terms,
+            &self.node_offsets,
+            |term| (term.node, term.flow_cost),
+            num_nodes,
+            &mut self.flow_cost_terms,
+            &mut self.flow_cost_offsets,
+        );
     }
 
     /// `flow`'s link terms, in [`Problem::links_of_flow`] order.
@@ -222,6 +218,14 @@ impl PriceTermTable {
         csr_row(&self.usage_terms, &self.usage_offsets, link.index())
     }
 
+    /// `node`'s flow-cost terms `(flow index, F_{b,i})`, in
+    /// [`Problem::flows_at_node`] order. The consumer-independent load
+    /// `Σ_i F_{b,i} · r_i` that a node's admission (Eq. 10) starts from is
+    /// a dot product of this slice against the rate vector.
+    pub fn flow_cost_terms(&self, node: NodeId) -> &[(u32, f64)] {
+        csr_row(&self.flow_cost_terms, &self.flow_cost_offsets, node.index())
+    }
+
     /// `flow`'s `(class index, utility weight)` pairs, in
     /// [`Problem::classes_of_flow`] order. The weighted-population mass
     /// `S = Σ n_j w_j` that the ρ best response reads is a dot product of
@@ -245,10 +249,12 @@ impl PriceTermTable {
     /// on `problem` bit for bit, and a patch costs only the touched rows.
     ///
     /// * [`DeltaOp::AddFlow`] appends the next flow id's rows and rebuilds
-    ///   the usage rows, which costs one pass over the link terms.
+    ///   the usage and flow-cost rows, which costs one pass over the link
+    ///   and node terms.
     /// * [`DeltaOp::RemoveFlow`] and [`DeltaOp::SetFlowNodeCost`] rewrite the
     ///   flow's link terms, its node terms' `F_{b,i}`, its entries in the
-    ///   usage rows of its links, and its reliability column.
+    ///   usage rows of its links and in the flow-cost rows of its nodes, and
+    ///   its reliability column.
     /// * [`DeltaOp::SetLinkLoss`] rewrites the reliability column of every
     ///   flow on the link.
     /// * The other ops touch no coefficient here.
@@ -271,7 +277,7 @@ impl PriceTermTable {
             DeltaOp::AddFlow { .. } => {
                 let flow = FlowId::new(self.link_offsets.len().saturating_sub(1) as u32);
                 self.push_flow(problem, flow);
-                self.transpose_usage(problem.num_links());
+                self.transpose(problem.num_nodes(), problem.num_links());
             }
             DeltaOp::RemoveFlow { flow } | DeltaOp::SetFlowNodeCost { flow, .. } => {
                 self.refresh_flow(problem, flow);
@@ -290,25 +296,22 @@ impl PriceTermTable {
     }
 
     /// Rewrites every path coefficient of `flow`: its link and node terms,
-    /// its entry in each of its links' usage rows, and its reliability
-    /// column.
+    /// its entry in each of its links' usage rows and in each of its nodes'
+    /// flow-cost rows, and its reliability column.
     fn refresh_flow(&mut self, problem: &Problem, flow: FlowId) {
         let f = flow.index();
-        let links = problem.links_of_flow(flow);
         let row = csr_row_mut(&mut self.link_terms, &self.link_offsets, f);
-        for (term, &(link, cost)) in row.iter_mut().zip(links) {
+        for (term, &(link, cost)) in row.iter_mut().zip(problem.links_of_flow(flow)) {
             term.1 = cost;
-            // A usage row lists its flows in ascending id, each once.
             let usage = csr_row_mut(&mut self.usage_terms, &self.usage_offsets, link.index());
-            if let Ok(at) = usage.binary_search_by_key(&(f as u32), |&(g, _)| g) {
-                if let Some(entry) = usage.get_mut(at) {
-                    entry.1 = cost;
-                }
-            }
+            patch_transposed(usage, f, cost);
         }
         let row = csr_row_mut(&mut self.node_terms, &self.node_offsets, f);
-        for (term, &(_, flow_cost)) in row.iter_mut().zip(problem.nodes_of_flow(flow)) {
+        for (term, &(node, flow_cost)) in row.iter_mut().zip(problem.nodes_of_flow(flow)) {
             term.flow_cost = flow_cost;
+            let costs =
+                csr_row_mut(&mut self.flow_cost_terms, &self.flow_cost_offsets, node.index());
+            patch_transposed(costs, f, flow_cost);
         }
         self.refresh_rho_column(problem, flow);
     }
@@ -319,6 +322,62 @@ impl PriceTermTable {
         let row = csr_row_mut(&mut self.rho_link_terms, &self.rho_link_offsets, flow.index());
         for (term, &(link, cost)) in row.iter_mut().zip(problem.links_of_flow(flow)) {
             term.1 = cost * problem.link_loss(link);
+        }
+    }
+}
+
+/// Transposes per-flow rows (`terms` sliced by `offsets`) into `keys` rows
+/// of `(flow index, coefficient)` by a counting sort, reusing both output
+/// buffers and indexing totally. `entry` reads a term's key (its link or
+/// node) and coefficient. Flows are visited in ascending id, so each row
+/// lists its flows in ascending id, as [`Problem::flows_on_link`] and
+/// [`Problem::flows_at_node`] do.
+fn transpose_rows<T>(
+    terms: &[T],
+    offsets: &[u32],
+    entry: impl Fn(&T) -> (u32, f64),
+    keys: usize,
+    out_terms: &mut Vec<(u32, f64)>,
+    out_offsets: &mut Vec<u32>,
+) {
+    // Count each key's terms one slot ahead and prefix-sum the counts:
+    // `out_offsets[k + 1]` is then where row `k` starts.
+    out_offsets.clear();
+    out_offsets.resize(keys + 1, 0);
+    for term in terms {
+        if let Some(count) = out_offsets.get_mut(entry(term).0 as usize + 2) {
+            *count += 1;
+        }
+    }
+    let mut running = 0;
+    for offset in out_offsets.iter_mut() {
+        running += *offset;
+        *offset = running;
+    }
+    // Drop every term into its row, advancing the row's cursor
+    // `out_offsets[k + 1]`; once all are placed it is where row `k` ends,
+    // so the offsets are final.
+    out_terms.clear();
+    out_terms.resize(terms.len(), (0, 0.0));
+    for flow in 0..offsets.len().saturating_sub(1) {
+        for term in csr_row(terms, offsets, flow) {
+            let (key, cost) = entry(term);
+            if let Some(cursor) = out_offsets.get_mut(key as usize + 1) {
+                if let Some(slot) = out_terms.get_mut(*cursor as usize) {
+                    *slot = (flow as u32, cost);
+                }
+                *cursor += 1;
+            }
+        }
+    }
+}
+
+/// Sets flow `flow`'s coefficient in one transposed row, which lists its
+/// flows in ascending id, each once.
+fn patch_transposed(row: &mut [(u32, f64)], flow: usize, cost: f64) {
+    if let Ok(at) = row.binary_search_by_key(&(flow as u32), |&(g, _)| g) {
+        if let Some(entry) = row.get_mut(at) {
+            entry.1 = cost;
         }
     }
 }
@@ -381,6 +440,9 @@ mod tests {
         assert_eq!(nodes[1].flow_cost, 1.5);
         assert!(t.class_terms(&nodes[1]).is_empty());
         assert_eq!(t.link_usage_terms(crate::ids::LinkId::new(0)), &[(0, 2.0)]);
+        assert!(t.flow_cost_terms(NodeId::new(0)).is_empty(), "the source has no F entry");
+        assert_eq!(t.flow_cost_terms(NodeId::new(1)), &[(0, 3.0)]);
+        assert_eq!(t.flow_cost_terms(NodeId::new(2)), &[(0, 1.5)]);
     }
 
     #[test]
@@ -407,6 +469,9 @@ mod tests {
         assert_eq!(classes_seen, p.num_classes());
         for link in p.link_ids() {
             assert_eq!(t.link_usage_terms(link).len(), p.flows_on_link(link).len());
+        }
+        for node in p.node_ids() {
+            assert_eq!(t.flow_cost_terms(node).len(), p.flows_at_node(node).len());
         }
     }
 
@@ -450,7 +515,8 @@ mod tests {
     }
 
     /// The plain build the table must match bit for bit: every node's class
-    /// list filtered by flow, and every usage term a `link_cost` search.
+    /// list filtered by flow, every usage term a `link_cost` search, and
+    /// every flow-cost term a `flow_node_cost` search.
     fn reference_build(problem: &Problem) -> PriceTermTable {
         let fast = PriceTermTable::new(problem);
         let mut node_terms = Vec::new();
@@ -480,7 +546,23 @@ mod tests {
             }
             usage_offsets.push(usage_terms.len() as u32);
         }
-        PriceTermTable { node_terms, class_terms, usage_terms, usage_offsets, ..fast }
+        let mut flow_cost_terms = Vec::new();
+        let mut flow_cost_offsets = vec![0];
+        for node in problem.node_ids() {
+            for &flow in problem.flows_at_node(node) {
+                flow_cost_terms.push((flow.index() as u32, problem.flow_node_cost(node, flow)));
+            }
+            flow_cost_offsets.push(flow_cost_terms.len() as u32);
+        }
+        PriceTermTable {
+            node_terms,
+            class_terms,
+            usage_terms,
+            usage_offsets,
+            flow_cost_terms,
+            flow_cost_offsets,
+            ..fast
+        }
     }
 
     /// Every id, offset and coefficient of a table, floats as raw bits.
@@ -504,6 +586,8 @@ mod tests {
         out.extend(pairs(&t.class_terms));
         out.extend(pairs(&t.usage_terms));
         out.extend(offsets(&t.usage_offsets));
+        out.extend(pairs(&t.flow_cost_terms));
+        out.extend(offsets(&t.flow_cost_offsets));
         out.extend(pairs(&t.utility_terms));
         out.extend(offsets(&t.utility_offsets));
         out.extend(pairs(&t.rho_link_terms));
@@ -634,5 +718,6 @@ mod tests {
         // rebuilt table must reflect that, not the original costs.
         assert!(t.link_terms(FlowId::new(0)).iter().all(|&(_, c)| c == 0.0));
         assert!(t.node_terms(FlowId::new(0)).iter().all(|term| term.flow_cost == 0.0));
+        assert!(p.node_ids().all(|b| t.flow_cost_terms(b).iter().all(|&(_, c)| c == 0.0)));
     }
 }
