@@ -35,15 +35,6 @@ pub enum GammaArg {
     Fixed(f64),
 }
 
-/// Worker-thread selection for `solve`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadsArg {
-    /// The sequential reference engine.
-    Sequential,
-    /// A fixed number of worker threads.
-    Count(usize),
-}
-
 /// Reliability-axis selection for `solve`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReliabilityArg {
@@ -87,8 +78,6 @@ pub struct SolveCmd {
     pub iterations: usize,
     /// γ mode.
     pub gamma: GammaArg,
-    /// Worker threads for the sharded engine.
-    pub threads: ThreadsArg,
     /// Reliability axis: rate-only or joint rate–reliability.
     pub reliability: ReliabilityArg,
     /// Optional CSV path for the utility trace.
@@ -110,10 +99,6 @@ pub struct BenchCmd {
     /// ratio (full recompute / incremental after a targeted delta) falls
     /// below this factor.
     pub min_speedup: Option<f64>,
-    /// Fail (exit non-zero) when the crossover workload's pooled-threads
-    /// ratio (sequential / pooled near-converged) falls below this factor,
-    /// or when the pooled engine had fewer than two workers.
-    pub min_thread_ratio: Option<f64>,
 }
 
 /// `lrgp anneal` — run the simulated-annealing baseline.
@@ -199,8 +184,8 @@ lrgp — utility optimization for event-driven distributed infrastructures
 
 USAGE:
   lrgp workload [--shape log|pow25|pow50|pow75] [--systems N] [--cnodes N] -o FILE
-  lrgp solve    <base|FILE> [--iters N] [--gamma adaptive|FLOAT] [--threads N] [--reliability off|joint] [--trace CSV] [--save JSON]
-  lrgp bench    [--json] [--quick] [--out FILE] [--min-speedup X] [--min-thread-ratio X]
+  lrgp solve    <base|FILE> [--iters N] [--gamma adaptive|FLOAT] [--reliability off|joint] [--trace CSV] [--save JSON]
+  lrgp bench    [--json] [--quick] [--out FILE] [--min-speedup X]
   lrgp anneal   <base|FILE> [--steps N] [--temp T] [--seed N]
   lrgp compare  <base|FILE> [--steps N] [--seed N]
   lrgp simulate <base|FILE> [--async] [--latency MS] [--amount N]
@@ -241,6 +226,16 @@ fn parse_gamma(flag: &str, raw: &str) -> Result<GammaArg, ParseError> {
         return Err(ParseError(format!("{flag}: must be adaptive or a step in (0, 1], got {raw}")));
     }
     Ok(GammaArg::Fixed(gamma))
+}
+
+/// A benchmark floor: finite and above 0. A NaN floor would pass every
+/// ratio, since every comparison with NaN is false.
+fn parse_floor(flag: &str, raw: &str) -> Result<f64, ParseError> {
+    let floor: f64 = parse_num(flag, raw)?;
+    if !(floor.is_finite() && floor > 0.0) {
+        return Err(ParseError(format!("{flag}: must be finite and above 0, got {raw}")));
+    }
+    Ok(floor)
 }
 
 /// An SA start temperature: finite and above the schedule's stop
@@ -303,21 +298,14 @@ where
                 workload: WorkloadRef::parse(target),
                 iterations: 250,
                 gamma: GammaArg::Adaptive,
-                threads: ThreadsArg::Sequential,
                 reliability: ReliabilityArg::Off,
                 trace: None,
                 save: None,
             };
             while let Some(flag) = it.next() {
                 match flag {
-                    "--iters" => cmd.iterations = parse_num(flag, take_value(flag, &mut it)?)?,
+                    "--iters" => cmd.iterations = parse_count(flag, take_value(flag, &mut it)?)?,
                     "--gamma" => cmd.gamma = parse_gamma(flag, take_value(flag, &mut it)?)?,
-                    "--threads" => {
-                        cmd.threads = match parse_count(flag, take_value(flag, &mut it)?)? {
-                            1 => ThreadsArg::Sequential,
-                            n => ThreadsArg::Count(n),
-                        };
-                    }
                     "--reliability" => {
                         cmd.reliability = ReliabilityArg::parse(take_value(flag, &mut it)?)?;
                     }
@@ -334,7 +322,6 @@ where
                 quick: false,
                 output: PathBuf::from("BENCH_lrgp.json"),
                 min_speedup: None,
-                min_thread_ratio: None,
             };
             while let Some(flag) = it.next() {
                 match flag {
@@ -344,10 +331,7 @@ where
                         cmd.output = PathBuf::from(take_value(flag, &mut it)?);
                     }
                     "--min-speedup" => {
-                        cmd.min_speedup = Some(parse_num(flag, take_value(flag, &mut it)?)?);
-                    }
-                    "--min-thread-ratio" => {
-                        cmd.min_thread_ratio = Some(parse_num(flag, take_value(flag, &mut it)?)?);
+                        cmd.min_speedup = Some(parse_floor(flag, take_value(flag, &mut it)?)?);
                     }
                     other => return Err(ParseError(format!("bench: unknown flag {other}"))),
                 }
@@ -403,7 +387,7 @@ where
                     "--async" => cmd.asynchronous = true,
                     "--latency" => cmd.latency_ms = parse_num(flag, take_value(flag, &mut it)?)?,
                     "--amount" => {
-                        cmd.amount = parse_num(flag, take_value(flag, &mut it)?)?;
+                        cmd.amount = parse_count(flag, take_value(flag, &mut it)?)?;
                         have_amount = true;
                     }
                     other => return Err(ParseError(format!("simulate: unknown flag {other}"))),
@@ -479,15 +463,14 @@ mod tests {
                 workload: WorkloadRef::Base,
                 iterations: 250,
                 gamma: GammaArg::Adaptive,
-                threads: ThreadsArg::Sequential,
                 reliability: ReliabilityArg::Off,
                 trace: None,
                 save: None,
             })
         );
         let c = p(&[
-            "solve", "w.json", "--iters", "99", "--gamma", "0.1", "--threads", "4", "--trace",
-            "t.csv", "--save", "out.json",
+            "solve", "w.json", "--iters", "99", "--gamma", "0.1", "--trace", "t.csv", "--save",
+            "out.json",
         ])
         .unwrap();
         match c {
@@ -495,7 +478,6 @@ mod tests {
                 assert_eq!(s.workload, WorkloadRef::File(PathBuf::from("w.json")));
                 assert_eq!(s.iterations, 99);
                 assert_eq!(s.gamma, GammaArg::Fixed(0.1));
-                assert_eq!(s.threads, ThreadsArg::Count(4));
                 assert_eq!(s.trace, Some(PathBuf::from("t.csv")));
                 assert_eq!(s.save, Some(PathBuf::from("out.json")));
             }
@@ -504,17 +486,19 @@ mod tests {
     }
 
     #[test]
-    fn removed_numerics_flags_are_unknown() {
-        // The vectorized numerics axis is gone; its flags must be refused,
-        // not silently accepted.
-        assert!(p(&["solve", "base", "--numerics", "strict"])
-            .unwrap_err()
-            .0
-            .contains("unknown flag --numerics"));
-        assert!(p(&["bench", "--min-vector-ratio", "1.15"])
-            .unwrap_err()
-            .0
-            .contains("unknown flag --min-vector-ratio"));
+    fn removed_flags_are_unknown() {
+        // The vectorized numerics axis and the worker pool are gone; their
+        // flags must be refused, not silently accepted.
+        let removed: [&[&str]; 4] = [
+            &["solve", "base", "--numerics", "strict"],
+            &["bench", "--min-vector-ratio", "1.15"],
+            &["solve", "base", "--threads", "2"],
+            &["bench", "--min-thread-ratio", "1"],
+        ];
+        for args in removed {
+            let error = p(args).unwrap_err().0;
+            assert!(error.contains(&format!("unknown flag {}", args[args.len() - 2])), "{error}");
+        }
     }
 
     #[test]
@@ -560,48 +544,20 @@ mod tests {
                 quick: false,
                 output: PathBuf::from("BENCH_lrgp.json"),
                 min_speedup: None,
-                min_thread_ratio: None,
             })
         );
         assert_eq!(
-            p(&[
-                "bench",
-                "--json",
-                "--quick",
-                "--out",
-                "b.json",
-                "--min-speedup",
-                "3.5",
-                "--min-thread-ratio",
-                "1.0",
-            ])
-            .unwrap(),
+            p(&["bench", "--json", "--quick", "--out", "b.json", "--min-speedup", "3.5"]).unwrap(),
             Command::Bench(BenchCmd {
                 json: true,
                 quick: true,
                 output: PathBuf::from("b.json"),
                 min_speedup: Some(3.5),
-                min_thread_ratio: Some(1.0),
             })
         );
         assert!(p(&["bench", "--bogus"]).unwrap_err().0.contains("unknown flag"));
         assert!(p(&["bench", "--min-speedup"]).unwrap_err().0.contains("requires a value"));
         assert!(p(&["bench", "--min-speedup", "fast"]).unwrap_err().0.contains("cannot parse"));
-        assert!(p(&["bench", "--min-thread-ratio"]).unwrap_err().0.contains("requires a value"));
-        assert!(p(&["bench", "--min-thread-ratio", "x"]).unwrap_err().0.contains("cannot parse"));
-    }
-
-    #[test]
-    fn solve_threads_variants() {
-        let threads = |args: &[&str]| match p(args).unwrap() {
-            Command::Solve(s) => s.threads,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(threads(&["solve", "base", "--threads", "1"]), ThreadsArg::Sequential);
-        assert_eq!(threads(&["solve", "base", "--threads", "8"]), ThreadsArg::Count(8));
-        assert!(p(&["solve", "base", "--threads", "0"]).unwrap_err().0.contains("must be ≥ 1"));
-        assert!(p(&["solve", "base", "--threads", "many"]).unwrap_err().0.contains("cannot parse"));
-        assert!(p(&["solve", "base", "--threads", "auto"]).unwrap_err().0.contains("cannot parse"));
     }
 
     #[test]
@@ -625,7 +581,7 @@ mod tests {
 
     #[test]
     fn numbers_outside_their_range_are_refused() {
-        let refused: [(&[&str], &str); 14] = [
+        let refused: [(&[&str], &str); 20] = [
             (&["solve", "base", "--gamma", "-1"], "--gamma: must be adaptive or a step in (0, 1]"),
             (&["solve", "base", "--gamma", "0"], "--gamma: must be adaptive or a step in (0, 1]"),
             (&["solve", "base", "--gamma", "nan"], "--gamma: must be adaptive or a step in (0, 1]"),
@@ -640,6 +596,12 @@ mod tests {
             (&["anneal", "base", "--temp", "-1"], "--temp: must be finite and above"),
             (&["anneal", "base", "--steps", "0"], "--steps: must be ≥ 1"),
             (&["compare", "base", "--steps", "0"], "--steps: must be ≥ 1"),
+            (&["solve", "base", "--iters", "0"], "--iters: must be ≥ 1"),
+            (&["simulate", "base", "--amount", "0"], "--amount: must be ≥ 1"),
+            (&["bench", "--min-speedup", "nan"], "--min-speedup: must be finite and above 0"),
+            (&["bench", "--min-speedup", "inf"], "--min-speedup: must be finite and above 0"),
+            (&["bench", "--min-speedup", "0"], "--min-speedup: must be finite and above 0"),
+            (&["bench", "--min-speedup", "-1"], "--min-speedup: must be finite and above 0"),
         ];
         for (args, message) in refused {
             let error = p(args).expect_err(&format!("{args:?} must be refused")).0;
@@ -668,6 +630,12 @@ mod tests {
             Command::Compare(c) => assert_eq!(c.steps, 1),
             other => panic!("expected compare, got {other:?}"),
         }
+        let solve = p(&["solve", "base", "--iters", "1"]);
+        assert!(matches!(solve, Ok(Command::Solve(SolveCmd { iterations: 1, .. }))), "{solve:?}");
+        let simulate = p(&["simulate", "base", "--amount", "1"]);
+        assert!(matches!(simulate, Ok(Command::Simulate(SimulateCmd { amount: 1, .. }))));
+        let bench = p(&["bench", "--min-speedup", "1e-300"]);
+        assert!(matches!(bench, Ok(Command::Bench(BenchCmd { min_speedup: Some(_), .. }))));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 
 use crate::commands::{
     AnnealCmd, BenchCmd, Command, CompareCmd, GammaArg, InfoCmd, ReliabilityArg, SimulateCmd,
-    SolveCmd, ThreadsArg, WorkloadCmd, WorkloadRef,
+    SolveCmd, WorkloadCmd, WorkloadRef,
 };
-use lrgp::{Engine, GammaMode, LrgpConfig, Parallelism, Reliability};
+use lrgp::{Engine, GammaMode, LrgpConfig, Reliability};
 use lrgp_anneal::{sweep, AnnealConfig};
 use lrgp_model::io::ProblemFile;
 use lrgp_model::workloads::{self, paper_workload};
@@ -71,10 +71,6 @@ fn solve(cmd: SolveCmd) -> CliResult {
         GammaArg::Adaptive => GammaMode::adaptive(),
         GammaArg::Fixed(g) => GammaMode::fixed(g),
     };
-    let parallelism = match cmd.threads {
-        ThreadsArg::Sequential => Parallelism::Sequential,
-        ThreadsArg::Count(n) => Parallelism::Threads(n),
-    };
     let reliability = match cmd.reliability {
         ReliabilityArg::Off => Reliability::Off,
         ReliabilityArg::Joint => Reliability::Joint,
@@ -85,16 +81,8 @@ fn solve(cmd: SolveCmd) -> CliResult {
              reliability spec; solving rate-only"
         );
     }
-    let config = LrgpConfig {
-        gamma,
-        parallelism,
-        reliability,
-        ..LrgpConfig::default()
-    };
+    let config = LrgpConfig { gamma, reliability, ..LrgpConfig::default() };
     let mut engine = Engine::new(problem.clone(), config);
-    if parallelism != Parallelism::Sequential {
-        println!("sharded engine: {} worker thread(s)", engine.effective_workers());
-    }
     let outcome = engine.run_until_converged(cmd.iterations);
     match outcome.converged_at {
         Some(k) => println!("converged after {k} iterations (0.1% amplitude criterion)"),
@@ -154,17 +142,13 @@ fn bench(cmd: BenchCmd) -> CliResult {
         std::fs::write(&cmd.output, serde_json::to_string_pretty(&report)?)?;
         println!("report written to {}", cmd.output.display());
     }
-    let mut failures = Vec::new();
-    for check in crate::bench::check_floors(&report, cmd.min_speedup, cmd.min_thread_ratio) {
-        match check {
+    if let Some(min) = cmd.min_speedup {
+        match crate::bench::check_speedup_floor(&report, min) {
             Ok(line) => println!("{line}"),
-            Err(line) => failures.push(line),
+            Err(line) => return Err(format!("bench: {line}").into()),
         }
     }
-    if failures.is_empty() {
-        return Ok(());
-    }
-    Err(format!("bench: {} floor(s) failed:\n  {}", failures.len(), failures.join("\n  ")).into())
+    Ok(())
 }
 
 fn anneal_cmd(cmd: AnnealCmd) -> CliResult {

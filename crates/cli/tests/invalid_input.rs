@@ -119,7 +119,7 @@ fn numeric_flags_out_of_range_exit_2_never_101() {
     std::fs::create_dir_all(&dir).unwrap();
     let output = dir.join("w.json");
     let output = output.to_str().unwrap();
-    let refused: [&[&str]; 13] = [
+    let refused: [&[&str]; 18] = [
         &["solve", "base", "--gamma", "-1"],
         &["solve", "base", "--gamma", "nan"],
         &["solve", "base", "--gamma", "5"],
@@ -132,7 +132,12 @@ fn numeric_flags_out_of_range_exit_2_never_101() {
         &["anneal", "base", "--temp", "nan"],
         &["anneal", "base", "--steps", "0"],
         &["compare", "base", "--steps", "0"],
-        &["solve", "base", "--threads", "0"],
+        &["solve", "base", "--iters", "0"],
+        &["simulate", "base", "--amount", "0"],
+        &["bench", "--quick", "--min-speedup", "nan"],
+        &["bench", "--quick", "--min-speedup", "inf"],
+        &["bench", "--quick", "--min-speedup", "0"],
+        &["bench", "--quick", "--min-speedup", "-1"],
     ];
     for args in refused {
         let (code, stderr) = run_watched(args);

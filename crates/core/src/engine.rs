@@ -12,11 +12,10 @@
 //! The iteration itself is implemented once, in the dirty-set executor
 //! ([`crate::exec`]), which also owns the optimizer state it steps: rates,
 //! ρ, populations, prices and the γ controllers. The engine holds the
-//! problem, the configuration, the worker pool, the iteration count and the
-//! trace, and hands the executor every step and every delta. Sequential,
-//! threaded, incremental (the default) and full-recompute execution are
-//! configuration choices over the same loop, all bit-identical (see
-//! [`crate::plan`]).
+//! problem, the configuration, the iteration count and the trace, and hands
+//! the executor every step and every delta. Incremental (the default) and
+//! full-recompute execution are configuration choices over the same loop,
+//! bit-identical to each other (see [`crate::plan`]).
 //!
 //! Every engine starts where the paper's runs do: each flow at `r_i^max`
 //! and every node and link price at 0. It records the total-utility trace
@@ -28,8 +27,7 @@ use crate::exec::StepState;
 use crate::gamma::GammaMode;
 use crate::kernel::admission::{AdmissionPolicy, PopulationMode};
 use crate::kernel::price::{NodePriceRule, PriceVector};
-use crate::plan::{IncrementalMode, Parallelism, Reliability};
-use crate::pool::PoolHandle;
+use crate::plan::{IncrementalMode, Reliability};
 use crate::snapshot::EngineSnapshot;
 use crate::trace::Trace;
 use lrgp_model::{Allocation, DeltaOp, Problem, ProblemDelta, ValidationError};
@@ -53,9 +51,6 @@ pub struct LrgpConfig {
     pub admission_policy: AdmissionPolicy,
     /// Convergence test applied by [`Engine::run_until_converged`].
     pub convergence: ConvergenceCriterion,
-    /// How the step's three phases are executed (sequential by default;
-    /// the sharded parallel path is bit-identical, see [`crate::plan`]).
-    pub parallelism: Parallelism,
     /// Whether [`Engine::step`] carries dirty sets across iterations (on
     /// by default; [`IncrementalMode::Off`] is the full-recompute
     /// reference, and both yield the same bits, see [`crate::exec`]).
@@ -78,7 +73,6 @@ impl Default for LrgpConfig {
             population_mode: PopulationMode::default(),
             admission_policy: AdmissionPolicy::default(),
             convergence: ConvergenceCriterion::paper_default(),
-            parallelism: Parallelism::default(),
             incremental: IncrementalMode::default(),
             reliability: Reliability::default(),
         }
@@ -127,17 +121,11 @@ pub struct RunOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Engine {
-    /// Shared with pooled jobs only while a phase runs (pointer-swap
-    /// handoff, see [`crate::pool`]), and with engine clones until one of
-    /// them applies a delta. Deltas edit it in place through
-    /// `Arc::make_mut`, which copies only while it is shared.
+    /// Shared with engine clones until one of them applies a delta. Deltas
+    /// edit it in place through `Arc::make_mut`, which copies only while it
+    /// is shared.
     problem: Arc<Problem>,
     config: LrgpConfig,
-    /// The persistent worker pool (empty handle under
-    /// [`Parallelism::Sequential`]). Workers are spawned in `new`, and
-    /// again when a delta grows the problem, and park between steps;
-    /// cloning the engine respawns a same-sized pool.
-    pool: PoolHandle,
     iteration: usize,
     trace: Trace,
     /// The optimizer state (rates, ρ, populations, prices and γ) with the
@@ -153,26 +141,22 @@ impl Engine {
     /// Creates an engine over `problem` with the given configuration.
     pub fn new(problem: Problem, config: LrgpConfig) -> Self {
         let state = StepState::new(&problem, config.gamma);
-        // Never more workers than a phase of this problem can use.
-        let pool = PoolHandle::for_concurrency(config.parallelism.workers_for(max_units(&problem)));
-        Self { pool, problem: Arc::new(problem), config, iteration: 0, trace: Trace::new(), state }
+        Self { problem: Arc::new(problem), config, iteration: 0, trace: Trace::new(), state }
     }
 
     /// Executes one full LRGP iteration and returns the total utility after
     /// it.
     ///
-    /// Depending on [`LrgpConfig::parallelism`] the three phases run on
-    /// this thread or sharded over the engine's pooled workers, and
-    /// depending on [`LrgpConfig::incremental`] they recompute everything
-    /// (every element is marked dirty first) or only the dirty subset. Every
-    /// configuration calls the same per-element kernels on the same
+    /// Depending on [`LrgpConfig::incremental`] the three phases recompute
+    /// everything (every element is marked dirty first) or only the dirty
+    /// subset. Both call the same per-element kernels on the same
     /// previous-iteration inputs, so the results (and the recorded trace)
     /// are bit-identical (see [`crate::plan`]).
     pub fn step(&mut self) -> f64 {
         if !self.config.incremental.enabled() {
             self.state.mark_all_dirty();
         }
-        let utility = self.state.step(&self.problem, &self.config, &self.pool);
+        let utility = self.state.step(&self.problem, &self.config);
         self.iteration += 1;
         self.trace.utility.push(utility);
         utility
@@ -181,48 +165,6 @@ impl Engine {
     /// The optimizer state and the executor that steps it.
     pub(crate) fn step_state(&self) -> &StepState {
         &self.state
-    }
-
-    /// Execution contexts the engine's worker pool provides: its workers
-    /// plus the caller (1 means the sequential path). The pool is sized to
-    /// what the configured [`Parallelism`] resolves to for the problem's
-    /// largest dimension, at construction and again whenever a delta grows
-    /// the problem.
-    pub fn effective_workers(&self) -> usize {
-        self.pool.get().map_or(1, |pool| pool.workers() + 1)
-    }
-
-    /// Forces (or un-forces) the worker pool to dispatch shards even on a
-    /// single-CPU host, where it would otherwise run them inline on the
-    /// caller. Test diagnostic — lets the concurrency suites exercise the
-    /// real cross-thread handoff regardless of the machine they run on.
-    #[doc(hidden)]
-    pub fn force_pool_dispatch(&self, force: bool) {
-        if let Some(pool) = self.pool.get() {
-            pool.set_force_dispatch(force);
-        }
-    }
-
-    /// The OS thread ids of the pool's workers (empty without a pool).
-    /// Test diagnostic — stress tests assert the same threads are
-    /// reused across steps rather than respawned.
-    #[doc(hidden)]
-    pub fn pool_worker_ids(&self) -> Vec<std::thread::ThreadId> {
-        self.pool.get().map(|p| p.worker_thread_ids()).unwrap_or_default()
-    }
-
-    /// Per-worker counts of pooled jobs completed since construction (empty
-    /// without a pool). Test diagnostic.
-    #[doc(hidden)]
-    pub fn pool_jobs_completed(&self) -> Vec<u64> {
-        self.pool.get().map(|p| p.jobs_completed()).unwrap_or_default()
-    }
-
-    /// Arms the pooled rate kernel to panic at `flow` (test hook for the
-    /// panic-propagation regression suite).
-    #[cfg(test)]
-    pub(crate) fn arm_rate_panic(&mut self, flow: Option<u32>) {
-        self.state.set_panic_on_flow(flow);
     }
 
     /// Runs exactly `iterations` steps; returns the final utility (0.0 if
@@ -353,8 +295,7 @@ impl Engine {
     /// clone shares its problem with the engine it came from until one of
     /// them applies a delta, so a clone's first delta copies the problem
     /// once. A flow addition also rebuilds the term table's usage rows
-    /// (one pass over the link terms) and re-sizes the worker pool for the
-    /// grown problem as [`Engine::new`] sizes it.
+    /// (one pass over the link terms).
     ///
     /// # Errors
     ///
@@ -366,11 +307,7 @@ impl Engine {
             return Ok(());
         }
         delta.apply_in_place(Arc::make_mut(&mut self.problem))?;
-        let problem = Arc::clone(&self.problem);
-        if delta.grows_problem() {
-            // Size the pool for the grown problem, as `new` would.
-            self.pool.resize(self.config.parallelism.workers_for(max_units(&problem)));
-        }
+        let problem = &*self.problem;
         // Reconcile only the touched state and hand the executor the cost
         // patches; each call marks what it moved. Clamps run against the
         // *final* problem so a batched delta matches a restore over it
@@ -379,43 +316,36 @@ impl Engine {
         for op in delta.ops() {
             match *op {
                 // The ops' new flows take the next ids in op order.
-                DeltaOp::AddFlow { .. } => state.note_flow_added(&problem, op),
+                DeltaOp::AddFlow { .. } => state.note_flow_added(problem, op),
                 DeltaOp::SetNodeCapacity { .. } | DeltaOp::SetLinkCapacity { .. } => {
                     // The price update reads the capacity, so a settled
                     // node or link must rejoin its price loop.
                     state.note_capacity_change(op);
                 }
-                DeltaOp::SetMaxPopulation { class, .. } => state.clamp_population(&problem, class),
-                DeltaOp::SetRateBounds { flow, .. } => state.clamp_rate(&problem, flow),
+                DeltaOp::SetMaxPopulation { class, .. } => state.clamp_population(problem, class),
+                DeltaOp::SetRateBounds { flow, .. } => state.clamp_rate(problem, flow),
                 DeltaOp::RemoveFlow { flow } => {
                     // The bounds collapse to [0, 0] and the classes' maxima
                     // to 0 (unless a later op in the batch restores them).
-                    state.clamp_rate(&problem, flow);
+                    state.clamp_rate(problem, flow);
                     for &class in problem.classes_of_flow(flow) {
-                        state.clamp_population(&problem, class);
+                        state.clamp_population(problem, class);
                     }
-                    state.note_cost_edit(&problem, op);
+                    state.note_cost_edit(problem, op);
                 }
                 DeltaOp::SetFlowNodeCost { .. } | DeltaOp::SetLinkLoss { .. } => {
-                    state.note_cost_edit(&problem, op);
+                    state.note_cost_edit(problem, op);
                 }
-                DeltaOp::SetRhoBounds { flow, .. } => state.clamp_rho(&problem, flow),
+                DeltaOp::SetRhoBounds { flow, .. } => state.clamp_rho(problem, flow),
             }
         }
         if self.iteration == 0 {
             // Nothing has run: re-derive the initial state from the changed
             // problem, as a fresh construction would.
-            state.restart(&problem);
+            state.restart(problem);
         }
         Ok(())
     }
-}
-
-/// The problem's largest dimension. No phase shards over more elements
-/// (rates and ρ shard over flows, admission over nodes), so it bounds the
-/// execution contexts any step can use.
-fn max_units(problem: &Problem) -> usize {
-    problem.num_flows().max(problem.num_nodes()).max(problem.num_links())
 }
 
 #[cfg(test)]
@@ -746,8 +676,7 @@ mod tests {
     #[test]
     fn deltas_edit_an_unshared_problem_without_copying_it() {
         // A departure, a class resize and a re-join, on an engine that
-        // shares its problem with nobody. Pooled jobs hold the problem only
-        // while a phase runs, so the pooled engine must not copy either.
+        // shares its problem with nobody.
         let p = base_workload();
         let flow = FlowId::new(2);
         let spec = p.flow(flow).clone();
@@ -760,21 +689,15 @@ mod tests {
         }
         let resize = ProblemDelta::new().resize_class(ClassId::new(0), 17);
         let deltas = [ProblemDelta::new().remove_flow(flow), resize.clone(), rejoin];
-        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
-            let mut e = Engine::new(p.clone(), LrgpConfig { parallelism, ..LrgpConfig::default() });
-            e.force_pool_dispatch(true);
+        let mut e = Engine::new(p.clone(), LrgpConfig::default());
+        e.run(5);
+        let before: *const Problem = e.problem();
+        for delta in &deltas {
+            e.apply_delta(delta).unwrap();
+            assert!(std::ptr::eq(e.problem(), before), "{delta:?} copied");
             e.run(5);
-            let before: *const Problem = e.problem();
-            for delta in &deltas {
-                e.apply_delta(delta).unwrap();
-                assert!(std::ptr::eq(e.problem(), before), "{parallelism:?}: {delta:?} copied");
-                e.run(5);
-            }
-            assert_eq!(e.problem(), &resize.apply(&p).unwrap());
-            if parallelism != Parallelism::Sequential {
-                assert!(e.pool_jobs_completed().iter().sum::<u64>() > 0, "the pool never ran");
-            }
         }
+        assert_eq!(e.problem(), &resize.apply(&p).unwrap());
     }
 
     #[test]

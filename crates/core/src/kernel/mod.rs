@@ -4,8 +4,8 @@
 //! inputs — no interior state, no allocation on the hot path (callers pass
 //! scratch buffers where one is needed), no ambient configuration. The
 //! engine's execution plans ([`crate::plan`]) decide *which* elements to
-//! evaluate and *where* (sequentially, across threads, or only for dirty
-//! elements); the kernels decide *what* each evaluation computes:
+//! evaluate (all of them, or only the dirty ones); the kernels decide
+//! *what* each evaluation computes:
 //!
 //! * [`rate`] — the Lagrangian rate solve per flow (Algorithm 1): closed
 //!   forms for log/power utilities against an aggregated price, bisection
@@ -25,7 +25,7 @@
 //! terms left to right in a fixed element order, never in lanes, so
 //! recomputing an element whose inputs are bitwise-unchanged returns
 //! the bitwise-same output — the property the incremental plan relies on to
-//! skip clean elements, and the parallel plan relies on to shard work.
+//! skip clean elements.
 
 pub mod admission;
 pub mod price;

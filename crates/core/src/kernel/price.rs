@@ -108,10 +108,11 @@ impl PriceVector {
         }
     }
 
-    /// An empty, zero-length placeholder left behind while the real vector
-    /// is moved into a pooled job (see [`crate::pool`]); never read.
-    pub(crate) fn detached() -> Self {
-        Self { node_prices: Vec::new(), link_prices: Vec::new() }
+    /// Prices taken as given, without the projection onto `[0, ∞)`, for
+    /// tests of the checks that refuse what the projection keeps out.
+    #[cfg(test)]
+    pub(crate) fn unprojected(node_prices: Vec<f64>, link_prices: Vec<f64>) -> Self {
+        Self { node_prices, link_prices }
     }
 
     /// Price of `node`.

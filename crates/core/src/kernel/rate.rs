@@ -169,9 +169,8 @@ pub fn solve_rate(
 }
 
 /// Computes the new rate of a single flow (one per-element unit of the
-/// rate-allocation phase). Pure: reads only previous-iteration state, so the
-/// sequential and sharded engines call it with identical inputs and obtain
-/// bit-identical outputs.
+/// rate-allocation phase). Pure: reads only previous-iteration state, so
+/// identical inputs give bit-identical outputs.
 pub fn allocate_rate_for_flow(
     problem: &Problem,
     prices: &crate::kernel::price::PriceVector,

@@ -97,8 +97,8 @@ pub fn solve_rho(mass: f64, active: bool, price: f64, bounds: RhoBounds, fallbac
 }
 
 /// Full per-flow reliability solve: strict mass fold, strict price fold,
-/// then the closed form. Pure and allocation-free; this
-/// is the unit of work the executor and the worker pool shard over.
+/// then the closed form. Pure and allocation-free; this is the executor's
+/// per-flow unit of ρ work.
 ///
 /// # Panics
 ///

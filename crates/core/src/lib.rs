@@ -24,11 +24,11 @@
 //!  │ engine     Engine: owns problem + optimizer state, trace, │
 //!  │            snapshots, delta application, and the          │
 //!  │            LrgpConfig it runs exactly as written:         │
-//!  │ plan       Parallelism × IncrementalMode × Reliability    │
-//!  │            (the first two never change a bit; Reliability │
-//!  │            picks rate-only or joint rate–reliability)     │
+//!  │ plan       IncrementalMode × Reliability (the first never │
+//!  │            changes a bit; Reliability picks rate-only or  │
+//!  │            joint rate–reliability)                        │
 //!  └───────────────────────────┬───────────────────────────────┘
-//!                              │ config + pool, every step
+//!                              │ config, every step
 //!  ┌───────────────────────────▼───────────────────────────────┐
 //!  │ exec       StepState: dirty-set executor, caches, scratch │
 //!  │            (full recompute = the all-dirty special case)  │
@@ -53,12 +53,11 @@
 //!   ([`plan::Reliability`]).
 //! * [`exec`] — the one solve loop: a dirty-set executor whose work is
 //!   proportional to what changed, bit-identical to a full recompute.
-//! * [`plan`] — the three [`LrgpConfig`] enums that choose how a step
-//!   runs: sequential or sharded over the persistent worker pool ([`pool`])
-//!   ([`Parallelism`]), full-recompute or incremental ([`IncrementalMode`]),
+//! * [`plan`] — the two [`LrgpConfig`] enums that choose how a step
+//!   runs: full-recompute or incremental ([`IncrementalMode`]), and
 //!   rate-only or joint rate–reliability ([`plan::Reliability`]). The first
-//!   two change wall-clock time, never bits; the reliability choice
-//!   changes *what* is optimized and defaults to [`plan::Reliability::Off`].
+//!   changes wall-clock time, never bits; the reliability choice changes
+//!   *what* is optimized and defaults to [`plan::Reliability::Off`].
 //! * [`engine`] — the synchronous driver ([`Engine`]), iteration traces
 //!   ([`trace`]), snapshots ([`snapshot`]), and first-class problem deltas
 //!   ([`Engine::apply_delta`]); per-node adaptive step-size control in
@@ -93,7 +92,6 @@ pub mod exec;
 pub mod gamma;
 pub mod kernel;
 pub mod plan;
-pub mod pool;
 pub mod snapshot;
 pub mod trace;
 pub mod two_stage;
@@ -104,7 +102,7 @@ pub use engine::{Engine, LrgpConfig, RunOutcome};
 pub use gamma::{GammaController, GammaMode};
 pub use kernel::admission::{AdmissionPolicy, PopulationMode};
 pub use kernel::price::PriceVector;
-pub use plan::{IncrementalMode, Parallelism, Reliability};
+pub use plan::{IncrementalMode, Reliability};
 pub use snapshot::EngineSnapshot;
 pub use trace::Trace;
 pub use two_stage::{two_stage_solve, TwoStageOutcome};

@@ -9,7 +9,7 @@
 //! fresh trace).
 
 use crate::engine::{LrgpConfig, Engine};
-use crate::gamma::GammaController;
+use crate::gamma::{GammaController, GammaMode};
 use crate::kernel::price::PriceVector;
 use lrgp_model::{Problem, ValidationError};
 use serde::{Deserialize, Serialize};
@@ -69,6 +69,8 @@ impl Engine {
     /// [`ValidationError::SnapshotShape`] when one of the snapshot's vectors
     /// does not match the problem's dimensions, naming the vector, its
     /// length and the length the problem needs.
+    /// [`ValidationError::SnapshotValue`] when a node or link price, or the
+    /// config's fixed γ, is negative or not finite.
     #[must_use = "this Result reports a failure the caller must handle"]
     pub fn restore(problem: Problem, snapshot: EngineSnapshot) -> Result<Engine, ValidationError> {
         let (flows, nodes) = (problem.num_flows(), problem.num_nodes());
@@ -90,6 +92,21 @@ impl Engine {
                     problem: needed,
                 });
             }
+        }
+        // A negative or NaN fixed γ would panic in the γ controller, and a
+        // price outside [0, ∞) is one no step can produce.
+        let invalid = |x: f64| !(x.is_finite() && x >= 0.0);
+        if let GammaMode::Fixed { gamma } = snapshot.config.gamma {
+            if invalid(gamma) {
+                let what = "fixed gamma".to_owned();
+                return Err(ValidationError::SnapshotValue { what, value: gamma });
+            }
+        }
+        let nodes = snapshot.prices.node_prices().iter().enumerate().map(|(b, &x)| ("node", b, x));
+        let links = snapshot.prices.link_prices().iter().enumerate().map(|(l, &x)| ("link", l, x));
+        if let Some((kind, id, value)) = nodes.chain(links).find(|&(_, _, x)| invalid(x)) {
+            let what = format!("{kind} price {id}");
+            return Err(ValidationError::SnapshotValue { what, value });
         }
         let mut engine = Engine::new(problem, snapshot.config);
         engine.load_state(snapshot);
@@ -197,44 +214,86 @@ mod tests {
 
     #[test]
     fn snapshot_with_a_numerics_key_restores_like_one_without() {
-        // Snapshots written while the engine had a `numerics` axis carry the
-        // key in their config. The reader skips it, so such a snapshot
-        // resumes bit for bit like the same snapshot without the key.
+        // Snapshots written while the engine had a `numerics` axis, or a
+        // `parallelism` one, carry the key in their config, with any value
+        // it took (`Auto` included, which later builds refused). The reader
+        // skips it, so such a snapshot resumes bit for bit like the same
+        // snapshot without the key.
         let mut engine = Engine::new(base_workload(), LrgpConfig::default());
         engine.run(20);
         let json = serde_json::to_string(&engine.snapshot()).expect("snapshot serializes");
-        let old = json.replacen(r#""config":{"#, r#""config":{"numerics":"Vectorized","#, 1);
-        assert_ne!(old, json, "the config object must take the key");
-        let with_key: EngineSnapshot = serde_json::from_str(&old).expect("old snapshot loads");
-        let without: EngineSnapshot = serde_json::from_str(&json).expect("snapshot loads");
-        let restore = |snap| Engine::restore(base_workload(), snap).expect("same problem");
-        let (mut a, mut b) = (restore(with_key), restore(without));
-        for k in 0..40 {
-            assert_eq!(a.step().to_bits(), b.step().to_bits(), "diverged at step {k}");
+        let removed = [
+            r#""numerics":"Vectorized""#,
+            r#""parallelism":"Sequential""#,
+            r#""parallelism":{"Threads":4}"#,
+            r#""parallelism":"Auto""#,
+        ];
+        for key in removed {
+            let old = json.replacen(r#""config":{"#, &format!(r#""config":{{{key},"#), 1);
+            assert_ne!(old, json, "the config object must take the key");
+            let with_key: EngineSnapshot = serde_json::from_str(&old).expect("old snapshot loads");
+            let without: EngineSnapshot = serde_json::from_str(&json).expect("snapshot loads");
+            let restore = |snap| Engine::restore(base_workload(), snap).expect("same problem");
+            let (mut a, mut b) = (restore(with_key), restore(without));
+            for k in 0..40 {
+                assert_eq!(a.step().to_bits(), b.step().to_bits(), "{key}: diverged at step {k}");
+            }
+            assert_eq!(a.allocation(), b.allocation(), "{key}");
+            assert_eq!(a.prices(), b.prices(), "{key}");
+            // A config file with the key loads as the config without it.
+            let config = serde_json::to_string(&LrgpConfig::default()).expect("config serializes");
+            let old = config.replacen('{', &format!("{{{key},"), 1);
+            let loaded: LrgpConfig = serde_json::from_str(&old).expect("old config loads");
+            assert_eq!(loaded, LrgpConfig::default(), "{key}");
         }
-        assert_eq!(a.allocation(), b.allocation());
-        assert_eq!(a.prices(), b.prices());
     }
 
     #[test]
-    fn json_naming_auto_parallelism_is_an_error() {
-        // `Parallelism` has no `Auto` variant: a snapshot or config that
-        // names one fails to load instead of panicking or loading as
-        // another variant.
-        let auto = |json: &str| {
-            let named =
-                json.replacen(r#""parallelism":"Sequential""#, r#""parallelism":"Auto""#, 1);
-            assert_ne!(named, json, "the JSON must carry the key");
-            named
-        };
-        let mut engine = Engine::new(base_workload(), LrgpConfig::default());
+    fn restore_refuses_negative_or_non_finite_values() {
+        // A snapshot is read from outside JSON, so its prices and its
+        // config's fixed γ can hold any number. A negative or non-finite
+        // one must be refused with an error naming it, never a panic (a
+        // negative or NaN fixed γ used to reach `GammaController::new`'s
+        // assert).
+        let problem = mixed_loss_workload(2, 100.0, 7);
+        let mut engine = Engine::new(problem.clone(), LrgpConfig::default());
         engine.run(5);
-        let snapshot = serde_json::to_string(&engine.snapshot()).expect("snapshot serializes");
-        assert!(serde_json::from_str::<EngineSnapshot>(&snapshot).is_ok());
-        assert!(serde_json::from_str::<EngineSnapshot>(&auto(&snapshot)).is_err());
-        let config = serde_json::to_string(&LrgpConfig::default()).expect("config serializes");
-        assert!(serde_json::from_str::<LrgpConfig>(&config).is_ok());
-        assert!(serde_json::from_str::<LrgpConfig>(&auto(&config)).is_err());
+        let snap = engine.snapshot();
+        type Edit = fn(&mut EngineSnapshot, f64);
+        let fields: [(&str, Edit); 3] = [
+            ("fixed gamma", |s, x| s.config.gamma = GammaMode::fixed(x)),
+            ("node price 1", |s, x| {
+                let mut nodes = s.prices.node_prices().to_vec();
+                nodes[1] = x;
+                s.prices = PriceVector::unprojected(nodes, s.prices.link_prices().to_vec());
+            }),
+            ("link price 0", |s, x| {
+                let mut links = s.prices.link_prices().to_vec();
+                links[0] = x;
+                s.prices = PriceVector::unprojected(s.prices.node_prices().to_vec(), links);
+            }),
+        ];
+        for (what, edit) in fields {
+            for value in [-1.0, f64::NAN, f64::INFINITY] {
+                let mut bad = snap.clone();
+                edit(&mut bad, value);
+                let restored = std::panic::catch_unwind(|| Engine::restore(problem.clone(), bad))
+                    .unwrap_or_else(|_| panic!("{what} = {value}: restore panicked"));
+                match restored {
+                    Err(ValidationError::SnapshotValue { what: named, value: got }) => {
+                        assert_eq!(named, what);
+                        assert_eq!(got.to_bits(), value.to_bits(), "{what}");
+                    }
+                    other => panic!("{what} = {value} restored: {:?}", other.map(|_| ())),
+                }
+            }
+        }
+        // The edges of the range still restore.
+        let mut edge = snap.clone();
+        edge.config.gamma = GammaMode::fixed(0.0);
+        edge.prices.set_node(lrgp_model::NodeId::new(1), 0.0);
+        edge.prices.set_link(lrgp_model::LinkId::new(0), f64::MAX);
+        assert!(Engine::restore(problem, edge).is_ok());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! The lowering is deliberately forgiving, in the same spirit as the
 //! parser: `match` expressions are kept opaque inside their enclosing
-//! block (the arms never contain the pool-protocol shapes the rules look
+//! block (the arms never contain the lock and wait shapes the rules look
 //! for), closures are lowered inline, and anything unrecognized just
 //! extends the current block. On weird-but-valid code the CFG degrades to
 //! fewer, larger blocks — never to a crash or a spurious edge.

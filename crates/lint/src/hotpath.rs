@@ -1,6 +1,6 @@
 //! Layer-4 hot-path budget rules: the declared root set
-//! (`crates/lint/hot_paths.txt` — the kernel modules, the `exec.rs` step
-//! fns, the `pool.rs` worker protocol) must reach neither `ALLOC` nor
+//! (`crates/lint/hot_paths.txt` — the kernel modules and the `exec.rs`
+//! step fns) must reach neither `ALLOC` nor
 //! `PANIC` under the interprocedural effect fixpoint. These are the fns
 //! every engine step executes, thousands of times per convergence; a new
 //! allocation or panic branch on them is a latency cliff or an abort
@@ -106,7 +106,7 @@ pub fn hot_path_panic(ctx: &FileContext) -> Vec<Finding> {
         EffectSet::PANIC,
         "hot-path-panic",
         "can panic",
-        "a panic on the steady-state step aborts the worker mid-delta; replace \
+        "a panic on the steady-state step aborts it mid-delta; replace \
          with a total operation (`get`/`min`/iterator), validate at the \
          boundary, or exempt the fn in crates/lint/hot_paths.txt with a reason",
     )

@@ -1,9 +1,8 @@
 //! `lrgp-lint` — determinism-invariant static analysis for the LRGP
 //! workspace.
 //!
-//! The repo's core guarantee is that the sequential, parallel-sharded, and
-//! incremental LRGP engines produce **bit-identical** (`f64::to_bits`)
-//! results. That guarantee is enforced dynamically by the differential
+//! The repo's core guarantee is that the full-recompute and incremental
+//! LRGP engines produce **bit-identical** (`f64::to_bits`) results. That guarantee is enforced dynamically by the differential
 //! harness, but the bug classes that break it are visible statically —
 //! PR 2 had to hand-fix a `partial_cmp(..).unwrap_or(Equal)` admission
 //! comparator that this tool now catches at review time. This crate is the

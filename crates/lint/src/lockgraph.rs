@@ -6,9 +6,9 @@
 //! before any index (`lock_unpoisoned(&self.orders[b])` and
 //! `self.orders[x].lock()` are both the lock `orders`). That
 //! coarse-grains an array of mutexes into one node — deliberately so,
-//! since a sharded `orders[i]` → `orders[j]` nesting is exactly the
-//! acquisition pattern that deadlocks two workers taking the shards in
-//! opposite orders. Acquisitions on a *bare fn parameter* (the generic
+//! since an `orders[i]` → `orders[j]` nesting is exactly the acquisition
+//! pattern that deadlocks two threads taking the elements in opposite
+//! orders. Acquisitions on a *bare fn parameter* (the generic
 //! `lock_unpoisoned(m)` helper locking its own argument) are skipped:
 //! the caller's argument-site acquisition accounts for them under the
 //! caller's place name.

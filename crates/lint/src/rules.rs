@@ -53,7 +53,7 @@ pub const RULES: &[Rule] = &[
                     evaluation-order changes (exact-zero sentinel checks are exempt)",
         explain: "Two engines that are mathematically equivalent still differ in \
                   f64 low bits when evaluation order differs, so `x == 0.25` can \
-                  hold in the sequential engine and fail in the sharded one. The \
+                  hold under one evaluation order and fail under another. The \
                   repo defines equivalence via `f64::to_bits`, and value-level \
                   comparison against non-zero constants silently weakens that. \
                   Exact zero is exempt because the engines use 0.0 as a sentinel \
@@ -99,12 +99,11 @@ pub const RULES: &[Rule] = &[
         id: "library-unwrap",
         summary: "`unwrap`/`expect`/`panic!` in non-test library code",
         invariant: "library crates are driven by long-running engines and the \
-                    distributed protocol; a panic in a worker poisons a whole \
-                    solve instead of surfacing a recoverable error",
-        explain: "Library crates run inside long-lived engines and the worker \
-                  pool; a panic in one worker poisons shared mutexes and takes \
-                  down a whole solve that could have reported a recoverable \
-                  error. Harness crates (cli, bench) are exempt — panicking on \
+                    distributed protocol; a panic ends a whole solve instead \
+                    of surfacing a recoverable error",
+        explain: "Library crates run inside long-lived engines and the \
+                  distributed protocol; a panic takes down a whole solve that \
+                  could have reported a recoverable error. Harness crates (cli, bench) are exempt — panicking on \
                   bad input is fine at the top level.\n\
                   Example: let node = table.get(&id).unwrap();\n\
                   Fix: return Result/Option to the caller; if infallibility is \
@@ -135,11 +134,11 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "shared-mut-across-threads",
         summary: "captured `&mut`, Cell/RefCell, or `static mut` crossing a spawn boundary",
-        invariant: "the sharded engine is deterministic only because workers own \
-                    disjoint id-ordered chunks; mutable state shared across a spawn \
-                    reintroduces scheduler-dependent results (or UB)",
-        explain: "The sharded engine is bit-identical to the sequential one only \
-                  because each worker owns a disjoint, id-ordered chunk and \
+        invariant: "threaded code (the SA sweep) is deterministic only while each \
+                    thread owns what it writes; mutable state shared across a \
+                    spawn reintroduces scheduler-dependent results (or UB)",
+        explain: "Threaded code (the SA sweep's scoped threads) is reproducible \
+                  only because each thread owns a disjoint part of the work and \
                   results are merged deterministically after join. A `&mut` \
                   capture, a Cell/RefCell crossing the spawn, or a `static mut` \
                   touched in a worker reintroduces an order the scheduler \
@@ -153,12 +152,11 @@ pub const RULES: &[Rule] = &[
         id: "lossy-float-cast",
         summary: "`as f32`/`as usize`/... applied to an f64-carrying expression",
         invariant: "prices and rates are f64 end-to-end; a silent narrowing cast \
-                    rounds differently than the sequential reference path and the \
-                    engines stop being bit-identical",
+                    drops bits that the engines' bitwise equality relies on",
         explain: "Prices, rates, and utilities are f64 end-to-end; `as f32` or \
-                  `as usize` on an f64-carrying expression rounds silently, and \
-                  the rounding happens at different intermediate values in the \
-                  sequential and sharded paths. The rule walks the cast operand \
+                  `as usize` on an f64-carrying expression rounds silently, \
+                  and the engines promise bitwise equality, not closeness. The \
+                  rule walks the cast operand \
                   for positive f64 evidence (declared types, field types, fn \
                   returns), so integer-only casts stay clean.\n\
                   Example: let bucket = price as usize;\n\
@@ -187,8 +185,8 @@ pub const RULES: &[Rule] = &[
         id: "kernel-impure",
         summary: "effectful code reachable from a `kernel::*` function",
         invariant: "kernels are pure per-element math: the executor's \
-                    sequential, pooled and incremental schedules call them in \
-                    different orders and counts, so any effect (IO, locks, \
+                    full-recompute and incremental schedules call them in \
+                    different counts, so any effect (IO, locks, \
                     clocks, RNG, spawns, static muts) reachable from one \
                     diverges the schedules or races",
         explain: "The layer-3 effect fixpoint computes, for every fn in the \
@@ -201,7 +199,7 @@ pub const RULES: &[Rule] = &[
                   introduced it).\n\
                   Example: a kernel helper that calls a logging fn which does \
                   eprintln! three calls down.\n\
-                  Fix: hoist the effect into the executor (exec.rs/pool.rs) \
+                  Fix: hoist the effect into the executor (exec.rs) \
                   and pass its result into the kernel as a value.",
         check: semantic::kernel_impure,
     },
@@ -232,8 +230,7 @@ pub const RULES: &[Rule] = &[
         summary: "`Condvar::wait` not re-entered by a predicate-checking loop",
         invariant: "condvar wakeups are spurious and coalesced; a wait outside \
                     a predicate loop hangs on a lost wakeup or continues \
-                    early, and the pool_stress watchdog can only catch that \
-                    probabilistically",
+                    early, and a test can catch that only probabilistically",
         explain: "The CFG builder locates the innermost loop around each \
                   `.wait(guard)`/`.wait_timeout(guard, ..)` call. `while`/\
                   `while let`/`for` loops re-check their condition by \
@@ -250,9 +247,9 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "lock-held-across-park",
         summary: "a mutex/rwlock guard alive across park/recv/join/sleep",
-        invariant: "the pool's handoff latency (and absence of deadlock) \
-                    depends on guards being dropped before any blocking call; \
-                    a guard held across one stalls every worker on that lock",
+        invariant: "a thread's latency (and absence of deadlock) depends on \
+                    guards being dropped before any blocking call; a guard \
+                    held across one stalls every thread on that lock",
         explain: "A `let` binding whose initializer acquires a guard \
                   (`lock()`, `lock_unpoisoned()`, `try_lock()`, zero-arg \
                   `.read()`/`.write()`) keeps it alive to the end of its \
@@ -263,7 +260,7 @@ pub const RULES: &[Rule] = &[
                   it releases the guard it is given.\n\
                   Example: let g = state.lock_unpoisoned(); handle.join();\n\
                   Fix: drop(g) before blocking, or scope the guard in its own \
-                  `{ .. }` block as pool.rs's Drop impl does.",
+                  `{ .. }` block.",
         check: semantic::lock_held_across_park,
     },
     Rule {
@@ -290,8 +287,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "lock-order-inversion",
         summary: "two code paths acquire the same locks in opposite orders",
-        invariant: "the pool's worker protocol holds at most one guard at a time \
-                    per nesting chain, in one global order; a cycle in the \
+        invariant: "locks are taken in one global order; a cycle in the \
                     whole-workspace lock-order graph is a deadlock two threads \
                     can reach by interleaving",
         explain: "The layer-4 lock-order graph records an edge `a → b` whenever \
@@ -314,13 +310,12 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "hot-path-alloc",
         summary: "a declared hot-path root fn reaches a heap allocation",
-        invariant: "the steady-state step (kernel::*, the exec.rs dirty-set fns, \
-                    the pool.rs worker protocol — the roots in \
-                    crates/lint/hot_paths.txt) runs thousands of times per \
+        invariant: "the steady-state step (kernel::* and the exec.rs dirty-set \
+                    fns — the roots in crates/lint/hot_paths.txt) runs thousands of times per \
                     convergence and must reuse caller-owned capacity, never \
                     touch the allocator",
         explain: "An allocation on the per-delta path is a latency cliff: it \
-                  serializes workers on the allocator, fragments under \
+                  contends on the allocator, fragments under \
                   sustained traffic, and turns the amortized O(1) step into \
                   occasional O(n) growth pauses. The workspace idiom is \
                   caller-owned scratch — `*_into` kernels and reused buffers \
@@ -340,8 +335,8 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "hot-path-panic",
         summary: "a declared hot-path root fn reaches a panic site",
-        invariant: "a panic mid-delta aborts a pooled worker and poisons its \
-                    locks; the hot-path roots in crates/lint/hot_paths.txt \
+        invariant: "a panic mid-delta aborts the step with the engine half \
+                    updated; the hot-path roots in crates/lint/hot_paths.txt \
                     must stay panic-free in release builds, with validation \
                     at the boundary",
         explain: "The effect fixpoint marks `PANIC` for `unwrap`/`expect`, the \
@@ -351,8 +346,8 @@ pub const RULES: &[Rule] = &[
                   in release. (`debug_assert!` is exempt: it compiles out of \
                   release builds, so it is the sanctioned way to state hot- \
                   path invariants.) A panic reaching a hot-path root means \
-                  one malformed delta can kill a pooled worker mid-step and \
-                  poison every lock it held. The finding carries the \
+                  one malformed delta can abort a step midway and leave the \
+                  engine half updated. The finding carries the \
                   call-chain witness from the root to the panicking token.\n\
                   Example: fn run_shard(&self, lo: usize, hi: usize) { for &f \
                   in &self.dirty[lo..hi] { ... } }\n\

@@ -8,7 +8,7 @@
 //! bottom of the file go further and consume [`crate::cfg`] control-flow
 //! graphs and the [`crate::dataflow`] interprocedural effect fixpoint.
 //! Each protects the same invariant as the rest of the tool — that the
-//! sequential, parallel, and incremental engines produce bit-identical
+//! full-recompute and incremental engines produce bit-identical
 //! results — against a bug class that is invisible at the single-line
 //! lexical level.
 
@@ -726,9 +726,9 @@ pub fn kernel_impure(ctx: &FileContext) -> Vec<Finding> {
                 item.kw,
                 format!(
                     "kernel fn `{}` acquires effects: {}; kernel::* is pure \
-                     per-element math — the executor's sequential, pooled and \
-                     incremental schedules call it in different orders and \
-                     counts, so any effect diverges them; hoist the effect into \
+                     per-element math — the executor's full-recompute and \
+                     incremental schedules call it in different counts, so \
+                     any effect diverges them; hoist the effect into \
                      the executor and pass results in",
                     item.name,
                     ctx.flow.table.describe(i, denied)
@@ -1009,7 +1009,7 @@ pub fn lock_held_across_park(ctx: &FileContext) -> Vec<Finding> {
                     k,
                     format!(
                         "`{what}` while guard `{}` is live: blocking with a lock \
-                         held stalls every other worker on that lock (and deadlocks \
+                         held stalls every other thread on that lock (and deadlocks \
                          if the blocked-on thread needs it); drop the guard first \
                          or scope it in a block",
                         b.name

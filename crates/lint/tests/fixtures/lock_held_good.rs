@@ -1,6 +1,6 @@
 //! Known-good fixture: guards are scoped or dropped before blocking.
 
-/// The pool.rs Drop shape: the guard lives in its own block.
+/// The guard lives in its own block, closed before the join.
 pub fn drain(state: &SharedState, handle: Handle) {
     {
         let guard = state.inner.lock_unpoisoned();

@@ -332,6 +332,14 @@ pub enum ValidationError {
         /// The length the problem needs.
         problem: usize,
     },
+    /// An engine snapshot carries a value no engine can hold: a negative or
+    /// non-finite price, or a fixed γ that is.
+    SnapshotValue {
+        /// Which value (`"node price 3"`, `"fixed gamma"`, ...).
+        what: String,
+        /// The offending value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for ValidationError {
@@ -384,6 +392,9 @@ impl fmt::Display for ValidationError {
             }
             ValidationError::SnapshotShape { what, snapshot, problem } => {
                 write!(f, "snapshot carries {snapshot} {what}, the problem needs {problem}")
+            }
+            ValidationError::SnapshotValue { what, value } => {
+                write!(f, "snapshot {what} must be finite and nonnegative, got {value}")
             }
         }
     }

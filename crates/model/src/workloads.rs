@@ -221,8 +221,8 @@ pub struct RandomWorkload {
     /// When `true`, ignore [`Self::shape`] and cycle each flow's classes
     /// through [`UtilityShape::ALL`]. Flows with ≥ 2 classes then mix
     /// shapes, which denies `solve_rate` its closed forms and forces the
-    /// bisection fallback — the compute-heavy regime the sharded engine is
-    /// benchmarked under.
+    /// bisection fallback — the compute-heavy regime the step benchmarks
+    /// run under.
     pub mixed_shapes: bool,
     /// Node capacity `c_b`.
     pub node_capacity: f64,

@@ -9,11 +9,8 @@
 //! racy write, out-of-order reduction, or stale dirty-set entry shows up
 //! as a hard failure with the iteration and element index.
 //!
-//! Five axes are covered, alone and combined:
+//! Four axes are covered, alone and combined:
 //!
-//! * **parallelism** — sharded over the persistent worker pool vs
-//!   sequential, with dispatch forced so the cross-thread handoff runs
-//!   even on single-CPU hosts;
 //! * **incrementality** — dirty-set skipping vs full recompute;
 //! * **deltas** — [`Engine::apply_delta`] vs the rebuild oracle, mid-run:
 //!   a fresh engine that [`Engine::restore`]s the pre-delta snapshot over
@@ -25,10 +22,10 @@
 //!   engine on the spec-stripped problem (the pre-reliability engine, by
 //!   construction), even while loss/ρ-bound deltas land on the
 //!   spec-carrying side only; `Reliability::Joint` engines must be
-//!   bit-identical across the whole plan matrix, ρ state included.
+//!   bit-identical across both incrementality modes, ρ state included.
 
 use lrgp::kernel::reliability::solve_flow_rho;
-use lrgp::{run_scenario, Engine, IncrementalMode, LrgpConfig, Parallelism, Reliability, Scenario};
+use lrgp::{run_scenario, Engine, IncrementalMode, LrgpConfig, Reliability, Scenario};
 use lrgp_model::workloads::{
     base_workload, link_bottleneck_workload, mixed_loss_workload, paper_workload, RandomWorkload,
 };
@@ -52,40 +49,6 @@ fn assert_bits_eq(label: &str, iteration: usize, seq: &[f64], par: &[f64]) {
             p.to_bits(),
         );
     }
-}
-
-/// Runs both engines `iterations` steps over `problem`, checking full-state
-/// bit-identity after every step.
-fn assert_engines_identical(
-    problem: Problem,
-    config: LrgpConfig,
-    parallelism: Parallelism,
-    iterations: usize,
-) {
-    let sequential_config = LrgpConfig { parallelism: Parallelism::Sequential, ..config };
-    let parallel_config = LrgpConfig { parallelism, ..config };
-    let mut sequential = Engine::new(problem.clone(), sequential_config);
-    let mut parallel = Engine::new(problem, parallel_config);
-    // Dispatch through the worker pool even on single-CPU hosts, so the
-    // cross-thread handoff is exercised wherever the suite runs.
-    parallel.force_pool_dispatch(true);
-    for k in 1..=iterations {
-        let u_seq = sequential.step();
-        let u_par = parallel.step();
-        assert!(
-            u_seq.to_bits() == u_par.to_bits(),
-            "utility diverged at iteration {k}: {u_seq:?} vs {u_par:?}"
-        );
-        assert_same_state("parallel", k, &sequential, &parallel);
-    }
-    // The recorded traces, being per-iteration snapshots of the state
-    // checked above, must agree wholesale.
-    assert_bits_eq(
-        "utility trace",
-        iterations,
-        sequential.trace().utility.values(),
-        parallel.trace().utility.values(),
-    );
 }
 
 /// Compares the full optimizer state of `candidate` against `reference`
@@ -114,34 +77,26 @@ fn assert_same_state(label: &str, k: usize, reference: &Engine, candidate: &Engi
     assert_bits_eq(&format!("{label} gammas"), k, &gammas_ref, &gammas_can);
 }
 
-/// Runs the baseline full-recompute engine against two incremental engines
-/// (sequential and sharded with the given parallelism) in lockstep,
-/// asserting full-state bit-identity after every iteration. If `removal` is
-/// `Some((k, flow))`, the flow is removed from all three engines right
-/// before iteration `k` — the baseline by restoring its snapshot over the
-/// edited problem, the incremental engines through [`Engine::apply_delta`],
-/// which must patch their term tables, mark the flow's readers dirty and
-/// stay identical afterwards. The restored baseline starts a fresh trace,
-/// so the traces are compared from the removal on.
+/// Runs the baseline full-recompute engine against the incremental engine
+/// in lockstep, asserting full-state bit-identity after every iteration. If
+/// `removal` is `Some((k, flow))`, the flow is removed from both engines
+/// right before iteration `k` — the baseline by restoring its snapshot over
+/// the edited problem, the incremental engine through
+/// [`Engine::apply_delta`], which must patch its term table, mark the
+/// flow's readers dirty and stay identical afterwards. The restored
+/// baseline starts a fresh trace, so the traces are compared from the
+/// removal on.
 fn assert_incremental_identical(
     problem: Problem,
     config: LrgpConfig,
-    parallelism: Parallelism,
     iterations: usize,
     removal: Option<(usize, u32)>,
 ) {
-    let baseline_config = LrgpConfig {
-        parallelism: Parallelism::Sequential,
-        incremental: IncrementalMode::Off,
-        ..config
-    };
-    let inc_seq_config = LrgpConfig { incremental: IncrementalMode::On, ..baseline_config };
-    let inc_par_config = LrgpConfig { parallelism, ..inc_seq_config };
+    let baseline_config = LrgpConfig { incremental: IncrementalMode::Off, ..config };
+    let inc_config = LrgpConfig { incremental: IncrementalMode::On, ..config };
     let mut baseline = Engine::new(problem.clone(), baseline_config);
-    let mut inc_seq = Engine::new(problem.clone(), inc_seq_config);
-    let mut inc_par = Engine::new(problem, inc_par_config);
-    inc_par.force_pool_dispatch(true);
-    // The candidates' iterations before the baseline's trace starts.
+    let mut incremental = Engine::new(problem, inc_config);
+    // The candidate's iterations before the baseline's trace starts.
     let mut restored_at = 0;
     for k in 1..=iterations {
         if let Some((at, flow)) = removal {
@@ -150,39 +105,26 @@ fn assert_incremental_identical(
                 let edited = delta.apply(baseline.problem()).expect("flow exists");
                 baseline = Engine::restore(edited, baseline.snapshot()).expect("the snapshot fits");
                 restored_at = k - 1;
-                inc_seq.apply_delta(&delta).expect("flow exists");
-                inc_par.apply_delta(&delta).expect("flow exists");
+                incremental.apply_delta(&delta).expect("flow exists");
             }
         }
         let u_base = baseline.step();
-        let u_seq = inc_seq.step();
-        let u_par = inc_par.step();
+        let u_inc = incremental.step();
         assert!(
-            u_base.to_bits() == u_seq.to_bits(),
-            "incremental-sequential utility diverged at iteration {k}: {u_base:?} vs {u_seq:?}"
+            u_base.to_bits() == u_inc.to_bits(),
+            "incremental utility diverged at iteration {k}: {u_base:?} vs {u_inc:?}"
         );
-        assert!(
-            u_base.to_bits() == u_par.to_bits(),
-            "incremental-threads utility diverged at iteration {k}: {u_base:?} vs {u_par:?}"
-        );
-        assert_same_state("incremental-sequential", k, &baseline, &inc_seq);
-        assert_same_state("incremental-threads", k, &baseline, &inc_par);
+        assert_same_state("incremental", k, &baseline, &incremental);
     }
     assert_bits_eq(
-        "incremental-sequential utility trace",
+        "incremental utility trace",
         iterations,
         baseline.trace().utility.values(),
-        &inc_seq.trace().utility.values()[restored_at..],
-    );
-    assert_bits_eq(
-        "incremental-threads utility trace",
-        iterations,
-        baseline.trace().utility.values(),
-        &inc_par.trace().utility.values()[restored_at..],
+        &incremental.trace().utility.values()[restored_at..],
     );
 }
 
-fn workload_strategy() -> impl Strategy<Value = (RandomWorkload, u64, usize)> {
+fn workload_strategy() -> impl Strategy<Value = (RandomWorkload, u64)> {
     (
         2usize..24,   // flows
         1usize..8,    // consumer nodes
@@ -194,9 +136,8 @@ fn workload_strategy() -> impl Strategy<Value = (RandomWorkload, u64, usize)> {
             Just(UtilityShape::Pow75),
         ],
         0u64..1_000_000, // workload seed
-        2usize..8,    // worker threads
     )
-        .prop_map(|(flows, cnodes, classes, shape, seed, threads)| {
+        .prop_map(|(flows, cnodes, classes, shape, seed)| {
             let workload = RandomWorkload {
                 flows,
                 consumer_nodes: cnodes,
@@ -204,7 +145,7 @@ fn workload_strategy() -> impl Strategy<Value = (RandomWorkload, u64, usize)> {
                 shape,
                 ..RandomWorkload::default()
             };
-            (workload, seed, threads)
+            (workload, seed)
         })
 }
 
@@ -361,30 +302,15 @@ fn mixed_batch_on_base_workload_matches_rebuilt_reference() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
-    /// The acceptance criterion: ≥ 100 randomized problems, bit-identical
-    /// rates, admissions, prices, and utility traces at every iteration.
-    #[test]
-    fn parallel_engine_bit_identical_on_random_problems(
-        (workload, seed, threads) in workload_strategy()
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let problem = workload.generate(&mut rng);
-        assert_engines_identical(
-            problem,
-            LrgpConfig::default(),
-            Parallelism::Threads(threads),
-            25,
-        );
-    }
-
-    /// The incremental acceptance criterion: on the same randomized problem
-    /// population, the dirty-set engine (sequential and threaded) is
-    /// bit-identical to the full-recompute baseline at every iteration —
+    /// The incremental acceptance criterion: ≥ 100 randomized problems, on
+    /// which the dirty-set engine is bit-identical (rates, admissions,
+    /// prices and utility traces) to the full-recompute baseline at every
+    /// iteration —
     /// including across a mid-run flow removal, which must patch the term
     /// tables and mark exactly the removed flow's readers dirty.
     #[test]
     fn incremental_engine_bit_identical_on_random_problems(
-        (workload, seed, threads) in workload_strategy()
+        (workload, seed) in workload_strategy()
     ) {
         let flows = workload.flows;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -392,13 +318,7 @@ proptest! {
         // Remove a seed-chosen flow before iteration 16 of 25, so every case
         // exercises both steady-state skipping and a removal's patch.
         let removal = Some((16, (seed % flows as u64) as u32));
-        assert_incremental_identical(
-            problem,
-            LrgpConfig::default(),
-            Parallelism::Threads(threads),
-            25,
-            removal,
-        );
+        assert_incremental_identical(problem, LrgpConfig::default(), 25, removal);
     }
 
     /// A batch applies to one clone of the problem in place. It must equal
@@ -406,7 +326,7 @@ proptest! {
     /// of the specs and builds from scratch, indexes included.
     #[test]
     fn batched_delta_matches_rebuilt_reference(
-        (workload, seed, _threads) in workload_strategy(),
+        (workload, seed) in workload_strategy(),
         schedule in proptest::collection::vec(
             (0u8..5, 0u64..1_000_000, 0.0f64..1_000_000.0),
             1..5,
@@ -427,23 +347,18 @@ proptest! {
     /// term table for every op that keeps the id space) must leave the
     /// incremental engines bit-identical, at every iteration, to the
     /// full-recompute baseline that restores its snapshot over
-    /// `delta.apply(..)` in a fresh engine. The pooled candidates run the
-    /// same schedule at 2, 3, and 4 contexts with dispatch forced, covering
-    /// non-divisible shard splits and dirty sets smaller than the worker
-    /// count (the workload floor is 2 flows / 1 node).
+    /// `delta.apply(..)` in a fresh engine.
     #[test]
     fn delta_sequences_bit_identical_to_from_scratch(
-        (workload, seed, _threads) in workload_strategy(),
+        (workload, seed) in workload_strategy(),
         schedule in proptest::collection::vec(
             (0u8..6, 0u64..1_000_000, 0.0f64..1_000_000.0),
             1..5,
         )
     ) {
-        const POOLED_WORKERS: [usize; 3] = [2, 3, 4];
         let mut rng = StdRng::seed_from_u64(seed);
         let problem = workload.generate(&mut rng);
         let baseline_config = LrgpConfig {
-            parallelism: Parallelism::Sequential,
             incremental: IncrementalMode::Off,
             // Explicitly rate-only: this schedule pins the pre-reliability
             // engine behavior that `Reliability::Off` must reproduce.
@@ -454,16 +369,6 @@ proptest! {
             LrgpConfig { incremental: IncrementalMode::On, ..baseline_config };
         let mut baseline = Engine::new(problem.clone(), baseline_config);
         let mut inc_seq = Engine::new(problem.clone(), inc_seq_config);
-        let mut pooled: Vec<Engine> = POOLED_WORKERS
-            .iter()
-            .map(|&w| {
-                let config =
-                    LrgpConfig { parallelism: Parallelism::Threads(w), ..inc_seq_config };
-                let engine = Engine::new(problem.clone(), config);
-                engine.force_pool_dispatch(true);
-                engine
-            })
-            .collect();
         // Removed flows, most recent last, for the re-join kind to bring
         // back.
         let mut departed: Vec<FlowId> = Vec::new();
@@ -484,9 +389,6 @@ proptest! {
                     baseline =
                         Engine::restore(edited, baseline.snapshot()).expect("the snapshot fits");
                     inc_seq.apply_delta(&delta).expect("delta is valid");
-                    for engine in &mut pooled {
-                        engine.apply_delta(&delta).expect("delta is valid");
-                    }
                 }
             }
             let u_base = baseline.step();
@@ -497,17 +399,6 @@ proptest! {
                 k, u_base, u_seq
             );
             assert_same_state("delta-sequential", k, &baseline, &inc_seq);
-            for (engine, w) in pooled.iter_mut().zip(POOLED_WORKERS) {
-                let u_par = engine.step();
-                prop_assert!(
-                    u_base.to_bits() == u_par.to_bits(),
-                    "delta-threads({}) utility diverged at iteration {}: {:?} vs {:?}",
-                    w, k, u_base, u_par
-                );
-            }
-            for (engine, w) in pooled.iter().zip(POOLED_WORKERS) {
-                assert_same_state(&format!("delta-threads-{w}"), k, &baseline, engine);
-            }
         }
     }
 }
@@ -537,7 +428,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
     /// The reliability-off oracle: on a spec-carrying lossy workload, a
-    /// `Reliability::Off` engine (sequential and pooled) must be
+    /// `Reliability::Off` engine must be
     /// bit-identical, at every iteration, to an engine running the
     /// spec-stripped problem — which is the pre-reliability engine by
     /// construction, since stripping the spec removes every reliability
@@ -549,7 +440,7 @@ proptest! {
     /// nothing, which the bitwise identity proves.)
     #[test]
     fn reliability_off_bit_identical_to_spec_stripped_engine(
-        (pairs, seed, threads) in (1usize..5, 0u64..1_000_000, 2usize..5),
+        (pairs, seed) in (1usize..5, 0u64..1_000_000),
         schedule in proptest::collection::vec(
             (0u8..6, 0u64..1_000_000, 0.0f64..1_000_000.0),
             1..5,
@@ -558,18 +449,13 @@ proptest! {
         let problem = mixed_loss_workload(pairs, 400.0, seed);
         let stripped_config = LrgpConfig { link_gamma: 2e-3, ..LrgpConfig::default() };
         let off_config = LrgpConfig { reliability: Reliability::Off, ..stripped_config };
-        let off_par_config =
-            LrgpConfig { parallelism: Parallelism::Threads(threads), ..off_config };
         let mut stripped = Engine::new(problem.without_reliability(), stripped_config);
         let mut off_seq = Engine::new(problem.clone(), off_config);
-        let mut off_par = Engine::new(problem.clone(), off_par_config);
-        off_par.force_pool_dispatch(true);
         for k in 1..=30usize {
             if k >= 7 && (k - 7) % 6 == 0 {
                 if let Some(&(kind, sel, magnitude)) = schedule.get((k - 7) / 6) {
                     let delta = resolve_lossy_delta(off_seq.problem(), kind, sel, magnitude);
                     off_seq.apply_delta(&delta).expect("delta is valid on the spec side");
-                    off_par.apply_delta(&delta).expect("delta is valid on the spec side");
                     if kind <= 3 {
                         // Rate-side edits exist on the stripped problem too.
                         stripped.apply_delta(&delta).expect("delta is valid");
@@ -578,26 +464,19 @@ proptest! {
             }
             let u_ref = stripped.step();
             let u_seq = off_seq.step();
-            let u_par = off_par.step();
             prop_assert!(
                 u_ref.to_bits() == u_seq.to_bits(),
                 "off-sequential utility diverged at iteration {}: {:?} vs {:?}",
                 k, u_ref, u_seq
             );
-            prop_assert!(
-                u_ref.to_bits() == u_par.to_bits(),
-                "off-threads utility diverged at iteration {}: {:?} vs {:?}",
-                k, u_ref, u_par
-            );
             assert_same_state("off-sequential", k, &stripped, &off_seq);
-            assert_same_state("off-threads", k, &stripped, &off_par);
         }
     }
 
     /// The joint-plan oracle: `Reliability::Joint` engines must be
     /// bit-identical — rates, populations, prices, γ, *and* ρ — across
-    /// the plan matrix (sequential full recompute vs incremental
-    /// sequential vs incremental pooled), through a schedule of rate-side
+    /// both plans (full recompute vs incremental), through a schedule of
+    /// rate-side
     /// and reliability-side deltas applied via [`Engine::apply_delta`]
     /// against a baseline that restores its snapshot over the edited problem.
     /// Under log utilities ρ pins at its ceiling (see [`pow_lossy_pairs`]),
@@ -605,8 +484,7 @@ proptest! {
     /// the utility's reliability terms then change between steps.
     #[test]
     fn joint_reliability_bit_identical_across_plans(
-        (pairs, seed, threads, pow) in
-            (1usize..5, 0u64..1_000_000, 2usize..5, proptest::bool::ANY),
+        (pairs, seed, pow) in (1usize..5, 0u64..1_000_000, proptest::bool::ANY),
         schedule in proptest::collection::vec(
             (0u8..6, 0u64..1_000_000, 0.0f64..1_000_000.0),
             1..5,
@@ -616,19 +494,14 @@ proptest! {
         let problem = if pow { problem.with_utility_shape(UtilityShape::Pow75) } else { problem };
         let mut rho_moves = 0usize;
         let baseline_config = LrgpConfig {
-            parallelism: Parallelism::Sequential,
             incremental: IncrementalMode::Off,
             reliability: Reliability::Joint,
             link_gamma: 2e-3,
             ..LrgpConfig::default()
         };
         let inc_seq_config = LrgpConfig { incremental: IncrementalMode::On, ..baseline_config };
-        let inc_par_config =
-            LrgpConfig { parallelism: Parallelism::Threads(threads), ..inc_seq_config };
         let mut baseline = Engine::new(problem.clone(), baseline_config);
-        let mut inc_seq = Engine::new(problem.clone(), inc_seq_config);
-        let mut inc_par = Engine::new(problem, inc_par_config);
-        inc_par.force_pool_dispatch(true);
+        let mut inc_seq = Engine::new(problem, inc_seq_config);
         for k in 1..=30usize {
             if k >= 7 && (k - 7) % 6 == 0 {
                 if let Some(&(kind, sel, magnitude)) = schedule.get((k - 7) / 6) {
@@ -637,13 +510,11 @@ proptest! {
                     baseline =
                         Engine::restore(edited, baseline.snapshot()).expect("the snapshot fits");
                     inc_seq.apply_delta(&delta).expect("delta is valid");
-                    inc_par.apply_delta(&delta).expect("delta is valid");
                 }
             }
             let rhos = baseline.rhos().to_vec();
             let u_base = baseline.step();
             let u_seq = inc_seq.step();
-            let u_par = inc_par.step();
             let before_after = rhos.iter().zip(baseline.rhos());
             rho_moves += before_after.filter(|(a, b)| a.to_bits() != b.to_bits()).count();
             prop_assert!(
@@ -651,15 +522,8 @@ proptest! {
                 "joint-sequential utility diverged at iteration {}: {:?} vs {:?}",
                 k, u_base, u_seq
             );
-            prop_assert!(
-                u_base.to_bits() == u_par.to_bits(),
-                "joint-threads utility diverged at iteration {}: {:?} vs {:?}",
-                k, u_base, u_par
-            );
             assert_same_state("joint-sequential", k, &baseline, &inc_seq);
-            assert_same_state("joint-threads", k, &baseline, &inc_par);
             assert_bits_eq("joint-sequential rhos", k, baseline.rhos(), inc_seq.rhos());
-            assert_bits_eq("joint-threads rhos", k, baseline.rhos(), inc_par.rhos());
         }
         prop_assert!(!pow || rho_moves > 0, "power utilities moved no ρ in 30 joint steps");
     }
@@ -717,107 +581,43 @@ fn joint_moves_rho_off_its_ceiling_on_lossy_pairs() {
 fn joint_rho_is_solved_against_this_iterations_rate() {
     // Lee–Chiang–Calderbank's per-source update: each flow's ρ best
     // response reads the previous iteration's link prices and populations
-    // and the rate the same iteration just solved. Every plan would share a
-    // mistake here, so the plan matrix cannot catch it; the kernel can.
+    // and the rate the same iteration just solved. Both plans would share a
+    // mistake here, so the differential oracles cannot catch it; the kernel
+    // can.
     let problem = mixed_loss_workload(6, 100.0, 7).with_utility_shape(UtilityShape::Pow75);
     let redundancy = problem.reliability().expect("lossy workload carries a spec").redundancy;
     let terms = PriceTermTable::new(&problem);
-    for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
-        let config =
-            LrgpConfig { parallelism, reliability: Reliability::Joint, ..LrgpConfig::default() };
-        let mut engine = Engine::new(problem.clone(), config);
-        engine.force_pool_dispatch(true);
-        let mut moves = 0usize;
-        for k in 1..=200 {
-            let link_prices = engine.prices().link_prices().to_vec();
-            let populations = engine.allocation().populations().to_vec();
-            let rhos = engine.rhos().to_vec();
-            engine.step();
-            let allocation = engine.allocation();
-            for flow in problem.flow_ids() {
-                let f = flow.index();
-                let expected = solve_flow_rho(
-                    &terms,
-                    flow,
-                    &link_prices,
-                    &populations,
-                    allocation.rate(flow),
-                    problem.rho_bounds(flow).unwrap_or_default(),
-                    redundancy,
-                    rhos[f],
-                );
-                let rho = engine.rhos()[f];
-                assert!(
-                    rho.to_bits() == expected.to_bits(),
-                    "{parallelism:?}: ρ[{f}] at iteration {k} is {rho:?}, the best response to \
-                     this iteration's rate is {expected:?}"
-                );
-                moves += usize::from(rho.to_bits() != rhos[f].to_bits());
-            }
+    let config = LrgpConfig { reliability: Reliability::Joint, ..LrgpConfig::default() };
+    let mut engine = Engine::new(problem.clone(), config);
+    let mut moves = 0usize;
+    for k in 1..=200 {
+        let link_prices = engine.prices().link_prices().to_vec();
+        let populations = engine.allocation().populations().to_vec();
+        let rhos = engine.rhos().to_vec();
+        engine.step();
+        let allocation = engine.allocation();
+        for flow in problem.flow_ids() {
+            let f = flow.index();
+            let expected = solve_flow_rho(
+                &terms,
+                flow,
+                &link_prices,
+                &populations,
+                allocation.rate(flow),
+                problem.rho_bounds(flow).unwrap_or_default(),
+                redundancy,
+                rhos[f],
+            );
+            let rho = engine.rhos()[f];
+            assert!(
+                rho.to_bits() == expected.to_bits(),
+                "ρ[{f}] at iteration {k} is {rho:?}, the best response to this iteration's \
+                 rate is {expected:?}"
+            );
+            moves += usize::from(rho.to_bits() != rhos[f].to_bits());
         }
-        assert!(moves > 0, "{parallelism:?}: ρ never moved, so the check proved nothing");
     }
-}
-
-#[test]
-fn parallel_engine_bit_identical_on_paper_workload() {
-    // The Table 1 workload, long enough to pass through the initial
-    // oscillation and the adaptive-γ regime changes. The one case here that
-    // shards the all-dirty step: the others run the default incremental one.
-    for threads in [2, 3, 4, 7] {
-        assert_engines_identical(
-            paper_workload(UtilityShape::Log, 1, 1),
-            LrgpConfig { incremental: IncrementalMode::Off, ..LrgpConfig::default() },
-            Parallelism::Threads(threads),
-            120,
-        );
-    }
-}
-
-#[test]
-fn parallel_engine_bit_identical_with_link_prices() {
-    // RandomWorkload has no links; this workload makes the link-price phase
-    // (Eq. 13) the binding constraint so its sharded path is exercised.
-    assert_engines_identical(
-        link_bottleneck_workload(500.0),
-        LrgpConfig { link_gamma: 2e-3, ..LrgpConfig::default() },
-        Parallelism::Threads(2),
-        200,
-    );
-}
-
-#[test]
-fn parallel_engine_bit_identical_with_more_workers_than_elements() {
-    // Degenerate sharding: more threads than flows/nodes must not change
-    // results (each chunk holds at most one element).
-    let mut rng = StdRng::seed_from_u64(11);
-    let workload = RandomWorkload { flows: 3, consumer_nodes: 2, ..RandomWorkload::default() };
-    let problem = workload.generate(&mut rng);
-    assert_engines_identical(problem, LrgpConfig::default(), Parallelism::Threads(32), 30);
-}
-
-#[test]
-fn parallel_engine_matches_through_flow_removal() {
-    // Dynamics (Fig. 3): removing a flow mid-run must keep the engines in
-    // lockstep afterwards too.
-    let problem = paper_workload(UtilityShape::Log, 1, 1);
-    let config = LrgpConfig::default();
-    let threads_config = LrgpConfig { parallelism: Parallelism::Threads(4), ..config };
-    let mut sequential = Engine::new(problem.clone(), config);
-    let mut parallel = Engine::new(problem, threads_config);
-    sequential.run(50);
-    parallel.run(50);
-    let delta = ProblemDelta::new().remove_flow(FlowId::new(5));
-    sequential.apply_delta(&delta).unwrap();
-    parallel.apply_delta(&delta).unwrap();
-    for k in 1..=50 {
-        let u_seq = sequential.step();
-        let u_par = parallel.step();
-        assert!(
-            u_seq.to_bits() == u_par.to_bits(),
-            "utility diverged at post-removal iteration {k}: {u_seq:?} vs {u_par:?}"
-        );
-    }
+    assert!(moves > 0, "ρ never moved, so the check proved nothing");
 }
 
 #[test]
@@ -826,15 +626,8 @@ fn incremental_engine_bit_identical_on_paper_workload() {
     // regime changes, and into the steady state where the dirty sets have
     // shrunk to the churning core — the regime the skipping logic exists
     // for.
-    for threads in [2, 4] {
-        assert_incremental_identical(
-            paper_workload(UtilityShape::Log, 1, 1),
-            LrgpConfig::default(),
-            Parallelism::Threads(threads),
-            300,
-            None,
-        );
-    }
+    let problem = paper_workload(UtilityShape::Log, 1, 1);
+    assert_incremental_identical(problem, LrgpConfig::default(), 300, None);
 }
 
 #[test]
@@ -844,7 +637,6 @@ fn incremental_engine_bit_identical_with_link_prices() {
     assert_incremental_identical(
         link_bottleneck_workload(500.0),
         LrgpConfig { link_gamma: 2e-3, ..LrgpConfig::default() },
-        Parallelism::Threads(2),
         200,
         Some((120, 0)),
     );
@@ -938,8 +730,8 @@ fn deltas_on_a_settled_engine_stay_bit_identical() {
 #[test]
 fn adding_a_flow_mid_run_stays_bit_identical() {
     // The growing delta: `AddFlow` resizes every engine-side vector. The
-    // check here is that all three execution plans re-derive against the
-    // grown problem in bitwise lockstep; `arrivals_match_a_rebuilt_engine_bitwise`
+    // check here is that both execution plans re-derive against the grown
+    // problem in bitwise lockstep; `arrivals_match_a_rebuilt_engine_bitwise`
     // holds arrivals to the restore oracle.
     let problem = paper_workload(UtilityShape::Log, 1, 1);
     let source = problem.flow(FlowId::new(0)).source;
@@ -959,37 +751,22 @@ fn adding_a_flow_mid_run_stays_bit_identical() {
             consumer_cost: 3.0,
         }],
     );
-    let baseline_config = LrgpConfig {
-        parallelism: Parallelism::Sequential,
-        incremental: IncrementalMode::Off,
-        ..LrgpConfig::default()
-    };
+    let baseline_config = LrgpConfig { incremental: IncrementalMode::Off, ..LrgpConfig::default() };
     let inc_config = LrgpConfig { incremental: IncrementalMode::On, ..baseline_config };
-    let par_config =
-        LrgpConfig { parallelism: Parallelism::Threads(3), ..baseline_config };
     let mut baseline = Engine::new(problem.clone(), baseline_config);
-    let mut incremental = Engine::new(problem.clone(), inc_config);
-    let mut parallel = Engine::new(problem, par_config);
+    let mut incremental = Engine::new(problem, inc_config);
     baseline.run(60);
     incremental.run(60);
-    parallel.run(60);
     baseline.apply_delta(&grow).expect("delta is valid");
     incremental.apply_delta(&grow).expect("delta is valid");
-    parallel.apply_delta(&grow).expect("delta is valid");
     for k in 1..=80 {
         let u_base = baseline.step();
         let u_inc = incremental.step();
-        let u_par = parallel.step();
         assert!(
             u_base.to_bits() == u_inc.to_bits(),
             "post-growth incremental utility diverged at iteration {k}: {u_base:?} vs {u_inc:?}"
         );
-        assert!(
-            u_base.to_bits() == u_par.to_bits(),
-            "post-growth threads utility diverged at iteration {k}: {u_base:?} vs {u_par:?}"
-        );
         assert_same_state("post-growth incremental", k, &baseline, &incremental);
-        assert_same_state("post-growth threads", k, &baseline, &parallel);
     }
     let new_flow = FlowId::new(baseline.problem().num_flows() as u32 - 1);
     assert!(baseline.allocation().rate(new_flow) > 0.0, "appended flow never got a rate");
@@ -1022,54 +799,49 @@ fn arrivals_match_a_rebuilt_engine_bitwise() {
         let classes: Vec<ClassSpec> =
             problem.classes_of_flow(template).iter().map(|&c| problem.class(c).clone()).collect();
         let copy = problem.flow(template).clone();
-        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
-            let mut engine = Engine::new(problem.clone(), LrgpConfig { parallelism, ..config });
-            engine.force_pool_dispatch(true);
-            engine.run(2_000);
-            let rate = engine.allocation().rate(template);
-            let pinned = FlowSpec { bounds: RateBounds::new(rate, rate).unwrap(), ..copy.clone() };
-            let halved = RateBounds::new(copy.bounds.min, copy.bounds.max / 2.0).unwrap();
-            let mut deltas = vec![
-                ("copy", ProblemDelta::new().add_flow(copy.clone(), classes.clone())),
-                ("pinned", ProblemDelta::new().add_flow(pinned, classes.clone())),
-                (
-                    "batch",
-                    ProblemDelta::new()
-                        .remove_flow(FlowId::new(0))
-                        .add_flow(copy.clone(), classes.clone())
-                        .add_flow(copy.clone(), classes.clone())
-                        .set_rate_bounds(second, halved),
-                ),
-            ];
-            // A loss edit on a link the arrival joins, ahead of the arrival
-            // in one batch: the final problem already lists the new flow on
-            // that link when the loss edit reaches the executor.
-            if let (Some(_), Some(&(link, _))) =
-                (problem.reliability(), problem.links_of_flow(template).first())
-            {
-                let delta = ProblemDelta::new().set_link_loss(link, 0.2);
-                deltas.push(("loss first", delta.add_flow(copy.clone(), classes.clone())));
-                loss_first_runs += 1;
+        let mut engine = Engine::new(problem.clone(), config);
+        engine.run(2_000);
+        let rate = engine.allocation().rate(template);
+        let pinned = FlowSpec { bounds: RateBounds::new(rate, rate).unwrap(), ..copy.clone() };
+        let halved = RateBounds::new(copy.bounds.min, copy.bounds.max / 2.0).unwrap();
+        let mut deltas = vec![
+            ("copy", ProblemDelta::new().add_flow(copy.clone(), classes.clone())),
+            ("pinned", ProblemDelta::new().add_flow(pinned, classes.clone())),
+            (
+                "batch",
+                ProblemDelta::new()
+                    .remove_flow(FlowId::new(0))
+                    .add_flow(copy.clone(), classes.clone())
+                    .add_flow(copy.clone(), classes.clone())
+                    .set_rate_bounds(second, halved),
+            ),
+        ];
+        // A loss edit on a link the arrival joins, ahead of the arrival in
+        // one batch: the final problem already lists the new flow on that
+        // link when the loss edit reaches the executor.
+        if let (Some(_), Some(&(link, _))) =
+            (problem.reliability(), problem.links_of_flow(template).first())
+        {
+            let delta = ProblemDelta::new().set_link_loss(link, 0.2);
+            deltas.push(("loss first", delta.add_flow(copy.clone(), classes.clone())));
+            loss_first_runs += 1;
+        }
+        for (delta_name, delta) in &deltas {
+            let label = format!("{name} {delta_name}");
+            let mut grown = engine.clone();
+            grown.apply_delta(delta).expect("every arrival is valid");
+            let mut rebuilt = Engine::restore(grown.problem().clone(), grown.snapshot())
+                .expect("the snapshot fits");
+            for k in 1..=150 {
+                let (u_ref, u_arr) = (rebuilt.step(), grown.step());
+                assert!(
+                    u_ref.to_bits() == u_arr.to_bits(),
+                    "{label}: utility diverged at post-arrival step {k}: {u_ref:?} vs {u_arr:?}"
+                );
+                assert_same_state(&label, k, &rebuilt, &grown);
+                assert_bits_eq(&format!("{label} rhos"), k, rebuilt.rhos(), grown.rhos());
             }
-            for (delta_name, delta) in &deltas {
-                let label = format!("{name} {parallelism:?} {delta_name}");
-                let mut grown = engine.clone();
-                grown.force_pool_dispatch(true);
-                grown.apply_delta(delta).expect("every arrival is valid");
-                let mut rebuilt = Engine::restore(grown.problem().clone(), grown.snapshot())
-                    .expect("the snapshot fits");
-                rebuilt.force_pool_dispatch(true);
-                for k in 1..=150 {
-                    let (u_ref, u_arr) = (rebuilt.step(), grown.step());
-                    assert!(
-                        u_ref.to_bits() == u_arr.to_bits(),
-                        "{label}: utility diverged at post-arrival step {k}: {u_ref:?} vs {u_arr:?}"
-                    );
-                    assert_same_state(&label, k, &rebuilt, &grown);
-                    assert_bits_eq(&format!("{label} rhos"), k, rebuilt.rhos(), grown.rhos());
-                }
-                assert!(grown.allocation().rate(first) > 0.0, "{label}: the arrival got no rate");
-            }
+            assert!(grown.allocation().rate(first) > 0.0, "{label}: the arrival got no rate");
         }
     }
     assert!(loss_first_runs > 0, "no workload carried a loss edit ahead of an arrival");
@@ -1145,32 +917,13 @@ fn idle_at_min_rate(engine: &Engine) -> usize {
         .count()
 }
 
-/// Steps the all-dirty reference and the incremental candidates once each,
+/// Steps the all-dirty reference and the incremental candidate once each,
 /// asserting the utility, the full state and ρ bitwise.
-fn step_in_lockstep(label: &str, k: usize, reference: &mut Engine, candidates: &mut [Engine]) {
-    let u_ref = reference.step();
-    for (i, candidate) in candidates.iter_mut().enumerate() {
-        let u = candidate.step();
-        let label = format!("{label}: candidate {i}");
-        assert!(
-            u_ref.to_bits() == u.to_bits(),
-            "{label} utility diverged at step {k}: {u_ref:?} vs {u:?}"
-        );
-        assert_same_state(&label, k, reference, candidate);
-        assert_bits_eq(&format!("{label} rhos"), k, reference.rhos(), candidate.rhos());
-    }
-}
-
-/// The incremental engines of the price-free tests: `Sequential` and
-/// forced-dispatch `Threads(2)` over the all-dirty `reference` config.
-fn incremental_pair(problem: &Problem, reference: LrgpConfig) -> [Engine; 2] {
-    let config = LrgpConfig { incremental: IncrementalMode::On, ..reference };
-    let pooled = Engine::new(
-        problem.clone(),
-        LrgpConfig { parallelism: Parallelism::Threads(2), ..config },
-    );
-    pooled.force_pool_dispatch(true);
-    [Engine::new(problem.clone(), config), pooled]
+fn step_in_lockstep(label: &str, k: usize, reference: &mut Engine, candidate: &mut Engine) {
+    let (u_ref, u) = (reference.step(), candidate.step());
+    assert!(u_ref.to_bits() == u.to_bits(), "{label} utility diverged at step {k}: {u_ref:?} vs {u:?}");
+    assert_same_state(label, k, reference, candidate);
+    assert_bits_eq(&format!("{label} rhos"), k, reference.rhos(), candidate.rhos());
 }
 
 #[test]
@@ -1190,23 +943,20 @@ fn price_free_flows_stay_bit_identical_through_churn() {
         ..RandomWorkload::default()
     };
     let problem = generator.generate(&mut StdRng::seed_from_u64(7));
-    let reference_config = LrgpConfig {
-        parallelism: Parallelism::Sequential,
-        incremental: IncrementalMode::Off,
-        ..LrgpConfig::default()
-    };
+    let reference_config = LrgpConfig { incremental: IncrementalMode::Off, ..LrgpConfig::default() };
     let mut reference = Engine::new(problem.clone(), reference_config);
-    let mut candidates = incremental_pair(&problem, reference_config);
+    let candidate_config = LrgpConfig { incremental: IncrementalMode::On, ..reference_config };
+    let mut candidate = Engine::new(problem.clone(), candidate_config);
     let mut k = 0;
     for _ in 0..150 {
         k += 1;
-        step_in_lockstep("settling", k, &mut reference, &mut candidates);
+        step_in_lockstep("settling", k, &mut reference, &mut candidate);
     }
     let idle = idle_at_min_rate(&reference);
     assert!(2 * idle > problem.num_flows(), "only {idle} flows settled price-free");
     let before = reference.prices().node_prices().to_vec();
     k += 1;
-    step_in_lockstep("settled", k, &mut reference, &mut candidates);
+    step_in_lockstep("settled", k, &mut reference, &mut candidate);
     let after = reference.prices().node_prices();
     assert!(
         before.iter().zip(after).any(|(a, b)| a.to_bits() != b.to_bits()),
@@ -1236,12 +986,10 @@ fn price_free_flows_stay_bit_identical_through_churn() {
     ];
     for (label, delta) in &deltas {
         reference.apply_delta(delta).expect("delta is valid");
-        for candidate in &mut candidates {
-            candidate.apply_delta(delta).expect("delta is valid");
-        }
+        candidate.apply_delta(delta).expect("delta is valid");
         for _ in 0..60 {
             k += 1;
-            step_in_lockstep(label, k, &mut reference, &mut candidates);
+            step_in_lockstep(label, k, &mut reference, &mut candidate);
         }
     }
 }
@@ -1261,13 +1009,13 @@ fn an_idle_flow_whose_rho_is_above_its_floor_still_answers_its_link_price() {
     let link = LinkId::new(0);
     let rho_min = problem.rho_bounds(flow).expect("the workload carries a spec").min;
     let reference_config = LrgpConfig {
-        parallelism: Parallelism::Sequential,
         incremental: IncrementalMode::Off,
         reliability: Reliability::Joint,
         ..LrgpConfig::default()
     };
     let mut reference = Engine::new(problem.clone(), reference_config);
-    let mut candidates = incremental_pair(&problem, reference_config);
+    let candidate_config = LrgpConfig { incremental: IncrementalMode::On, ..reference_config };
+    let mut candidate = Engine::new(problem.clone(), candidate_config);
     let phases = [
         ("settle", ProblemDelta::new(), 300),
         (
@@ -1288,12 +1036,10 @@ fn an_idle_flow_whose_rho_is_above_its_floor_still_answers_its_link_price() {
             assert_eq!(reference.prices().link(link), 0.0, "the link price must have fallen to 0");
         }
         reference.apply_delta(delta).expect("delta is valid");
-        for candidate in &mut candidates {
-            candidate.apply_delta(delta).expect("delta is valid");
-        }
+        candidate.apply_delta(delta).expect("delta is valid");
         for _ in 0..*steps {
             k += 1;
-            step_in_lockstep(label, k, &mut reference, &mut candidates);
+            step_in_lockstep(label, k, &mut reference, &mut candidate);
         }
     }
     assert_eq!(reference.rhos()[0], rho_min, "the tight link must push ρ[0] to its floor");

@@ -1,16 +1,16 @@
 //! Fuzzing the engine on raw problems at valid extremes. Every weight,
 //! cost, capacity and rate bound is drawn from magnitudes between 1e-300
 //! and 1e300. On each instance that `ProblemBuilder::build` accepts and
-//! whose lower-bound allocation is feasible, the all-dirty sequential engine
-//! and the incremental pooled engine must step in bitwise lockstep, never
-//! panic, and never publish a NaN rate, population, price or utility.
+//! whose lower-bound allocation is feasible, the all-dirty engine and the
+//! incremental engine must step in bitwise lockstep, never panic, and
+//! never publish a NaN rate, population, price or utility.
 //!
 //! Convergence is not asserted, and feasibility only where the engine
 //! claims it: some valid instances end overloaded (a usage of ∞ against a
 //! capacity of 1e-300, say), and the generator is not narrowed to hide
 //! them, but a converged verdict must come with a feasible allocation.
 
-use lrgp::{Engine, IncrementalMode, LrgpConfig, Parallelism};
+use lrgp::{Engine, IncrementalMode, LrgpConfig};
 use lrgp_model::{Allocation, NodeId, Problem, ProblemBuilder, RateBounds, Utility};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,21 +74,12 @@ fn state(e: &Engine) -> Vec<f64> {
     values.chain(prices.link_prices()).copied().collect()
 }
 
-/// Steps an `Off`/`Sequential` and an `On`/`Threads(2)` engine in lockstep.
+/// Steps an `Off` and an `On` engine in lockstep.
 fn check(problem: &Problem) -> Result<(), String> {
-    let reference = LrgpConfig {
-        parallelism: Parallelism::Sequential,
-        incremental: IncrementalMode::Off,
-        ..LrgpConfig::default()
-    };
-    let candidate = LrgpConfig {
-        parallelism: Parallelism::Threads(2),
-        incremental: IncrementalMode::On,
-        ..reference
-    };
+    let reference = LrgpConfig { incremental: IncrementalMode::Off, ..LrgpConfig::default() };
+    let candidate = LrgpConfig { incremental: IncrementalMode::On, ..reference };
     let mut reference = Engine::new(problem.clone(), reference);
     let mut candidate = Engine::new(problem.clone(), candidate);
-    candidate.force_pool_dispatch(true);
     for k in 1..=STEPS {
         let (a, b) = (reference.step(), candidate.step());
         if a.to_bits() != b.to_bits() {
